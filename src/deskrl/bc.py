@@ -17,15 +17,14 @@ checkpoint restores stays structurally identical to a PPO one.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import nn, pointnet, policy as pol
-from .envs import DemoTrajectory, EnvConfig, make_env
-from .errors import ConfigError, NonFiniteError, ResumeError
-from .persistence import Checkpoint, MetricsRecord, append_metrics, save_checkpoint
+from . import loop, nn, pointnet, policy as pol
+from .envs import DemoTrajectory, EnvConfig
+from .errors import ConfigError, NonFiniteError
+from .persistence import Checkpoint, MetricsRecord
 from .rng import make_generator, state_words
 
 
@@ -130,14 +129,15 @@ def train_bc(
     stage: int = 1,
     reset_optimizer: bool = False,
     run_id: str | None = None,
+    should_stop=None,
 ) -> list[MetricsRecord]:
     """Clone the dataset's actions; returns this call's metric history.
 
-    Mirrors train_ppo: cfg.total_steps outer steps on top of whatever the
-    resume checkpoint had, evaluation at entry, every eval_period steps,
-    and at the end, each with a metrics record and a checkpoint.  The
-    stored rng words are a nominal stream: the sampler derives everything
-    from (seed, step), so BC resume needs no generator state.
+    `cfg.total_steps` outer steps on top of whatever the resume checkpoint
+    had, with the evaluation and checkpoint cadence and the should_stop
+    hook of `loop.run_loop`.
+    The stored rng words are a nominal stream: the sampler derives
+    everything from (seed, step), so BC resume needs no generator state.
     """
     if dataset.fingerprint != env_cfg.fingerprint():
         raise ConfigError("demo dataset was recorded on a different environment")
@@ -145,74 +145,22 @@ def train_bc(
         raise ConfigError(
             f"samples per step {cfg.samples_per_step} exceeds dataset size {dataset.size}"
         )
-    os.makedirs(out_dir, exist_ok=True)
-    if run_id is None:
-        run_id = f"{env_cfg.task}-bc-seed{seed}"
-    spec = pol.build_policy_spec(env_cfg.task)
-    train_cfg = replace(env_cfg, split="train")
-    test_cfg = replace(env_cfg, split="test")
-
-    if resume is not None:
-        if resume.trainer_kind != "bc":
-            raise ResumeError(f"checkpoint holds a {resume.trainer_kind} run, not bc")
-        if resume.env_fingerprint != env_cfg.fingerprint():
-            raise ResumeError("checkpoint was trained on a different environment")
-        store = resume.param_store()
-        adam = nn.init_adam(store.size, lr=cfg.learning_rate) if reset_optimizer else resume.adam.copy()
-        start_step = resume.step
-    else:
-        store = nn.ParamStore()
-        pol.init_policy(store, spec, make_generator(seed, "bc", "init", env_cfg.task), cfg.log_std0)
-        adam = nn.init_adam(store.size, lr=cfg.learning_rate)
-        start_step = 0
-
+    state = loop.begin("bc", cfg, env_cfg, seed, resume, reset_optimizer)
     nominal_words = state_words(make_generator(seed, "bc", "nominal", env_cfg.task))
-    metrics_path = os.path.join(out_dir, "metrics.csv")
-    history: list[MetricsRecord] = []
-
-    def evaluate(step: int) -> None:
-        train_rate = pol.evaluate_policy(store, spec, train_cfg, cfg.eval_episodes, seed)
-        test_rate = pol.evaluate_policy(store, spec, test_cfg, cfg.eval_episodes, seed)
-        record = MetricsRecord(step, train_rate, test_rate, stage)
-        append_metrics(metrics_path, record)
-        history.append(record)
-        save_checkpoint(
-            os.path.join(out_dir, f"ckpt-{step:08d}.ckpt"),
-            Checkpoint(
-                run_id=run_id,
-                step=step,
-                trainer_kind="bc",
-                env_fingerprint=env_cfg.fingerprint(),
-                params=store.flat.copy(),
-                slices=store.directory(),
-                adam=adam.copy(),
-                rng_seed=seed,
-                rng_words=nominal_words,
-                train_success=train_rate,
-                test_success=test_rate,
-            ),
-        )
-
-    done = 0
-    last_eval = 0
-    evaluate(start_step)
     S, B = cfg.samples_per_step, cfg.batch_size
-    while done + 1 <= cfg.total_steps:
-        block = stream_indices(seed, dataset.size, (start_step + done) * S, S)
+
+    def advance(step: int) -> None:
+        block = stream_indices(seed, dataset.size, step * S, S)
         for lo in range(0, S, B):
             idx = block[lo : lo + B]  # last short minibatch kept
             loss, grad = bc_loss(
-                store, spec, dataset.points[idx], dataset.proprios[idx], dataset.actions[idx]
+                state.store, state.spec, dataset.points[idx], dataset.proprios[idx], dataset.actions[idx]
             )
             if not np.isfinite(loss):
-                raise NonFiniteError(
-                    f"non-finite loss at outer step {start_step + done}, minibatch {lo // B}"
-                )
-            nn.adam_step(store, grad, adam)
-        done += 1
-        if done - last_eval >= cfg.eval_period:
-            evaluate(start_step + done)
-            last_eval = done
-    if done > last_eval:
-        evaluate(start_step + done)
-    return history
+                raise NonFiniteError(f"non-finite loss at outer step {step}, minibatch {lo // B}")
+            nn.adam_step(state.store, grad, state.adam)
+
+    return loop.run_loop(
+        state, cfg, out_dir, 1, advance, lambda: nominal_words,
+        stage=stage, run_id=run_id, should_stop=should_stop,
+    )

@@ -59,8 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("train-bc", "behavior-clone a policy from a demo bundle")
     add("gen-demos", "roll the scripted expert and save a demo bundle")
     add("two-stage", "stage one, then resume the best checkpoint rescaled")
-    grid = add("grid", "sweep the (alpha, beta) grid and emit the results table")
-    grid.add_argument("--workers", type=int, default=1, help="concurrent cells (default 1)")
+    add("grid", "sweep the (alpha, beta) grid and emit the results table")
     add("eval", "measure a saved checkpoint's success rate")
     add("export", "re-emit a metrics log as plot-ready trend-line data")
     return parser
@@ -148,7 +147,7 @@ def cmd_grid(args, resolved) -> None:
     trainer = _build_trainer(resolved["grid"]["trainer"], resolved, env_cfg)
     spec = cfg_mod.grid_spec(resolved, args.seed)
     cfg_mod.write_manifest(args.out, "grid", args.seed, resolved)
-    records = ts.grid_search(trainer, spec, args.out, workers=args.workers)
+    records = ts.grid_search(trainer, spec, args.out)
     print(f"{len(records)} rows: {os.path.join(args.out, 'results.csv')}")
     try:
         best = ts.recommend_scales(records)

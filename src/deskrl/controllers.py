@@ -1,13 +1,10 @@
 """PD controllers and kinematics for a planar n-link arm.
 
 Controllers bridge policy actions (vectors in [-1, 1]^k) to joint commands.
-Three kinds:
+Two kinds:
 
 * pd_joint_delta_pos: action scales a per-step joint-position delta; a PD
   law tracks the resulting target.
-* pd_joint_vel: action scales a joint-velocity command directly.  Applying
-  it to two extra planar base coordinates covers the mobile-base flavor of
-  the same controller without any extra machinery.
 * pd_ee_delta_pose: action scales an end-effector delta; damped least
   squares maps it to a joint delta, then the same PD law tracks it.
 
@@ -62,7 +59,6 @@ class ArmGeom:
     q_lo: tuple[float, ...] = (-np.pi, -2.9)
     q_hi: tuple[float, ...] = (np.pi, 2.9)
     dq_max: float = 0.1
-    v_max: float = 1.0
     dx_max: float = 0.05
     damping: float = 0.05
 
@@ -74,7 +70,7 @@ class ArmGeom:
             raise ShapeMismatchError("joint limits must match the joint count")
         if any(lo >= hi for lo, hi in zip(self.q_lo, self.q_hi)):
             raise ShapeMismatchError("joint limits need lo < hi")
-        if min(self.dq_max, self.v_max, self.dx_max) <= 0.0 or self.damping <= 0.0:
+        if min(self.dq_max, self.dx_max) <= 0.0 or self.damping <= 0.0:
             raise ShapeMismatchError("action scales and damping must be positive")
 
     @property
@@ -157,12 +153,6 @@ def pd_joint_delta_pos(
     action = _check_action(action, geom.n_joints)
     target = geom.clamp_to_limits(state.q + geom.dq_max * action)
     return _pd_command(target, state, gains)
-
-
-def pd_joint_vel(action: np.ndarray, state: JointState, geom: ArmGeom) -> np.ndarray:
-    """Velocity command v_max * action, clamped to +-v_max."""
-    action = _check_action(action, geom.n_joints)
-    return np.clip(geom.v_max * action, -geom.v_max, geom.v_max)
 
 
 def pd_ee_delta_pose(

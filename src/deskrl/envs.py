@@ -19,7 +19,7 @@ per step, so observation noise stays out of the learning signal.
 Everything is deterministic: (config, episode seed, action sequence) fully
 determines every result, bit for bit.  Integration is semi-implicit Euler
 with a few substeps per control tick; commands are joint accelerations
-under unit inertia, except where a controller sets velocities directly.
+under unit inertia.
 Episodes terminate at the first successful step or at the horizon.
 """
 

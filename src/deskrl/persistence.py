@@ -317,21 +317,14 @@ def export_trendline(history, path: str) -> None:
 
 
 def export_table(records, path: str) -> None:
-    """Write grid-search rows under the documented header.
-
-    Accepts anything iterable whose elements either provide ``as_row()``
-    or are themselves sequences matching the header's nine columns.
-    """
+    """Write grid-search rows (twostage.RunRecord) under the documented header."""
     records = list(records)
     if not records:
         raise ConfigError("cannot export an empty table")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(GRID_HEADER + "\n")
         for rec in records:
-            row = rec.as_row() if hasattr(rec, "as_row") else tuple(rec)
-            if len(row) != len(GRID_HEADER.split(",")):
-                raise ConfigError(f"table row has {len(row)} fields, header has 9")
-            fh.write(",".join(_cell(x) for x in row) + "\n")
+            fh.write(",".join(_cell(x) for x in rec.as_row()) + "\n")
 
 
 def _cell(x) -> str:

@@ -1,4 +1,4 @@
-"""On-policy PPO: rollouts, GAE, clipped-surrogate updates, training loop.
+"""On-policy PPO: rollouts, GAE, clipped-surrogate updates, and the PPO trainer.
 
 Determinism contract: one training run owns a single Philox stream that
 serves episode seeds, action noise, and minibatch shuffles, in that
@@ -19,15 +19,14 @@ leak their last-ulp disagreements into the surrogate.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import nn, pointnet, policy as pol
+from . import loop, nn, pointnet, policy as pol
 from .envs import EnvConfig, make_env
-from .errors import ConfigError, NonFiniteError, ResumeError
-from .persistence import Checkpoint, MetricsRecord, append_metrics, save_checkpoint
+from .errors import ConfigError, NonFiniteError
+from .persistence import Checkpoint, MetricsRecord
 from .rng import generator_from_words, make_generator, state_words
 
 
@@ -301,77 +300,29 @@ def train_ppo(
     stage: int = 1,
     reset_optimizer: bool = False,
     run_id: str | None = None,
+    should_stop=None,
 ) -> list[MetricsRecord]:
-    """The full loop; returns the metric history this call produced.
+    """Train in units of one rollout; returns the metric history this call produced.
 
     `cfg.total_steps` is the budget for this call: a resumed run trains
     for that many further environment steps on top of the checkpoint's
-    step counter.  Evaluation runs at entry, every eval_period collected
-    steps, and once more at the end if steps advanced since the last one;
-    each evaluation appends a metrics record and writes a checkpoint.
+    step counter.  The evaluation and checkpoint cadence and the
+    should_stop hook are those of `loop.run_loop`.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    if run_id is None:
-        run_id = f"{env_cfg.task}-ppo-seed{seed}"
-    spec = pol.build_policy_spec(env_cfg.task)
-    train_cfg = replace(env_cfg, split="train")
-    test_cfg = replace(env_cfg, split="test")
-
+    state = loop.begin("ppo", cfg, env_cfg, seed, resume, reset_optimizer)
     if resume is not None:
-        if resume.trainer_kind != "ppo":
-            raise ResumeError(f"checkpoint holds a {resume.trainer_kind} run, not ppo")
-        if resume.env_fingerprint != env_cfg.fingerprint():
-            raise ResumeError("checkpoint was trained on a different environment")
-        store = resume.param_store()
-        adam = nn.init_adam(store.size, lr=cfg.learning_rate) if reset_optimizer else resume.adam.copy()
         gen = generator_from_words(resume.rng_words)
-        start_step = resume.step
     else:
-        store = nn.ParamStore()
-        pol.init_policy(store, spec, make_generator(seed, "ppo", "init", env_cfg.task), cfg.log_std0)
-        adam = nn.init_adam(store.size, lr=cfg.learning_rate)
         gen = make_generator(seed, "ppo", "train", env_cfg.task)
-        start_step = 0
-
-    env = make_env(train_cfg)
-    metrics_path = os.path.join(out_dir, "metrics.csv")
-    history: list[MetricsRecord] = []
-
-    def evaluate(step: int) -> None:
-        train_rate = pol.evaluate_policy(store, spec, train_cfg, cfg.eval_episodes, seed)
-        test_rate = pol.evaluate_policy(store, spec, test_cfg, cfg.eval_episodes, seed)
-        record = MetricsRecord(step, train_rate, test_rate, stage)
-        append_metrics(metrics_path, record)
-        history.append(record)
-        save_checkpoint(
-            os.path.join(out_dir, f"ckpt-{step:08d}.ckpt"),
-            Checkpoint(
-                run_id=run_id,
-                step=step,
-                trainer_kind="ppo",
-                env_fingerprint=env_cfg.fingerprint(),
-                params=store.flat.copy(),
-                slices=store.directory(),
-                adam=adam.copy(),
-                rng_seed=seed,
-                rng_words=state_words(gen),
-                train_success=train_rate,
-                test_success=test_rate,
-            ),
-        )
-
-    collected = 0
-    last_eval = 0
-    evaluate(start_step)
+    env = make_env(replace(env_cfg, split="train"))
     S = cfg.samples_per_step
-    while collected + S <= cfg.total_steps:
-        buffer = collect_rollout(store, spec, env, S, gen)
+
+    def advance(step: int) -> None:
+        buffer = collect_rollout(state.store, state.spec, env, S, gen)
         compute_gae(buffer, cfg.gamma, cfg.lam, cfg.normalize_advantages)
-        ppo_update(store, spec, buffer, cfg, gen, adam)
-        collected += S
-        if collected - last_eval >= cfg.eval_period:
-            evaluate(start_step + collected)
-            last_eval = collected
-    if collected > last_eval:
-        evaluate(start_step + collected)
-    return history
+        ppo_update(state.store, state.spec, buffer, cfg, gen, state.adam)
+
+    return loop.run_loop(
+        state, cfg, out_dir, S, advance, lambda: state_words(gen),
+        stage=stage, run_id=run_id, should_stop=should_stop,
+    )

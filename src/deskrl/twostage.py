@@ -5,9 +5,12 @@ The procedure: train normally, watch the test-split success rate, and
 when it stalls (or the stage-one budget runs out) resume from the
 checkpoint with the highest test rate seen so far, with the minibatch
 size scaled by alpha and the samples consumed per outer step scaled by
-beta.  The grid harness sweeps (alpha, beta) cells that all branch from
-one shared stage-one run per seed, plus a no-restart baseline row that
-simply keeps training from the last checkpoint at the original sizes.
+beta.  Stage one is one uninterrupted trainer call with the whole budget
+and a stall hook that ends it after STALL_LIMIT evaluations in a row
+without a new best.  The grid harness sweeps (alpha, beta) cells that all
+branch from one shared stage-one run per seed, plus a no-restart baseline
+row that simply keeps training from the last checkpoint at the original
+sizes.
 
 Everything here is trainer-agnostic: a Trainer adapter carries the base
 config and knows which field is the batch size, so PPO (minibatch_size /
@@ -20,7 +23,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -57,23 +59,23 @@ class BestTracker:
     checkpoint: str  # filename of the checkpoint written at that step
 
 
-def _as_step_rates(entry) -> tuple[int, float, float]:
-    if isinstance(entry, MetricsRecord):
-        return entry.step, entry.train_success, entry.test_success
-    step, train, test = entry
-    return int(step), float(train), float(test)
-
-
-def track_best(history) -> BestTracker:
-    """Argmax of the test rate over (step, train, test)-shaped entries."""
-    entries = [_as_step_rates(e) for e in history]
-    if not entries:
+def _peak(history: list[MetricsRecord]) -> MetricsRecord:
+    """The record with the highest test rate; max keeps the earliest of ties."""
+    if not history:
         raise ConfigError("cannot track the best of an empty history")
-    best_step, _, best_test = entries[0]
-    for step, _, test in entries[1:]:
-        if test > best_test:  # strict: ties keep the earliest step
-            best_step, best_test = step, test
-    return BestTracker(best_test, best_step, f"ckpt-{best_step:08d}.ckpt")
+    return max(history, key=lambda rec: rec.test_success)
+
+
+def track_best(history: list[MetricsRecord]) -> BestTracker:
+    """Argmax of the test rate over a metric history."""
+    best = _peak(history)
+    return BestTracker(best.test_success, best.step, f"ckpt-{best.step:08d}.ckpt")
+
+
+def _stalled(history: list[MetricsRecord]) -> bool:
+    """True once STALL_LIMIT evaluations in a row brought no new best test rate."""
+    best_step = track_best(history).step
+    return sum(rec.step > best_step for rec in history) >= STALL_LIMIT
 
 
 def scale_hyperparams(batch0: int, samples0: int, scales: ScalePair) -> tuple[int, int]:
@@ -92,7 +94,7 @@ class Trainer:
     kind: str  # "ppo" | "bc"
     base_cfg: object
     batch_field: str
-    run: Callable  # (cfg, seed, out_dir, resume, stage) -> list[MetricsRecord]
+    run: Callable  # (cfg, seed, out_dir, resume, stage, reset_optimizer, should_stop) -> history
 
     @property
     def base_batch(self) -> int:
@@ -114,19 +116,20 @@ class Trainer:
 
 
 def ppo_trainer(cfg: ppo_mod.PPOConfig, env_cfg: EnvConfig) -> Trainer:
-    def run(run_cfg, seed, out_dir, resume=None, stage=1, reset_optimizer=False):
+    def run(run_cfg, seed, out_dir, resume=None, stage=1, reset_optimizer=False, should_stop=None):
         return ppo_mod.train_ppo(
-            run_cfg, env_cfg, seed, out_dir, resume=resume, stage=stage, reset_optimizer=reset_optimizer
+            run_cfg, env_cfg, seed, out_dir, resume=resume, stage=stage,
+            reset_optimizer=reset_optimizer, should_stop=should_stop,
         )
 
     return Trainer("ppo", cfg, "minibatch_size", run)
 
 
 def bc_trainer(cfg: bc_mod.BCConfig, dataset: bc_mod.DemoDataset, env_cfg: EnvConfig) -> Trainer:
-    def run(run_cfg, seed, out_dir, resume=None, stage=1, reset_optimizer=False):
+    def run(run_cfg, seed, out_dir, resume=None, stage=1, reset_optimizer=False, should_stop=None):
         return bc_mod.train_bc(
-            run_cfg, dataset, env_cfg, seed, out_dir,
-            resume=resume, stage=stage, reset_optimizer=reset_optimizer,
+            run_cfg, dataset, env_cfg, seed, out_dir, resume=resume, stage=stage,
+            reset_optimizer=reset_optimizer, should_stop=should_stop,
         )
 
     return Trainer("bc", cfg, "batch_size", run)
@@ -161,45 +164,15 @@ class RunRecord:
 def run_stage_one(trainer: Trainer, budget: int, seed: int, out_dir: str) -> list[MetricsRecord]:
     """Train at base sizes until the test rate stalls or the budget is spent.
 
-    Runs in eval_period chunks through the trainer's own resume path, so
-    early stopping costs nothing in determinism: the realized history is
-    bit-identical to a prefix of the single uninterrupted run.  Returns
-    the deduplicated history (resumed chunks re-evaluate their restore
-    point; those repeats are dropped).
+    One trainer call with the whole budget; the `_stalled` hook ends it
+    after STALL_LIMIT evaluations in a row without a new best test rate.
+    Early stopping costs nothing in determinism: the history is a prefix
+    of the same call without the hook, on the same evaluation cadence.
     """
     if budget < trainer.eval_period:
         raise ConfigError("stage-one budget is below one evaluation period")
-    history: list[MetricsRecord] = []
-    best = -1.0
-    stall = 0
-    spent = 0
-    resume = None
-    while spent < budget and stall < STALL_LIMIT:
-        chunk = min(trainer.eval_period, budget - spent)
-        cfg = trainer.sized_cfg(trainer.base_batch, trainer.base_samples, chunk)
-        part = trainer.run(cfg, seed, out_dir, resume=resume, stage=1)
-        fresh = part if resume is None else part[1:]
-        advanced = fresh[-1].step - spent if fresh else 0
-        if advanced <= 0:
-            break  # budget slice too small to fit one more training step
-        history.extend(fresh)
-        spent = fresh[-1].step
-        for record in fresh:
-            if record.test_success > best:
-                best = record.test_success
-                stall = 0
-            else:
-                stall += 1
-        resume = load_checkpoint(os.path.join(out_dir, f"ckpt-{spent:08d}.ckpt"))
-    return history
-
-
-def _best_leg_record(leg: list[MetricsRecord]) -> MetricsRecord:
-    best = track_best(leg)
-    for record in leg:
-        if record.step == best.step and record.test_success == best.test_success:
-            return record
-    raise ConfigError("best step missing from its own history")  # unreachable
+    cfg = trainer.sized_cfg(trainer.base_batch, trainer.base_samples, budget)
+    return trainer.run(cfg, seed, out_dir, stage=1, should_stop=_stalled)
 
 
 def run_two_stage(
@@ -226,7 +199,7 @@ def run_two_stage(
     batch1, samples1 = scale_hyperparams(trainer.base_batch, trainer.base_samples, scales)
 
     if stage2_steps == 0:
-        peak = _best_leg_record(stage1)
+        peak = _peak(stage1)
         record = RunRecord(
             row, scales.alpha, scales.beta, batch1, samples1,
             peak.train_success, peak.test_success, seed, 0,
@@ -239,7 +212,7 @@ def run_two_stage(
         cfg2, seed, os.path.join(out_dir, "stage2"),
         resume=restore, stage=2, reset_optimizer=reset_optimizer,
     )
-    peak = _best_leg_record(stage2)
+    peak = _peak(stage2)
     record = RunRecord(
         row, scales.alpha, scales.beta, batch1, samples1,
         peak.train_success, peak.test_success, seed, stage2_steps,
@@ -272,24 +245,14 @@ class GridSpec:
         return [(a, b) for b in self.betas for a in self.alphas]
 
 
-def _failure_record(row, alpha, beta, batch, samples, seed, steps) -> RunRecord:
-    return RunRecord(row, alpha, beta, batch, samples, float("nan"), float("nan"), seed, steps)
-
-
-def grid_search(
-    trainer: Trainer, grid: GridSpec, out_dir: str, workers: int = 1
-) -> list[RunRecord]:
+def grid_search(trainer: Trainer, grid: GridSpec, out_dir: str) -> list[RunRecord]:
     """One baseline row plus one row per (alpha, beta) cell per seed.
 
     Stage one runs once per seed and every cell of that seed branches
     from its best checkpoint; the baseline instead keeps training from
     the last checkpoint at base sizes ("no restart").  A cell that raises
-    is recorded with nan rates and the sweep continues.  Cells are
-    independent after the shared stage one, so workers > 1 runs them
-    concurrently; the results table is assembled afterwards in row order.
+    is recorded with nan rates and the sweep continues.
     """
-    if workers < 1:
-        raise ConfigError("worker count must be at least 1")
     os.makedirs(out_dir, exist_ok=True)
     base_trainer = dataclasses.replace(
         trainer,
@@ -300,59 +263,29 @@ def grid_search(
         seed_dir = os.path.join(out_dir, f"seed{seed}")
         stage1_dir = os.path.join(seed_dir, "stage1")
         stage1 = run_stage_one(base_trainer, grid.stage1_steps, seed, stage1_dir)
-        best = track_best(stage1)
-        last_step = stage1[-1].step
-
-        def run_baseline() -> RunRecord:
-            restore = load_checkpoint(os.path.join(stage1_dir, f"ckpt-{last_step:08d}.ckpt"))
-            cfg = base_trainer.sized_cfg(grid.base_batch, grid.base_samples, grid.stage2_steps)
-            leg = base_trainer.run(
-                cfg, seed, os.path.join(seed_dir, "baseline"), resume=restore, stage=1
-            )
-            peak = _best_leg_record(leg)
-            return RunRecord(
-                1, 1.0, 1.0, grid.base_batch, grid.base_samples,
-                peak.train_success, peak.test_success, seed, grid.stage2_steps,
-            )
-
-        def run_cell(row: int, alpha: float, beta: float) -> RunRecord:
+        # (row, alpha, beta, batch, samples, restore point, leg directory, stage)
+        legs = [(1, 1.0, 1.0, grid.base_batch, grid.base_samples,
+                 f"ckpt-{stage1[-1].step:08d}.ckpt", "baseline", 1)]
+        best = track_best(stage1).checkpoint
+        for row, (alpha, beta) in enumerate(grid.cells(), start=2):
             batch1, samples1 = scale_hyperparams(
                 grid.base_batch, grid.base_samples, ScalePair(alpha, beta)
             )
-            restore = load_checkpoint(os.path.join(stage1_dir, best.checkpoint))
-            cfg = base_trainer.sized_cfg(batch1, samples1, grid.stage2_steps)
-            cell_dir = os.path.join(seed_dir, f"cell-a{alpha}-b{beta}")
-            leg = base_trainer.run(cfg, seed, cell_dir, resume=restore, stage=2)
-            peak = _best_leg_record(leg)
-            return RunRecord(
-                row, alpha, beta, batch1, samples1,
-                peak.train_success, peak.test_success, seed, grid.stage2_steps,
-            )
-
-        jobs: list[Callable[[], RunRecord]] = [run_baseline]
-        fallbacks = [
-            _failure_record(1, 1.0, 1.0, grid.base_batch, grid.base_samples, seed, grid.stage2_steps)
-        ]
-        for i, (alpha, beta) in enumerate(grid.cells(), start=2):
-            jobs.append(lambda row=i, a=alpha, b=beta: run_cell(row, a, b))
-            batch1, samples1 = scale_hyperparams(
-                grid.base_batch, grid.base_samples, ScalePair(alpha, beta)
-            )
-            fallbacks.append(_failure_record(i, alpha, beta, batch1, samples1, seed, grid.stage2_steps))
-
-        def guarded(job, fallback):
+            legs.append((row, alpha, beta, batch1, samples1, best, f"cell-a{alpha}-b{beta}", 2))
+        for row, alpha, beta, batch, samples, restore_point, leg_dir, stage in legs:
             try:
-                return job()
+                restore = load_checkpoint(os.path.join(stage1_dir, restore_point))
+                cfg = base_trainer.sized_cfg(batch, samples, grid.stage2_steps)
+                leg = base_trainer.run(
+                    cfg, seed, os.path.join(seed_dir, leg_dir), resume=restore, stage=stage
+                )
+                peak = _peak(leg)
+                rates = (peak.train_success, peak.test_success)
             except DeskRLError:
-                return fallback
-
-        if workers == 1:
-            seed_records = [guarded(job, fb) for job, fb in zip(jobs, fallbacks)]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(guarded, job, fb) for job, fb in zip(jobs, fallbacks)]
-                seed_records = [f.result() for f in futures]
-        records.extend(seed_records)
+                rates = (float("nan"), float("nan"))
+            records.append(
+                RunRecord(row, alpha, beta, batch, samples, *rates, seed, grid.stage2_steps)
+            )
 
     export_table(records, os.path.join(out_dir, "results.csv"))
     return records

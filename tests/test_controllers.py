@@ -127,16 +127,6 @@ def test_pd_delta_pos_saturates_at_joint_limit():
     assert np.allclose(u, np.clip(-GAINS.kd * qdot, -GAINS.u_max, GAINS.u_max))
 
 
-def test_pd_joint_vel_scaling_and_rejection():
-    state = ctrl.JointState(np.zeros(2), np.zeros(2))
-    assert np.array_equal(ctrl.pd_joint_vel(np.zeros(2), state, GEOM), np.zeros(2))
-    geom_half = ctrl.ArmGeom(v_max=0.5)
-    v = ctrl.pd_joint_vel(np.array([1.0, -1.0]), state, geom_half)
-    assert np.array_equal(v, np.array([0.5, -0.5]))
-    with pytest.raises(ShapeMismatchError):
-        ctrl.pd_joint_vel(np.array([2.0, 0.0]), state, GEOM)
-
-
 def test_pd_ee_delta_zero_action_is_pure_damping():
     state = ctrl.JointState(np.array([0.8, 0.5]), np.array([0.2, -0.3]))
     u = ctrl.pd_ee_delta_pose(np.zeros(2), state, GAINS, GEOM)
@@ -154,10 +144,8 @@ def test_commands_respect_clamps_for_all_box_actions():
         )
         u1 = ctrl.pd_joint_delta_pos(action, state, tight, GEOM)
         u2 = ctrl.pd_ee_delta_pose(action, state, tight, GEOM)
-        v = ctrl.pd_joint_vel(action, state, GEOM)
         assert np.max(np.abs(u1)) <= tight.u_max
         assert np.max(np.abs(u2)) <= tight.u_max
-        assert np.max(np.abs(v)) <= GEOM.v_max
 
 
 def test_dimension_and_validation_errors():

@@ -14,6 +14,7 @@ from deskrl.errors import (
 )
 from deskrl.nn import AdamState, ParamStore
 from deskrl.rng import STATE_WORDS, make_generator, state_words
+from deskrl.twostage import RunRecord
 
 
 def make_checkpoint(seed=0, n_a=12, n_b=6):
@@ -233,16 +234,16 @@ def test_trendline_rejects_empty(tmp_path):
 
 
 TABLE_I_ROWS = [
-    (1, 1.0, 1.0, 330, 20000, 0.65, 0.60, 0, 0),
-    (2, 0.9, 1.0, 297, 20000, 0.71, 0.59, 0, 0),
-    (3, 0.8, 1.0, 264, 20000, 0.57, 0.49, 0, 0),
-    (4, 0.7, 1.0, 231, 20000, 0.67, 0.59, 0, 0),
-    (5, 0.9, 0.875, 297, 17500, 0.72, 0.67, 0, 0),
-    (6, 0.8, 0.875, 264, 17500, 0.65, 0.59, 0, 0),
-    (7, 0.7, 0.875, 231, 17500, 0.66, 0.60, 0, 0),
-    (8, 0.9, 0.75, 297, 15000, 0.65, 0.58, 0, 0),
-    (9, 0.8, 0.75, 264, 15000, 0.66, 0.55, 0, 0),
-    (10, 0.7, 0.75, 231, 15000, 0.64, 0.54, 0, 0),
+    RunRecord(1, 1.0, 1.0, 330, 20000, 0.65, 0.60, 0, 0),
+    RunRecord(2, 0.9, 1.0, 297, 20000, 0.71, 0.59, 0, 0),
+    RunRecord(3, 0.8, 1.0, 264, 20000, 0.57, 0.49, 0, 0),
+    RunRecord(4, 0.7, 1.0, 231, 20000, 0.67, 0.59, 0, 0),
+    RunRecord(5, 0.9, 0.875, 297, 17500, 0.72, 0.67, 0, 0),
+    RunRecord(6, 0.8, 0.875, 264, 17500, 0.65, 0.59, 0, 0),
+    RunRecord(7, 0.7, 0.875, 231, 17500, 0.66, 0.60, 0, 0),
+    RunRecord(8, 0.9, 0.75, 297, 15000, 0.65, 0.58, 0, 0),
+    RunRecord(9, 0.8, 0.75, 264, 15000, 0.66, 0.55, 0, 0),
+    RunRecord(10, 0.7, 0.75, 231, 15000, 0.64, 0.54, 0, 0),
 ]
 
 
@@ -263,11 +264,9 @@ def test_table_reexport_is_byte_identical(tmp_path):
     assert open(pa, "rb").read() == open(pb, "rb").read()
 
 
-def test_table_rejects_empty_and_ragged(tmp_path):
+def test_table_rejects_empty(tmp_path):
     with pytest.raises(ConfigError):
         ps.export_table([], str(tmp_path / "g.csv"))
-    with pytest.raises(ConfigError):
-        ps.export_table([(1, 2, 3)], str(tmp_path / "g.csv"))
 
 
 # -- demo files -------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Two-stage scheduler: best tracking, scale arithmetic against the
 published grid, the stall rule, branch points, and the sweep harness."""
 
+import dataclasses
 import math
 import os
 from dataclasses import dataclass
@@ -33,16 +34,18 @@ class TestScalePair:
 
 class TestTrackBest:
     def test_plain_argmax(self):
-        best = ts.track_best([(100, 0.5, 0.50), (200, 0.7, 0.65), (300, 0.6, 0.60)])
+        best = ts.track_best(
+            [MetricsRecord(100, 0.5, 0.50), MetricsRecord(200, 0.7, 0.65), MetricsRecord(300, 0.6, 0.60)]
+        )
         assert best.step == 200
         assert best.test_success == 0.65
 
     def test_tie_goes_to_the_earliest(self):
-        best = ts.track_best([(100, 0.5, 0.60), (200, 0.7, 0.60)])
+        best = ts.track_best([MetricsRecord(100, 0.5, 0.60), MetricsRecord(200, 0.7, 0.60)])
         assert best.step == 100
 
     def test_single_entry(self):
-        best = ts.track_best([(40, 0.2, 0.3)])
+        best = ts.track_best([MetricsRecord(40, 0.2, 0.3)])
         assert best.step == 40
         assert best.checkpoint == "ckpt-00000040.ckpt"
 
@@ -56,11 +59,10 @@ class TestTrackBest:
 
     def test_result_is_in_history_and_maximal(self):
         g = np.random.default_rng(5)
-        hist = [(int(s), float(g.uniform()), float(g.uniform())) for s in range(0, 500, 50)]
+        hist = [MetricsRecord(s, float(g.uniform()), float(g.uniform())) for s in range(0, 500, 50)]
         best = ts.track_best(hist)
-        steps = {h[0] for h in hist}
-        assert best.step in steps
-        assert all(test <= best.test_success for _, _, test in hist)
+        assert best.step in {r.step for r in hist}
+        assert all(r.test_success <= best.test_success for r in hist)
 
 
 TABLE_PAIRS = {
@@ -157,10 +159,11 @@ class ToyCfg:
 
 def toy_trainer(rate_of, write_checkpoints=True):
     """A scripted stand-in honoring the trainer contract: entry eval,
-    eval every eval_period steps, a final eval, a checkpoint per eval.
+    eval every eval_period steps, a final eval, a checkpoint per eval,
+    and a stop once should_stop(history) holds after an eval.
     rate_of(step, stage) scripts the test rate."""
 
-    def run(cfg, seed, out_dir, resume=None, stage=1, reset_optimizer=False):
+    def run(cfg, seed, out_dir, resume=None, stage=1, reset_optimizer=False, should_stop=None):
         os.makedirs(out_dir, exist_ok=True)
         start = resume.step if resume is not None else 0
         history = []
@@ -187,15 +190,18 @@ def toy_trainer(rate_of, write_checkpoints=True):
                         test_success=test,
                     ),
                 )
+            return should_stop is not None and should_stop(history)
 
         done = 0
         last = 0
-        evaluate(start)
+        if evaluate(start):
+            return history
         while done + 1 <= cfg.total_steps:
             done += 1
             if done - last >= cfg.eval_period:
-                evaluate(start + done)
                 last = done
+                if evaluate(start + done):
+                    return history
         if done > last:
             evaluate(start + done)
         return history
@@ -221,9 +227,28 @@ class TestStageOne:
 
     def test_resumed_chunks_leave_no_duplicate_records(self, tmp_path):
         trainer = toy_trainer(lambda s, _: min(0.99, s * 0.05))
-        hist = ts.run_stage_one(trainer, 6, seed=0, out_dir=str(tmp_path / "s1"))
+        out = str(tmp_path / "s1")
+        hist = ts.run_stage_one(trainer, 6, seed=0, out_dir=out)
         steps = [r.step for r in hist]
         assert steps == sorted(set(steps))
+        logged = [r.step for r in read_metrics(os.path.join(out, "metrics.csv"))]
+        assert logged == steps
+        assert all(a < b for a, b in zip(logged, logged[1:]))
+
+    def test_matches_the_uninterrupted_ppo_run(self, tmp_path):
+        # eval_period is not a multiple of the rollout size: the evaluation
+        # cadence must still be that of one train_ppo call with the budget
+        env_cfg = make_config("reach2d", horizon=40)
+        pcfg = ppo.PPOConfig(
+            samples_per_step=80, minibatch_size=40, epochs=1,
+            total_steps=400, eval_period=100, eval_episodes=1,
+        )
+        straight = ppo.train_ppo(pcfg, env_cfg, seed=0, out_dir=str(tmp_path / "straight"))
+        trainer = ts.ppo_trainer(dataclasses.replace(pcfg, total_steps=0), env_cfg)
+        hist = ts.run_stage_one(trainer, 400, seed=0, out_dir=str(tmp_path / "s1"))
+        as_rows = lambda h: [(r.step, r.train_success, r.test_success) for r in h]
+        assert as_rows(hist) == as_rows(straight)
+        assert [r.step for r in hist] == [0, 160, 320, 400]
 
     def test_rejects_budget_below_one_eval_period(self, tmp_path):
         trainer = toy_trainer(lambda s, _: 0.0)
@@ -328,10 +353,12 @@ class TestGridSearch:
         assert [r.seed for r in records] == [0] * 10 + [1] * 10
 
     def test_failed_cell_records_nan_and_the_sweep_continues(self, tmp_path):
-        def run_or_fail(cfg, seed, out_dir, resume=None, stage=1, reset_optimizer=False):
+        def run_or_fail(cfg, seed, out_dir, resume=None, stage=1, reset_optimizer=False, should_stop=None):
             if cfg.batch_size == 32:  # the alpha = 0.8 cells: 40 * 0.8
                 raise ConfigError("scripted failure")
-            return toy_trainer(lambda s, _: 0.2).run(cfg, seed, out_dir, resume, stage)
+            return toy_trainer(lambda s, _: 0.2).run(
+                cfg, seed, out_dir, resume, stage, should_stop=should_stop
+            )
 
         trainer = ts.Trainer("bc", ToyCfg(), "batch_size", run_or_fail)
         records = ts.grid_search(
@@ -341,12 +368,6 @@ class TestGridSearch:
         failed = [r for r in records if math.isnan(r.test_success)]
         assert [r.row for r in failed] == [3, 6, 9]
         assert all(not math.isnan(r.test_success) for r in records if r.row not in (3, 6, 9))
-
-    def test_workers_reproduce_the_sequential_sweep(self, tmp_path):
-        trainer = toy_trainer(lambda s, _: 0.2)
-        seq = ts.grid_search(trainer, self.grid(), str(tmp_path / "a"))
-        par = ts.grid_search(trainer, self.grid(), str(tmp_path / "b"), workers=4)
-        assert seq == par
 
 
 def table_one_records():
