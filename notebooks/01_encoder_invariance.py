@@ -9,12 +9,12 @@ import numpy as np
 
 from deskrl import nn
 from deskrl.envs import make_config, make_env
-from deskrl.pointnet import build_encoder_spec, encode, init_encoder_params
+from deskrl.pointnet import encode
 from deskrl.policy import build_policy_spec, init_policy
 from deskrl.rng import make_generator
 
 env = make_env(make_config("reach2d"))
-obs = env.reset(seed=7)
+obs = env.reset(7)
 print(f"cloud: {obs.points.shape[0]} points x {obs.points.shape[1]} channels, "
       f"proprio width {obs.proprio.shape[0]}")
 

@@ -128,7 +128,6 @@ def train_bc(
     resume: Checkpoint | None = None,
     stage: int = 1,
     reset_optimizer: bool = False,
-    run_id: str | None = None,
     should_stop=None,
 ) -> list[MetricsRecord]:
     """Clone the dataset's actions; returns this call's metric history.
@@ -162,5 +161,5 @@ def train_bc(
 
     return loop.run_loop(
         state, cfg, out_dir, 1, advance, lambda: nominal_words,
-        stage=stage, run_id=run_id, should_stop=should_stop,
+        stage=stage, should_stop=should_stop,
     )

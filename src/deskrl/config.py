@@ -12,8 +12,9 @@ alone.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import os
-from typing import Any, Callable
+from typing import Any, Callable, get_type_hints
 
 from . import __version__
 from .bc import BCConfig
@@ -49,11 +50,24 @@ def _identity(raw: str) -> str:
     return raw.strip()
 
 
-_ppo = PPOConfig()
-_bc = BCConfig()
-_grid = GridSpec()
+# annotation of a config dataclass field -> parser of its raw string
+_FIELD_PARSERS = {
+    int: int,
+    float: float,
+    bool: _parse_bool,
+    tuple[float, ...]: _parse_floats,
+    tuple[int, ...]: _parse_ints,
+}
 
-# section -> key -> (default, parser); defaults mirror the dataclasses
+
+def _field_keys(cls) -> dict[str, tuple[Any, Callable[[str], Any]]]:
+    """key -> (default, parser) for each field of a config dataclass, in
+    field order."""
+    hints = get_type_hints(cls)
+    return {f.name: (f.default, _FIELD_PARSERS[hints[f.name]]) for f in dataclasses.fields(cls)}
+
+
+# section -> key -> (default, parser); key order is the manifest's order
 SCHEMA: dict[str, dict[str, tuple[Any, Callable[[str], Any]]]] = {
     "run": {
         "task": ("reach2d", _identity),
@@ -62,30 +76,9 @@ SCHEMA: dict[str, dict[str, tuple[Any, Callable[[str], Any]]]] = {
         "horizon": (None, _optional_int),  # empty means the task default
         "n_points": (None, _optional_int),
     },
-    "ppo": {
-        "samples_per_step": (_ppo.samples_per_step, int),
-        "minibatch_size": (_ppo.minibatch_size, int),
-        "epochs": (_ppo.epochs, int),
-        "clip_eps": (_ppo.clip_eps, float),
-        "gamma": (_ppo.gamma, float),
-        "lam": (_ppo.lam, float),
-        "value_coef": (_ppo.value_coef, float),
-        "entropy_coef": (_ppo.entropy_coef, float),
-        "learning_rate": (_ppo.learning_rate, float),
-        "total_steps": (_ppo.total_steps, int),
-        "eval_period": (_ppo.eval_period, int),
-        "eval_episodes": (_ppo.eval_episodes, int),
-        "normalize_advantages": (_ppo.normalize_advantages, _parse_bool),
-        "log_std0": (_ppo.log_std0, float),
-    },
+    "ppo": _field_keys(PPOConfig),
     "bc": {
-        "batch_size": (_bc.batch_size, int),
-        "samples_per_step": (_bc.samples_per_step, int),
-        "learning_rate": (_bc.learning_rate, float),
-        "total_steps": (_bc.total_steps, int),
-        "eval_period": (_bc.eval_period, int),
-        "eval_episodes": (_bc.eval_episodes, int),
-        "log_std0": (_bc.log_std0, float),
+        **_field_keys(BCConfig),
         "demos": ("", _identity),  # path to a demo bundle, required by train-bc
     },
     "demos": {
@@ -97,19 +90,14 @@ SCHEMA: dict[str, dict[str, tuple[Any, Callable[[str], Any]]]] = {
         "trainer": ("ppo", _identity),
         "alpha": (0.9, float),
         "beta": (0.875, float),
-        "stage1_steps": (_grid.stage1_steps, int),
-        "stage2_steps": (_grid.stage2_steps, int),
+        "stage1_steps": (GridSpec.stage1_steps, int),
+        "stage2_steps": (GridSpec.stage2_steps, int),
         "reset_optimizer": (False, _parse_bool),
     },
     "grid": {
         "trainer": ("ppo", _identity),
-        "alphas": (_grid.alphas, _parse_floats),
-        "betas": (_grid.betas, _parse_floats),
-        "base_batch": (_grid.base_batch, int),
-        "base_samples": (_grid.base_samples, int),
-        "seeds": ((), _parse_ints),  # empty means: the --seed flag alone
-        "stage1_steps": (_grid.stage1_steps, int),
-        "stage2_steps": (_grid.stage2_steps, int),
+        **_field_keys(GridSpec),
+        "seeds": ((), _parse_ints),  # keeps its field's place; empty means: the --seed flag alone
     },
     "eval": {
         "checkpoint": ("", _identity),
@@ -189,17 +177,8 @@ def bc_config(resolved: dict, **replacements) -> BCConfig:
 
 
 def grid_spec(resolved: dict, fallback_seed: int) -> GridSpec:
-    grid = resolved["grid"]
-    seeds = grid["seeds"] or (fallback_seed,)
-    return GridSpec(
-        alphas=tuple(grid["alphas"]),
-        betas=tuple(grid["betas"]),
-        base_batch=grid["base_batch"],
-        base_samples=grid["base_samples"],
-        seeds=tuple(seeds),
-        stage1_steps=grid["stage1_steps"],
-        stage2_steps=grid["stage2_steps"],
-    )
+    grid = {k: v for k, v in resolved["grid"].items() if k != "trainer"}
+    return GridSpec(**{**grid, "seeds": grid["seeds"] or (fallback_seed,)})
 
 
 def scale_pair(resolved: dict) -> ScalePair:

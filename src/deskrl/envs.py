@@ -48,12 +48,6 @@ _RANGES = {
     "pushbox2d": ((0.10, 0.18), (0.18, 0.24)),
     "gather2d": ((0.1, 0.2), (0.2, 0.3)),
 }
-_CONTROLLERS = {
-    "reach2d": "pd_ee_delta_pose",
-    "pushbox2d": "pd_joint_delta_pos",
-    "gather2d": "pd_joint_delta_pos",
-}
-_PROPRIO_WIDTHS = {"reach2d": 8, "pushbox2d": 10, "gather2d": 9}
 
 _SUBSTEPS = 4
 
@@ -182,7 +176,6 @@ def _segment_clearance(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> float:
 class ToyEnv:
     """Base class: owns integration, bookkeeping, and the step contract."""
 
-    controller_kind = ""
     proprio_width = 0
 
     def __init__(self, cfg: EnvConfig):
@@ -298,7 +291,6 @@ class ToyEnv:
 class Reach2D(ToyEnv):
     """Drive the arm tip to a goal point; goal radius is the varied parameter."""
 
-    controller_kind = "pd_ee_delta_pose"
     proprio_width = 8
     tolerance = 0.05
 
@@ -342,7 +334,6 @@ class Reach2D(ToyEnv):
 class PushBox2D(ToyEnv):
     """Push a square box to a target zone with the arm tip; box side varied."""
 
-    controller_kind = "pd_joint_delta_pos"
     proprio_width = 10
     tolerance = 0.05
 
@@ -484,7 +475,6 @@ class PushBox2D(ToyEnv):
 class Gather2D(ToyEnv):
     """Herd 32 free particles into a target disk with a circular pusher."""
 
-    controller_kind = "pd_joint_delta_pos"
     proprio_width = 9
     n_particles = 32
     pusher_radius = 0.35
@@ -625,7 +615,7 @@ def make_env(cfg: EnvConfig) -> ToyEnv:
 
 
 def proprio_width(task: str) -> int:
-    return _PROPRIO_WIDTHS[task]
+    return _ENV_CLASSES[task].proprio_width
 
 
 def generate_demos(cfg: EnvConfig, n_episodes: int, keep_only_success: bool = True) -> list[DemoTrajectory]:

@@ -76,7 +76,6 @@ def run_loop(
     advance: Callable[[int], None],
     rng_words: Callable[[], np.ndarray],
     stage: int = 1,
-    run_id: str | None = None,
     should_stop: Callable[[list[MetricsRecord]], bool] | None = None,
 ) -> list[MetricsRecord]:
     """Train cfg.total_steps further steps in units; returns this call's history.
@@ -85,8 +84,7 @@ def run_loop(
     """
     os.makedirs(out_dir, exist_ok=True)
     env_cfg, seed = state.env_cfg, state.seed
-    if run_id is None:
-        run_id = f"{env_cfg.task}-{state.kind}-seed{seed}"
+    run_id = f"{env_cfg.task}-{state.kind}-seed{seed}"
     train_cfg = replace(env_cfg, split="train")
     test_cfg = replace(env_cfg, split="test")
     metrics_path = os.path.join(out_dir, "metrics.csv")

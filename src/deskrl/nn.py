@@ -161,18 +161,17 @@ def init_net_params(
     spec: NetSpec,
     gen: np.random.Generator,
     prefix: str,
-    weight_scale: float | None = None,
 ) -> None:
     """Register W/b slices for every affine layer of `spec` under `prefix`.
 
-    Weights draw from N(0, s^2) with s = weight_scale or sqrt(1/in_width);
-    biases start at zero.
+    Weights draw from N(0, s^2) with s = sqrt(1/in_width); biases start at
+    zero.
     """
     j = 0
     for layer in spec.layers:
         if layer.kind != "affine":
             continue
-        scale = weight_scale if weight_scale is not None else float(np.sqrt(1.0 / layer.in_width))
+        scale = float(np.sqrt(1.0 / layer.in_width))
         w = gen.normal(0.0, scale, size=(layer.in_width, layer.out_width))
         store.add(f"{prefix}.W{j}", w)
         store.add(f"{prefix}.b{j}", np.zeros((1, layer.out_width)))

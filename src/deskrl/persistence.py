@@ -16,8 +16,9 @@ The checkpoint container is one self-contained binary file:
 Everything numeric rides as raw 64-bit little-endian values, so a
 save/load roundtrip is the identity bit for bit; the JSON block carries
 only names, counts, and scalars whose text form round-trips exactly.
-Demonstration datasets use the same container discipline with their own
-magic. Metrics logs are plain comma-separated lines, append-only, with
+Demonstration bundles use the same container, written and read by the
+same code, with their own magic and metadata; their payload is each
+trajectory's points, proprios and actions in turn. Metrics logs are plain comma-separated lines, append-only, with
 steps enforced non-decreasing; a truncated trailing line is ignored on
 read so a crash never poisons the file.
 """
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 import time
@@ -102,6 +104,66 @@ def _checksum(blob: bytes) -> bytes:
     return hashlib.sha256(blob).digest()[:_CHECKSUM_BYTES]
 
 
+def _write_container(path: str, magic: bytes, version: int, meta: dict, arrays) -> None:
+    """Write header, JSON metadata, each array's raw bytes in order, then the
+    checksum.  Atomic: a crash mid-save never leaves a partial file."""
+    meta_blob = json.dumps(meta, separators=(",", ":")).encode("utf-8")
+    parts = [_HEAD.pack(magic, version, 0, len(meta_blob)), meta_blob]
+    parts += [np.ascontiguousarray(a).tobytes() for a in arrays]
+    blob = b"".join(parts)
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(blob)
+        fh.write(_checksum(blob))
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+
+
+def _read_container(path: str, what: str, magic: bytes, version: int, errors, layout):
+    """Check a container file and decode it; returns (metadata, arrays).
+
+    `layout(meta)` lists the (dtype, shape) of each stored array in order.
+    `errors` is (missing, damaged, unknown): the error raised when there is
+    no file, when it is damaged (too short, wrong magic, checksum mismatch,
+    unreadable or overrunning metadata, payload not the size the layout
+    implies), and when its format version is not `version`.
+    """
+    missing, damaged, unknown = errors
+    if not os.path.exists(path):
+        raise missing(f"no {what} at {path}")
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if len(raw) < _HEAD.size + _CHECKSUM_BYTES:
+        raise damaged(f"{path}: file too short to be a {what}")
+    body, trailer = raw[:-_CHECKSUM_BYTES], raw[-_CHECKSUM_BYTES:]
+    found_magic, found_version, _, meta_len = _HEAD.unpack_from(body, 0)
+    if found_magic != magic:
+        raise damaged(f"{path}: bad magic, not a {what}")
+    if _checksum(body) != trailer:
+        raise damaged(f"{path}: checksum mismatch (corrupt or truncated)")
+    if found_version != version:
+        raise unknown(f"{path}: format version {found_version}, this build reads {version}")
+    offset = _HEAD.size + meta_len
+    if offset > len(body):
+        raise damaged(f"{path}: metadata block overruns the file")
+    try:
+        meta = json.loads(body[_HEAD.size : offset].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise damaged(f"{path}: unreadable metadata block") from exc
+    layout = [(np.dtype(dtype), shape) for dtype, shape in layout(meta)]
+    need = sum(dtype.itemsize * math.prod(shape) for dtype, shape in layout)
+    if len(body) - offset != need:
+        raise damaged(f"{path}: payload holds {len(body) - offset} bytes, expected {need}")
+    arrays = []
+    for dtype, shape in layout:
+        count = math.prod(shape)
+        stored = np.frombuffer(body, dtype=dtype, count=count, offset=offset)
+        arrays.append(stored.astype(dtype.newbyteorder("=")).reshape(shape))
+        offset += dtype.itemsize * count
+    return meta, arrays
+
+
 def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     """Write atomically: a crash mid-save never leaves a partial file."""
     meta = {
@@ -122,69 +184,17 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
         "train_success": float(ckpt.train_success),
         "test_success": float(ckpt.test_success),
     }
-    meta_blob = json.dumps(meta, separators=(",", ":")).encode("utf-8")
-    parts = [
-        _HEAD.pack(CHECKPOINT_MAGIC, ckpt.version, 0, len(meta_blob)),
-        meta_blob,
-        np.ascontiguousarray(ckpt.params, dtype="<f8").tobytes(),
-        np.ascontiguousarray(ckpt.adam.m, dtype="<f8").tobytes(),
-        np.ascontiguousarray(ckpt.adam.v, dtype="<f8").tobytes(),
-        np.ascontiguousarray(ckpt.rng_words, dtype="<u8").tobytes(),
-    ]
-    blob = b"".join(parts)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
-        fh.write(_checksum(blob))
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    arrays = [np.asarray(a, dtype="<f8") for a in (ckpt.params, ckpt.adam.m, ckpt.adam.v)]
+    arrays.append(np.asarray(ckpt.rng_words, dtype="<u8"))
+    _write_container(path, CHECKPOINT_MAGIC, ckpt.version, meta, arrays)
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    if not os.path.exists(path):
-        raise CheckpointNotFoundError(f"no checkpoint at {path}")
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEAD.size + _CHECKSUM_BYTES:
-        raise CheckpointIntegrityError(f"{path}: file too short to be a checkpoint")
-    magic = raw[:16]
-    if magic != CHECKPOINT_MAGIC:
-        raise CheckpointIntegrityError(f"{path}: bad magic, not a checkpoint file")
-    body, trailer = raw[:-_CHECKSUM_BYTES], raw[-_CHECKSUM_BYTES:]
-    if _checksum(body) != trailer:
-        raise CheckpointIntegrityError(f"{path}: checksum mismatch (corrupt or truncated)")
-    _, version, _, meta_len = _HEAD.unpack_from(body, 0)
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointVersionError(
-            f"{path}: format version {version}, this build reads {CHECKPOINT_VERSION}"
-        )
-    cursor = _HEAD.size
-    if cursor + meta_len > len(body):
-        raise CheckpointIntegrityError(f"{path}: metadata block overruns the file")
-    try:
-        meta = json.loads(body[cursor : cursor + meta_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointIntegrityError(f"{path}: unreadable metadata block") from exc
-    cursor += meta_len
-
-    n = int(meta["n_params"])
-    need = 3 * n * 8 + STATE_WORDS * 8
-    if len(body) - cursor != need:
-        raise CheckpointIntegrityError(
-            f"{path}: array section holds {len(body) - cursor} bytes, expected {need}"
-        )
-
-    def f64(count):
-        nonlocal cursor
-        out = np.frombuffer(body, dtype="<f8", count=count, offset=cursor).astype(np.float64)
-        cursor += count * 8
-        return out
-
-    params = f64(n)
-    m = f64(n)
-    v = f64(n)
-    rng_words = np.frombuffer(body, dtype="<u8", count=STATE_WORDS, offset=cursor).astype(np.uint64)
+    meta, (params, m, v, rng_words) = _read_container(
+        path, "checkpoint", CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+        (CheckpointNotFoundError, CheckpointIntegrityError, CheckpointVersionError),
+        lambda meta: [("<f8", (int(meta["n_params"]),))] * 3 + [("<u8", (STATE_WORDS,))],
+    )
     a = meta["adam"]
     return Checkpoint(
         run_id=str(meta["run_id"]),
@@ -201,7 +211,6 @@ def load_checkpoint(path: str) -> Checkpoint:
         rng_words=rng_words,
         train_success=float(meta["train_success"]),
         test_success=float(meta["test_success"]),
-        version=int(version),
     )
 
 
@@ -352,7 +361,7 @@ def save_demos(path: str, cfg: EnvConfig, demos: list[DemoTrajectory]) -> None:
         if d.actions.shape != (T, action_w):
             raise DemoFormatError("trajectories disagree on action width")
         episodes.append({"length": int(T), "success": bool(d.success)})
-        arrays += [d.points, d.proprios, d.actions]
+        arrays += [np.asarray(a, dtype="<f8") for a in (d.points, d.proprios, d.actions)]
     meta = {
         "task": cfg.task,
         "fingerprint": cfg.fingerprint(),
@@ -363,64 +372,28 @@ def save_demos(path: str, cfg: EnvConfig, demos: list[DemoTrajectory]) -> None:
         "action_dim": int(action_w),
         "episodes": episodes,
     }
-    meta_blob = json.dumps(meta, separators=(",", ":")).encode("utf-8")
-    parts = [_HEAD.pack(DEMO_MAGIC, DEMO_VERSION, 0, len(meta_blob)), meta_blob]
-    parts += [np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays]
-    blob = b"".join(parts)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
-        fh.write(_checksum(blob))
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    _write_container(path, DEMO_MAGIC, DEMO_VERSION, meta, arrays)
+
+
+def _demo_layout(meta: dict) -> list[tuple[str, tuple[int, ...]]]:
+    """Points, proprios and actions of each trajectory in turn."""
+    N, C = int(meta["n_points"]), int(meta["point_channels"])
+    P, A = int(meta["proprio_width"]), int(meta["action_dim"])
+    shapes = [((T, N, C), (T, P), (T, A)) for T in (int(ep["length"]) for ep in meta["episodes"])]
+    return [("<f8", shape) for triple in shapes for shape in triple]
 
 
 def load_demos(path: str) -> tuple[dict, list[DemoTrajectory]]:
     """Read a demo file back; returns (metadata, trajectories)."""
-    if not os.path.exists(path):
-        raise DemoFormatError(f"no demo file at {path}")
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEAD.size + _CHECKSUM_BYTES or raw[:16] != DEMO_MAGIC:
-        raise DemoFormatError(f"{path}: not a demo file")
-    body, trailer = raw[:-_CHECKSUM_BYTES], raw[-_CHECKSUM_BYTES:]
-    if _checksum(body) != trailer:
-        raise DemoFormatError(f"{path}: checksum mismatch (corrupt or truncated)")
-    _, version, _, meta_len = _HEAD.unpack_from(body, 0)
-    if version != DEMO_VERSION:
-        raise DemoFormatError(f"{path}: unknown demo format version {version}")
-    cursor = _HEAD.size
-    try:
-        meta = json.loads(body[cursor : cursor + meta_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DemoFormatError(f"{path}: unreadable metadata block") from exc
-    cursor += meta_len
-    N, C = int(meta["n_points"]), int(meta["point_channels"])
-    P, A = int(meta["proprio_width"]), int(meta["action_dim"])
-    demos = []
-    for ep in meta["episodes"]:
-        T = int(ep["length"])
-        sizes = (T * N * C, T * P, T * A)
-        shapes = ((T, N, C), (T, P), (T, A))
-        chunks = []
-        for count, shape in zip(sizes, shapes):
-            if cursor + count * 8 > len(body):
-                raise DemoFormatError(f"{path}: trajectory data overruns the file")
-            chunks.append(
-                np.frombuffer(body, dtype="<f8", count=count, offset=cursor)
-                .astype(np.float64)
-                .reshape(shape)
-            )
-            cursor += count * 8
-        demos.append(
-            DemoTrajectory(
-                points=chunks[0], proprios=chunks[1], actions=chunks[2],
-                success=bool(ep["success"]),
-            )
-        )
-    if cursor != len(body):
-        raise DemoFormatError(f"{path}: {len(body) - cursor} trailing bytes after trajectories")
-    if len(demos) != int(meta["count"]):
+    meta, arrays = _read_container(
+        path, "demo bundle", DEMO_MAGIC, DEMO_VERSION, (DemoFormatError,) * 3, _demo_layout
+    )
+    if len(meta["episodes"]) != int(meta["count"]):
         raise DemoFormatError(f"{path}: episode count disagrees with header")
-    return meta, demos
+    return meta, [
+        DemoTrajectory(
+            points=arrays[3 * i], proprios=arrays[3 * i + 1], actions=arrays[3 * i + 2],
+            success=bool(ep["success"]),
+        )
+        for i, ep in enumerate(meta["episodes"])
+    ]

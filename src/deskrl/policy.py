@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .envs import EnvConfig, make_env, proprio_width
+from .envs import ACTION_DIM, EnvConfig, make_env, proprio_width
 from .errors import ConfigError, ShapeMismatchError
 from .pointnet import (
     EncoderSpec,
@@ -62,25 +62,15 @@ class PolicySpec:
             raise ShapeMismatchError("value head must emit a single scalar")
 
 
-def build_policy_spec(
-    task: str,
-    action_dim: int = 2,
-    head_widths: tuple[int, ...] = (64,),
-    per_point_widths: tuple[int, ...] = (32, 64),
-    post_widths: tuple[int, ...] = (64,),
-) -> PolicySpec:
+def build_policy_spec(task: str) -> PolicySpec:
     """Policy shapes for one task (proprio width is task-specific)."""
-    encoder = build_encoder_spec(
-        proprio_width=proprio_width(task),
-        per_point_widths=per_point_widths,
-        post_widths=post_widths,
-    )
+    encoder = build_encoder_spec(proprio_width=proprio_width(task))
     width = encoder.out_width
-    # tanh heads keep the loss surface smooth where the optimizer lives;
-    # the encoder below them stays relu
-    mean = nn.mlp((width, *head_widths, action_dim), hidden="tanh", output="identity")
-    value = nn.mlp((width, *head_widths, 1), hidden="tanh", output="identity")
-    return PolicySpec(encoder, mean, value, action_dim)
+    # one 64-wide tanh hidden layer per head keeps the loss surface smooth
+    # where the optimizer lives; the encoder below them stays relu
+    mean = nn.mlp((width, 64, ACTION_DIM), hidden="tanh", output="identity")
+    value = nn.mlp((width, 64, 1), hidden="tanh", output="identity")
+    return PolicySpec(encoder, mean, value, ACTION_DIM)
 
 
 def init_policy(

@@ -299,7 +299,6 @@ def train_ppo(
     resume: Checkpoint | None = None,
     stage: int = 1,
     reset_optimizer: bool = False,
-    run_id: str | None = None,
     should_stop=None,
 ) -> list[MetricsRecord]:
     """Train in units of one rollout; returns the metric history this call produced.
@@ -324,5 +323,5 @@ def train_ppo(
 
     return loop.run_loop(
         state, cfg, out_dir, S, advance, lambda: state_words(gen),
-        stage=stage, run_id=run_id, should_stop=should_stop,
+        stage=stage, should_stop=should_stop,
     )

@@ -91,7 +91,6 @@ def scale_hyperparams(batch0: int, samples0: int, scales: ScalePair) -> tuple[in
 class Trainer:
     """Binds a run function to its base config and batch-field name."""
 
-    kind: str  # "ppo" | "bc"
     base_cfg: object
     batch_field: str
     run: Callable  # (cfg, seed, out_dir, resume, stage, reset_optimizer, should_stop) -> history
@@ -122,7 +121,7 @@ def ppo_trainer(cfg: ppo_mod.PPOConfig, env_cfg: EnvConfig) -> Trainer:
             reset_optimizer=reset_optimizer, should_stop=should_stop,
         )
 
-    return Trainer("ppo", cfg, "minibatch_size", run)
+    return Trainer(cfg, "minibatch_size", run)
 
 
 def bc_trainer(cfg: bc_mod.BCConfig, dataset: bc_mod.DemoDataset, env_cfg: EnvConfig) -> Trainer:
@@ -132,7 +131,7 @@ def bc_trainer(cfg: bc_mod.BCConfig, dataset: bc_mod.DemoDataset, env_cfg: EnvCo
             reset_optimizer=reset_optimizer, should_stop=should_stop,
         )
 
-    return Trainer("bc", cfg, "batch_size", run)
+    return Trainer(cfg, "batch_size", run)
 
 
 @dataclass(frozen=True)
@@ -175,6 +174,24 @@ def run_stage_one(trainer: Trainer, budget: int, seed: int, out_dir: str) -> lis
     return trainer.run(cfg, seed, out_dir, stage=1, should_stop=_stalled)
 
 
+def _run_leg(
+    trainer: Trainer,
+    restore_path: str,
+    batch: int,
+    samples: int,
+    steps: int,
+    seed: int,
+    out_dir: str,
+    stage: int,
+    reset_optimizer: bool = False,
+) -> list[MetricsRecord]:
+    """Resume the checkpoint at restore_path at (batch, samples) for `steps`
+    further steps; returns the leg's history."""
+    restore = load_checkpoint(restore_path)
+    cfg = trainer.sized_cfg(batch, samples, steps)
+    return trainer.run(cfg, seed, out_dir, resume=restore, stage=stage, reset_optimizer=reset_optimizer)
+
+
 def run_two_stage(
     trainer: Trainer,
     scales: ScalePair,
@@ -195,24 +212,14 @@ def run_two_stage(
         raise ConfigError("stage-two budget cannot be negative")
     stage1_dir = os.path.join(out_dir, "stage1")
     stage1 = run_stage_one(trainer, stage1_steps, seed, stage1_dir)
-    best = track_best(stage1)
     batch1, samples1 = scale_hyperparams(trainer.base_batch, trainer.base_samples, scales)
-
-    if stage2_steps == 0:
-        peak = _peak(stage1)
-        record = RunRecord(
-            row, scales.alpha, scales.beta, batch1, samples1,
-            peak.train_success, peak.test_success, seed, 0,
+    stage2 = []
+    if stage2_steps > 0:
+        stage2 = _run_leg(
+            trainer, os.path.join(stage1_dir, track_best(stage1).checkpoint), batch1, samples1,
+            stage2_steps, seed, os.path.join(out_dir, "stage2"), 2, reset_optimizer,
         )
-        return stage1, record
-
-    restore = load_checkpoint(os.path.join(stage1_dir, best.checkpoint))
-    cfg2 = trainer.sized_cfg(batch1, samples1, stage2_steps)
-    stage2 = trainer.run(
-        cfg2, seed, os.path.join(out_dir, "stage2"),
-        resume=restore, stage=2, reset_optimizer=reset_optimizer,
-    )
-    peak = _peak(stage2)
+    peak = _peak(stage2 or stage1)
     record = RunRecord(
         row, scales.alpha, scales.beta, batch1, samples1,
         peak.train_success, peak.test_success, seed, stage2_steps,
@@ -274,12 +281,10 @@ def grid_search(trainer: Trainer, grid: GridSpec, out_dir: str) -> list[RunRecor
             legs.append((row, alpha, beta, batch1, samples1, best, f"cell-a{alpha}-b{beta}", 2))
         for row, alpha, beta, batch, samples, restore_point, leg_dir, stage in legs:
             try:
-                restore = load_checkpoint(os.path.join(stage1_dir, restore_point))
-                cfg = base_trainer.sized_cfg(batch, samples, grid.stage2_steps)
-                leg = base_trainer.run(
-                    cfg, seed, os.path.join(seed_dir, leg_dir), resume=restore, stage=stage
-                )
-                peak = _peak(leg)
+                peak = _peak(_run_leg(
+                    base_trainer, os.path.join(stage1_dir, restore_point), batch, samples,
+                    grid.stage2_steps, seed, os.path.join(seed_dir, leg_dir), stage,
+                ))
                 rates = (peak.train_success, peak.test_success)
             except DeskRLError:
                 rates = (float("nan"), float("nan"))

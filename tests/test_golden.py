@@ -1,11 +1,13 @@
-"""Golden behaviour digests of short training runs.
+"""Golden behaviour digests of short training runs and of file bytes.
 
-Each case pins SHA-256 digests of the final parameter vector, the Adam
-moments m and v, and the stamp-free trend-line export.  A refactor that
-keeps the numerics keeps every digest; a change that moves one on purpose
-must say which and why.  Every eval_period here is a multiple of the
-trainer's step unit, so the stage-one evaluation cadence is the plain
-uninterrupted one.
+Each training case pins SHA-256 digests of the final parameter vector,
+the Adam moments m and v, and the stamp-free trend-line export.  A
+refactor that keeps the numerics keeps every digest; a change that moves
+one on purpose must say which and why.  Every eval_period here is a
+multiple of the trainer's step unit, so the stage-one evaluation cadence
+is the plain uninterrupted one.  The file cases pin the exact bytes of a
+checkpoint, a demo bundle and the default manifest, so a change to how
+they are written shows even when the numbers they hold do not move.
 """
 
 import glob
@@ -16,8 +18,9 @@ import numpy as np
 import pytest
 
 from deskrl import bc, ppo, twostage as ts
+from deskrl.config import resolve_config, write_manifest
 from deskrl.envs import generate_demos, make_config
-from deskrl.persistence import Checkpoint, export_trendline, load_checkpoint, read_metrics
+from deskrl.persistence import Checkpoint, export_trendline, load_checkpoint, read_metrics, save_demos
 
 GOLDEN = {
     "ppo_reach2d": {
@@ -143,3 +146,37 @@ CASES = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_digests_are_unchanged(case, tmp_path):
     assert CASES[case](tmp_path) == GOLDEN[case]
+
+
+FILE_GOLDEN = {
+    "checkpoint": "1fd94a13d0030d73a457b734a9c180b717767139481e751394001508530f9160",
+    "demos": "acdfc3bd9126959d9b5f285837ecbfb65454f04d5c837b2eeb2dc58a78427d6d",
+    "manifest": "6ec7be6313e6b1fe2d99a35dc911ec625404cc3587e45c83854baa38fab661ce",
+}
+
+
+def _checkpoint_file(tmp_path) -> str:
+    """The entry checkpoint of a zero-budget PPO run."""
+    out = str(tmp_path / "run")
+    ppo.train_ppo(_ppo_cfg(total_steps=0), make_config("reach2d", horizon=40), seed=3, out_dir=out)
+    return os.path.join(out, "ckpt-00000000.ckpt")
+
+
+def _demo_file(tmp_path) -> str:
+    env_cfg = make_config("gather2d", horizon=40)
+    path = str(tmp_path / "demos.bin")
+    save_demos(path, env_cfg, generate_demos(env_cfg, 2, keep_only_success=False))
+    return path
+
+
+def _manifest_file(tmp_path) -> str:
+    return write_manifest(str(tmp_path), "grid", 0, resolve_config(None, []))
+
+
+FILES = {"checkpoint": _checkpoint_file, "demos": _demo_file, "manifest": _manifest_file}
+
+
+@pytest.mark.parametrize("kind", sorted(FILES))
+def test_file_bytes_are_unchanged(kind, tmp_path):
+    with open(FILES[kind](tmp_path), "rb") as fh:
+        assert _sha(fh.read()) == FILE_GOLDEN[kind]

@@ -78,44 +78,96 @@ def test_checkpoint_missing_file():
         ps.load_checkpoint("/nonexistent/path.ckpt")
 
 
-def test_checkpoint_truncation_always_detected(tmp_path):
-    path = str(tmp_path / "c.ckpt")
+def _write_checkpoint(path):
     ps.save_checkpoint(path, make_checkpoint())
+
+
+def _write_demos(path):
+    cfg = envs.make_config("reach2d", seed=5)
+    ps.save_demos(path, cfg, envs.generate_demos(cfg, 2))
+
+
+# file kind -> (writer, reader, error for a damaged file, error for an unknown version)
+CONTAINERS = {
+    "checkpoint": (_write_checkpoint, ps.load_checkpoint, CheckpointIntegrityError, CheckpointVersionError),
+    "demos": (_write_demos, ps.load_demos, DemoFormatError, DemoFormatError),
+}
+
+
+def _resealed(path, edit):
+    """Apply `edit` to the body of the file at path and write it back with
+    a valid checksum, so only the edited field can make it fail."""
+    blob = bytearray(open(path, "rb").read())[: -ps._CHECKSUM_BYTES]
+    edit(blob)
+    body = bytes(blob)
+    open(path, "wb").write(body + ps._checksum(body))
+
+
+@pytest.mark.parametrize("kind", sorted(CONTAINERS))
+def test_container_truncation_always_detected(kind, tmp_path):
+    write, read, damaged, _ = CONTAINERS[kind]
+    path = str(tmp_path / "c.bin")
+    write(path)
     blob = open(path, "rb").read()
     for cut in (len(blob) - 3, len(blob) // 2, 20):
         open(path, "wb").write(blob[:cut])
-        with pytest.raises(CheckpointIntegrityError):
-            ps.load_checkpoint(path)
+        with pytest.raises(damaged):
+            read(path)
 
 
-def test_checkpoint_bitflip_detected(tmp_path):
-    path = str(tmp_path / "d.ckpt")
-    ps.save_checkpoint(path, make_checkpoint())
+@pytest.mark.parametrize("kind", sorted(CONTAINERS))
+def test_container_bitflip_detected(kind, tmp_path):
+    write, read, damaged, _ = CONTAINERS[kind]
+    path = str(tmp_path / "d.bin")
+    write(path)
     blob = bytearray(open(path, "rb").read())
     blob[len(blob) // 2] ^= 0x40
     open(path, "wb").write(bytes(blob))
-    with pytest.raises(CheckpointIntegrityError):
-        ps.load_checkpoint(path)
+    with pytest.raises(damaged):
+        read(path)
 
 
-def test_checkpoint_wrong_magic(tmp_path):
-    path = str(tmp_path / "e.ckpt")
+@pytest.mark.parametrize("kind", sorted(CONTAINERS))
+def test_container_wrong_magic(kind, tmp_path):
+    _, read, damaged, _ = CONTAINERS[kind]
+    path = str(tmp_path / "e.bin")
     open(path, "wb").write(b"\x00" * 64)
-    with pytest.raises(CheckpointIntegrityError):
-        ps.load_checkpoint(path)
+    with pytest.raises(damaged):
+        read(path)
 
 
-def test_checkpoint_unknown_version(tmp_path):
+@pytest.mark.parametrize("kind", sorted(CONTAINERS))
+def test_container_unknown_version(kind, tmp_path):
     # a future-version file with a valid checksum must fail on version,
     # not on integrity
-    path = str(tmp_path / "f.ckpt")
-    ps.save_checkpoint(path, make_checkpoint())
-    blob = bytearray(open(path, "rb").read())[: -ps._CHECKSUM_BYTES]
-    blob[16:20] = (99).to_bytes(4, "little")
-    body = bytes(blob)
-    open(path, "wb").write(body + ps._checksum(body))
-    with pytest.raises(CheckpointVersionError):
-        ps.load_checkpoint(path)
+    write, read, _, unknown = CONTAINERS[kind]
+    path = str(tmp_path / "f.bin")
+    write(path)
+    _resealed(path, lambda blob: blob.__setitem__(slice(16, 20), (99).to_bytes(4, "little")))
+    with pytest.raises(unknown):
+        read(path)
+
+
+@pytest.mark.parametrize("kind", sorted(CONTAINERS))
+def test_container_metadata_overrun(kind, tmp_path):
+    # a metadata length past the end of the file, under a valid checksum
+    write, read, damaged, _ = CONTAINERS[kind]
+    path = str(tmp_path / "g.bin")
+    write(path)
+    _resealed(path, lambda blob: blob.__setitem__(slice(24, 32), len(blob).to_bytes(8, "little")))
+    with pytest.raises(damaged):
+        read(path)
+
+
+@pytest.mark.parametrize("kind", sorted(CONTAINERS))
+def test_container_payload_length_checked(kind, tmp_path):
+    # eight bytes past the payload the metadata describes, under a valid checksum
+    write, read, damaged, _ = CONTAINERS[kind]
+    path = str(tmp_path / "h.bin")
+    write(path)
+    _resealed(path, lambda blob: blob.extend(bytes(8)))
+    with pytest.raises(damaged):
+        read(path)
 
 
 def test_checkpoint_field_validation():

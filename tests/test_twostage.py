@@ -206,7 +206,7 @@ def toy_trainer(rate_of, write_checkpoints=True):
             evaluate(start + done)
         return history
 
-    return ts.Trainer("bc", ToyCfg(), "batch_size", run)
+    return ts.Trainer(ToyCfg(), "batch_size", run)
 
 
 class TestStageOne:
@@ -360,7 +360,7 @@ class TestGridSearch:
                 cfg, seed, out_dir, resume, stage, should_stop=should_stop
             )
 
-        trainer = ts.Trainer("bc", ToyCfg(), "batch_size", run_or_fail)
+        trainer = ts.Trainer(ToyCfg(), "batch_size", run_or_fail)
         records = ts.grid_search(
             trainer, self.grid(base_batch=40, base_samples=100), str(tmp_path / "g")
         )
