@@ -8,6 +8,9 @@ multiple of the trainer's step unit, so the stage-one evaluation cadence
 is the plain uninterrupted one.  The file cases pin the exact bytes of a
 checkpoint, a demo bundle and the default manifest, so a change to how
 they are written shows even when the numbers they hold do not move.
+The transition cases pin every StepResult of a few episodes per task and
+split, under the scripted expert and under fixed action streams, plus the
+policy's mean and sampled actions on those observations.
 """
 
 import glob
@@ -17,10 +20,11 @@ import os
 import numpy as np
 import pytest
 
-from deskrl import bc, ppo, twostage as ts
+from deskrl import bc, nn, policy as pol, ppo, twostage as ts
 from deskrl.config import resolve_config, write_manifest
-from deskrl.envs import generate_demos, make_config
+from deskrl.envs import SPLITS, TASKS, generate_demos, make_config, make_env
 from deskrl.persistence import Checkpoint, export_trendline, load_checkpoint, read_metrics, save_demos
+from deskrl.rng import make_generator
 
 GOLDEN = {
     "ppo_reach2d": {
@@ -180,3 +184,75 @@ FILES = {"checkpoint": _checkpoint_file, "demos": _demo_file, "manifest": _manif
 def test_file_bytes_are_unchanged(kind, tmp_path):
     with open(FILES[kind](tmp_path), "rb") as fh:
         assert _sha(fh.read()) == FILE_GOLDEN[kind]
+
+
+TRANSITION_GOLDEN = {
+    "reach2d-train": "9678a539f08e10b023b2d3baa9240d5d54a26875b9e1233c67debb0a03592ab9",
+    "reach2d-test": "ad22a436a9eee098e19f0a57e08fbd697a73acd789c2cd82331c88cb17d0e1fd",
+    "pushbox2d-train": "90052beeec42c528cb411614b520619eeed687dd8ce32468bbd52e797a351a31",
+    "pushbox2d-test": "6632a8098e40df82c3f6ef32c4df8aec85eec8283a9732d2c05cea5d1dc21cf2",
+    "gather2d-train": "bf12fc6b49ea6b6684c8dad8de128d13e6f99b0b72ab538e7c2a2695eb64edb4",
+    "gather2d-test": "c42ce8f390addb3ca9b8f686e90114ce894d401840aa66e0d96ceeffc534642b",
+}
+
+
+def _array_bytes(h, a: np.ndarray) -> None:
+    h.update(f"{a.dtype.str}{a.shape}".encode())
+    h.update(a.tobytes())
+
+
+def _policy_bytes(h, store, spec, obs, gen) -> None:
+    _array_bytes(h, pol.mean_action(store, spec, obs))
+    s = pol.sample_action(store, spec, obs, gen)
+    _array_bytes(h, s.action)
+    _array_bytes(h, s.raw)
+    h.update(f"{s.logp!r};{s.value!r}".encode())
+
+
+def _transitions(task: str, split: str) -> str:
+    """SHA-256 over four episodes: the scripted expert at the task horizon,
+    uniform actions at horizon 50, and two corner actions at horizon 80,
+    held after two zero actions: they drive the joints into their limits,
+    and the zero actions leave the robot at rest through a step.  Every
+    fourth observation also feeds the policy's mean and sampled actions in."""
+    spec = pol.build_policy_spec(task)
+    store = nn.ParamStore()
+    pol.init_policy(store, spec, make_generator(0, "golden", "policy", task))
+    store.get("mean.W1")[:] /= pol.FINAL_MEAN_SCALE  # means of order one, so some clip
+    gen = make_generator(0, "golden", "transitions", task, split)
+    h = hashlib.sha256()
+    streams = (
+        (None, 0),
+        ("uniform", 50),
+        (np.array([1.0, -1.0]), 80),
+        (np.array([-1.0, 1.0]), 80),
+    )
+    for episode, (stream, horizon) in enumerate(streams):
+        overrides = {"horizon": horizon} if horizon else {}
+        env = make_env(make_config(task, split, seed=5, **overrides))
+        obs = env.reset(episode)
+        for t in range(env.cfg.horizon):
+            _array_bytes(h, obs.points)
+            _array_bytes(h, obs.proprio)
+            if t % 4 == 0:
+                _policy_bytes(h, store, spec, obs, gen)
+            if stream is None:
+                action = env.expert_action()
+            elif isinstance(stream, str):
+                action = gen.uniform(-1.0, 1.0, size=2)
+            else:
+                action = stream if t >= 2 else np.zeros(2)
+            _array_bytes(h, action)
+            res = env.step(action)
+            h.update(f"{res.reward!r};{res.done!r};{res.success!r}".encode())
+            obs = res.obs
+            if res.done:
+                break
+        _array_bytes(h, obs.points)
+        _array_bytes(h, obs.proprio)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("task,split", [(t, s) for t in TASKS for s in SPLITS])
+def test_transitions_are_unchanged(task, split):
+    assert _transitions(task, split) == TRANSITION_GOLDEN[f"{task}-{split}"]
