@@ -11,11 +11,17 @@ Two kinds:
 All functions are pure and operate on explicit JointState values.  The
 default 2-link arm uses position-only end-effector deltas; orientation
 would only be controllable with three or more joints.
+
+The environments step 2-link arms on Python floats; `link_vectors2` gives
+them the kinematics of `chain_points` and `forward_kinematics` for two
+links, value for value.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,17 +83,23 @@ class ArmGeom:
     def n_joints(self) -> int:
         return len(self.link_lengths)
 
+    @cached_property
+    def limit_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(q_lo, q_hi) as float arrays, built once per geometry."""
+        return np.array(self.q_lo, dtype=np.float64), np.array(self.q_hi, dtype=np.float64)
+
     def clamp_to_limits(self, q: np.ndarray) -> np.ndarray:
-        return np.clip(q, np.asarray(self.q_lo), np.asarray(self.q_hi))
+        lo, hi = self.limit_arrays
+        return np.clip(q, lo, hi)
 
 
 def _check_action(action: np.ndarray, dim: int) -> np.ndarray:
     action = np.asarray(action, dtype=np.float64)
     if action.shape != (dim,):
         raise ShapeMismatchError(f"action must have shape ({dim},), got {action.shape}")
-    if not np.all(np.isfinite(action)):
+    if not np.isfinite(action).all():
         raise NonFiniteError("action contains non-finite values")
-    if np.any(np.abs(action) > 1.0 + 1e-12):
+    if (np.abs(action) > 1.0 + 1e-12).any():
         raise ShapeMismatchError("action components must lie in [-1, 1]")
     return action
 
@@ -101,6 +113,18 @@ def forward_kinematics(q: np.ndarray, geom: ArmGeom) -> tuple[np.ndarray, float]
     lengths = np.asarray(geom.link_lengths)
     pos = np.array([np.sum(lengths * np.cos(angles)), np.sum(lengths * np.sin(angles))])
     return pos, float(angles[-1])
+
+
+def link_vectors2(q0: float, q1: float, geom: ArmGeom) -> tuple[float, float, float, float]:
+    """(x0, y0, x1, y1): the two link vectors of a 2-link arm, on floats.
+
+    The elbow sits at (x0, y0).  `chain_points` puts the tip at
+    (x0 + x1, y0 + y1); `forward_kinematics` sums from zero as np.sum does,
+    (0.0 + x0) + x1, which differs from it only in the sign of a zero.
+    """
+    l0, l1 = geom.link_lengths
+    a1 = q0 + q1
+    return l0 * math.cos(q0), l0 * math.sin(q0), l1 * math.cos(a1), l1 * math.sin(a1)
 
 
 def chain_points(q: np.ndarray, geom: ArmGeom) -> np.ndarray:

@@ -25,6 +25,7 @@ Episodes terminate at the first successful step or at the horizon.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,6 +149,14 @@ def _cross2(a: np.ndarray, b: np.ndarray) -> float:
     return float(a[0] * b[1] - a[1] * b[0])
 
 
+def _norm2(x: float, y: float) -> float:
+    """np.linalg.norm of (x, y), which is the square root of the vector's dot
+    with itself.  That BLAS dot may fuse a multiply-add, so sqrt(x * x + y * y)
+    on floats can differ from it in the last bit."""
+    v = np.array((x, y))
+    return math.sqrt(v.dot(v))
+
+
 # Scripted experts compensate the deliberately underdamped PD plant
 # (kp=20, kd=2) by feeding a velocity term back through the action channel.
 _EXPERT_DAMPING = 1.0
@@ -174,7 +183,13 @@ def _segment_clearance(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> float:
 
 
 class ToyEnv:
-    """Base class: owns integration, bookkeeping, and the step contract."""
+    """Base class: owns integration, bookkeeping, and the step contract.
+
+    Per-episode constants (the arm's sample offsets split across links, the
+    cloud template with its one-hot tags and static points) are built at
+    reset.  Each step advances the state, then `_measure` derives once what
+    success, reward, proprio and cloud share (the arm tip, distances).
+    """
 
     proprio_width = 0
 
@@ -191,6 +206,9 @@ class ToyEnv:
         raise NotImplementedError
 
     def _advance(self, action: np.ndarray) -> None:
+        raise NotImplementedError
+
+    def _measure(self) -> None:
         raise NotImplementedError
 
     def _success(self) -> bool:
@@ -224,6 +242,7 @@ class ToyEnv:
         self._started = True
         self._draw_variant(gen)
         self._reset_scene(gen)
+        self._measure()
         return self._observe()
 
     def _draw_variant(self, gen: np.random.Generator) -> None:
@@ -241,51 +260,83 @@ class ToyEnv:
         action = np.asarray(action, dtype=np.float64)
         if action.shape != (self.action_dim,):
             raise ShapeMismatchError(f"action must have shape ({self.action_dim},), got {action.shape}")
-        if not np.all(np.isfinite(action)):
+        if not np.isfinite(action).all():
             raise NonFiniteError("action contains non-finite values")
-        if np.any(np.abs(action) > 1.0 + 1e-12):
+        if (np.abs(action) > 1.0 + 1e-12).any():
             raise ShapeMismatchError("action outside the [-1, 1] action box")
         self._advance(action)
         self.t += 1
+        self._measure()
         success_now = bool(self._success())
         self._succeeded = self._succeeded or success_now
         reward = float(self._reward(success_now))
         done = self._succeeded or self.t >= self.cfg.horizon
         return StepResult(self._observe(), reward, done, self._succeeded)
 
-    def _integrate(self, state: ctrl.JointState, u: np.ndarray, geom: ctrl.ArmGeom) -> None:
-        """Semi-implicit Euler under unit inertia, joint limits enforced."""
-        h = self.cfg.dt / _SUBSTEPS
-        lo = np.asarray(geom.q_lo)
-        hi = np.asarray(geom.q_hi)
-        for _ in range(_SUBSTEPS):
-            state.qdot = state.qdot + h * u
-            state.q = state.q + h * state.qdot
-            below = state.q < lo
-            above = state.q > hi
-            state.q = np.clip(state.q, lo, hi)
-            state.qdot = np.where(below | above, 0.0, state.qdot)
-            self._after_substep()
+    def _integrate(self, u: np.ndarray) -> None:
+        """Semi-implicit Euler under unit inertia, joint limits enforced.
 
-    def _after_substep(self) -> None:
+        Runs on Python floats in numpy's order of operations: each substep
+        adds h * u to the velocities, then h * velocity to the angles, then
+        clamps an angle past its limit and stops that joint.
+        """
+        h = self.cfg.dt / _SUBSTEPS
+        u0, u1 = u.tolist()
+        (lo0, lo1), (hi0, hi1) = self.geom.q_lo, self.geom.q_hi
+        q0, q1 = self.state.q.tolist()
+        v0, v1 = self.state.qdot.tolist()
+        for _ in range(_SUBSTEPS):
+            v0 = v0 + h * u0
+            v1 = v1 + h * u1
+            q0 = q0 + h * v0
+            q1 = q1 + h * v1
+            if q0 < lo0:
+                q0, v0 = lo0, 0.0
+            elif q0 > hi0:
+                q0, v0 = hi0, 0.0
+            if q1 < lo1:
+                q1, v1 = lo1, 0.0
+            elif q1 > hi1:
+                q1, v1 = hi1, 0.0
+            self._after_substep(q0, q1)
+        self.state.q = np.array((q0, q1))
+        self.state.qdot = np.array((v0, v1))
+
+    def _after_substep(self, q0: float, q1: float) -> None:
         pass
 
-    def _arm_points(self, q: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        """Sample `ts` (per-episode offsets in [0,1)) along the arm links."""
-        pts = ctrl.chain_points(q, self.geom)
-        n_links = len(self.geom.link_lengths)
-        per_link = np.array_split(ts, n_links)
-        out = []
-        for j, tj in enumerate(per_link):
-            a, b = pts[j], pts[j + 1]
-            out.append(a[None, :] + tj[:, None] * (b - a)[None, :])
-        return np.concatenate(out)
+    def _arm_tip(self, q0: float, q1: float) -> tuple[float, float]:
+        """The tip position `forward_kinematics` gives, on floats."""
+        x0, y0, x1, y1 = ctrl.link_vectors2(q0, q1, self.geom)
+        return 0.0 + x0 + x1, 0.0 + y0 + y1
 
-    @staticmethod
-    def _tag(coords: np.ndarray, cls: int) -> np.ndarray:
-        onehot = np.zeros((coords.shape[0], FEAT_CHANNELS))
-        onehot[:, cls] = 1.0
-        return np.concatenate([coords, onehot], axis=1)
+    def _split_arm(self, ts: np.ndarray) -> None:
+        """Keep per-episode offsets `ts` in [0,1) along the links, dealt to
+        the links in order as np.array_split deals them."""
+        per_link = np.array_split(ts, len(self.geom.link_lengths))
+        self._arm_link = np.concatenate([np.full(len(tj), j) for j, tj in enumerate(per_link)])
+        self._arm_ts = ts[:, None]
+
+    def _arm_points(self, out: np.ndarray) -> None:
+        """Write the arm's sample points into `out`: a + t (b - a) for the
+        ends a, b of each point's link, in `chain_points`' coordinates."""
+        x0, y0, x1, y1 = ctrl.link_vectors2(*self.state.q.tolist(), self.geom)
+        chain = np.array(((0.0, 0.0), (x0, y0), (x0 + x1, y0 + y1)))
+        starts = chain[:-1][self._arm_link]
+        out[:] = starts + self._arm_ts * (chain[1:] - chain[:-1])[self._arm_link]
+
+    def _cloud_template(self, segments) -> np.ndarray:
+        """The episode's cloud layout: for each (count, class, coords) segment
+        in order, rows with that one-hot class and, where coords is not None,
+        those fixed coordinates.  Every step copies it into a fresh array."""
+        template = np.zeros((self.cfg.n_points, POINT_DIM + FEAT_CHANNELS))
+        row = 0
+        for count, cls, coords in segments:
+            template[row : row + count, POINT_DIM + cls] = 1.0
+            if coords is not None:
+                template[row : row + count, :POINT_DIM] = coords
+            row += count
+        return template
 
 
 class Reach2D(ToyEnv):
@@ -293,156 +344,165 @@ class Reach2D(ToyEnv):
 
     proprio_width = 8
     tolerance = 0.05
+    n_arm = 44
 
     def _reset_scene(self, gen: np.random.Generator) -> None:
         theta = gen.uniform(-2.0, 2.0)
         self.goal = self.variant * np.array([np.cos(theta), np.sin(theta)])
         q0 = np.array([np.pi / 3, -2 * np.pi / 3]) + gen.uniform(-0.05, 0.05, size=2)
         self.state = ctrl.JointState(q0, np.zeros(2))
-        self._arm_ts = gen.uniform(0.0, 1.0, size=44)
-        self._goal_offsets = _disk_offsets(gen, 20, 0.03)
+        self._split_arm(gen.uniform(0.0, 1.0, size=self.n_arm))
+        goal_points = self.goal[None, :] + _disk_offsets(gen, 20, 0.03)
+        self._template = self._cloud_template(((self.n_arm, 0, None), (20, 2, goal_points)))
 
     def _advance(self, action: np.ndarray) -> None:
-        u = ctrl.pd_ee_delta_pose(action, self.state, self.gains, self.geom)
-        self._integrate(self.state, u, self.geom)
+        self._integrate(ctrl.pd_ee_delta_pose(action, self.state, self.gains, self.geom))
 
-    def _tip(self) -> np.ndarray:
-        pos, _ = ctrl.forward_kinematics(self.state.q, self.geom)
-        return pos
+    def _measure(self) -> None:
+        self._tip = self._arm_tip(*self.state.q.tolist())
+        (tx, ty), (gx, gy) = self._tip, self.goal.tolist()
+        self._dist = _norm2(tx - gx, ty - gy)
 
     def _success(self) -> bool:
-        return float(np.linalg.norm(self._tip() - self.goal)) <= self.tolerance
+        return self._dist <= self.tolerance
 
     def _reward(self, success_now: bool) -> float:
-        dist = float(np.linalg.norm(self._tip() - self.goal))
-        return -dist * self.cfg.dt + (10.0 if success_now else 0.0)
+        return -self._dist * self.cfg.dt + (10.0 if success_now else 0.0)
 
     def _cloud(self) -> np.ndarray:
-        arm = self._tag(self._arm_points(self.state.q, self._arm_ts), 0)
-        goal = self._tag(self.goal[None, :] + self._goal_offsets, 2)
-        return np.concatenate([arm, goal])
+        cloud = self._template.copy()
+        self._arm_points(cloud[: self.n_arm, :POINT_DIM])
+        return cloud
 
     def _proprio(self) -> np.ndarray:
-        tip = self._tip()
-        return np.concatenate([self.state.q, self.state.qdot, tip, self.goal - tip])
+        (tx, ty), (gx, gy) = self._tip, self.goal.tolist()
+        return np.array((*self.state.q.tolist(), *self.state.qdot.tolist(), tx, ty, gx - tx, gy - ty))
 
     def expert_action(self) -> np.ndarray:
-        dx = self.goal - self._tip()
+        dx = self.goal - np.array(self._tip)
         return np.clip(dx / self.geom.dx_max, -1.0, 1.0)
 
 
 class PushBox2D(ToyEnv):
-    """Push a square box to a target zone with the arm tip; box side varied."""
+    """Push a square box to a target zone with the arm tip; box side varied.
+
+    The box position is a pair of floats, `box`.
+    """
 
     proprio_width = 10
     tolerance = 0.05
+    n_arm = 28
+    n_outline = 24
 
     def _reset_scene(self, gen: np.random.Generator) -> None:
         self.side = self.variant
         phi = gen.uniform(0.15, 1.35)
         rb = gen.uniform(0.75, 1.0)
-        self.box = rb * np.array([np.cos(phi), np.sin(phi)])
+        box = rb * np.array([np.cos(phi), np.sin(phi)])
         psi = phi + gen.uniform(-0.6, 0.6)
         dist = gen.uniform(0.30, 0.45)
-        target = self.box + dist * np.array([np.cos(psi), np.sin(psi)])
+        target = box + dist * np.array([np.cos(psi), np.sin(psi)])
         # keep the target comfortably inside the reachable annulus
         norm = float(np.linalg.norm(target))
         if norm > 1.5:
             target = target * (1.5 / norm)
         elif norm < 0.35:
-            target = self.box + dist * _unit(self.box)
+            target = box + dist * _unit(box)
+        self.box = tuple(box.tolist())
         self.target = target
         q0 = np.array([0.9, -2.4]) + gen.uniform(-0.05, 0.05, size=2)
         self.state = ctrl.JointState(q0, np.zeros(2))
-        self._arm_ts = gen.uniform(0.0, 1.0, size=28)
-        self._perim_us = gen.uniform(0.0, 1.0, size=24)
-        self._target_offsets = _disk_offsets(gen, 12, 0.03)
-        self._last_tip = self._tip()
+        self._split_arm(gen.uniform(0.0, 1.0, size=self.n_arm))
+        self._outline = self._box_outline(gen.uniform(0.0, 1.0, size=self.n_outline))
+        target_points = target[None, :] + _disk_offsets(gen, 12, 0.03)
+        self._template = self._cloud_template(
+            ((self.n_arm, 0, None), (self.n_outline, 1, None), (12, 2, target_points))
+        )
+        self._last_tip = self._arm_tip(*self.state.q.tolist())
+
+    def _box_outline(self, us: np.ndarray) -> np.ndarray:
+        """Map per-episode parameters u in [0,1) onto the box outline, relative
+        to the box centre: sides 0-3 counter-clockwise from the bottom face."""
+        u = us * 4.0
+        side_idx = np.floor(u).astype(int)
+        frac = u - side_idx
+        half = self.side / 2.0
+        s = self.side
+        rising = -half + frac * s
+        falling = half - frac * s
+        sides = [side_idx == 0, side_idx == 1, side_idx == 2]
+        x = np.select(sides, [rising, half, falling], -half)
+        y = np.select(sides, [-half, rising, half], falling)
+        return np.stack([x, y], axis=1)
 
     def _advance(self, action: np.ndarray) -> None:
-        u = ctrl.pd_joint_delta_pos(action, self.state, self.gains, self.geom)
-        self._integrate(self.state, u, self.geom)
+        self._integrate(ctrl.pd_joint_delta_pos(action, self.state, self.gains, self.geom))
 
-    def _after_substep(self) -> None:
+    def _after_substep(self, q0: float, q1: float) -> None:
         # Quasi-static push: when the tip ends a substep inside the box
         # footprint, the box slides along the tip's direction of travel until
         # the tip sits on the face it came through.  Friction-dominated
         # contact follows the push, so a diagonal push yields a diagonal
         # slide; resolving along the nearest axis instead would quantise box
         # motion to world x/y and make oblique targets unreachable.
-        tip = self._tip()
-        v = tip - self._last_tip
-        self._last_tip = tip.copy()
-        rel = tip - self.box
+        tx, ty = self._arm_tip(q0, q1)
+        lx, ly = self._last_tip
+        self._last_tip = (tx, ty)
+        bx, by = self.box
+        rx, ry = tx - bx, ty - by
         half = self.side / 2.0
-        if not (abs(rel[0]) < half and abs(rel[1]) < half):
+        if not (abs(rx) < half and abs(ry) < half):
             return
-        speed = float(np.linalg.norm(v))
+        vx, vy = tx - lx, ty - ly
+        speed = _norm2(vx, vy)
         if speed < 1e-12:
             # static overlap (reset jitter): fall back to least penetration
-            pen_x = half - abs(rel[0])
-            pen_y = half - abs(rel[1])
+            pen_x = half - abs(rx)
+            pen_y = half - abs(ry)
             if pen_x <= pen_y:
-                sx = 1.0 if rel[0] >= 0.0 else -1.0
-                self.box = np.array([tip[0] - sx * half, self.box[1]])
+                sx = 1.0 if rx >= 0.0 else -1.0
+                self.box = (tx - sx * half, by)
             else:
-                sy = 1.0 if rel[1] >= 0.0 else -1.0
-                self.box = np.array([self.box[0], tip[1] - sy * half])
+                sy = 1.0 if ry >= 0.0 else -1.0
+                self.box = (bx, ty - sy * half)
             return
-        vhat = v / speed
-        t = np.inf
-        for k in range(2):
-            if abs(vhat[k]) > 1e-12:
-                t = min(t, (rel[k] + np.sign(vhat[k]) * half) / vhat[k])
-        self.box = self.box + t * vhat
+        ux, uy = vx / speed, vy / speed
+        t = math.inf
+        for r, u in ((rx, ux), (ry, uy)):
+            if abs(u) > 1e-12:
+                t = min(t, (r + (half if u > 0.0 else -half)) / u)
+        self.box = (bx + t * ux, by + t * uy)
 
-    def _tip(self) -> np.ndarray:
-        pos, _ = ctrl.forward_kinematics(self.state.q, self.geom)
-        return pos
+    def _measure(self) -> None:
+        self._tip = self._arm_tip(*self.state.q.tolist())
+        (bx, by), (gx, gy) = self.box, self.target.tolist()
+        self._dist_bt = _norm2(bx - gx, by - gy)
 
     def _success(self) -> bool:
-        return float(np.linalg.norm(self.box - self.target)) <= self.tolerance
+        return self._dist_bt <= self.tolerance
 
     def _reward(self, success_now: bool) -> float:
-        dist_bt = float(np.linalg.norm(self.box - self.target))
-        gap = max(0.0, float(np.linalg.norm(self._tip() - self.box)) - self.side / 2.0)
-        return -(dist_bt + 0.3 * gap) * self.cfg.dt + (10.0 if success_now else 0.0)
-
-    def _perimeter_points(self) -> np.ndarray:
-        """Map per-episode parameters u in [0,1) onto the box outline."""
-        u = self._perim_us * 4.0
-        side_idx = np.floor(u).astype(int)
-        frac = u - side_idx
-        half = self.side / 2.0
-        s = self.side
-        pts = np.empty((len(u), 2))
-        for i, (k, f) in enumerate(zip(side_idx, frac)):
-            if k == 0:
-                pts[i] = (-half + f * s, -half)
-            elif k == 1:
-                pts[i] = (half, -half + f * s)
-            elif k == 2:
-                pts[i] = (half - f * s, half)
-            else:
-                pts[i] = (-half, half - f * s)
-        return self.box[None, :] + pts
+        (tx, ty), (bx, by) = self._tip, self.box
+        gap = max(0.0, _norm2(tx - bx, ty - by) - self.side / 2.0)
+        return -(self._dist_bt + 0.3 * gap) * self.cfg.dt + (10.0 if success_now else 0.0)
 
     def _cloud(self) -> np.ndarray:
-        arm = self._tag(self._arm_points(self.state.q, self._arm_ts), 0)
-        box = self._tag(self._perimeter_points(), 1)
-        target = self._tag(self.target[None, :] + self._target_offsets, 2)
-        return np.concatenate([arm, box, target])
+        cloud = self._template.copy()
+        self._arm_points(cloud[: self.n_arm, :POINT_DIM])
+        cloud[self.n_arm : self.n_arm + self.n_outline, :POINT_DIM] = np.array(self.box) + self._outline
+        return cloud
 
     def _proprio(self) -> np.ndarray:
-        tip = self._tip()
-        return np.concatenate(
-            [self.state.q, self.state.qdot, tip, self.box - tip, self.target - self.box]
+        (tx, ty), (bx, by), (gx, gy) = self._tip, self.box, self.target.tolist()
+        return np.array(
+            (*self.state.q.tolist(), *self.state.qdot.tolist(), tx, ty, bx - tx, by - ty, gx - bx, gy - by)
         )
 
     def expert_action(self) -> np.ndarray:
-        tip = self._tip()
-        d = _unit(self.target - self.box)
-        rel = tip - self.box
+        tip = np.array(self._tip)
+        box = np.array(self.box)
+        d = _unit(self.target - box)
+        rel = tip - box
         behind_depth = float(-(rel @ d))
         lat_vec = rel - float(rel @ d) * d
         lateral = float(np.linalg.norm(lat_vec))
@@ -452,15 +512,15 @@ class PushBox2D(ToyEnv):
             # the back face; slow down as the box nears the target so it
             # settles inside the tolerance instead of coasting past, and
             # bleed off any off-axis offset so the push tracks the line.
-            d_bt = float(np.linalg.norm(self.target - self.box))
+            d_bt = float(np.linalg.norm(self.target - box))
             advance = min(0.15, 0.5 * d_bt + 0.02)
             move = d * advance - lat_vec
         else:
-            waypoint = self.box - d * (half + 0.12)
-            if _segment_clearance(tip, waypoint, self.box) < half + 0.06:
+            waypoint = box - d * (half + 0.12)
+            if _segment_clearance(tip, waypoint, box) < half + 0.06:
                 side = 1.0 if _cross2(d, rel) >= 0.0 else -1.0
                 perp = np.array([-d[1], d[0]])
-                waypoint = self.box + side * perp * (half + 0.25)
+                waypoint = box + side * perp * (half + 0.25)
             move = waypoint - tip
         norm = float(np.linalg.norm(move))
         if norm > 0.30:
@@ -477,6 +537,7 @@ class Gather2D(ToyEnv):
 
     proprio_width = 9
     n_particles = 32
+    n_ring = 16
     pusher_radius = 0.35
     target_radius = 0.45
     success_fraction = 0.8
@@ -492,27 +553,26 @@ class Gather2D(ToyEnv):
         sigma = self.variant
         self.source = np.array([-0.55, gen.uniform(-0.25, 0.25)])
         self.target = np.array([0.55, gen.uniform(-0.25, 0.25)])
-        self.particles = self.source + sigma * gen.normal(size=(self.n_particles, 2))
-        self.particles = np.clip(self.particles, -1.5, 1.5)
+        self.particles = np.clip(self.source + sigma * gen.normal(size=(self.n_particles, 2)), -1.5, 1.5)
         start = self.source - 0.45 * _unit(self.target - self.source)
         q0 = start + gen.uniform(-0.03, 0.03, size=2)
         self.state = ctrl.JointState(q0, np.zeros(2))
-        self._last_c = self.state.q.copy()
-        self._expel_radially()  # a wide spread can overlap the pusher at reset
-        self._pusher_ring = _ring_offsets(gen, 16, self.pusher_radius)
-        self._target_ring = _ring_offsets(gen, 16, self.target_radius)
+        self._expel_radially(self.state.q)  # a wide spread can overlap the pusher at reset
+        self._pusher_ring = _ring_offsets(gen, self.n_ring, self.pusher_radius)
+        target_points = self.target[None, :] + _ring_offsets(gen, self.n_ring, self.target_radius)
+        self._template = self._cloud_template(
+            ((self.n_ring, 0, None), (self.n_particles, 1, None), (self.n_ring, 2, target_points))
+        )
 
     def _advance(self, action: np.ndarray) -> None:
-        self._last_c = self.state.q.copy()
-        u = ctrl.pd_joint_delta_pos(action, self.state, self.gains, self.geom)
-        self._integrate(self.state, u, self.geom)
+        self._last_c = tuple(self.state.q.tolist())
+        self._integrate(ctrl.pd_joint_delta_pos(action, self.state, self.gains, self.geom))
 
-    def _expel_radially(self) -> None:
-        c = self.state.q
+    def _expel_radially(self, c: np.ndarray) -> None:
         d = self.particles - c[None, :]
         dist = np.linalg.norm(d, axis=1)
         inside = dist < self.pusher_radius
-        if np.any(inside):
+        if inside.any():
             dirs = np.where(
                 dist[inside, None] > 1e-12,
                 d[inside] / np.maximum(dist[inside, None], 1e-12),
@@ -522,63 +582,57 @@ class Gather2D(ToyEnv):
             # on the circle can round 1 ulp inside and expel it again next call
             self.particles[inside] = c[None, :] + (self.pusher_radius + 1e-9) * dirs
 
-    def _after_substep(self) -> None:
+    def _after_substep(self, q0: float, q1: float) -> None:
         # Friction-dominated contact: a particle overrun by the pusher exits
         # along the pusher's direction of motion (like soil ahead of a plow
         # blade), not radially -- radial ejection would shed everything
         # sideways and make herding with a disk impossible.
-        c = self.state.q
-        v = c - self._last_c
-        self._last_c = c.copy()
-        speed = float(np.linalg.norm(v))
+        lx, ly = self._last_c
+        self._last_c = (q0, q1)
+        c = np.array((q0, q1))
+        speed = _norm2(q0 - lx, q1 - ly)
         if speed < 1e-12:
-            self._expel_radially()
+            self._expel_radially(c)
             return
-        vhat = v / speed
+        vhat = np.array((q0 - lx, q1 - ly)) / speed
         w = self.particles - c[None, :]
         dist_sq = np.einsum("ij,ij->i", w, w)
         inside = dist_sq < self.pusher_radius**2
-        if np.any(inside):
+        if inside.any():
             w_in = w[inside]
             proj = w_in @ vhat
             t = -proj + np.sqrt(proj * proj + self.pusher_radius**2 - dist_sq[inside])
             self.particles[inside] = self.particles[inside] + t[:, None] * vhat[None, :]
 
-    def _in_target(self) -> np.ndarray:
-        return np.linalg.norm(self.particles - self.target[None, :], axis=1) <= self.target_radius
-
-    def _fraction_in(self) -> float:
-        return float(np.mean(self._in_target()))
-
-    def _out_centroid(self) -> np.ndarray:
-        mask = ~self._in_target()
-        if not np.any(mask):
-            return self.target.copy()
-        return self.particles[mask].mean(axis=0)
+    def _measure(self) -> None:
+        inside = np.linalg.norm(self.particles - self.target[None, :], axis=1) <= self.target_radius
+        self._fraction_in = float(np.mean(inside))
+        out = ~inside
+        self._out_centroid = self.particles[out].mean(axis=0) if out.any() else self.target.copy()
 
     def _success(self) -> bool:
-        return self._fraction_in() >= self.success_fraction
+        return self._fraction_in >= self.success_fraction
 
     def _reward(self, success_now: bool) -> float:
-        frac = self._fraction_in()
-        reach = max(0.0, float(np.linalg.norm(self.state.q - self._out_centroid())) - self.pusher_radius)
-        return -((1.0 - frac) + 0.1 * min(reach, 1.0)) * self.cfg.dt + (10.0 if success_now else 0.0)
+        (cx, cy), (mx, my) = self.state.q.tolist(), self._out_centroid.tolist()
+        reach = max(0.0, _norm2(cx - mx, cy - my) - self.pusher_radius)
+        return -((1.0 - self._fraction_in) + 0.1 * min(reach, 1.0)) * self.cfg.dt + (10.0 if success_now else 0.0)
 
     def _cloud(self) -> np.ndarray:
-        pusher = self._tag(self.state.q[None, :] + self._pusher_ring, 0)
-        parts = self._tag(self.particles, 1)
-        ring = self._tag(self.target[None, :] + self._target_ring, 2)
-        return np.concatenate([pusher, parts, ring])
+        cloud = self._template.copy()
+        cloud[: self.n_ring, :POINT_DIM] = self.state.q + self._pusher_ring
+        cloud[self.n_ring : self.n_ring + self.n_particles, :POINT_DIM] = self.particles
+        return cloud
 
     def _proprio(self) -> np.ndarray:
-        c = self.state.q
-        return np.concatenate(
-            [c, self.state.qdot, self._out_centroid() - c, self.target - c, [self._fraction_in()]]
+        (cx, cy), (mx, my), (tx, ty) = self.state.q.tolist(), self._out_centroid.tolist(), self.target.tolist()
+        return np.array(
+            (cx, cy, *self.state.qdot.tolist(), mx - cx, my - cy, tx - cx, ty - cy, self._fraction_in)
         )
 
     def expert_action(self) -> np.ndarray:
         c = self.state.q
-        M = self._out_centroid()
+        M = self._out_centroid
         d = _unit(self.target - M)
         if float(np.linalg.norm(c - self.target)) < self.pusher_radius + 0.05:
             # deep enough in the drop zone: back straight out and re-line-up

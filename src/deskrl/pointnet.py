@@ -46,7 +46,7 @@ class PointCloudObs:
             raise ShapeMismatchError(f"points must be (n, channels), got {self.points.shape}")
         if self.proprio.ndim != 1:
             raise ShapeMismatchError(f"proprio must be 1-D, got {self.proprio.shape}")
-        if not np.all(np.isfinite(self.points)) or not np.all(np.isfinite(self.proprio)):
+        if not (np.isfinite(self.points).all() and np.isfinite(self.proprio).all()):
             raise NonFiniteError("observation contains non-finite values")
 
 
@@ -117,10 +117,23 @@ def _check_obs(spec: EncoderSpec, obs: PointCloudObs) -> None:
         )
 
 
+def _per_point_rowstable(store: nn.ParamStore, spec: nn.NetSpec, pts: np.ndarray, prefix: str) -> np.ndarray:
+    """Per-point forward whose row values do not depend on the row count."""
+    H = pts
+    j = 0
+    for layer in spec.layers:
+        if layer.kind == "affine":
+            H = np.einsum("nk,ko->no", H, store.get(f"{prefix}.W{j}")) + store.get(f"{prefix}.b{j}")
+            j += 1
+        else:
+            H = nn._apply_activation(layer.fn, H)
+    return H
+
+
 def _per_point_rowstable_trace(
     store: nn.ParamStore, spec: nn.NetSpec, pts: np.ndarray, prefix: str
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Per-point forward whose row values do not depend on the row count."""
+    """_per_point_rowstable plus the per-layer inputs/outputs the backward pass needs."""
     cache: list[np.ndarray] = []
     H = pts
     j = 0
@@ -137,6 +150,12 @@ def _per_point_rowstable_trace(
     return H, cache
 
 
+def _pool(spec: EncoderSpec, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Max over points per feature: (argmax index, pooled values)."""
+    pool_idx = np.argmax(feats, axis=0)  # first (lowest) index wins ties
+    return pool_idx, feats[pool_idx, np.arange(spec.feature_dim)]
+
+
 @dataclass
 class EncodeCache:
     """Intermediates for one single-observation backward pass."""
@@ -150,10 +169,10 @@ class EncodeCache:
 def encode_trace(
     store: nn.ParamStore, spec: EncoderSpec, obs: PointCloudObs, prefix: str = "enc"
 ) -> tuple[np.ndarray, EncodeCache]:
+    """encode() plus the intermediates encode_backward needs."""
     _check_obs(spec, obs)
     feats, pp_cache = _per_point_rowstable_trace(store, spec.per_point, obs.points, f"{prefix}.pp")
-    pool_idx = np.argmax(feats, axis=0)  # first (lowest) index wins ties
-    pooled = feats[pool_idx, np.arange(spec.feature_dim)]
+    pool_idx, pooled = _pool(spec, feats)
     x = np.concatenate([pooled, obs.proprio])[None, :]
     out, post_cache = nn.forward_batch_trace(store, spec.post, x, f"{prefix}.post")
     return out[0], EncodeCache(pp_cache, feats, pool_idx, post_cache)
@@ -161,8 +180,11 @@ def encode_trace(
 
 def encode(store: nn.ParamStore, spec: EncoderSpec, obs: PointCloudObs, prefix: str = "enc") -> np.ndarray:
     """Encode one observation to a (out_width,) feature vector."""
-    out, _ = encode_trace(store, spec, obs, prefix)
-    return out
+    _check_obs(spec, obs)
+    feats = _per_point_rowstable(store, spec.per_point, obs.points, f"{prefix}.pp")
+    _, pooled = _pool(spec, feats)
+    x = np.concatenate([pooled, obs.proprio])[None, :]
+    return nn.forward_batch(store, spec.post, x, f"{prefix}.post")[0]
 
 
 def encode_backward(

@@ -122,11 +122,12 @@ class ActionSample:
     value: float
 
 
-def _heads(store: nn.ParamStore, spec: PolicySpec, obs: PointCloudObs) -> tuple[np.ndarray, float]:
-    feat = encode(store, spec.encoder, obs)
-    mean = nn.forward(store, spec.mean, feat, "mean")
-    value = nn.forward(store, spec.value, feat, "value")
-    return mean, float(value[0])
+def _mean(store: nn.ParamStore, spec: PolicySpec, feat: np.ndarray) -> np.ndarray:
+    return nn.forward(store, spec.mean, feat, "mean")
+
+
+def _value(store: nn.ParamStore, spec: PolicySpec, feat: np.ndarray) -> float:
+    return float(nn.forward(store, spec.value, feat, "value")[0])
 
 
 def sample_action(
@@ -136,23 +137,25 @@ def sample_action(
     gen: np.random.Generator,
 ) -> ActionSample:
     """Draw one action; consumes exactly action_dim normals from gen."""
-    mean, value = _heads(store, spec, obs)
+    feat = encode(store, spec.encoder, obs)
+    mean = _mean(store, spec, feat)
     log_std = log_std_of(store, spec)
     z = gen.standard_normal(spec.action_dim)
     raw = mean + np.exp(log_std) * z
     logp = float(gaussian_logp(raw, mean, log_std))
-    return ActionSample(np.clip(raw, -1.0, 1.0), raw, logp, value)
+    return ActionSample(np.clip(raw, -1.0, 1.0), raw, logp, _value(store, spec, feat))
 
 
 def mean_action(store: nn.ParamStore, spec: PolicySpec, obs: PointCloudObs) -> np.ndarray:
-    """Deterministic policy: the clamped mean, no generator involved."""
-    mean, _ = _heads(store, spec, obs)
-    return np.clip(mean, -1.0, 1.0)
+    """Deterministic policy: the clamped mean, no generator involved.
+
+    Only the mean head runs; the value head is not evaluated.
+    """
+    return np.clip(_mean(store, spec, encode(store, spec.encoder, obs)), -1.0, 1.0)
 
 
 def value_of(store: nn.ParamStore, spec: PolicySpec, obs: PointCloudObs) -> float:
-    _, value = _heads(store, spec, obs)
-    return value
+    return _value(store, spec, encode(store, spec.encoder, obs))
 
 
 def rollout_success(store: nn.ParamStore, spec: PolicySpec, env, episode_seed: int) -> bool:
