@@ -129,12 +129,13 @@ def train_bc(
     stage: int = 1,
     reset_optimizer: bool = False,
     should_stop=None,
+    entry_rates=None,
 ) -> list[MetricsRecord]:
     """Clone the dataset's actions; returns this call's metric history.
 
     `cfg.total_steps` outer steps on top of whatever the resume checkpoint
-    had, with the evaluation and checkpoint cadence and the should_stop
-    hook of `loop.run_loop`.
+    had, with the evaluation and checkpoint cadence, the should_stop hook
+    and entry_rates of `loop.run_loop`.
     The stored rng words are a nominal stream: the sampler derives
     everything from (seed, step), so BC resume needs no generator state.
     """
@@ -161,5 +162,5 @@ def train_bc(
 
     return loop.run_loop(
         state, cfg, out_dir, 1, advance, lambda: nominal_words,
-        stage=stage, should_stop=should_stop,
+        stage=stage, should_stop=should_stop, entry_rates=entry_rates,
     )

@@ -85,8 +85,11 @@ class ArmGeom:
 
     @cached_property
     def limit_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(q_lo, q_hi) as float arrays, built once per geometry."""
-        return np.array(self.q_lo, dtype=np.float64), np.array(self.q_hi, dtype=np.float64)
+        """(q_lo, q_hi) as read-only float arrays, built once per geometry."""
+        arrays = np.array(self.q_lo, dtype=np.float64), np.array(self.q_hi, dtype=np.float64)
+        for a in arrays:
+            a.setflags(write=False)
+        return arrays
 
     def clamp_to_limits(self, q: np.ndarray) -> np.ndarray:
         lo, hi = self.limit_arrays

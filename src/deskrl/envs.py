@@ -19,7 +19,10 @@ per step, so observation noise stays out of the learning signal.
 Everything is deterministic: (config, episode seed, action sequence) fully
 determines every result, bit for bit.  Integration is semi-implicit Euler
 with a few substeps per control tick; commands are joint accelerations
-under unit inertia.
+under unit inertia.  The 2-vector state of a step (joint angles and
+velocities, the arm tip, the box) is carried on Python floats in numpy's
+order of operations, so it gives the same bits as the array expressions it
+stands for; the particles, controllers and point clouds stay numpy.
 Episodes terminate at the first successful step or at the horizon.
 """
 
@@ -314,7 +317,7 @@ class ToyEnv:
         """Keep per-episode offsets `ts` in [0,1) along the links, dealt to
         the links in order as np.array_split deals them."""
         per_link = np.array_split(ts, len(self.geom.link_lengths))
-        self._arm_link = np.concatenate([np.full(len(tj), j) for j, tj in enumerate(per_link)])
+        self._arm_link = np.repeat(np.arange(len(per_link)), [len(tj) for tj in per_link])
         self._arm_ts = ts[:, None]
 
     def _arm_points(self, out: np.ndarray) -> None:
@@ -383,6 +386,11 @@ class Reach2D(ToyEnv):
         return np.clip(dx / self.geom.dx_max, -1.0, 1.0)
 
 
+# first corner (in half sides) and walking direction of each box side
+_SIDE_STARTS = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+_SIDE_WALKS = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+
+
 class PushBox2D(ToyEnv):
     """Push a square box to a target zone with the arm tip; box side varied.
 
@@ -422,18 +430,15 @@ class PushBox2D(ToyEnv):
 
     def _box_outline(self, us: np.ndarray) -> np.ndarray:
         """Map per-episode parameters u in [0,1) onto the box outline, relative
-        to the box centre: sides 0-3 counter-clockwise from the bottom face."""
+        to the box centre: sides 0-3 counter-clockwise from the bottom face,
+        each walked from its first corner by frac * side."""
         u = us * 4.0
         side_idx = np.floor(u).astype(int)
         frac = u - side_idx
         half = self.side / 2.0
-        s = self.side
-        rising = -half + frac * s
-        falling = half - frac * s
-        sides = [side_idx == 0, side_idx == 1, side_idx == 2]
-        x = np.select(sides, [rising, half, falling], -half)
-        y = np.select(sides, [-half, rising, half], falling)
-        return np.stack([x, y], axis=1)
+        # corner + 0 * walk is the corner and corner + (-1) * walk is
+        # corner - walk, exactly: each side's own formula, bit for bit
+        return half * _SIDE_STARTS[side_idx] + _SIDE_WALKS[side_idx] * (frac * self.side)[:, None]
 
     def _advance(self, action: np.ndarray) -> None:
         self._integrate(ctrl.pd_joint_delta_pos(action, self.state, self.gains, self.geom))

@@ -10,6 +10,13 @@ every eval_period steps, and once more at the end if steps advanced since
 the last evaluation; each evaluation appends a metrics record and writes a
 checkpoint.  An optional should_stop(history) hook, asked after each
 evaluation, ends the call early.
+
+A caller that already knows the entry rates passes them as entry_rates:
+the entry record and checkpoint then carry them and the entry evaluation
+is skipped.  The two-stage legs do this, because the checkpoint they
+resume from holds the rates stage one measured for the same parameters,
+seed and panels.  A plain resume still evaluates, since its
+eval_episodes may differ from the run that wrote the checkpoint.
 """
 
 from __future__ import annotations
@@ -77,10 +84,13 @@ def run_loop(
     rng_words: Callable[[], np.ndarray],
     stage: int = 1,
     should_stop: Callable[[list[MetricsRecord]], bool] | None = None,
+    entry_rates: tuple[float, float] | None = None,
 ) -> list[MetricsRecord]:
     """Train cfg.total_steps further steps in units; returns this call's history.
 
     `rng_words()` gives the generator state each checkpoint stores.
+    `entry_rates`, if given, are the (train, test) success rates of the
+    entry parameters on this run's panels, recorded instead of evaluating.
     """
     os.makedirs(out_dir, exist_ok=True)
     env_cfg, seed = state.env_cfg, state.seed
@@ -90,9 +100,13 @@ def run_loop(
     metrics_path = os.path.join(out_dir, "metrics.csv")
     history: list[MetricsRecord] = []
 
-    def evaluate(step: int) -> bool:
-        train_rate = pol.evaluate_policy(state.store, state.spec, train_cfg, cfg.eval_episodes, seed)
-        test_rate = pol.evaluate_policy(state.store, state.spec, test_cfg, cfg.eval_episodes, seed)
+    def evaluate(step: int, rates: tuple[float, float] | None = None) -> bool:
+        if rates is None:
+            rates = (
+                pol.evaluate_policy(state.store, state.spec, train_cfg, cfg.eval_episodes, seed),
+                pol.evaluate_policy(state.store, state.spec, test_cfg, cfg.eval_episodes, seed),
+            )
+        train_rate, test_rate = rates
         record = MetricsRecord(step, train_rate, test_rate, stage)
         append_metrics(metrics_path, record)
         history.append(record)
@@ -116,7 +130,7 @@ def run_loop(
 
     done = 0
     last_eval = 0
-    if evaluate(state.start_step):
+    if evaluate(state.start_step, entry_rates):
         return history
     while done + unit <= cfg.total_steps:
         advance(state.start_step + done)

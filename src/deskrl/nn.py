@@ -182,7 +182,7 @@ def _check_input(X: np.ndarray, width: int, name: str) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != width:
         raise ShapeMismatchError(f"{name}: expected (batch, {width}), got shape {X.shape}")
-    if not np.isfinite(X).all():
+    if not np.all(np.isfinite(X)):
         raise NonFiniteError(f"{name}: input contains non-finite values")
     return X
 

@@ -120,13 +120,14 @@ def _write_container(path: str, magic: bytes, version: int, meta: dict, arrays) 
     os.replace(tmp, path)
 
 
-def _read_container(path: str, what: str, magic: bytes, version: int, errors, layout):
-    """Check a container file and decode it; returns (metadata, arrays).
+def _read_container(path: str, what: str, magic: bytes, version: int, errors, layout, decode):
+    """Check a container file and decode it; returns decode(metadata, arrays).
 
     `layout(meta)` lists the (dtype, shape) of each stored array in order.
     `errors` is (missing, damaged, unknown): the error raised when there is
     no file, when it is damaged (too short, wrong magic, checksum mismatch,
-    unreadable or overrunning metadata, payload not the size the layout
+    unreadable or overrunning metadata, metadata without an entry the kind
+    needs or with one of the wrong type, payload not the size the layout
     implies), and when its format version is not `version`.
     """
     missing, damaged, unknown = errors
@@ -151,17 +152,22 @@ def _read_container(path: str, what: str, magic: bytes, version: int, errors, la
         meta = json.loads(body[_HEAD.size : offset].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise damaged(f"{path}: unreadable metadata block") from exc
-    layout = [(np.dtype(dtype), shape) for dtype, shape in layout(meta)]
-    need = sum(dtype.itemsize * math.prod(shape) for dtype, shape in layout)
-    if len(body) - offset != need:
-        raise damaged(f"{path}: payload holds {len(body) - offset} bytes, expected {need}")
-    arrays = []
-    for dtype, shape in layout:
-        count = math.prod(shape)
-        stored = np.frombuffer(body, dtype=dtype, count=count, offset=offset)
-        arrays.append(stored.astype(dtype.newbyteorder("=")).reshape(shape))
-        offset += dtype.itemsize * count
-    return meta, arrays
+    try:
+        layout = [(np.dtype(dtype), shape) for dtype, shape in layout(meta)]
+        need = sum(dtype.itemsize * math.prod(shape) for dtype, shape in layout)
+        if len(body) - offset != need:
+            raise damaged(f"{path}: payload holds {len(body) - offset} bytes, expected {need}")
+        arrays = []
+        for dtype, shape in layout:
+            count = math.prod(shape)
+            stored = np.frombuffer(body, dtype=dtype, count=count, offset=offset)
+            arrays.append(stored.astype(dtype.newbyteorder("=")).reshape(shape))
+            offset += dtype.itemsize * count
+        return decode(meta, arrays)
+    except KeyError as exc:
+        raise damaged(f"{path}: metadata has no entry {exc}") from exc
+    except (IndexError, TypeError, ValueError) as exc:
+        raise damaged(f"{path}: malformed metadata ({exc})") from exc
 
 
 def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
@@ -190,11 +196,16 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    meta, (params, m, v, rng_words) = _read_container(
+    return _read_container(
         path, "checkpoint", CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
         (CheckpointNotFoundError, CheckpointIntegrityError, CheckpointVersionError),
         lambda meta: [("<f8", (int(meta["n_params"]),))] * 3 + [("<u8", (STATE_WORDS,))],
+        _decode_checkpoint,
     )
+
+
+def _decode_checkpoint(meta: dict, arrays: list[np.ndarray]) -> Checkpoint:
+    params, m, v, rng_words = arrays
     a = meta["adam"]
     return Checkpoint(
         run_id=str(meta["run_id"]),
@@ -385,15 +396,20 @@ def _demo_layout(meta: dict) -> list[tuple[str, tuple[int, ...]]]:
 
 def load_demos(path: str) -> tuple[dict, list[DemoTrajectory]]:
     """Read a demo file back; returns (metadata, trajectories)."""
-    meta, arrays = _read_container(
-        path, "demo bundle", DEMO_MAGIC, DEMO_VERSION, (DemoFormatError,) * 3, _demo_layout
+
+    def decode(meta: dict, arrays: list[np.ndarray]) -> tuple[dict, list[DemoTrajectory]]:
+        if len(meta["episodes"]) != int(meta["count"]):
+            raise DemoFormatError(f"{path}: episode count disagrees with header")
+        trajectories = [
+            DemoTrajectory(
+                points=arrays[3 * i], proprios=arrays[3 * i + 1], actions=arrays[3 * i + 2],
+                success=bool(ep["success"]),
+            )
+            for i, ep in enumerate(meta["episodes"])
+        ]
+        # the callers read these two; a file without them is damaged
+        return {**meta, "task": str(meta["task"]), "fingerprint": str(meta["fingerprint"])}, trajectories
+
+    return _read_container(
+        path, "demo bundle", DEMO_MAGIC, DEMO_VERSION, (DemoFormatError,) * 3, _demo_layout, decode
     )
-    if len(meta["episodes"]) != int(meta["count"]):
-        raise DemoFormatError(f"{path}: episode count disagrees with header")
-    return meta, [
-        DemoTrajectory(
-            points=arrays[3 * i], proprios=arrays[3 * i + 1], actions=arrays[3 * i + 2],
-            success=bool(ep["success"]),
-        )
-        for i, ep in enumerate(meta["episodes"])
-    ]

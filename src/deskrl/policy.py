@@ -122,14 +122,6 @@ class ActionSample:
     value: float
 
 
-def _mean(store: nn.ParamStore, spec: PolicySpec, feat: np.ndarray) -> np.ndarray:
-    return nn.forward(store, spec.mean, feat, "mean")
-
-
-def _value(store: nn.ParamStore, spec: PolicySpec, feat: np.ndarray) -> float:
-    return float(nn.forward(store, spec.value, feat, "value")[0])
-
-
 def sample_action(
     store: nn.ParamStore,
     spec: PolicySpec,
@@ -138,12 +130,13 @@ def sample_action(
 ) -> ActionSample:
     """Draw one action; consumes exactly action_dim normals from gen."""
     feat = encode(store, spec.encoder, obs)
-    mean = _mean(store, spec, feat)
+    mean = nn.forward(store, spec.mean, feat, "mean")
+    value = float(nn.forward(store, spec.value, feat, "value")[0])
     log_std = log_std_of(store, spec)
     z = gen.standard_normal(spec.action_dim)
     raw = mean + np.exp(log_std) * z
     logp = float(gaussian_logp(raw, mean, log_std))
-    return ActionSample(np.clip(raw, -1.0, 1.0), raw, logp, _value(store, spec, feat))
+    return ActionSample(np.clip(raw, -1.0, 1.0), raw, logp, value)
 
 
 def mean_action(store: nn.ParamStore, spec: PolicySpec, obs: PointCloudObs) -> np.ndarray:
@@ -151,11 +144,12 @@ def mean_action(store: nn.ParamStore, spec: PolicySpec, obs: PointCloudObs) -> n
 
     Only the mean head runs; the value head is not evaluated.
     """
-    return np.clip(_mean(store, spec, encode(store, spec.encoder, obs)), -1.0, 1.0)
+    mean = nn.forward(store, spec.mean, encode(store, spec.encoder, obs), "mean")
+    return np.clip(mean, -1.0, 1.0)
 
 
 def value_of(store: nn.ParamStore, spec: PolicySpec, obs: PointCloudObs) -> float:
-    return _value(store, spec, encode(store, spec.encoder, obs))
+    return float(nn.forward(store, spec.value, encode(store, spec.encoder, obs), "value")[0])
 
 
 def rollout_success(store: nn.ParamStore, spec: PolicySpec, env, episode_seed: int) -> bool:

@@ -300,13 +300,14 @@ def train_ppo(
     stage: int = 1,
     reset_optimizer: bool = False,
     should_stop=None,
+    entry_rates=None,
 ) -> list[MetricsRecord]:
     """Train in units of one rollout; returns the metric history this call produced.
 
     `cfg.total_steps` is the budget for this call: a resumed run trains
     for that many further environment steps on top of the checkpoint's
-    step counter.  The evaluation and checkpoint cadence and the
-    should_stop hook are those of `loop.run_loop`.
+    step counter.  The evaluation and checkpoint cadence, the
+    should_stop hook and entry_rates are those of `loop.run_loop`.
     """
     state = loop.begin("ppo", cfg, env_cfg, seed, resume, reset_optimizer)
     if resume is not None:
@@ -323,5 +324,5 @@ def train_ppo(
 
     return loop.run_loop(
         state, cfg, out_dir, S, advance, lambda: state_words(gen),
-        stage=stage, should_stop=should_stop,
+        stage=stage, should_stop=should_stop, entry_rates=entry_rates,
     )

@@ -93,7 +93,7 @@ class Trainer:
 
     base_cfg: object
     batch_field: str
-    run: Callable  # (cfg, seed, out_dir, resume, stage, reset_optimizer, should_stop) -> history
+    run: Callable  # (cfg, seed, out_dir, resume, stage, reset_optimizer, should_stop, entry_rates) -> history
 
     @property
     def base_batch(self) -> int:
@@ -115,20 +115,22 @@ class Trainer:
 
 
 def ppo_trainer(cfg: ppo_mod.PPOConfig, env_cfg: EnvConfig) -> Trainer:
-    def run(run_cfg, seed, out_dir, resume=None, stage=1, reset_optimizer=False, should_stop=None):
+    def run(run_cfg, seed, out_dir, resume=None, stage=1, reset_optimizer=False, should_stop=None,
+            entry_rates=None):
         return ppo_mod.train_ppo(
             run_cfg, env_cfg, seed, out_dir, resume=resume, stage=stage,
-            reset_optimizer=reset_optimizer, should_stop=should_stop,
+            reset_optimizer=reset_optimizer, should_stop=should_stop, entry_rates=entry_rates,
         )
 
     return Trainer(cfg, "minibatch_size", run)
 
 
 def bc_trainer(cfg: bc_mod.BCConfig, dataset: bc_mod.DemoDataset, env_cfg: EnvConfig) -> Trainer:
-    def run(run_cfg, seed, out_dir, resume=None, stage=1, reset_optimizer=False, should_stop=None):
+    def run(run_cfg, seed, out_dir, resume=None, stage=1, reset_optimizer=False, should_stop=None,
+            entry_rates=None):
         return bc_mod.train_bc(
             run_cfg, dataset, env_cfg, seed, out_dir, resume=resume, stage=stage,
-            reset_optimizer=reset_optimizer, should_stop=should_stop,
+            reset_optimizer=reset_optimizer, should_stop=should_stop, entry_rates=entry_rates,
         )
 
     return Trainer(cfg, "batch_size", run)
@@ -186,10 +188,18 @@ def _run_leg(
     reset_optimizer: bool = False,
 ) -> list[MetricsRecord]:
     """Resume the checkpoint at restore_path at (batch, samples) for `steps`
-    further steps; returns the leg's history."""
+    further steps; returns the leg's history.
+
+    The restore point is a stage-one checkpoint of the same trainer and
+    seed, so its stored rates are what evaluating it again would give:
+    they become the leg's entry record instead of a second evaluation.
+    """
     restore = load_checkpoint(restore_path)
     cfg = trainer.sized_cfg(batch, samples, steps)
-    return trainer.run(cfg, seed, out_dir, resume=restore, stage=stage, reset_optimizer=reset_optimizer)
+    return trainer.run(
+        cfg, seed, out_dir, resume=restore, stage=stage, reset_optimizer=reset_optimizer,
+        entry_rates=(restore.train_success, restore.test_success),
+    )
 
 
 def run_two_stage(

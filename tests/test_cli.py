@@ -1,12 +1,14 @@
 """End-to-end tests for the command-line front door."""
 
 import configparser
+import json
 import os
 import subprocess
 import sys
 
 import pytest
 
+from deskrl import persistence as ps
 from deskrl.cli import main
 from deskrl.envs import make_config
 from deskrl.persistence import load_demos, read_metrics
@@ -205,6 +207,24 @@ class TestEval:
         ])
         assert rc == 2
         assert "runtime error" in capsys.readouterr().err
+
+    def test_checkpoint_without_a_meta_key_is_runtime_error(self, workdir, tmp_path, capsys):
+        # a valid checksum over metadata that lacks test_success
+        blob = open(workdir["ckpt"], "rb").read()[: -ps._CHECKSUM_BYTES]
+        magic, version, reserved, meta_len = ps._HEAD.unpack_from(blob, 0)
+        meta = json.loads(blob[ps._HEAD.size : ps._HEAD.size + meta_len])
+        del meta["test_success"]
+        meta_blob = json.dumps(meta).encode("utf-8")
+        body = ps._HEAD.pack(magic, version, reserved, len(meta_blob)) + meta_blob + blob[ps._HEAD.size + meta_len :]
+        broken = tmp_path / "keyless.ckpt"
+        broken.write_bytes(body + ps._checksum(body))
+        rc = main([
+            "eval", "--out", str(tmp_path / "e6"), *TINY_ENV,
+            "--set", f"eval.checkpoint={broken}",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "runtime error" in err and "test_success" in err
 
 
 class TestExport:

@@ -58,6 +58,20 @@ def test_chain_points_consistent_with_fk():
     assert np.allclose(pts[-1], pos, atol=1e-12)
 
 
+def test_link_vectors2_give_chain_points_and_fk_bit_for_bit():
+    # the environments step on these floats; they must be the numpy kinematics
+    gen = make_generator(4, "links")
+    geoms = (GEOM, ctrl.ArmGeom(link_lengths=(0.7, 1.3)))
+    special = [(0.0, 0.0), (-0.0, -0.0), (-0.0, 0.0), (np.pi, -2.9), (-np.pi, 2.9)]
+    for q in [np.array(q) for q in special] + list(gen.uniform(-np.pi, np.pi, size=(500, 2))):
+        for geom in geoms:
+            x0, y0, x1, y1 = ctrl.link_vectors2(*q.tolist(), geom)
+            chain = np.array([[0.0, 0.0], [x0, y0], [x0 + x1, y0 + y1]])
+            assert ctrl.chain_points(q, geom).tobytes() == chain.tobytes()
+            pos, _ = ctrl.forward_kinematics(q, geom)
+            assert pos.tobytes() == np.array([0.0 + x0 + x1, 0.0 + y0 + y1]).tobytes()
+
+
 def test_jacobian_matches_finite_differences():
     gen = make_generator(2, "jac")
     h = 1e-6

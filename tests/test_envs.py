@@ -170,15 +170,53 @@ def test_zero_action_leaves_scene_static(task):
     assert np.all(env.state.qdot == 0.0)
 
 
-def test_step_rejects_bad_actions():
-    env = envs.make_env(envs.make_config("reach2d"))
+@pytest.mark.parametrize("task", envs.TASKS)
+def test_observations_are_fresh_arrays(task):
+    # buffers and demo sets keep the arrays a reset or step returns, so a
+    # later step must never write into one
+    env = envs.make_env(envs.make_config(task))
+    gen = make_generator(5, "fresh", task)
+    kept = []
+    obs = env.reset(3)
+    for _ in range(6):
+        kept.append((obs, obs.points.copy(), obs.proprio.copy()))
+        obs = env.step(gen.uniform(-1.0, 1.0, size=2)).obs
+    for obs, points, proprio in kept:
+        assert obs.points.tobytes() == points.tobytes()
+        assert obs.proprio.tobytes() == proprio.tobytes()
+
+
+def test_norm2_is_numpys_norm():
+    gen = make_generator(6, "norm")
+    pairs = [(0.0, 0.0), (-0.0, 0.0), (3.0, -4.0)]
+    pairs += [tuple(v) for scale in (1e-9, 1.0, 30.0) for v in gen.normal(0.0, scale, size=(2000, 2)).tolist()]
+    for x, y in pairs:
+        assert envs._norm2(x, y) == float(np.linalg.norm(np.array([x, y])))
+
+
+@pytest.mark.parametrize("task", envs.TASKS)
+def test_step_rejects_bad_actions(task):
+    env = envs.make_env(envs.make_config(task))
     env.reset(0)
-    with pytest.raises(ShapeMismatchError):
-        env.step(np.array([1.5, 0.0]))
-    with pytest.raises(ShapeMismatchError):
-        env.step(np.zeros(3))
-    with pytest.raises(NonFiniteError):
-        env.step(np.array([np.nan, 0.0]))
+    bad = [
+        ([1.5, 0.0], ShapeMismatchError),
+        ([0.0, -1.0 - 1e-9], ShapeMismatchError),
+        (np.zeros(3), ShapeMismatchError),
+        ([[0.0, 0.0]], ShapeMismatchError),
+        ([np.nan, 0.0], NonFiniteError),
+        ([0.0, -np.inf], NonFiniteError),
+    ]
+    for action, error in bad:
+        with pytest.raises(error):
+            env.step(np.array(action))
+    # a rejected action leaves the episode as it was
+    fresh = envs.make_env(envs.make_config(task))
+    fresh.reset(0)
+    edge = np.array([1.0, -1.0])
+    res, ref = env.step(edge), fresh.step(edge)
+    assert res.obs.points.tobytes() == ref.obs.points.tobytes()
+    assert res.obs.proprio.tobytes() == ref.obs.proprio.tobytes()
+    assert (res.reward, res.done, res.success, env.t) == (ref.reward, ref.done, ref.success, 1)
 
 
 def test_step_requires_reset_first():

@@ -256,3 +256,30 @@ def _transitions(task: str, split: str) -> str:
 @pytest.mark.parametrize("task,split", [(t, s) for t in TASKS for s in SPLITS])
 def test_transitions_are_unchanged(task, split):
     assert _transitions(task, split) == TRANSITION_GOLDEN[f"{task}-{split}"]
+
+
+def test_grid_legs_record_their_restore_point_rates(tmp_path, monkeypatch):
+    """Every grid leg resumes a stage-one checkpoint and records the rates
+    stored with it instead of evaluating it again; every digest stays."""
+    splits = []
+    evaluate = pol.evaluate_policy
+
+    def counted(store, spec, env_cfg, episodes, run_seed):
+        splits.append(env_cfg.split)
+        return evaluate(store, spec, env_cfg, episodes, run_seed)
+
+    monkeypatch.setattr(pol, "evaluate_policy", counted)
+    assert _grid(tmp_path) == GOLDEN["grid_bc_reach2d"]
+    seed_dir = os.path.join(str(tmp_path), "g", "seed0")
+    stage1 = read_metrics(os.path.join(seed_dir, "stage1", "metrics.csv"))
+    best = max(stage1, key=lambda rec: rec.test_success)
+    legs = {"baseline": stage1[-1], "cell-a1.0-b0.5": best, "cell-a0.5-b0.5": best}
+    for leg, restore in legs.items():
+        first = read_metrics(os.path.join(seed_dir, leg, "metrics.csv"))[0]
+        assert (first.step, first.train_success, first.test_success) == (
+            restore.step, restore.train_success, restore.test_success,
+        )
+    # stage one evaluates at each of its records; a leg (stage two 2 steps,
+    # eval_period 1) only after each of its steps: both splits every time
+    assert len(splits) == 2 * (len(stage1) + 2 * len(legs))
+    assert splits == ["train", "test"] * (len(splits) // 2)

@@ -1,7 +1,7 @@
 """The fast notebooks run to completion as scripts.
 
-Notebooks 01, 02 and 06 take a few seconds between them; the others train
-for longer and are left out of this suite.
+Notebooks 01, 02, 03 and 06 take a few seconds between them; the others
+train for longer and are left out of this suite.
 """
 
 import os
@@ -11,7 +11,12 @@ import sys
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-FAST = ["01_encoder_invariance.py", "02_arm_and_controllers.py", "06_resume_bit_exact.py"]
+FAST = [
+    "01_encoder_invariance.py",
+    "02_arm_and_controllers.py",
+    "03_environments_and_experts.py",
+    "06_resume_bit_exact.py",
+]
 
 
 @pytest.mark.parametrize("notebook", FAST)

@@ -1,5 +1,7 @@
 """Persistence tests: roundtrip bit-exactness, corruption handling, logs."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,34 @@ def _resealed(path, edit):
     edit(blob)
     body = bytes(blob)
     open(path, "wb").write(body + ps._checksum(body))
+
+
+def _without_meta_key(path, key):
+    """Rewrite the file at path with `key` dropped from its metadata, under
+    a valid checksum and a matching metadata length."""
+    blob = open(path, "rb").read()[: -ps._CHECKSUM_BYTES]
+    magic, version, reserved, meta_len = ps._HEAD.unpack_from(blob, 0)
+    meta = json.loads(blob[ps._HEAD.size : ps._HEAD.size + meta_len])
+    del meta[key]
+    meta_blob = json.dumps(meta).encode("utf-8")
+    body = ps._HEAD.pack(magic, version, reserved, len(meta_blob)) + meta_blob + blob[ps._HEAD.size + meta_len :]
+    open(path, "wb").write(body + ps._checksum(body))
+
+
+@pytest.mark.parametrize("kind", sorted(CONTAINERS))
+def test_container_missing_meta_key(kind, tmp_path):
+    # every metadata entry a reader needs: without it the file is damaged
+    write, read, damaged, _ = CONTAINERS[kind]
+    path = str(tmp_path / "k.bin")
+    write(path)
+    blob = open(path, "rb").read()
+    meta_len = ps._HEAD.unpack_from(blob, 0)[3]
+    keys = json.loads(blob[ps._HEAD.size : ps._HEAD.size + meta_len])
+    for key in keys:
+        open(path, "wb").write(blob)
+        _without_meta_key(path, key)
+        with pytest.raises(damaged, match=key):
+            read(path)
 
 
 @pytest.mark.parametrize("kind", sorted(CONTAINERS))

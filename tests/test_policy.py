@@ -4,7 +4,7 @@ sampling determinism, and the evaluation panel."""
 import numpy as np
 import pytest
 
-from deskrl import nn, policy as pol
+from deskrl import envs, nn, policy as pol
 from deskrl.envs import make_config, make_env
 from deskrl.errors import ShapeMismatchError
 from deskrl.pointnet import EncoderSpec
@@ -193,3 +193,28 @@ class TestEvaluation:
         store, spec = fresh()
         env = make_env(make_config("reach2d"))
         assert pol.rollout_success(store, spec, env, 42) in (True, False)
+
+    @pytest.mark.parametrize("task", envs.TASKS)
+    def test_one_env_step_per_transition(self, task, monkeypatch):
+        # every step call advances its episode by exactly one transition,
+        # and no call follows the one that ends the episode
+        episodes = []
+        step, reset = envs.ToyEnv.step, envs.ToyEnv.reset
+
+        def logged_reset(env, episode_seed):
+            episodes.append([])
+            return reset(env, episode_seed)
+
+        def logged_step(env, action):
+            t = env.t
+            res = step(env, action)
+            episodes[-1].append((env.t - t, res.done))
+            return res
+
+        monkeypatch.setattr(envs.ToyEnv, "reset", logged_reset)
+        monkeypatch.setattr(envs.ToyEnv, "step", logged_step)
+        store, spec = fresh(task)
+        pol.evaluate_policy(store, spec, make_config(task, horizon=25), episodes=3, run_seed=4)
+        assert len(episodes) == 3
+        for calls in episodes:
+            assert calls == [(1, False)] * (len(calls) - 1) + [(1, True)]

@@ -161,16 +161,19 @@ def toy_trainer(rate_of, write_checkpoints=True):
     """A scripted stand-in honoring the trainer contract: entry eval,
     eval every eval_period steps, a final eval, a checkpoint per eval,
     and a stop once should_stop(history) holds after an eval.
-    rate_of(step, stage) scripts the test rate."""
+    rate_of(step, stage) scripts the test rate; given entry_rates, the
+    entry record takes them instead."""
 
-    def run(cfg, seed, out_dir, resume=None, stage=1, reset_optimizer=False, should_stop=None):
+    def run(cfg, seed, out_dir, resume=None, stage=1, reset_optimizer=False, should_stop=None,
+            entry_rates=None):
         os.makedirs(out_dir, exist_ok=True)
         start = resume.step if resume is not None else 0
         history = []
 
-        def evaluate(step):
+        def evaluate(step, rates=None):
             test = float(rate_of(step, stage))
-            record = MetricsRecord(step, min(1.0, test + 0.1), test, stage)
+            train, test = rates if rates is not None else (min(1.0, test + 0.1), test)
+            record = MetricsRecord(step, train, test, stage)
             history.append(record)
             append_metrics(os.path.join(out_dir, "metrics.csv"), record)
             if write_checkpoints:
@@ -194,7 +197,7 @@ def toy_trainer(rate_of, write_checkpoints=True):
 
         done = 0
         last = 0
-        if evaluate(start):
+        if evaluate(start, entry_rates):
             return history
         while done + 1 <= cfg.total_steps:
             done += 1
@@ -353,11 +356,12 @@ class TestGridSearch:
         assert [r.seed for r in records] == [0] * 10 + [1] * 10
 
     def test_failed_cell_records_nan_and_the_sweep_continues(self, tmp_path):
-        def run_or_fail(cfg, seed, out_dir, resume=None, stage=1, reset_optimizer=False, should_stop=None):
+        def run_or_fail(cfg, seed, out_dir, resume=None, stage=1, reset_optimizer=False, should_stop=None,
+                        entry_rates=None):
             if cfg.batch_size == 32:  # the alpha = 0.8 cells: 40 * 0.8
                 raise ConfigError("scripted failure")
             return toy_trainer(lambda s, _: 0.2).run(
-                cfg, seed, out_dir, resume, stage, should_stop=should_stop
+                cfg, seed, out_dir, resume, stage, should_stop=should_stop, entry_rates=entry_rates
             )
 
         trainer = ts.Trainer(ToyCfg(), "batch_size", run_or_fail)
