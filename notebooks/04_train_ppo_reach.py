@@ -6,7 +6,9 @@ row to metrics.csv and drops a checkpoint, so a run directory is always
 resumable from its latest evaluation point.
 """
 
+import atexit
 import os
+import shutil
 import tempfile
 from dataclasses import replace
 
@@ -25,14 +27,16 @@ cfg = replace(
 )
 env_cfg = make_config("reach2d")
 
-out = os.path.join(tempfile.mkdtemp(prefix="reach-ppo-"), "run")
+work = tempfile.mkdtemp(prefix="reach-ppo-")
+atexit.register(shutil.rmtree, work)
+out = os.path.join(work, "run")
 history = train_ppo(cfg, env_cfg, seed=0, out_dir=out)
 
 print("metric history (10 eval episodes per split):")
 for rec in history:
     print(f"  step {rec.step:5d}  train {rec.train_success:.2f}  test {rec.test_success:.2f}")
 
-print("\nartifacts in", out)
+print("\nartifacts in", out, "(removed on exit)")
 for name in sorted(os.listdir(out)):
     print(f"  {name}")
 

@@ -7,7 +7,9 @@ a short BC training.  The train/test gap visible even at this scale is
 the motivation for the two-stage fine-tuning schedule.
 """
 
+import atexit
 import os
+import shutil
 import tempfile
 
 from deskrl.bc import BCConfig, DemoDataset, train_bc
@@ -21,6 +23,7 @@ print(f"kept {len(demos)} of 40 episodes "
       f"(episode lengths {min(lengths)}..{max(lengths)})")
 
 workdir = tempfile.mkdtemp(prefix="gather-bc-")
+atexit.register(shutil.rmtree, workdir)
 bundle = os.path.join(workdir, "demos.bin")
 save_demos(bundle, env_cfg, demos)
 print(f"bundle: {os.path.getsize(bundle)} bytes")

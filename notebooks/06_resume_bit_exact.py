@@ -8,7 +8,9 @@ reference log-probabilities from the stored parameters, and the BC
 sampler derives its stream position from the step counter alone.
 """
 
+import atexit
 import os
+import shutil
 import tempfile
 from dataclasses import replace
 
@@ -29,6 +31,7 @@ base = replace(
     eval_episodes=4,
 )
 work = tempfile.mkdtemp(prefix="resume-")
+atexit.register(shutil.rmtree, work)
 
 full = train_ppo(base, env_cfg, seed=7, out_dir=os.path.join(work, "full"))
 print(f"uninterrupted: {len(full)} evaluations, steps {[r.step for r in full]}")

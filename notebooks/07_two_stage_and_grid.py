@@ -10,7 +10,9 @@ The sweep here rides on behavior cloning with toy budgets so the whole
 script runs in seconds; the schedule is trainer-agnostic.
 """
 
+import atexit
 import os
+import shutil
 import tempfile
 
 from deskrl.bc import BCConfig, DemoDataset
@@ -43,6 +45,7 @@ base = BCConfig(
 )
 trainer = bc_trainer(base, dataset, env_cfg)
 work = tempfile.mkdtemp(prefix="grid-")
+atexit.register(shutil.rmtree, work)
 
 history, record = run_two_stage(
     trainer, ScalePair(0.9, 0.875), stage1_steps=6, stage2_steps=4,

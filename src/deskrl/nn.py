@@ -187,12 +187,26 @@ def _check_input(X: np.ndarray, width: int, name: str) -> np.ndarray:
     return X
 
 
-def _apply_activation(fn: str, X: np.ndarray) -> np.ndarray:
+def _apply_activation(fn: str, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """fn(X), written into `out` when given (out=X works in place)."""
     if fn == "relu":
-        return np.maximum(X, 0.0)
+        return np.maximum(X, 0.0, out=out)
     if fn == "tanh":
-        return np.tanh(X)
+        return np.tanh(X, out=out)
     return X
+
+
+def _activation_grad(fn: str, dY: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """dY through an activation whose output was Y.
+
+    relu needs only the output's sign mask and tanh the output value, so
+    the output covers both.
+    """
+    if fn == "relu":
+        return dY * (Y > 0.0)
+    if fn == "tanh":
+        return dY * (1.0 - Y * Y)
+    return dY
 
 
 def forward_batch(store: ParamStore, spec: NetSpec, X: np.ndarray, prefix: str) -> np.ndarray:
@@ -222,9 +236,7 @@ def forward_batch_trace(
             j += 1
         else:
             X = _apply_activation(layer.fn, X)
-            # relu backward needs the output's sign mask, tanh needs the
-            # output value, so caching the output covers both.
-            cache.append(X)
+            cache.append(X)  # what _activation_grad reads
     return X, cache
 
 
@@ -235,10 +247,13 @@ def backward_batch(
     dY: np.ndarray,
     grad: np.ndarray,
     prefix: str,
-) -> np.ndarray:
+    input_grad: bool = True,
+) -> np.ndarray | None:
     """Backprop dY (B, out_width) through the net, accumulating into `grad`.
 
-    Returns the gradient with respect to the net input, shape (B, in_width).
+    Returns the gradient with respect to the net input, shape (B, in_width),
+    or None with input_grad=False, which skips the first layer's input
+    product for callers that have no use for it.
     """
     dY = np.asarray(dY, dtype=np.float64)
     if dY.ndim != 2 or dY.shape[1] != spec.out_width:
@@ -248,7 +263,8 @@ def backward_batch(
     if grad.shape != store.flat.shape:
         raise ShapeMismatchError("gradient accumulator does not match the parameter vector")
     j = sum(1 for layer in spec.layers if layer.kind == "affine")
-    for layer, cached in zip(reversed(spec.layers), reversed(cache)):
+    for pos in reversed(range(len(spec.layers))):
+        layer, cached = spec.layers[pos], cache[pos]
         if layer.kind == "affine":
             j -= 1
             X = cached
@@ -256,13 +272,12 @@ def backward_batch(
             lo_b, hi_b = store.slice_bounds(f"{prefix}.b{j}")
             grad[lo_w:hi_w] += (X.T @ dY).ravel()
             grad[lo_b:hi_b] += dY.sum(axis=0)
+            if pos == 0 and not input_grad:
+                return None
             dY = dY @ store.get(f"{prefix}.W{j}").T
-        elif layer.fn == "relu":
-            dY = dY * (cached > 0.0)
-        elif layer.fn == "tanh":
-            dY = dY * (1.0 - cached * cached)
-        # identity: dY unchanged
-    return dY
+        else:
+            dY = _activation_grad(layer.fn, dY, cached)
+    return dY if input_grad else None
 
 
 def forward(store: ParamStore, spec: NetSpec, x: np.ndarray, prefix: str) -> np.ndarray:

@@ -16,7 +16,18 @@ Two evaluation paths share one set of parameters:
   row count).
 * encode_batch() handles (B, N, C) stacks for training updates, where raw
   speed matters and only within-path determinism is needed, so it uses the
-  ordinary matmul core.
+  ordinary matmul core.  encode_batch() and encode_batch_trace() are one
+  forward computation, so a sample's output bits do not depend on which
+  of the two encoded it.  PPO's first-epoch ratios of exactly one also
+  need them not to depend on the batch around the sample, which holds
+  for the BLAS matmul this runs on and which tests/test_ppo.py pins.
+
+The max-pool's gradient reaches only the point each feature pooled from.
+encode_backward() scatters it into a zero (N, F) array and backpropagates
+every point, the plain reference; encode_batch_backward() runs the
+per-point net backward through the pooled points alone (see there).  The
+two agree to rounding: they sum the same terms in different orders, and
+the batched backward's bits depend only on the batch's contents.
 
 Max-pool ties resolve to the lowest point index; only gradients can tell
 the difference, the forward value is the max either way.
@@ -72,6 +83,8 @@ class EncoderSpec:
             )
         if self.post.in_width != self.per_point.out_width + self.proprio_width:
             raise ShapeMismatchError("post net width must equal pooled features + proprio")
+        if not any(layer.kind == "affine" for layer in self.per_point.layers):
+            raise ShapeMismatchError("per-point net needs at least one affine layer")
 
     @property
     def point_channels(self) -> int:
@@ -208,9 +221,19 @@ def encode_backward(
 
 @dataclass
 class EncodeBatchCache:
-    pp_cache: list[np.ndarray]
-    shape: tuple[int, int, int]
-    pool_idx: np.ndarray
+    """What encode_batch_backward reads, kept at the pooled points only.
+
+    The rows are the distinct points that some feature pooled from, in
+    ascending (cloud, point) order.  slot[b, f] is the row that feature f
+    of cloud b pooled from.  head_rows holds the per-point net's cache
+    (as nn.forward_batch_trace lays it out) at those rows, up to its last
+    affine layer; tail_out holds each activation after that layer at the
+    pooled entries, (B, F) each.
+    """
+
+    slot: np.ndarray
+    head_rows: list[np.ndarray]
+    tail_out: list[np.ndarray]
     post_cache: list[np.ndarray]
 
 
@@ -228,6 +251,38 @@ def _check_batch(spec: EncoderSpec, points: np.ndarray, proprio: np.ndarray) -> 
     return points, proprio
 
 
+def _head_and_tail(net: nn.NetSpec) -> tuple[nn.NetSpec, tuple[nn.LayerSpec, ...]]:
+    """The net up to and including its last affine layer, and the activations after it."""
+    last = max(i for i, layer in enumerate(net.layers) if layer.kind == "affine")
+    return nn.NetSpec(net.layers[: last + 1]), net.layers[last + 1 :]
+
+
+def _per_point_batch_trace(
+    store: nn.ParamStore, spec: nn.NetSpec, X: np.ndarray, prefix: str
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """nn.forward_batch_trace with each bias add and the activation after it in place.
+
+    Same values, same cache layout.  An activation that does not follow
+    an affine layer writes a fresh array, since its input is cached.
+    """
+    X = nn._check_input(X, spec.in_width, prefix)
+    cache: list[np.ndarray] = []
+    fresh = False
+    j = 0
+    for layer in spec.layers:
+        if layer.kind == "affine":
+            cache.append(X)
+            X = X @ store.get(f"{prefix}.W{j}")
+            X += store.get(f"{prefix}.b{j}")
+            fresh = True
+            j += 1
+        else:
+            X = nn._apply_activation(layer.fn, X, out=X if fresh else None)
+            fresh = False
+            cache.append(X)
+    return X, cache
+
+
 def encode_batch_trace(
     store: nn.ParamStore,
     spec: EncoderSpec,
@@ -235,17 +290,29 @@ def encode_batch_trace(
     proprio: np.ndarray,
     prefix: str = "enc",
 ) -> tuple[np.ndarray, EncodeBatchCache]:
+    """encode_batch() plus what encode_batch_backward needs."""
     points, proprio = _check_batch(spec, points, proprio)
     B, N, C = points.shape
-    feats_flat, pp_cache = nn.forward_batch_trace(
-        store, spec.per_point, points.reshape(B * N, C), f"{prefix}.pp"
-    )
-    feats = feats_flat.reshape(B, N, spec.feature_dim)
-    pool_idx = np.argmax(feats, axis=1)
-    pooled = np.take_along_axis(feats, pool_idx[:, None, :], axis=1)[:, 0, :]
+    F = spec.feature_dim
+    feats, pp_cache = _per_point_batch_trace(store, spec.per_point, points.reshape(B * N, C), f"{prefix}.pp")
+    pool_idx = np.argmax(feats.reshape(B, N, F), axis=1)
+
+    def at_pool(values: np.ndarray) -> np.ndarray:
+        return np.take_along_axis(values.reshape(B, N, F), pool_idx[:, None, :], axis=1)[:, 0, :]
+
+    pooled = at_pool(feats)
     x = np.concatenate([pooled, proprio], axis=1)
     out, post_cache = nn.forward_batch_trace(store, spec.post, x, f"{prefix}.post")
-    return out, EncodeBatchCache(pp_cache, (B, N, C), pool_idx, post_cache)
+
+    flat = pool_idx + (np.arange(B) * N)[:, None]
+    used = np.zeros(B * N, dtype=bool)
+    used[flat] = True
+    rows = np.flatnonzero(used)
+    slot = (np.cumsum(used) - 1)[flat]
+    n_head = len(_head_and_tail(spec.per_point)[0].layers)
+    head_rows = [c[rows] for c in pp_cache[:n_head]]
+    tail_out = [pooled if c is feats else at_pool(c) for c in pp_cache[n_head:]]
+    return out, EncodeBatchCache(slot, head_rows, tail_out, post_cache)
 
 
 def encode_batch(
@@ -267,14 +334,26 @@ def encode_batch_backward(
     grad: np.ndarray,
     prefix: str = "enc",
 ) -> None:
-    B, N, _ = cache.shape
+    """Accumulate d(loss)/d(params) for a batch from encode_batch_trace into `grad`.
+
+    The max-pool passes gradient only to the point each feature pooled
+    from, so the per-point net is backpropagated through those points
+    alone: the pooled gradient goes through the tail activations at the
+    pooled entries, then lands at (slot[b, f], f) of a (rows, F) upstream
+    gradient (a point that several features picked gets all of theirs),
+    which runs back through the head.  No other point's gradient, zero
+    by construction, is ever formed, and neither is the gradient with
+    respect to the points themselves.
+    """
+    B, F = cache.slot.shape
     d_out = np.asarray(d_out, dtype=np.float64)
     if d_out.shape != (B, spec.out_width):
         raise ShapeMismatchError(f"upstream gradient must be ({B}, {spec.out_width}), got {d_out.shape}")
     dx = nn.backward_batch(store, spec.post, cache.post_cache, d_out, grad, f"{prefix}.post")
-    d_pooled = dx[:, : spec.feature_dim]
-    d_feats = np.zeros((B, N, spec.feature_dim))
-    np.put_along_axis(d_feats, cache.pool_idx[:, None, :], d_pooled[:, None, :], axis=1)
-    nn.backward_batch(
-        store, spec.per_point, cache.pp_cache, d_feats.reshape(B * N, spec.feature_dim), grad, f"{prefix}.pp"
-    )
+    d_pooled = dx[:, :F]
+    head, tail = _head_and_tail(spec.per_point)
+    for layer, out in zip(reversed(tail), reversed(cache.tail_out)):
+        d_pooled = nn._activation_grad(layer.fn, d_pooled, out)
+    d_rows = np.zeros((cache.head_rows[0].shape[0], F))
+    d_rows[cache.slot, np.arange(F)] = d_pooled
+    nn.backward_batch(store, head, cache.head_rows, d_rows, grad, f"{prefix}.pp", input_grad=False)

@@ -175,6 +175,19 @@ def test_backward_accumulates():
     assert np.allclose(grad, 2.0 * once, rtol=0, atol=0)
 
 
+def test_backward_without_input_grad_keeps_parameter_bits():
+    # input_grad=False only skips the first layer's input product
+    spec, store = build_net((5, 7, 3), "relu", "identity", 6)
+    X = make_generator(6, "skip").normal(size=(9, 5))
+    Y, cache = nn.forward_batch_trace(store, spec, X, "net")
+    dY = make_generator(6, "dy").normal(size=Y.shape)
+    full, skipped = store.zeros_grad(), store.zeros_grad()
+    dX = nn.backward_batch(store, spec, cache, dY, full, "net")
+    assert dX.shape == X.shape
+    assert nn.backward_batch(store, spec, cache, dY, skipped, "net", input_grad=False) is None
+    assert full.tobytes() == skipped.tobytes()
+
+
 def test_forward_rejects_bad_shapes_and_nonfinite():
     spec, store = build_net((4, 2), "relu", "identity", 0)
     with pytest.raises(ShapeMismatchError):

@@ -1,4 +1,4 @@
-"""The fast notebooks run to completion as scripts.
+"""The fast notebooks run to completion as scripts and leave no files behind.
 
 Notebooks 01, 02, 03 and 06 take a few seconds between them; the others
 train for longer and are left out of this suite.
@@ -21,9 +21,17 @@ FAST = [
 
 @pytest.mark.parametrize("notebook", FAST)
 def test_notebook_runs(notebook, tmp_path):
-    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src"), "OPENBLAS_NUM_THREADS": "1"}
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.path.join(ROOT, "src"),
+        "OPENBLAS_NUM_THREADS": "1",
+        "TMPDIR": str(tmpdir),
+    }
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "notebooks", notebook)],
         cwd=str(tmp_path), env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert os.listdir(tmpdir) == [], "the notebook left its temporary files behind"

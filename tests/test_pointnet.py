@@ -129,10 +129,39 @@ def test_single_path_gradient_matches_finite_differences():
         checked += 1
 
 
-def test_batched_backward_matches_sum_of_singles():
+def _random_clouds(spec, store, gen):
+    return spec, [random_obs(spec, gen, 12) for _ in range(5)]
+
+
+def _tied_clouds(spec, store, gen):
+    # every point has an exact duplicate, so every feature pools from a tie
+    _, clouds = _random_clouds(spec, store, gen)
+    for obs in clouds:
+        obs.points[6:] = obs.points[:6]
+    return spec, clouds
+
+
+def _dead_feature(spec, store, gen):
+    # feature 2 is <= 0 on every point, so it pools to 0 and passes no gradient
+    store.get("enc.pp.b1")[0, 2] = -1e3
+    return _random_clouds(spec, store, gen)
+
+
+def _tanh_tail(spec, store, gen):
+    # a tanh after the last per-point layer needs its value, not a sign mask
+    per_point = nn.mlp((spec.point_channels, 8, 12), hidden="relu", output="tanh")
+    spec = pointnet.EncoderSpec(spec.point_dim, spec.feat_channels, spec.proprio_width, per_point, spec.post)
+    return _random_clouds(spec, store, gen)
+
+
+@pytest.mark.parametrize(
+    "case", [_random_clouds, _tied_clouds, _dead_feature, _tanh_tail],
+    ids=["random", "ties", "dead_feature", "tanh_tail"],
+)
+def test_batched_backward_matches_sum_of_singles(case):
     spec, store = make_encoder(4, proprio_width=4, per_point=(8, 12), post=(6,))
     gen = make_generator(4, "bsum")
-    obs_list = [random_obs(spec, gen, 12) for _ in range(5)]
+    spec, obs_list = case(spec, store, gen)
     pts = np.stack([o.points for o in obs_list])
     prop = np.stack([o.proprio for o in obs_list])
     d_out = gen.normal(size=(5, spec.out_width))
@@ -146,6 +175,10 @@ def test_batched_backward_matches_sum_of_singles():
         _, cache = pointnet.encode_trace(store, spec, obs, "enc")
         pointnet.encode_backward(store, spec, cache, d, grad_singles, "enc")
     assert np.allclose(grad_batch, grad_singles, rtol=1e-10, atol=1e-12)
+    if case is _dead_feature:
+        lo, hi = store.slice_bounds("enc.pp.W1")
+        assert not grad_batch[lo:hi].reshape(store.shape("enc.pp.W1"))[:, 2].any()
+        assert grad_batch[store.slice_bounds("enc.pp.b1")[0] + 2] == 0.0
 
 
 def test_pool_tie_breaks_to_lowest_index():
@@ -176,6 +209,9 @@ def test_validation_rejects_bad_inputs():
         pointnet.encode_batch(store, spec, np.zeros((2, 4, 5)), np.zeros((3, 8)), "enc")
     with pytest.raises(ShapeMismatchError):
         pointnet.build_encoder_spec(point_dim=4)
+    with pytest.raises(ShapeMismatchError):  # a per-point net with nothing to learn
+        relu_only = nn.NetSpec((nn.LayerSpec("activation", 5, 5, "relu"),))
+        pointnet.EncoderSpec(2, 3, 8, relu_only, nn.mlp((13, 4)))
 
 
 def test_init_is_deterministic():

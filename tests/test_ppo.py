@@ -355,6 +355,30 @@ class TestPPOUpdate:
         assert stats.clip_fraction == 0.0
         assert stats.approx_kl == 0.0
 
+    def test_minibatch_logps_match_whole_buffer_bits(self):
+        # the update encodes each minibatch through encode_batch_trace, while
+        # the reference log-probs come from encode_batch over the whole
+        # buffer; the first epoch's ratios are exactly one only while the
+        # two give the same bits per sample
+        store, spec = fresh_policy("pushbox2d", seed=9)
+        # undo the near-zero start of the mean head's last layer, whose
+        # rounding would hide a last-ulp change in the features
+        store.get("mean.W1")[:] /= pol.FINAL_MEAN_SCALE
+        buf = rollout_with_gae(store, spec, task="pushbox2d", samples=200, seed=9)
+        cfg = ppo.PPOConfig(samples_per_step=200, minibatch_size=48, total_steps=0)
+        idx = make_generator(9, "mb").permutation(buf.size)[: cfg.minibatch_size]
+        old = ppo.batched_logps(store, spec, buf)
+
+        enc, _ = pointnet.encode_batch_trace(store, spec.encoder, buf.points[idx], buf.proprios[idx])
+        whole = pointnet.encode_batch(store, spec.encoder, buf.points, buf.proprios)
+        assert enc.tobytes() == whole[idx].tobytes()
+        mean, _ = nn.forward_batch_trace(store, spec.mean, enc, "mean")
+        logp = pol.gaussian_logp(buf.raw_actions[idx], mean, pol.log_std_of(store, spec))
+        assert logp.tobytes() == old[idx].tobytes()
+        assert np.all(np.exp(logp - old[idx]) == 1.0)
+        _, _, stats = ppo.surrogate_loss_and_grad(store, spec, buf, idx, old, cfg)
+        assert stats["approx_kl"] == 0.0
+
     def test_adam_steps_once_per_minibatch(self):
         store, spec = fresh_policy(seed=6)
         buf = rollout_with_gae(store, spec, samples=20, seed=6)
