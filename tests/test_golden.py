@@ -28,33 +28,33 @@ from deskrl.rng import make_generator
 
 GOLDEN = {
     "ppo_reach2d": {
-        "params": "950e7ec82639be778c2e88b740dc955995a9e86cde7a6b83de386a05e34bda3d",
-        "adam_m": "1aaf22291a215b70bf009ec303acce083da7c805d40bfa3b4d4624b79de8794c",
-        "adam_v": "a5eed6f9b239c6f99c067fc9dfec79fe0c6cbba3ccfa37c9149d86e3f90b4b4f",
+        "params": "6172de0c562464eccfe7dcf0bd5869bc1716d41a0971006750206c018c7d8f3a",
+        "adam_m": "4a0d1617e1c13af0e09cae725c78b82d47ce55de33492b101d7ca6770150c8b3",
+        "adam_v": "cdb43d5d65db0bd0c94d44a907a352c0f4acb84ed6fe0567a069e380821520c6",
         "trendline": "a0b1632bd3eeb11ce8f2e0c3a6639b5dce7cd6c84ceee919fd32e5ff65a91fdc",
     },
     "ppo_pushbox2d": {
-        "params": "7f5aad7869523ebcc3b98d8cb2aa7055dbd0f4b3b0ca33f18960132319674eac",
-        "adam_m": "4e0a9951cfe9211f4febd4fd5aba046f1d97362a33bc9d8ed65a0c5efcfa6a61",
-        "adam_v": "aeb551c1eec5069b984642fb4f2379d4a446b964936e0ce91f9f909d0810baa6",
+        "params": "60dd57de30359ad48f1614029b5a96c0fca6c5cd34b75d41ba20716880e86926",
+        "adam_m": "1469304a8f28417c9b570bfb4e2085374806a78666501320dc85873d30fd0f91",
+        "adam_v": "3b4794986bdebc76e73fd042758d2e9c81c565380c3081de2e96483a2cfc6214",
         "trendline": "a0b1632bd3eeb11ce8f2e0c3a6639b5dce7cd6c84ceee919fd32e5ff65a91fdc",
     },
     "bc_gather2d": {
-        "params": "e46af66c90096e89f95c472463f70959a84b4f97cd88e3e610ff9f26901eb94e",
-        "adam_m": "7ec3d8cfd09bf3cb21335a96c6763c7ed1f2f243df61f363d481da0dac689a8a",
-        "adam_v": "5c9ad3d5e3370c456dd7183154e15ebd096e45cbdf558ed04a011fc03b92b26d",
+        "params": "c394ccf18656dc3b216e629f5623669ec75b7827e2d7645ecd794d85c504c9bf",
+        "adam_m": "fd374a1f49312502cb633eb37a16bf648937c33d77db784f74d230b77d2e6bc4",
+        "adam_v": "9002345fcc7c38a35da7391a2d1ac2832a77bd24c9079efcf3fda3a42ff03324",
         "trendline": "df788257f0954b07076c943f783e3f6674224a1f6137c75a08049fda6d620ee8",
     },
     "two_stage_ppo_reach2d": {
-        "params": "a1501ec5b5a4e48d76805e36d112d49cb6158d780ea69d44da1fb6a34f213961",
-        "adam_m": "ad6a14165b520f744c768dfaf5aa2c8f415cfa329f9ef99daee23fca69c02679",
-        "adam_v": "9c60db6a70e5a890480df58633a2fb05924349f2e82bb2fe4a81c12f5b059919",
+        "params": "c4b12754973c57032181b00779f856dcd962d913ba3c1c2ae0bc4c702f8611b1",
+        "adam_m": "d1043ec3a48250e0564cc5c2fec0b4d57ab34f9a6244ee13b8a07936ea4da7c2",
+        "adam_v": "e443599af332e2fce8b2fabdc66ed9a0bad14daf5720c28152657b1c365d235c",
         "trendline": "92c18da58c47e0054e93b63a05e6aa5f89ad8e5b312ebb397bf263c13ba6098a",
     },
     "grid_bc_reach2d": {
-        "params": "e339e729a43392d199e51b984915c92b21556c5d96c2ad0935a47fd3e28d86a0",
-        "adam_m": "9070f9bc50985356d4e94072a86c247efa15bc7461e9d324ce1cf4f10aac69ef",
-        "adam_v": "0cdc083654d63ae87612ca92142a69d283a82da5d48199487f92f022b1275955",
+        "params": "f054451487af96cb85f8438b6e5200da11a2441f84933bae2f6fcfd60da4b699",
+        "adam_m": "53fe89f8dd5b552144d802f444525c8af6f6f5c9fdd6cc765c123583b97205b5",
+        "adam_v": "92118f716678e2c927b45cf6422ce062a669caffdfcefba49ee55b937b90aa65",
         "trendline": "53c4174f78271d2ed5232fb94935d99443ea0afef732fac3291de1aee85c67ee",
         "results": "6d6a6bea2f6607e28b95d9cfe3eaf0afed185e24485dff950a014e2089bee59f",
     },
