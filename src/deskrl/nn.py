@@ -225,17 +225,27 @@ def forward_batch(store: ParamStore, spec: NetSpec, X: np.ndarray, prefix: str) 
 def forward_batch_trace(
     store: ParamStore, spec: NetSpec, X: np.ndarray, prefix: str
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """forward_batch plus the per-layer inputs/outputs the backward pass needs."""
+    """forward_batch plus the per-layer inputs/outputs the backward pass needs.
+
+    Each bias add, and an activation right after an affine layer, work in
+    place on the affine layer's fresh output: same values as forward_batch
+    without a temporary per step.  Any other activation writes a new array,
+    since its input is the caller's or is cached.
+    """
     X = _check_input(X, spec.in_width, prefix)
     cache: list[np.ndarray] = []
+    fresh = False
     j = 0
     for layer in spec.layers:
         if layer.kind == "affine":
             cache.append(X)
-            X = X @ store.get(f"{prefix}.W{j}") + store.get(f"{prefix}.b{j}")
+            X = X @ store.get(f"{prefix}.W{j}")
+            X += store.get(f"{prefix}.b{j}")
+            fresh = True
             j += 1
         else:
-            X = _apply_activation(layer.fn, X)
+            X = _apply_activation(layer.fn, X, out=X if fresh else None)
+            fresh = False
             cache.append(X)  # what _activation_grad reads
     return X, cache
 

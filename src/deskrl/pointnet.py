@@ -257,32 +257,6 @@ def _head_and_tail(net: nn.NetSpec) -> tuple[nn.NetSpec, tuple[nn.LayerSpec, ...
     return nn.NetSpec(net.layers[: last + 1]), net.layers[last + 1 :]
 
 
-def _per_point_batch_trace(
-    store: nn.ParamStore, spec: nn.NetSpec, X: np.ndarray, prefix: str
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """nn.forward_batch_trace with each bias add and the activation after it in place.
-
-    Same values, same cache layout.  An activation that does not follow
-    an affine layer writes a fresh array, since its input is cached.
-    """
-    X = nn._check_input(X, spec.in_width, prefix)
-    cache: list[np.ndarray] = []
-    fresh = False
-    j = 0
-    for layer in spec.layers:
-        if layer.kind == "affine":
-            cache.append(X)
-            X = X @ store.get(f"{prefix}.W{j}")
-            X += store.get(f"{prefix}.b{j}")
-            fresh = True
-            j += 1
-        else:
-            X = nn._apply_activation(layer.fn, X, out=X if fresh else None)
-            fresh = False
-            cache.append(X)
-    return X, cache
-
-
 def encode_batch_trace(
     store: nn.ParamStore,
     spec: EncoderSpec,
@@ -294,7 +268,7 @@ def encode_batch_trace(
     points, proprio = _check_batch(spec, points, proprio)
     B, N, C = points.shape
     F = spec.feature_dim
-    feats, pp_cache = _per_point_batch_trace(store, spec.per_point, points.reshape(B * N, C), f"{prefix}.pp")
+    feats, pp_cache = nn.forward_batch_trace(store, spec.per_point, points.reshape(B * N, C), f"{prefix}.pp")
     pool_idx = np.argmax(feats.reshape(B, N, F), axis=1)
 
     def at_pool(values: np.ndarray) -> np.ndarray:
