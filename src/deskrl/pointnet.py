@@ -257,6 +257,20 @@ def _head_and_tail(net: nn.NetSpec) -> tuple[nn.NetSpec, tuple[nn.LayerSpec, ...
     return nn.NetSpec(net.layers[: last + 1]), net.layers[last + 1 :]
 
 
+def _encode_batch_forward(
+    store: nn.ParamStore, spec: EncoderSpec, points: np.ndarray, proprio: np.ndarray, prefix: str
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray, np.ndarray, list[np.ndarray]]:
+    """The one batched forward: output, per-point cache, pool indices, pooled features, post cache."""
+    B, N, C = points.shape
+    F = spec.feature_dim
+    feats, pp_cache = nn.forward_batch_trace(store, spec.per_point, points.reshape(B * N, C), f"{prefix}.pp")
+    pool_idx = np.argmax(feats.reshape(B, N, F), axis=1)
+    pooled = np.take_along_axis(feats.reshape(B, N, F), pool_idx[:, None, :], axis=1)[:, 0, :]
+    x = np.concatenate([pooled, proprio], axis=1)
+    out, post_cache = nn.forward_batch_trace(store, spec.post, x, f"{prefix}.post")
+    return out, pp_cache, pool_idx, pooled, post_cache
+
+
 def encode_batch_trace(
     store: nn.ParamStore,
     spec: EncoderSpec,
@@ -266,18 +280,9 @@ def encode_batch_trace(
 ) -> tuple[np.ndarray, EncodeBatchCache]:
     """encode_batch() plus what encode_batch_backward needs."""
     points, proprio = _check_batch(spec, points, proprio)
-    B, N, C = points.shape
+    B, N, _ = points.shape
     F = spec.feature_dim
-    feats, pp_cache = nn.forward_batch_trace(store, spec.per_point, points.reshape(B * N, C), f"{prefix}.pp")
-    pool_idx = np.argmax(feats.reshape(B, N, F), axis=1)
-
-    def at_pool(values: np.ndarray) -> np.ndarray:
-        return np.take_along_axis(values.reshape(B, N, F), pool_idx[:, None, :], axis=1)[:, 0, :]
-
-    pooled = at_pool(feats)
-    x = np.concatenate([pooled, proprio], axis=1)
-    out, post_cache = nn.forward_batch_trace(store, spec.post, x, f"{prefix}.post")
-
+    out, pp_cache, pool_idx, pooled, post_cache = _encode_batch_forward(store, spec, points, proprio, prefix)
     flat = pool_idx + (np.arange(B) * N)[:, None]
     used = np.zeros(B * N, dtype=bool)
     used[flat] = True
@@ -285,7 +290,10 @@ def encode_batch_trace(
     slot = (np.cumsum(used) - 1)[flat]
     n_head = len(_head_and_tail(spec.per_point)[0].layers)
     head_rows = [c[rows] for c in pp_cache[:n_head]]
-    tail_out = [pooled if c is feats else at_pool(c) for c in pp_cache[n_head:]]
+    tail_out = [
+        pooled if c is pp_cache[-1] else c.reshape(B, N, F)[np.arange(B)[:, None], pool_idx, np.arange(F)]
+        for c in pp_cache[n_head:]
+    ]
     return out, EncodeBatchCache(slot, head_rows, tail_out, post_cache)
 
 
@@ -296,8 +304,8 @@ def encode_batch(
     proprio: np.ndarray,
     prefix: str = "enc",
 ) -> np.ndarray:
-    out, _ = encode_batch_trace(store, spec, points, proprio, prefix)
-    return out
+    points, proprio = _check_batch(spec, points, proprio)
+    return _encode_batch_forward(store, spec, points, proprio, prefix)[0]
 
 
 def encode_batch_backward(
@@ -318,6 +326,10 @@ def encode_batch_backward(
     which runs back through the head.  No other point's gradient, zero
     by construction, is ever formed, and neither is the gradient with
     respect to the points themselves.
+
+    The result is deterministic for a given batch.  It adds each
+    parameter's terms in another order than summing encode_backward over
+    the clouds, so the two agree to rounding, not bit for bit.
     """
     B, F = cache.slot.shape
     d_out = np.asarray(d_out, dtype=np.float64)

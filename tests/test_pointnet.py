@@ -147,16 +147,20 @@ def _dead_feature(spec, store, gen):
     return _random_clouds(spec, store, gen)
 
 
-def _tanh_tail(spec, store, gen):
-    # a tanh after the last per-point layer needs its value, not a sign mask
-    per_point = nn.mlp((spec.point_channels, 8, 12), hidden="relu", output="tanh")
-    spec = pointnet.EncoderSpec(spec.point_dim, spec.feat_channels, spec.proprio_width, per_point, spec.post)
+def _stacked_tail(spec, store, gen):
+    # two tanh after the last per-point layer: the batched backward needs
+    # each one's output at the pooled entries, not just the last one's
+    tanh = nn.LayerSpec("activation", 12, 12, "tanh")
+    layers = spec.per_point.layers[:-1] + (tanh, tanh)
+    spec = pointnet.EncoderSpec(
+        spec.point_dim, spec.feat_channels, spec.proprio_width, nn.NetSpec(layers), spec.post
+    )
     return _random_clouds(spec, store, gen)
 
 
 @pytest.mark.parametrize(
-    "case", [_random_clouds, _tied_clouds, _dead_feature, _tanh_tail],
-    ids=["random", "ties", "dead_feature", "tanh_tail"],
+    "case", [_random_clouds, _tied_clouds, _dead_feature, _stacked_tail],
+    ids=["random", "ties", "dead_feature", "stacked_tail"],
 )
 def test_batched_backward_matches_sum_of_singles(case):
     spec, store = make_encoder(4, proprio_width=4, per_point=(8, 12), post=(6,))
