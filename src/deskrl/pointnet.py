@@ -259,8 +259,8 @@ def _head_and_tail(net: nn.NetSpec) -> tuple[nn.NetSpec, tuple[nn.LayerSpec, ...
 
 def _encode_batch_forward(
     store: nn.ParamStore, spec: EncoderSpec, points: np.ndarray, proprio: np.ndarray, prefix: str
-) -> tuple[np.ndarray, list[np.ndarray], np.ndarray, list[np.ndarray]]:
-    """The one batched forward: output, per-point cache, pool indices, post cache."""
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray, np.ndarray, list[np.ndarray]]:
+    """The one batched forward: output, per-point cache, pool indices, pooled features, post cache."""
     B, N, C = points.shape
     F = spec.feature_dim
     feats, pp_cache = nn.forward_batch_trace(store, spec.per_point, points.reshape(B * N, C), f"{prefix}.pp")
@@ -268,7 +268,7 @@ def _encode_batch_forward(
     pooled = np.take_along_axis(feats.reshape(B, N, F), pool_idx[:, None, :], axis=1)[:, 0, :]
     x = np.concatenate([pooled, proprio], axis=1)
     out, post_cache = nn.forward_batch_trace(store, spec.post, x, f"{prefix}.post")
-    return out, pp_cache, pool_idx, post_cache
+    return out, pp_cache, pool_idx, pooled, post_cache
 
 
 def encode_batch_trace(
@@ -282,7 +282,7 @@ def encode_batch_trace(
     points, proprio = _check_batch(spec, points, proprio)
     B, N, _ = points.shape
     F = spec.feature_dim
-    out, pp_cache, pool_idx, post_cache = _encode_batch_forward(store, spec, points, proprio, prefix)
+    out, pp_cache, pool_idx, pooled, post_cache = _encode_batch_forward(store, spec, points, proprio, prefix)
     flat = pool_idx + (np.arange(B) * N)[:, None]
     used = np.zeros(B * N, dtype=bool)
     used[flat] = True
@@ -290,7 +290,10 @@ def encode_batch_trace(
     slot = (np.cumsum(used) - 1)[flat]
     n_head = len(_head_and_tail(spec.per_point)[0].layers)
     head_rows = [c[rows] for c in pp_cache[:n_head]]
-    tail_out = [c.reshape(B, N, F)[np.arange(B)[:, None], pool_idx, np.arange(F)] for c in pp_cache[n_head:]]
+    tail_out = [
+        pooled if c is pp_cache[-1] else c.reshape(B, N, F)[np.arange(B)[:, None], pool_idx, np.arange(F)]
+        for c in pp_cache[n_head:]
+    ]
     return out, EncodeBatchCache(slot, head_rows, tail_out, post_cache)
 
 
