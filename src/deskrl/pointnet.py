@@ -288,6 +288,12 @@ def encode_batch_trace(
     used[flat] = True
     rows = np.flatnonzero(used)
     slot = (np.cumsum(used) - 1)[flat]
+    # Pad with copies of a pooled row, which get zero gradient, to a
+    # multiple of 64 rows, as the B*N rows of 64-point clouds always were:
+    # OpenBLAS's threaded gemm sums a reduction over other row counts in
+    # another order than its single-threaded one, which would tie the
+    # parameter gradient's bits to the BLAS thread count.
+    rows = np.concatenate([rows, rows[:1].repeat(-rows.size % 64)])
     n_head = len(_head_and_tail(spec.per_point)[0].layers)
     head_rows = [c[rows] for c in pp_cache[:n_head]]
     tail_out = [

@@ -1,5 +1,9 @@
 """Encoder tests: set invariances at bit level, gradients against finite differences."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -183,6 +187,45 @@ def test_batched_backward_matches_sum_of_singles(case):
         lo, hi = store.slice_bounds("enc.pp.W1")
         assert not grad_batch[lo:hi].reshape(store.shape("enc.pp.W1"))[:, 2].any()
         assert grad_batch[store.slice_bounds("enc.pp.b1")[0] + 2] == 0.0
+
+
+_GRADIENT_DIGEST = """
+import hashlib
+import numpy as np
+from deskrl import nn, pointnet
+from deskrl.rng import make_generator
+
+spec = pointnet.build_encoder_spec()
+store = nn.ParamStore()
+pointnet.init_encoder_params(store, spec, make_generator(8, "enc"), "enc")
+gen = make_generator(8, "threads")
+h = hashlib.sha256()
+for batch in (17, 40, 64):
+    pts = np.concatenate(
+        [gen.normal(size=(batch, 64, 2)), np.eye(3)[gen.integers(0, 3, size=(batch, 64))]], axis=2
+    )
+    prop = gen.normal(size=(batch, spec.proprio_width))
+    out, cache = pointnet.encode_batch_trace(store, spec, pts, prop, "enc")
+    grad = store.zeros_grad()
+    pointnet.encode_batch_backward(store, spec, cache, gen.normal(size=out.shape), grad, "enc")
+    h.update(grad.tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_batched_gradient_bits_do_not_depend_on_blas_threads():
+    # full-size encoder, 64-point clouds: the pooled-row products are big
+    # enough for OpenBLAS to thread them
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": os.path.join(root, "src"), "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-c", _GRADIENT_DIGEST], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.add(proc.stdout.strip())
+    assert len(digests) == 1
 
 
 def test_pool_tie_breaks_to_lowest_index():
