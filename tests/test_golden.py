@@ -28,15 +28,15 @@ from deskrl.rng import make_generator
 
 GOLDEN = {
     "ppo_reach2d": {
-        "params": "6172de0c562464eccfe7dcf0bd5869bc1716d41a0971006750206c018c7d8f3a",
-        "adam_m": "4a0d1617e1c13af0e09cae725c78b82d47ce55de33492b101d7ca6770150c8b3",
-        "adam_v": "cdb43d5d65db0bd0c94d44a907a352c0f4acb84ed6fe0567a069e380821520c6",
+        "params": "b05ddba2d1b0243cda224be860c24cf149201ab33b2ca596ca0ced456156c2f6",
+        "adam_m": "5f239462b9e463792ac8afdd3d9d9f6b544f3e35727e14dcc65d3ea13461b85c",
+        "adam_v": "ab1a72625c88205ed2297200471c2c98cf4d59be1e56ea0c95e0651cb3a30244",
         "trendline": "a0b1632bd3eeb11ce8f2e0c3a6639b5dce7cd6c84ceee919fd32e5ff65a91fdc",
     },
     "ppo_pushbox2d": {
-        "params": "60dd57de30359ad48f1614029b5a96c0fca6c5cd34b75d41ba20716880e86926",
-        "adam_m": "1469304a8f28417c9b570bfb4e2085374806a78666501320dc85873d30fd0f91",
-        "adam_v": "3b4794986bdebc76e73fd042758d2e9c81c565380c3081de2e96483a2cfc6214",
+        "params": "0ec43fec8da9e894fb1ee384fc600a0975b9627954566607998563058f8d542c",
+        "adam_m": "d189930392cd1e7022497ece3fdbc7537133f332bdf6aec98011077e2ff6b16f",
+        "adam_v": "0f828e3e0d37f99f1ee1b727c902f9f2de106471910e0f2ec6fe5c28b8b0c4a3",
         "trendline": "a0b1632bd3eeb11ce8f2e0c3a6639b5dce7cd6c84ceee919fd32e5ff65a91fdc",
     },
     "bc_gather2d": {
