@@ -5,29 +5,24 @@ shared per-point MLP, features are max-pooled over the point axis, the
 pooled vector is concatenated with the proprioceptive vector, and a post
 MLP produces the final feature.
 
-Two evaluation paths share one set of parameters:
+There is one forward computation, on (B, N, C) stacks of clouds; encode()
+runs a single observation through it as a one-row batch.  encode_batch()
+and encode_batch_trace() share that forward, so a sample's output bits do
+not depend on which of the two encoded it.  The per-point net is one
+BLAS matmul over all B*N points, and a point's output row comes out with
+the same bits whatever rows surround it: encode() is bit-identical under
+any permutation of a cloud's points and under duplication of existing
+points, which tests/test_pointnet.py pins.  The post net's bits can
+depend on the batch's row count (a one-row batch may take another BLAS
+kernel than a 64-row one), so a cloud encoded alone and the same cloud
+inside a larger batch can differ in the last bits; ppo.py says how PPO
+keeps its ratios exact despite that.
 
-* encode() handles a single observation.  Its per-point affine maps go
-  through einsum, whose accumulation order per output row does not depend
-  on how many points the cloud has.  That makes the pooled features -- and
-  so the whole output -- bit-identical under any permutation of the points
-  and under duplication of existing points, which reshuffling or padding a
-  BLAS matmul would not guarantee (kernel choice there can vary with the
-  row count).
-* encode_batch() handles (B, N, C) stacks for training updates, where raw
-  speed matters and only within-path determinism is needed, so it uses the
-  ordinary matmul core.  encode_batch() and encode_batch_trace() are one
-  forward computation, so a sample's output bits do not depend on which
-  of the two encoded it.  PPO's first-epoch ratios of exactly one also
-  need them not to depend on the batch around the sample, which holds
-  for the BLAS matmul this runs on and which tests/test_ppo.py pins.
-
-The max-pool's gradient reaches only the point each feature pooled from.
-encode_backward() scatters it into a zero (N, F) array and backpropagates
-every point, the plain reference; encode_batch_backward() runs the
-per-point net backward through the pooled points alone (see there).  The
-two agree to rounding: they sum the same terms in different orders, and
-the batched backward's bits depend only on the batch's contents.
+The max-pool's gradient reaches only the point each feature pooled from,
+so encode_batch_backward() runs the per-point net backward through the
+pooled points alone (see there).  It agrees to rounding with the plain
+reference that scatters the pooled gradient into a dense (B, N, F) array
+and backpropagates every point, which the tests keep.
 
 Max-pool ties resolve to the lowest point index; only gradients can tell
 the difference, the forward value is the max either way.
@@ -117,106 +112,6 @@ def init_encoder_params(
     """Register per-point then post parameters (draw order is part of the contract)."""
     nn.init_net_params(store, spec.per_point, gen, f"{prefix}.pp")
     nn.init_net_params(store, spec.post, gen, f"{prefix}.post")
-
-
-def _check_obs(spec: EncoderSpec, obs: PointCloudObs) -> None:
-    if obs.points.shape[1] != spec.point_channels:
-        raise ShapeMismatchError(
-            f"points have {obs.points.shape[1]} channels, encoder expects {spec.point_channels}"
-        )
-    if obs.proprio.shape[0] != spec.proprio_width:
-        raise ShapeMismatchError(
-            f"proprio has width {obs.proprio.shape[0]}, encoder expects {spec.proprio_width}"
-        )
-
-
-def _per_point_rowstable(store: nn.ParamStore, spec: nn.NetSpec, pts: np.ndarray, prefix: str) -> np.ndarray:
-    """Per-point forward whose row values do not depend on the row count."""
-    H = pts
-    j = 0
-    for layer in spec.layers:
-        if layer.kind == "affine":
-            H = np.einsum("nk,ko->no", H, store.get(f"{prefix}.W{j}")) + store.get(f"{prefix}.b{j}")
-            j += 1
-        else:
-            H = nn._apply_activation(layer.fn, H)
-    return H
-
-
-def _per_point_rowstable_trace(
-    store: nn.ParamStore, spec: nn.NetSpec, pts: np.ndarray, prefix: str
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """_per_point_rowstable plus the per-layer inputs/outputs the backward pass needs."""
-    cache: list[np.ndarray] = []
-    H = pts
-    j = 0
-    for layer in spec.layers:
-        if layer.kind == "affine":
-            cache.append(H)
-            W = store.get(f"{prefix}.W{j}")
-            b = store.get(f"{prefix}.b{j}")
-            H = np.einsum("nk,ko->no", H, W) + b
-            j += 1
-        else:
-            H = nn._apply_activation(layer.fn, H)
-            cache.append(H)
-    return H, cache
-
-
-def _pool(spec: EncoderSpec, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Max over points per feature: (argmax index, pooled values)."""
-    pool_idx = np.argmax(feats, axis=0)  # first (lowest) index wins ties
-    return pool_idx, feats[pool_idx, np.arange(spec.feature_dim)]
-
-
-@dataclass
-class EncodeCache:
-    """Intermediates for one single-observation backward pass."""
-
-    pp_cache: list[np.ndarray]
-    feats: np.ndarray
-    pool_idx: np.ndarray
-    post_cache: list[np.ndarray]
-
-
-def encode_trace(
-    store: nn.ParamStore, spec: EncoderSpec, obs: PointCloudObs, prefix: str = "enc"
-) -> tuple[np.ndarray, EncodeCache]:
-    """encode() plus the intermediates encode_backward needs."""
-    _check_obs(spec, obs)
-    feats, pp_cache = _per_point_rowstable_trace(store, spec.per_point, obs.points, f"{prefix}.pp")
-    pool_idx, pooled = _pool(spec, feats)
-    x = np.concatenate([pooled, obs.proprio])[None, :]
-    out, post_cache = nn.forward_batch_trace(store, spec.post, x, f"{prefix}.post")
-    return out[0], EncodeCache(pp_cache, feats, pool_idx, post_cache)
-
-
-def encode(store: nn.ParamStore, spec: EncoderSpec, obs: PointCloudObs, prefix: str = "enc") -> np.ndarray:
-    """Encode one observation to a (out_width,) feature vector."""
-    _check_obs(spec, obs)
-    feats = _per_point_rowstable(store, spec.per_point, obs.points, f"{prefix}.pp")
-    _, pooled = _pool(spec, feats)
-    x = np.concatenate([pooled, obs.proprio])[None, :]
-    return nn.forward_batch(store, spec.post, x, f"{prefix}.post")[0]
-
-
-def encode_backward(
-    store: nn.ParamStore,
-    spec: EncoderSpec,
-    cache: EncodeCache,
-    d_out: np.ndarray,
-    grad: np.ndarray,
-    prefix: str = "enc",
-) -> None:
-    """Accumulate d(loss)/d(params) for one encoded observation into `grad`."""
-    d_out = np.asarray(d_out, dtype=np.float64)
-    if d_out.shape != (spec.out_width,):
-        raise ShapeMismatchError(f"upstream gradient must be ({spec.out_width},), got {d_out.shape}")
-    dx = nn.backward_batch(store, spec.post, cache.post_cache, d_out[None, :], grad, f"{prefix}.post")
-    d_pooled = dx[0, : spec.feature_dim]
-    d_feats = np.zeros_like(cache.feats)
-    d_feats[cache.pool_idx, np.arange(spec.feature_dim)] = d_pooled
-    nn.backward_batch(store, spec.per_point, cache.pp_cache, d_feats, grad, f"{prefix}.pp")
 
 
 @dataclass
@@ -310,8 +205,14 @@ def encode_batch(
     proprio: np.ndarray,
     prefix: str = "enc",
 ) -> np.ndarray:
+    """Encode a (B, N, C) stack of clouds and (B, P) proprio rows to (B, out_width)."""
     points, proprio = _check_batch(spec, points, proprio)
     return _encode_batch_forward(store, spec, points, proprio, prefix)[0]
+
+
+def encode(store: nn.ParamStore, spec: EncoderSpec, obs: PointCloudObs, prefix: str = "enc") -> np.ndarray:
+    """Encode one observation to a (out_width,) feature vector, as a one-row batch."""
+    return encode_batch(store, spec, obs.points[None], obs.proprio[None], prefix)[0]
 
 
 def encode_batch_backward(
@@ -334,8 +235,8 @@ def encode_batch_backward(
     respect to the points themselves.
 
     The result is deterministic for a given batch.  It adds each
-    parameter's terms in another order than summing encode_backward over
-    the clouds, so the two agree to rounding, not bit for bit.
+    parameter's terms in another order than the dense backward over all
+    B*N points, so the two agree to rounding, not bit for bit.
     """
     B, F = cache.slot.shape
     d_out = np.asarray(d_out, dtype=np.float64)

@@ -33,6 +33,10 @@ def random_obs(spec, gen, n_points):
     )
 
 
+def stack(obs_list):
+    return np.stack([o.points for o in obs_list]), np.stack([o.proprio for o in obs_list])
+
+
 def test_permutation_bit_identity():
     spec, store = make_encoder(0)
     gen = make_generator(0, "perm")
@@ -70,12 +74,12 @@ def test_encode_is_pure():
 
 
 def test_batched_matches_single_path():
-    # the two paths use different kernels, so agreement is numerical, not bitwise
+    # encode() is a one-row batch of the same forward; the row count can
+    # change which BLAS kernel runs, so only the last bits may differ
     spec, store = make_encoder(3)
     gen = make_generator(3, "batch")
     obs_list = [random_obs(spec, gen, 24) for _ in range(7)]
-    pts = np.stack([o.points for o in obs_list])
-    prop = np.stack([o.proprio for o in obs_list])
+    pts, prop = stack(obs_list)
     batched = pointnet.encode_batch(store, spec, pts, prop, "enc")
     for i, obs in enumerate(obs_list):
         single = pointnet.encode(store, spec, obs, "enc")
@@ -109,28 +113,49 @@ def encoder_margin(store, spec, obs):
 
 
 def test_single_path_gradient_matches_finite_differences():
-    checked = 0
-    candidate = 0
-    while checked < 5:
-        assert candidate < 60, "could not find enough kink-free configurations"
-        spec, store = make_encoder(300 + candidate, proprio_width=5, per_point=(8, 12), post=(10,))
-        gen = make_generator(candidate, "fd")
-        obs = random_obs(spec, gen, 9)
-        w = gen.normal(size=spec.out_width)
-        candidate += 1
-        if encoder_margin(store, spec, obs) < 1e-3:
-            continue
+    # the one encoder path, at the one-row batch encode() runs and at three rows
+    for batch in (1, 3):
+        checked = 0
+        candidate = 0
+        while checked < 5:
+            assert candidate < 300, f"could not find enough kink-free configurations at B={batch}"
+            spec, store = make_encoder(300 + candidate, proprio_width=5, per_point=(8, 12), post=(10,))
+            gen = make_generator(candidate, "fd", batch)
+            obs_list = [random_obs(spec, gen, 9) for _ in range(batch)]
+            w = gen.normal(size=(batch, spec.out_width))
+            candidate += 1
+            if min(encoder_margin(store, spec, obs) for obs in obs_list) < 1e-3:
+                continue
 
-        out, cache = pointnet.encode_trace(store, spec, obs, "enc")
-        grad = store.zeros_grad()
-        pointnet.encode_backward(store, spec, cache, w, grad, "enc")
-        numeric = nn.finite_diff_grad(
-            lambda s: float(w @ pointnet.encode(s, spec, obs, "enc")), store, h=1e-5
-        )
-        scale = np.maximum(np.abs(numeric), 1e-8)
-        rel = np.max(np.abs(grad - numeric) / scale)
-        assert rel <= 1e-4, f"max relative gradient error {rel:.3e}"
-        checked += 1
+            pts, prop = stack(obs_list)
+            _, cache = pointnet.encode_batch_trace(store, spec, pts, prop, "enc")
+            grad = store.zeros_grad()
+            pointnet.encode_batch_backward(store, spec, cache, w, grad, "enc")
+            numeric = nn.finite_diff_grad(
+                lambda s: float(np.sum(w * pointnet.encode_batch(s, spec, pts, prop, "enc"))), store, h=1e-5
+            )
+            scale = np.maximum(np.abs(numeric), 1e-8)
+            rel = np.max(np.abs(grad - numeric) / scale)
+            assert rel <= 1e-4, f"B={batch}: max relative gradient error {rel:.3e}"
+            checked += 1
+
+
+def dense_backward(store, spec, points, proprio, d_out, grad):
+    """The plain reference backward: the pooled gradient is scattered into a
+    zero (B, N, F) array at each feature's argmax, and all B*N points are
+    backpropagated through the per-point net."""
+    B, N, C = points.shape
+    F = spec.feature_dim
+    feats, pp_cache = nn.forward_batch_trace(store, spec.per_point, points.reshape(B * N, C), "enc.pp")
+    feats = feats.reshape(B, N, F)
+    pool_idx = np.argmax(feats, axis=1)  # first (lowest) index wins ties
+    pooled = np.take_along_axis(feats, pool_idx[:, None, :], axis=1)[:, 0, :]
+    x = np.concatenate([pooled, proprio], axis=1)
+    _, post_cache = nn.forward_batch_trace(store, spec.post, x, "enc.post")
+    dx = nn.backward_batch(store, spec.post, post_cache, d_out, grad, "enc.post")
+    d_feats = np.zeros((B, N, F))
+    d_feats[np.arange(B)[:, None], pool_idx, np.arange(F)] = dx[:, :F]
+    nn.backward_batch(store, spec.per_point, pp_cache, d_feats.reshape(B * N, F), grad, "enc.pp")
 
 
 def _random_clouds(spec, store, gen):
@@ -170,8 +195,7 @@ def test_batched_backward_matches_sum_of_singles(case):
     spec, store = make_encoder(4, proprio_width=4, per_point=(8, 12), post=(6,))
     gen = make_generator(4, "bsum")
     spec, obs_list = case(spec, store, gen)
-    pts = np.stack([o.points for o in obs_list])
-    prop = np.stack([o.proprio for o in obs_list])
+    pts, prop = stack(obs_list)
     d_out = gen.normal(size=(5, spec.out_width))
 
     _, bcache = pointnet.encode_batch_trace(store, spec, pts, prop, "enc")
@@ -179,9 +203,8 @@ def test_batched_backward_matches_sum_of_singles(case):
     pointnet.encode_batch_backward(store, spec, bcache, d_out, grad_batch, "enc")
 
     grad_singles = store.zeros_grad()
-    for obs, d in zip(obs_list, d_out):
-        _, cache = pointnet.encode_trace(store, spec, obs, "enc")
-        pointnet.encode_backward(store, spec, cache, d, grad_singles, "enc")
+    for i in range(len(obs_list)):
+        dense_backward(store, spec, pts[i : i + 1], prop[i : i + 1], d_out[i : i + 1], grad_singles)
     assert np.allclose(grad_batch, grad_singles, rtol=1e-10, atol=1e-12)
     if case is _dead_feature:
         lo, hi = store.slice_bounds("enc.pp.W1")
@@ -209,13 +232,20 @@ for batch in (17, 40, 64):
     grad = store.zeros_grad()
     pointnet.encode_batch_backward(store, spec, cache, gen.normal(size=out.shape), grad, "enc")
     h.update(grad.tobytes())
+for _ in range(3):
+    pts = np.concatenate([gen.normal(size=(64, 2)), np.eye(3)[gen.integers(0, 3, size=64)]], axis=1)
+    obs = pointnet.PointCloudObs(pts, gen.normal(size=spec.proprio_width))
+    grown = pointnet.PointCloudObs(np.concatenate([pts, pts[gen.integers(0, 64, size=16)]]), obs.proprio)
+    h.update(pointnet.encode(store, spec, obs, "enc").tobytes())
+    h.update(pointnet.encode(store, spec, grown, "enc").tobytes())
 print(h.hexdigest())
 """
 
 
 def test_batched_gradient_bits_do_not_depend_on_blas_threads():
     # full-size encoder, 64-point clouds: the pooled-row products are big
-    # enough for OpenBLAS to thread them
+    # enough for OpenBLAS to thread them; single observations, which run as
+    # one-row batches, are hashed too, at 64 points and grown to 80
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     digests = set()
     for threads in ("1", "2"):
@@ -234,9 +264,8 @@ def test_pool_tie_breaks_to_lowest_index():
     obs = random_obs(spec, gen, 16)
     pts = obs.points.copy()
     pts[7] = pts[2]  # exact duplicate: rows 2 and 7 tie on every channel
-    tied = pointnet.PointCloudObs(pts, obs.proprio)
-    _, cache = pointnet.encode_trace(store, spec, tied, "enc")
-    assert not np.any(cache.pool_idx == 7), "a tie resolved to the higher index"
+    _, _, pool_idx, _, _ = pointnet._encode_batch_forward(store, spec, pts[None], obs.proprio[None], "enc")
+    assert not np.any(pool_idx == 7), "a tie resolved to the higher index"
 
 
 def test_validation_rejects_bad_inputs():
