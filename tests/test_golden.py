@@ -28,15 +28,15 @@ from deskrl.rng import make_generator
 
 GOLDEN = {
     "ppo_reach2d": {
-        "params": "b05ddba2d1b0243cda224be860c24cf149201ab33b2ca596ca0ced456156c2f6",
-        "adam_m": "5f239462b9e463792ac8afdd3d9d9f6b544f3e35727e14dcc65d3ea13461b85c",
-        "adam_v": "ab1a72625c88205ed2297200471c2c98cf4d59be1e56ea0c95e0651cb3a30244",
+        "params": "2e0e5b88a51961f09e3d057001d6fdd5757e43efbcf30b4182696ee0f57b9e02",
+        "adam_m": "cb1789e9201ca387d26fdca88f0ef635c752ba1932dc6eb0b2d6a84267d02447",
+        "adam_v": "e2bade048e390a01ce606713ce9897679d11c280fa9957376abacbc929144167",
         "trendline": "a0b1632bd3eeb11ce8f2e0c3a6639b5dce7cd6c84ceee919fd32e5ff65a91fdc",
     },
     "ppo_pushbox2d": {
-        "params": "0ec43fec8da9e894fb1ee384fc600a0975b9627954566607998563058f8d542c",
-        "adam_m": "d189930392cd1e7022497ece3fdbc7537133f332bdf6aec98011077e2ff6b16f",
-        "adam_v": "0f828e3e0d37f99f1ee1b727c902f9f2de106471910e0f2ec6fe5c28b8b0c4a3",
+        "params": "13b1f8aeeb90e7355e17c04d568b35dc75544f74e85d5f0e4447e3bd61b6a4c9",
+        "adam_m": "1c202c7f3abbfa05f3237c385295abcf0582c1e164cd8c55aa0222d1c4179c6b",
+        "adam_v": "06b89dfb1591466db29ae3455b2086901a2578e39c9a069b2c3349fe6916ea6c",
         "trendline": "a0b1632bd3eeb11ce8f2e0c3a6639b5dce7cd6c84ceee919fd32e5ff65a91fdc",
     },
     "bc_gather2d": {
@@ -46,9 +46,9 @@ GOLDEN = {
         "trendline": "df788257f0954b07076c943f783e3f6674224a1f6137c75a08049fda6d620ee8",
     },
     "two_stage_ppo_reach2d": {
-        "params": "c4b12754973c57032181b00779f856dcd962d913ba3c1c2ae0bc4c702f8611b1",
-        "adam_m": "d1043ec3a48250e0564cc5c2fec0b4d57ab34f9a6244ee13b8a07936ea4da7c2",
-        "adam_v": "e443599af332e2fce8b2fabdc66ed9a0bad14daf5720c28152657b1c365d235c",
+        "params": "6d7061c119f1d1b00dd92e11af6742cb068e71f3abafaf484c97ada083f2f867",
+        "adam_m": "0921059632c7c4e618a1a66b97e22a3e4282d49d157666dd2ae579c7b6fa0863",
+        "adam_v": "7dcd17a2b47838eedde0384fd6372521e549c17574a375fa43630794993ffea1",
         "trendline": "92c18da58c47e0054e93b63a05e6aa5f89ad8e5b312ebb397bf263c13ba6098a",
     },
     "grid_bc_reach2d": {
@@ -187,12 +187,12 @@ def test_file_bytes_are_unchanged(kind, tmp_path):
 
 
 TRANSITION_GOLDEN = {
-    "reach2d-train": "9678a539f08e10b023b2d3baa9240d5d54a26875b9e1233c67debb0a03592ab9",
-    "reach2d-test": "ad22a436a9eee098e19f0a57e08fbd697a73acd789c2cd82331c88cb17d0e1fd",
-    "pushbox2d-train": "90052beeec42c528cb411614b520619eeed687dd8ce32468bbd52e797a351a31",
-    "pushbox2d-test": "6632a8098e40df82c3f6ef32c4df8aec85eec8283a9732d2c05cea5d1dc21cf2",
-    "gather2d-train": "bf12fc6b49ea6b6684c8dad8de128d13e6f99b0b72ab538e7c2a2695eb64edb4",
-    "gather2d-test": "c42ce8f390addb3ca9b8f686e90114ce894d401840aa66e0d96ceeffc534642b",
+    "reach2d-train": "da6d8569109b6f53b4612c5ac700f92dbdda005ba20132128b0684be30b69d0a",
+    "reach2d-test": "b8a698b843fa4da1a17041dd99f842a987ae12fd5a65c1e65cc077dbbcebadf3",
+    "pushbox2d-train": "779126205f34a3ad69ad885ade8c75c390752d9a32fb0d71711cd36a10d54445",
+    "pushbox2d-test": "470d2b9b78703b3f41a3784599b654962f96c810cdbea2494ce961c610ba8ce3",
+    "gather2d-train": "24afdc7a654cd9beaf2be578cc20677e3680000fd47f119b3d7be9818433882a",
+    "gather2d-test": "cac9703455fb9d9dd241c1c48c94d7f341dbbbd85c03f324fd97b2d017b9a77f",
 }
 
 
