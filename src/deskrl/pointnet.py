@@ -190,7 +190,11 @@ def encode_batch_trace(
     # parameter gradient's bits to the BLAS thread count.
     rows = np.concatenate([rows, rows[:1].repeat(-rows.size % 64)])
     n_head = len(_head_and_tail(spec.per_point)[0].layers)
-    head_rows = [c[rows] for c in pp_cache[:n_head]]
+    head_rows: list[np.ndarray] = []
+    for i, c in enumerate(pp_cache[:n_head]):
+        # an activation's output is cached again as the next affine layer's
+        # input; gather that array once and list it twice
+        head_rows.append(head_rows[-1] if i and c is pp_cache[i - 1] else c[rows])
     tail_out = [
         pooled if c is pp_cache[-1] else c.reshape(B, N, F)[np.arange(B)[:, None], pool_idx, np.arange(F)]
         for c in pp_cache[n_head:]
