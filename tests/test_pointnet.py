@@ -262,10 +262,16 @@ def test_pool_tie_breaks_to_lowest_index():
     spec, store = make_encoder(5)
     gen = make_generator(5, "tie")
     obs = random_obs(spec, gen, 16)
-    pts = obs.points.copy()
-    pts[7] = pts[2]  # exact duplicate: rows 2 and 7 tie on every channel
-    _, _, pool_idx, _, _ = pointnet._encode_batch_forward(store, spec, pts[None], obs.proprio[None], "enc")
-    assert not np.any(pool_idx == 7), "a tie resolved to the higher index"
+
+    def pool_idx(points):
+        return pointnet._encode_batch_forward(store, spec, points[None], obs.proprio[None], "enc")[2][0]
+
+    before = pool_idx(obs.points)
+    # append an exact copy of the point most features pooled from: each of
+    # those features now ties between it and index 16
+    winner = np.bincount(before).argmax()
+    after = pool_idx(np.concatenate([obs.points, obs.points[winner : winner + 1]]))
+    assert np.array_equal(after, before), "a tie resolved to the higher index"
 
 
 def test_validation_rejects_bad_inputs():
