@@ -29,6 +29,8 @@ from .errors import ConfigError, NonFiniteError
 from .persistence import Checkpoint, MetricsRecord
 from .rng import generator_from_words, make_generator, state_words
 
+_LOGP_BLOCK = 64  # rows per encoder call in batched_logps
+
 
 @dataclass(frozen=True)
 class PPOConfig:
@@ -176,8 +178,20 @@ def _policy_batch_trace(store, spec, points, proprios):
 def batched_logps(
     store: nn.ParamStore, spec: pol.PolicySpec, buffer: RolloutBuffer
 ) -> np.ndarray:
-    """Log-densities of the buffer's raw actions, via the batched path."""
-    enc_out = pointnet.encode_batch(store, spec.encoder, buffer.points, buffer.proprios)
+    """Log-densities of the buffer's raw actions, via the batched path.
+
+    The encoder runs _LOGP_BLOCK rows at a time, so only one block's
+    per-point activations are alive at once instead of the whole buffer's;
+    each row's bits are those of the whole-buffer call.  A one-row batch
+    would take another BLAS kernel with other last bits, so a last block
+    of one row joins the block before it.
+    """
+    S = buffer.size
+    starts = list(range(0, max(S - 1, 1), _LOGP_BLOCK))
+    enc_out = np.concatenate([
+        pointnet.encode_batch(store, spec.encoder, buffer.points[a:b], buffer.proprios[a:b])
+        for a, b in zip(starts, starts[1:] + [S])
+    ])
     mean = nn.forward_batch(store, spec.mean, enc_out, "mean")
     log_std = pol.log_std_of(store, spec)
     return pol.gaussian_logp(buffer.raw_actions, mean, log_std)

@@ -2,6 +2,7 @@
 against finite differences, and resume bit-exactness of the training loop."""
 
 import os
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -355,11 +356,12 @@ class TestPPOUpdate:
         assert stats.clip_fraction == 0.0
         assert stats.approx_kl == 0.0
 
-    def test_minibatch_logps_match_whole_buffer_bits(self):
+    def test_minibatch_logps_match_whole_buffer_bits(self, monkeypatch):
         # the update encodes each minibatch through encode_batch_trace, while
-        # the reference log-probs come from encode_batch over the whole
-        # buffer; the first epoch's ratios are exactly one only while the
-        # two give the same bits per sample
+        # the reference log-probs come from encode_batch over 64-row blocks
+        # of the buffer (the last of these 200 rows is 8 rows); the first
+        # epoch's ratios are exactly one only while each sample gets the
+        # same bits from all of them and from one whole-buffer call
         store, spec = fresh_policy("pushbox2d", seed=9)
         # undo the near-zero start of the mean head's last layer, whose
         # rounding would hide a last-ulp change in the features
@@ -376,6 +378,26 @@ class TestPPOUpdate:
         logp = pol.gaussian_logp(buf.raw_actions[idx], mean, pol.log_std_of(store, spec))
         assert logp.tobytes() == old[idx].tobytes()
         assert np.all(np.exp(logp - old[idx]) == 1.0)
+        log_std = pol.log_std_of(store, spec)
+        whole_logps = pol.gaussian_logp(buf.raw_actions, nn.forward_batch(store, spec.mean, whole, "mean"), log_std)
+        assert old.tobytes() == whole_logps.tobytes()
+        # 129 rows would end in a one-row block, whose encoding takes other
+        # BLAS kernels than any larger batch: it joins the block before it
+        blocks = []
+        encode_batch = pointnet.encode_batch
+
+        def recording(store, spec, points, proprios):
+            blocks.append(len(points))
+            return encode_batch(store, spec, points, proprios)
+
+        monkeypatch.setattr(pointnet, "encode_batch", recording)
+        head = replace(
+            buf, points=buf.points[:129], proprios=buf.proprios[:129],
+            raw_actions=buf.raw_actions[:129], rewards=buf.rewards[:129],
+        )
+        assert ppo.batched_logps(store, spec, head).tobytes() == old[:129].tobytes()
+        assert ppo.batched_logps(store, spec, buf).tobytes() == old.tobytes()
+        assert blocks == [64, 65, 64, 64, 64, 8]
         _, _, stats = ppo.surrogate_loss_and_grad(store, spec, buf, idx, old, cfg)
         assert stats["approx_kl"] == 0.0
 
