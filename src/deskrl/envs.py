@@ -601,7 +601,7 @@ class Gather2D(ToyEnv):
             return
         vhat = np.array((q0 - lx, q1 - ly)) / speed
         w = self.particles - c[None, :]
-        dist_sq = np.einsum("ij,ij->i", w, w)
+        dist_sq = (w * w).sum(axis=1)
         inside = dist_sq < self.pusher_radius**2
         if inside.any():
             w_in = w[inside]
