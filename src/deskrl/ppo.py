@@ -9,12 +9,12 @@ state out of checkpoints entirely.
 
 Ratio bookkeeping: the buffer's collection-time log-probabilities are a
 record of the behavior policy (and what the density oracle checks), but
-the update recomputes old log-probabilities through the same batched
-code path it uses for new ones before the first epoch.  Identical inputs
-through identical kernels give bit-identical numbers, so the first
-epoch's ratios are exactly one; mixing the single-observation collection
-path into the ratio would instead compare two floating-point paths and
-leak their last-ulp disagreements into the surrogate.
+the update recomputes old log-probabilities before the first epoch
+(batched_logps).  Collection runs one-row batches, whose BLAS kernels
+differ from those of the update's minibatches and give other last bits;
+the recompute's multi-row blocks give each sample its minibatch's bits
+(tests/test_ppo.py pins this), so the first epoch's ratios are exactly
+one.
 """
 
 from __future__ import annotations
