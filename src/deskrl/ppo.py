@@ -7,14 +7,11 @@ replays the exact draw sequence of an uninterrupted one.  Rollouts begin
 with a fresh episode at the rollout boundary, which keeps environment
 state out of checkpoints entirely.
 
-Ratio bookkeeping: the buffer's collection-time log-probabilities are a
-record of the behavior policy (and what the density oracle checks), but
-the update recomputes old log-probabilities before the first epoch
-(batched_logps).  Collection runs one-row batches, whose BLAS kernels
-differ from those of the update's minibatches and give other last bits;
-the recompute's multi-row blocks give each sample its minibatch's bits
-(tests/test_ppo.py pins this), so the first epoch's ratios are exactly
-one.
+Ratio bookkeeping: the update's old log-probabilities are the ones the
+rollout recorded (RolloutBuffer.logps), with no second pass over the
+buffer.  Collection encodes one-row batches and the update encodes
+minibatches, whose BLAS kernels can differ in the last bits, so the
+first epoch's ratios equal one to rounding rather than bit for bit.
 """
 
 from __future__ import annotations
@@ -28,8 +25,6 @@ from .envs import EnvConfig, make_env
 from .errors import ConfigError, NonFiniteError
 from .persistence import Checkpoint, MetricsRecord
 from .rng import generator_from_words, make_generator, state_words
-
-_LOGP_BLOCK = 64  # rows per encoder call in batched_logps
 
 
 @dataclass(frozen=True)
@@ -76,7 +71,7 @@ class RolloutBuffer:
     proprios: np.ndarray  # (S, P)
     actions: np.ndarray  # (S, A) clamped, as executed (replayable)
     raw_actions: np.ndarray  # (S, A) pre-clamp samples the densities refer to
-    logps: np.ndarray  # (S,) collection-time log-probabilities (record)
+    logps: np.ndarray  # (S,) collection-time log-probabilities
     rewards: np.ndarray  # (S,)
     values: np.ndarray  # (S,)
     dones: np.ndarray  # (S,) float 0/1
@@ -175,28 +170,6 @@ def _policy_batch_trace(store, spec, points, proprios):
     return enc_out, mean, value[:, 0], (enc_cache, mean_cache, value_cache)
 
 
-def batched_logps(
-    store: nn.ParamStore, spec: pol.PolicySpec, buffer: RolloutBuffer
-) -> np.ndarray:
-    """Log-densities of the buffer's raw actions, via the batched path.
-
-    The encoder runs _LOGP_BLOCK rows at a time, so only one block's
-    per-point activations are alive at once instead of the whole buffer's;
-    each row's bits are those of the whole-buffer call.  A one-row batch
-    would take another BLAS kernel with other last bits, so a last block
-    of one row joins the block before it.
-    """
-    S = buffer.size
-    starts = list(range(0, max(S - 1, 1), _LOGP_BLOCK))
-    enc_out = np.concatenate([
-        pointnet.encode_batch(store, spec.encoder, buffer.points[a:b], buffer.proprios[a:b])
-        for a, b in zip(starts, starts[1:] + [S])
-    ])
-    mean = nn.forward_batch(store, spec.mean, enc_out, "mean")
-    log_std = pol.log_std_of(store, spec)
-    return pol.gaussian_logp(buffer.raw_actions, mean, log_std)
-
-
 def surrogate_loss_and_grad(
     store: nn.ParamStore,
     spec: pol.PolicySpec,
@@ -225,7 +198,7 @@ def surrogate_loss_and_grad(
     log_std = pol.log_std_of(store, spec)
     sigma = np.exp(log_std)
     z = (raw - mean) / sigma
-    logp = -0.5 * np.sum(z * z + 2.0 * log_std + np.log(2.0 * np.pi), axis=1)
+    logp = pol.gaussian_logp(raw, mean, log_std)
 
     ratio = np.exp(logp - old)
     lo, hi = 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps
@@ -278,7 +251,6 @@ def ppo_update(
     """E epochs of shuffled minibatches, one Adam step per minibatch."""
     if buffer.advantages is None or buffer.returns is None:
         raise ConfigError("run compute_gae before ppo_update")
-    old_logps = batched_logps(store, spec, buffer)
     sums = {"policy_loss": 0.0, "value_loss": 0.0, "entropy": 0.0, "approx_kl": 0.0, "clip_fraction": 0.0}
     count = 0
     for epoch in range(cfg.epochs):
@@ -286,7 +258,7 @@ def ppo_update(
         for start in range(0, buffer.size, cfg.minibatch_size):
             idx = perm[start : start + cfg.minibatch_size]  # last short batch kept
             try:
-                total, grad, stats = surrogate_loss_and_grad(store, spec, buffer, idx, old_logps, cfg)
+                total, grad, stats = surrogate_loss_and_grad(store, spec, buffer, idx, buffer.logps, cfg)
             except NonFiniteError as err:
                 raise NonFiniteError(
                     f"{err} in epoch {epoch}, minibatch {start // cfg.minibatch_size}"

@@ -2,7 +2,6 @@
 against finite differences, and resume bit-exactness of the training loop."""
 
 import os
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -122,12 +121,12 @@ class TestCollectRollout:
             obs = res.obs
 
     def test_logp_record_matches_batched_density(self):
-        # collection-time log-probs come from the single-observation path;
-        # the batched recompute must agree to float accumulation error
+        # collection-time log-probs come from one-row batches; the density
+        # of the whole buffer in one batch must agree to accumulation error
         store, spec = fresh_policy("gather2d")
         env = make_env(make_config("gather2d"))
         buf = ppo.collect_rollout(store, spec, env, 25, make_generator(1, "roll"))
-        recomputed = ppo.batched_logps(store, spec, buf)
+        recomputed = minibatch_logps(store, spec, buf, np.arange(buf.size))
         assert np.max(np.abs(recomputed - buf.logps)) <= 1e-10
 
     def test_raw_actions_clamp_to_executed(self):
@@ -250,6 +249,16 @@ class TestComputeGAE:
         assert np.array_equal(buf.advantages, np.zeros(8))
 
 
+def minibatch_logps(store, spec, buf, idx):
+    """Log-probs of rows idx with the update's bits: those rows through
+    encode_batch, the mean head and gaussian_logp, placed at idx."""
+    enc = pointnet.encode_batch(store, spec.encoder, buf.points[idx], buf.proprios[idx])
+    mean = nn.forward_batch(store, spec.mean, enc, "mean")
+    old = np.full(buf.size, np.nan)
+    old[idx] = pol.gaussian_logp(buf.raw_actions[idx], mean, pol.log_std_of(store, spec))
+    return old
+
+
 def rollout_with_gae(store, spec, task="reach2d", samples=32, seed=0, **gae):
     env = make_env(make_config(task, horizon=40))
     buf = ppo.collect_rollout(store, spec, env, samples, make_generator(seed, "fd"))
@@ -277,7 +286,7 @@ class TestSurrogateGradients:
         store, spec = fresh_policy(seed=4)
         buf = rollout_with_gae(store, spec, samples=4, seed=4)
         idx = np.arange(4)
-        old = ppo.batched_logps(store, spec, buf)
+        old = minibatch_logps(store, spec, buf, idx)
         old = old + np.array([0.07, -0.05, 0.11, -0.09])
         cfg = ppo.PPOConfig(samples_per_step=4, minibatch_size=4, total_steps=0)
 
@@ -314,7 +323,7 @@ class TestSurrogateGradients:
         store, spec = fresh_policy(seed=2)
         buf = rollout_with_gae(store, spec, samples=8, seed=2)
         idx = np.arange(8)
-        old = ppo.batched_logps(store, spec, buf)
+        old = minibatch_logps(store, spec, buf, idx)
         cfg = SimpleNamespace(clip_eps=0.0, value_coef=0.0, entropy_coef=0.0)
         total, grad, stats = ppo.surrogate_loss_and_grad(store, spec, buf, idx, old, cfg)
         assert total == -float(np.mean(buf.advantages))
@@ -328,7 +337,7 @@ class TestSurrogateGradients:
         store, spec = fresh_policy(seed=2)
         buf = rollout_with_gae(store, spec, samples=8, seed=2)
         idx = np.arange(8)
-        old = ppo.batched_logps(store, spec, buf)
+        old = minibatch_logps(store, spec, buf, idx)
         cfg = SimpleNamespace(clip_eps=1e-9, value_coef=0.0, entropy_coef=0.0)
         total, grad, _ = ppo.surrogate_loss_and_grad(store, spec, buf, idx, old, cfg)
         assert total == -float(np.mean(buf.advantages))
@@ -345,8 +354,8 @@ class TestPPOUpdate:
             ppo.ppo_update(store, spec, buf, cfg, make_generator(0), nn.init_adam(store.size, 3e-4))
 
     def test_first_update_has_unit_ratios(self):
-        # one epoch, one minibatch: old log-probs are recomputed through the
-        # same path the update uses, so every ratio is exactly one
+        # one epoch, one minibatch: the recorded log-probs of this buffer
+        # match the update's to the bit, so every ratio is exactly one
         store, spec = fresh_policy(seed=6)
         buf = rollout_with_gae(store, spec, samples=16, seed=6)
         cfg = ppo.PPOConfig(samples_per_step=16, minibatch_size=16, epochs=1, total_steps=0)
@@ -356,50 +365,26 @@ class TestPPOUpdate:
         assert stats.clip_fraction == 0.0
         assert stats.approx_kl == 0.0
 
-    def test_minibatch_logps_match_whole_buffer_bits(self, monkeypatch):
-        # the update encodes each minibatch through encode_batch_trace, while
-        # the reference log-probs come from encode_batch over 64-row blocks
-        # of the buffer (the last of these 200 rows is 8 rows); the first
-        # epoch's ratios are exactly one only while each sample gets the
-        # same bits from all of them and from one whole-buffer call
+    @pytest.mark.parametrize("batch", [64, 58, 51, 45])
+    def test_first_epoch_ratios_from_recorded_logps(self, batch, monkeypatch):
+        # the update's old log-probs are the rollout's record, from one-row
+        # batches; its minibatches (here of the stage-two sizes, ending in a
+        # one-row batch) give each sample's log-prob other last bits at
+        # most, so with the parameters held still every first-epoch ratio
+        # lies within 1e-12 of one and clips nowhere at that epsilon
         store, spec = fresh_policy("pushbox2d", seed=9)
         # undo the near-zero start of the mean head's last layer, whose
-        # rounding would hide a last-ulp change in the features
+        # rounding would hide last-ulp differences in the features
         store.get("mean.W1")[:] /= pol.FINAL_MEAN_SCALE
-        buf = rollout_with_gae(store, spec, task="pushbox2d", samples=200, seed=9)
-        cfg = ppo.PPOConfig(samples_per_step=200, minibatch_size=48, total_steps=0)
-        idx = make_generator(9, "mb").permutation(buf.size)[: cfg.minibatch_size]
-        old = ppo.batched_logps(store, spec, buf)
-
-        enc, _ = pointnet.encode_batch_trace(store, spec.encoder, buf.points[idx], buf.proprios[idx])
-        whole = pointnet.encode_batch(store, spec.encoder, buf.points, buf.proprios)
-        assert enc.tobytes() == whole[idx].tobytes()
-        mean, _ = nn.forward_batch_trace(store, spec.mean, enc, "mean")
-        logp = pol.gaussian_logp(buf.raw_actions[idx], mean, pol.log_std_of(store, spec))
-        assert logp.tobytes() == old[idx].tobytes()
-        assert np.all(np.exp(logp - old[idx]) == 1.0)
-        log_std = pol.log_std_of(store, spec)
-        whole_logps = pol.gaussian_logp(buf.raw_actions, nn.forward_batch(store, spec.mean, whole, "mean"), log_std)
-        assert old.tobytes() == whole_logps.tobytes()
-        # 129 rows would end in a one-row block, whose encoding takes other
-        # BLAS kernels than any larger batch: it joins the block before it
-        blocks = []
-        encode_batch = pointnet.encode_batch
-
-        def recording(store, spec, points, proprios):
-            blocks.append(len(points))
-            return encode_batch(store, spec, points, proprios)
-
-        monkeypatch.setattr(pointnet, "encode_batch", recording)
-        head = replace(
-            buf, points=buf.points[:129], proprios=buf.proprios[:129],
-            raw_actions=buf.raw_actions[:129], rewards=buf.rewards[:129],
+        buf = rollout_with_gae(store, spec, task="pushbox2d", samples=3 * batch + 1, seed=9)
+        cfg = ppo.PPOConfig(
+            samples_per_step=buf.size, minibatch_size=batch, epochs=1, clip_eps=1e-12, total_steps=0
         )
-        assert ppo.batched_logps(store, spec, head).tobytes() == old[:129].tobytes()
-        assert ppo.batched_logps(store, spec, buf).tobytes() == old.tobytes()
-        assert blocks == [64, 65, 64, 64, 64, 8]
-        _, _, stats = ppo.surrogate_loss_and_grad(store, spec, buf, idx, old, cfg)
-        assert stats["approx_kl"] == 0.0
+        monkeypatch.setattr(nn, "adam_step", lambda store, grad, adam: None)
+        adam = nn.init_adam(store.size, cfg.learning_rate)
+        stats = ppo.ppo_update(store, spec, buf, cfg, make_generator(9, "mb"), adam)
+        assert stats.minibatches == 4  # the last of them is a single row
+        assert stats.clip_fraction == 0.0
 
     def test_adam_steps_once_per_minibatch(self):
         store, spec = fresh_policy(seed=6)
