@@ -28,15 +28,15 @@ from deskrl.rng import make_generator
 
 GOLDEN = {
     "ppo_reach2d": {
-        "params": "2e0e5b88a51961f09e3d057001d6fdd5757e43efbcf30b4182696ee0f57b9e02",
-        "adam_m": "cb1789e9201ca387d26fdca88f0ef635c752ba1932dc6eb0b2d6a84267d02447",
-        "adam_v": "e2bade048e390a01ce606713ce9897679d11c280fa9957376abacbc929144167",
+        "params": "b84a26ec2214cf78416c7c341d899540862facbd5fb5b1808ea1690c42a043fd",
+        "adam_m": "9e1be13d88d30a24f2260ffb0d681bd84438c30f1658cc181428132f82b6773e",
+        "adam_v": "1f28e413aeaea3c178103bd46658fd09f8a09a63e73175fa054b54e8c995a135",
         "trendline": "a0b1632bd3eeb11ce8f2e0c3a6639b5dce7cd6c84ceee919fd32e5ff65a91fdc",
     },
     "ppo_pushbox2d": {
-        "params": "13b1f8aeeb90e7355e17c04d568b35dc75544f74e85d5f0e4447e3bd61b6a4c9",
-        "adam_m": "1c202c7f3abbfa05f3237c385295abcf0582c1e164cd8c55aa0222d1c4179c6b",
-        "adam_v": "06b89dfb1591466db29ae3455b2086901a2578e39c9a069b2c3349fe6916ea6c",
+        "params": "103b803cc5c2e381697e649eb24bbac55e024d156731f352795bb167ecc78e8b",
+        "adam_m": "b66a91c042a0cd28ebc4071e72345478b6d10781311abd1531e8f9491a320339",
+        "adam_v": "c4ff6eeb8a7574b8660f3edd305718d655502bce45a7106a3450a84a39623f3f",
         "trendline": "a0b1632bd3eeb11ce8f2e0c3a6639b5dce7cd6c84ceee919fd32e5ff65a91fdc",
     },
     "bc_gather2d": {
