@@ -3,9 +3,10 @@
 An uninterrupted run and a split run (train, stop at a checkpoint,
 restore, continue) produce byte-identical parameters, optimizer
 moments, and metric histories.  Nothing here is tolerance-based: the
-rollout generator state rides in the checkpoint, PPO recomputes its
-reference log-probabilities from the stored parameters, and the BC
-sampler derives its stream position from the step counter alone.
+rollout generator state rides in the checkpoint, PPO's reference
+log-probabilities are the ones each rollout records, so nothing about
+them outlives the iteration, and the BC sampler derives its stream
+position from the step counter alone.
 """
 
 import atexit

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import loop, nn, pointnet, policy as pol
 from .envs import DemoTrajectory, EnvConfig
-from .errors import ConfigError, NonFiniteError
+from .errors import ConfigError, NonFiniteError, require_finite_floats
 from .persistence import Checkpoint, MetricsRecord
 from .rng import make_generator, state_words
 
@@ -41,6 +41,7 @@ class BCConfig:
     log_std0: float = -0.5
 
     def __post_init__(self):
+        require_finite_floats(self)
         if not 1 <= self.batch_size <= self.samples_per_step:
             raise ConfigError("need 1 <= batch size <= samples per step")
         if self.learning_rate <= 0.0 or self.total_steps < 0:

@@ -1,9 +1,13 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the finiteness check of
+the config dataclasses.
 
 Every error raised on a user-facing path derives from DeskRLError so the
 command line layer can catch one base class and translate it into a
 nonzero exit code.
 """
+
+import dataclasses
+import math
 
 
 class DeskRLError(Exception):
@@ -42,9 +46,22 @@ class MetricsOrderError(DeskRLError):
     """An appended metrics record would go backwards in step order."""
 
 
+class MetricsFormatError(DeskRLError):
+    """A complete line of a metrics log does not parse as a record."""
+
+
 class DemoFormatError(DeskRLError):
     """A demonstration file is corrupt or does not match the environment."""
 
 
 class EmptyDatasetError(DeskRLError):
     """Filtering left no trajectories to train on."""
+
+
+def require_finite_floats(cfg) -> None:
+    """ConfigError for a float field of a dataclass that is NaN or infinite;
+    range checks alone pass NaN, since every comparison with it is false."""
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value}")

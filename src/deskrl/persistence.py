@@ -42,6 +42,7 @@ from .errors import (
     CheckpointVersionError,
     ConfigError,
     DemoFormatError,
+    MetricsFormatError,
     MetricsOrderError,
 )
 from .nn import AdamState, ParamStore
@@ -303,7 +304,8 @@ def append_metrics(path: str, record: MetricsRecord) -> None:
 
 
 def read_metrics(path: str) -> list[MetricsRecord]:
-    """Parse every complete record; a truncated final line is ignored."""
+    """Parse every complete record; a truncated final line is ignored, and a
+    complete line that does not parse raises MetricsFormatError."""
     if not os.path.exists(path):
         raise FileNotFoundError(f"no metrics log at {path}")
     records: list[MetricsRecord] = []
@@ -314,7 +316,10 @@ def read_metrics(path: str) -> list[MetricsRecord]:
             continue
         if not line.endswith("\n"):
             break  # crash-truncated tail: the prefix is still valid
-        rec = _parse_line(line)
+        try:
+            rec = _parse_line(line)
+        except (ValueError, ConfigError) as err:
+            raise MetricsFormatError(f"{path}: line {i + 1}: {err}") from None
         if records and rec.step < records[-1].step:
             raise MetricsOrderError(f"{path}: step went backwards at line {i + 1}")
         records.append(rec)

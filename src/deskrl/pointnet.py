@@ -15,8 +15,7 @@ any permutation of a cloud's points and under duplication of existing
 points, which tests/test_pointnet.py pins.  The post net's bits can
 depend on the batch's row count (a one-row batch may take another BLAS
 kernel than a 64-row one), so a cloud encoded alone and the same cloud
-inside a larger batch can differ in the last bits; ppo.py says how PPO
-keeps its ratios exact despite that.
+inside a larger batch can differ in the last bits.
 
 The max-pool's gradient reaches only the point each feature pooled from,
 so encode_batch_backward() runs the per-point net backward through the

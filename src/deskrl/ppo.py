@@ -22,7 +22,7 @@ import numpy as np
 
 from . import loop, nn, pointnet, policy as pol
 from .envs import EnvConfig, make_env
-from .errors import ConfigError, NonFiniteError
+from .errors import ConfigError, NonFiniteError, require_finite_floats
 from .persistence import Checkpoint, MetricsRecord
 from .rng import generator_from_words, make_generator, state_words
 
@@ -47,6 +47,7 @@ class PPOConfig:
     log_std0: float = -0.5
 
     def __post_init__(self):
+        require_finite_floats(self)
         if not 1 <= self.minibatch_size <= self.samples_per_step:
             raise ConfigError("need 1 <= minibatch size <= samples per step")
         if not 0.0 < self.gamma <= 1.0:

@@ -252,6 +252,10 @@ class GridSpec:
     def __post_init__(self):
         if not self.alphas or not self.betas or not self.seeds:
             raise ConfigError("alpha, beta, and seed lists must be non-empty")
+        for name in ("alphas", "betas", "seeds"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):  # two legs would share one directory
+                raise ConfigError(f"grid {name} repeat an entry: {values}")
         if self.base_batch < 1 or self.base_samples < 1:
             raise ConfigError("base batch and samples must be at least 1")
         if self.stage1_steps < 1 or self.stage2_steps < 0:

@@ -55,6 +55,9 @@ class TestBCConfig:
             {"total_steps": -1},
             {"eval_period": 0},
             {"eval_episodes": 0},
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
+            {"log_std0": float("nan")},
         ],
     )
     def test_rejects_bad_values(self, overrides):

@@ -111,6 +111,26 @@ class TestTrain:
         assert main(["train", "--out", "/tmp/whatever", "--set", "ppo.gamma=fast"]) == 1
         assert "ppo.gamma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, setting",
+        [
+            ("train", "ppo.learning_rate=nan"),
+            ("train", "ppo.clip_eps=nan"),
+            ("train", "ppo.value_coef=nan"),
+            ("train", "ppo.entropy_coef=nan"),
+            ("train", "ppo.learning_rate=inf"),
+            ("train-bc", "bc.learning_rate=nan"),
+        ],
+    )
+    def test_non_finite_value_is_config_error(self, workdir, tmp_path, capsys, command, setting):
+        # comparisons with nan are false, so range checks alone would let it
+        # through to a first checkpoint and a non-finite loss
+        out = tmp_path / "o"
+        sized = TINY_PPO if command == "train" else [*TINY_BC, "--set", f"bc.demos={workdir['demos']}"]
+        assert main([command, "--out", str(out), *TINY_ENV, *sized, "--set", setting]) == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not [n for n in os.listdir(out) if n.startswith("ckpt-")]
+
 
 class TestGenDemos:
     def test_bundle_is_loadable(self, workdir, capsys):
@@ -244,6 +264,16 @@ class TestExport:
     def test_empty_source_key(self, capsys):
         assert main(["export", "--out", "/tmp/whatever"]) == 1
         assert "export.metrics" in capsys.readouterr().err
+
+    def test_malformed_line_is_runtime_error(self, workdir, tmp_path, capsys):
+        lines = open(workdir["metrics"]).readlines()
+        bad = tmp_path / "bad.csv"
+        bad.write_text("".join([*lines[:2], "80,0.5,oops,1,0.0\n", *lines[2:]]))
+        rc = main(["export", "--out", str(tmp_path / "o"), "--set", f"export.metrics={bad}"])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("runtime error")
+        assert "bad.csv" in err[0] and "line 3" in err[0]
 
 
 class TestTwoStage:

@@ -12,6 +12,7 @@ from deskrl.errors import (
     CheckpointVersionError,
     ConfigError,
     DemoFormatError,
+    MetricsFormatError,
     MetricsOrderError,
 )
 from deskrl.nn import AdamState, ParamStore
@@ -284,6 +285,22 @@ def test_metrics_file_is_valid_prefix_under_line_truncation(tmp_path):
     lines = open(path).readlines()
     open(path, "w").writelines(lines[:3])  # header + 2 records
     assert [r.step for r in ps.read_metrics(path)] == [0, 10]
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["10,0.5,0.5,1\n", "10,0.5,half,1,0.0\n", "10,0.5,0.5,1,0.0,7\n", "10,1.5,0.5,1,0.0\n"],
+)
+def test_metrics_malformed_complete_line_names_path_and_line(tmp_path, line):
+    # a complete line mid-log is not a crash tail: it must not be skipped
+    # and must not escape as a bare ValueError or a ConfigError
+    path = str(tmp_path / "m.csv")
+    ps.append_metrics(path, ps.MetricsRecord(0, 0.1, 0.2, 1))
+    with open(path, "a") as fh:
+        fh.write(line)
+    ps.append_metrics(path, ps.MetricsRecord(20, 0.1, 0.2, 1))
+    with pytest.raises(MetricsFormatError, match=r"m\.csv: line 3"):
+        ps.read_metrics(path)
 
 
 def test_metrics_missing_file():

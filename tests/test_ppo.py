@@ -58,6 +58,12 @@ class TestPPOConfig:
             {"total_steps": -1},
             {"value_coef": -0.5},
             {"entropy_coef": -0.01},
+            {"clip_eps": float("nan")},
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
+            {"value_coef": float("nan")},
+            {"entropy_coef": float("nan")},
+            {"log_std0": float("-inf")},
         ],
     )
     def test_rejects_bad_values(self, overrides):

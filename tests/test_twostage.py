@@ -148,6 +148,14 @@ class TestGridSpec:
         with pytest.raises(ConfigError):
             ts.GridSpec(seeds=())
 
+    @pytest.mark.parametrize(
+        "overrides", [{"alphas": (0.5, 0.7, 0.5)}, {"betas": (1.0, 1.0)}, {"seeds": (0, 0)}]
+    )
+    def test_rejects_repeated_entries(self, overrides):
+        # a repeated entry would send two legs into one run directory
+        with pytest.raises(ConfigError, match="repeat"):
+            ts.GridSpec(**overrides)
+
 
 @dataclass(frozen=True)
 class ToyCfg:
