@@ -15,7 +15,13 @@ any permutation of a cloud's points and under duplication of existing
 points, which tests/test_pointnet.py pins.  The post net's bits can
 depend on the batch's row count (a one-row batch may take another BLAS
 kernel than a 64-row one), so a cloud encoded alone and the same cloud
-inside a larger batch can differ in the last bits.
+inside a larger batch can differ in the last bits.  The padding that
+removes this lives in encode_batch_padded(): it pads the post net's
+input rows with copies of the first to a multiple of POST_ROW_MULTIPLE,
+and a row's output then has the same bits at any batch size.
+policy.mean_actions() runs the mean head on those padded rows, so an
+evaluation action does not depend on the episodes that share its tick.
+Training encodes unpadded (encode, encode_batch, encode_batch_trace).
 
 The max-pool's gradient reaches only the point each feature pooled from,
 so encode_batch_backward() runs the per-point net backward through the
@@ -35,6 +41,11 @@ import numpy as np
 
 from . import nn
 from .errors import NonFiniteError, ShapeMismatchError
+
+# encode_batch_padded() pads the post net's rows to a multiple of this;
+# unpadded, a row's bits differed from its bits in a 64-row batch at every
+# row count that is not a multiple of 4
+POST_ROW_MULTIPLE = 8
 
 
 @dataclass
@@ -151,15 +162,23 @@ def _head_and_tail(net: nn.NetSpec) -> tuple[nn.NetSpec, tuple[nn.LayerSpec, ...
     return nn.NetSpec(net.layers[: last + 1]), net.layers[last + 1 :]
 
 
-def _encode_batch_forward(
-    store: nn.ParamStore, spec: EncoderSpec, points: np.ndarray, proprio: np.ndarray, prefix: str
-) -> tuple[np.ndarray, list[np.ndarray], np.ndarray, np.ndarray, list[np.ndarray]]:
-    """The one batched forward: output, per-point cache, pool indices, pooled features, post cache."""
+def _pool_forward(
+    store: nn.ParamStore, spec: EncoderSpec, points: np.ndarray, prefix: str
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """The per-point net over all B*N points and the max pool: per-point cache, pool indices, pooled features."""
     B, N, C = points.shape
     F = spec.feature_dim
     feats, pp_cache = nn.forward_batch_trace(store, spec.per_point, points.reshape(B * N, C), f"{prefix}.pp")
     pool_idx = np.argmax(feats.reshape(B, N, F), axis=1)
     pooled = np.take_along_axis(feats.reshape(B, N, F), pool_idx[:, None, :], axis=1)[:, 0, :]
+    return pp_cache, pool_idx, pooled
+
+
+def _encode_batch_forward(
+    store: nn.ParamStore, spec: EncoderSpec, points: np.ndarray, proprio: np.ndarray, prefix: str
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray, np.ndarray, list[np.ndarray]]:
+    """The one batched forward: output, per-point cache, pool indices, pooled features, post cache."""
+    pp_cache, pool_idx, pooled = _pool_forward(store, spec, points, prefix)
     x = np.concatenate([pooled, proprio], axis=1)
     out, post_cache = nn.forward_batch_trace(store, spec.post, x, f"{prefix}.post")
     return out, pp_cache, pool_idx, pooled, post_cache
@@ -211,6 +230,26 @@ def encode_batch(
     """Encode a (B, N, C) stack of clouds and (B, P) proprio rows to (B, out_width)."""
     points, proprio = _check_batch(spec, points, proprio)
     return _encode_batch_forward(store, spec, points, proprio, prefix)[0]
+
+
+def encode_batch_padded(
+    store: nn.ParamStore,
+    spec: EncoderSpec,
+    points: np.ndarray,
+    proprio: np.ndarray,
+    prefix: str = "enc",
+) -> np.ndarray:
+    """encode_batch() with the post net run on rows padded to a multiple of POST_ROW_MULTIPLE.
+
+    The pad rows are copies of the post net's first input row.  Returns
+    every padded row; the first B are the batch's.  A head run on all of
+    them gives row b the same bits at any B (see the module docstring).
+    """
+    points, proprio = _check_batch(spec, points, proprio)
+    pooled = _pool_forward(store, spec, points, prefix)[2]
+    x = np.concatenate([pooled, proprio], axis=1)
+    x = np.concatenate([x, x[:1].repeat(-len(x) % POST_ROW_MULTIPLE, axis=0)])
+    return nn.forward_batch(store, spec.post, x, f"{prefix}.post")
 
 
 def encode(store: nn.ParamStore, spec: EncoderSpec, obs: PointCloudObs, prefix: str = "enc") -> np.ndarray:

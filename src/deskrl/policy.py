@@ -13,10 +13,19 @@ clamped to the [-1, 1] box; the recorded log-probability is the Gaussian
 density of the raw, pre-clamp sample.  Evaluation uses the clamped mean
 with no generator draws at all, so evaluation never perturbs a training
 stream.
+
+Evaluation runs its seed panel in lockstep: one environment per panel
+seed, one batched mean_actions() call over the live episodes per tick,
+then one step of each; an episode drops out when it ends.  mean_actions()
+runs the mean head on rows padded to a fixed multiple (see
+pointnet.encode_batch_padded), so each action has the same bits whatever
+episodes share its tick, and mean_action() is the same call on one
+observation: a panel's episode equals that seed run alone, bit for bit.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +38,7 @@ from .pointnet import (
     PointCloudObs,
     build_encoder_spec,
     encode,
+    encode_batch_padded,
     init_encoder_params,
 )
 from .rng import panel_seeds
@@ -139,27 +149,28 @@ def sample_action(
     return ActionSample(np.clip(raw, -1.0, 1.0), raw, logp, value)
 
 
-def mean_action(store: nn.ParamStore, spec: PolicySpec, obs: PointCloudObs) -> np.ndarray:
-    """Deterministic policy: the clamped mean, no generator involved.
+def mean_actions(
+    store: nn.ParamStore, spec: PolicySpec, obs: Sequence[PointCloudObs]
+) -> np.ndarray:
+    """Deterministic policy on K observations: the clamped means, (K, action_dim).
 
-    Only the mean head runs; the value head is not evaluated.
+    One batched forward; only the mean head runs, on the encoder's padded
+    rows, and row k does not depend on the other observations.
     """
-    mean = nn.forward(store, spec.mean, encode(store, spec.encoder, obs), "mean")
-    return np.clip(mean, -1.0, 1.0)
+    points = np.stack([o.points for o in obs])
+    proprio = np.stack([o.proprio for o in obs])
+    feat = encode_batch_padded(store, spec.encoder, points, proprio)
+    mean = nn.forward_batch(store, spec.mean, feat, "mean")
+    return np.clip(mean[: len(obs)], -1.0, 1.0)
+
+
+def mean_action(store: nn.ParamStore, spec: PolicySpec, obs: PointCloudObs) -> np.ndarray:
+    """Deterministic policy: the clamped mean, no generator involved."""
+    return mean_actions(store, spec, [obs])[0]
 
 
 def value_of(store: nn.ParamStore, spec: PolicySpec, obs: PointCloudObs) -> float:
     return float(nn.forward(store, spec.value, encode(store, spec.encoder, obs), "value")[0])
-
-
-def rollout_success(store: nn.ParamStore, spec: PolicySpec, env, episode_seed: int) -> bool:
-    """Run one episode under the deterministic policy; did it succeed?"""
-    obs = env.reset(episode_seed)
-    while True:
-        res = env.step(mean_action(store, spec, obs))
-        if res.done:
-            return bool(res.success)
-        obs = res.obs
 
 
 def evaluate_policy(
@@ -169,10 +180,21 @@ def evaluate_policy(
     episodes: int,
     run_seed: int,
 ) -> float:
-    """Success rate over a fixed seed panel for one split."""
+    """Success rate over a fixed seed panel for one split, run in lockstep."""
     if episodes < 1:
         raise ConfigError("evaluation needs at least one episode")
-    env = make_env(env_cfg)
-    seeds = panel_seeds(run_seed, env_cfg.split, episodes)
-    wins = sum(rollout_success(store, spec, env, s) for s in seeds)
+    live = []
+    for seed in panel_seeds(run_seed, env_cfg.split, episodes):
+        env = make_env(env_cfg)
+        live.append((env, env.reset(seed)))
+    wins = 0
+    while live:
+        actions = mean_actions(store, spec, [obs for _, obs in live])
+        ticking, live = live, []
+        for (env, _), action in zip(ticking, actions):
+            res = env.step(action)
+            if res.done:
+                wins += res.success
+            else:
+                live.append((env, res.obs))
     return wins / episodes

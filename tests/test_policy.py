@@ -1,6 +1,10 @@
 """Gaussian policy layer: spec validation, density and entropy math,
 sampling determinism, and the evaluation panel."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -8,7 +12,7 @@ from deskrl import envs, nn, policy as pol
 from deskrl.envs import make_config, make_env
 from deskrl.errors import ShapeMismatchError
 from deskrl.pointnet import EncoderSpec
-from deskrl.rng import generator_from_words, make_generator, state_words
+from deskrl.rng import generator_from_words, make_generator, panel_seeds, state_words
 
 
 def fresh(task="reach2d", seed=0, log_std0=-0.5):
@@ -167,6 +171,14 @@ class TestSampling:
         assert s.value == pol.value_of(store, spec, obs)
 
 
+# per task: policy init seed and the widened success threshold under which
+# the 7-episode panel (run seed 4, horizon 80) ends at several ticks
+_STAGGERED = {
+    "reach2d": (21, "tolerance", 0.15),
+    "pushbox2d": (0, "tolerance", 0.4),
+    "gather2d": (6, "success_fraction", 0.6),
+}
+
 class TestEvaluation:
     def test_panel_is_deterministic(self):
         store, spec = fresh()
@@ -189,26 +201,24 @@ class TestEvaluation:
         rate = pol.evaluate_policy(store, spec, make_config("reach2d"), episodes=7, run_seed=1)
         assert rate * 7 == pytest.approx(round(rate * 7))
 
-    def test_rollout_success_returns_bool(self):
-        store, spec = fresh()
-        env = make_env(make_config("reach2d"))
-        assert pol.rollout_success(store, spec, env, 42) in (True, False)
-
     @pytest.mark.parametrize("task", envs.TASKS)
     def test_one_env_step_per_transition(self, task, monkeypatch):
         # every step call advances its episode by exactly one transition,
-        # and no call follows the one that ends the episode
+        # and no call follows the one that ends the episode; the panel's
+        # episodes run side by side, so each env keeps its own log
         episodes = []
+        logs = {}
         step, reset = envs.ToyEnv.step, envs.ToyEnv.reset
 
         def logged_reset(env, episode_seed):
-            episodes.append([])
+            logs[env] = []
+            episodes.append(logs[env])
             return reset(env, episode_seed)
 
         def logged_step(env, action):
             t = env.t
             res = step(env, action)
-            episodes[-1].append((env.t - t, res.done))
+            logs[env].append((env.t - t, res.done))
             return res
 
         monkeypatch.setattr(envs.ToyEnv, "reset", logged_reset)
@@ -218,3 +228,89 @@ class TestEvaluation:
         assert len(episodes) == 3
         for calls in episodes:
             assert calls == [(1, False)] * (len(calls) - 1) + [(1, True)]
+
+    @pytest.mark.parametrize("task", envs.TASKS)
+    def test_lockstep_panel_equals_each_episode_alone(self, task, monkeypatch):
+        # an untrained policy seldom ends an episode early; a wider success
+        # threshold makes this panel's episodes end at different ticks, so
+        # the live set shrinks and the padded batch changes size
+        init_seed, attr, value = _STAGGERED[task]
+        cfg = make_config(task, horizon=80)
+        monkeypatch.setattr(type(make_env(cfg)), attr, value)
+        store, spec = fresh(task, init_seed)
+        store.get("mean.W1")[:] /= pol.FINAL_MEAN_SCALE  # means of order one
+        logs = {}
+        step = envs.ToyEnv.step
+
+        def logged_step(env, action):
+            res = step(env, action)
+            logs.setdefault(env, []).append((np.asarray(action).tobytes(), res.success))
+            return res
+
+        monkeypatch.setattr(envs.ToyEnv, "step", logged_step)
+        rate = pol.evaluate_policy(store, spec, cfg, episodes=7, run_seed=4)
+        alone = []
+        for seed in panel_seeds(4, cfg.split, 7):
+            env = make_env(cfg)
+            obs = env.reset(seed)
+            taken = []
+            while True:
+                action = pol.mean_action(store, spec, obs)
+                res = step(env, action)
+                taken.append((action.tobytes(), res.success))
+                if res.done:
+                    break
+                obs = res.obs
+            alone.append(taken)
+        assert list(logs.values()) == alone  # every env steps at tick one, in panel order
+        assert len({len(taken) for taken in alone}) > 1
+        assert rate == sum(taken[-1][1] for taken in alone) / 7
+
+
+_MEAN_ACTION_ROWS = """
+import hashlib
+import numpy as np
+from deskrl import nn, policy as pol
+from deskrl.envs import TASKS, make_config, make_env
+from deskrl.rng import make_generator
+
+h = hashlib.sha256()
+mismatches = 0
+for task in TASKS:
+    spec = pol.build_policy_spec(task)
+    store = nn.ParamStore()
+    pol.init_policy(store, spec, make_generator(3, "rows", task))
+    store.get("mean.W1")[:] /= pol.FINAL_MEAN_SCALE
+    env = make_env(make_config(task))
+    gen = make_generator(3, "rows", "actions", task)
+    obs = []
+    for seed in range(20):
+        o = env.reset(seed)
+        for _ in range(seed % 5):
+            o = env.step(gen.uniform(-1.0, 1.0, size=2)).obs
+        obs.append(o)
+    alone = [pol.mean_action(store, spec, o) for o in obs]
+    for k in range(1, 21):
+        for start in (0, 20 - k):
+            rows = pol.mean_actions(store, spec, obs[start:start + k])
+            mismatches += sum(r.tobytes() != a.tobytes() for r, a in zip(rows, alone[start:start + k]))
+    h.update(np.stack(alone).tobytes())
+print(mismatches, h.hexdigest())
+"""
+
+
+def test_mean_actions_rows_equal_mean_action_bits():
+    # each row of a K-row call equals that observation alone, for K in
+    # 1..20 from both ends of the list, and the bits are the same under one
+    # and two BLAS threads
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    outputs = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": os.path.join(root, "src"), "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-c", _MEAN_ACTION_ROWS], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout.strip())
+    assert len(outputs) == 1
+    assert outputs.pop().split()[0] == "0"
