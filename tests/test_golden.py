@@ -187,12 +187,12 @@ def test_file_bytes_are_unchanged(kind, tmp_path):
 
 
 TRANSITION_GOLDEN = {
-    "reach2d-train": "da6d8569109b6f53b4612c5ac700f92dbdda005ba20132128b0684be30b69d0a",
-    "reach2d-test": "b8a698b843fa4da1a17041dd99f842a987ae12fd5a65c1e65cc077dbbcebadf3",
-    "pushbox2d-train": "779126205f34a3ad69ad885ade8c75c390752d9a32fb0d71711cd36a10d54445",
-    "pushbox2d-test": "470d2b9b78703b3f41a3784599b654962f96c810cdbea2494ce961c610ba8ce3",
-    "gather2d-train": "24afdc7a654cd9beaf2be578cc20677e3680000fd47f119b3d7be9818433882a",
-    "gather2d-test": "cac9703455fb9d9dd241c1c48c94d7f341dbbbd85c03f324fd97b2d017b9a77f",
+    "reach2d-train": "bbd510eb81fe86600950cef753bb4970265581d45570c7cf4061a2e6331c6a98",
+    "reach2d-test": "ac4bd1b683c6b347900e2224fbeef739dabf07e3c722a86467b5b46da52404bd",
+    "pushbox2d-train": "5c65ad66bbfa81f2d92f8b6ba9a0b9438854832832435a354533cbfd1dd705d7",
+    "pushbox2d-test": "7d120d0bb6b5e1151533445280d625b99679b68950a9defc02ce14eda3a1f623",
+    "gather2d-train": "ba2969a41657d9c49aa097fd238b6d4c9fed92db34006f3b0cf1cf323c371dab",
+    "gather2d-test": "a887ac5236208b995ba5659dfbb60597a606101cfaf7ab2742efb153eb5d7032",
 }
 
 
