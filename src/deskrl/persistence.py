@@ -286,16 +286,42 @@ def _last_step(path: str) -> int | None:
     return None if last is None else last.step
 
 
+def _cut_partial_tail(path: str) -> int:
+    """Truncate the file after its last newline; returns its length, 0 if absent.
+
+    A crash mid-append leaves a partial last line, which read_metrics
+    skips; a record appended onto it would make it a malformed complete
+    line.  A file that ends in a newline is left as it is.
+    """
+    try:
+        fh = open(path, "r+b")
+    except FileNotFoundError:
+        return 0
+    with fh:
+        end = pos = fh.seek(0, os.SEEK_END)
+        while pos > 0:
+            start = max(0, pos - 4096)
+            fh.seek(start)
+            newline = fh.read(pos - start).rfind(b"\n")
+            if newline >= 0:
+                pos = start + newline + 1
+                break
+            pos = start
+        if pos < end:
+            fh.truncate(pos)
+    return pos
+
+
 def append_metrics(path: str, record: MetricsRecord) -> None:
     """Append one record; steps must never decrease within a file."""
     if record.stamp == 0.0:
         record = MetricsRecord(
             record.step, record.train_success, record.test_success, record.stage, time.time()
         )
+    fresh = _cut_partial_tail(path) == 0
     prev = _last_step(path)
     if prev is not None and record.step < prev:
         raise MetricsOrderError(f"step {record.step} after step {prev} in {path}")
-    fresh = prev is None and not os.path.exists(path)
     with open(path, "a", encoding="utf-8") as fh:
         if fresh:
             fh.write(METRICS_HEADER + "\n")

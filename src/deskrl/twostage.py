@@ -260,6 +260,8 @@ class GridSpec:
             raise ConfigError("base batch and samples must be at least 1")
         if self.stage1_steps < 1 or self.stage2_steps < 0:
             raise ConfigError("stage budgets must be positive (stage two may be 0)")
+        for alpha, beta in self.cells():  # range errors surface before stage one trains
+            ScalePair(alpha, beta)
 
     def cells(self) -> list[tuple[float, float]]:
         """Rows 2..: beta-major, alphas in list order (descending in the table)."""

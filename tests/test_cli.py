@@ -321,6 +321,21 @@ class TestGrid:
         assert len(lines) == 1 + 5  # header + baseline + 2x2 cells
         assert os.path.exists(os.path.join(out, "manifest.ini"))
 
+    def test_out_of_range_scale_fails_before_stage_one(self, workdir, tmp_path, capsys):
+        out = tmp_path / "grid"
+        rc = main([
+            "grid", "--out", str(out), "--seed", "3", *TINY_ENV, *TINY_BC[:4],
+            "--set", f"bc.demos={workdir['demos']}",
+            "--set", "grid.trainer=bc",
+            "--set", "grid.base_batch=16", "--set", "grid.base_samples=32",
+            "--set", "grid.alphas=0.9,1.5",
+            "--set", "grid.stage1_steps=6", "--set", "grid.stage2_steps=4",
+        ])
+        assert rc == 1
+        assert "alpha must lie in" in capsys.readouterr().err
+        written = [f for _, _, files in os.walk(out) for f in files]
+        assert not [f for f in written if f.startswith("ckpt-")]
+
 
 class TestModuleEntry:
     def test_module_runs_as_script(self):

@@ -278,6 +278,38 @@ def test_metrics_ignores_crash_truncated_tail(tmp_path):
     ps.append_metrics(path, ps.MetricsRecord(2, 0.3, 0.4, 2))
 
 
+def test_metrics_append_after_crash_tail_keeps_every_record(tmp_path):
+    # a resumed run appends after a crash mid-write: the partial line is
+    # cut, so it cannot fuse with the new record into a malformed line
+    path = str(tmp_path / "m.csv")
+    for i in range(3):
+        ps.append_metrics(path, ps.MetricsRecord(i, 0.1, 0.2, 1))
+    with open(path, "a") as fh:
+        fh.write("3,0.5,0.5")
+    ps.append_metrics(path, ps.MetricsRecord(2, 0.3, 0.4, 2))
+    back = ps.read_metrics(path)
+    assert [(r.step, r.train_success, r.stage) for r in back] == [
+        (0, 0.1, 1), (1, 0.1, 1), (2, 0.1, 1), (2, 0.3, 2)
+    ]
+
+
+def test_metrics_append_after_partial_header_writes_the_header(tmp_path):
+    path = str(tmp_path / "m.csv")
+    with open(path, "w") as fh:
+        fh.write(ps.METRICS_HEADER[:9])
+    ps.append_metrics(path, ps.MetricsRecord(0, 0.1, 0.2, 1))
+    assert open(path).readline() == ps.METRICS_HEADER + "\n"
+    assert [r.step for r in ps.read_metrics(path)] == [0]
+
+
+def test_metrics_append_keeps_complete_bytes(tmp_path):
+    path = str(tmp_path / "m.csv")
+    ps.append_metrics(path, ps.MetricsRecord(0, 0.1, 0.2, 1, 1.5))
+    before = open(path, "rb").read()
+    ps.append_metrics(path, ps.MetricsRecord(1, 0.1, 0.2, 1, 2.5))
+    assert open(path, "rb").read() == before + b"1,0.1,0.2,1,2.5\n"
+
+
 def test_metrics_file_is_valid_prefix_under_line_truncation(tmp_path):
     path = str(tmp_path / "m.csv")
     for i in range(5):

@@ -156,6 +156,14 @@ class TestGridSpec:
         with pytest.raises(ConfigError, match="repeat"):
             ts.GridSpec(**overrides)
 
+    @pytest.mark.parametrize(
+        "overrides, name", [({"alphas": (0.9, 1.5)}, "alpha"), ({"betas": (0.0,)}, "beta")]
+    )
+    def test_rejects_out_of_range_scales(self, overrides, name):
+        # checked when the spec is built, not when the sweep reaches the cell
+        with pytest.raises(ConfigError, match=f"{name} must lie in"):
+            ts.GridSpec(**overrides)
+
 
 @dataclass(frozen=True)
 class ToyCfg:
