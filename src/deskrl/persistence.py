@@ -20,7 +20,7 @@ Demonstration bundles use the same container, written and read by the
 same code, with their own magic and metadata; their payload is each
 trajectory's points, proprios and actions in turn. Metrics logs are plain comma-separated lines, append-only, with
 steps enforced non-decreasing; a truncated trailing line is ignored on
-read so a crash never poisons the file.
+read and cut off on the next append, so a crash never poisons the file.
 """
 
 from __future__ import annotations

@@ -179,6 +179,7 @@ _STAGGERED = {
     "gather2d": (6, "success_fraction", 0.6),
 }
 
+
 class TestEvaluation:
     def test_panel_is_deterministic(self):
         store, spec = fresh()
