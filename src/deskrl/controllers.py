@@ -1,31 +1,31 @@
-"""PD controllers and kinematics for a planar n-link arm.
+"""PD controllers and kinematics for a planar arm.
 
-Controllers bridge policy actions (vectors in [-1, 1]^k) to joint commands.
-Two kinds:
+Controllers bridge policy actions in [-1, 1]^2 to joint commands:
 
 * pd_joint_delta_pos: action scales a per-step joint-position delta; a PD
   law tracks the resulting target.
-* pd_ee_delta_pose: action scales an end-effector delta; damped least
-  squares maps it to a joint delta, then the same PD law tracks it.
+* pd_ee_delta_pose: action scales an end-effector position delta; damped
+  least squares (`dls_step2`, the one DLS helper) maps it to a joint delta,
+  then the same PD law tracks it.
 
-All functions are pure and operate on explicit JointState values.  The
-default 2-link arm uses position-only end-effector deltas; orientation
-would only be controllable with three or more joints.
-
-The environments step 2-link arms on Python floats; `link_vectors2` gives
-them the kinematics of `chain_points` and `forward_kinematics` for two
-links, value for value.
+Both take 2-link arms only and run on Python floats, so an environment step
+makes no BLAS call.  The joint-delta target and the PD law keep the bits of
+the numpy expressions they replaced: numpy's order of operations, each clip
+a max with the lower bound, then a min with the upper.  `dls_step2` solves
+the damped 2x2 system by partial-pivot LU; its bits moved from the numpy
+solve's, whose BLAS kernels fuse multiply-adds, and no longer depend on the
+BLAS build.  `forward_kinematics`, `chain_points` and `jacobian` stay numpy
+for any joint count; `link_vectors2` gives their 2-link values on floats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .errors import NonFiniteError, ShapeMismatchError
+from .errors import NonFiniteError, ShapeMismatchError, require_finite_floats
 
 
 @dataclass
@@ -53,6 +53,7 @@ class PDGains:
     u_max: float = 50.0
 
     def __post_init__(self):
+        require_finite_floats(self)
         if not (self.kp > 0.0 and self.kd >= 0.0 and self.u_max > 0.0):
             raise ShapeMismatchError("PD gains need kp > 0, kd >= 0, u_max > 0")
 
@@ -69,6 +70,7 @@ class ArmGeom:
     damping: float = 0.05
 
     def __post_init__(self):
+        require_finite_floats(self)
         n = len(self.link_lengths)
         if n < 1 or any(l <= 0.0 for l in self.link_lengths):
             raise ShapeMismatchError("link lengths must be positive")
@@ -83,28 +85,18 @@ class ArmGeom:
     def n_joints(self) -> int:
         return len(self.link_lengths)
 
-    @cached_property
-    def limit_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(q_lo, q_hi) as read-only float arrays, built once per geometry."""
-        arrays = np.array(self.q_lo, dtype=np.float64), np.array(self.q_hi, dtype=np.float64)
-        for a in arrays:
-            a.setflags(write=False)
-        return arrays
 
-    def clamp_to_limits(self, q: np.ndarray) -> np.ndarray:
-        lo, hi = self.limit_arrays
-        return np.clip(q, lo, hi)
-
-
-def _check_action(action: np.ndarray, dim: int) -> np.ndarray:
+def check_action2(action: np.ndarray) -> tuple[float, float]:
+    """The components of a 2-vector action in the [-1, 1] box, as floats."""
     action = np.asarray(action, dtype=np.float64)
-    if action.shape != (dim,):
-        raise ShapeMismatchError(f"action must have shape ({dim},), got {action.shape}")
-    if not np.isfinite(action).all():
+    if action.shape != (2,):
+        raise ShapeMismatchError(f"action must have shape (2,), got {action.shape}")
+    a0, a1 = action.tolist()
+    if not (math.isfinite(a0) and math.isfinite(a1)):
         raise NonFiniteError("action contains non-finite values")
-    if (np.abs(action) > 1.0 + 1e-12).any():
+    if abs(a0) > 1.0 + 1e-12 or abs(a1) > 1.0 + 1e-12:
         raise ShapeMismatchError("action components must lie in [-1, 1]")
-    return action
+    return a0, a1
 
 
 def forward_kinematics(q: np.ndarray, geom: ArmGeom) -> tuple[np.ndarray, float]:
@@ -158,28 +150,49 @@ def jacobian(q: np.ndarray, geom: ArmGeom) -> np.ndarray:
     return np.stack([jx, jy])
 
 
-def dls_solve(J: np.ndarray, dx: np.ndarray, damping: float) -> np.ndarray:
-    """Damped least squares: dq = J^T (J J^T + damping^2 I)^-1 dx."""
-    J = np.asarray(J, dtype=np.float64)
-    dx = np.asarray(dx, dtype=np.float64)
-    if J.ndim != 2 or dx.shape != (J.shape[0],):
-        raise ShapeMismatchError(f"incompatible J {J.shape} and dx {dx.shape}")
-    A = J @ J.T + damping * damping * np.eye(J.shape[0])
-    return J.T @ np.linalg.solve(A, dx)
+def dls_step2(q0: float, q1: float, dx: float, dy: float, geom: ArmGeom) -> tuple[float, float]:
+    """dq = J^T z with (J J^T + damping^2 I) z = (dx, dy), on floats; J is
+    `jacobian`'s, bit for bit.  Damping keeps dq finite at singular poses."""
+    x0, y0, x1, y1 = link_vectors2(q0, q1, geom)
+    j00, j01, j10, j11 = -(y0 + y1), -y1, x0 + x1, x1
+    lam2 = geom.damping * geom.damping
+    a01 = j00 * j10 + j01 * j11
+    rows = ((j00 * j00 + j01 * j01) + lam2, a01, dx), (a01, (j10 * j10 + j11 * j11) + lam2, dy)
+    # partial pivoting: eliminate with the row of larger first entry
+    (p0, p1, pb), (r0, r1, rb) = rows[::-1] if abs(a01) > rows[0][0] else rows
+    l = r0 / p0
+    z1 = (rb - l * pb) / (r1 - l * p1)
+    z0 = (pb - p1 * z1) / p0
+    return j00 * z0 + j10 * z1, j01 * z0 + j11 * z1
 
 
-def _pd_command(target_q: np.ndarray, state: JointState, gains: PDGains) -> np.ndarray:
-    u = gains.kp * (target_q - state.q) - gains.kd * state.qdot
-    return np.clip(u, -gains.u_max, gains.u_max)
+def _require_two_links(state: JointState, geom: ArmGeom) -> None:
+    if geom.n_joints != 2 or state.q.shape != (2,):
+        raise ShapeMismatchError(f"the controllers drive 2-link arms, got {geom.n_joints} joints")
+
+
+def _clip(x: float, lo: float, hi: float) -> float:
+    """np.clip on one float; a tie keeps the bound, as with array bounds."""
+    x = x if x > lo else lo
+    return x if x < hi else hi
+
+
+def _pd_command2(d0: float, d1: float, state: JointState, gains: PDGains, geom: ArmGeom) -> np.ndarray:
+    """kp * (clip(q + d, q_lo, q_hi) - q) - kd * qdot, clipped to +-u_max."""
+    (q0, q1), (v0, v1) = state.q.tolist(), state.qdot.tolist()
+    (lo0, lo1), (hi0, hi1), u_max = geom.q_lo, geom.q_hi, gains.u_max
+    u0 = gains.kp * (_clip(q0 + d0, lo0, hi0) - q0) - gains.kd * v0
+    u1 = gains.kp * (_clip(q1 + d1, lo1, hi1) - q1) - gains.kd * v1
+    return np.array((_clip(u0, -u_max, u_max), _clip(u1, -u_max, u_max)))
 
 
 def pd_joint_delta_pos(
     action: np.ndarray, state: JointState, gains: PDGains, geom: ArmGeom
 ) -> np.ndarray:
     """PD command toward q + dq_max * action, target clamped to joint limits."""
-    action = _check_action(action, geom.n_joints)
-    target = geom.clamp_to_limits(state.q + geom.dq_max * action)
-    return _pd_command(target, state, gains)
+    a0, a1 = check_action2(action)
+    _require_two_links(state, geom)
+    return _pd_command2(geom.dq_max * a0, geom.dq_max * a1, state, gains, geom)
 
 
 def pd_ee_delta_pose(
@@ -190,9 +203,7 @@ def pd_ee_delta_pose(
     The action encodes (dx, dy) scaled by dx_max.  Damping keeps the joint
     delta finite even at singular poses (fully stretched arm).
     """
-    action = _check_action(action, 2)
-    dx = geom.dx_max * action
-    J = jacobian(state.q, geom)
-    dq = dls_solve(J, dx, geom.damping)
-    target = geom.clamp_to_limits(state.q + dq)
-    return _pd_command(target, state, gains)
+    a0, a1 = check_action2(action)
+    _require_two_links(state, geom)
+    dq = dls_step2(*state.q.tolist(), geom.dx_max * a0, geom.dx_max * a1, geom)
+    return _pd_command2(*dq, state, gains, geom)

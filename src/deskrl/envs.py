@@ -22,7 +22,8 @@ with a few substeps per control tick; commands are joint accelerations
 under unit inertia.  The 2-vector state of a step (joint angles and
 velocities, the arm tip, the box) is carried on Python floats in numpy's
 order of operations, so it gives the same bits as the array expressions it
-stands for; the particles, controllers and point clouds stay numpy.
+stands for.  The controllers run on floats too (see controllers.py); the
+particles and point clouds stay numpy.
 Episodes terminate at the first successful step or at the horizon.
 """
 
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import controllers as ctrl
-from .errors import ConfigError, EmptyDatasetError, NonFiniteError, ShapeMismatchError
+from .errors import ConfigError, EmptyDatasetError, require_finite_floats
 from .pointnet import PointCloudObs
 from .rng import make_generator
 
@@ -74,6 +75,7 @@ class EnvConfig:
     test_range: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
+        require_finite_floats(self)
         if self.task not in TASKS:
             raise ConfigError(f"unknown task {self.task!r}, expected one of {TASKS}")
         if self.split not in SPLITS:
@@ -230,14 +232,6 @@ class ToyEnv:
         raise NotImplementedError
 
     # -- shared machinery ------------------------------------------------
-    @property
-    def action_dim(self) -> int:
-        return ACTION_DIM
-
-    @property
-    def n_points(self) -> int:
-        return self.cfg.n_points
-
     def reset(self, episode_seed: int) -> PointCloudObs:
         gen = make_generator("env", self.cfg.task, self.cfg.split, self.cfg.seed, int(episode_seed))
         self.t = 0
@@ -260,13 +254,7 @@ class ToyEnv:
             raise ConfigError("step() before reset()")
         if self.t >= self.cfg.horizon or self._succeeded:
             raise ConfigError("episode is over; reset() the environment")
-        action = np.asarray(action, dtype=np.float64)
-        if action.shape != (self.action_dim,):
-            raise ShapeMismatchError(f"action must have shape ({self.action_dim},), got {action.shape}")
-        if not np.isfinite(action).all():
-            raise NonFiniteError("action contains non-finite values")
-        if (np.abs(action) > 1.0 + 1e-12).any():
-            raise ShapeMismatchError("action outside the [-1, 1] action box")
+        ctrl.check_action2(action)
         self._advance(action)
         self.t += 1
         self._measure()
@@ -530,9 +518,8 @@ class PushBox2D(ToyEnv):
         norm = float(np.linalg.norm(move))
         if norm > 0.30:
             move = move * (0.30 / norm)
-        J = ctrl.jacobian(self.state.q, self.geom)
-        dq = ctrl.dls_solve(J, move, self.geom.damping)
-        raw = dq / self.geom.dq_max - _EXPERT_DAMPING * self.state.qdot
+        dq = ctrl.dls_step2(*self.state.q.tolist(), *move.tolist(), self.geom)
+        raw = np.array(dq) / self.geom.dq_max - _EXPERT_DAMPING * self.state.qdot
         peak = float(np.max(np.abs(raw)))
         return raw / peak if peak > 1.0 else raw
 

@@ -59,9 +59,11 @@ class EmptyDatasetError(DeskRLError):
 
 
 def require_finite_floats(cfg) -> None:
-    """ConfigError for a float field of a dataclass that is NaN or infinite;
-    range checks alone pass NaN, since every comparison with it is false."""
+    """ConfigError for a float field of a dataclass, or a float in a tuple
+    field, that is NaN or infinite; range checks alone pass NaN, since every
+    comparison with it is false."""
     for f in dataclasses.fields(cfg):
         value = getattr(cfg, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{f.name} must be finite, got {value}")
+        for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ConfigError(f"{f.name} must be finite, got {value}")

@@ -62,6 +62,13 @@ def test_config_rejects_bad_fields():
         envs.make_config("reach2d", train_range=(1.2, 0.5))
 
 
+@pytest.mark.parametrize("dt", [np.nan, np.inf])
+def test_config_rejects_non_finite_dt(dt):
+    # dt <= 0.0 is false for NaN; the finiteness check catches it when built
+    with pytest.raises(ConfigError, match="dt must be finite"):
+        envs.make_config("reach2d", dt=dt)
+
+
 def test_variant_range_follows_split():
     train = envs.make_config("gather2d", "train")
     test = envs.make_config("gather2d", "test")

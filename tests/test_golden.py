@@ -15,7 +15,10 @@ policy's mean and sampled actions on those observations.
 
 import glob
 import hashlib
+import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -256,6 +259,27 @@ def _transitions(task: str, split: str) -> str:
 @pytest.mark.parametrize("task,split", [(t, s) for t in TASKS for s in SPLITS])
 def test_transitions_are_unchanged(task, split):
     assert _transitions(task, split) == TRANSITION_GOLDEN[f"{task}-{split}"]
+
+
+_TRANSITION_DIGESTS = """
+import json
+from test_golden import SPLITS, TASKS, _transitions
+print(json.dumps({f"{t}-{s}": _transitions(t, s) for t in TASKS for s in SPLITS}))
+"""
+
+
+def test_transition_bits_do_not_depend_on_blas_threads():
+    # the steps run on floats and the policy pads its batches, so a second
+    # OpenBLAS thread must leave every transition digest where it is
+    here = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join([os.path.join(os.path.dirname(here), "src"), here])
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-c", _TRANSITION_DIGESTS], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == TRANSITION_GOLDEN, f"OPENBLAS_NUM_THREADS={threads}"
 
 
 def test_grid_legs_record_their_restore_point_rates(tmp_path, monkeypatch):
