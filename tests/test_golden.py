@@ -31,9 +31,9 @@ from deskrl.rng import make_generator
 
 GOLDEN = {
     "ppo_reach2d": {
-        "params": "b84a26ec2214cf78416c7c341d899540862facbd5fb5b1808ea1690c42a043fd",
-        "adam_m": "9e1be13d88d30a24f2260ffb0d681bd84438c30f1658cc181428132f82b6773e",
-        "adam_v": "1f28e413aeaea3c178103bd46658fd09f8a09a63e73175fa054b54e8c995a135",
+        "params": "4f59e5799d61e552f674e22c008d16d6fb802718f59ab6e8514142891299f279",
+        "adam_m": "4d252edf242aecfe8c98bd2312c333bd6e3854cf072e881e289bbcab24fca96d",
+        "adam_v": "f4de7c534c4cdf36c11f3537b1bd69f6fcc7e88ac6c97d5c8317b4a948d7b879",
         "trendline": "a0b1632bd3eeb11ce8f2e0c3a6639b5dce7cd6c84ceee919fd32e5ff65a91fdc",
     },
     "ppo_pushbox2d": {
@@ -49,9 +49,9 @@ GOLDEN = {
         "trendline": "df788257f0954b07076c943f783e3f6674224a1f6137c75a08049fda6d620ee8",
     },
     "two_stage_ppo_reach2d": {
-        "params": "6d7061c119f1d1b00dd92e11af6742cb068e71f3abafaf484c97ada083f2f867",
-        "adam_m": "0921059632c7c4e618a1a66b97e22a3e4282d49d157666dd2ae579c7b6fa0863",
-        "adam_v": "7dcd17a2b47838eedde0384fd6372521e549c17574a375fa43630794993ffea1",
+        "params": "112b9eaa98ce289cb2416d216e7c1c75cc4b7a5fd8c68719895353d25ca6fbbe",
+        "adam_m": "44cb71f2d389aeb70cb4aeb0ced13dd667d6db82754513d139bcbd48c1db8236",
+        "adam_v": "9f1759e3f034bd3293c34c45afec49afa165ded84c40a07886f6416e5741ac8e",
         "trendline": "92c18da58c47e0054e93b63a05e6aa5f89ad8e5b312ebb397bf263c13ba6098a",
     },
     "grid_bc_reach2d": {
@@ -190,10 +190,10 @@ def test_file_bytes_are_unchanged(kind, tmp_path):
 
 
 TRANSITION_GOLDEN = {
-    "reach2d-train": "bbd510eb81fe86600950cef753bb4970265581d45570c7cf4061a2e6331c6a98",
-    "reach2d-test": "ac4bd1b683c6b347900e2224fbeef739dabf07e3c722a86467b5b46da52404bd",
-    "pushbox2d-train": "5c65ad66bbfa81f2d92f8b6ba9a0b9438854832832435a354533cbfd1dd705d7",
-    "pushbox2d-test": "7d120d0bb6b5e1151533445280d625b99679b68950a9defc02ce14eda3a1f623",
+    "reach2d-train": "d75d91147eb7dd2ecf9571d98dae05c202f7968bdfef6c3832b191fd6d3a57bc",
+    "reach2d-test": "30a812f5a773973c7ea21092702be0df9633fae5636a313fbc177bc73ba4dfa4",
+    "pushbox2d-train": "300fe1adc2c9476c4148fb6573ddfebf0842dadf2eaeafdfece05b6e21bd5d1d",
+    "pushbox2d-test": "40191796b3dd0983b1566eae55bc9881134d9664d6e0ccbd929706bcd4c36ab5",
     "gather2d-train": "ba2969a41657d9c49aa097fd238b6d4c9fed92db34006f3b0cf1cf323c371dab",
     "gather2d-test": "a887ac5236208b995ba5659dfbb60597a606101cfaf7ab2742efb153eb5d7032",
 }
