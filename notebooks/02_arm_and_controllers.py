@@ -3,8 +3,10 @@
 Forward kinematics, the analytic Jacobian against finite differences,
 and step responses of both controller flavors: joint-space deltas and
 end-effector deltas through damped least squares.  The controllers are
-pure functions from (action, state) to a torque command; the caller owns
-integration, so a few lines of semi-implicit Euler are enough here.
+pure functions from (action, state) to a torque command for the 2-link
+arm, computed on Python floats (the damped 2x2 system is solved in closed
+form); the caller owns integration, so a few lines of semi-implicit Euler
+are enough here.
 """
 
 import numpy as np

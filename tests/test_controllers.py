@@ -202,8 +202,8 @@ def test_dimension_and_validation_errors():
         ctrl.PDGains(kp=0.0)
 
 
-# Poses near the stretched-arm singularity (q1 = 0) and at the joint limits.
 def _hard_poses(geom, gen, count):
+    """Poses near the stretched-arm singularity (q1 = 0) and at the joint limits."""
     q0s = np.concatenate([gen.uniform(geom.q_lo[0], geom.q_hi[0], size=count), [geom.q_lo[0], geom.q_hi[0], 0.0]])
     q1s = (0.0, -0.0, 1e-8, -1e-8, geom.q_lo[1], geom.q_hi[1])
     return [(q0, q1) for q0 in q0s.tolist() for q1 in q1s]
@@ -215,7 +215,7 @@ def test_pd_joint_delta_pos_is_the_numpy_expression_bit_for_bit():
     geoms = (GEOM, ctrl.ArmGeom(q_lo=(-1.6, -1.6), q_hi=(1.6, 1.6)), ctrl.ArmGeom(q_lo=(-1.0, 0.0), q_hi=(0.0, 1.0)))
     gains_set = (GAINS, ctrl.PDGains(kp=5000.0, kd=50.0, u_max=7.0))
     specials = [0.0, -0.0, 1.0, -1.0]
-    cases = 0
+    cases = limited = saturated = 0
     for geom in geoms:
         lo, hi = np.array(geom.q_lo), np.array(geom.q_hi)
         states = [gen.uniform(lo, hi) for _ in range(400)]
@@ -226,12 +226,15 @@ def test_pd_joint_delta_pos_is_the_numpy_expression_bit_for_bit():
             action = gen.uniform(-1.0, 1.0, size=2)
             if i % 5 == 0:
                 action = np.array([specials[i % 4], specials[(i // 4) % 4]])
+            target = state.q + geom.dq_max * action
             for gains in gains_set:
                 u = ctrl.pd_joint_delta_pos(action, state, gains, geom)
-                want = pd_command_oracle(state.q + geom.dq_max * action, state, gains, geom)
+                want = pd_command_oracle(target, state, gains, geom)
                 assert u.tobytes() == want.tobytes(), (q, qdot, action)
                 cases += 1
-    assert cases >= 2000
+                saturated += np.abs(want).max() == gains.u_max
+            limited += np.any((target < lo) | (target > hi))
+    assert cases >= 2000 and limited > 0 and saturated > 0
 
 
 def test_pd_ee_delta_pose_applies_the_numpy_pd_law_to_dls_step2():
