@@ -213,10 +213,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except ConfigError as exc:
+    except (FileNotFoundError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (DeskRLError, OSError) as exc:

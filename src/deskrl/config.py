@@ -167,13 +167,12 @@ def env_config(resolved: dict) -> EnvConfig:
     return make_config(run["task"], split=run["split"], seed=run["env_seed"], **overrides)
 
 
-def ppo_config(resolved: dict, **replacements) -> PPOConfig:
-    return PPOConfig(**{**resolved["ppo"], **replacements})
+def ppo_config(resolved: dict) -> PPOConfig:
+    return PPOConfig(**resolved["ppo"])
 
 
-def bc_config(resolved: dict, **replacements) -> BCConfig:
-    fields = {k: v for k, v in resolved["bc"].items() if k != "demos"}
-    return BCConfig(**{**fields, **replacements})
+def bc_config(resolved: dict) -> BCConfig:
+    return BCConfig(**{k: v for k, v in resolved["bc"].items() if k != "demos"})
 
 
 def grid_spec(resolved: dict, fallback_seed: int) -> GridSpec:

@@ -24,7 +24,8 @@ velocities, the arm tip, the box) is carried on Python floats in numpy's
 order of operations, so it gives the same bits as the array expressions it
 stands for.  The controllers run on floats too (see controllers.py); the
 particles and point clouds stay numpy.
-Episodes terminate at the first successful step or at the horizon.
+Episodes terminate at the first successful step or at the horizon.  A
+step's reward is the task's shaping term plus SUCCESS_BONUS if it succeeds.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 from . import controllers as ctrl
 from .errors import ConfigError, EmptyDatasetError, require_finite_floats
 from .pointnet import PointCloudObs
-from .rng import make_generator
+from .rng import make_generator, next_episode_seed
 
 TASKS = ("reach2d", "pushbox2d", "gather2d")
 SPLITS = ("train", "test")
@@ -55,6 +56,7 @@ _RANGES = {
 }
 
 _SUBSTEPS = 4
+SUCCESS_BONUS = 10.0  # added to the reward of the step that succeeds
 
 
 @dataclass(frozen=True)
@@ -150,10 +152,6 @@ def _unit(v: np.ndarray, fallback=(1.0, 0.0)) -> np.ndarray:
     return v / n
 
 
-def _cross2(a: np.ndarray, b: np.ndarray) -> float:
-    return float(a[0] * b[1] - a[1] * b[0])
-
-
 def _norm2(x: float, y: float) -> float:
     """np.linalg.norm of (x, y), which is the square root of the vector's dot
     with itself.  That BLAS dot may fuse a multiply-add, so sqrt(x * x + y * y)
@@ -185,6 +183,19 @@ def _segment_clearance(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> float:
     denom = float(ab @ ab)
     t = 0.0 if denom < 1e-18 else float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
     return float(np.linalg.norm(a + t * ab - p))
+
+
+def _detour(start: np.ndarray, waypoint: np.ndarray, obstacle: np.ndarray, d: np.ndarray,
+            clearance: float, offset: float) -> np.ndarray:
+    """The expert's waypoint, or, when the straight path from start to it
+    passes within `clearance` of `obstacle`, the point `offset` from the
+    obstacle across the push direction d, on start's side of it."""
+    if _segment_clearance(start, waypoint, obstacle) < clearance:
+        rel = start - obstacle
+        side = 1.0 if float(d[0] * rel[1] - d[1] * rel[0]) >= 0.0 else -1.0
+        perp = np.array([-d[1], d[0]])
+        waypoint = obstacle + side * perp * offset
+    return waypoint
 
 
 class ToyEnv:
@@ -219,7 +230,8 @@ class ToyEnv:
     def _success(self) -> bool:
         raise NotImplementedError
 
-    def _reward(self, success_now: bool) -> float:
+    def _reward(self) -> float:
+        """The task's shaping term; step adds SUCCESS_BONUS on success."""
         raise NotImplementedError
 
     def _cloud(self) -> np.ndarray:
@@ -254,13 +266,12 @@ class ToyEnv:
             raise ConfigError("step() before reset()")
         if self.t >= self.cfg.horizon or self._succeeded:
             raise ConfigError("episode is over; reset() the environment")
-        ctrl.check_action2(action)
-        self._advance(action)
+        self._advance(action)  # the controller rejects a bad action before any state moves
         self.t += 1
         self._measure()
         success_now = bool(self._success())
         self._succeeded = self._succeeded or success_now
-        reward = float(self._reward(success_now))
+        reward = float(self._reward() + (SUCCESS_BONUS if success_now else 0.0))
         done = self._succeeded or self.t >= self.cfg.horizon
         return StepResult(self._observe(), reward, done, self._succeeded)
 
@@ -295,6 +306,13 @@ class ToyEnv:
 
     def _after_substep(self, q0: float, q1: float) -> None:
         pass
+
+    def _expert_command(self, dq: np.ndarray) -> np.ndarray:
+        """An expert's joint delta as an action: damped by the joint
+        velocities, then scaled down to a peak of 1 if it exceeds 1."""
+        raw = dq / self.geom.dq_max - _EXPERT_DAMPING * self.state.qdot
+        peak = float(np.max(np.abs(raw)))
+        return raw / peak if peak > 1.0 else raw
 
     def _arm_tip(self, q0: float, q1: float) -> tuple[float, float]:
         """The tip position `forward_kinematics` gives, on floats."""
@@ -357,8 +375,8 @@ class Reach2D(ToyEnv):
     def _success(self) -> bool:
         return self._dist <= self.tolerance
 
-    def _reward(self, success_now: bool) -> float:
-        return -self._dist * self.cfg.dt + (10.0 if success_now else 0.0)
+    def _reward(self) -> float:
+        return -self._dist * self.cfg.dt
 
     def _cloud(self) -> np.ndarray:
         cloud = self._template.copy()
@@ -474,10 +492,10 @@ class PushBox2D(ToyEnv):
     def _success(self) -> bool:
         return self._dist_bt <= self.tolerance
 
-    def _reward(self, success_now: bool) -> float:
+    def _reward(self) -> float:
         (tx, ty), (bx, by) = self._tip, self.box
         gap = max(0.0, _norm2(tx - bx, ty - by) - self.side / 2.0)
-        return -(self._dist_bt + 0.3 * gap) * self.cfg.dt + (10.0 if success_now else 0.0)
+        return -(self._dist_bt + 0.3 * gap) * self.cfg.dt
 
     def _cloud(self) -> np.ndarray:
         cloud = self._template.copy()
@@ -509,19 +527,13 @@ class PushBox2D(ToyEnv):
             advance = min(0.15, 0.5 * d_bt + 0.02)
             move = d * advance - lat_vec
         else:
-            waypoint = box - d * (half + 0.12)
-            if _segment_clearance(tip, waypoint, box) < half + 0.06:
-                side = 1.0 if _cross2(d, rel) >= 0.0 else -1.0
-                perp = np.array([-d[1], d[0]])
-                waypoint = box + side * perp * (half + 0.25)
+            waypoint = _detour(tip, box - d * (half + 0.12), box, d, half + 0.06, half + 0.25)
             move = waypoint - tip
         norm = float(np.linalg.norm(move))
         if norm > 0.30:
             move = move * (0.30 / norm)
         dq = ctrl.dls_step2(*self.state.q.tolist(), *move.tolist(), self.geom)
-        raw = np.array(dq) / self.geom.dq_max - _EXPERT_DAMPING * self.state.qdot
-        peak = float(np.max(np.abs(raw)))
-        return raw / peak if peak > 1.0 else raw
+        return self._expert_command(np.array(dq))
 
 
 class Gather2D(ToyEnv):
@@ -557,8 +569,9 @@ class Gather2D(ToyEnv):
         )
 
     def _advance(self, action: np.ndarray) -> None:
+        u = ctrl.pd_joint_delta_pos(action, self.state, self.gains, self.geom)
         self._last_c = tuple(self.state.q.tolist())
-        self._integrate(ctrl.pd_joint_delta_pos(action, self.state, self.gains, self.geom))
+        self._integrate(u)
 
     def _expel_radially(self, c: np.ndarray) -> None:
         d = self.particles - c[None, :]
@@ -605,10 +618,10 @@ class Gather2D(ToyEnv):
     def _success(self) -> bool:
         return self._fraction_in >= self.success_fraction
 
-    def _reward(self, success_now: bool) -> float:
+    def _reward(self) -> float:
         (cx, cy), (mx, my) = self.state.q.tolist(), self._out_centroid.tolist()
         reach = max(0.0, _norm2(cx - mx, cy - my) - self.pusher_radius)
-        return -((1.0 - self._fraction_in) + 0.1 * min(reach, 1.0)) * self.cfg.dt + (10.0 if success_now else 0.0)
+        return -((1.0 - self._fraction_in) + 0.1 * min(reach, 1.0)) * self.cfg.dt
 
     def _cloud(self) -> np.ndarray:
         cloud = self._template.copy()
@@ -636,21 +649,13 @@ class Gather2D(ToyEnv):
             lateral = offset - (offset @ d) * d
             move = d * 0.3 - lateral
         else:
-            waypoint = M - d * (self.pusher_radius + 0.10)
-            if _segment_clearance(c, waypoint, M) < self.pusher_radius + 0.05:
-                side = 1.0 if _cross2(d, c - M) >= 0.0 else -1.0
-                perp = np.array([-d[1], d[0]])
-                waypoint = M + side * perp * (self.pusher_radius + 0.30)
+            pr, tr = self.pusher_radius, self.target_radius
+            waypoint = _detour(c, M - d * (pr + 0.10), M, d, pr + 0.05, pr + 0.30)
             # never cut through the drop zone: settled particles would get
             # plowed straight out the far side
-            if _segment_clearance(c, waypoint, self.target) < self.target_radius + self.pusher_radius * 0.8:
-                side = 1.0 if _cross2(d, c - self.target) >= 0.0 else -1.0
-                perp = np.array([-d[1], d[0]])
-                waypoint = self.target + side * perp * (self.target_radius + self.pusher_radius + 0.10)
+            waypoint = _detour(c, waypoint, self.target, d, tr + pr * 0.8, tr + pr + 0.10)
             move = waypoint - c
-        raw = move / self.geom.dq_max - _EXPERT_DAMPING * self.state.qdot
-        peak = float(np.max(np.abs(raw)))
-        return raw / peak if peak > 1.0 else raw
+        return self._expert_command(move)
 
 
 _ENV_CLASSES = {"reach2d": Reach2D, "pushbox2d": PushBox2D, "gather2d": Gather2D}
@@ -672,8 +677,7 @@ def generate_demos(cfg: EnvConfig, n_episodes: int, keep_only_success: bool = Tr
     gen = make_generator("demos", cfg.task, cfg.split, cfg.seed)
     demos: list[DemoTrajectory] = []
     for _ in range(n_episodes):
-        ep_seed = int(gen.integers(0, 2**63))
-        obs = env.reset(ep_seed)
+        obs = env.reset(next_episode_seed(gen))
         points, proprios, actions = [], [], []
         success = False
         while True:

@@ -30,7 +30,7 @@ import numpy as np
 from . import nn, policy as pol
 from .envs import EnvConfig
 from .errors import ResumeError
-from .persistence import Checkpoint, MetricsRecord, append_metrics, save_checkpoint
+from .persistence import Checkpoint, MetricsRecord, append_metrics, checkpoint_name, save_checkpoint
 from .rng import make_generator
 
 
@@ -111,7 +111,7 @@ def run_loop(
         append_metrics(metrics_path, record)
         history.append(record)
         save_checkpoint(
-            os.path.join(out_dir, f"ckpt-{step:08d}.ckpt"),
+            os.path.join(out_dir, checkpoint_name(step)),
             Checkpoint(
                 run_id=run_id,
                 step=step,

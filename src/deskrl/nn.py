@@ -211,26 +211,19 @@ def _activation_grad(fn: str, dY: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 def forward_batch(store: ParamStore, spec: NetSpec, X: np.ndarray, prefix: str) -> np.ndarray:
     """Run a (B, in_width) batch through the net; returns (B, out_width)."""
-    X = _check_input(X, spec.in_width, prefix)
-    j = 0
-    for layer in spec.layers:
-        if layer.kind == "affine":
-            X = X @ store.get(f"{prefix}.W{j}") + store.get(f"{prefix}.b{j}")
-            j += 1
-        else:
-            X = _apply_activation(layer.fn, X)
-    return X
+    return forward_batch_trace(store, spec, X, prefix)[0]
 
 
 def forward_batch_trace(
     store: ParamStore, spec: NetSpec, X: np.ndarray, prefix: str
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """forward_batch plus the per-layer inputs/outputs the backward pass needs.
+    """The one dense forward: the (B, out_width) output plus the per-layer
+    inputs/outputs the backward pass needs.
 
     Each bias add, and an activation right after an affine layer, work in
-    place on the affine layer's fresh output: same values as forward_batch
-    without a temporary per step.  Any other activation writes a new array,
-    since its input is the caller's or is cached.
+    place on the affine layer's fresh output: the same IEEE operations as
+    out-of-place ones, without a temporary per step.  Any other activation
+    writes a new array, since its input is the caller's or is cached.
     """
     X = _check_input(X, spec.in_width, prefix)
     cache: list[np.ndarray] = []

@@ -1,6 +1,7 @@
 """Checkpoint files, append-only metrics logs, and result-table export.
 
-The checkpoint container is one self-contained binary file:
+The checkpoint container is one self-contained binary file, named
+``ckpt-<step, 8 digits>.ckpt`` by `checkpoint_name`:
 
     bytes 0..16    magic ``DESKRLCHECKPOINT``
     bytes 16..20   u32 format version (little-endian)
@@ -18,9 +19,12 @@ save/load roundtrip is the identity bit for bit; the JSON block carries
 only names, counts, and scalars whose text form round-trips exactly.
 Demonstration bundles use the same container, written and read by the
 same code, with their own magic and metadata; their payload is each
-trajectory's points, proprios and actions in turn. Metrics logs are plain comma-separated lines, append-only, with
-steps enforced non-decreasing; a truncated trailing line is ignored on
-read and cut off on the next append, so a crash never poisons the file.
+trajectory's points, proprios and actions in turn.
+
+Metrics logs are plain comma-separated lines, append-only, with steps
+enforced non-decreasing; a truncated trailing line is ignored on read and
+cut off on the next append, which reads the last step from the same tail
+bytes, so a crash never poisons the file.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ GRID_HEADER = "row,alpha,beta,batch,samples,train_success,test_success,seed,stag
 
 _HEAD = struct.Struct("<16sIIQ")  # magic, version, reserved, meta length
 _CHECKSUM_BYTES = 8
+_TAIL_BYTES = 4096  # metrics-log append: block size of the tail scan, span of the last-step read
 
 
 # -- checkpoints -------------------------------------------------------------
@@ -99,6 +104,11 @@ class Checkpoint:
 
     def param_store(self) -> ParamStore:
         return ParamStore.from_directory(self.slices, self.params)
+
+
+def checkpoint_name(step: int) -> str:
+    """File name of the checkpoint a run writes at `step` (docs/FORMATS.md)."""
+    return f"ckpt-{step:08d}.ckpt"
 
 
 def _checksum(blob: bytes) -> bytes:
@@ -266,50 +276,44 @@ def _parse_line(line: str) -> MetricsRecord:
     )
 
 
-def _last_step(path: str) -> int | None:
-    """Step of the last complete record, reading only the file's tail."""
-    try:
-        size = os.path.getsize(path)
-    except OSError:
-        return None
-    with open(path, "rb") as fh:
-        fh.seek(max(0, size - 4096))
-        tail = fh.read().decode("utf-8", errors="replace")
-    last = None
-    for line in tail.splitlines(keepends=True):
-        if not line.endswith("\n") or line.startswith("step,"):
-            continue
-        try:
-            last = _parse_line(line)
-        except (ValueError, ConfigError):
-            continue
-    return None if last is None else last.step
-
-
-def _cut_partial_tail(path: str) -> int:
-    """Truncate the file after its last newline; returns its length, 0 if absent.
+def _cut_partial_tail(path: str) -> tuple[int, int | None]:
+    """Truncate the file after its last newline, in one pass over its tail;
+    returns (length after the cut, step of the last complete record), or
+    (0, None) if there is no file.
 
     A crash mid-append leaves a partial last line, which read_metrics
     skips; a record appended onto it would make it a malformed complete
-    line.  A file that ends in a newline is left as it is.
+    line.  A file that ends in a newline is left as it is.  The last step
+    is read from the 4096 bytes before the cut; the header and lines that
+    do not parse are passed over.
     """
     try:
         fh = open(path, "r+b")
     except FileNotFoundError:
-        return 0
+        return 0, None
     with fh:
-        end = pos = fh.seek(0, os.SEEK_END)
-        while pos > 0:
-            start = max(0, pos - 4096)
-            fh.seek(start)
-            newline = fh.read(pos - start).rfind(b"\n")
-            if newline >= 0:
-                pos = start + newline + 1
-                break
-            pos = start
-        if pos < end:
-            fh.truncate(pos)
-    return pos
+        start = end = fh.seek(0, os.SEEK_END)
+        tail, newline = b"", -1
+        # read back until the tail holds the last newline and the span before it
+        while start > 0 and newline + 1 < _TAIL_BYTES:
+            block = max(0, start - _TAIL_BYTES)
+            fh.seek(block)
+            tail = fh.read(start - block) + tail
+            start = block
+            newline = tail.rfind(b"\n")
+        cut = start + newline + 1
+        if cut < end:
+            fh.truncate(cut)
+    last = None
+    window = tail[max(0, newline + 1 - _TAIL_BYTES) : newline + 1].decode("utf-8", errors="replace")
+    for line in window.splitlines(keepends=True):
+        if not line.endswith("\n") or line.startswith("step,"):
+            continue
+        try:
+            last = _parse_line(line).step
+        except (ValueError, ConfigError):
+            continue
+    return cut, last
 
 
 def append_metrics(path: str, record: MetricsRecord) -> None:
@@ -318,12 +322,11 @@ def append_metrics(path: str, record: MetricsRecord) -> None:
         record = MetricsRecord(
             record.step, record.train_success, record.test_success, record.stage, time.time()
         )
-    fresh = _cut_partial_tail(path) == 0
-    prev = _last_step(path)
+    size, prev = _cut_partial_tail(path)
     if prev is not None and record.step < prev:
         raise MetricsOrderError(f"step {record.step} after step {prev} in {path}")
     with open(path, "a", encoding="utf-8") as fh:
-        if fresh:
+        if size == 0:
             fh.write(METRICS_HEADER + "\n")
         fh.write(_format_record(record))
         fh.flush()

@@ -24,7 +24,7 @@ from . import loop, nn, pointnet, policy as pol
 from .envs import EnvConfig, make_env
 from .errors import ConfigError, NonFiniteError, require_finite_floats
 from .persistence import Checkpoint, MetricsRecord
-from .rng import generator_from_words, make_generator, state_words
+from .rng import generator_from_words, make_generator, next_episode_seed, state_words
 
 
 @dataclass(frozen=True)
@@ -85,10 +85,6 @@ class RolloutBuffer:
         return self.rewards.shape[0]
 
 
-def _episode_seed(gen: np.random.Generator) -> int:
-    return int(gen.integers(0, 2**63))
-
-
 def collect_rollout(
     store: nn.ParamStore,
     spec: pol.PolicySpec,
@@ -99,7 +95,7 @@ def collect_rollout(
     """Gather exactly `samples` transitions, auto-resetting on done."""
     if samples < 1:
         raise ConfigError("rollout needs at least one sample")
-    obs = env.reset(_episode_seed(gen))
+    obs = env.reset(next_episode_seed(gen))
     N, C = obs.points.shape
     P = obs.proprio.shape[0]
     A = spec.action_dim
@@ -123,7 +119,7 @@ def collect_rollout(
         values[t] = s.value
         dones[t] = 1.0 if res.done else 0.0
         if res.done:
-            obs = env.reset(_episode_seed(gen)) if t + 1 < samples else res.obs
+            obs = env.reset(next_episode_seed(gen)) if t + 1 < samples else res.obs
         else:
             obs = res.obs
     bootstrap = 0.0 if dones[-1] else pol.value_of(store, spec, obs)

@@ -43,6 +43,11 @@ def episode_seed(run_seed: int, split: str, index: int) -> int:
     return stable_mix(run_seed, "episode", split, index) % (2**63)
 
 
+def next_episode_seed(gen: np.random.Generator) -> int:
+    """Draw the seed of the next episode a rollout or demo run resets to."""
+    return int(gen.integers(0, 2**63))
+
+
 def panel_seeds(run_seed: int, split: str, count: int) -> list[int]:
     """Fixed evaluation panel: the first `count` episode seeds for a split."""
     return [episode_seed(run_seed, split, i) for i in range(count)]

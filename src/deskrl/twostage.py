@@ -12,15 +12,22 @@ branch from one shared stage-one run per seed, plus a no-restart baseline
 row that simply keeps training from the last checkpoint at the original
 sizes.
 
+The best record of a history is the earliest one with the highest test
+rate (`track_best`).  It picks the stage-two restore point (the
+checkpoint `persistence.checkpoint_name(step)` in the stage-one
+directory) and gives the rates a leg reports.
+
 Everything here is trainer-agnostic: a Trainer adapter carries the base
-config and knows which field is the batch size, so PPO (minibatch_size /
-samples_per_step) and BC (batch_size / samples_per_step) plug in the
-same way.
+config, knows which field is the batch size, and runs train_ppo or
+train_bc with the environment (and the demo dataset) bound, called by
+keyword.  PPO (minibatch_size / samples_per_step) and BC (batch_size /
+samples_per_step) plug in the same way.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -31,7 +38,7 @@ import numpy as np
 from . import bc as bc_mod, ppo as ppo_mod
 from .envs import EnvConfig
 from .errors import ConfigError, DeskRLError
-from .persistence import MetricsRecord, export_table, load_checkpoint
+from .persistence import MetricsRecord, checkpoint_name, export_table, load_checkpoint
 
 STALL_LIMIT = 3  # consecutive evaluations without a new best test rate
 
@@ -50,26 +57,12 @@ class ScalePair:
             raise ConfigError(f"beta must lie in (0, 1], got {self.beta}")
 
 
-@dataclass(frozen=True)
-class BestTracker:
-    """Highest test rate over a history, earliest step on ties."""
-
-    test_success: float
-    step: int
-    checkpoint: str  # filename of the checkpoint written at that step
-
-
-def _peak(history: list[MetricsRecord]) -> MetricsRecord:
-    """The record with the highest test rate; max keeps the earliest of ties."""
+def track_best(history: list[MetricsRecord]) -> MetricsRecord:
+    """The record with the highest test rate, the earliest of ties; its
+    checkpoint is checkpoint_name(record.step) in the run's directory."""
     if not history:
         raise ConfigError("cannot track the best of an empty history")
-    return max(history, key=lambda rec: rec.test_success)
-
-
-def track_best(history: list[MetricsRecord]) -> BestTracker:
-    """Argmax of the test rate over a metric history."""
-    best = _peak(history)
-    return BestTracker(best.test_success, best.step, f"ckpt-{best.step:08d}.ckpt")
+    return max(history, key=lambda rec: rec.test_success)  # max keeps the first of ties
 
 
 def _stalled(history: list[MetricsRecord]) -> bool:
@@ -93,7 +86,8 @@ class Trainer:
 
     base_cfg: object
     batch_field: str
-    run: Callable  # (cfg, seed, out_dir, resume, stage, reset_optimizer, should_stop, entry_rates) -> history
+    # (cfg, *, seed, out_dir, resume, stage, reset_optimizer, should_stop, entry_rates) -> history
+    run: Callable
 
     @property
     def base_batch(self) -> int:
@@ -115,24 +109,11 @@ class Trainer:
 
 
 def ppo_trainer(cfg: ppo_mod.PPOConfig, env_cfg: EnvConfig) -> Trainer:
-    def run(run_cfg, seed, out_dir, resume=None, stage=1, reset_optimizer=False, should_stop=None,
-            entry_rates=None):
-        return ppo_mod.train_ppo(
-            run_cfg, env_cfg, seed, out_dir, resume=resume, stage=stage,
-            reset_optimizer=reset_optimizer, should_stop=should_stop, entry_rates=entry_rates,
-        )
-
-    return Trainer(cfg, "minibatch_size", run)
+    return Trainer(cfg, "minibatch_size", functools.partial(ppo_mod.train_ppo, env_cfg=env_cfg))
 
 
 def bc_trainer(cfg: bc_mod.BCConfig, dataset: bc_mod.DemoDataset, env_cfg: EnvConfig) -> Trainer:
-    def run(run_cfg, seed, out_dir, resume=None, stage=1, reset_optimizer=False, should_stop=None,
-            entry_rates=None):
-        return bc_mod.train_bc(
-            run_cfg, dataset, env_cfg, seed, out_dir, resume=resume, stage=stage,
-            reset_optimizer=reset_optimizer, should_stop=should_stop, entry_rates=entry_rates,
-        )
-
+    run = functools.partial(bc_mod.train_bc, dataset=dataset, env_cfg=env_cfg)
     return Trainer(cfg, "batch_size", run)
 
 
@@ -173,12 +154,13 @@ def run_stage_one(trainer: Trainer, budget: int, seed: int, out_dir: str) -> lis
     if budget < trainer.eval_period:
         raise ConfigError("stage-one budget is below one evaluation period")
     cfg = trainer.sized_cfg(trainer.base_batch, trainer.base_samples, budget)
-    return trainer.run(cfg, seed, out_dir, stage=1, should_stop=_stalled)
+    return trainer.run(cfg, seed=seed, out_dir=out_dir, stage=1, should_stop=_stalled)
 
 
 def _run_leg(
     trainer: Trainer,
-    restore_path: str,
+    stage1_dir: str,
+    restore_step: int,
     batch: int,
     samples: int,
     steps: int,
@@ -187,17 +169,17 @@ def _run_leg(
     stage: int,
     reset_optimizer: bool = False,
 ) -> list[MetricsRecord]:
-    """Resume the checkpoint at restore_path at (batch, samples) for `steps`
-    further steps; returns the leg's history.
+    """Resume stage one's checkpoint at restore_step at (batch, samples) for
+    `steps` further steps; returns the leg's history.
 
     The restore point is a stage-one checkpoint of the same trainer and
     seed, so its stored rates are what evaluating it again would give:
     they become the leg's entry record instead of a second evaluation.
     """
-    restore = load_checkpoint(restore_path)
+    restore = load_checkpoint(os.path.join(stage1_dir, checkpoint_name(restore_step)))
     cfg = trainer.sized_cfg(batch, samples, steps)
     return trainer.run(
-        cfg, seed, out_dir, resume=restore, stage=stage, reset_optimizer=reset_optimizer,
+        cfg, seed=seed, out_dir=out_dir, resume=restore, stage=stage, reset_optimizer=reset_optimizer,
         entry_rates=(restore.train_success, restore.test_success),
     )
 
@@ -226,10 +208,10 @@ def run_two_stage(
     stage2 = []
     if stage2_steps > 0:
         stage2 = _run_leg(
-            trainer, os.path.join(stage1_dir, track_best(stage1).checkpoint), batch1, samples1,
-            stage2_steps, seed, os.path.join(out_dir, "stage2"), 2, reset_optimizer,
+            trainer, stage1_dir, track_best(stage1).step, batch1, samples1, stage2_steps, seed,
+            os.path.join(out_dir, "stage2"), 2, reset_optimizer,
         )
-    peak = _peak(stage2 or stage1)
+    peak = track_best(stage2 or stage1)
     record = RunRecord(
         row, scales.alpha, scales.beta, batch1, samples1,
         peak.train_success, peak.test_success, seed, stage2_steps,
@@ -286,20 +268,19 @@ def grid_search(trainer: Trainer, grid: GridSpec, out_dir: str) -> list[RunRecor
         seed_dir = os.path.join(out_dir, f"seed{seed}")
         stage1_dir = os.path.join(seed_dir, "stage1")
         stage1 = run_stage_one(base_trainer, grid.stage1_steps, seed, stage1_dir)
-        # (row, alpha, beta, batch, samples, restore point, leg directory, stage)
-        legs = [(1, 1.0, 1.0, grid.base_batch, grid.base_samples,
-                 f"ckpt-{stage1[-1].step:08d}.ckpt", "baseline", 1)]
-        best = track_best(stage1).checkpoint
+        # (row, alpha, beta, batch, samples, restore step, leg directory, stage)
+        legs = [(1, 1.0, 1.0, grid.base_batch, grid.base_samples, stage1[-1].step, "baseline", 1)]
+        best = track_best(stage1).step
         for row, (alpha, beta) in enumerate(grid.cells(), start=2):
             batch1, samples1 = scale_hyperparams(
                 grid.base_batch, grid.base_samples, ScalePair(alpha, beta)
             )
             legs.append((row, alpha, beta, batch1, samples1, best, f"cell-a{alpha}-b{beta}", 2))
-        for row, alpha, beta, batch, samples, restore_point, leg_dir, stage in legs:
+        for row, alpha, beta, batch, samples, restore_step, leg_dir, stage in legs:
             try:
-                peak = _peak(_run_leg(
-                    base_trainer, os.path.join(stage1_dir, restore_point), batch, samples,
-                    grid.stage2_steps, seed, os.path.join(seed_dir, leg_dir), stage,
+                peak = track_best(_run_leg(
+                    base_trainer, stage1_dir, restore_step, batch, samples, grid.stage2_steps, seed,
+                    os.path.join(seed_dir, leg_dir), stage,
                 ))
                 rates = (peak.train_success, peak.test_success)
             except DeskRLError:

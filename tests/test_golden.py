@@ -261,25 +261,41 @@ def test_transitions_are_unchanged(task, split):
     assert _transitions(task, split) == TRANSITION_GOLDEN[f"{task}-{split}"]
 
 
-_TRANSITION_DIGESTS = """
-import json
-from test_golden import SPLITS, TASKS, _transitions
-print(json.dumps({f"{t}-{s}": _transitions(t, s) for t in TASKS for s in SPLITS}))
+_ALL_DIGESTS = """
+import json, pathlib, tempfile
+from test_golden import CASES, FILES, SPLITS, TASKS, _sha, _transitions
+with tempfile.TemporaryDirectory() as tmp:
+    def fresh(name):
+        path = pathlib.Path(tmp) / name
+        path.mkdir()
+        return path
+    training = {case: run(fresh(case)) for case, run in CASES.items()}
+    files = {}
+    for kind, write in FILES.items():
+        with open(write(fresh(kind)), "rb") as fh:
+            files[kind] = _sha(fh.read())
+print(json.dumps({
+    "transitions": {f"{t}-{s}": _transitions(t, s) for t in TASKS for s in SPLITS},
+    "training": training,
+    "files": files,
+}))
 """
 
 
 def test_transition_bits_do_not_depend_on_blas_threads():
     # the steps run on floats and the policy pads its batches, so a second
-    # OpenBLAS thread must leave every transition digest where it is
+    # OpenBLAS thread must leave every transition digest where it is; the
+    # training, two-stage, grid and file digests must stay too
     here = os.path.dirname(os.path.abspath(__file__))
     path = os.pathsep.join([os.path.join(os.path.dirname(here), "src"), here])
+    golden = {"transitions": TRANSITION_GOLDEN, "training": GOLDEN, "files": FILE_GOLDEN}
     for threads in ("1", "2"):
         env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
         proc = subprocess.run(
-            [sys.executable, "-c", _TRANSITION_DIGESTS], env=env, capture_output=True, text=True, timeout=300
+            [sys.executable, "-c", _ALL_DIGESTS], env=env, capture_output=True, text=True, timeout=300
         )
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == TRANSITION_GOLDEN, f"OPENBLAS_NUM_THREADS={threads}"
+        assert json.loads(proc.stdout) == golden, f"OPENBLAS_NUM_THREADS={threads}"
 
 
 def test_grid_legs_record_their_restore_point_rates(tmp_path, monkeypatch):

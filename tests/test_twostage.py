@@ -16,6 +16,7 @@ from deskrl.persistence import (
     Checkpoint,
     MetricsRecord,
     append_metrics,
+    checkpoint_name,
     load_checkpoint,
     read_metrics,
     save_checkpoint,
@@ -47,7 +48,7 @@ class TestTrackBest:
     def test_single_entry(self):
         best = ts.track_best([MetricsRecord(40, 0.2, 0.3)])
         assert best.step == 40
-        assert best.checkpoint == "ckpt-00000040.ckpt"
+        assert checkpoint_name(best.step) == "ckpt-00000040.ckpt"
 
     def test_empty_history_rejected(self):
         with pytest.raises(ConfigError):
