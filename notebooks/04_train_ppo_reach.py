@@ -1,9 +1,9 @@
 """A short PPO run on reach2d, end to end.
 
 Uses a deliberately small budget so the script finishes in seconds; the
-point is the artifact trail, not the score.  Every evaluation appends a
-row to metrics.csv and drops a checkpoint, so a run directory is always
-resumable from its latest evaluation point.
+point is the artifact trail, not the score.  Every evaluation writes a
+checkpoint and then adds a row to metrics.csv, so every logged step is
+resumable.
 """
 
 import atexit

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import io
 import os
 from typing import Any, Callable, get_type_hints
 
@@ -20,6 +21,7 @@ from . import __version__
 from .bc import BCConfig
 from .envs import EnvConfig, make_config
 from .errors import ConfigError
+from .persistence import replace_file
 from .ppo import PPOConfig
 from .twostage import GridSpec, ScalePair
 
@@ -208,6 +210,7 @@ def write_manifest(out_dir: str, command: str, seed: int, resolved: dict) -> str
         writer[section] = {k: _format_value(v) for k, v in body.items()}
     path = os.path.join(out_dir, "manifest.ini")
     os.makedirs(out_dir, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        writer.write(fh)
+    text = io.StringIO()
+    writer.write(text)
+    replace_file(path, text.getvalue().encode("utf-8"))
     return path

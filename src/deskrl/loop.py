@@ -7,9 +7,10 @@ rollout, GAE and update over S environment steps for PPO, one block of S
 samples for BC, where the unit is one outer step.  The loop advances while
 a whole unit still fits the budget.  It evaluates both splits at entry,
 every eval_period steps, and once more at the end if steps advanced since
-the last evaluation; each evaluation appends a metrics record and writes a
-checkpoint.  An optional should_stop(history) hook, asked after each
-evaluation, ends the call early.
+the last evaluation; each evaluation writes a checkpoint and then adds a
+metrics record, so a crash between the two leaves a checkpoint with no log
+line, never a logged step with no checkpoint.  An optional
+should_stop(history) hook, asked after each evaluation, ends the call early.
 
 A caller that already knows the entry rates passes them as entry_rates:
 the entry record and checkpoint then carry them and the entry evaluation
@@ -107,9 +108,6 @@ def run_loop(
                 pol.evaluate_policy(state.store, state.spec, test_cfg, cfg.eval_episodes, seed),
             )
         train_rate, test_rate = rates
-        record = MetricsRecord(step, train_rate, test_rate, stage)
-        append_metrics(metrics_path, record)
-        history.append(record)
         save_checkpoint(
             os.path.join(out_dir, checkpoint_name(step)),
             Checkpoint(
@@ -126,6 +124,9 @@ def run_loop(
                 test_success=test_rate,
             ),
         )
+        record = MetricsRecord(step, train_rate, test_rate, stage)
+        append_metrics(metrics_path, record)
+        history.append(record)
         return should_stop is not None and should_stop(history)
 
     done = 0

@@ -1,4 +1,4 @@
-"""Checkpoint files, append-only metrics logs, and result-table export.
+"""Checkpoint files, metrics logs, and result-table export.
 
 The checkpoint container is one self-contained binary file, named
 ``ckpt-<step, 8 digits>.ckpt`` by `checkpoint_name`:
@@ -21,10 +21,11 @@ Demonstration bundles use the same container, written and read by the
 same code, with their own magic and metadata; their payload is each
 trajectory's points, proprios and actions in turn.
 
-Metrics logs are plain comma-separated lines, append-only, with steps
-enforced non-decreasing; a truncated trailing line is ignored on read and
-cut off on the next append, which reads the last step from the same tail
-bytes, so a crash never poisons the file.
+Metrics logs are plain comma-separated lines with steps enforced
+non-decreasing over the whole file.  Every file a run directory gets, the
+log included, is written whole by `replace_file` (write a temporary file,
+fsync it, rename it over the target), so a crash leaves the old file or the
+new one, never a torn write.
 """
 
 from __future__ import annotations
@@ -64,7 +65,17 @@ GRID_HEADER = "row,alpha,beta,batch,samples,train_success,test_success,seed,stag
 
 _HEAD = struct.Struct("<16sIIQ")  # magic, version, reserved, meta length
 _CHECKSUM_BYTES = 8
-_TAIL_BYTES = 4096  # metrics-log append: block size of the tail scan, span of the last-step read
+
+
+def replace_file(path: str, data: bytes) -> None:
+    """Write `data` as the whole of `path`: to a ``.tmp`` sibling, fsynced,
+    then renamed over `path`, so a crash leaves the old file or the new one."""
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
 
 
 # -- checkpoints -------------------------------------------------------------
@@ -117,18 +128,12 @@ def _checksum(blob: bytes) -> bytes:
 
 def _write_container(path: str, magic: bytes, version: int, meta: dict, arrays) -> None:
     """Write header, JSON metadata, each array's raw bytes in order, then the
-    checksum.  Atomic: a crash mid-save never leaves a partial file."""
+    checksum, through `replace_file`, so a crash never leaves a partial file."""
     meta_blob = json.dumps(meta, separators=(",", ":")).encode("utf-8")
     parts = [_HEAD.pack(magic, version, 0, len(meta_blob)), meta_blob]
     parts += [np.ascontiguousarray(a).tobytes() for a in arrays]
     blob = b"".join(parts)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
-        fh.write(_checksum(blob))
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    replace_file(path, blob + _checksum(blob))
 
 
 def _read_container(path: str, what: str, magic: bytes, version: int, errors, layout, decode):
@@ -276,60 +281,37 @@ def _parse_line(line: str) -> MetricsRecord:
     )
 
 
-def _cut_partial_tail(path: str) -> tuple[int, int | None]:
-    """Truncate the file after its last newline, in one pass over its tail;
-    returns (length after the cut, step of the last complete record), or
-    (0, None) if there is no file.
-
-    A crash mid-append leaves a partial last line, which read_metrics
-    skips; a record appended onto it would make it a malformed complete
-    line.  A file that ends in a newline is left as it is.  The last step
-    is read from the 4096 bytes before the cut; the header and lines that
-    do not parse are passed over.
-    """
-    try:
-        fh = open(path, "r+b")
-    except FileNotFoundError:
-        return 0, None
-    with fh:
-        start = end = fh.seek(0, os.SEEK_END)
-        tail, newline = b"", -1
-        # read back until the tail holds the last newline and the span before it
-        while start > 0 and newline + 1 < _TAIL_BYTES:
-            block = max(0, start - _TAIL_BYTES)
-            fh.seek(block)
-            tail = fh.read(start - block) + tail
-            start = block
-            newline = tail.rfind(b"\n")
-        cut = start + newline + 1
-        if cut < end:
-            fh.truncate(cut)
-    last = None
-    window = tail[max(0, newline + 1 - _TAIL_BYTES) : newline + 1].decode("utf-8", errors="replace")
-    for line in window.splitlines(keepends=True):
-        if not line.endswith("\n") or line.startswith("step,"):
-            continue
+def _last_step(log: bytes) -> int | None:
+    """Step of the last line of `log` (which ends in a newline) that parses
+    as a record, scanning back over the whole file; the header never does."""
+    end = len(log)
+    while end > 0:
+        start = log.rfind(b"\n", 0, end - 1) + 1
         try:
-            last = _parse_line(line).step
+            return _parse_line(log[start:end].decode("utf-8", errors="replace")).step
         except (ValueError, ConfigError):
-            continue
-    return cut, last
+            end = start
+    return None
 
 
 def append_metrics(path: str, record: MetricsRecord) -> None:
-    """Append one record; steps must never decrease within a file."""
+    """Add one record by replacing the whole log; steps must never decrease
+    within a file.  A partial last line, which only a log appended to in
+    place can hold, is dropped."""
     if record.stamp == 0.0:
         record = MetricsRecord(
             record.step, record.train_success, record.test_success, record.stage, time.time()
         )
-    size, prev = _cut_partial_tail(path)
+    try:
+        with open(path, "rb") as fh:
+            log = fh.read()
+    except FileNotFoundError:
+        log = b""
+    log = log[: log.rfind(b"\n") + 1]
+    prev = _last_step(log)
     if prev is not None and record.step < prev:
         raise MetricsOrderError(f"step {record.step} after step {prev} in {path}")
-    with open(path, "a", encoding="utf-8") as fh:
-        if size == 0:
-            fh.write(METRICS_HEADER + "\n")
-        fh.write(_format_record(record))
-        fh.flush()
+    replace_file(path, (log or (METRICS_HEADER + "\n").encode()) + _format_record(record).encode())
 
 
 def read_metrics(path: str) -> list[MetricsRecord]:
@@ -364,10 +346,8 @@ def export_trendline(history, path: str) -> None:
     history = list(history)
     if not history:
         raise ConfigError("cannot export an empty history")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(TRENDLINE_HEADER + "\n")
-        for rec in history:
-            fh.write(f"{rec.step},{rec.train_success!r},{rec.test_success!r},{rec.stage}\n")
+    lines = [f"{r.step},{r.train_success!r},{r.test_success!r},{r.stage}\n" for r in history]
+    replace_file(path, (TRENDLINE_HEADER + "\n" + "".join(lines)).encode())
 
 
 def export_table(records, path: str) -> None:
@@ -375,10 +355,8 @@ def export_table(records, path: str) -> None:
     records = list(records)
     if not records:
         raise ConfigError("cannot export an empty table")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(GRID_HEADER + "\n")
-        for rec in records:
-            fh.write(",".join(_cell(x) for x in rec.as_row()) + "\n")
+    lines = [",".join(_cell(x) for x in rec.as_row()) + "\n" for rec in records]
+    replace_file(path, (GRID_HEADER + "\n" + "".join(lines)).encode())
 
 
 def _cell(x) -> str:

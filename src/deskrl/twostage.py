@@ -246,7 +246,7 @@ class GridSpec:
             ScalePair(alpha, beta)
 
     def cells(self) -> list[tuple[float, float]]:
-        """Rows 2..: beta-major, alphas in list order (descending in the table)."""
+        """Rows 2..: beta-major, alphas in list order."""
         return [(a, b) for b in self.betas for a in self.alphas]
 
 

@@ -7,10 +7,10 @@ import os
 import numpy as np
 import pytest
 
-from deskrl import bc, nn, policy as pol
+from deskrl import bc, loop, nn, persistence, policy as pol
 from deskrl.envs import generate_demos, make_config
 from deskrl.errors import ConfigError, NonFiniteError, ResumeError
-from deskrl.persistence import load_checkpoint, read_metrics
+from deskrl.persistence import checkpoint_name, load_checkpoint, read_metrics
 from deskrl.rng import make_generator
 
 
@@ -38,6 +38,15 @@ def small_cfg(**overrides):
     )
     base.update(overrides)
     return bc.BCConfig(**base)
+
+
+def assert_logged_steps_have_checkpoints(out_dir, steps):
+    """The log holds exactly `steps`, and each has a readable checkpoint."""
+    log = out_dir / "metrics.csv"
+    logged = [r.step for r in read_metrics(str(log))] if log.exists() else []
+    assert logged == steps
+    for step in logged:
+        assert load_checkpoint(str(out_dir / checkpoint_name(step))).step == step
 
 
 class TestBCConfig:
@@ -202,6 +211,52 @@ class TestTrainBC:
         for step in (0, 4, 6):
             assert os.path.exists(os.path.join(out, f"ckpt-{step:08d}.ckpt"))
         assert load_checkpoint(os.path.join(out, "ckpt-00000006.ckpt")).trainer_kind == "bc"
+
+    @pytest.mark.parametrize("fail_at", [1, 2, 3])
+    def test_failed_checkpoint_leaves_no_logged_step_without_one(
+        self, reach_demos, tmp_path, monkeypatch, fail_at
+    ):
+        cfg, ds = reach_demos
+        saves = []
+
+        def save_or_fail(path, ckpt):
+            saves.append(ckpt.step)
+            if len(saves) == fail_at:
+                raise OSError("no space left on device")
+            persistence.save_checkpoint(path, ckpt)
+
+        monkeypatch.setattr(loop, "save_checkpoint", save_or_fail)
+        with pytest.raises(OSError, match="no space"):
+            bc.train_bc(small_cfg(eval_episodes=1), ds, cfg, seed=1, out_dir=str(tmp_path))
+        assert_logged_steps_have_checkpoints(tmp_path, [0, 4, 6][: fail_at - 1])
+
+    @pytest.mark.parametrize("fail_at", [1, 2, 3])
+    def test_failed_log_write_keeps_the_previous_log(
+        self, reach_demos, tmp_path, monkeypatch, fail_at
+    ):
+        # the rename that replaces the log fails: the log keeps its old bytes
+        cfg, ds = reach_demos
+        log = tmp_path / "metrics.csv"
+        steps, before = [], []
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        def append_or_fail(path, record):
+            steps.append(record.step)
+            if len(steps) < fail_at:
+                return persistence.append_metrics(path, record)
+            before.append(log.read_bytes() if log.exists() else None)
+            with monkeypatch.context() as m:
+                m.setattr(os, "replace", refuse)
+                persistence.append_metrics(path, record)
+
+        monkeypatch.setattr(loop, "append_metrics", append_or_fail)
+        with pytest.raises(OSError, match="rename refused"):
+            bc.train_bc(small_cfg(eval_episodes=1), ds, cfg, seed=1, out_dir=str(tmp_path))
+        assert before == [log.read_bytes() if log.exists() else None]
+        assert_logged_steps_have_checkpoints(tmp_path, steps[:-1])
+        assert os.path.exists(tmp_path / checkpoint_name(steps[-1]))
 
     def test_zero_budget_only_evaluates_once(self, reach_demos, tmp_path):
         cfg, ds = reach_demos

@@ -1,6 +1,7 @@
 """Persistence tests: roundtrip bit-exactness, corruption handling, logs."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -246,6 +247,17 @@ def test_metrics_rejects_backwards_step(tmp_path):
         ps.append_metrics(path, ps.MetricsRecord(199, 0.5, 0.5, 2))
 
 
+def test_metrics_order_check_reads_past_a_long_malformed_line(tmp_path):
+    # the order check covers the whole log: a malformed last line longer
+    # than any tail window must not hide the step before it
+    path = tmp_path / "m.csv"
+    path.write_text(ps.METRICS_HEADER + "\n12345,0.5,0.5,1,0.0\n" + "x" * 4091 + "\n")
+    before = path.read_bytes()
+    with pytest.raises(MetricsOrderError, match="after step 12345"):
+        ps.append_metrics(str(path), ps.MetricsRecord(100, 0.5, 0.5, 1))
+    assert path.read_bytes() == before
+
+
 def test_metrics_record_validation():
     with pytest.raises(ConfigError):
         ps.MetricsRecord(-1, 0.5, 0.5, 1)
@@ -338,6 +350,21 @@ def test_metrics_malformed_complete_line_names_path_and_line(tmp_path, line):
 def test_metrics_missing_file():
     with pytest.raises(FileNotFoundError):
         ps.read_metrics("/nonexistent/metrics.csv")
+
+
+@pytest.mark.parametrize(
+    "section, header",
+    [
+        ("Metrics logs", ps.METRICS_HEADER),
+        ("Trend lines", ps.TRENDLINE_HEADER),
+        ("Result tables", ps.GRID_HEADER),
+    ],
+)
+def test_documented_headers_match_the_writers(section, header):
+    doc = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "docs", "FORMATS.md")
+    with open(doc, encoding="utf-8") as fh:
+        body = fh.read().split(f"\n## {section}")[1].split("\n## ")[0]
+    assert [line.strip() for line in body.splitlines() if line.startswith("    ")] == [header]
 
 
 # -- exports ---------------------------------------------------------------------
