@@ -24,12 +24,13 @@ trajectory's points, proprios and actions in turn.
 Metrics logs are plain comma-separated lines with steps enforced
 non-decreasing over the whole file.  Every file a run directory gets, the
 log included, is written whole by `replace_file` (write a temporary file,
-fsync it, rename it over the target), so a crash leaves the old file or the
-new one, never a torn write.
+fsync it, rename it over the target, fsync the directory), so a crash
+leaves the old file or the new one, never a torn write.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -69,13 +70,25 @@ _CHECKSUM_BYTES = 8
 
 def replace_file(path: str, data: bytes) -> None:
     """Write `data` as the whole of `path`: to a ``.tmp`` sibling, fsynced,
-    then renamed over `path`, so a crash leaves the old file or the new one."""
+    then renamed over `path`, so a crash leaves the old file or the new one.
+    The directory is fsynced after the rename, so the new name is durable
+    too; a write, fsync or rename that raises removes the ``.tmp`` file."""
     tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+    fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 # -- checkpoints -------------------------------------------------------------

@@ -305,6 +305,23 @@ def test_metrics_append_after_crash_tail_keeps_every_record(tmp_path):
     ]
 
 
+def test_failed_rename_leaves_no_temporary_file(tmp_path, monkeypatch):
+    # the rename inside append_metrics fails: the log keeps its old bytes
+    # and the run directory holds no metrics.csv.tmp afterwards
+    path = str(tmp_path / "metrics.csv")
+    ps.append_metrics(path, ps.MetricsRecord(0, 0.1, 0.2, 1))
+    before = open(path, "rb").read()
+
+    def failing_replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(ps.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="rename failed"):
+        ps.append_metrics(path, ps.MetricsRecord(1, 0.1, 0.2, 1))
+    assert sorted(os.listdir(tmp_path)) == ["metrics.csv"]
+    assert open(path, "rb").read() == before
+
+
 def test_metrics_append_after_partial_header_writes_the_header(tmp_path):
     path = str(tmp_path / "m.csv")
     with open(path, "w") as fh:
