@@ -19,9 +19,10 @@ inside a larger batch can differ in the last bits.  The padding that
 removes this lives in encode_batch_padded(): it pads the post net's
 input rows with copies of the first to a multiple of POST_ROW_MULTIPLE,
 and a row's output then has the same bits at any batch size.
-policy.mean_actions() runs the mean head on those padded rows, so an
-evaluation action does not depend on the episodes that share its tick.
-Training encodes unpadded (encode, encode_batch, encode_batch_trace).
+The policy's batched calls (policy.mean_actions() for evaluation,
+policy.sample_actions() for rollouts) run their heads on those padded
+rows, so an action does not depend on the episodes that share its tick.
+The update encodes unpadded (encode_batch_trace).
 
 The max-pool's gradient reaches only the point each feature pooled from,
 so encode_batch_backward() runs the per-point net backward through the
@@ -174,6 +175,13 @@ def _pool_forward(
     return pp_cache, pool_idx, pooled
 
 
+def _max_pool(feats: np.ndarray) -> np.ndarray:
+    """The pooled values of (B, N, F) per-point features, (B, F), without
+    the index: the padded forward reads only these, and np.max costs about
+    half of np.argmax over the strided point axis."""
+    return np.max(feats, axis=1)
+
+
 def _encode_batch_forward(
     store: nn.ParamStore, spec: EncoderSpec, points: np.ndarray, proprio: np.ndarray, prefix: str
 ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray, np.ndarray, list[np.ndarray]]:
@@ -241,13 +249,18 @@ def encode_batch_padded(
 ) -> np.ndarray:
     """encode_batch() with the post net run on rows padded to a multiple of POST_ROW_MULTIPLE.
 
-    The pad rows are copies of the post net's first input row.  Returns
+    The pool takes the max over the point axis (_max_pool).  That has the
+    bits of the argmax pool the traced forward keeps, signed zeros
+    included: an affine output is -0.0 only where a bias entry is, so the
+    relu features hold no -0.0 to tie with a +0.0.  The pad rows are
+    copies of the post net's first input row.  Returns
     every padded row; the first B are the batch's.  A head run on all of
     them gives row b the same bits at any B (see the module docstring).
     """
     points, proprio = _check_batch(spec, points, proprio)
-    pooled = _pool_forward(store, spec, points, prefix)[2]
-    x = np.concatenate([pooled, proprio], axis=1)
+    B, N, C = points.shape
+    feats = nn.forward_batch(store, spec.per_point, points.reshape(B * N, C), f"{prefix}.pp")
+    x = np.concatenate([_max_pool(feats.reshape(B, N, spec.feature_dim)), proprio], axis=1)
     x = np.concatenate([x, x[:1].repeat(-len(x) % POST_ROW_MULTIPLE, axis=0)])
     return nn.forward_batch(store, spec.post, x, f"{prefix}.post")
 

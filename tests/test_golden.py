@@ -23,7 +23,7 @@ import sys
 import numpy as np
 import pytest
 
-from deskrl import bc, nn, policy as pol, ppo, twostage as ts
+from deskrl import bc, nn, pointnet, policy as pol, ppo, twostage as ts
 from deskrl.config import resolve_config, write_manifest
 from deskrl.envs import SPLITS, TASKS, generate_demos, make_config, make_env
 from deskrl.persistence import Checkpoint, export_trendline, load_checkpoint, read_metrics, save_demos
@@ -62,6 +62,22 @@ GOLDEN = {
         "results": "6d6a6bea2f6607e28b95d9cfe3eaf0afed185e24485dff950a014e2089bee59f",
     },
 }
+
+
+@pytest.fixture(autouse=True)
+def _max_pool_has_argmax_pool_bits(monkeypatch):
+    """In every case here, the padded forward's max pool must give the
+    values the argmax pool of the traced forward gives, bit for bit,
+    signed zeros included."""
+    pool = pointnet._max_pool
+
+    def checked(feats):
+        pooled = pool(feats)
+        idx = np.argmax(feats, axis=1)
+        assert pooled.tobytes() == np.take_along_axis(feats, idx[:, None, :], axis=1)[:, 0, :].tobytes()
+        return pooled
+
+    monkeypatch.setattr(pointnet, "_max_pool", checked)
 
 
 def _sha(data: bytes) -> str:
