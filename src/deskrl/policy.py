@@ -6,13 +6,17 @@ state-independent per-dimension ``log_std`` row.  Keeping the whole
 policy in a single vector is what makes checkpoints, finite-difference
 checks, and Adam updates uniform across trainers.
 
-The sampling recipe is normative for determinism: one call draws exactly
-``action_dim`` standard normals from the supplied generator and forms
-``raw = mean + exp(log_std) * z``.  The executed action is ``raw``
-clamped to the [-1, 1] box; the recorded log-probability is the Gaussian
-density of the raw, pre-clamp sample.  Evaluation uses the clamped mean
-with no generator draws at all, so evaluation never perturbs a training
-stream.
+The sampling recipe is normative for determinism: sample_actions()
+takes one generator per observation and draws exactly ``action_dim``
+standard normals from each, forming ``raw = mean + exp(log_std) * z`` row
+by row.  The executed action is ``raw`` clamped to the [-1, 1] box; the
+recorded log-probability is the Gaussian density of the raw, pre-clamp
+sample.  The mean and value heads run on padded rows (see
+pointnet.encode_batch_padded), so row k's bits depend only on its
+observation, the parameters and its own generator, not on which rows
+share the call; sample_action() is the same call on one observation.
+Evaluation uses the clamped mean with no generator draws at all, so
+evaluation never perturbs a training stream.
 
 Evaluation runs its seed panel in lockstep: one environment per panel
 seed, one batched mean_actions() call over the live episodes per tick,
@@ -37,7 +41,6 @@ from .pointnet import (
     EncoderSpec,
     PointCloudObs,
     build_encoder_spec,
-    encode,
     encode_batch_padded,
     init_encoder_params,
 )
@@ -124,12 +127,47 @@ def gaussian_entropy(log_std: np.ndarray) -> float:
 
 @dataclass
 class ActionSample:
-    """One policy draw: the executed action plus its bookkeeping."""
+    """Policy draws: the executed actions plus their bookkeeping.
+
+    sample_actions() gives each field one row per observation;
+    sample_action() gives the single row (action and raw (action_dim,),
+    logp and value floats).
+    """
 
     action: np.ndarray  # raw clamped to the [-1, 1] box; what the env runs
     raw: np.ndarray  # pre-clamp Gaussian sample; what the density refers to
-    logp: float
-    value: float
+    logp: np.ndarray | float
+    value: np.ndarray | float
+
+
+def _padded_features(store: nn.ParamStore, spec: PolicySpec, obs: Sequence[PointCloudObs]) -> np.ndarray:
+    points = np.stack([o.points for o in obs])
+    proprio = np.stack([o.proprio for o in obs])
+    return encode_batch_padded(store, spec.encoder, points, proprio)
+
+
+def sample_actions(
+    store: nn.ParamStore,
+    spec: PolicySpec,
+    obs: Sequence[PointCloudObs],
+    gens: Sequence[np.random.Generator],
+) -> ActionSample:
+    """Draw one action per observation, row k from gens[k] (action_dim normals each).
+
+    One batched forward: the mean and value heads run on the encoder's
+    padded rows, so row k does not depend on the other observations.
+    """
+    if len(gens) != len(obs):
+        raise ShapeMismatchError(f"{len(obs)} observations need as many generators, got {len(gens)}")
+    K = len(obs)
+    feat = _padded_features(store, spec, obs)
+    mean = nn.forward_batch(store, spec.mean, feat, "mean")[:K]
+    value = nn.forward_batch(store, spec.value, feat, "value")[:K, 0]
+    log_std = log_std_of(store, spec)
+    z = np.stack([gen.standard_normal(spec.action_dim) for gen in gens])
+    raw = mean + np.exp(log_std) * z
+    logp = gaussian_logp(raw, mean, log_std)
+    return ActionSample(np.clip(raw, -1.0, 1.0), raw, logp, value)
 
 
 def sample_action(
@@ -138,15 +176,16 @@ def sample_action(
     obs: PointCloudObs,
     gen: np.random.Generator,
 ) -> ActionSample:
-    """Draw one action; consumes exactly action_dim normals from gen."""
-    feat = encode(store, spec.encoder, obs)
-    mean = nn.forward(store, spec.mean, feat, "mean")
-    value = float(nn.forward(store, spec.value, feat, "value")[0])
-    log_std = log_std_of(store, spec)
-    z = gen.standard_normal(spec.action_dim)
-    raw = mean + np.exp(log_std) * z
-    logp = float(gaussian_logp(raw, mean, log_std))
-    return ActionSample(np.clip(raw, -1.0, 1.0), raw, logp, value)
+    """sample_actions() on one observation; consumes exactly action_dim normals from gen."""
+    s = sample_actions(store, spec, [obs], [gen])
+    return ActionSample(s.action[0], s.raw[0], float(s.logp[0]), float(s.value[0]))
+
+
+def state_values(store: nn.ParamStore, spec: PolicySpec, obs: Sequence[PointCloudObs]) -> np.ndarray:
+    """V on K observations, (K,): the value head on the encoder's padded
+    rows, with the bits sample_actions() gives each row."""
+    feat = _padded_features(store, spec, obs)
+    return nn.forward_batch(store, spec.value, feat, "value")[: len(obs), 0]
 
 
 def mean_actions(
@@ -157,20 +196,13 @@ def mean_actions(
     One batched forward; only the mean head runs, on the encoder's padded
     rows, and row k does not depend on the other observations.
     """
-    points = np.stack([o.points for o in obs])
-    proprio = np.stack([o.proprio for o in obs])
-    feat = encode_batch_padded(store, spec.encoder, points, proprio)
-    mean = nn.forward_batch(store, spec.mean, feat, "mean")
+    mean = nn.forward_batch(store, spec.mean, _padded_features(store, spec, obs), "mean")
     return np.clip(mean[: len(obs)], -1.0, 1.0)
 
 
 def mean_action(store: nn.ParamStore, spec: PolicySpec, obs: PointCloudObs) -> np.ndarray:
     """Deterministic policy: the clamped mean, no generator involved."""
     return mean_actions(store, spec, [obs])[0]
-
-
-def value_of(store: nn.ParamStore, spec: PolicySpec, obs: PointCloudObs) -> float:
-    return float(nn.forward(store, spec.value, encode(store, spec.encoder, obs), "value")[0])
 
 
 def evaluate_policy(

@@ -1,15 +1,28 @@
 """On-policy PPO: rollouts, GAE, clipped-surrogate updates, and the PPO trainer.
 
-Determinism contract: one training run owns a single Philox stream that
-serves episode seeds, action noise, and minibatch shuffles, in that
-interleaved order; checkpoints capture its state words, so a resumed run
-replays the exact draw sequence of an uninterrupted one.  Rollouts begin
-with a fresh episode at the rollout boundary, which keeps environment
-state out of checkpoints entirely.
+Determinism contract: one training run owns a single Philox stream, the
+run stream; checkpoints capture its state words, so a resumed run replays
+the exact draw sequence of an uninterrupted one.  A rollout of S samples
+steps K = min(MAX_LANES, max(1, S // horizon)) lanes side by side, so each
+lane is at least one horizon long.  At the rollout start, lane k's own
+Philox stream is keyed by one draw from the run stream (rng.substreams);
+it serves that lane's episode seeds and action noise, in that interleaved
+order.  The run stream then serves the update's minibatch shuffles.
+Rollouts begin with fresh episodes at the rollout boundary, which keeps
+environment state out of checkpoints entirely.
+
+Lockstep: each lane is its own environment.  Each tick makes one batched
+policy.sample_actions() call over the live lanes, then steps each of them
+once.  Lane k takes S // K steps, plus one if k < S % K, and drops out of
+the tick once they are done.  The batched call gives each row the bits
+it has alone, so a lane's transitions equal that lane collected alone
+with the same lane stream, bit for bit.  The buffer holds the lanes one
+after another; each lane has its own bootstrap value, and compute_gae
+runs right to left within each lane.
 
 Ratio bookkeeping: the update's old log-probabilities are the ones the
 rollout recorded (RolloutBuffer.logps), with no second pass over the
-buffer.  Collection encodes one-row batches and the update encodes
+buffer.  Collection encodes padded lane batches and the update encodes
 minibatches, whose BLAS kernels can differ in the last bits, so the
 first epoch's ratios equal one to rounding rather than bit for bit.
 """
@@ -24,7 +37,7 @@ from . import loop, nn, pointnet, policy as pol
 from .envs import EnvConfig, make_env
 from .errors import ConfigError, NonFiniteError, require_finite_floats
 from .persistence import Checkpoint, MetricsRecord
-from .rng import generator_from_words, make_generator, next_episode_seed, state_words
+from .rng import generator_from_words, make_generator, next_episode_seed, state_words, substreams
 
 
 @dataclass(frozen=True)
@@ -64,9 +77,15 @@ class PPOConfig:
             raise ConfigError("loss coefficients cannot be negative")
 
 
+# lanes per rollout at most: the batched forward cost 126 us per cloud at
+# 1 cloud, 35 at 16 and 66 at 32; past 16 clouds its per-point activations
+# (K * 64 rows x 64 float64, 512 KB at 16) outgrow a core's L2
+MAX_LANES = 16
+
+
 @dataclass
 class RolloutBuffer:
-    """S transitions; advantages/returns stay None until compute_gae."""
+    """S transitions, lane after lane; advantages/returns stay None until compute_gae."""
 
     points: np.ndarray  # (S, N, C) observation clouds
     proprios: np.ndarray  # (S, P)
@@ -76,7 +95,8 @@ class RolloutBuffer:
     rewards: np.ndarray  # (S,)
     values: np.ndarray  # (S,)
     dones: np.ndarray  # (S,) float 0/1
-    bootstrap_value: float  # V of the state after the last transition, 0 if done
+    lane_sizes: list[int]  # transitions per lane, in buffer order
+    bootstrap_values: np.ndarray  # (K,) V after each lane's last transition, 0 if done
     advantages: np.ndarray | None = None
     returns: np.ndarray | None = None
 
@@ -85,60 +105,103 @@ class RolloutBuffer:
         return self.rewards.shape[0]
 
 
-def collect_rollout(
-    store: nn.ParamStore,
-    spec: pol.PolicySpec,
-    env,
-    samples: int,
-    gen: np.random.Generator,
-) -> RolloutBuffer:
-    """Gather exactly `samples` transitions, auto-resetting on done."""
+def lane_sizes(samples: int, horizon: int) -> list[int]:
+    """Steps per lane for a rollout of `samples`: K = min(MAX_LANES,
+    max(1, samples // horizon)) lanes, lane k taking samples // K steps
+    plus one if k < samples % K."""
     if samples < 1:
         raise ConfigError("rollout needs at least one sample")
-    obs = env.reset(next_episode_seed(gen))
-    N, C = obs.points.shape
-    P = obs.proprio.shape[0]
+    K = min(MAX_LANES, max(1, samples // horizon))
+    return [samples // K + (k < samples % K) for k in range(K)]
+
+
+def collect_lanes(
+    store: nn.ParamStore,
+    spec: pol.PolicySpec,
+    env_cfg: EnvConfig,
+    sizes: list[int],
+    gens: list[np.random.Generator],
+) -> RolloutBuffer:
+    """Step one environment per lane in lockstep, lane k for sizes[k] steps
+    on stream gens[k], auto-resetting on done; sizes must not increase."""
+    sizes = list(sizes)
+    K = len(sizes)
+    if not sizes or len(gens) != K or sizes[-1] < 1 or sizes != sorted(sizes, reverse=True):
+        raise ConfigError("need one stream per lane and non-increasing lane sizes of at least 1")
+    envs = [make_env(env_cfg) for _ in range(K)]
+    obs = [env.reset(next_episode_seed(gen)) for env, gen in zip(envs, gens)]
+    samples = sum(sizes)
+    N, C = obs[0].points.shape
     A = spec.action_dim
     points = np.empty((samples, N, C))
-    proprios = np.empty((samples, P))
+    proprios = np.empty((samples, obs[0].proprio.shape[0]))
     actions = np.empty((samples, A))
     raws = np.empty((samples, A))
     logps = np.empty(samples)
     rewards = np.empty(samples)
     values = np.empty(samples)
     dones = np.zeros(samples)
-    for t in range(samples):
-        s = pol.sample_action(store, spec, obs, gen)
-        res = env.step(s.action)
-        points[t] = obs.points
-        proprios[t] = obs.proprio
-        actions[t] = s.action
-        raws[t] = s.raw
-        logps[t] = s.logp
-        rewards[t] = res.reward
-        values[t] = s.value
-        dones[t] = 1.0 if res.done else 0.0
-        if res.done:
-            obs = env.reset(next_episode_seed(gen)) if t + 1 < samples else res.obs
-        else:
-            obs = res.obs
-    bootstrap = 0.0 if dones[-1] else pol.value_of(store, spec, obs)
-    return RolloutBuffer(points, proprios, actions, raws, logps, rewards, values, dones, bootstrap)
+    starts = np.cumsum([0] + sizes[:-1])
+    live = K
+    for t in range(sizes[0]):
+        while sizes[live - 1] <= t:  # lanes are sorted, so the finished ones are last
+            live -= 1
+        s = pol.sample_actions(store, spec, obs[:live], gens[:live])
+        rows = starts[:live] + t
+        actions[rows] = s.action
+        raws[rows] = s.raw
+        logps[rows] = s.logp
+        values[rows] = s.value
+        for k in range(live):
+            row = rows[k]
+            res = envs[k].step(s.action[k])
+            points[row] = obs[k].points
+            proprios[row] = obs[k].proprio
+            rewards[row] = res.reward
+            if res.done:
+                dones[row] = 1.0
+                obs[k] = envs[k].reset(next_episode_seed(gens[k])) if t + 1 < sizes[k] else res.obs
+            else:
+                obs[k] = res.obs
+    bootstrap = np.zeros(K)
+    open_lanes = [k for k in range(K) if not dones[starts[k] + sizes[k] - 1]]
+    if open_lanes:
+        bootstrap[open_lanes] = pol.state_values(store, spec, [obs[k] for k in open_lanes])
+    return RolloutBuffer(
+        points, proprios, actions, raws, logps, rewards, values, dones, sizes, bootstrap
+    )
+
+
+def collect_rollout(
+    store: nn.ParamStore,
+    spec: pol.PolicySpec,
+    env_cfg: EnvConfig,
+    samples: int,
+    gen: np.random.Generator,
+) -> RolloutBuffer:
+    """Gather exactly `samples` transitions on lane_sizes() lanes in
+    lockstep, each lane on its own stream keyed from `gen`."""
+    sizes = lane_sizes(samples, env_cfg.horizon)
+    return collect_lanes(store, spec, env_cfg, sizes, substreams(gen, len(sizes)))
 
 
 def compute_gae(
     buffer: RolloutBuffer, gamma: float, lam: float, normalize: bool = True
 ) -> RolloutBuffer:
-    """Right-to-left GAE; returns use raw advantages, normalization after."""
+    """Right-to-left GAE within each lane; returns use raw advantages, normalization after."""
     S = buffer.size
     adv = np.zeros(S)
-    carry = 0.0
-    for t in range(S - 1, -1, -1):
-        next_value = buffer.values[t + 1] if t + 1 < S else buffer.bootstrap_value
-        mask = 1.0 - buffer.dones[t]
-        delta = buffer.rewards[t] + gamma * next_value * mask - buffer.values[t]
-        carry = delta + gamma * lam * mask * carry
-        adv[t] = carry
+    end = S
+    for size, bootstrap in zip(reversed(buffer.lane_sizes), reversed(buffer.bootstrap_values.tolist())):
+        carry = 0.0
+        next_value = bootstrap
+        for t in range(end - 1, end - size - 1, -1):
+            mask = 1.0 - buffer.dones[t]
+            delta = buffer.rewards[t] + gamma * next_value * mask - buffer.values[t]
+            carry = delta + gamma * lam * mask * carry
+            adv[t] = carry
+            next_value = buffer.values[t]
+        end -= size
     buffer.returns = adv + buffer.values
     if normalize and S >= 2:
         centered = adv - adv.mean()
@@ -297,11 +360,11 @@ def train_ppo(
         gen = generator_from_words(resume.rng_words)
     else:
         gen = make_generator(seed, "ppo", "train", env_cfg.task)
-    env = make_env(replace(env_cfg, split="train"))
+    train_cfg = replace(env_cfg, split="train")
     S = cfg.samples_per_step
 
     def advance(step: int) -> None:
-        buffer = collect_rollout(state.store, state.spec, env, S, gen)
+        buffer = collect_rollout(state.store, state.spec, train_cfg, S, gen)
         compute_gae(buffer, cfg.gamma, cfg.lam, cfg.normalize_advantages)
         ppo_update(state.store, state.spec, buffer, cfg, gen, state.adam)
 

@@ -48,6 +48,11 @@ def next_episode_seed(gen: np.random.Generator) -> int:
     return int(gen.integers(0, 2**63))
 
 
+def substreams(gen: np.random.Generator, count: int) -> list[np.random.Generator]:
+    """`count` Philox streams, stream k keyed by the k-th of `count` draws from `gen`."""
+    return [make_generator("substream", int(gen.integers(0, 2**63))) for _ in range(count)]
+
+
 def panel_seeds(run_seed: int, split: str, count: int) -> list[int]:
     """Fixed evaluation panel: the first `count` episode seeds for a split."""
     return [episode_seed(run_seed, split, i) for i in range(count)]

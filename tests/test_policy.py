@@ -164,11 +164,51 @@ class TestSampling:
         assert a.tobytes() == b.tobytes()
         assert np.abs(a).max() <= 1.0
 
-    def test_value_of_matches_sampled_value(self):
+    def test_state_values_match_sampled_values(self):
+        # the batched values carry the bits sample_actions records, row by
+        # row, whatever observations share the call
+        store, spec = fresh()
+        env = make_env(make_config("reach2d"))
+        obs = [env.reset(seed) for seed in range(5)]
+        gens = [make_generator(1, "v", k) for k in range(5)]
+        s = pol.sample_actions(store, spec, obs, gens)
+        values = pol.state_values(store, spec, obs)
+        assert values.shape == (5,)
+        assert values.tobytes() == s.value.tobytes()
+        assert pol.state_values(store, spec, obs[2:3])[0] == s.value[2]
+
+    def test_sample_actions_needs_one_generator_per_observation(self):
         store, spec = fresh()
         obs = first_obs()
-        s = pol.sample_action(store, spec, obs, make_generator(1, "v"))
-        assert s.value == pol.value_of(store, spec, obs)
+        with pytest.raises(ShapeMismatchError):
+            pol.sample_actions(store, spec, [obs, obs], [make_generator(0)])
+
+    @pytest.mark.parametrize("task", envs.TASKS)
+    def test_sample_actions_rows_equal_each_row_alone(self, task):
+        # row k of a K-row call equals sample_action on that observation
+        # with a copy of row k's generator, for K in 1..20 from both ends of
+        # the list, and each row's generator advances by action_dim normals
+        store, spec = fresh(task, seed=3)
+        store.get("mean.W1")[:] /= pol.FINAL_MEAN_SCALE  # means of order one, so some clip
+        env = make_env(make_config(task))
+        act = make_generator(3, "rows", "actions", task)
+        obs = []
+        for seed in range(20):
+            o = env.reset(seed)
+            for _ in range(seed % 5):
+                o = env.step(act.uniform(-1.0, 1.0, size=2)).obs
+            obs.append(o)
+        for k in range(1, 21):
+            for start in (0, 20 - k):
+                gens = [make_generator(5, "rows", start + i) for i in range(k)]
+                clones = [generator_from_words(state_words(g)) for g in gens]
+                rows = pol.sample_actions(store, spec, obs[start : start + k], gens)
+                for i, clone in enumerate(clones):
+                    alone = pol.sample_action(store, spec, obs[start + i], clone)
+                    assert rows.action[i].tobytes() == alone.action.tobytes()
+                    assert rows.raw[i].tobytes() == alone.raw.tobytes()
+                    assert (rows.logp[i], rows.value[i]) == (alone.logp, alone.value)
+                    assert gens[i].standard_normal() == clone.standard_normal()
 
 
 # per task: policy init seed and the widened success threshold under which

@@ -11,7 +11,7 @@ from deskrl import nn, pointnet, policy as pol, ppo
 from deskrl.envs import make_config, make_env
 from deskrl.errors import ConfigError, NonFiniteError, ResumeError
 from deskrl.persistence import load_checkpoint, read_metrics
-from deskrl.rng import generator_from_words, make_generator, state_words
+from deskrl.rng import generator_from_words, make_generator, next_episode_seed, state_words, substreams
 
 
 def fresh_policy(task="reach2d", seed=0, log_std0=-0.5):
@@ -74,37 +74,38 @@ class TestPPOConfig:
 class TestCollectRollout:
     def test_rejects_empty_request(self):
         store, spec = fresh_policy()
-        env = make_env(make_config("reach2d"))
         with pytest.raises(ConfigError):
-            ppo.collect_rollout(store, spec, env, 0, make_generator(0))
+            ppo.collect_rollout(store, spec, make_config("reach2d"), 0, make_generator(0))
 
     def test_horizon_sized_rollout_is_one_episode(self):
         # a fresh random policy does not solve reach2d by accident at this
         # seed, so the only done flag is the horizon truncation at the end
         store, spec = fresh_policy()
         cfg = make_config("reach2d", horizon=40)
-        env = make_env(cfg)
-        buf = ppo.collect_rollout(store, spec, env, 40, make_generator(0, "roll"))
+        buf = ppo.collect_rollout(store, spec, cfg, 40, make_generator(0, "roll"))
         assert buf.size == 40
+        assert buf.lane_sizes == [40]
         assert not buf.dones[:-1].any()
         assert buf.dones[-1] == 1.0
-        assert buf.bootstrap_value == 0.0
+        assert buf.bootstrap_values.tolist() == [0.0]
 
     def test_auto_reset_spans_episodes(self):
+        # 100 samples at horizon 40 make two lanes of 50: each lane's first
+        # episode ends at the horizon, and the lane resets and runs on
         store, spec = fresh_policy()
         cfg = make_config("reach2d", horizon=40)
-        env = make_env(cfg)
-        buf = ppo.collect_rollout(store, spec, env, 80, make_generator(0, "roll"))
+        buf = ppo.collect_rollout(store, spec, cfg, 100, make_generator(0, "roll"))
+        assert buf.lane_sizes == [50, 50]
         assert buf.dones[39] == 1.0
-        assert buf.dones[79] == 1.0
+        assert buf.dones[89] == 1.0
         assert buf.dones.sum() == 2.0
+        assert np.isfinite(buf.bootstrap_values).all() and (buf.bootstrap_values != 0.0).all()
 
     def test_partial_episode_bootstraps(self):
         store, spec = fresh_policy()
-        env = make_env(make_config("reach2d", horizon=40))
-        buf = ppo.collect_rollout(store, spec, env, 20, make_generator(0, "roll"))
+        buf = ppo.collect_rollout(store, spec, make_config("reach2d", horizon=40), 20, make_generator(0, "roll"))
         assert not buf.dones.any()
-        assert np.isfinite(buf.bootstrap_value)
+        assert np.isfinite(buf.bootstrap_values).all() and buf.bootstrap_values.shape == (1,)
 
     def test_replay_of_stored_actions_reproduces_rewards(self):
         # the buffer stores actions as executed (clamped), so stepping a
@@ -113,8 +114,8 @@ class TestCollectRollout:
         cfg = make_config("reach2d", horizon=40)
         gen = make_generator(3, "roll")
         clone = generator_from_words(state_words(gen))
-        episode_seed = int(clone.integers(0, 2**63))
-        buf = ppo.collect_rollout(store, spec, make_env(cfg), 30, gen)
+        episode_seed = next_episode_seed(substreams(clone, 1)[0])  # the one lane's first draw
+        buf = ppo.collect_rollout(store, spec, cfg, 30, gen)
         assert not buf.dones.any()  # single episode, single seed draw
 
         env = make_env(cfg)
@@ -127,33 +128,97 @@ class TestCollectRollout:
             obs = res.obs
 
     def test_logp_record_matches_batched_density(self):
-        # collection-time log-probs come from one-row batches; the density
-        # of the whole buffer in one batch must agree to accumulation error
+        # collection-time log-probs come from padded lane batches; the
+        # density of the whole buffer in one batch must agree to
+        # accumulation error
         store, spec = fresh_policy("gather2d")
-        env = make_env(make_config("gather2d"))
-        buf = ppo.collect_rollout(store, spec, env, 25, make_generator(1, "roll"))
+        buf = ppo.collect_rollout(store, spec, make_config("gather2d"), 25, make_generator(1, "roll"))
         recomputed = minibatch_logps(store, spec, buf, np.arange(buf.size))
         assert np.max(np.abs(recomputed - buf.logps)) <= 1e-10
 
     def test_raw_actions_clamp_to_executed(self):
         store, spec = fresh_policy(log_std0=1.0)  # wide noise, clipping likely
-        env = make_env(make_config("reach2d"))
-        buf = ppo.collect_rollout(store, spec, env, 40, make_generator(5, "roll"))
+        buf = ppo.collect_rollout(store, spec, make_config("reach2d"), 40, make_generator(5, "roll"))
         assert np.array_equal(buf.actions, np.clip(buf.raw_actions, -1.0, 1.0))
         assert (np.abs(buf.raw_actions) > 1.0).any()
 
     def test_deterministic_given_generator_seed(self):
         store, spec = fresh_policy("pushbox2d")
         cfg = make_config("pushbox2d")
-        a = ppo.collect_rollout(store, spec, make_env(cfg), 30, make_generator(9, "r"))
-        b = ppo.collect_rollout(store, spec, make_env(cfg), 30, make_generator(9, "r"))
+        a = ppo.collect_rollout(store, spec, cfg, 30, make_generator(9, "r"))
+        b = ppo.collect_rollout(store, spec, cfg, 30, make_generator(9, "r"))
         assert a.points.tobytes() == b.points.tobytes()
         assert a.raw_actions.tobytes() == b.raw_actions.tobytes()
         assert a.rewards.tobytes() == b.rewards.tobytes()
-        assert a.bootstrap_value == b.bootstrap_value
+        assert a.bootstrap_values.tobytes() == b.bootstrap_values.tobytes()
 
 
-def synthetic_buffer(S, seed, dones_at=()):
+# per task: policy init seed and the widened success region under which
+# lanes end episodes early, at different ticks
+_STAGGERED = {
+    "reach2d": (21, {"tolerance": 0.45}),
+    "pushbox2d": (0, {"tolerance": 0.4}),
+    "gather2d": (6, {"success_fraction": 0.1, "target_radius": 0.9}),
+}
+
+_LANE_FIELDS = ("points", "proprios", "actions", "raw_actions", "logps", "values", "rewards", "dones")
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("samples,horizon,sizes", [
+        (40, 40, [40]),
+        (79, 40, [79]),
+        (80, 40, [40, 40]),
+        (92, 30, [31, 31, 30]),
+        (2048, 100, [128] * 16),
+        (512, 150, [171, 171, 170]),
+        (165, 5, [11] * 5 + [10] * 11),
+    ])
+    def test_lane_rule(self, samples, horizon, sizes):
+        assert ppo.lane_sizes(samples, horizon) == sizes
+
+    @pytest.mark.parametrize("task", ["reach2d", "pushbox2d", "gather2d"])
+    @pytest.mark.parametrize("samples", [92, 500])
+    def test_each_lane_equals_that_lane_alone(self, task, samples, monkeypatch):
+        # at horizon 30, 92 samples make 3 lanes and 500 make 16 (the first
+        # four one step longer, so the last tick steps only those); the
+        # wider success region ends episodes at different ticks in
+        # different lanes, so lanes reset at different ticks
+        init_seed, region = _STAGGERED[task]
+        cfg = make_config(task, horizon=30)
+        for attr, value in region.items():
+            monkeypatch.setattr(type(make_env(cfg)), attr, value)
+        store, spec = fresh_policy(task, init_seed)
+        store.get("mean.W1")[:] /= pol.FINAL_MEAN_SCALE  # means of order one
+        gen = make_generator(11, "lanes", task)
+        sizes = ppo.lane_sizes(samples, cfg.horizon)
+        streams = substreams(generator_from_words(state_words(gen)), len(sizes))
+        buf = ppo.collect_rollout(store, spec, cfg, samples, gen)
+        assert buf.lane_sizes == sizes
+        starts = np.cumsum([0] + sizes[:-1])
+        for k, (start, size) in enumerate(zip(starts, sizes)):
+            alone = ppo.collect_lanes(store, spec, cfg, [size], [streams[k]])
+            for field in _LANE_FIELDS:
+                got = getattr(buf, field)[start : start + size]
+                assert got.tobytes() == getattr(alone, field).tobytes(), (k, field)
+            assert buf.bootstrap_values[k : k + 1].tobytes() == alone.bootstrap_values.tobytes(), k
+        episode_ends = {tuple(np.flatnonzero(buf.dones[a : a + n])) for a, n in zip(starts, sizes)}
+        assert len(episode_ends) > 1  # the lanes do not move as one
+
+    def test_rejects_lanes_that_grow(self):
+        store, spec = fresh_policy()
+        gens = [make_generator(0, k) for k in range(2)]
+        with pytest.raises(ConfigError):
+            ppo.collect_lanes(store, spec, make_config("reach2d"), [3, 4], gens)
+        with pytest.raises(ConfigError):
+            ppo.collect_lanes(store, spec, make_config("reach2d"), [3], gens)
+
+
+def synthetic_buffer(S, seed, dones_at=(), lanes=None):
+    """S random transitions in `lanes` (one lane of S by default), each
+    lane with its own random bootstrap value."""
+    lanes = [S] if lanes is None else lanes
+    assert sum(lanes) == S
     g = np.random.default_rng(seed)
     buf = ppo.RolloutBuffer(
         points=np.zeros((S, 1, 5)),
@@ -164,7 +229,8 @@ def synthetic_buffer(S, seed, dones_at=()):
         rewards=g.normal(size=S),
         values=g.normal(size=S),
         dones=np.zeros(S),
-        bootstrap_value=float(g.normal()),
+        lane_sizes=list(lanes),
+        bootstrap_values=g.normal(size=len(lanes)),
     )
     for i in dones_at:
         buf.dones[i] = 1.0
@@ -172,14 +238,18 @@ def synthetic_buffer(S, seed, dones_at=()):
 
 
 def gae_brute_force(buf, gamma, lam):
-    """Direct sum A_t = sum_k (gamma*lam)^k delta_{t+k}, cut at episode ends."""
+    """Direct sum A_t = sum_k (gamma*lam)^k delta_{t+k}, cut at episode ends
+    and at the end of t's lane, where the lane's bootstrap value stands in
+    for the next state's value."""
     S = buf.size
+    lane_end = np.repeat(np.cumsum(buf.lane_sizes), buf.lane_sizes)
+    lane_of = np.repeat(np.arange(len(buf.lane_sizes)), buf.lane_sizes)
     adv = np.zeros(S)
     for t in range(S):
         acc = 0.0
         coef = 1.0
-        for k in range(t, S):
-            next_value = buf.values[k + 1] if k + 1 < S else buf.bootstrap_value
+        for k in range(t, lane_end[t]):
+            next_value = buf.values[k + 1] if k + 1 < lane_end[t] else buf.bootstrap_values[lane_of[t]]
             mask = 1.0 - buf.dones[k]
             delta = buf.rewards[k] + gamma * next_value * mask - buf.values[k]
             acc += coef * delta
@@ -187,6 +257,20 @@ def gae_brute_force(buf, gamma, lam):
                 break
             coef *= gamma * lam
         adv[t] = acc
+    return adv
+
+
+def gae_one_lane_recursion(buf, gamma, lam):
+    """The single-lane recursion GAE ran before rollouts had lanes."""
+    S = buf.size
+    adv = np.zeros(S)
+    carry = 0.0
+    for t in range(S - 1, -1, -1):
+        next_value = buf.values[t + 1] if t + 1 < S else float(buf.bootstrap_values[0])
+        mask = 1.0 - buf.dones[t]
+        delta = buf.rewards[t] + gamma * next_value * mask - buf.values[t]
+        carry = delta + gamma * lam * mask * carry
+        adv[t] = carry
     return adv
 
 
@@ -201,10 +285,36 @@ class TestComputeGAE:
         ppo.compute_gae(buf, gamma, lam, normalize=False)
         assert np.max(np.abs(buf.advantages - expected)) <= 1e-10
 
+    @pytest.mark.parametrize("gamma", [1e-12, 0.5, 0.95, 1.0])
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 0.95, 1.0])
+    def test_lanes_match_brute_force(self, gamma, lam):
+        # four lanes: one ends on an episode end (its bootstrap must not
+        # count), one holds an episode end mid-lane, one is a single step
+        buf = synthetic_buffer(26, 43, dones_at=(3, 8, 12), lanes=[9, 9, 7, 1])
+        expected = gae_brute_force(buf, gamma, lam)
+        ppo.compute_gae(buf, gamma, lam, normalize=False)
+        assert np.max(np.abs(buf.advantages - expected)) <= 1e-10
+
+    @pytest.mark.parametrize("dones_at", [(), (7, 15), (24,)])
+    def test_one_lane_keeps_the_single_lane_arithmetic(self, dones_at):
+        buf = synthetic_buffer(25, 44, dones_at=dones_at)
+        expected = gae_one_lane_recursion(buf, 0.99, 0.95)
+        ppo.compute_gae(buf, 0.99, 0.95, normalize=False)
+        assert buf.advantages.tobytes() == expected.tobytes()
+
+    def test_lane_boundaries_at_episode_ends_change_nothing(self):
+        # a lane that ends in an episode end bootstraps nothing, so cutting
+        # one lane at its episode ends gives the same advantages
+        one = synthetic_buffer(24, 45, dones_at=(7, 15, 23))
+        split = synthetic_buffer(24, 45, dones_at=(7, 15, 23), lanes=[8, 8, 8])
+        ppo.compute_gae(one, 0.99, 0.95, normalize=False)
+        ppo.compute_gae(split, 0.99, 0.95, normalize=False)
+        assert split.advantages.tobytes() == one.advantages.tobytes()
+
     def test_lambda_zero_gives_td_errors(self):
         buf = synthetic_buffer(20, 7, dones_at=(11,))
         ppo.compute_gae(buf, 0.9, 0.0, normalize=False)
-        next_values = np.append(buf.values[1:], buf.bootstrap_value)
+        next_values = np.append(buf.values[1:], buf.bootstrap_values[0])
         deltas = buf.rewards + 0.9 * next_values * (1.0 - buf.dones) - buf.values
         assert np.array_equal(buf.advantages, deltas)
 
@@ -213,7 +323,7 @@ class TestComputeGAE:
         # plain sum of rewards from t to the end of its episode
         buf = synthetic_buffer(12, 3, dones_at=(4, 11))
         buf.values[:] = 0.0
-        buf.bootstrap_value = 0.0
+        buf.bootstrap_values[:] = 0.0
         ppo.compute_gae(buf, 1.0, 1.0, normalize=False)
         expected = np.zeros(12)
         for t in range(12):
@@ -241,7 +351,7 @@ class TestComputeGAE:
 
     def test_single_sample_skips_normalization(self):
         buf = synthetic_buffer(1, 2)
-        delta = buf.rewards[0] + 0.9 * buf.bootstrap_value - buf.values[0]
+        delta = buf.rewards[0] + 0.9 * buf.bootstrap_values[0] - buf.values[0]
         ppo.compute_gae(buf, 0.9, 0.95, normalize=True)
         assert buf.advantages[0] == delta
 
@@ -249,7 +359,7 @@ class TestComputeGAE:
         buf = synthetic_buffer(8, 1)
         buf.rewards[:] = 0.5
         buf.values[:] = 0.0
-        buf.bootstrap_value = 0.0
+        buf.bootstrap_values[:] = 0.0
         buf.dones[:] = 1.0  # every step its own episode: all deltas equal
         ppo.compute_gae(buf, 0.99, 0.95, normalize=True)
         assert np.array_equal(buf.advantages, np.zeros(8))
@@ -266,8 +376,7 @@ def minibatch_logps(store, spec, buf, idx):
 
 
 def rollout_with_gae(store, spec, task="reach2d", samples=32, seed=0, **gae):
-    env = make_env(make_config(task, horizon=40))
-    buf = ppo.collect_rollout(store, spec, env, samples, make_generator(seed, "fd"))
+    buf = ppo.collect_rollout(store, spec, make_config(task, horizon=40), samples, make_generator(seed, "fd"))
     ppo.compute_gae(buf, gae.get("gamma", 0.99), gae.get("lam", 0.95))
     return buf
 
@@ -353,8 +462,7 @@ class TestSurrogateGradients:
 class TestPPOUpdate:
     def test_requires_gae(self):
         store, spec = fresh_policy()
-        env = make_env(make_config("reach2d", horizon=40))
-        buf = ppo.collect_rollout(store, spec, env, 8, make_generator(0, "u"))
+        buf = ppo.collect_rollout(store, spec, make_config("reach2d", horizon=40), 8, make_generator(0, "u"))
         cfg = ppo.PPOConfig(samples_per_step=8, minibatch_size=8, total_steps=0)
         with pytest.raises(ConfigError):
             ppo.ppo_update(store, spec, buf, cfg, make_generator(0), nn.init_adam(store.size, 3e-4))
@@ -473,6 +581,34 @@ class TestTrainPPO:
         assert np.array_equal(end_full.adam.v, end_split.adam.v)
         assert end_full.adam.t == end_split.adam.t
         assert np.array_equal(end_full.rng_words, end_split.rng_words)
+
+    @pytest.mark.parametrize("samples,horizon,lanes", [(40, 40, 1), (80, 40, 2), (96, 5, 16)])
+    def test_resume_is_bit_exact_at_each_lane_count(self, samples, horizon, lanes, tmp_path):
+        # the lane count follows from samples and horizon; at each of them a
+        # run stopped after two rollouts and resumed from its checkpoint
+        # ends where the uninterrupted run ends, bit for bit
+        assert len(ppo.lane_sizes(samples, horizon)) == lanes
+        env_cfg = make_config("reach2d", horizon=horizon)
+
+        def run(total, out, resume=None):
+            cfg = small_cfg(
+                samples_per_step=samples, minibatch_size=samples // 2, total_steps=total, eval_period=samples
+            )
+            return ppo.train_ppo(cfg, env_cfg, seed=7, out_dir=str(tmp_path / out), resume=resume)
+
+        full = run(3 * samples, "full")
+        first = run(2 * samples, "first")
+        restore = load_checkpoint(str(tmp_path / "first" / f"ckpt-{2 * samples:08d}.ckpt"))
+        second = run(samples, "second", restore)
+        assert first + second[1:] == full
+        name = f"ckpt-{3 * samples:08d}.ckpt"
+        end_full = load_checkpoint(str(tmp_path / "full" / name))
+        end_split = load_checkpoint(str(tmp_path / "second" / name))
+        assert end_full.params.tobytes() == end_split.params.tobytes()
+        assert end_full.adam.m.tobytes() == end_split.adam.m.tobytes()
+        assert end_full.adam.v.tobytes() == end_split.adam.v.tobytes()
+        assert end_full.adam.t == end_split.adam.t
+        assert end_full.rng_words.tobytes() == end_split.rng_words.tobytes()
 
     def test_resume_rejects_wrong_trainer_kind(self, tmp_path):
         cfg = make_config("reach2d", horizon=40)
