@@ -31,15 +31,15 @@ from deskrl.rng import make_generator
 
 GOLDEN = {
     "ppo_reach2d": {
-        "params": "4f59e5799d61e552f674e22c008d16d6fb802718f59ab6e8514142891299f279",
-        "adam_m": "4d252edf242aecfe8c98bd2312c333bd6e3854cf072e881e289bbcab24fca96d",
-        "adam_v": "f4de7c534c4cdf36c11f3537b1bd69f6fcc7e88ac6c97d5c8317b4a948d7b879",
+        "params": "a1d56d3e180d5ca87828c5d0cb2affdcd43cb3f213039a11039eaee336348c78",
+        "adam_m": "0510645ce7a0f08bd7e808651f374c44bd7644ff1f786a868146de6cda3ee654",
+        "adam_v": "9c40b412e1ec4b0b4bac3ea46b5fd4d6ad67ce9e2fca51ec0ac6c4458e79d6c0",
         "trendline": "a0b1632bd3eeb11ce8f2e0c3a6639b5dce7cd6c84ceee919fd32e5ff65a91fdc",
     },
     "ppo_pushbox2d": {
-        "params": "103b803cc5c2e381697e649eb24bbac55e024d156731f352795bb167ecc78e8b",
-        "adam_m": "b66a91c042a0cd28ebc4071e72345478b6d10781311abd1531e8f9491a320339",
-        "adam_v": "c4ff6eeb8a7574b8660f3edd305718d655502bce45a7106a3450a84a39623f3f",
+        "params": "f34ab0f8f49a92b4a75cc404ce78561628e6c343f7d485dddf8745335172ec32",
+        "adam_m": "5ea01a092e123b9bce32a0ee5097acf105e1b6efb4bd0a13a2b8412aa80636ed",
+        "adam_v": "8d3c43ce549c90a98359e4088717ba4077df87e4c81390ac3d692f153d5bc6f1",
         "trendline": "a0b1632bd3eeb11ce8f2e0c3a6639b5dce7cd6c84ceee919fd32e5ff65a91fdc",
     },
     "bc_gather2d": {
@@ -49,9 +49,9 @@ GOLDEN = {
         "trendline": "df788257f0954b07076c943f783e3f6674224a1f6137c75a08049fda6d620ee8",
     },
     "two_stage_ppo_reach2d": {
-        "params": "112b9eaa98ce289cb2416d216e7c1c75cc4b7a5fd8c68719895353d25ca6fbbe",
-        "adam_m": "44cb71f2d389aeb70cb4aeb0ced13dd667d6db82754513d139bcbd48c1db8236",
-        "adam_v": "9f1759e3f034bd3293c34c45afec49afa165ded84c40a07886f6416e5741ac8e",
+        "params": "11509b913784d39590fe467c01b023b2670c43ea3ee5e51e527732a6a49a9d05",
+        "adam_m": "b0524ddbb132f87ac9b6e99db268699aa6258afa64b347acde1ba971603c7d09",
+        "adam_v": "abd49fbe4169a7ff9b8b8ccf0aa27d6735290b81621bc8c25437259cd1c23e7d",
         "trendline": "92c18da58c47e0054e93b63a05e6aa5f89ad8e5b312ebb397bf263c13ba6098a",
     },
     "grid_bc_reach2d": {
@@ -206,12 +206,12 @@ def test_file_bytes_are_unchanged(kind, tmp_path):
 
 
 TRANSITION_GOLDEN = {
-    "reach2d-train": "d75d91147eb7dd2ecf9571d98dae05c202f7968bdfef6c3832b191fd6d3a57bc",
-    "reach2d-test": "30a812f5a773973c7ea21092702be0df9633fae5636a313fbc177bc73ba4dfa4",
-    "pushbox2d-train": "300fe1adc2c9476c4148fb6573ddfebf0842dadf2eaeafdfece05b6e21bd5d1d",
-    "pushbox2d-test": "40191796b3dd0983b1566eae55bc9881134d9664d6e0ccbd929706bcd4c36ab5",
-    "gather2d-train": "ba2969a41657d9c49aa097fd238b6d4c9fed92db34006f3b0cf1cf323c371dab",
-    "gather2d-test": "a887ac5236208b995ba5659dfbb60597a606101cfaf7ab2742efb153eb5d7032",
+    "reach2d-train": "07a1e25e3d8451dd25c164e8554bca56f0daf8ffe1364c721d5dbaf2cdefc2bd",
+    "reach2d-test": "30511c2c6a3a73df0c00b6630bfe1d7e4a1e1378d506c3ede4238771f7e77226",
+    "pushbox2d-train": "bee4ccffda184d670f4b9c0883d146e5964da9cb53541e9b4460f6860d75daf5",
+    "pushbox2d-test": "ce2d38d72344ada63bd15372cb1974bf97838471dd2faeff47ce40ba1c905b6c",
+    "gather2d-train": "d1c235b62be90b737ce079e41f5a77953349df392b95707ebf0c329142973604",
+    "gather2d-test": "0957a995d466115ec5ff6a14475ea196a105c7cf0f25ee8be2cf8298087f64c3",
 }
 
 
