@@ -172,6 +172,7 @@ class TestLockstep:
         (92, 30, [31, 31, 30]),
         (2048, 100, [128] * 16),
         (512, 150, [171, 171, 170]),
+        (384, 150, [192, 192]),
         (165, 5, [11] * 5 + [10] * 11),
     ])
     def test_lane_rule(self, samples, horizon, sizes):
