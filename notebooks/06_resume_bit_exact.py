@@ -2,11 +2,15 @@
 
 An uninterrupted run and a split run (train, stop at a checkpoint,
 restore, continue) produce byte-identical parameters, optimizer
-moments, and metric histories.  Nothing here is tolerance-based: the
-rollout generator state rides in the checkpoint, PPO's reference
-log-probabilities are the ones each rollout records, so nothing about
-them outlives the iteration, and the BC sampler derives its stream
-position from the step counter alone.
+moments, and metric histories.  Nothing here is tolerance-based: the run
+generator's state rides in the checkpoint, and each rollout keys its
+lanes' streams (episode seeds and action noise, one stream per lane of
+the lockstep rollout) from it at the rollout start, so no lane state
+outlives a rollout.  PPO's reference log-probabilities are the ones each
+rollout records, so nothing about them outlives the iteration either,
+and the BC sampler derives its stream position from the step counter
+alone.  The run below collects 80 samples per rollout at horizon 40:
+two lanes of 40 steps.
 """
 
 import atexit
