@@ -77,9 +77,10 @@ class PPOConfig:
             raise ConfigError("loss coefficients cannot be negative")
 
 
-# lanes per rollout at most: the batched forward cost 126 us per cloud at
-# 1 cloud, 35 at 16 and 66 at 32; past 16 clouds its per-point activations
-# (K * 64 rows x 64 float64, 512 KB at 16) outgrow a core's L2
+# lanes per rollout at most: the batched forward (policy.mean_actions on
+# pushbox2d, an AVX-512 Xeon with 2 MB of L2 per core) cost 126 us per cloud
+# at 1 cloud, 35 at 16 and 66 at 32; past 16 clouds its per-point
+# activations (K * 64 rows x 64 float64, 512 KB at 16) outgrow the L2
 MAX_LANES = 16
 
 
