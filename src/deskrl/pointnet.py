@@ -8,21 +8,29 @@ MLP produces the final feature.
 There is one forward computation, on (B, N, C) stacks of clouds; encode()
 runs a single observation through it as a one-row batch.  encode_batch()
 and encode_batch_trace() share that forward, so a sample's output bits do
-not depend on which of the two encoded it.  The per-point net is one
-BLAS matmul over all B*N points, and a point's output row comes out with
-the same bits whatever rows surround it: encode() is bit-identical under
+not depend on which of the two encoded it.  Each per-point layer is one
+BLAS matmul over all B*N points, and a point's output comes out with the
+same bits whatever points surround it: encode() is bit-identical under
 any permutation of a cloud's points and under duplication of existing
-points, which tests/test_pointnet.py pins.  The post net's bits can
-depend on the batch's row count (a one-row batch may take another BLAS
-kernel than a 64-row one), so a cloud encoded alone and the same cloud
-inside a larger batch can differ in the last bits.  The padding that
+points, which tests/test_pointnet.py pins.  Up to its last affine layer
+the per-point net runs point-major, one (B*N, width) row per point.  That
+layer runs feature-major: W.T @ H.T + b.T fills an (F, B*N) array with
+the bits of (H @ W + b).T (tested under the SkylakeX, Haswell, Zen and
+Prescott OpenBLAS kernels), the activations after it work on that array,
+and the argmax pool scans each feature's N points along its contiguous
+axis, about half the time of the strided scan over a (B, N, F) array.
+
+The post net's bits can depend on the batch's row count (a one-row batch
+may take another BLAS kernel than a 64-row one), so a cloud encoded alone
+and the same cloud inside a larger batch can differ in the last bits.  The padding that
 removes this lives in encode_batch_padded(): it pads the post net's
 input rows with copies of the first to a multiple of POST_ROW_MULTIPLE,
 and a row's output then has the same bits at any batch size.
 The policy's batched calls (policy.mean_actions() for evaluation,
 policy.sample_actions() for rollouts) run their heads on those padded
 rows, so an action does not depend on the episodes that share its tick.
-The update encodes unpadded (encode_batch_trace).
+The update encodes unpadded (encode_batch_trace).  The padded forward
+stays point-major and pools with np.max (see _max_pool).
 
 The max-pool's gradient reaches only the point each feature pooled from,
 so encode_batch_backward() runs the per-point net backward through the
@@ -163,33 +171,75 @@ def _head_and_tail(net: nn.NetSpec) -> tuple[nn.NetSpec, tuple[nn.LayerSpec, ...
     return nn.NetSpec(net.layers[: last + 1]), net.layers[last + 1 :]
 
 
+def _argmax_pool(feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pool indices and pooled values, (B, F) each, of feature-major
+    (F, B, N) per-point features.
+
+    argmax runs over the contiguous point axis, the lowest index winning
+    ties, and the values are read at those indices.
+    """
+    pool_idx = np.argmax(feats, axis=2)
+    pooled = np.take_along_axis(feats, pool_idx[:, :, None], axis=2)[:, :, 0]
+    return pool_idx.T, pooled.T
+
+
 def _pool_forward(
     store: nn.ParamStore, spec: EncoderSpec, points: np.ndarray, prefix: str
-) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-    """The per-point net over all B*N points and the max pool: per-point cache, pool indices, pooled features."""
+) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray, np.ndarray]:
+    """The per-point net over all B*N points and the max pool.
+
+    The net runs point-major, (B*N, width), up to its last affine layer.
+    That layer is computed feature-major, W.T @ H.T + b.T into a fresh
+    (F, B*N) array, whose entries have the bits of (H @ W + b).T; the tail
+    activations then work on it, the first in place, and the pool reads
+    its (F, B, N) view.  Returns the head's cache (nn.forward_batch_trace's
+    layout, ending with the last affine layer's input), the tail
+    activations' (F, B*N) outputs, the pool indices and the pooled
+    features.
+    """
     B, N, C = points.shape
-    F = spec.feature_dim
-    feats, pp_cache = nn.forward_batch_trace(store, spec.per_point, points.reshape(B * N, C), f"{prefix}.pp")
-    pool_idx = np.argmax(feats.reshape(B, N, F), axis=1)
-    pooled = np.take_along_axis(feats.reshape(B, N, F), pool_idx[:, None, :], axis=1)[:, 0, :]
-    return pp_cache, pool_idx, pooled
+    head, tail = _head_and_tail(spec.per_point)
+    h = points.reshape(B * N, C)
+    if len(head.layers) > 1:
+        h, head_cache = nn.forward_batch_trace(store, nn.NetSpec(head.layers[:-1]), h, f"{prefix}.pp")
+    else:
+        h, head_cache = nn._check_input(h, C, f"{prefix}.pp"), []
+    head_cache.append(h)
+    j = sum(layer.kind == "affine" for layer in head.layers) - 1
+    z = store.get(f"{prefix}.pp.W{j}").T @ h.T
+    z += store.get(f"{prefix}.pp.b{j}").T
+    tail_cache: list[np.ndarray] = []
+    for i, layer in enumerate(tail):
+        # the first activation overwrites the fresh affine output; a later
+        # one writes a new array, since the one before it is cached
+        z = nn._apply_activation(layer.fn, z, out=None if i else z)
+        tail_cache.append(z)
+    pool_idx, pooled = _argmax_pool(z.reshape(spec.feature_dim, B, N))
+    return head_cache, tail_cache, pool_idx, pooled
 
 
 def _max_pool(feats: np.ndarray) -> np.ndarray:
-    """The pooled values of (B, N, F) per-point features, (B, F), without
-    the index: the padded forward reads only these, and np.max costs about
-    half of np.argmax over the strided point axis."""
+    """The pooled values of point-major (B, N, F) per-point features,
+    (B, F), without the index: the padded forward reads only these, and
+    np.max costs about half of np.argmax over the strided point axis.
+
+    The padded forward stays point-major.  Its batches are the K <= 16
+    clouds of a lockstep tick, where the strided pool is cheap: a
+    feature-major padded forward was no faster (416 against 385 us at
+    K = 16), and it read ppo_reach's eval_episodes_per_s 111 -> 99 and
+    105 in the benchmark.
+    """
     return np.max(feats, axis=1)
 
 
 def _encode_batch_forward(
     store: nn.ParamStore, spec: EncoderSpec, points: np.ndarray, proprio: np.ndarray, prefix: str
-) -> tuple[np.ndarray, list[np.ndarray], np.ndarray, np.ndarray, list[np.ndarray]]:
-    """The one batched forward: output, per-point cache, pool indices, pooled features, post cache."""
-    pp_cache, pool_idx, pooled = _pool_forward(store, spec, points, prefix)
+) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray], np.ndarray, np.ndarray, list[np.ndarray]]:
+    """The one batched forward: output, head cache, tail outputs, pool indices, pooled features, post cache."""
+    head_cache, tail_cache, pool_idx, pooled = _pool_forward(store, spec, points, prefix)
     x = np.concatenate([pooled, proprio], axis=1)
     out, post_cache = nn.forward_batch_trace(store, spec.post, x, f"{prefix}.post")
-    return out, pp_cache, pool_idx, pooled, post_cache
+    return out, head_cache, tail_cache, pool_idx, pooled, post_cache
 
 
 def encode_batch_trace(
@@ -199,11 +249,19 @@ def encode_batch_trace(
     proprio: np.ndarray,
     prefix: str = "enc",
 ) -> tuple[np.ndarray, EncodeBatchCache]:
-    """encode_batch() plus what encode_batch_backward needs."""
+    """encode_batch() plus what encode_batch_backward needs.
+
+    The per-point net's last affine layer and the activations after it
+    run feature-major, so the argmax pool scans each feature's points
+    contiguously (see _pool_forward); the cache keeps only the pooled
+    points (see EncodeBatchCache).
+    """
     points, proprio = _check_batch(spec, points, proprio)
     B, N, _ = points.shape
     F = spec.feature_dim
-    out, pp_cache, pool_idx, pooled, post_cache = _encode_batch_forward(store, spec, points, proprio, prefix)
+    out, head_cache, tail_cache, pool_idx, pooled, post_cache = _encode_batch_forward(
+        store, spec, points, proprio, prefix
+    )
     flat = pool_idx + (np.arange(B) * N)[:, None]
     used = np.zeros(B * N, dtype=bool)
     used[flat] = True
@@ -215,16 +273,12 @@ def encode_batch_trace(
     # another order than its single-threaded one, which would tie the
     # parameter gradient's bits to the BLAS thread count.
     rows = np.concatenate([rows, rows[:1].repeat(-rows.size % 64)])
-    n_head = len(_head_and_tail(spec.per_point)[0].layers)
     head_rows: list[np.ndarray] = []
-    for i, c in enumerate(pp_cache[:n_head]):
+    for i, c in enumerate(head_cache):
         # an activation's output is cached again as the next affine layer's
         # input; gather that array once and list it twice
-        head_rows.append(head_rows[-1] if i and c is pp_cache[i - 1] else c[rows])
-    tail_out = [
-        pooled if c is pp_cache[-1] else c.reshape(B, N, F)[np.arange(B)[:, None], pool_idx, np.arange(F)]
-        for c in pp_cache[n_head:]
-    ]
+        head_rows.append(head_rows[-1] if i and c is head_cache[i - 1] else c[rows])
+    tail_out = [pooled if c is tail_cache[-1] else c[np.arange(F), flat] for c in tail_cache]
     return out, EncodeBatchCache(slot, head_rows, tail_out, post_cache)
 
 

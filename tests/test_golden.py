@@ -65,19 +65,31 @@ GOLDEN = {
 
 
 @pytest.fixture(autouse=True)
-def _max_pool_has_argmax_pool_bits(monkeypatch):
-    """In every case here, the padded forward's max pool must give the
-    values the argmax pool of the traced forward gives, bit for bit,
-    signed zeros included."""
-    pool = pointnet._max_pool
+def _pools_have_strided_argmax_bits(monkeypatch):
+    """In every case here, both pools must give what the argmax over the
+    strided point axis of point-major (B, N, F) features gives, bit for
+    bit, signed zeros included: the padded forward's max pool its values,
+    the traced forward's feature-major pool its indices and values."""
+    max_pool, argmax_pool = pointnet._max_pool, pointnet._argmax_pool
 
-    def checked(feats):
-        pooled = pool(feats)
+    def reference(feats):
         idx = np.argmax(feats, axis=1)
-        assert pooled.tobytes() == np.take_along_axis(feats, idx[:, None, :], axis=1)[:, 0, :].tobytes()
+        return idx, np.take_along_axis(feats, idx[:, None, :], axis=1)[:, 0, :]
+
+    def checked_max(feats):
+        pooled = max_pool(feats)
+        assert pooled.tobytes() == reference(feats)[1].tobytes()
         return pooled
 
-    monkeypatch.setattr(pointnet, "_max_pool", checked)
+    def checked_argmax(feats):
+        idx, pooled = argmax_pool(feats)
+        ref_idx, ref_pooled = reference(np.ascontiguousarray(feats.transpose(1, 2, 0)))
+        assert np.array_equal(idx, ref_idx)
+        assert pooled.tobytes() == ref_pooled.tobytes()
+        return idx, pooled
+
+    monkeypatch.setattr(pointnet, "_max_pool", checked_max)
+    monkeypatch.setattr(pointnet, "_argmax_pool", checked_argmax)
 
 
 def _sha(data: bytes) -> str:

@@ -1,6 +1,7 @@
 """Encoder tests: set invariances at bit level, gradients against finite differences."""
 
 import os
+import platform
 import subprocess
 import sys
 
@@ -8,7 +9,9 @@ import numpy as np
 import pytest
 
 from deskrl import nn, pointnet
+from deskrl.envs import make_config, make_env
 from deskrl.errors import NonFiniteError, ShapeMismatchError
+from deskrl.policy import build_policy_spec
 from deskrl.rng import make_generator
 
 
@@ -140,6 +143,14 @@ def test_single_path_gradient_matches_finite_differences():
             checked += 1
 
 
+def strided_argmax_pool(feats):
+    """The pool indices and pooled values of point-major (B, N, F) features:
+    argmax over the strided point axis, the first (lowest) index winning
+    ties, and the values read there with take_along_axis."""
+    pool_idx = np.argmax(feats, axis=1)
+    return pool_idx, np.take_along_axis(feats, pool_idx[:, None, :], axis=1)[:, 0, :]
+
+
 def dense_backward(store, spec, points, proprio, d_out, grad):
     """The plain reference backward: the pooled gradient is scattered into a
     zero (B, N, F) array at each feature's argmax, and all B*N points are
@@ -147,9 +158,7 @@ def dense_backward(store, spec, points, proprio, d_out, grad):
     B, N, C = points.shape
     F = spec.feature_dim
     feats, pp_cache = nn.forward_batch_trace(store, spec.per_point, points.reshape(B * N, C), "enc.pp")
-    feats = feats.reshape(B, N, F)
-    pool_idx = np.argmax(feats, axis=1)  # first (lowest) index wins ties
-    pooled = np.take_along_axis(feats, pool_idx[:, None, :], axis=1)[:, 0, :]
+    pool_idx, pooled = strided_argmax_pool(feats.reshape(B, N, F))
     x = np.concatenate([pooled, proprio], axis=1)
     _, post_cache = nn.forward_batch_trace(store, spec.post, x, "enc.post")
     dx = nn.backward_batch(store, spec.post, post_cache, d_out, grad, "enc.post")
@@ -212,6 +221,121 @@ def test_batched_backward_matches_sum_of_singles(case):
         assert grad_batch[store.slice_bounds("enc.pp.b1")[0] + 2] == 0.0
 
 
+def point_major_trace(store, spec, points, proprio):
+    """encode_batch_trace's output and cache as the point-major reference
+    computes them: the whole per-point net over (B*N, F) rows, pooled by
+    strided_argmax_pool, the cache gathered at the pooled points."""
+    B, N, C = points.shape
+    F = spec.feature_dim
+    feats, pp_cache = nn.forward_batch_trace(store, spec.per_point, points.reshape(B * N, C), "enc.pp")
+    pool_idx, pooled = strided_argmax_pool(feats.reshape(B, N, F))
+    out, post_cache = nn.forward_batch_trace(store, spec.post, np.concatenate([pooled, proprio], axis=1), "enc.post")
+    flat = pool_idx + (np.arange(B) * N)[:, None]
+    used = np.zeros(B * N, dtype=bool)
+    used[flat] = True
+    rows = np.flatnonzero(used)
+    rows = np.concatenate([rows, rows[:1].repeat(-rows.size % 64)])
+    n_head = len(pointnet._head_and_tail(spec.per_point)[0].layers)
+    head_rows = [c[rows] for c in pp_cache[:n_head]]
+    tail_out = [c.reshape(B, N, F)[np.arange(B)[:, None], pool_idx, np.arange(F)] for c in pp_cache[n_head:]]
+    cache = pointnet.EncodeBatchCache((np.cumsum(used) - 1)[flat], head_rows, tail_out, post_cache)
+    return out, pool_idx, pooled, cache
+
+
+def _small_batch(case):
+    spec, store = make_encoder(4, proprio_width=4, per_point=(8, 12), post=(6,))
+    spec, obs_list = case(spec, store, make_generator(4, "fmajor"))
+    return (spec, store, *stack(obs_list))
+
+
+def _gather2d_batch():
+    # 64 observations of gather2d episodes under the scripted expert, on
+    # the task's full-size encoder: the products run at a real update's shape
+    spec = build_policy_spec("gather2d").encoder
+    store = nn.ParamStore()
+    pointnet.init_encoder_params(store, spec, make_generator(4, "enc"), "enc")
+    env = make_env(make_config("gather2d"))
+    obs_list = [env.reset(0)]
+    while len(obs_list) < 64:
+        step = env.step(env.expert_action())
+        obs_list.append(env.reset(len(obs_list)) if step.done else step.obs)
+    return (spec, store, *stack(obs_list))
+
+
+def _one_layer_batch():
+    # a per-point net of one affine layer: its feature-major product reads
+    # the points themselves
+    spec, store = make_encoder(4, proprio_width=4, per_point=(12,), post=(6,))
+    return (spec, store, *stack(_random_clouds(spec, store, make_generator(4, "fmajor"))[1]))
+
+
+TRACE_BATCHES = {
+    "random": lambda: _small_batch(_random_clouds),
+    "ties": lambda: _small_batch(_tied_clouds),
+    "dead_feature": lambda: _small_batch(_dead_feature),
+    "stacked_tail": lambda: _small_batch(_stacked_tail),
+    "one_layer": _one_layer_batch,
+    "gather2d": _gather2d_batch,
+}
+
+
+@pytest.mark.parametrize("batch", list(TRACE_BATCHES))
+def test_traced_forward_matches_point_major_reference(batch):
+    # the last per-point layer runs feature-major and pools over the
+    # contiguous point axis; every value and index must keep the bits of
+    # the point-major forward and its strided argmax pool
+    spec, store, pts, prop = TRACE_BATCHES[batch]()
+    ref_out, ref_idx, ref_pooled, ref = point_major_trace(store, spec, pts, prop)
+    _, _, pool_idx, pooled = pointnet._pool_forward(store, spec, pts, "enc")
+    out, cache = pointnet.encode_batch_trace(store, spec, pts, prop, "enc")
+    assert np.array_equal(pool_idx, ref_idx)
+    assert pooled.tobytes() == ref_pooled.tobytes()
+    assert out.tobytes() == ref_out.tobytes()
+    assert np.array_equal(cache.slot, ref.slot)
+    for got, want in [*zip(cache.head_rows, ref.head_rows), *zip(cache.tail_out, ref.tail_out)]:
+        assert got.tobytes() == want.tobytes()
+    assert len(cache.head_rows) == len(ref.head_rows) and len(cache.tail_out) == len(ref.tail_out)
+
+
+# what each OPENBLAS_CORETYPE kernel needs of the CPU, as /proc/cpuinfo names it
+_KERNEL_FLAGS = {
+    "SkylakeX": {"avx512f", "avx512cd", "avx512bw", "avx512dq", "avx512vl"},
+    "Haswell": {"avx2", "fma"},
+    "Zen": {"avx2", "fma"},
+    "Prescott": {"pni"},
+}
+
+
+def _cpu_flags():
+    try:
+        with open("/proc/cpuinfo") as fh:
+            return next((set(line.split(":", 1)[1].split()) for line in fh if line.startswith("flags")), set())
+    except OSError:
+        return set()
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"),
+    reason="OPENBLAS_CORETYPE names x86-64 kernels",
+)
+@pytest.mark.parametrize("kernel", list(_KERNEL_FLAGS))
+def test_traced_forward_matches_reference_on_each_blas_kernel(kernel):
+    # the feature-major product W.T @ H.T must have the bits of (H @ W).T
+    # under every kernel OpenBLAS picks on x86-64, not just this machine's
+    missing = _KERNEL_FLAGS[kernel] - _cpu_flags()
+    if missing:
+        pytest.skip(f"this CPU cannot run the {kernel} kernel: no {', '.join(sorted(missing))}")
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(here), "src"), "OPENBLAS_CORETYPE": kernel}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{os.path.join(here, 'test_pointnet.py')}::test_traced_forward_matches_point_major_reference"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert f"{len(TRACE_BATCHES)} passed" in proc.stdout
+
+
 _GRADIENT_DIGEST = """
 import hashlib
 import numpy as np
@@ -264,7 +388,7 @@ def test_pool_tie_breaks_to_lowest_index():
     obs = random_obs(spec, gen, 16)
 
     def pool_idx(points):
-        return pointnet._encode_batch_forward(store, spec, points[None], obs.proprio[None], "enc")[2][0]
+        return pointnet._encode_batch_forward(store, spec, points[None], obs.proprio[None], "enc")[3][0]
 
     before = pool_idx(obs.points)
     # append an exact copy of the point most features pooled from: each of
