@@ -242,8 +242,8 @@ def point_major_trace(store, spec, points, proprio):
     return out, pool_idx, pooled, cache
 
 
-def _small_batch(case):
-    spec, store = make_encoder(4, proprio_width=4, per_point=(8, 12), post=(6,))
+def _small_batch(case, per_point=(8, 12)):
+    spec, store = make_encoder(4, proprio_width=4, per_point=per_point, post=(6,))
     spec, obs_list = case(spec, store, make_generator(4, "fmajor"))
     return (spec, store, *stack(obs_list))
 
@@ -262,19 +262,14 @@ def _gather2d_batch():
     return (spec, store, *stack(obs_list))
 
 
-def _one_layer_batch():
-    # a per-point net of one affine layer: its feature-major product reads
-    # the points themselves
-    spec, store = make_encoder(4, proprio_width=4, per_point=(12,), post=(6,))
-    return (spec, store, *stack(_random_clouds(spec, store, make_generator(4, "fmajor"))[1]))
-
-
 TRACE_BATCHES = {
     "random": lambda: _small_batch(_random_clouds),
     "ties": lambda: _small_batch(_tied_clouds),
     "dead_feature": lambda: _small_batch(_dead_feature),
     "stacked_tail": lambda: _small_batch(_stacked_tail),
-    "one_layer": _one_layer_batch,
+    # a per-point net of one affine layer, whose feature-major product
+    # reads the points themselves
+    "one_layer": lambda: _small_batch(_random_clouds, per_point=(12,)),
     "gather2d": _gather2d_batch,
 }
 
@@ -292,9 +287,9 @@ def test_traced_forward_matches_point_major_reference(batch):
     assert pooled.tobytes() == ref_pooled.tobytes()
     assert out.tobytes() == ref_out.tobytes()
     assert np.array_equal(cache.slot, ref.slot)
+    assert len(cache.head_rows) == len(ref.head_rows) and len(cache.tail_out) == len(ref.tail_out)
     for got, want in [*zip(cache.head_rows, ref.head_rows), *zip(cache.tail_out, ref.tail_out)]:
         assert got.tobytes() == want.tobytes()
-    assert len(cache.head_rows) == len(ref.head_rows) and len(cache.tail_out) == len(ref.tail_out)
 
 
 # what each OPENBLAS_CORETYPE kernel needs of the CPU, as /proc/cpuinfo names it
