@@ -19,11 +19,16 @@ per step, so observation noise stays out of the learning signal.
 Everything is deterministic: (config, episode seed, action sequence) fully
 determines every result, bit for bit.  Integration is semi-implicit Euler
 with a few substeps per control tick; commands are joint accelerations
-under unit inertia.  The 2-vector state of a step (joint angles and
-velocities, the arm tip, the box) is carried on Python floats in numpy's
-order of operations, so it gives the same bits as the array expressions it
-stands for.  The controllers run on floats too (see controllers.py); the
-particles and point clouds stay numpy.
+under unit inertia.  The state of a step (joint angles and velocities,
+the arm tip, the box, gather2d's particles) is carried on Python floats in
+numpy's order of operations, so it gives the same bits as the elementwise
+array expressions it stands for.  The controllers run on floats too (see
+controllers.py); the point clouds are numpy arrays filled from that state.
+No env arithmetic goes through BLAS: norms and dot products, the experts'
+included, are written out on floats with each product and sum rounded on
+its own.  A BLAS dot or matrix-vector product fuses multiply-adds on some
+OpenBLAS kernels and not on others, so its last bits depend on the machine;
+these do not.
 Episodes terminate at the first successful step or at the horizon.  A
 step's reward is the task's shaping term plus SUCCESS_BONUS if it succeeds.
 """
@@ -145,19 +150,19 @@ class DemoTrajectory:
     success: bool
 
 
-def _unit(v: np.ndarray, fallback=(1.0, 0.0)) -> np.ndarray:
-    n = float(np.linalg.norm(v))
-    if n < 1e-12:
-        return np.asarray(fallback, dtype=np.float64)
-    return v / n
-
-
 def _norm2(x: float, y: float) -> float:
-    """np.linalg.norm of (x, y), which is the square root of the vector's dot
-    with itself.  That BLAS dot may fuse a multiply-add, so sqrt(x * x + y * y)
-    on floats can differ from it in the last bit."""
-    v = np.array((x, y))
-    return math.sqrt(v.dot(v))
+    """The length of (x, y) as sqrt(x * x + y * y) on floats, each operation
+    rounded on its own.  np.linalg.norm of a vector takes the square root of
+    a BLAS dot, which some kernels fuse into a multiply-add, so its last bit
+    would depend on the machine."""
+    return math.sqrt(x * x + y * y)
+
+
+def _unit(x: float, y: float, fallback=(1.0, 0.0)) -> tuple[float, float]:
+    n = _norm2(x, y)
+    if n < 1e-12:
+        return fallback
+    return x / n, y / n
 
 
 # Scripted experts compensate the deliberately underdamped PD plant
@@ -177,24 +182,29 @@ def _ring_offsets(gen: np.random.Generator, count: int, radius: float) -> np.nda
     return radius * np.stack([np.cos(phi), np.sin(phi)], axis=1)
 
 
-def _segment_clearance(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> float:
-    """Distance from point p to segment a-b."""
-    ab = b - a
-    denom = float(ab @ ab)
-    t = 0.0 if denom < 1e-18 else float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
-    return float(np.linalg.norm(a + t * ab - p))
+def _segment_clearance(a, b, p) -> float:
+    """Distance from point p to segment a-b, each point a pair of floats."""
+    (ax, ay), (bx, by), (px, py) = a, b, p
+    abx, aby = bx - ax, by - ay
+    denom = abx * abx + aby * aby
+    t = 0.0
+    if denom >= 1e-18:
+        # np.clip's rule: a value not above 0 becomes 0.0, not below 1 becomes 1.0
+        t = ((px - ax) * abx + (py - ay) * aby) / denom
+        t = t if t > 0.0 else 0.0
+        t = t if t < 1.0 else 1.0
+    return _norm2(ax + t * abx - px, ay + t * aby - py)
 
 
-def _detour(start: np.ndarray, waypoint: np.ndarray, obstacle: np.ndarray, d: np.ndarray,
-            clearance: float, offset: float) -> np.ndarray:
+def _detour(start, waypoint, obstacle, d, clearance: float, offset: float) -> tuple[float, float]:
     """The expert's waypoint, or, when the straight path from start to it
     passes within `clearance` of `obstacle`, the point `offset` from the
-    obstacle across the push direction d, on start's side of it."""
+    obstacle across the push direction d, on start's side of it.  Points
+    and directions are pairs of floats."""
     if _segment_clearance(start, waypoint, obstacle) < clearance:
-        rel = start - obstacle
-        side = 1.0 if float(d[0] * rel[1] - d[1] * rel[0]) >= 0.0 else -1.0
-        perp = np.array([-d[1], d[0]])
-        waypoint = obstacle + side * perp * offset
+        (sx, sy), (ox, oy), (dx, dy) = start, obstacle, d
+        side = 1.0 if dx * (sy - oy) - dy * (sx - ox) >= 0.0 else -1.0
+        waypoint = ox + side * -dy * offset, oy + side * dx * offset
     return waypoint
 
 
@@ -280,7 +290,8 @@ class ToyEnv:
 
         Runs on Python floats in numpy's order of operations: each substep
         adds h * u to the velocities, then h * velocity to the angles, then
-        clamps an angle past its limit and stops that joint.
+        clamps an angle past its limit and stops that joint, then hands the
+        angles at the substep's start and end to `_after_substep`.
         """
         h = self.cfg.dt / _SUBSTEPS
         u0, u1 = u.tolist()
@@ -288,6 +299,7 @@ class ToyEnv:
         q0, q1 = self.state.q.tolist()
         v0, v1 = self.state.qdot.tolist()
         for _ in range(_SUBSTEPS):
+            p0, p1 = q0, q1
             v0 = v0 + h * u0
             v1 = v1 + h * u1
             q0 = q0 + h * v0
@@ -300,11 +312,11 @@ class ToyEnv:
                 q1, v1 = lo1, 0.0
             elif q1 > hi1:
                 q1, v1 = hi1, 0.0
-            self._after_substep(q0, q1)
+            self._after_substep(p0, p1, q0, q1)
         self.state.q = np.array((q0, q1))
         self.state.qdot = np.array((v0, v1))
 
-    def _after_substep(self, q0: float, q1: float) -> None:
+    def _after_substep(self, p0: float, p1: float, q0: float, q1: float) -> None:
         pass
 
     def _expert_command(self, dq: np.ndarray) -> np.ndarray:
@@ -417,11 +429,11 @@ class PushBox2D(ToyEnv):
         dist = gen.uniform(0.30, 0.45)
         target = box + dist * np.array([np.cos(psi), np.sin(psi)])
         # keep the target comfortably inside the reachable annulus
-        norm = float(np.linalg.norm(target))
+        norm = _norm2(*target.tolist())
         if norm > 1.5:
             target = target * (1.5 / norm)
         elif norm < 0.35:
-            target = box + dist * _unit(box)
+            target = box + dist * np.array(_unit(*box.tolist()))
         self.box = tuple(box.tolist())
         self.target = target
         q0 = np.array([0.9, -2.4]) + gen.uniform(-0.05, 0.05, size=2)
@@ -449,7 +461,7 @@ class PushBox2D(ToyEnv):
     def _advance(self, action: np.ndarray) -> None:
         self._integrate(ctrl.pd_joint_delta_pos(action, self.state, self.gains, self.geom))
 
-    def _after_substep(self, q0: float, q1: float) -> None:
+    def _after_substep(self, p0: float, p1: float, q0: float, q1: float) -> None:
         # Quasi-static push: when the tip ends a substep inside the box
         # footprint, the box slides along the tip's direction of travel until
         # the tip sits on the face it came through.  Friction-dominated
@@ -510,29 +522,27 @@ class PushBox2D(ToyEnv):
         )
 
     def expert_action(self) -> np.ndarray:
-        tip = np.array(self._tip)
-        box = np.array(self.box)
-        d = _unit(self.target - box)
-        rel = tip - box
-        behind_depth = float(-(rel @ d))
-        lat_vec = rel - float(rel @ d) * d
-        lateral = float(np.linalg.norm(lat_vec))
+        (tx, ty), (bx, by), (gx, gy) = self._tip, self.box, self.target.tolist()
+        d = dx, dy = _unit(gx - bx, gy - by)
+        rx, ry = tx - bx, ty - by
+        along = rx * dx + ry * dy
+        lat_x, lat_y = rx - along * dx, ry - along * dy
         half = self.side / 2.0
-        if 0.0 < behind_depth < half + 0.35 and lateral < half + 0.04:
+        if 0.0 < -along < half + 0.35 and _norm2(lat_x, lat_y) < half + 0.04:
             # tip is in the capture region behind the box.  Advance against
             # the back face; slow down as the box nears the target so it
             # settles inside the tolerance instead of coasting past, and
             # bleed off any off-axis offset so the push tracks the line.
-            d_bt = float(np.linalg.norm(self.target - box))
-            advance = min(0.15, 0.5 * d_bt + 0.02)
-            move = d * advance - lat_vec
+            advance = min(0.15, 0.5 * self._dist_bt + 0.02)
+            mx, my = dx * advance - lat_x, dy * advance - lat_y
         else:
-            waypoint = _detour(tip, box - d * (half + 0.12), box, d, half + 0.06, half + 0.25)
-            move = waypoint - tip
-        norm = float(np.linalg.norm(move))
+            back = half + 0.12
+            wx, wy = _detour((tx, ty), (bx - dx * back, by - dy * back), self.box, d, half + 0.06, half + 0.25)
+            mx, my = wx - tx, wy - ty
+        norm = _norm2(mx, my)
         if norm > 0.30:
-            move = move * (0.30 / norm)
-        dq = ctrl.dls_step2(*self.state.q.tolist(), *move.tolist(), self.geom)
+            mx, my = mx * (0.30 / norm), my * (0.30 / norm)
+        dq = ctrl.dls_step2(*self.state.q.tolist(), mx, my, self.geom)
         return self._expert_command(np.array(dq))
 
 
@@ -557,11 +567,12 @@ class Gather2D(ToyEnv):
         sigma = self.variant
         self.source = np.array([-0.55, gen.uniform(-0.25, 0.25)])
         self.target = np.array([0.55, gen.uniform(-0.25, 0.25)])
-        self.particles = np.clip(self.source + sigma * gen.normal(size=(self.n_particles, 2)), -1.5, 1.5)
-        start = self.source - 0.45 * _unit(self.target - self.source)
+        spread = np.clip(self.source + sigma * gen.normal(size=(self.n_particles, 2)), -1.5, 1.5)
+        self._px, self._py = spread[:, 0].tolist(), spread[:, 1].tolist()
+        start = self.source - 0.45 * np.array(_unit(*(self.target - self.source).tolist()))
         q0 = start + gen.uniform(-0.03, 0.03, size=2)
         self.state = ctrl.JointState(q0, np.zeros(2))
-        self._expel_radially(self.state.q)  # a wide spread can overlap the pusher at reset
+        self._expel_radially(*q0.tolist())  # a wide spread can overlap the pusher at reset
         self._pusher_ring = _ring_offsets(gen, self.n_ring, self.pusher_radius)
         target_points = self.target[None, :] + _ring_offsets(gen, self.n_ring, self.target_radius)
         self._template = self._cloud_template(
@@ -569,93 +580,107 @@ class Gather2D(ToyEnv):
         )
 
     def _advance(self, action: np.ndarray) -> None:
-        u = ctrl.pd_joint_delta_pos(action, self.state, self.gains, self.geom)
-        self._last_c = tuple(self.state.q.tolist())
-        self._integrate(u)
+        self._integrate(ctrl.pd_joint_delta_pos(action, self.state, self.gains, self.geom))
 
-    def _expel_radially(self, c: np.ndarray) -> None:
-        d = self.particles - c[None, :]
-        dist = np.linalg.norm(d, axis=1)
-        inside = dist < self.pusher_radius
-        if inside.any():
-            dirs = np.where(
-                dist[inside, None] > 1e-12,
-                d[inside] / np.maximum(dist[inside, None], 1e-12),
-                np.array([[1.0, 0.0]]),
-            )
-            # tiny overshoot keeps this idempotent: placing a particle exactly
-            # on the circle can round 1 ulp inside and expel it again next call
-            self.particles[inside] = c[None, :] + (self.pusher_radius + 1e-9) * dirs
+    def _expel_radially(self, cx: float, cy: float) -> None:
+        """Put each particle inside the pusher centred at (cx, cy) on its rim,
+        straight out from the centre (along +x from the centre itself)."""
+        px, py = self._px, self._py
+        # tiny overshoot keeps this idempotent: placing a particle exactly
+        # on the circle can round 1 ulp inside and expel it again next call
+        rim = self.pusher_radius + 1e-9
+        for i in range(self.n_particles):
+            dx, dy = px[i] - cx, py[i] - cy
+            dist = _norm2(dx, dy)
+            if dist < self.pusher_radius:
+                ux, uy = (dx / dist, dy / dist) if dist > 1e-12 else (1.0, 0.0)
+                px[i] = cx + rim * ux
+                py[i] = cy + rim * uy
 
-    def _after_substep(self, q0: float, q1: float) -> None:
+    def _after_substep(self, p0: float, p1: float, q0: float, q1: float) -> None:
         # Friction-dominated contact: a particle overrun by the pusher exits
         # along the pusher's direction of motion (like soil ahead of a plow
         # blade), not radially -- radial ejection would shed everything
         # sideways and make herding with a disk impossible.
-        lx, ly = self._last_c
-        self._last_c = (q0, q1)
-        c = np.array((q0, q1))
-        speed = _norm2(q0 - lx, q1 - ly)
+        vx, vy = q0 - p0, q1 - p1
+        speed = _norm2(vx, vy)
         if speed < 1e-12:
-            self._expel_radially(c)
+            self._expel_radially(q0, q1)
             return
-        vhat = np.array((q0 - lx, q1 - ly)) / speed
-        w = self.particles - c[None, :]
-        dist_sq = (w * w).sum(axis=1)
-        inside = dist_sq < self.pusher_radius**2
-        if inside.any():
-            w_in = w[inside]
-            proj = w_in @ vhat
-            t = -proj + np.sqrt(proj * proj + self.pusher_radius**2 - dist_sq[inside])
-            self.particles[inside] = self.particles[inside] + t[:, None] * vhat[None, :]
+        ux, uy = vx / speed, vy / speed
+        r_sq = self.pusher_radius**2
+        px, py = self._px, self._py
+        for i in range(self.n_particles):
+            wx, wy = px[i] - q0, py[i] - q1
+            dist_sq = wx * wx + wy * wy
+            if dist_sq < r_sq:
+                # move it forward along (ux, uy) to where it meets the rim
+                proj = wx * ux + wy * uy
+                t = -proj + math.sqrt(proj * proj + r_sq - dist_sq)
+                px[i] += t * ux
+                py[i] += t * uy
 
     def _measure(self) -> None:
-        inside = np.linalg.norm(self.particles - self.target[None, :], axis=1) <= self.target_radius
-        self._fraction_in = float(np.mean(inside))
-        out = ~inside
-        self._out_centroid = self.particles[out].mean(axis=0) if out.any() else self.target.copy()
+        # count the particles in the target and sum the others in index
+        # order, from 0.0: the bits of numpy's mean over the boolean mask
+        # and of its axis-0 mean over the particles outside
+        gx, gy = self.target.tolist()
+        n_in, sx, sy = 0, 0.0, 0.0
+        for x, y in zip(self._px, self._py):
+            if _norm2(x - gx, y - gy) <= self.target_radius:
+                n_in += 1
+            else:
+                sx += x
+                sy += y
+        n_out = self.n_particles - n_in
+        self._fraction_in = n_in / self.n_particles
+        self._out_centroid = (sx / n_out, sy / n_out) if n_out else (gx, gy)
 
     def _success(self) -> bool:
         return self._fraction_in >= self.success_fraction
 
     def _reward(self) -> float:
-        (cx, cy), (mx, my) = self.state.q.tolist(), self._out_centroid.tolist()
+        (cx, cy), (mx, my) = self.state.q.tolist(), self._out_centroid
         reach = max(0.0, _norm2(cx - mx, cy - my) - self.pusher_radius)
         return -((1.0 - self._fraction_in) + 0.1 * min(reach, 1.0)) * self.cfg.dt
 
     def _cloud(self) -> np.ndarray:
         cloud = self._template.copy()
         cloud[: self.n_ring, :POINT_DIM] = self.state.q + self._pusher_ring
-        cloud[self.n_ring : self.n_ring + self.n_particles, :POINT_DIM] = self.particles
+        rows = slice(self.n_ring, self.n_ring + self.n_particles)
+        cloud[rows, 0] = self._px
+        cloud[rows, 1] = self._py
         return cloud
 
     def _proprio(self) -> np.ndarray:
-        (cx, cy), (mx, my), (tx, ty) = self.state.q.tolist(), self._out_centroid.tolist(), self.target.tolist()
+        (cx, cy), (mx, my), (tx, ty) = self.state.q.tolist(), self._out_centroid, self.target.tolist()
         return np.array(
             (cx, cy, *self.state.qdot.tolist(), mx - cx, my - cy, tx - cx, ty - cy, self._fraction_in)
         )
 
     def expert_action(self) -> np.ndarray:
-        c = self.state.q
-        M = self._out_centroid
-        d = _unit(self.target - M)
-        if float(np.linalg.norm(c - self.target)) < self.pusher_radius + 0.05:
+        (cx, cy), (mx, my), (gx, gy) = self.state.q.tolist(), self._out_centroid, self.target.tolist()
+        d = dx, dy = _unit(gx - mx, gy - my)
+        ax, ay = _unit(mx - cx, my - cy)
+        pr, tr = self.pusher_radius, self.target_radius
+        if _norm2(cx - gx, cy - gy) < pr + 0.05:
             # deep enough in the drop zone: back straight out and re-line-up
-            move = _unit(c - self.target) * 0.3
-        elif float(_unit(M - c) @ d) >= 0.8 and np.linalg.norm(c - M) <= self.pusher_radius + 0.5:
+            ux, uy = _unit(cx - gx, cy - gy)
+            move = ux * 0.3, uy * 0.3
+        elif ax * dx + ay * dy >= 0.8 and _norm2(cx - mx, cy - my) <= pr + 0.5:
             # lined up behind the pile: drive forward, correcting any lateral
             # offset so the plow stays centered on the stragglers
-            offset = c - M
-            lateral = offset - (offset @ d) * d
-            move = d * 0.3 - lateral
+            ox, oy = cx - mx, cy - my
+            along = ox * dx + oy * dy
+            move = dx * 0.3 - (ox - along * dx), dy * 0.3 - (oy - along * dy)
         else:
-            pr, tr = self.pusher_radius, self.target_radius
-            waypoint = _detour(c, M - d * (pr + 0.10), M, d, pr + 0.05, pr + 0.30)
+            back = pr + 0.10
+            waypoint = _detour((cx, cy), (mx - dx * back, my - dy * back), (mx, my), d, pr + 0.05, pr + 0.30)
             # never cut through the drop zone: settled particles would get
             # plowed straight out the far side
-            waypoint = _detour(c, waypoint, self.target, d, tr + pr * 0.8, tr + pr + 0.10)
-            move = waypoint - c
-        return self._expert_command(move)
+            wx, wy = _detour((cx, cy), waypoint, (gx, gy), d, tr + pr * 0.8, tr + pr + 0.10)
+            move = wx - cx, wy - cy
+        return self._expert_command(np.array(move))
 
 
 _ENV_CLASSES = {"reach2d": Reach2D, "pushbox2d": PushBox2D, "gather2d": Gather2D}

@@ -193,12 +193,120 @@ def test_observations_are_fresh_arrays(task):
         assert obs.proprio.tobytes() == proprio.tobytes()
 
 
-def test_norm2_is_numpys_norm():
+def test_norm2_is_the_unfused_sum_of_squares():
+    # each product and the sum rounded on its own, as numpy's elementwise
+    # arithmetic rounds them, never a fused multiply-add
     gen = make_generator(6, "norm")
     pairs = [(0.0, 0.0), (-0.0, 0.0), (3.0, -4.0)]
     pairs += [tuple(v) for scale in (1e-9, 1.0, 30.0) for v in gen.normal(0.0, scale, size=(2000, 2)).tolist()]
-    for x, y in pairs:
-        assert envs._norm2(x, y) == float(np.linalg.norm(np.array([x, y])))
+    xy = np.array(pairs)
+    want = np.sqrt(xy[:, 0] * xy[:, 0] + xy[:, 1] * xy[:, 1])
+    got = np.array([envs._norm2(x, y) for x, y in pairs])
+    assert got.tobytes() == want.tobytes()
+
+
+class ArrayGather2D(envs.Gather2D):
+    """Gather2D with the particle contact and measurement it had as numpy
+    array code, the projection w_in @ vhat written elementwise (a BLAS
+    product may fuse it into a multiply-add).  It counts the substeps that
+    take the zero-speed branch and those that move a particle."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.zero_speed = self.contacts = 0
+
+    def _particles(self) -> np.ndarray:
+        return np.column_stack((self._px, self._py))
+
+    def _store(self, particles: np.ndarray) -> None:
+        self._px, self._py = particles[:, 0].tolist(), particles[:, 1].tolist()
+
+    def _expel_radially(self, cx, cy):
+        c, particles = np.array((cx, cy)), self._particles()
+        d = particles - c[None, :]
+        dist = np.linalg.norm(d, axis=1)
+        inside = dist < self.pusher_radius
+        if inside.any():
+            dirs = np.where(
+                dist[inside, None] > 1e-12,
+                d[inside] / np.maximum(dist[inside, None], 1e-12),
+                np.array([[1.0, 0.0]]),
+            )
+            particles[inside] = c[None, :] + (self.pusher_radius + 1e-9) * dirs
+        self._store(particles)
+
+    def _after_substep(self, p0, p1, q0, q1):
+        c = np.array((q0, q1))
+        speed = envs._norm2(q0 - p0, q1 - p1)
+        if speed < 1e-12:
+            self.zero_speed += 1
+            self._expel_radially(q0, q1)
+            return
+        vhat = np.array((q0 - p0, q1 - p1)) / speed
+        particles = self._particles()
+        w = particles - c[None, :]
+        dist_sq = (w * w).sum(axis=1)
+        inside = dist_sq < self.pusher_radius**2
+        if inside.any():
+            self.contacts += 1
+            w_in = w[inside]
+            proj = w_in[:, 0] * vhat[0] + w_in[:, 1] * vhat[1]
+            t = -proj + np.sqrt(proj * proj + self.pusher_radius**2 - dist_sq[inside])
+            particles[inside] = particles[inside] + t[:, None] * vhat[None, :]
+        self._store(particles)
+
+    def _measure(self):
+        particles = self._particles()
+        inside = np.linalg.norm(particles - self.target[None, :], axis=1) <= self.target_radius
+        self._fraction_in = float(np.mean(inside))
+        out = ~inside
+        centroid = particles[out].mean(axis=0) if out.any() else self.target.copy()
+        self._out_centroid = tuple(centroid.tolist())
+
+
+def _gather_streams(gen):
+    """(name, horizon, action at tick t): the expert, uniform actions,
+    two corners held after two zero actions (the pusher starts at rest,
+    then pins both joints at their limits) and uniform bursts of five
+    ticks between five zero ticks."""
+    bursts = gen.uniform(-1.0, 1.0, size=(120, 2))
+    return (
+        ("expert", 200, None),
+        ("uniform", 200, lambda t: gen.uniform(-1.0, 1.0, size=2)),
+        ("corner+-", 80, lambda t: np.array([1.0, -1.0]) if t >= 2 else np.zeros(2)),
+        ("corner-+", 80, lambda t: np.array([-1.0, 1.0]) if t >= 2 else np.zeros(2)),
+        ("stop-go", 120, lambda t: bursts[t] if (t // 5) % 2 == 0 else np.zeros(2)),
+    )
+
+
+def _result_bits(obs, res=None):
+    bits = (obs.points.tobytes(), obs.proprio.tobytes())
+    return bits if res is None else bits + (repr(res.reward), res.done, res.success)
+
+
+@pytest.mark.parametrize("split", envs.SPLITS)
+def test_float_particles_match_the_array_reference(split):
+    gen = make_generator(7, "float-particles", split)
+    ref_zero_speed = ref_contacts = 0
+    for name, horizon, action_at in _gather_streams(gen):
+        cfg = envs.make_config("gather2d", split, seed=3, horizon=horizon)
+        for episode in range(3):
+            env, ref = envs.make_env(cfg), ArrayGather2D(cfg)
+            assert _result_bits(env.reset(episode)) == _result_bits(ref.reset(episode)), (name, episode)
+            for t in range(horizon):
+                if action_at is None:
+                    action = env.expert_action()
+                    assert action.tobytes() == ref.expert_action().tobytes()
+                else:
+                    action = action_at(t)
+                res, ref_res = env.step(action), ref.step(action)
+                assert _result_bits(res.obs, res) == _result_bits(ref_res.obs, ref_res), (name, episode, t)
+                if res.done:
+                    break
+            ref_zero_speed += ref.zero_speed
+            ref_contacts += ref.contacts
+    # both branches of the contact ran, beyond the expulsion at reset
+    assert ref_zero_speed > 0 and ref_contacts > 0
 
 
 @pytest.mark.parametrize("task", envs.TASKS)

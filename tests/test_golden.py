@@ -13,16 +13,20 @@ split, under the scripted expert and under fixed action streams, plus the
 policy's mean and sampled actions on those observations.
 """
 
+import functools
 import glob
 import hashlib
 import json
 import os
+import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
 
+from blas_kernels import each_kernel, kernel_env
 from deskrl import bc, nn, pointnet, policy as pol, ppo, twostage as ts
 from deskrl.config import resolve_config, write_manifest
 from deskrl.envs import SPLITS, TASKS, generate_demos, make_config, make_env
@@ -197,8 +201,8 @@ def _checkpoint_file(tmp_path) -> str:
     return os.path.join(out, "ckpt-00000000.ckpt")
 
 
-def _demo_file(tmp_path) -> str:
-    env_cfg = make_config("gather2d", horizon=40)
+def _demo_file(tmp_path, task: str = "gather2d") -> str:
+    env_cfg = make_config(task, horizon=40)
     path = str(tmp_path / "demos.bin")
     save_demos(path, env_cfg, generate_demos(env_cfg, 2, keep_only_success=False))
     return path
@@ -240,12 +244,13 @@ def _policy_bytes(h, store, spec, obs, gen) -> None:
     h.update(f"{s.logp!r};{s.value!r}".encode())
 
 
-def _transitions(task: str, split: str) -> str:
+def _transitions(task: str, split: str, policy: bool = True) -> str:
     """SHA-256 over four episodes: the scripted expert at the task horizon,
     uniform actions at horizon 50, and two corner actions at horizon 80,
     held after two zero actions: they drive the joints into their limits,
-    and the zero actions leave the robot at rest through a step.  Every
-    fourth observation also feeds the policy's mean and sampled actions in."""
+    and the zero actions leave the robot at rest through a step.  With
+    `policy`, every fourth observation also feeds the policy's mean and
+    sampled actions in."""
     spec = pol.build_policy_spec(task)
     store = nn.ParamStore()
     pol.init_policy(store, spec, make_generator(0, "golden", "policy", task))
@@ -265,7 +270,7 @@ def _transitions(task: str, split: str) -> str:
         for t in range(env.cfg.horizon):
             _array_bytes(h, obs.points)
             _array_bytes(h, obs.proprio)
-            if t % 4 == 0:
+            if policy and t % 4 == 0:
                 _policy_bytes(h, store, spec, obs, gen)
             if stream is None:
                 action = env.expert_action()
@@ -324,6 +329,42 @@ def test_transition_bits_do_not_depend_on_blas_threads():
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == golden, f"OPENBLAS_NUM_THREADS={threads}"
+
+
+def _env_digests() -> dict:
+    """The environments' own digests: transitions without policy bytes and
+    the bytes of a demo bundle per task."""
+    demos = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for task in TASKS:
+            os.mkdir(os.path.join(tmp, task))
+            with open(_demo_file(pathlib.Path(tmp) / task, task), "rb") as fh:
+                demos[task] = _sha(fh.read())
+    transitions = {f"{t}-{s}": _transitions(t, s, policy=False) for t in TASKS for s in SPLITS}
+    return {"transitions": transitions, "demos": demos}
+
+
+_ENV_DIGESTS = """
+import json
+from test_golden import _env_digests
+print(json.dumps(_env_digests()))
+"""
+
+
+@functools.cache
+def _native_env_digests() -> dict:
+    return _env_digests()
+
+
+@each_kernel
+def test_env_bits_do_not_depend_on_the_blas_kernel(kernel):
+    # the simulator and the experts make no BLAS call, so every kernel
+    # OpenBLAS picks on x86-64 gives this machine's transitions and demos
+    proc = subprocess.run(
+        [sys.executable, "-c", _ENV_DIGESTS], env=kernel_env(kernel), capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == _native_env_digests(), f"OPENBLAS_CORETYPE={kernel}"
 
 
 def test_grid_legs_record_their_restore_point_rates(tmp_path, monkeypatch):

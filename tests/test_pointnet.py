@@ -1,13 +1,13 @@
 """Encoder tests: set invariances at bit level, gradients against finite differences."""
 
 import os
-import platform
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from blas_kernels import TESTS, each_kernel, kernel_env
 from deskrl import nn, pointnet
 from deskrl.envs import make_config, make_env
 from deskrl.errors import NonFiniteError, ShapeMismatchError
@@ -292,39 +292,14 @@ def test_traced_forward_matches_point_major_reference(batch):
         assert got.tobytes() == want.tobytes()
 
 
-# what each OPENBLAS_CORETYPE kernel needs of the CPU, as /proc/cpuinfo names it
-_KERNEL_FLAGS = {
-    "SkylakeX": {"avx512f", "avx512cd", "avx512bw", "avx512dq", "avx512vl"},
-    "Haswell": {"avx2", "fma"},
-    "Zen": {"avx2", "fma"},
-    "Prescott": {"pni"},
-}
-
-
-def _cpu_flags():
-    try:
-        with open("/proc/cpuinfo") as fh:
-            return next((set(line.split(":", 1)[1].split()) for line in fh if line.startswith("flags")), set())
-    except OSError:
-        return set()
-
-
-@pytest.mark.skipif(
-    platform.machine().lower() not in ("x86_64", "amd64"),
-    reason="OPENBLAS_CORETYPE names x86-64 kernels",
-)
-@pytest.mark.parametrize("kernel", list(_KERNEL_FLAGS))
+@each_kernel
 def test_traced_forward_matches_reference_on_each_blas_kernel(kernel):
     # the feature-major product W.T @ H.T must have the bits of (H @ W).T
     # under every kernel OpenBLAS picks on x86-64, not just this machine's
-    missing = _KERNEL_FLAGS[kernel] - _cpu_flags()
-    if missing:
-        pytest.skip(f"this CPU cannot run the {kernel} kernel: no {', '.join(sorted(missing))}")
-    here = os.path.dirname(os.path.abspath(__file__))
-    env = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(here), "src"), "OPENBLAS_CORETYPE": kernel}
+    env = kernel_env(kernel)
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         f"{os.path.join(here, 'test_pointnet.py')}::test_traced_forward_matches_point_major_reference"],
+         f"{os.path.join(TESTS, 'test_pointnet.py')}::test_traced_forward_matches_point_major_reference"],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
