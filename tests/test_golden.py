@@ -35,21 +35,21 @@ from deskrl.rng import make_generator
 
 GOLDEN = {
     "ppo_reach2d": {
-        "params": "a1d56d3e180d5ca87828c5d0cb2affdcd43cb3f213039a11039eaee336348c78",
-        "adam_m": "0510645ce7a0f08bd7e808651f374c44bd7644ff1f786a868146de6cda3ee654",
-        "adam_v": "9c40b412e1ec4b0b4bac3ea46b5fd4d6ad67ce9e2fca51ec0ac6c4458e79d6c0",
+        "params": "0d07056514695099fd83f5bf14d5d3256873b36350c38bcb20d04a0ce9ba1cb1",
+        "adam_m": "b2e645b7e41b0cde060d3e732c7225e101ea3f70cdff31910657da2fb27aa953",
+        "adam_v": "408fa3655ca18a69b0051999f528539dfefc3465a15005a632b33380c08ab810",
         "trendline": "a0b1632bd3eeb11ce8f2e0c3a6639b5dce7cd6c84ceee919fd32e5ff65a91fdc",
     },
     "ppo_pushbox2d": {
-        "params": "f34ab0f8f49a92b4a75cc404ce78561628e6c343f7d485dddf8745335172ec32",
-        "adam_m": "5ea01a092e123b9bce32a0ee5097acf105e1b6efb4bd0a13a2b8412aa80636ed",
-        "adam_v": "8d3c43ce549c90a98359e4088717ba4077df87e4c81390ac3d692f153d5bc6f1",
+        "params": "439225292acf3c0bc4abac582a4f181030f5a723e2dc56484122e86d05831119",
+        "adam_m": "d58cdf1e1cf772c2b2e4ec64eaf92794960c09871e175da4d432444aebf05af3",
+        "adam_v": "b44250064d19137aa753d17b1401756d277bbc70ae6f082c1c9b422022869ea3",
         "trendline": "a0b1632bd3eeb11ce8f2e0c3a6639b5dce7cd6c84ceee919fd32e5ff65a91fdc",
     },
     "bc_gather2d": {
-        "params": "c394ccf18656dc3b216e629f5623669ec75b7827e2d7645ecd794d85c504c9bf",
-        "adam_m": "fd374a1f49312502cb633eb37a16bf648937c33d77db784f74d230b77d2e6bc4",
-        "adam_v": "9002345fcc7c38a35da7391a2d1ac2832a77bd24c9079efcf3fda3a42ff03324",
+        "params": "5e08d588c7a63f9059c8390131f206feace07027abf982c5749c281abe684dca",
+        "adam_m": "72b5ff961f4897b32f25a7460f509e96b8140d1fbd2b626335ff15d24afd6b0c",
+        "adam_v": "e6a276071df00ffc9ad9e20aaf6ffe4e082ce8d48a6b658bc6ba1e4cf38ce47b",
         "trendline": "df788257f0954b07076c943f783e3f6674224a1f6137c75a08049fda6d620ee8",
     },
     "two_stage_ppo_reach2d": {
@@ -189,7 +189,7 @@ def test_digests_are_unchanged(case, tmp_path):
 
 FILE_GOLDEN = {
     "checkpoint": "1fd94a13d0030d73a457b734a9c180b717767139481e751394001508530f9160",
-    "demos": "acdfc3bd9126959d9b5f285837ecbfb65454f04d5c837b2eeb2dc58a78427d6d",
+    "demos": "a7cc0a070f32e9d727ac3754043d3c5ed9d143bf2294c855332dc45a2b5afec0",
     "manifest": "6ec7be6313e6b1fe2d99a35dc911ec625404cc3587e45c83854baa38fab661ce",
 }
 
@@ -222,12 +222,12 @@ def test_file_bytes_are_unchanged(kind, tmp_path):
 
 
 TRANSITION_GOLDEN = {
-    "reach2d-train": "07a1e25e3d8451dd25c164e8554bca56f0daf8ffe1364c721d5dbaf2cdefc2bd",
-    "reach2d-test": "30511c2c6a3a73df0c00b6630bfe1d7e4a1e1378d506c3ede4238771f7e77226",
-    "pushbox2d-train": "bee4ccffda184d670f4b9c0883d146e5964da9cb53541e9b4460f6860d75daf5",
-    "pushbox2d-test": "ce2d38d72344ada63bd15372cb1974bf97838471dd2faeff47ce40ba1c905b6c",
-    "gather2d-train": "d1c235b62be90b737ce079e41f5a77953349df392b95707ebf0c329142973604",
-    "gather2d-test": "0957a995d466115ec5ff6a14475ea196a105c7cf0f25ee8be2cf8298087f64c3",
+    "reach2d-train": "8e8910c00ff451bb76a9692cf74650cda0c6627fc97cffd9736d153a306b6087",
+    "reach2d-test": "6f4a29449d6a4c1dfa650a1f932cc3fed0e5d972e9b455a02d4d47018dd69850",
+    "pushbox2d-train": "ec8ad0bca2ed3756a46f875760eb0bda881c1b4dcbfa6ac5a59ce59d14132f02",
+    "pushbox2d-test": "b833d19c51a061687e3062dd0d370f49e1a1e6bf3226d21b9c4616fcd014182f",
+    "gather2d-train": "cbf3f6602971486bb6340f1e49000b270bd5bbec9456fd44a351e042f096c18b",
+    "gather2d-test": "2c7b2e2e936d9f55799b7d941e0e1420487b892b4a3bbdccc2135173f77903a2",
 }
 
 
