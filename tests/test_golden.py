@@ -10,10 +10,12 @@ checkpoint, a demo bundle and the default manifest, so a change to how
 they are written shows even when the numbers they hold do not move.
 The transition cases pin every StepResult of a few episodes per task and
 split, under the scripted expert and under fixed action streams, plus the
-policy's mean and sampled actions on those observations.
+policy's mean and sampled actions on those observations.  Without the
+policy's actions, those transitions and a demo bundle per task must hash
+the same under every OpenBLAS kernel this CPU can run: the environments
+make no BLAS call.
 """
 
-import functools
 import glob
 import hashlib
 import json
@@ -337,8 +339,7 @@ def _env_digests() -> dict:
     demos = {}
     with tempfile.TemporaryDirectory() as tmp:
         for task in TASKS:
-            os.mkdir(os.path.join(tmp, task))
-            with open(_demo_file(pathlib.Path(tmp) / task, task), "rb") as fh:
+            with open(_demo_file(pathlib.Path(tmp), task), "rb") as fh:
                 demos[task] = _sha(fh.read())
     transitions = {f"{t}-{s}": _transitions(t, s, policy=False) for t in TASKS for s in SPLITS}
     return {"transitions": transitions, "demos": demos}
@@ -351,20 +352,20 @@ print(json.dumps(_env_digests()))
 """
 
 
-@functools.cache
-def _native_env_digests() -> dict:
+@pytest.fixture(scope="module")
+def native_env_digests():
     return _env_digests()
 
 
 @each_kernel
-def test_env_bits_do_not_depend_on_the_blas_kernel(kernel):
+def test_env_bits_do_not_depend_on_the_blas_kernel(kernel, native_env_digests):
     # the simulator and the experts make no BLAS call, so every kernel
     # OpenBLAS picks on x86-64 gives this machine's transitions and demos
     proc = subprocess.run(
         [sys.executable, "-c", _ENV_DIGESTS], env=kernel_env(kernel), capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == _native_env_digests(), f"OPENBLAS_CORETYPE={kernel}"
+    assert json.loads(proc.stdout) == native_env_digests, f"OPENBLAS_CORETYPE={kernel}"
 
 
 def test_grid_legs_record_their_restore_point_rates(tmp_path, monkeypatch):
