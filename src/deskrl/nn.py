@@ -10,6 +10,13 @@ are stored (1, out_width) so the same expression broadcasts.
 The backward pass accumulates into a caller-supplied flat gradient vector,
 which makes multi-head models (shared encoder, several heads) a matter of
 calling backward once per head with the same accumulator.
+
+Inputs are checked for shape and finiteness where they enter:
+forward_batch(), forward_batch_trace() and forward() check theirs and
+serve training and single-sample callers.  forward_unchecked() is the
+same layer loop without the check; the policy's padded forward
+(pointnet.encode_batch_padded() and the heads above it) runs through it on
+observations that pointnet.PointCloudObs checked when they were built.
 """
 
 from __future__ import annotations
@@ -87,13 +94,26 @@ class ParamStore:
 
     get() returns a reshaped view, so in-place updates to the flat vector
     (Adam, checkpoint restore) are immediately visible to every consumer.
-    Slices must all be registered before the flat vector is mutated in
-    place; add() reallocates.
+    Each view is built once and cached; add() and assigning a new array
+    to `flat` drop the cache, so a view never points into a replaced
+    vector.  Slices must all be registered before the flat vector is
+    mutated in place; add() reallocates.
     """
 
     def __init__(self):
-        self.flat = np.zeros(0, dtype=np.float64)
         self._slices: dict[str, tuple[int, int, int]] = {}
+        self.flat = np.zeros(0, dtype=np.float64)
+
+    @property
+    def flat(self) -> np.ndarray:
+        return self._flat
+
+    @flat.setter
+    def flat(self, values: np.ndarray) -> None:
+        # `store.flat -= step` assigns the same array back; keep its views
+        if getattr(self, "_flat", None) is not values:
+            self._flat = values
+            self._views: dict[str, np.ndarray] = {}
 
     def add(self, name: str, values: np.ndarray) -> None:
         if name in self._slices:
@@ -106,8 +126,11 @@ class ParamStore:
         self.flat = np.concatenate([self.flat, values.ravel()])
 
     def get(self, name: str) -> np.ndarray:
-        offset, rows, cols = self._require(name)
-        return self.flat[offset : offset + rows * cols].reshape(rows, cols)
+        view = self._views.get(name)
+        if view is None:
+            offset, rows, cols = self._require(name)
+            view = self._views[name] = self._flat[offset : offset + rows * cols].reshape(rows, cols)
+        return view
 
     def shape(self, name: str) -> tuple[int, int]:
         _, rows, cols = self._require(name)
@@ -209,29 +232,29 @@ def _activation_grad(fn: str, dY: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return dY
 
 
-def forward_batch(store: ParamStore, spec: NetSpec, X: np.ndarray, prefix: str) -> np.ndarray:
-    """Run a (B, in_width) batch through the net; returns (B, out_width)."""
-    return forward_batch_trace(store, spec, X, prefix)[0]
+def forward_unchecked(
+    store: ParamStore,
+    spec: NetSpec,
+    X: np.ndarray,
+    prefix: str,
+    cache: list[np.ndarray] | None = None,
+) -> np.ndarray:
+    """The one dense forward: a (B, in_width) float64 array to (B, out_width),
+    with no check of X, whose finiteness the caller vouches for.
 
-
-def forward_batch_trace(
-    store: ParamStore, spec: NetSpec, X: np.ndarray, prefix: str
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The one dense forward: the (B, out_width) output plus the per-layer
-    inputs/outputs the backward pass needs.
-
-    Each bias add, and an activation right after an affine layer, work in
-    place on the affine layer's fresh output: the same IEEE operations as
-    out-of-place ones, without a temporary per step.  Any other activation
-    writes a new array, since its input is the caller's or is cached.
+    With a `cache` list, appends the per-layer inputs/outputs the backward
+    pass needs.  Each bias add, and an activation right after an affine
+    layer, work in place on the affine layer's fresh output: the same IEEE
+    operations as out-of-place ones, without a temporary per step.  Any
+    other activation writes a new array, since its input is the caller's
+    or is cached.
     """
-    X = _check_input(X, spec.in_width, prefix)
-    cache: list[np.ndarray] = []
     fresh = False
     j = 0
     for layer in spec.layers:
         if layer.kind == "affine":
-            cache.append(X)
+            if cache is not None:
+                cache.append(X)
             X = X @ store.get(f"{prefix}.W{j}")
             X += store.get(f"{prefix}.b{j}")
             fresh = True
@@ -239,7 +262,22 @@ def forward_batch_trace(
         else:
             X = _apply_activation(layer.fn, X, out=X if fresh else None)
             fresh = False
-            cache.append(X)  # what _activation_grad reads
+            if cache is not None:
+                cache.append(X)  # what _activation_grad reads
+    return X
+
+
+def forward_batch(store: ParamStore, spec: NetSpec, X: np.ndarray, prefix: str) -> np.ndarray:
+    """Run a (B, in_width) batch through the net; returns (B, out_width)."""
+    return forward_unchecked(store, spec, _check_input(X, spec.in_width, prefix), prefix)
+
+
+def forward_batch_trace(
+    store: ParamStore, spec: NetSpec, X: np.ndarray, prefix: str
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """forward_batch() plus the per-layer inputs/outputs the backward pass needs."""
+    cache: list[np.ndarray] = []
+    X = forward_unchecked(store, spec, _check_input(X, spec.in_width, prefix), prefix, cache)
     return X, cache
 
 

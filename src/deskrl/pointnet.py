@@ -32,6 +32,14 @@ rows, so an action does not depend on the episodes that share its tick.
 The update encodes unpadded (encode_batch_trace).  The padded forward
 stays point-major and pools with np.max (see _max_pool).
 
+Inputs are checked once, where they enter.  PointCloudObs checks each
+observation's shapes and finiteness when an environment builds it.
+encode(), encode_batch() and encode_batch_trace() check their points
+again through nn's checked entry points: they serve training and callers
+that pass raw arrays.  encode_batch_padded(), the policy's inference
+path, checks shapes only and runs both nets through
+nn.forward_unchecked(), relying on PointCloudObs for the values.
+
 The max-pool's gradient reaches only the point each feature pooled from,
 so encode_batch_backward() runs the per-point net backward through the
 pooled points alone (see there).  It agrees to rounding with the plain
@@ -306,17 +314,26 @@ def encode_batch_padded(
     The pool takes the max over the point axis (_max_pool).  That has the
     bits of the argmax pool the traced forward keeps, signed zeros
     included: an affine output is -0.0 only where a bias entry is, so the
-    relu features hold no -0.0 to tie with a +0.0.  The pad rows are
-    copies of the post net's first input row.  Returns
-    every padded row; the first B are the batch's.  A head run on all of
-    them gives row b the same bits at any B (see the module docstring).
+    relu features hold no -0.0 to tie with a +0.0.  The pooled features,
+    the proprio rows and the pad rows (copies of the first row) are
+    written into one post-net input array.  Returns every padded row; the
+    first B are the batch's.  A head run on all of them gives row b the
+    same bits at any B (see the module docstring).
+
+    Shapes are checked, values are not: this is the policy's inference
+    path, whose observations PointCloudObs checked when they were built,
+    and both nets run through nn.forward_unchecked().  Non-finite values
+    pass through to the output.
     """
     points, proprio = _check_batch(spec, points, proprio)
     B, N, C = points.shape
-    feats = nn.forward_batch(store, spec.per_point, points.reshape(B * N, C), f"{prefix}.pp")
-    x = np.concatenate([_max_pool(feats.reshape(B, N, spec.feature_dim)), proprio], axis=1)
-    x = np.concatenate([x, x[:1].repeat(-len(x) % POST_ROW_MULTIPLE, axis=0)])
-    return nn.forward_batch(store, spec.post, x, f"{prefix}.post")
+    F = spec.feature_dim
+    feats = nn.forward_unchecked(store, spec.per_point, points.reshape(B * N, C), f"{prefix}.pp")
+    x = np.empty((B + -B % POST_ROW_MULTIPLE, spec.post.in_width))
+    x[:B, :F] = _max_pool(feats.reshape(B, N, F))
+    x[:B, F:] = proprio
+    x[B:] = x[0]
+    return nn.forward_unchecked(store, spec.post, x, f"{prefix}.post")
 
 
 def encode(store: nn.ParamStore, spec: EncoderSpec, obs: PointCloudObs, prefix: str = "enc") -> np.ndarray:
