@@ -399,11 +399,20 @@ def adam_step(store: ParamStore, grad: np.ndarray, state: AdamState) -> None:
         raise ShapeMismatchError("Adam state does not match the parameter vector")
     if not np.all(np.isfinite(grad)):
         raise NonFiniteError("gradient contains non-finite values")
+    # the textbook expressions, evaluated in their order through two
+    # scratch arrays: m += (1 - b1) g, v += (1 - b2) g g, then
+    # flat -= lr m_hat / (sqrt(v_hat) + eps); products swap operands only
     state.t += 1
+    a, b = np.empty_like(grad), np.empty_like(grad)
     state.m *= state.beta1
-    state.m += (1.0 - state.beta1) * grad
+    state.m += np.multiply(grad, 1.0 - state.beta1, out=a)
     state.v *= state.beta2
-    state.v += (1.0 - state.beta2) * grad * grad
-    m_hat = state.m / (1.0 - state.beta1**state.t)
-    v_hat = state.v / (1.0 - state.beta2**state.t)
-    store.flat -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    np.multiply(grad, 1.0 - state.beta2, out=a)
+    state.v += np.multiply(a, grad, out=a)
+    np.divide(state.m, 1.0 - state.beta1**state.t, out=a)
+    a *= state.lr
+    np.divide(state.v, 1.0 - state.beta2**state.t, out=b)
+    np.sqrt(b, out=b)
+    b += state.eps
+    a /= b
+    store.flat -= a
