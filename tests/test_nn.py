@@ -216,6 +216,62 @@ def test_param_store_roundtrip_and_errors():
         nn.ParamStore.from_directory([("x", 2, 2)], np.zeros(3))
 
 
+def test_param_views_follow_in_place_updates():
+    store = nn.ParamStore()
+    store.add("a.W0", np.arange(6.0).reshape(2, 3))
+    store.add("a.b0", np.zeros((1, 3)))
+    w = store.get("a.W0")
+    assert store.get("a.W0") is w  # built once, then served from the cache
+    store.flat[:] += 1.0
+    store.flat -= 0.5  # in-place operators keep the vector and its views
+    assert np.array_equal(w, np.arange(6.0).reshape(2, 3) + 0.5)
+    assert store.get("a.W0") is w
+
+
+def test_add_after_get_gives_views_into_the_new_vector():
+    store = nn.ParamStore()
+    store.add("a.W0", np.ones((2, 2)))
+    old = store.get("a.W0")
+    store.add("a.b0", np.zeros((1, 2)))  # reallocates the flat vector
+    w = store.get("a.W0")
+    assert w is not old
+    assert np.shares_memory(w, store.flat)
+    store.flat[:4] = 7.0
+    assert np.array_equal(w, np.full((2, 2), 7.0))
+    assert np.array_equal(old, np.ones((2, 2)))
+
+
+def test_copies_share_no_views_with_their_source():
+    store = nn.ParamStore()
+    store.add("a.W0", np.arange(4.0).reshape(2, 2))
+    store.add("a.b0", np.ones((1, 2)))
+    for name in store.names():
+        store.get(name)  # fill the source's cache first
+    for twin in (store.copy(), nn.ParamStore.from_directory(store.directory(), store.flat)):
+        for name in store.names():
+            view = twin.get(name)
+            assert view is not store.get(name)
+            assert np.shares_memory(view, twin.flat)
+            assert not np.shares_memory(view, store.flat)
+        twin.flat[:] = -1.0
+        assert np.array_equal(store.get("a.W0"), np.arange(4.0).reshape(2, 2))
+
+
+def test_assigning_a_new_flat_vector_drops_every_view():
+    store = nn.ParamStore()
+    store.add("a.W0", np.zeros((2, 2)))
+    store.add("a.b0", np.zeros((1, 2)))
+    old = store.get("a.W0")
+    store.flat = np.arange(6.0)
+    w = store.get("a.W0")
+    assert np.array_equal(w, np.arange(4.0).reshape(2, 2))
+    assert np.shares_memory(w, store.flat)
+    store.flat = store.flat.copy()  # a new array with equal values
+    assert store.get("a.W0") is not w
+    assert np.shares_memory(store.get("a.W0"), store.flat)
+    assert np.array_equal(old, np.zeros((2, 2)))
+
+
 def reference_adam(params, grads, lr, beta1, beta2, eps):
     """Textbook bias-corrected Adam recursion, written out independently."""
     m = np.zeros_like(params)
@@ -248,6 +304,29 @@ def test_adam_matches_reference_recursion():
     for got, want in zip(trail, expected):
         assert np.allclose(got, want, rtol=1e-14, atol=0)
     assert state.t == 50
+
+
+def test_adam_keeps_the_bits_of_the_out_of_place_expressions():
+    # the in-place step evaluates these expressions in this order, so
+    # parameters and moments agree bit for bit, over gradients spanning
+    # twelve orders of magnitude
+    gen = make_generator(14, "adambits")
+    n = 257
+    store = nn.ParamStore()
+    store.add("theta", gen.normal(size=(1, n)))
+    p = store.flat.copy()
+    m, v = np.zeros(n), np.zeros(n)
+    lr, b1, b2, eps = 3e-4, 0.9, 0.999, 1e-8
+    state = nn.init_adam(n, lr=lr)
+    for t in range(1, 51):
+        g = gen.normal(size=n) * 10.0 ** gen.integers(-9, 3, size=n)
+        nn.adam_step(store, g, state)
+        m = m * b1 + (1.0 - b1) * g
+        v = v * b2 + (1.0 - b2) * g * g
+        p = p - lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+        assert store.flat.tobytes() == p.tobytes()
+        assert state.m.tobytes() == m.tobytes()
+        assert state.v.tobytes() == v.tobytes()
 
 
 def test_adam_zero_gradient_keeps_params():

@@ -8,9 +8,10 @@ import sys
 import numpy as np
 import pytest
 
-from deskrl import envs, nn, policy as pol
+from blas_kernels import TESTS, each_kernel, kernel_env
+from deskrl import envs, nn, pointnet, policy as pol, ppo
 from deskrl.envs import make_config, make_env
-from deskrl.errors import ShapeMismatchError
+from deskrl.errors import NonFiniteError, ShapeMismatchError
 from deskrl.pointnet import EncoderSpec
 from deskrl.rng import generator_from_words, make_generator, panel_seeds, state_words
 
@@ -355,3 +356,89 @@ def test_mean_actions_rows_equal_mean_action_bits():
         outputs.add(proc.stdout.strip())
     assert len(outputs) == 1
     assert outputs.pop().split()[0] == "0"
+
+
+def checked_heads(store, spec, obs):
+    """The padded forward composed from the checked entry points: the
+    per-point net, the max pool, the concatenate-and-pad, the post net and
+    both heads, each through nn.forward_batch; (K, A) means and (K,) values."""
+    K = len(obs)
+    enc = spec.encoder
+    points = np.stack([o.points for o in obs])
+    proprio = np.stack([o.proprio for o in obs])
+    N, C = points.shape[1:]
+    feats = nn.forward_batch(store, enc.per_point, points.reshape(K * N, C), "enc.pp")
+    x = np.concatenate([pointnet._max_pool(feats.reshape(K, N, enc.feature_dim)), proprio], axis=1)
+    x = np.concatenate([x, x[:1].repeat(-K % pointnet.POST_ROW_MULTIPLE, axis=0)])
+    feat = nn.forward_batch(store, enc.post, x, "enc.post")
+    mean = nn.forward_batch(store, spec.mean, feat, "mean")[:K]
+    return mean, nn.forward_batch(store, spec.value, feat, "value")[:K, 0]
+
+
+@pytest.mark.parametrize("task", envs.TASKS)
+def test_padded_forward_matches_checked_composition(task):
+    # mean_actions, sample_actions and state_values run the lean padded
+    # forward; each must give the checked composition's bits at K = 1..17
+    store, spec = fresh(task, seed=7)
+    store.get("mean.W1")[:] /= pol.FINAL_MEAN_SCALE  # means of order one, so some clip
+    env = make_env(make_config(task))
+    act = make_generator(7, "lean", "actions", task)
+    obs = []
+    for seed in range(17):
+        o = env.reset(seed)
+        for _ in range(seed % 4):
+            o = env.step(act.uniform(-1.0, 1.0, size=2)).obs
+        obs.append(o)
+    log_std = pol.log_std_of(store, spec)
+    for k in range(1, 18):
+        for start in (0, 17 - k):
+            rows = obs[start : start + k]
+            mean, value = checked_heads(store, spec, rows)
+            assert pol.mean_actions(store, spec, rows).tobytes() == np.clip(mean, -1.0, 1.0).tobytes()
+            assert pol.state_values(store, spec, rows).tobytes() == value.tobytes()
+            gens = [make_generator(7, "lean", start + i) for i in range(k)]
+            clones = [generator_from_words(state_words(g)) for g in gens]
+            z = np.stack([c.standard_normal(spec.action_dim) for c in clones])
+            raw = mean + np.exp(log_std) * z
+            s = pol.sample_actions(store, spec, rows, gens)
+            assert s.raw.tobytes() == raw.tobytes()
+            assert s.action.tobytes() == np.clip(raw, -1.0, 1.0).tobytes()
+            assert s.logp.tobytes() == pol.gaussian_logp(raw, mean, log_std).tobytes()
+            assert s.value.tobytes() == value.tobytes()
+
+
+@each_kernel
+def test_padded_forward_matches_checked_composition_on_each_blas_kernel(kernel):
+    # the lean loop and the checked one must make the same BLAS calls on
+    # the same shapes under every kernel OpenBLAS picks on x86-64
+    env = kernel_env(kernel)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{os.path.join(TESTS, 'test_policy.py')}::test_padded_forward_matches_checked_composition"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert f"{len(envs.TASKS)} passed" in proc.stdout
+
+
+@pytest.mark.parametrize("run", ["evaluate_policy", "collect_rollout"])
+def test_nonfinite_parameters_raise_before_any_env_step(run, monkeypatch):
+    # the padded forward does not check its inputs; a NaN parameter must
+    # still stop evaluation and rollouts before a NaN action steps an env
+    steps = []
+    step = envs.ToyEnv.step
+
+    def logged_step(env, action):
+        steps.append(action)
+        return step(env, action)
+
+    monkeypatch.setattr(envs.ToyEnv, "step", logged_step)
+    store, spec = fresh("pushbox2d")
+    store.get("enc.pp.W0")[0, 0] = np.nan
+    cfg = make_config("pushbox2d", horizon=20)
+    with pytest.raises(NonFiniteError):
+        if run == "evaluate_policy":
+            pol.evaluate_policy(store, spec, cfg, episodes=3, run_seed=0)
+        else:
+            ppo.collect_rollout(store, spec, cfg, 60, make_generator(0, "rollout"))
+    assert steps == []
