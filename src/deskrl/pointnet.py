@@ -32,7 +32,7 @@ rows, so an action does not depend on the episodes that share its tick.
 The update encodes unpadded (encode_batch_trace).  The padded forward
 stays point-major and pools with np.max (see _max_pool).
 
-Inputs are checked once, where they enter.  PointCloudObs checks each
+Inputs are checked where they enter.  PointCloudObs checks each
 observation's shapes and finiteness when an environment builds it.
 encode(), encode_batch() and encode_batch_trace() check their points
 again through nn's checked entry points: they serve training and callers

@@ -25,6 +25,12 @@ runs the mean head on rows padded to a fixed multiple (see
 pointnet.encode_batch_padded), so each action has the same bits whatever
 episodes share its tick, and mean_action() is the same call on one
 observation: a panel's episode equals that seed run alone, bit for bit.
+
+The padded forward behind mean_actions(), sample_actions() and
+state_values() checks no input values: PointCloudObs checked each
+observation when it was built (see pointnet).  The heads' outputs are
+checked instead, so non-finite parameters raise NonFiniteError before an
+action reaches an environment or a rollout buffer.
 """
 
 from __future__ import annotations
