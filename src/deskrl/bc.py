@@ -111,7 +111,8 @@ def bc_loss(
     """Mean squared action error and its gradient (mean head and encoder only)."""
     m = actions.shape[0]
     enc_out, enc_cache = pointnet.encode_batch_trace(store, spec.encoder, points, proprios)
-    mean, mean_cache = nn.forward_batch_trace(store, spec.mean, enc_out, "mean")
+    mean_cache: list[np.ndarray] = []
+    mean = nn.forward_unchecked(store, spec.mean, enc_out, "mean", mean_cache)
     err = mean - actions
     loss = float(np.mean(np.sum(err * err, axis=1)))
     grad = store.zeros_grad()

@@ -333,18 +333,16 @@ class ToyEnv:
 
     def _split_arm(self, ts: np.ndarray) -> None:
         """Keep per-episode offsets `ts` in [0,1) along the links, dealt to
-        the links in order as np.array_split deals them."""
-        per_link = np.array_split(ts, len(self.geom.link_lengths))
-        self._arm_link = np.repeat(np.arange(len(per_link)), [len(tj) for tj in per_link])
-        self._arm_ts = ts[:, None]
+        the links in order as np.array_split deals them: one (n, 1) column per link's run of rows."""
+        self._arm_ts = [tj[:, None] for tj in np.array_split(ts, len(self.geom.link_lengths))]
 
     def _arm_points(self, out: np.ndarray) -> None:
         """Write the arm's sample points into `out`: a + t (b - a) for the
-        ends a, b of each point's link, in `chain_points`' coordinates."""
+        ends a, b of each link, in `chain_points`' coordinates, a link at a time."""
         x0, y0, x1, y1 = ctrl.link_vectors2(*self.state.q.tolist(), self.geom)
-        chain = np.array(((0.0, 0.0), (x0, y0), (x0 + x1, y0 + y1)))
-        starts = chain[:-1][self._arm_link]
-        out[:] = starts + self._arm_ts * (chain[1:] - chain[:-1])[self._arm_link]
+        t0, t1 = self._arm_ts
+        np.add((0.0, 0.0), t0 * (x0 - 0.0, y0 - 0.0), out=out[: len(t0)])
+        np.add((x0, y0), t1 * (x0 + x1 - x0, y0 + y1 - y0), out=out[len(t0) :])
 
     def _cloud_template(self, segments) -> np.ndarray:
         """The episode's cloud layout: for each (count, class, coords) segment

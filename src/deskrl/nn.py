@@ -12,11 +12,11 @@ which makes multi-head models (shared encoder, several heads) a matter of
 calling backward once per head with the same accumulator.
 
 Inputs are checked for shape and finiteness where they enter:
-forward_batch(), forward_batch_trace() and forward() check theirs and
-serve training and single-sample callers.  forward_unchecked() is the
-same layer loop without the check; the policy's padded forward
-(pointnet.encode_batch_padded() and the heads above it) runs through it on
-observations that pointnet.PointCloudObs checked when they were built.
+forward_batch() and forward() check theirs and serve callers that pass
+raw arrays.  forward_unchecked() is the same layer loop without the
+check, which every net of the policy runs through: the padded forward on
+observations that pointnet.PointCloudObs checked when they were built,
+the update on a minibatch that pointnet.encode_batch_trace() checked.
 """
 
 from __future__ import annotations
@@ -270,15 +270,6 @@ def forward_unchecked(
 def forward_batch(store: ParamStore, spec: NetSpec, X: np.ndarray, prefix: str) -> np.ndarray:
     """Run a (B, in_width) batch through the net; returns (B, out_width)."""
     return forward_unchecked(store, spec, _check_input(X, spec.in_width, prefix), prefix)
-
-
-def forward_batch_trace(
-    store: ParamStore, spec: NetSpec, X: np.ndarray, prefix: str
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """forward_batch() plus the per-layer inputs/outputs the backward pass needs."""
-    cache: list[np.ndarray] = []
-    X = forward_unchecked(store, spec, _check_input(X, spec.in_width, prefix), prefix, cache)
-    return X, cache
 
 
 def backward_batch(

@@ -13,12 +13,13 @@ BLAS matmul over all B*N points, and a point's output comes out with the
 same bits whatever points surround it: encode() is bit-identical under
 any permutation of a cloud's points and under duplication of existing
 points, which tests/test_pointnet.py pins.  Up to its last affine layer
-the per-point net runs point-major, one (B*N, width) row per point.  That
-layer runs feature-major: W.T @ H.T + b.T fills an (F, B*N) array with
-the bits of (H @ W + b).T (tested under the SkylakeX, Haswell, Zen and
-Prescott OpenBLAS kernels), the activations after it work on that array,
-and the argmax pool scans each feature's N points along its contiguous
-axis, about half the time of the strided scan over a (B, N, F) array.
+the per-point net runs point-major, one (B*N, width) row per point; it
+ends in that layer and one ReLU.  That layer's product runs feature-major:
+W.T @ H.T fills an (F, B*N) array with the bits of (H @ W).T (tested
+under the SkylakeX, Haswell, Zen and Prescott OpenBLAS kernels), and the
+argmax pool scans each feature's N points along its contiguous axis,
+before the bias and the ReLU, which only the (B, F) pooled entries get
+(see _argmax_pool).
 
 The post net's bits can depend on the batch's row count (a one-row batch
 may take another BLAS kernel than a 64-row one), so a cloud encoded alone
@@ -34,11 +35,12 @@ stays point-major and pools with np.max (see _max_pool).
 
 Inputs are checked where they enter.  PointCloudObs checks each
 observation's shapes and finiteness when an environment builds it.
-encode(), encode_batch() and encode_batch_trace() check their points
-again through nn's checked entry points: they serve training and callers
-that pass raw arrays.  encode_batch_padded(), the policy's inference
-path, checks shapes only and runs both nets through
-nn.forward_unchecked(), relying on PointCloudObs for the values.
+encode(), encode_batch() and encode_batch_trace() serve training and
+callers that pass raw arrays: they check their points and proprio once,
+on entry, and run both nets through nn.forward_unchecked(), as the PPO
+and BC losses run their heads before checking the loss finite.
+encode_batch_padded(), the policy's inference path, checks shapes only,
+relying on PointCloudObs for the values.
 
 The max-pool's gradient reaches only the point each feature pooled from,
 so encode_batch_backward() runs the per-point net backward through the
@@ -46,8 +48,8 @@ pooled points alone (see there).  It agrees to rounding with the plain
 reference that scatters the pooled gradient into a dense (B, N, F) array
 and backpropagates every point, which the tests keep.
 
-Max-pool ties resolve to the lowest point index; only gradients can tell
-the difference, the forward value is the max either way.
+Max-pool ties resolve to the lowest point index (see _argmax_pool); only
+gradients can tell the difference, the forward value is the max either way.
 """
 
 from __future__ import annotations
@@ -105,8 +107,9 @@ class EncoderSpec:
             )
         if self.post.in_width != self.per_point.out_width + self.proprio_width:
             raise ShapeMismatchError("post net width must equal pooled features + proprio")
-        if not any(layer.kind == "affine" for layer in self.per_point.layers):
-            raise ShapeMismatchError("per-point net needs at least one affine layer")
+        tail = [layer.fn if layer.kind == "activation" else "affine" for layer in self.per_point.layers[-2:]]
+        if tail != ["affine", "relu"]:
+            raise ShapeMismatchError("per-point net must end in an affine layer and one relu")
 
     @property
     def point_channels(self) -> int:
@@ -147,19 +150,22 @@ class EncodeBatchCache:
 
     The rows are the distinct points that some feature pooled from, in
     ascending (cloud, point) order.  slot[b, f] is the row that feature f
-    of cloud b pooled from.  head_rows holds the per-point net's cache
-    (as nn.forward_batch_trace lays it out) at those rows, up to its last
-    affine layer; tail_out holds each activation after that layer at the
-    pooled entries, (B, F) each.
+    of cloud b pooled from.  head_rows holds the per-point net's cache (as
+    nn.forward_unchecked lays it out) at those rows, up to and including
+    the last affine layer's input.  tail_out is the net's closing ReLU at
+    the pooled entries, (B, F): the pooled features.
     """
 
     slot: np.ndarray
     head_rows: list[np.ndarray]
-    tail_out: list[np.ndarray]
+    tail_out: np.ndarray
     post_cache: list[np.ndarray]
 
 
-def _check_batch(spec: EncoderSpec, points: np.ndarray, proprio: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _check_batch(
+    spec: EncoderSpec, points: np.ndarray, proprio: np.ndarray, finite: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
+    """Shapes, and with `finite` values: the one check before the nets run unchecked."""
     points = np.asarray(points, dtype=np.float64)
     proprio = np.asarray(proprio, dtype=np.float64)
     if points.ndim != 3 or points.shape[2] != spec.point_channels:
@@ -170,60 +176,57 @@ def _check_batch(spec: EncoderSpec, points: np.ndarray, proprio: np.ndarray) -> 
         raise ShapeMismatchError(
             f"expected proprio ({points.shape[0]}, {spec.proprio_width}), got {proprio.shape}"
         )
+    if finite and not (np.isfinite(points).all() and np.isfinite(proprio).all()):
+        raise NonFiniteError("batch contains non-finite points or proprio")
     return points, proprio
 
 
-def _head_and_tail(net: nn.NetSpec) -> tuple[nn.NetSpec, tuple[nn.LayerSpec, ...]]:
-    """The net up to and including its last affine layer, and the activations after it."""
-    last = max(i for i, layer in enumerate(net.layers) if layer.kind == "affine")
-    return nn.NetSpec(net.layers[: last + 1]), net.layers[last + 1 :]
+def _argmax_pool(z: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pool indices and pooled features, (B, F) each, of relu(z + b) for the
+    last per-point layer's feature-major (F, B, N) product z and (1, F) bias b.
 
-
-def _argmax_pool(feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The pool indices and pooled values, (B, F) each, of feature-major
-    (F, B, N) per-point features.
-
-    argmax runs over the contiguous point axis, the lowest index winning
-    ties, and the values are read at those indices.
+    Rounded addition and the ReLU are monotone, so relu(max(z) + b) has the
+    bits of max(relu(z + b)): argmax runs over z's contiguous point axis,
+    the lowest index winning ties, one flat gather reads the maxima, and
+    only those get the bias and the ReLU.  Where the biased max is <= 0,
+    every output is a zero tie: the index is 0 and the value point 0's, as
+    the lowest-index rule gives.  Where two points' values differ but round
+    to the same biased max, the index is the larger value's.
     """
-    pool_idx = np.argmax(feats, axis=2)
-    pooled = np.take_along_axis(feats, pool_idx[:, :, None], axis=2)[:, :, 0]
-    return pool_idx.T, pooled.T
+    F, B, N = z.shape
+    idx = np.argmax(z, axis=2).T
+    pooled = z.take(idx + (np.arange(F) * B + np.arange(B)[:, None]) * N)
+    pooled += b
+    dead = pooled <= 0.0
+    idx[dead] = 0
+    pooled[dead] = (z[:, :, 0].T + b)[dead]
+    np.maximum(pooled, 0.0, out=pooled)
+    return idx, pooled
 
 
 def _pool_forward(
     store: nn.ParamStore, spec: EncoderSpec, points: np.ndarray, prefix: str
-) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray, np.ndarray]:
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
     """The per-point net over all B*N points and the max pool.
 
-    The net runs point-major, (B*N, width), up to its last affine layer.
-    That layer is computed feature-major, W.T @ H.T + b.T into a fresh
-    (F, B*N) array, whose entries have the bits of (H @ W + b).T; the tail
-    activations then work on it, the first in place, and the pool reads
-    its (F, B, N) view.  Returns the head's cache (nn.forward_batch_trace's
-    layout, ending with the last affine layer's input), the tail
-    activations' (F, B*N) outputs, the pool indices and the pooled
-    features.
+    The net runs point-major, (B*N, width), and unchecked up to its last
+    affine layer.  That layer's product W.T @ H.T fills an (F, B*N) array
+    with the bits of (H @ W).T, pooled before the bias and the ReLU (see
+    _argmax_pool).  Returns the cache of the layers before the last
+    (nn.forward_unchecked's layout) plus the last one's input, the pool
+    indices and the pooled features.
     """
     B, N, C = points.shape
-    head, tail = _head_and_tail(spec.per_point)
+    body = spec.per_point.layers[:-2]
     h = points.reshape(B * N, C)
-    if len(head.layers) > 1:
-        h, head_cache = nn.forward_batch_trace(store, nn.NetSpec(head.layers[:-1]), h, f"{prefix}.pp")
-    else:
-        h, head_cache = nn._check_input(h, C, f"{prefix}.pp"), []
-    head_cache.append(h)
-    j = sum(layer.kind == "affine" for layer in head.layers) - 1
+    cache: list[np.ndarray] = []
+    if body:
+        h = nn.forward_unchecked(store, nn.NetSpec(body), h, f"{prefix}.pp", cache)
+    cache.append(h)
+    j = sum(layer.kind == "affine" for layer in body)
     z = store.get(f"{prefix}.pp.W{j}").T @ h.T
-    z += store.get(f"{prefix}.pp.b{j}").T
-    tail_cache: list[np.ndarray] = []
-    for i, layer in enumerate(tail):
-        # the first activation overwrites the fresh affine output; a later
-        # one writes a new array, since the one before it is cached
-        z = nn._apply_activation(layer.fn, z, out=None if i else z)
-        tail_cache.append(z)
-    pool_idx, pooled = _argmax_pool(z.reshape(spec.feature_dim, B, N))
-    return head_cache, tail_cache, pool_idx, pooled
+    pool_idx, pooled = _argmax_pool(z.reshape(spec.feature_dim, B, N), store.get(f"{prefix}.pp.b{j}"))
+    return cache, pool_idx, pooled
 
 
 def _max_pool(feats: np.ndarray) -> np.ndarray:
@@ -242,12 +245,13 @@ def _max_pool(feats: np.ndarray) -> np.ndarray:
 
 def _encode_batch_forward(
     store: nn.ParamStore, spec: EncoderSpec, points: np.ndarray, proprio: np.ndarray, prefix: str
-) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray], np.ndarray, np.ndarray, list[np.ndarray]]:
-    """The one batched forward: output, head cache, tail outputs, pool indices, pooled features, post cache."""
-    head_cache, tail_cache, pool_idx, pooled = _pool_forward(store, spec, points, prefix)
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray, np.ndarray, list[np.ndarray]]:
+    """The one batched forward on checked inputs: output, head cache, pool indices, pooled, post cache."""
+    head_cache, pool_idx, pooled = _pool_forward(store, spec, points, prefix)
+    post_cache: list[np.ndarray] = []
     x = np.concatenate([pooled, proprio], axis=1)
-    out, post_cache = nn.forward_batch_trace(store, spec.post, x, f"{prefix}.post")
-    return out, head_cache, tail_cache, pool_idx, pooled, post_cache
+    out = nn.forward_unchecked(store, spec.post, x, f"{prefix}.post", post_cache)
+    return out, head_cache, pool_idx, pooled, post_cache
 
 
 def encode_batch_trace(
@@ -259,17 +263,13 @@ def encode_batch_trace(
 ) -> tuple[np.ndarray, EncodeBatchCache]:
     """encode_batch() plus what encode_batch_backward needs.
 
-    The per-point net's last affine layer and the activations after it
-    run feature-major, so the argmax pool scans each feature's points
-    contiguously (see _pool_forward); the cache keeps only the pooled
-    points (see EncodeBatchCache).
+    The points and proprio are checked once, here.  The per-point net's
+    last layer runs feature-major and is pooled before its bias and ReLU
+    (see _pool_forward); the cache keeps only the pooled points.
     """
     points, proprio = _check_batch(spec, points, proprio)
     B, N, _ = points.shape
-    F = spec.feature_dim
-    out, head_cache, tail_cache, pool_idx, pooled, post_cache = _encode_batch_forward(
-        store, spec, points, proprio, prefix
-    )
+    out, head_cache, pool_idx, pooled, post_cache = _encode_batch_forward(store, spec, points, proprio, prefix)
     flat = pool_idx + (np.arange(B) * N)[:, None]
     used = np.zeros(B * N, dtype=bool)
     used[flat] = True
@@ -286,8 +286,7 @@ def encode_batch_trace(
         # an activation's output is cached again as the next affine layer's
         # input; gather that array once and list it twice
         head_rows.append(head_rows[-1] if i and c is head_cache[i - 1] else c[rows])
-    tail_out = [pooled if c is tail_cache[-1] else c[np.arange(F), flat] for c in tail_cache]
-    return out, EncodeBatchCache(slot, head_rows, tail_out, post_cache)
+    return out, EncodeBatchCache(slot, head_rows, pooled, post_cache)
 
 
 def encode_batch(
@@ -325,7 +324,7 @@ def encode_batch_padded(
     and both nets run through nn.forward_unchecked().  Non-finite values
     pass through to the output.
     """
-    points, proprio = _check_batch(spec, points, proprio)
+    points, proprio = _check_batch(spec, points, proprio, finite=False)
     B, N, C = points.shape
     F = spec.feature_dim
     feats = nn.forward_unchecked(store, spec.per_point, points.reshape(B * N, C), f"{prefix}.pp")
@@ -353,12 +352,13 @@ def encode_batch_backward(
 
     The max-pool passes gradient only to the point each feature pooled
     from, so the per-point net is backpropagated through those points
-    alone: the pooled gradient goes through the tail activations at the
-    pooled entries, then lands at (slot[b, f], f) of a (rows, F) upstream
-    gradient (a point that several features picked gets all of theirs),
-    which runs back through the head.  No other point's gradient, zero
-    by construction, is ever formed, and neither is the gradient with
-    respect to the points themselves.
+    alone: the pooled gradient goes through the closing ReLU at the pooled
+    entries, where the last per-point bias takes its gradient, then lands
+    at (slot[b, f], f) of a (rows, F) upstream gradient (a point that
+    several features picked gets all of theirs), which runs back through
+    the last weights and the layers before them.  No other point's
+    gradient, zero by construction, is ever formed, and neither is the
+    gradient with respect to the points themselves.
 
     The result is deterministic for a given batch.  It adds each
     parameter's terms in another order than the dense backward over all
@@ -369,10 +369,18 @@ def encode_batch_backward(
     if d_out.shape != (B, spec.out_width):
         raise ShapeMismatchError(f"upstream gradient must be ({B}, {spec.out_width}), got {d_out.shape}")
     dx = nn.backward_batch(store, spec.post, cache.post_cache, d_out, grad, f"{prefix}.post")
-    d_pooled = dx[:, :F]
-    head, tail = _head_and_tail(spec.per_point)
-    for layer, out in zip(reversed(tail), reversed(cache.tail_out)):
-        d_pooled = nn._activation_grad(layer.fn, d_pooled, out)
-    d_rows = np.zeros((cache.head_rows[0].shape[0], F))
+    d_pooled = nn._activation_grad("relu", dx[:, :F], cache.tail_out)
+    h = cache.head_rows[-1]
+    d_rows = np.zeros((h.shape[0], F))
     d_rows[cache.slot, np.arange(F)] = d_pooled
-    nn.backward_batch(store, head, cache.head_rows, d_rows, grad, f"{prefix}.pp", input_grad=False)
+    body = spec.per_point.layers[:-2]
+    j = sum(layer.kind == "affine" for layer in body)
+    lo, hi = store.slice_bounds(f"{prefix}.pp.W{j}")
+    grad[lo:hi] += (h.T @ d_rows).ravel()
+    lo, hi = store.slice_bounds(f"{prefix}.pp.b{j}")
+    grad[lo:hi] += d_pooled.sum(axis=0)
+    if body:
+        d_h = d_rows @ store.get(f"{prefix}.pp.W{j}").T
+        nn.backward_batch(
+            store, nn.NetSpec(body), cache.head_rows[:-1], d_h, grad, f"{prefix}.pp", input_grad=False
+        )

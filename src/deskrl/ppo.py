@@ -226,8 +226,9 @@ class UpdateStats:
 
 def _policy_batch_trace(store, spec, points, proprios):
     enc_out, enc_cache = pointnet.encode_batch_trace(store, spec.encoder, points, proprios)
-    mean, mean_cache = nn.forward_batch_trace(store, spec.mean, enc_out, "mean")
-    value, value_cache = nn.forward_batch_trace(store, spec.value, enc_out, "value")
+    mean_cache, value_cache = [], []
+    mean = nn.forward_unchecked(store, spec.mean, enc_out, "mean", mean_cache)
+    value = nn.forward_unchecked(store, spec.value, enc_out, "value", value_cache)
     return enc_out, mean, value[:, 0], (enc_cache, mean_cache, value_cache)
 
 

@@ -1,13 +1,18 @@
 """The OpenBLAS kernels a test can force on this CPU through OPENBLAS_CORETYPE.
 
-Cross-kernel tests run a script or a test in a subprocess under each kernel
-and compare what it prints or asserts: `each_kernel` parametrizes a test over
-the kernels (skipped off x86-64), and `kernel_env` gives the subprocess its
-environment, skipping the test when this CPU cannot run the kernel.
+Cross-kernel tests compare what checks run under each kernel give with what
+they give here: `each_kernel` parametrizes a test over the kernels (skipped
+off x86-64), and `kernel_checks` runs every per-kernel check under one
+kernel in one subprocess, once per test session, skipping the calling test
+when this CPU cannot run the kernel.
 """
 
+import functools
+import json
 import os
 import platform
+import subprocess
+import sys
 
 import pytest
 
@@ -47,3 +52,52 @@ def kernel_env(kernel: str) -> dict:
     if missing:
         pytest.skip(f"this CPU cannot run the {kernel} kernel: no {', '.join(sorted(missing))}")
     return {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, TESTS]), "OPENBLAS_CORETYPE": kernel}
+
+
+# the tests every kernel runs, each of which must pass there as it does here
+KERNEL_TESTS = (
+    "test_pointnet.py::test_traced_forward_matches_point_major_reference",
+    "test_policy.py::test_padded_forward_matches_checked_composition",
+)
+
+_KERNEL_CHECKS = """
+import json, sys
+import pytest
+from test_golden import _env_digests
+for node in sys.argv[1:]:
+    print("@@test", node, flush=True)
+    code = pytest.main(["-q", "-p", "no:cacheprovider", node])
+    print("@@exit", int(code), flush=True)
+print("@@env", json.dumps(_env_digests()), flush=True)
+"""
+
+
+@functools.cache
+def kernel_checks(kernel: str) -> dict:
+    """Run KERNEL_TESTS and then test_golden._env_digests() under `kernel`,
+    all in one subprocess.  Returns {"tests": {test: (exit code, output)},
+    "env": the digests or None, "log": the whole output}; skips the calling
+    test if this CPU lacks the kernel."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _KERNEL_CHECKS, *(os.path.join(TESTS, t) for t in KERNEL_TESTS)],
+        env=kernel_env(kernel), capture_output=True, text=True, timeout=600,
+    )
+    tests, env, node, lines = {}, None, None, []
+    for line in proc.stdout.splitlines():
+        tag, _, rest = line.partition(" ")
+        if tag == "@@test":
+            node, lines = os.path.relpath(rest, TESTS), []
+        elif tag == "@@exit":
+            tests[node] = (int(rest), "\n".join(lines))
+        elif tag == "@@env":
+            env = json.loads(rest)
+        else:
+            lines.append(line)
+    return {"tests": tests, "env": env, "log": proc.stdout + proc.stderr}
+
+
+def kernel_test(kernel: str, test: str) -> tuple[int | None, str]:
+    """The exit code and output of one of KERNEL_TESTS under `kernel`;
+    (None, the whole output) if the subprocess did not get to report it."""
+    run = kernel_checks(kernel)
+    return run["tests"].get(test, (None, run["log"]))

@@ -355,3 +355,22 @@ class TestTrainBC:
         )
         with pytest.raises(NonFiniteError, match="outer step"):
             bc.train_bc(small_cfg(), poisoned, cfg, seed=1, out_dir=str(tmp_path / "n"))
+
+    @pytest.mark.parametrize("param", ["enc.post.W0", "mean.W1"])
+    def test_nonfinite_parameter_stops_before_adam(self, reach_demos, tmp_path, monkeypatch, param):
+        # the post net and the mean head run unchecked; the loss check must
+        # still stop a NaN parameter before the optimizer moves
+        cfg, ds = reach_demos
+        init = pol.init_policy
+
+        def poisoned(store, spec, gen, log_std0):
+            init(store, spec, gen, log_std0)
+            store.get(param)[0, 0] = np.nan
+
+        steps = []
+        monkeypatch.setattr(pol, "init_policy", poisoned)
+        monkeypatch.setattr(nn, "adam_step", lambda *args: steps.append(args))
+        with pytest.raises(NonFiniteError, match="outer step 0, minibatch 0"):
+            # entry rates skip the entry evaluation, whose head check would stop it first
+            bc.train_bc(small_cfg(), ds, cfg, seed=1, out_dir=str(tmp_path / "n"), entry_rates=(0.0, 0.0))
+        assert steps == []

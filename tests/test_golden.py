@@ -28,7 +28,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from blas_kernels import each_kernel, kernel_env
+from blas_kernels import each_kernel, kernel_checks
 from deskrl import bc, nn, pointnet, policy as pol, ppo, twostage as ts
 from deskrl.config import resolve_config, write_manifest
 from deskrl.envs import SPLITS, TASKS, generate_demos, make_config, make_env
@@ -75,7 +75,9 @@ def _pools_have_strided_argmax_bits(monkeypatch):
     """In every case here, both pools must give what the argmax over the
     strided point axis of point-major (B, N, F) features gives, bit for
     bit, signed zeros included: the padded forward's max pool its values,
-    the traced forward's feature-major pool its indices and values."""
+    the traced forward's feature-major pool, which takes its argmax before
+    the bias and the ReLU, its indices and values.  So no case here meets
+    two points whose different values round to the same biased max."""
     max_pool, argmax_pool = pointnet._max_pool, pointnet._argmax_pool
 
     def reference(feats):
@@ -87,9 +89,9 @@ def _pools_have_strided_argmax_bits(monkeypatch):
         assert pooled.tobytes() == reference(feats)[1].tobytes()
         return pooled
 
-    def checked_argmax(feats):
-        idx, pooled = argmax_pool(feats)
-        ref_idx, ref_pooled = reference(np.ascontiguousarray(feats.transpose(1, 2, 0)))
+    def checked_argmax(z, b):
+        idx, pooled = argmax_pool(z, b)
+        ref_idx, ref_pooled = reference(np.maximum(z.transpose(1, 2, 0) + b, 0.0))
         assert np.array_equal(idx, ref_idx)
         assert pooled.tobytes() == ref_pooled.tobytes()
         return idx, pooled
@@ -345,13 +347,6 @@ def _env_digests() -> dict:
     return {"transitions": transitions, "demos": demos}
 
 
-_ENV_DIGESTS = """
-import json
-from test_golden import _env_digests
-print(json.dumps(_env_digests()))
-"""
-
-
 @pytest.fixture(scope="module")
 def native_env_digests():
     return _env_digests()
@@ -361,11 +356,9 @@ def native_env_digests():
 def test_env_bits_do_not_depend_on_the_blas_kernel(kernel, native_env_digests):
     # the simulator and the experts make no BLAS call, so every kernel
     # OpenBLAS picks on x86-64 gives this machine's transitions and demos
-    proc = subprocess.run(
-        [sys.executable, "-c", _ENV_DIGESTS], env=kernel_env(kernel), capture_output=True, text=True, timeout=300
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == native_env_digests, f"OPENBLAS_CORETYPE={kernel}"
+    run = kernel_checks(kernel)
+    assert run["env"] is not None, run["log"]
+    assert run["env"] == native_env_digests, f"OPENBLAS_CORETYPE={kernel}"
 
 
 def test_grid_legs_record_their_restore_point_rates(tmp_path, monkeypatch):

@@ -82,8 +82,14 @@ def scalar_loss(store, spec, X, prefix):
     return float(np.mean(Y * Y))
 
 
+def traced(store, spec, X, prefix):
+    """The forward and the per-layer cache that backward_batch reads."""
+    cache = []
+    return nn.forward_unchecked(store, spec, X, prefix, cache), cache
+
+
 def backprop_loss_grad(store, spec, X, prefix):
-    Y, cache = nn.forward_batch_trace(store, spec, X, prefix)
+    Y, cache = traced(store, spec, X, prefix)
     grad = store.zeros_grad()
     dY = 2.0 * Y / Y.size
     nn.backward_batch(store, spec, cache, dY, grad, prefix)
@@ -166,7 +172,7 @@ def test_batch_gradient_is_mean_of_singles():
 def test_backward_accumulates():
     spec, store = build_net((4, 4, 1), "relu", "identity", 5)
     X = make_generator(5, "acc").normal(size=(2, 4))
-    Y, cache = nn.forward_batch_trace(store, spec, X, "net")
+    Y, cache = traced(store, spec, X, "net")
     dY = np.ones_like(Y)
     grad = store.zeros_grad()
     nn.backward_batch(store, spec, cache, dY, grad, "net")
@@ -179,7 +185,7 @@ def test_backward_without_input_grad_keeps_parameter_bits():
     # input_grad=False only skips the first layer's input product
     spec, store = build_net((5, 7, 3), "relu", "identity", 6)
     X = make_generator(6, "skip").normal(size=(9, 5))
-    Y, cache = nn.forward_batch_trace(store, spec, X, "net")
+    Y, cache = traced(store, spec, X, "net")
     dY = make_generator(6, "dy").normal(size=Y.shape)
     full, skipped = store.zeros_grad(), store.zeros_grad()
     dX = nn.backward_batch(store, spec, cache, dY, full, "net")

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from blas_kernels import TESTS, each_kernel, kernel_env
+from blas_kernels import each_kernel, kernel_test
 from deskrl import nn, pointnet
 from deskrl.envs import make_config, make_env
 from deskrl.errors import NonFiniteError, ShapeMismatchError
@@ -151,16 +151,22 @@ def strided_argmax_pool(feats):
     return pool_idx, np.take_along_axis(feats, pool_idx[:, None, :], axis=1)[:, 0, :]
 
 
+def traced(store, net, X, prefix):
+    """A net's forward and the per-layer cache that nn.backward_batch reads."""
+    cache = []
+    return nn.forward_unchecked(store, net, X, prefix, cache), cache
+
+
 def dense_backward(store, spec, points, proprio, d_out, grad):
     """The plain reference backward: the pooled gradient is scattered into a
     zero (B, N, F) array at each feature's argmax, and all B*N points are
     backpropagated through the per-point net."""
     B, N, C = points.shape
     F = spec.feature_dim
-    feats, pp_cache = nn.forward_batch_trace(store, spec.per_point, points.reshape(B * N, C), "enc.pp")
+    feats, pp_cache = traced(store, spec.per_point, points.reshape(B * N, C), "enc.pp")
     pool_idx, pooled = strided_argmax_pool(feats.reshape(B, N, F))
     x = np.concatenate([pooled, proprio], axis=1)
-    _, post_cache = nn.forward_batch_trace(store, spec.post, x, "enc.post")
+    _, post_cache = traced(store, spec.post, x, "enc.post")
     dx = nn.backward_batch(store, spec.post, post_cache, d_out, grad, "enc.post")
     d_feats = np.zeros((B, N, F))
     d_feats[np.arange(B)[:, None], pool_idx, np.arange(F)] = dx[:, :F]
@@ -180,25 +186,39 @@ def _tied_clouds(spec, store, gen):
 
 
 def _dead_feature(spec, store, gen):
-    # feature 2 is <= 0 on every point, so it pools to 0 and passes no gradient
-    store.get("enc.pp.b1")[0, 2] = -1e3
-    return _random_clouds(spec, store, gen)
+    """Feature 2 is <= 0 on every point, so it pools from point 0 and passes
+    no gradient.  Its weights are <= 0 and its bias is -0.0, and point 0 of
+    each cloud is the origin with no class, whose hidden features are all
+    zero: its value there is +0.0 before the bias and +0.0 + -0.0 = +0.0
+    after it, the cloud's biased max.  (A biased -0.0 would need a -0.0
+    product entry, which OpenBLAS, summing from +0.0, does not give.)"""
+    W, b = store.get("enc.pp.W1"), store.get("enc.pp.b1")
+    W[:, 2] = -np.abs(W[:, 2])
+    b[0, 2] = -0.0
+    _, clouds = _random_clouds(spec, store, gen)
+    for obs in clouds:
+        obs.points[0] = 0.0
+    return spec, clouds
 
 
-def _stacked_tail(spec, store, gen):
-    # two tanh after the last per-point layer: the batched backward needs
-    # each one's output at the pooled entries, not just the last one's
-    tanh = nn.LayerSpec("activation", 12, 12, "tanh")
-    layers = spec.per_point.layers[:-1] + (tanh, tanh)
-    spec = pointnet.EncoderSpec(
-        spec.point_dim, spec.feat_channels, spec.proprio_width, nn.NetSpec(layers), spec.post
-    )
-    return _random_clouds(spec, store, gen)
+def _rounding_tie(spec, store, gen):
+    """A one-layer per-point net.  Points 2 and 7 of cloud 0 give feature 0
+    the cloud's largest values before the bias, about 100 and 1e-11 apart,
+    and its bias of 2**20 (an ulp of 2**-32) rounds both to one biased
+    value.  The point-major reference pools from point 2, the lowest index
+    of the tie after the bias; the traced forward pools from point 7, the
+    larger value before it."""
+    _, clouds = _random_clouds(spec, store, gen)
+    u = store.get("enc.pp.W0")[:, 0]
+    clouds[0].points[2] = 100.0 * u / (u @ u)
+    clouds[0].points[7] = clouds[0].points[2] * (1.0 + 1e-13)
+    store.get("enc.pp.b0")[0, 0] = 2.0**20
+    return spec, clouds
 
 
 @pytest.mark.parametrize(
-    "case", [_random_clouds, _tied_clouds, _dead_feature, _stacked_tail],
-    ids=["random", "ties", "dead_feature", "stacked_tail"],
+    "case", [_random_clouds, _tied_clouds, _dead_feature],
+    ids=["random", "ties", "dead_feature"],
 )
 def test_batched_backward_matches_sum_of_singles(case):
     spec, store = make_encoder(4, proprio_width=4, per_point=(8, 12), post=(6,))
@@ -227,17 +247,16 @@ def point_major_trace(store, spec, points, proprio):
     strided_argmax_pool, the cache gathered at the pooled points."""
     B, N, C = points.shape
     F = spec.feature_dim
-    feats, pp_cache = nn.forward_batch_trace(store, spec.per_point, points.reshape(B * N, C), "enc.pp")
+    feats, pp_cache = traced(store, spec.per_point, points.reshape(B * N, C), "enc.pp")
     pool_idx, pooled = strided_argmax_pool(feats.reshape(B, N, F))
-    out, post_cache = nn.forward_batch_trace(store, spec.post, np.concatenate([pooled, proprio], axis=1), "enc.post")
+    out, post_cache = traced(store, spec.post, np.concatenate([pooled, proprio], axis=1), "enc.post")
     flat = pool_idx + (np.arange(B) * N)[:, None]
     used = np.zeros(B * N, dtype=bool)
     used[flat] = True
     rows = np.flatnonzero(used)
     rows = np.concatenate([rows, rows[:1].repeat(-rows.size % 64)])
-    n_head = len(pointnet._head_and_tail(spec.per_point)[0].layers)
-    head_rows = [c[rows] for c in pp_cache[:n_head]]
-    tail_out = [c.reshape(B, N, F)[np.arange(B)[:, None], pool_idx, np.arange(F)] for c in pp_cache[n_head:]]
+    head_rows = [c[rows] for c in pp_cache[:-1]]
+    tail_out = pp_cache[-1].reshape(B, N, F)[np.arange(B)[:, None], pool_idx, np.arange(F)]
     cache = pointnet.EncodeBatchCache((np.cumsum(used) - 1)[flat], head_rows, tail_out, post_cache)
     return out, pool_idx, pooled, cache
 
@@ -266,7 +285,7 @@ TRACE_BATCHES = {
     "random": lambda: _small_batch(_random_clouds),
     "ties": lambda: _small_batch(_tied_clouds),
     "dead_feature": lambda: _small_batch(_dead_feature),
-    "stacked_tail": lambda: _small_batch(_stacked_tail),
+    "rounding_tie": lambda: _small_batch(_rounding_tie, per_point=(12,)),
     # a per-point net of one affine layer, whose feature-major product
     # reads the points themselves
     "one_layer": lambda: _small_batch(_random_clouds, per_point=(12,)),
@@ -276,34 +295,42 @@ TRACE_BATCHES = {
 
 @pytest.mark.parametrize("batch", list(TRACE_BATCHES))
 def test_traced_forward_matches_point_major_reference(batch):
-    # the last per-point layer runs feature-major and pools over the
-    # contiguous point axis; every value and index must keep the bits of
-    # the point-major forward and its strided argmax pool
+    # the last per-point layer runs feature-major and is pooled over the
+    # contiguous point axis before its bias and ReLU; every value must keep
+    # the bits of the point-major forward and its strided argmax pool, and
+    # so must every index but one of a rounding tie (see _rounding_tie)
     spec, store, pts, prop = TRACE_BATCHES[batch]()
     ref_out, ref_idx, ref_pooled, ref = point_major_trace(store, spec, pts, prop)
-    _, _, pool_idx, pooled = pointnet._pool_forward(store, spec, pts, "enc")
+    _, pool_idx, pooled = pointnet._pool_forward(store, spec, pts, "enc")
     out, cache = pointnet.encode_batch_trace(store, spec, pts, prop, "enc")
-    assert np.array_equal(pool_idx, ref_idx)
     assert pooled.tobytes() == ref_pooled.tobytes()
+    assert cache.tail_out.tobytes() == ref.tail_out.tobytes()
     assert out.tobytes() == ref_out.tobytes()
-    assert np.array_equal(cache.slot, ref.slot)
-    assert len(cache.head_rows) == len(ref.head_rows) and len(cache.tail_out) == len(ref.tail_out)
-    for got, want in [*zip(cache.head_rows, ref.head_rows), *zip(cache.tail_out, ref.tail_out)]:
-        assert got.tobytes() == want.tobytes()
+    if batch == "dead_feature":
+        assert not pool_idx[:, 2].any() and np.array_equal(np.signbit(pooled), np.signbit(ref_pooled))
+    if batch == "rounding_tie":
+        # the tie exists after the bias only, and each side picks its end
+        B, N, C = pts.shape
+        z = (pts.reshape(B * N, C) @ store.get("enc.pp.W0")).reshape(B, N, -1)[0, :, 0]
+        b = store.get("enc.pp.b0")[0, 0]
+        assert z[7] > z[2] and z[7] + b == z[2] + b
+        assert (ref_idx[0, 0], pool_idx[0, 0]) == (2, 7)
+        ref_idx[0, 0] = 7
+    assert np.array_equal(pool_idx, ref_idx)
+    if batch != "rounding_tie":
+        assert np.array_equal(cache.slot, ref.slot)
+        assert len(cache.head_rows) == len(ref.head_rows)
+        for got, want in zip(cache.head_rows, ref.head_rows):
+            assert got.tobytes() == want.tobytes()
 
 
 @each_kernel
 def test_traced_forward_matches_reference_on_each_blas_kernel(kernel):
     # the feature-major product W.T @ H.T must have the bits of (H @ W).T
     # under every kernel OpenBLAS picks on x86-64, not just this machine's
-    env = kernel_env(kernel)
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         f"{os.path.join(TESTS, 'test_pointnet.py')}::test_traced_forward_matches_point_major_reference"],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert f"{len(TRACE_BATCHES)} passed" in proc.stdout
+    returncode, stdout = kernel_test(kernel, "test_pointnet.py::test_traced_forward_matches_point_major_reference")
+    assert returncode == 0, stdout
+    assert f"{len(TRACE_BATCHES)} passed" in stdout
 
 
 _GRADIENT_DIGEST = """
@@ -358,7 +385,7 @@ def test_pool_tie_breaks_to_lowest_index():
     obs = random_obs(spec, gen, 16)
 
     def pool_idx(points):
-        return pointnet._encode_batch_forward(store, spec, points[None], obs.proprio[None], "enc")[3][0]
+        return pointnet._encode_batch_forward(store, spec, points[None], obs.proprio[None], "enc")[2][0]
 
     before = pool_idx(obs.points)
     # append an exact copy of the point most features pooled from: each of
@@ -388,6 +415,30 @@ def test_validation_rejects_bad_inputs():
     with pytest.raises(ShapeMismatchError):  # a per-point net with nothing to learn
         relu_only = nn.NetSpec((nn.LayerSpec("activation", 5, 5, "relu"),))
         pointnet.EncoderSpec(2, 3, 8, relu_only, nn.mlp((13, 4)))
+
+
+@pytest.mark.parametrize("tail", [("tanh",), ("relu", "relu"), ()], ids=["tanh", "two_activations", "none"])
+def test_encoder_spec_requires_one_relu_tail(tail):
+    # the traced forward pools the last per-point layer before its bias and
+    # ReLU, which holds for exactly one ReLU after that layer
+    layers = nn.mlp((5, 8, 12)).layers + tuple(nn.LayerSpec("activation", 12, 12, fn) for fn in tail)
+    with pytest.raises(ShapeMismatchError, match="one relu"):
+        pointnet.EncoderSpec(2, 3, 8, nn.NetSpec(layers), nn.mlp((20, 4)))
+    relu_tail = nn.mlp((5, 8, 12), hidden="relu", output="relu")
+    assert pointnet.EncoderSpec(2, 3, 8, relu_tail, nn.mlp((20, 4))).feature_dim == 12
+
+
+@pytest.mark.parametrize("where", ["points", "proprio"])
+def test_trace_rejects_a_nonfinite_minibatch_on_entry(where):
+    # encode_batch_trace checks its points and proprio where they enter;
+    # the nets after that run unchecked
+    spec, store, pts, prop = TRACE_BATCHES["random"]()
+    if where == "points":
+        pts[3, 4, 1] = np.nan
+    else:
+        prop[3, 1] = np.nan
+    with pytest.raises(NonFiniteError, match="non-finite points or proprio"):
+        pointnet.encode_batch_trace(store, spec, pts, prop, "enc")
 
 
 def test_init_is_deterministic():

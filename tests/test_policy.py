@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from blas_kernels import TESTS, each_kernel, kernel_env
+from blas_kernels import each_kernel, kernel_test
 from deskrl import envs, nn, pointnet, policy as pol, ppo
 from deskrl.envs import make_config, make_env
 from deskrl.errors import NonFiniteError, ShapeMismatchError
@@ -411,14 +411,9 @@ def test_padded_forward_matches_checked_composition(task):
 def test_padded_forward_matches_checked_composition_on_each_blas_kernel(kernel):
     # the lean loop and the checked one must make the same BLAS calls on
     # the same shapes under every kernel OpenBLAS picks on x86-64
-    env = kernel_env(kernel)
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         f"{os.path.join(TESTS, 'test_policy.py')}::test_padded_forward_matches_checked_composition"],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert f"{len(envs.TASKS)} passed" in proc.stdout
+    returncode, stdout = kernel_test(kernel, "test_policy.py::test_padded_forward_matches_checked_composition")
+    assert returncode == 0, stdout
+    assert f"{len(envs.TASKS)} passed" in stdout
 
 
 @pytest.mark.parametrize("run", ["evaluate_policy", "collect_rollout"])

@@ -531,6 +531,20 @@ class TestPPOUpdate:
         with pytest.raises(NonFiniteError, match="minibatch"):
             ppo.ppo_update(store, spec, buf, cfg, make_generator(0, "mb"), adam)
 
+    @pytest.mark.parametrize("param", ["enc.post.b0", "mean.W1", "value.W0"])
+    def test_nonfinite_parameter_stops_before_adam(self, param, monkeypatch):
+        # the post net and both heads run unchecked; the loss check must
+        # still stop a NaN parameter before the optimizer moves
+        store, spec = fresh_policy(seed=6)
+        buf = rollout_with_gae(store, spec, samples=8, seed=6)
+        store.get(param)[0, 0] = np.nan
+        steps = []
+        monkeypatch.setattr(nn, "adam_step", lambda *args: steps.append(args))
+        cfg = ppo.PPOConfig(samples_per_step=8, minibatch_size=8, total_steps=0)
+        with pytest.raises(NonFiniteError, match="epoch 0, minibatch 0"):
+            ppo.ppo_update(store, spec, buf, cfg, make_generator(0, "mb"), nn.init_adam(store.size, 3e-4))
+        assert steps == []
+
 
 class TestTrainPPO:
     def test_eval_cadence_and_artifacts(self, tmp_path):
