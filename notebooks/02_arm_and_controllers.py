@@ -15,8 +15,7 @@ from deskrl.controllers import (
     ArmGeom,
     JointState,
     PDGains,
-    forward_kinematics,
-    jacobian,
+    link_vectors2,
     pd_ee_delta_pose,
     pd_joint_delta_pos,
 )
@@ -24,6 +23,18 @@ from deskrl.controllers import (
 geom = ArmGeom()
 gains = PDGains()
 dt = 0.05
+
+
+def tip_of(q: np.ndarray) -> np.ndarray:
+    """The tip: the sum of the two link vectors."""
+    x0, y0, x1, y1 = link_vectors2(*q.tolist(), geom)
+    return np.array([x0 + x1, y0 + y1])
+
+
+def jacobian(q: np.ndarray) -> np.ndarray:
+    """d(tip)/dq: each column sums the link vectors at or beyond its joint, turned a quarter."""
+    x0, y0, x1, y1 = link_vectors2(*q.tolist(), geom)
+    return np.array([[-(y0 + y1), -y1], [x0 + x1, x1]])
 
 
 def integrate(state: JointState, u: np.ndarray, dt: float, substeps: int = 4) -> JointState:
@@ -38,15 +49,15 @@ def integrate(state: JointState, u: np.ndarray, dt: float, substeps: int = 4) ->
 
 # -- kinematics sanity ---------------------------------------------------
 q = np.array([np.pi / 4, -np.pi / 3])
-tip, angle = forward_kinematics(q, geom)
-print(f"q = {np.round(q, 3)} -> tip {np.round(tip, 4)}, link angle {angle:.4f}")
+tip = tip_of(q)
+print(f"q = {np.round(q, 3)} -> tip {np.round(tip, 4)}, link angle {q.sum():.4f}")
 
-J = jacobian(q, geom)
+J = jacobian(q)
 h = 1e-6
 for i in range(2):
     dq = np.zeros(2)
     dq[i] = h
-    fd = (forward_kinematics(q + dq, geom)[0] - forward_kinematics(q - dq, geom)[0]) / (2 * h)
+    fd = (tip_of(q + dq) - tip_of(q - dq)) / (2 * h)
     print(f"Jacobian column {i}: analytic {np.round(J[:, i], 6)}, "
           f"finite difference {np.round(fd, 6)}")
 
@@ -67,12 +78,12 @@ for t in range(40):
 
 # -- end-effector-delta controller: move the tip straight right ----------
 state = JointState(q=np.array([np.pi / 3, -2 * np.pi / 3]), qdot=np.zeros(2))
-start, _ = forward_kinematics(state.q, geom)
+start = tip_of(state.q)
 action = np.array([1.0, 0.0])  # +dx_max along x each step
 print("\nend-effector-delta response (tip walks right in dx_max hops):")
 for t in range(30):
     u = pd_ee_delta_pose(action, state, gains, geom)
     state = integrate(state, u, dt)
     if t % 10 == 9:
-        tip, _ = forward_kinematics(state.q, geom)
+        tip = tip_of(state.q)
         print(f"  t={t + 1:2d}  tip = {np.round(tip, 4)}  (moved {tip[0] - start[0]:+.4f} in x)")

@@ -18,10 +18,11 @@ from dataclasses import replace
 
 from . import bc as bc_mod, config as cfg_mod, policy as pol, ppo as ppo_mod, twostage as ts
 from .envs import generate_demos
-from .errors import ConfigError, DeskRLError
+from .errors import ConfigError, DeskRLError, MetricsOrderError
 from .persistence import (
     MetricsRecord,
     append_metrics,
+    check_metrics_order,
     export_table,
     export_trendline,
     load_checkpoint,
@@ -165,16 +166,18 @@ def cmd_eval(args, resolved) -> None:
     ckpt = load_checkpoint(_require_path(section["checkpoint"], "eval.checkpoint"))
     if ckpt.env_fingerprint != env_cfg.fingerprint():
         raise ConfigError("checkpoint was trained on a different environment than [run] describes")
+    log_path = os.path.join(args.out, "eval-metrics.csv")
+    try:  # before anything is written or evaluated
+        check_metrics_order(log_path, ckpt.step)
+    except MetricsOrderError as exc:
+        raise ConfigError(str(exc)) from None
     cfg_mod.write_manifest(args.out, "eval", args.seed, resolved)
     spec = pol.build_policy_spec(env_cfg.task)
     store = ckpt.param_store()
     episodes = section["episodes"]
     train_rate = pol.evaluate_policy(store, spec, replace(env_cfg, split="train"), episodes, args.seed)
     test_rate = pol.evaluate_policy(store, spec, replace(env_cfg, split="test"), episodes, args.seed)
-    append_metrics(
-        os.path.join(args.out, "eval-metrics.csv"),
-        MetricsRecord(ckpt.step, train_rate, test_rate),
-    )
+    append_metrics(log_path, MetricsRecord(ckpt.step, train_rate, test_rate))
     shown = train_rate if section["split"] == "train" else test_rate
     print(f"{section['split']} success rate: {shown:.4f}")
 

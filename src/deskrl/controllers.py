@@ -8,14 +8,15 @@ Controllers bridge policy actions in [-1, 1]^2 to joint commands:
   least squares (`dls_step2`, the one DLS helper) maps it to a joint delta,
   then the same PD law tracks it.
 
-Both take 2-link arms only and run on Python floats, so an environment step
-makes no BLAS call.  The joint-delta target and the PD law keep the bits of
-the numpy expressions they replaced: numpy's order of operations, each clip
-a max with the lower bound, then a min with the upper.  `dls_step2` solves
-the damped 2x2 system by partial-pivot LU; its bits moved from the numpy
-solve's, whose BLAS kernels fuse multiply-adds, and no longer depend on the
-BLAS build.  `forward_kinematics`, `chain_points` and `jacobian` stay numpy
-for any joint count; `link_vectors2` gives their 2-link values on floats.
+The arm has two links by construction (ArmGeom, JointState).  Its
+kinematics (`link_vectors2`) and both controllers run on Python floats,
+so an environment step makes no BLAS call; tests/test_controllers.py
+holds them to numpy oracles.  The joint-delta target and the PD law keep
+the bits of the numpy expressions they replaced: numpy's order of
+operations, each clip a max with the lower bound, then a min with the
+upper.  `dls_step2` solves the damped 2x2 system by partial-pivot LU;
+its bits moved from the numpy solve's, whose BLAS kernels fuse
+multiply-adds, and no longer depend on the BLAS build.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import NonFiniteError, ShapeMismatchError, require_finite_floats
 
 @dataclass
 class JointState:
-    """Joint angles (rad) and velocities (rad/s)."""
+    """Joint angles (rad) and velocities (rad/s) of the two joints."""
 
     q: np.ndarray
     qdot: np.ndarray
@@ -38,10 +39,8 @@ class JointState:
     def __post_init__(self):
         self.q = np.asarray(self.q, dtype=np.float64)
         self.qdot = np.asarray(self.qdot, dtype=np.float64)
-        if self.q.ndim != 1 or self.q.shape != self.qdot.shape:
-            raise ShapeMismatchError(
-                f"q and qdot must be matching 1-D arrays, got {self.q.shape} and {self.qdot.shape}"
-            )
+        if self.q.shape != (2,) or self.qdot.shape != (2,):
+            raise ShapeMismatchError(f"q and qdot must have shape (2,), got {self.q.shape} and {self.qdot.shape}")
         if not (np.all(np.isfinite(self.q)) and np.all(np.isfinite(self.qdot))):
             raise NonFiniteError("joint state contains non-finite values")
 
@@ -60,30 +59,25 @@ class PDGains:
 
 @dataclass(frozen=True)
 class ArmGeom:
-    """Link lengths, joint limits, and per-controller action scales."""
+    """The two links' lengths and joint limits, and per-controller action scales."""
 
-    link_lengths: tuple[float, ...] = (1.0, 1.0)
-    q_lo: tuple[float, ...] = (-np.pi, -2.9)
-    q_hi: tuple[float, ...] = (np.pi, 2.9)
+    link_lengths: tuple[float, float] = (1.0, 1.0)
+    q_lo: tuple[float, float] = (-np.pi, -2.9)
+    q_hi: tuple[float, float] = (np.pi, 2.9)
     dq_max: float = 0.1
     dx_max: float = 0.05
     damping: float = 0.05
 
     def __post_init__(self):
         require_finite_floats(self)
-        n = len(self.link_lengths)
-        if n < 1 or any(l <= 0.0 for l in self.link_lengths):
+        if not len(self.link_lengths) == len(self.q_lo) == len(self.q_hi) == 2:
+            raise ShapeMismatchError("the arm has two links: lengths and limits need two entries each")
+        if min(self.link_lengths) <= 0.0:
             raise ShapeMismatchError("link lengths must be positive")
-        if len(self.q_lo) != n or len(self.q_hi) != n:
-            raise ShapeMismatchError("joint limits must match the joint count")
         if any(lo >= hi for lo, hi in zip(self.q_lo, self.q_hi)):
             raise ShapeMismatchError("joint limits need lo < hi")
         if min(self.dq_max, self.dx_max) <= 0.0 or self.damping <= 0.0:
             raise ShapeMismatchError("action scales and damping must be positive")
-
-    @property
-    def n_joints(self) -> int:
-        return len(self.link_lengths)
 
 
 def check_action2(action: np.ndarray) -> tuple[float, float]:
@@ -99,60 +93,22 @@ def check_action2(action: np.ndarray) -> tuple[float, float]:
     return a0, a1
 
 
-def forward_kinematics(q: np.ndarray, geom: ArmGeom) -> tuple[np.ndarray, float]:
-    """Tip position (x, y) and orientation angle of the planar chain."""
-    q = np.asarray(q, dtype=np.float64)
-    if q.shape != (geom.n_joints,):
-        raise ShapeMismatchError(f"q must have shape ({geom.n_joints},), got {q.shape}")
-    angles = np.cumsum(q)
-    lengths = np.asarray(geom.link_lengths)
-    pos = np.array([np.sum(lengths * np.cos(angles)), np.sum(lengths * np.sin(angles))])
-    return pos, float(angles[-1])
-
-
 def link_vectors2(q0: float, q1: float, geom: ArmGeom) -> tuple[float, float, float, float]:
-    """(x0, y0, x1, y1): the two link vectors of a 2-link arm, on floats.
+    """(x0, y0, x1, y1): the two link vectors of the arm, on floats.
 
-    The elbow sits at (x0, y0).  `chain_points` puts the tip at
-    (x0 + x1, y0 + y1); `forward_kinematics` sums from zero as np.sum does,
-    (0.0 + x0) + x1, which differs from it only in the sign of a zero.
+    The elbow sits at (x0, y0) and the tip at (x0 + x1, y0 + y1).  A sum
+    from zero, as np.sum takes it, (0.0 + x0) + x1, differs from that only
+    in the sign of a zero.
     """
     l0, l1 = geom.link_lengths
     a1 = q0 + q1
     return l0 * math.cos(q0), l0 * math.sin(q0), l1 * math.cos(a1), l1 * math.sin(a1)
 
 
-def chain_points(q: np.ndarray, geom: ArmGeom) -> np.ndarray:
-    """Positions of the base and every joint/tip: shape (n_joints + 1, 2)."""
-    angles = np.cumsum(np.asarray(q, dtype=np.float64))
-    lengths = np.asarray(geom.link_lengths)
-    steps = np.stack([lengths * np.cos(angles), lengths * np.sin(angles)], axis=1)
-    return np.concatenate([np.zeros((1, 2)), np.cumsum(steps, axis=0)])
-
-
-def jacobian(q: np.ndarray, geom: ArmGeom) -> np.ndarray:
-    """Analytic position Jacobian, shape (2, n_joints).
-
-    d(tip)/d(q_i) sums the derivative of every link at or beyond joint i:
-    column i = (-sum_{j>=i} l_j sin(a_j), sum_{j>=i} l_j cos(a_j)) with a_j
-    the cumulative angle of link j.
-    """
-    q = np.asarray(q, dtype=np.float64)
-    if q.shape != (geom.n_joints,):
-        raise ShapeMismatchError(f"q must have shape ({geom.n_joints},), got {q.shape}")
-    angles = np.cumsum(q)
-    lengths = np.asarray(geom.link_lengths)
-    sin_terms = lengths * np.sin(angles)
-    cos_terms = lengths * np.cos(angles)
-    # reversed cumulative sums give the "at or beyond joint i" totals
-    jx = -np.cumsum(sin_terms[::-1])[::-1]
-    jy = np.cumsum(cos_terms[::-1])[::-1]
-    return np.stack([jx, jy])
-
-
 def dls_step2(q0: float, q1: float, dx: float, dy: float, geom: ArmGeom) -> tuple[float, float]:
-    """dq = J^T z with (J J^T + damping^2 I) z = (dx, dy), on floats; J is
-    `jacobian`'s, bit for bit.  Damping keeps dq finite at singular poses."""
+    """dq = J^T z with (J J^T + damping^2 I) z = (dx, dy), on floats, for
+    the tip's analytic Jacobian J, built from `link_vectors2`.  Damping
+    keeps dq finite at singular poses."""
     x0, y0, x1, y1 = link_vectors2(q0, q1, geom)
     j00, j01, j10, j11 = -(y0 + y1), -y1, x0 + x1, x1
     lam2 = geom.damping * geom.damping
@@ -164,11 +120,6 @@ def dls_step2(q0: float, q1: float, dx: float, dy: float, geom: ArmGeom) -> tupl
     z1 = (rb - l * pb) / (r1 - l * p1)
     z0 = (pb - p1 * z1) / p0
     return j00 * z0 + j10 * z1, j01 * z0 + j11 * z1
-
-
-def _require_two_links(state: JointState, geom: ArmGeom) -> None:
-    if geom.n_joints != 2 or state.q.shape != (2,):
-        raise ShapeMismatchError(f"the controllers drive 2-link arms, got {geom.n_joints} joints")
 
 
 def _clip(x: float, lo: float, hi: float) -> float:
@@ -191,7 +142,6 @@ def pd_joint_delta_pos(
 ) -> np.ndarray:
     """PD command toward q + dq_max * action, target clamped to joint limits."""
     a0, a1 = check_action2(action)
-    _require_two_links(state, geom)
     return _pd_command2(geom.dq_max * a0, geom.dq_max * a1, state, gains, geom)
 
 
@@ -204,6 +154,5 @@ def pd_ee_delta_pose(
     delta finite even at singular poses (fully stretched arm).
     """
     a0, a1 = check_action2(action)
-    _require_two_links(state, geom)
     dq = dls_step2(*state.q.tolist(), geom.dx_max * a0, geom.dx_max * a1, geom)
     return _pd_command2(*dq, state, gains, geom)

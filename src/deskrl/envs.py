@@ -42,14 +42,12 @@ import numpy as np
 
 from . import controllers as ctrl
 from .errors import ConfigError, EmptyDatasetError, require_finite_floats
-from .pointnet import PointCloudObs
+from .pointnet import FEAT_CHANNELS, POINT_DIM, PointCloudObs
 from .rng import make_generator, next_episode_seed
 
 TASKS = ("reach2d", "pushbox2d", "gather2d")
 SPLITS = ("train", "test")
 
-POINT_DIM = 2
-FEAT_CHANNELS = 3  # one-hot classes: robot, object, target
 N_POINTS = 64
 ACTION_DIM = 2
 
@@ -327,18 +325,18 @@ class ToyEnv:
         return raw / peak if peak > 1.0 else raw
 
     def _arm_tip(self, q0: float, q1: float) -> tuple[float, float]:
-        """The tip position `forward_kinematics` gives, on floats."""
+        """The tip position, the link vectors summed from 0.0 as np.sum sums."""
         x0, y0, x1, y1 = ctrl.link_vectors2(q0, q1, self.geom)
         return 0.0 + x0 + x1, 0.0 + y0 + y1
 
     def _split_arm(self, ts: np.ndarray) -> None:
-        """Keep per-episode offsets `ts` in [0,1) along the links, dealt to
-        the links in order as np.array_split deals them: one (n, 1) column per link's run of rows."""
-        self._arm_ts = [tj[:, None] for tj in np.array_split(ts, len(self.geom.link_lengths))]
+        """Keep per-episode offsets `ts` in [0,1) along the two links, dealt to
+        them in order as np.array_split deals them: one (n, 1) column per link's run of rows."""
+        self._arm_ts = [tj[:, None] for tj in np.array_split(ts, 2)]
 
     def _arm_points(self, out: np.ndarray) -> None:
         """Write the arm's sample points into `out`: a + t (b - a) for the
-        ends a, b of each link, in `chain_points`' coordinates, a link at a time."""
+        ends a, b of each link (base, elbow, tip), a link at a time."""
         x0, y0, x1, y1 = ctrl.link_vectors2(*self.state.q.tolist(), self.geom)
         t0, t1 = self._arm_ts
         np.add((0.0, 0.0), t0 * (x0 - 0.0, y0 - 0.0), out=out[: len(t0)])

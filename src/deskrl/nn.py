@@ -1,27 +1,33 @@
 """Hand-rolled dense-network core over one flat float64 parameter vector.
 
-Parameters for every network in a model live in a single ParamStore: a flat
-float64 vector plus a name -> (offset, rows, cols) directory.  Optimizer
-steps, checkpoints, and finite-difference probes all operate on the flat
-vector; layers see 2-D views into it.  Weights are stored (in_width,
-out_width) so a batch X of shape (B, in) maps through X @ W + b, and biases
-are stored (1, out_width) so the same expression broadcasts.
+Every net is an MLP, a NetSpec: its widths, the activation after each
+hidden affine layer and the one after the last.  Parameters for every
+network in a model live in a single ParamStore: a flat float64 vector
+plus a name -> (offset, rows, cols) directory.  Optimizer steps and
+checkpoints operate on the flat vector; layers see 2-D views into it.
+Weights are stored (in_width, out_width) so a batch X of shape (B, in)
+maps through X @ W + b, and biases are stored (1, out_width) so the same
+expression broadcasts.
 
-The backward pass accumulates into a caller-supplied flat gradient vector,
-which makes multi-head models (shared encoder, several heads) a matter of
-calling backward once per head with the same accumulator.
+The backward pass reads the cache forward_unchecked() fills (each affine
+layer's input, then the net's output) and accumulates into a
+caller-supplied flat gradient vector, which makes multi-head models
+(shared encoder, several heads) a matter of calling backward once per
+head with the same accumulator.
 
 Inputs are checked for shape and finiteness where they enter:
 forward_batch() and forward() check theirs and serve callers that pass
-raw arrays.  forward_unchecked() is the same layer loop without the
-check, which every net of the policy runs through: the padded forward on
-observations that pointnet.PointCloudObs checked when they were built,
-the update on a minibatch that pointnet.encode_batch_trace() checked.
+raw arrays; no shipped path calls them, and they stay for the benchmark
+under perfbench/, which traces forward() by name.  forward_unchecked()
+is the same layer loop without the check, which every net of the policy
+runs through: the padded forward on observations that
+pointnet.PointCloudObs checked when they were built, the update on a
+minibatch that pointnet.encode_batch_trace() checked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,62 +37,40 @@ ACTIVATIONS = ("identity", "relu", "tanh")
 
 
 @dataclass(frozen=True)
-class LayerSpec:
-    """One layer: an affine map or an elementwise activation."""
-
-    kind: str
-    in_width: int
-    out_width: int
-    fn: str = "identity"
-
-    def __post_init__(self):
-        if self.kind not in ("affine", "activation"):
-            raise ShapeMismatchError(f"unknown layer kind {self.kind!r}")
-        if self.in_width < 1 or self.out_width < 1:
-            raise ShapeMismatchError("layer widths must be positive")
-        if self.kind == "activation":
-            if self.in_width != self.out_width:
-                raise ShapeMismatchError("activation layers cannot change width")
-            if self.fn not in ACTIVATIONS:
-                raise ShapeMismatchError(f"unknown activation {self.fn!r}")
-
-
-@dataclass(frozen=True)
 class NetSpec:
-    """An ordered stack of layers with matching widths."""
+    """An MLP: affine layers widths[0] -> widths[1] -> ... -> widths[-1],
+    each followed by the `hidden` activation except the last, which is
+    followed by `output` ("identity" applies none)."""
 
-    layers: tuple[LayerSpec, ...]
+    widths: tuple[int, ...]
+    hidden: str = "relu"
+    output: str = "identity"
 
     def __post_init__(self):
-        if not self.layers:
-            raise ShapeMismatchError("a net needs at least one layer")
-        for a, b in zip(self.layers, self.layers[1:]):
-            if a.out_width != b.in_width:
-                raise ShapeMismatchError(
-                    f"layer widths do not chain: {a.out_width} -> {b.in_width}"
-                )
+        if len(self.widths) < 2:
+            raise ShapeMismatchError("a net needs at least input and output widths")
+        if min(self.widths) < 1:
+            raise ShapeMismatchError("layer widths must be positive")
+        for fn in (self.hidden, self.output):
+            if fn not in ACTIVATIONS:
+                raise ShapeMismatchError(f"unknown activation {fn!r}")
 
     @property
     def in_width(self) -> int:
-        return self.layers[0].in_width
+        return self.widths[0]
 
     @property
     def out_width(self) -> int:
-        return self.layers[-1].out_width
+        return self.widths[-1]
 
+    @property
+    def depth(self) -> int:
+        """The number of affine layers."""
+        return len(self.widths) - 1
 
-def mlp(widths: tuple[int, ...], hidden: str = "relu", output: str = "identity") -> NetSpec:
-    """Affine stack with `hidden` activations between layers and `output` after the last."""
-    if len(widths) < 2:
-        raise ShapeMismatchError("an mlp needs at least input and output widths")
-    layers: list[LayerSpec] = []
-    for j, (w_in, w_out) in enumerate(zip(widths, widths[1:])):
-        layers.append(LayerSpec("affine", w_in, w_out))
-        last = j == len(widths) - 2
-        fn = output if last else hidden
-        if fn != "identity":
-            layers.append(LayerSpec("activation", w_out, w_out, fn))
-    return NetSpec(tuple(layers))
+    def activation(self, j: int) -> str:
+        """The activation after affine layer j."""
+        return self.output if j == self.depth - 1 else self.hidden
 
 
 class ParamStore:
@@ -132,16 +116,9 @@ class ParamStore:
             view = self._views[name] = self._flat[offset : offset + rows * cols].reshape(rows, cols)
         return view
 
-    def shape(self, name: str) -> tuple[int, int]:
-        _, rows, cols = self._require(name)
-        return (rows, cols)
-
     def slice_bounds(self, name: str) -> tuple[int, int]:
         offset, rows, cols = self._require(name)
         return (offset, offset + rows * cols)
-
-    def names(self) -> list[str]:
-        return list(self._slices)
 
     @property
     def size(self) -> int:
@@ -166,9 +143,6 @@ class ParamStore:
         store.flat = flat.copy()
         return store
 
-    def copy(self) -> "ParamStore":
-        return ParamStore.from_directory(self.directory(), self.flat)
-
     def zeros_grad(self) -> np.ndarray:
         return np.zeros_like(self.flat)
 
@@ -190,15 +164,10 @@ def init_net_params(
     Weights draw from N(0, s^2) with s = sqrt(1/in_width); biases start at
     zero.
     """
-    j = 0
-    for layer in spec.layers:
-        if layer.kind != "affine":
-            continue
-        scale = float(np.sqrt(1.0 / layer.in_width))
-        w = gen.normal(0.0, scale, size=(layer.in_width, layer.out_width))
-        store.add(f"{prefix}.W{j}", w)
-        store.add(f"{prefix}.b{j}", np.zeros((1, layer.out_width)))
-        j += 1
+    for j, (w_in, w_out) in enumerate(zip(spec.widths, spec.widths[1:])):
+        scale = float(np.sqrt(1.0 / w_in))
+        store.add(f"{prefix}.W{j}", gen.normal(0.0, scale, size=(w_in, w_out)))
+        store.add(f"{prefix}.b{j}", np.zeros((1, w_out)))
 
 
 def _check_input(X: np.ndarray, width: int, name: str) -> np.ndarray:
@@ -210,13 +179,12 @@ def _check_input(X: np.ndarray, width: int, name: str) -> np.ndarray:
     return X
 
 
-def _apply_activation(fn: str, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """fn(X), written into `out` when given (out=X works in place)."""
+def _activate(fn: str, X: np.ndarray) -> None:
+    """fn(X), in place."""
     if fn == "relu":
-        return np.maximum(X, 0.0, out=out)
-    if fn == "tanh":
-        return np.tanh(X, out=out)
-    return X
+        np.maximum(X, 0.0, out=X)
+    elif fn == "tanh":
+        np.tanh(X, out=X)
 
 
 def _activation_grad(fn: str, dY: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -242,28 +210,21 @@ def forward_unchecked(
     """The one dense forward: a (B, in_width) float64 array to (B, out_width),
     with no check of X, whose finiteness the caller vouches for.
 
-    With a `cache` list, appends the per-layer inputs/outputs the backward
-    pass needs.  Each bias add, and an activation right after an affine
-    layer, work in place on the affine layer's fresh output: the same IEEE
-    operations as out-of-place ones, without a temporary per step.  Any
-    other activation writes a new array, since its input is the caller's
-    or is cached.
+    Each affine layer is a product, then its bias add and its activation
+    in place on the product: the same IEEE operations as out-of-place
+    ones, without a temporary per step.  With a `cache` list, appends each
+    affine layer's input and then the net's output, so cache[j] is layer
+    j's input and cache[j + 1] its activation's output, which is what
+    backward_batch reads.
     """
-    fresh = False
-    j = 0
-    for layer in spec.layers:
-        if layer.kind == "affine":
-            if cache is not None:
-                cache.append(X)
-            X = X @ store.get(f"{prefix}.W{j}")
-            X += store.get(f"{prefix}.b{j}")
-            fresh = True
-            j += 1
-        else:
-            X = _apply_activation(layer.fn, X, out=X if fresh else None)
-            fresh = False
-            if cache is not None:
-                cache.append(X)  # what _activation_grad reads
+    for j in range(spec.depth):
+        if cache is not None:
+            cache.append(X)
+        X = X @ store.get(f"{prefix}.W{j}")
+        X += store.get(f"{prefix}.b{j}")
+        _activate(spec.activation(j), X)
+    if cache is not None:
+        cache.append(X)
     return X
 
 
@@ -294,22 +255,16 @@ def backward_batch(
         )
     if grad.shape != store.flat.shape:
         raise ShapeMismatchError("gradient accumulator does not match the parameter vector")
-    j = sum(1 for layer in spec.layers if layer.kind == "affine")
-    for pos in reversed(range(len(spec.layers))):
-        layer, cached = spec.layers[pos], cache[pos]
-        if layer.kind == "affine":
-            j -= 1
-            X = cached
-            lo_w, hi_w = store.slice_bounds(f"{prefix}.W{j}")
-            lo_b, hi_b = store.slice_bounds(f"{prefix}.b{j}")
-            grad[lo_w:hi_w] += (X.T @ dY).ravel()
-            grad[lo_b:hi_b] += dY.sum(axis=0)
-            if pos == 0 and not input_grad:
-                return None
-            dY = dY @ store.get(f"{prefix}.W{j}").T
-        else:
-            dY = _activation_grad(layer.fn, dY, cached)
-    return dY if input_grad else None
+    for j in reversed(range(spec.depth)):
+        dY = _activation_grad(spec.activation(j), dY, cache[j + 1])
+        lo_w, hi_w = store.slice_bounds(f"{prefix}.W{j}")
+        lo_b, hi_b = store.slice_bounds(f"{prefix}.b{j}")
+        grad[lo_w:hi_w] += (cache[j].T @ dY).ravel()
+        grad[lo_b:hi_b] += dY.sum(axis=0)
+        if j == 0 and not input_grad:
+            return None
+        dY = dY @ store.get(f"{prefix}.W{j}").T
+    return dY
 
 
 def forward(store: ParamStore, spec: NetSpec, x: np.ndarray, prefix: str) -> np.ndarray:
@@ -318,27 +273,6 @@ def forward(store: ParamStore, spec: NetSpec, x: np.ndarray, prefix: str) -> np.
     if x.ndim != 1:
         raise ShapeMismatchError(f"{prefix}: expected a 1-D input, got shape {x.shape}")
     return forward_batch(store, spec, x[None, :], prefix)[0]
-
-
-def finite_diff_grad(loss_fn, store: ParamStore, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar loss over every parameter.
-
-    Mutates the store in place while probing and restores each entry
-    bit-exactly before moving on.
-    """
-    grad = np.empty_like(store.flat)
-    flat = store.flat
-    for i in range(flat.size):
-        saved = flat[i]
-        flat[i] = saved + h
-        f_plus = float(loss_fn(store))
-        flat[i] = saved - h
-        f_minus = float(loss_fn(store))
-        flat[i] = saved
-        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-            raise NonFiniteError(f"loss is non-finite near parameter index {i}")
-        grad[i] = (f_plus - f_minus) / (2.0 * h)
-    return grad
 
 
 @dataclass

@@ -307,6 +307,21 @@ def _last_step(log: bytes) -> int | None:
     return None
 
 
+def check_metrics_order(path: str, step: int) -> bytes:
+    """The complete lines of the log at `path` (empty if there is none);
+    MetricsOrderError if `step` is below the step of its last record."""
+    try:
+        with open(path, "rb") as fh:
+            log = fh.read()
+    except FileNotFoundError:
+        log = b""
+    log = log[: log.rfind(b"\n") + 1]
+    prev = _last_step(log)
+    if prev is not None and step < prev:
+        raise MetricsOrderError(f"step {step} after step {prev} in {path}")
+    return log
+
+
 def append_metrics(path: str, record: MetricsRecord) -> None:
     """Add one record by replacing the whole log; steps must never decrease
     within a file.  A partial last line, which only a log appended to in
@@ -315,15 +330,7 @@ def append_metrics(path: str, record: MetricsRecord) -> None:
         record = MetricsRecord(
             record.step, record.train_success, record.test_success, record.stage, time.time()
         )
-    try:
-        with open(path, "rb") as fh:
-            log = fh.read()
-    except FileNotFoundError:
-        log = b""
-    log = log[: log.rfind(b"\n") + 1]
-    prev = _last_step(log)
-    if prev is not None and record.step < prev:
-        raise MetricsOrderError(f"step {record.step} after step {prev} in {path}")
+    log = check_metrics_order(path, record.step)
     replace_file(path, (log or (METRICS_HEADER + "\n").encode()) + _format_record(record).encode())
 
 

@@ -1,25 +1,27 @@
 """Set encoder for point-cloud observations.
 
-Every point (coordinates plus one-hot segmentation channels) runs through a
-shared per-point MLP, features are max-pooled over the point axis, the
-pooled vector is concatenated with the proprioceptive vector, and a post
-MLP produces the final feature.
+Every point (POINT_DIM coordinates plus FEAT_CHANNELS one-hot segmentation
+channels, the layout every environment emits) runs through a shared
+per-point MLP, features are max-pooled over the point axis, the pooled
+vector is concatenated with the proprioceptive vector, and a post MLP
+produces the final feature.  Both nets are nn.NetSpec MLPs.
 
-There is one forward computation, on (B, N, C) stacks of clouds; encode()
-runs a single observation through it as a one-row batch.  encode_batch()
-and encode_batch_trace() share that forward, so a sample's output bits do
-not depend on which of the two encoded it.  Each per-point layer is one
-BLAS matmul over all B*N points, and a point's output comes out with the
-same bits whatever points surround it: encode() is bit-identical under
-any permutation of a cloud's points and under duplication of existing
-points, which tests/test_pointnet.py pins.  Up to its last affine layer
-the per-point net runs point-major, one (B*N, width) row per point; it
-ends in that layer and one ReLU.  That layer's product runs feature-major:
-W.T @ H.T fills an (F, B*N) array with the bits of (H @ W).T (tested
-under the SkylakeX, Haswell, Zen and Prescott OpenBLAS kernels), and the
-argmax pool scans each feature's N points along its contiguous axis,
-before the bias and the ReLU, which only the (B, F) pooled entries get
-(see _argmax_pool).
+There is one forward computation, on (B, N, C) stacks of clouds,
+encode_batch_trace(), which training calls; encode_batch() returns its
+output and encode() runs one observation through it as a one-row
+batch.  No shipped path calls those two; they stay for the benchmark
+under perfbench/, which looks them up by name.  Each per-point layer is
+one BLAS matmul over all B*N points, and a point's output comes out with
+the same bits whatever points surround it: encode() is bit-identical
+under any permutation of a cloud's points and under duplication of
+existing points, which tests/test_pointnet.py pins.  Up to its last
+affine layer (the body, widths[:-1]) the per-point net runs point-major,
+one (B*N, width) row per point.  The last layer, whose activation is a
+ReLU, runs its product feature-major: W.T @ H.T fills an (F, B*N) array
+with the bits of (H @ W).T (tested under the SkylakeX, Haswell, Zen and
+Prescott OpenBLAS kernels), and the argmax pool scans each feature's N
+points along its contiguous axis, before the bias and the ReLU, which
+only the (B, F) pooled entries get (see _argmax_pool).
 
 The post net's bits can depend on the batch's row count (a one-row batch
 may take another BLAS kernel than a 64-row one), so a cloud encoded alone
@@ -66,10 +68,15 @@ from .errors import NonFiniteError, ShapeMismatchError
 # row count that is not a multiple of 4
 POST_ROW_MULTIPLE = 8
 
+# the cloud layout every task shares: each point's coordinates, then a
+# one-hot class over robot, object and target
+POINT_DIM = 2
+FEAT_CHANNELS = 3
+
 
 @dataclass
 class PointCloudObs:
-    """One observation: (n_points, point_dim + feat_channels) and (proprio_width,)."""
+    """One observation: (n_points, POINT_DIM + FEAT_CHANNELS) and (proprio_width,)."""
 
     points: np.ndarray
     proprio: np.ndarray
@@ -87,33 +94,24 @@ class PointCloudObs:
 
 @dataclass(frozen=True)
 class EncoderSpec:
-    """Widths and sub-net specs; point_dim is 2 or 3, features one-hot per class."""
+    """The per-point and post nets; the per-point net ends in a relu."""
 
-    point_dim: int
-    feat_channels: int
     proprio_width: int
     per_point: nn.NetSpec
     post: nn.NetSpec
 
     def __post_init__(self):
-        if self.point_dim not in (2, 3):
-            raise ShapeMismatchError("point_dim must be 2 or 3")
-        if self.feat_channels < 0 or self.proprio_width < 0:
-            raise ShapeMismatchError("channel and proprio widths cannot be negative")
-        if self.per_point.in_width != self.point_channels:
+        if self.proprio_width < 0:
+            raise ShapeMismatchError("proprio width cannot be negative")
+        if self.per_point.in_width != POINT_DIM + FEAT_CHANNELS:
             raise ShapeMismatchError(
                 f"per-point net expects width {self.per_point.in_width}, "
-                f"points have {self.point_channels} channels"
+                f"points have {POINT_DIM + FEAT_CHANNELS} channels"
             )
         if self.post.in_width != self.per_point.out_width + self.proprio_width:
             raise ShapeMismatchError("post net width must equal pooled features + proprio")
-        tail = [layer.fn if layer.kind == "activation" else "affine" for layer in self.per_point.layers[-2:]]
-        if tail != ["affine", "relu"]:
-            raise ShapeMismatchError("per-point net must end in an affine layer and one relu")
-
-    @property
-    def point_channels(self) -> int:
-        return self.point_dim + self.feat_channels
+        if self.per_point.output != "relu":
+            raise ShapeMismatchError("per-point net must end in a relu")
 
     @property
     def feature_dim(self) -> int:
@@ -125,15 +123,20 @@ class EncoderSpec:
 
 
 def build_encoder_spec(
-    point_dim: int = 2,
-    feat_channels: int = 3,
     proprio_width: int = 8,
     per_point_widths: tuple[int, ...] = (32, 64),
     post_widths: tuple[int, ...] = (64,),
 ) -> EncoderSpec:
-    per_point = nn.mlp((point_dim + feat_channels, *per_point_widths), hidden="relu", output="relu")
-    post = nn.mlp((per_point_widths[-1] + proprio_width, *post_widths), hidden="relu", output="relu")
-    return EncoderSpec(point_dim, feat_channels, proprio_width, per_point, post)
+    per_point = nn.NetSpec((POINT_DIM + FEAT_CHANNELS, *per_point_widths), hidden="relu", output="relu")
+    post = nn.NetSpec((per_point_widths[-1] + proprio_width, *post_widths), hidden="relu", output="relu")
+    return EncoderSpec(proprio_width, per_point, post)
+
+
+def _body(spec: EncoderSpec) -> nn.NetSpec:
+    """The per-point net up to its last affine layer, whose input it gives;
+    only for a per-point net of more than one layer."""
+    pp = spec.per_point
+    return nn.NetSpec(pp.widths[:-1], pp.hidden, pp.hidden)
 
 
 def init_encoder_params(
@@ -150,10 +153,11 @@ class EncodeBatchCache:
 
     The rows are the distinct points that some feature pooled from, in
     ascending (cloud, point) order.  slot[b, f] is the row that feature f
-    of cloud b pooled from.  head_rows holds the per-point net's cache (as
-    nn.forward_unchecked lays it out) at those rows, up to and including
-    the last affine layer's input.  tail_out is the net's closing ReLU at
-    the pooled entries, (B, F): the pooled features.
+    of cloud b pooled from.  head_rows holds each per-point layer's input
+    at those rows: the points, then the outputs of the layers before the
+    last (nn.forward_unchecked's cache of the body of the net).  tail_out
+    is the net's closing ReLU at the pooled entries, (B, F): the pooled
+    features.
     """
 
     slot: np.ndarray
@@ -168,9 +172,9 @@ def _check_batch(
     """Shapes, and with `finite` values: the one check before the nets run unchecked."""
     points = np.asarray(points, dtype=np.float64)
     proprio = np.asarray(proprio, dtype=np.float64)
-    if points.ndim != 3 or points.shape[2] != spec.point_channels:
+    if points.ndim != 3 or points.shape[2] != spec.per_point.in_width:
         raise ShapeMismatchError(
-            f"expected points (batch, n, {spec.point_channels}), got {points.shape}"
+            f"expected points (batch, n, {spec.per_point.in_width}), got {points.shape}"
         )
     if proprio.shape != (points.shape[0], spec.proprio_width):
         raise ShapeMismatchError(
@@ -212,18 +216,17 @@ def _pool_forward(
     The net runs point-major, (B*N, width), and unchecked up to its last
     affine layer.  That layer's product W.T @ H.T fills an (F, B*N) array
     with the bits of (H @ W).T, pooled before the bias and the ReLU (see
-    _argmax_pool).  Returns the cache of the layers before the last
-    (nn.forward_unchecked's layout) plus the last one's input, the pool
-    indices and the pooled features.
+    _argmax_pool).  Returns each per-point layer's input (see
+    EncodeBatchCache.head_rows), the pool indices and the pooled features.
     """
     B, N, C = points.shape
-    body = spec.per_point.layers[:-2]
     h = points.reshape(B * N, C)
     cache: list[np.ndarray] = []
-    if body:
-        h = nn.forward_unchecked(store, nn.NetSpec(body), h, f"{prefix}.pp", cache)
-    cache.append(h)
-    j = sum(layer.kind == "affine" for layer in body)
+    j = spec.per_point.depth - 1
+    if j:
+        h = nn.forward_unchecked(store, _body(spec), h, f"{prefix}.pp", cache)
+    else:
+        cache.append(h)
     z = store.get(f"{prefix}.pp.W{j}").T @ h.T
     pool_idx, pooled = _argmax_pool(z.reshape(spec.feature_dim, B, N), store.get(f"{prefix}.pp.b{j}"))
     return cache, pool_idx, pooled
@@ -243,17 +246,6 @@ def _max_pool(feats: np.ndarray) -> np.ndarray:
     return np.max(feats, axis=1)
 
 
-def _encode_batch_forward(
-    store: nn.ParamStore, spec: EncoderSpec, points: np.ndarray, proprio: np.ndarray, prefix: str
-) -> tuple[np.ndarray, list[np.ndarray], np.ndarray, np.ndarray, list[np.ndarray]]:
-    """The one batched forward on checked inputs: output, head cache, pool indices, pooled, post cache."""
-    head_cache, pool_idx, pooled = _pool_forward(store, spec, points, prefix)
-    post_cache: list[np.ndarray] = []
-    x = np.concatenate([pooled, proprio], axis=1)
-    out = nn.forward_unchecked(store, spec.post, x, f"{prefix}.post", post_cache)
-    return out, head_cache, pool_idx, pooled, post_cache
-
-
 def encode_batch_trace(
     store: nn.ParamStore,
     spec: EncoderSpec,
@@ -261,7 +253,8 @@ def encode_batch_trace(
     proprio: np.ndarray,
     prefix: str = "enc",
 ) -> tuple[np.ndarray, EncodeBatchCache]:
-    """encode_batch() plus what encode_batch_backward needs.
+    """The one batched forward: (B, out_width) features and what
+    encode_batch_backward needs.
 
     The points and proprio are checked once, here.  The per-point net's
     last layer runs feature-major and is pooled before its bias and ReLU
@@ -269,7 +262,10 @@ def encode_batch_trace(
     """
     points, proprio = _check_batch(spec, points, proprio)
     B, N, _ = points.shape
-    out, head_cache, pool_idx, pooled, post_cache = _encode_batch_forward(store, spec, points, proprio, prefix)
+    head_cache, pool_idx, pooled = _pool_forward(store, spec, points, prefix)
+    post_cache: list[np.ndarray] = []
+    x = np.concatenate([pooled, proprio], axis=1)
+    out = nn.forward_unchecked(store, spec.post, x, f"{prefix}.post", post_cache)
     flat = pool_idx + (np.arange(B) * N)[:, None]
     used = np.zeros(B * N, dtype=bool)
     used[flat] = True
@@ -281,12 +277,7 @@ def encode_batch_trace(
     # another order than its single-threaded one, which would tie the
     # parameter gradient's bits to the BLAS thread count.
     rows = np.concatenate([rows, rows[:1].repeat(-rows.size % 64)])
-    head_rows: list[np.ndarray] = []
-    for i, c in enumerate(head_cache):
-        # an activation's output is cached again as the next affine layer's
-        # input; gather that array once and list it twice
-        head_rows.append(head_rows[-1] if i and c is head_cache[i - 1] else c[rows])
-    return out, EncodeBatchCache(slot, head_rows, pooled, post_cache)
+    return out, EncodeBatchCache(slot, [c[rows] for c in head_cache], pooled, post_cache)
 
 
 def encode_batch(
@@ -297,8 +288,7 @@ def encode_batch(
     prefix: str = "enc",
 ) -> np.ndarray:
     """Encode a (B, N, C) stack of clouds and (B, P) proprio rows to (B, out_width)."""
-    points, proprio = _check_batch(spec, points, proprio)
-    return _encode_batch_forward(store, spec, points, proprio, prefix)[0]
+    return encode_batch_trace(store, spec, points, proprio, prefix)[0]
 
 
 def encode_batch_padded(
@@ -373,14 +363,11 @@ def encode_batch_backward(
     h = cache.head_rows[-1]
     d_rows = np.zeros((h.shape[0], F))
     d_rows[cache.slot, np.arange(F)] = d_pooled
-    body = spec.per_point.layers[:-2]
-    j = sum(layer.kind == "affine" for layer in body)
+    j = spec.per_point.depth - 1
     lo, hi = store.slice_bounds(f"{prefix}.pp.W{j}")
     grad[lo:hi] += (h.T @ d_rows).ravel()
     lo, hi = store.slice_bounds(f"{prefix}.pp.b{j}")
     grad[lo:hi] += d_pooled.sum(axis=0)
-    if body:
+    if j:
         d_h = d_rows @ store.get(f"{prefix}.pp.W{j}").T
-        nn.backward_batch(
-            store, nn.NetSpec(body), cache.head_rows[:-1], d_h, grad, f"{prefix}.pp", input_grad=False
-        )
+        nn.backward_batch(store, _body(spec), cache.head_rows, d_h, grad, f"{prefix}.pp", input_grad=False)

@@ -14,7 +14,7 @@ recorded log-probability is the Gaussian density of the raw, pre-clamp
 sample.  The mean and value heads run on padded rows (see
 pointnet.encode_batch_padded), so row k's bits depend only on its
 observation, the parameters and its own generator, not on which rows
-share the call; sample_action() is the same call on one observation.
+share the call.
 Evaluation uses the clamped mean with no generator draws at all, so
 evaluation never perturbs a training stream.
 
@@ -23,8 +23,10 @@ seed, one batched mean_actions() call over the live episodes per tick,
 then one step of each; an episode drops out when it ends.  mean_actions()
 runs the mean head on rows padded to a fixed multiple (see
 pointnet.encode_batch_padded), so each action has the same bits whatever
-episodes share its tick, and mean_action() is the same call on one
-observation: a panel's episode equals that seed run alone, bit for bit.
+episodes share its tick: a panel's episode equals that seed run alone,
+bit for bit.  sample_action() and mean_action() make the batched calls
+on one observation; no shipped path calls them, and they stay for the
+benchmark under perfbench/, which looks them up by name.
 
 The padded forward behind mean_actions(), sample_actions() and
 state_values() checks no input values: PointCloudObs checked each
@@ -87,8 +89,8 @@ def build_policy_spec(task: str) -> PolicySpec:
     width = encoder.out_width
     # one 64-wide tanh hidden layer per head keeps the loss surface smooth
     # where the optimizer lives; the encoder below them stays relu
-    mean = nn.mlp((width, 64, ACTION_DIM), hidden="tanh", output="identity")
-    value = nn.mlp((width, 64, 1), hidden="tanh", output="identity")
+    mean = nn.NetSpec((width, 64, ACTION_DIM), hidden="tanh", output="identity")
+    value = nn.NetSpec((width, 64, 1), hidden="tanh", output="identity")
     return PolicySpec(encoder, mean, value, ACTION_DIM)
 
 
@@ -104,17 +106,16 @@ def init_policy(
     init_encoder_params(store, spec.encoder, gen, "enc")
     nn.init_net_params(store, spec.mean, gen, "mean")
     nn.init_net_params(store, spec.value, gen, "value")
-    last_mean_weight = [n for n in store.names() if n.startswith("mean.W")][-1]
-    store.get(last_mean_weight)[:] *= FINAL_MEAN_SCALE
+    store.get(f"mean.W{spec.mean.depth - 1}")[:] *= FINAL_MEAN_SCALE
     store.add("log_std", np.full((1, spec.action_dim), float(log_std0)))
 
 
-def log_std_of(store: nn.ParamStore, spec: PolicySpec) -> np.ndarray:
+def log_std_of(store: nn.ParamStore) -> np.ndarray:
     """The log-std row, clamped to the supported range."""
     return np.clip(store.get("log_std")[0], LOG_STD_MIN, LOG_STD_MAX)
 
 
-def log_std_grad_mask(store: nn.ParamStore, spec: PolicySpec) -> np.ndarray:
+def log_std_grad_mask(store: nn.ParamStore) -> np.ndarray:
     """1 where the stored log-std is inside the clamp range, else 0."""
     raw = store.get("log_std")[0]
     return ((raw > LOG_STD_MIN) & (raw < LOG_STD_MAX)).astype(np.float64)
@@ -180,7 +181,7 @@ def sample_actions(
     feat = _padded_features(store, spec, obs)
     mean = _head(store, spec, feat, "mean")[:K]
     value = _head(store, spec, feat, "value")[:K, 0]
-    log_std = log_std_of(store, spec)
+    log_std = log_std_of(store)
     z = np.stack([gen.standard_normal(spec.action_dim) for gen in gens])
     raw = mean + np.exp(log_std) * z
     logp = gaussian_logp(raw, mean, log_std)

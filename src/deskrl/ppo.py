@@ -257,7 +257,7 @@ def surrogate_loss_and_grad(
 
     enc_out, mean, value, caches = _policy_batch_trace(store, spec, pts, prp)
     enc_cache, mean_cache, value_cache = caches
-    log_std = pol.log_std_of(store, spec)
+    log_std = pol.log_std_of(store)
     sigma = np.exp(log_std)
     z = (raw - mean) / sigma
     logp = pol.gaussian_logp(raw, mean, log_std)
@@ -288,7 +288,7 @@ def surrogate_loss_and_grad(
     d_enc += nn.backward_batch(store, spec.value, value_cache, d_value[:, None], grad, "value")
     pointnet.encode_batch_backward(store, spec.encoder, enc_cache, d_enc, grad)
     lo_ls, hi_ls = store.slice_bounds("log_std")
-    mask = pol.log_std_grad_mask(store, spec)
+    mask = pol.log_std_grad_mask(store)
     d_log_std = np.sum(d_logp[:, None] * (z * z - 1.0), axis=0) - cfg.entropy_coef
     grad[lo_ls:hi_ls] += d_log_std * mask
 

@@ -191,7 +191,7 @@ class TestBCLoss:
         store, spec = fresh_policy()
         idx = np.arange(8)
         _, grad = bc.bc_loss(store, spec, ds.points[idx], ds.proprios[idx], ds.actions[idx])
-        for name in store.names():
+        for name, _, _ in store.directory():
             lo, hi = store.slice_bounds(name)
             segment = grad[lo:hi]
             if name.startswith("value") or name == "log_std":

@@ -185,6 +185,25 @@ class TestEval:
         assert len(history) == 1
         assert history[0].step == 160
 
+    def test_an_earlier_step_than_the_log_holds_is_refused_first(self, workdir, tmp_path, capsys):
+        # eval-metrics.csv keeps steps non-decreasing; a checkpoint that would
+        # go back is refused before the manifest is written or any episode runs
+        out = tmp_path / "e7"
+        out.mkdir()
+        log = out / "eval-metrics.csv"
+        ps.append_metrics(str(log), ps.MetricsRecord(400, 0.5, 0.25))
+        before = log.read_bytes()
+        rc = main([
+            "eval", "--out", str(out), *TINY_ENV,
+            "--set", f"eval.checkpoint={workdir['ckpt']}", "--set", "eval.episodes=2",
+        ])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "config error: step 160 after step 400" in captured.err
+        assert "success rate" not in captured.out
+        assert not (out / "manifest.ini").exists()
+        assert log.read_bytes() == before
+
     def test_train_split_selection(self, workdir, tmp_path, capsys):
         rc = main([
             "eval", "--out", str(tmp_path / "e2"), *TINY_ENV,

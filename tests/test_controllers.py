@@ -13,6 +13,7 @@ from deskrl.rng import make_generator
 
 GEOM = ctrl.ArmGeom()
 GAINS = ctrl.PDGains()
+LENGTHS = GEOM.link_lengths
 
 
 def dls_oracle(J, dx, damping):
@@ -29,11 +30,44 @@ def pd_command_oracle(target, state, gains, geom):
     return np.clip(u, -gains.u_max, gains.u_max)
 
 
-def fk_transform_oracle(q, geom):
+def forward_kinematics(q, lengths):
+    """Tip position (x, y) and orientation angle of the planar chain."""
+    angles = np.cumsum(np.asarray(q, dtype=np.float64))
+    lengths = np.asarray(lengths)
+    pos = np.array([np.sum(lengths * np.cos(angles)), np.sum(lengths * np.sin(angles))])
+    return pos, float(angles[-1])
+
+
+def chain_points(q, lengths):
+    """Positions of the base and every joint/tip: shape (len(q) + 1, 2)."""
+    angles = np.cumsum(np.asarray(q, dtype=np.float64))
+    lengths = np.asarray(lengths)
+    steps = np.stack([lengths * np.cos(angles), lengths * np.sin(angles)], axis=1)
+    return np.concatenate([np.zeros((1, 2)), np.cumsum(steps, axis=0)])
+
+
+def jacobian(q, lengths):
+    """Analytic position Jacobian, shape (2, len(q)).
+
+    d(tip)/d(q_i) sums the derivative of every link at or beyond joint i:
+    column i = (-sum_{j>=i} l_j sin(a_j), sum_{j>=i} l_j cos(a_j)) with a_j
+    the cumulative angle of link j.
+    """
+    angles = np.cumsum(np.asarray(q, dtype=np.float64))
+    lengths = np.asarray(lengths)
+    sin_terms = lengths * np.sin(angles)
+    cos_terms = lengths * np.cos(angles)
+    # reversed cumulative sums give the "at or beyond joint i" totals
+    jx = -np.cumsum(sin_terms[::-1])[::-1]
+    jy = np.cumsum(cos_terms[::-1])[::-1]
+    return np.stack([jx, jy])
+
+
+def fk_transform_oracle(q, lengths):
     """Compose per-link rigid transforms with explicit 2x2 rotations."""
     R = np.eye(2)
     p = np.zeros(2)
-    for angle, length in zip(q, geom.link_lengths):
+    for angle, length in zip(q, lengths):
         c, s = np.cos(angle), np.sin(angle)
         R = R @ np.array([[c, -s], [s, c]])
         p = p + R @ np.array([length, 0.0])
@@ -41,13 +75,13 @@ def fk_transform_oracle(q, geom):
 
 
 def test_fk_straight_arm():
-    pos, orient = ctrl.forward_kinematics(np.array([0.0, 0.0]), GEOM)
+    pos, orient = forward_kinematics(np.array([0.0, 0.0]), LENGTHS)
     assert np.allclose(pos, [2.0, 0.0], atol=1e-12)
     assert orient == 0.0
 
 
 def test_fk_quarter_turn():
-    pos, orient = ctrl.forward_kinematics(np.array([np.pi / 2, 0.0]), GEOM)
+    pos, orient = forward_kinematics(np.array([np.pi / 2, 0.0]), LENGTHS)
     assert np.allclose(pos, [0.0, 2.0], atol=1e-12)
     assert np.isclose(orient, np.pi / 2)
 
@@ -56,23 +90,17 @@ def test_fk_matches_transform_oracle():
     gen = make_generator(0, "fk")
     for _ in range(50):
         q = gen.uniform(-np.pi, np.pi, size=2)
-        pos, _ = ctrl.forward_kinematics(q, GEOM)
-        assert np.allclose(pos, fk_transform_oracle(q, GEOM), atol=1e-12)
-    # a longer chain exercises the generic path
-    geom3 = ctrl.ArmGeom(link_lengths=(0.7, 1.1, 0.4), q_lo=(-3.0,) * 3, q_hi=(3.0,) * 3)
-    for _ in range(20):
-        q = gen.uniform(-np.pi, np.pi, size=3)
-        pos, _ = ctrl.forward_kinematics(q, geom3)
-        assert np.allclose(pos, fk_transform_oracle(q, geom3), atol=1e-12)
+        pos, _ = forward_kinematics(q, LENGTHS)
+        assert np.allclose(pos, fk_transform_oracle(q, LENGTHS), atol=1e-12)
 
 
 def test_chain_points_consistent_with_fk():
     gen = make_generator(1, "chain")
     q = gen.uniform(-2.0, 2.0, size=2)
-    pts = ctrl.chain_points(q, GEOM)
+    pts = chain_points(q, LENGTHS)
     assert pts.shape == (3, 2)
     assert np.array_equal(pts[0], np.zeros(2))
-    pos, _ = ctrl.forward_kinematics(q, GEOM)
+    pos, _ = forward_kinematics(q, LENGTHS)
     assert np.allclose(pts[-1], pos, atol=1e-12)
 
 
@@ -85,8 +113,8 @@ def test_link_vectors2_give_chain_points_and_fk_bit_for_bit():
         for geom in geoms:
             x0, y0, x1, y1 = ctrl.link_vectors2(*q.tolist(), geom)
             chain = np.array([[0.0, 0.0], [x0, y0], [x0 + x1, y0 + y1]])
-            assert ctrl.chain_points(q, geom).tobytes() == chain.tobytes()
-            pos, _ = ctrl.forward_kinematics(q, geom)
+            assert chain_points(q, geom.link_lengths).tobytes() == chain.tobytes()
+            pos, _ = forward_kinematics(q, geom.link_lengths)
             assert pos.tobytes() == np.array([0.0 + x0 + x1, 0.0 + y0 + y1]).tobytes()
 
 
@@ -95,12 +123,12 @@ def test_jacobian_matches_finite_differences():
     h = 1e-6
     for _ in range(30):
         q = gen.uniform(-np.pi, np.pi, size=2)
-        J = ctrl.jacobian(q, GEOM)
+        J = jacobian(q, LENGTHS)
         for i in range(2):
             dq = np.zeros(2)
             dq[i] = h
-            f_plus, _ = ctrl.forward_kinematics(q + dq, GEOM)
-            f_minus, _ = ctrl.forward_kinematics(q - dq, GEOM)
+            f_plus, _ = forward_kinematics(q + dq, LENGTHS)
+            f_minus, _ = forward_kinematics(q - dq, LENGTHS)
             assert np.allclose(J[:, i], (f_plus - f_minus) / (2 * h), atol=1e-6)
 
 
@@ -110,7 +138,7 @@ def test_dls_satisfies_damped_normal_equations():
     geom = ctrl.ArmGeom(damping=lam)
     for _ in range(30):
         q = gen.uniform(-2.5, 2.5, size=2)
-        J = ctrl.jacobian(q, GEOM)
+        J = jacobian(q, LENGTHS)
         dx = gen.normal(size=2) * 0.05
         dq = np.array(ctrl.dls_step2(*q.tolist(), *dx.tolist(), geom))
         A = J @ J.T + lam * lam * np.eye(2)
@@ -121,7 +149,7 @@ def test_dls_satisfies_damped_normal_equations():
 
 def test_dls_low_damping_recovers_exact_solution():
     q = np.array([0.7, 0.9])  # comfortably non-singular
-    J = ctrl.jacobian(q, GEOM)
+    J = jacobian(q, LENGTHS)
     dx = np.array([0.03, -0.02])
     dq = np.array(ctrl.dls_step2(*q.tolist(), *dx.tolist(), ctrl.ArmGeom(damping=1e-6)))
     assert np.allclose(J @ dq, dx, atol=1e-6)
@@ -130,7 +158,7 @@ def test_dls_low_damping_recovers_exact_solution():
 def test_dls_bounded_at_singularity():
     # fully stretched arm: radial motion is unreachable, damping keeps dq finite
     q = np.array([0.3, 0.0])
-    pos, _ = ctrl.forward_kinematics(q, GEOM)
+    pos, _ = forward_kinematics(q, LENGTHS)
     radial = pos / np.linalg.norm(pos)
     dq = np.array(ctrl.dls_step2(*q.tolist(), *(0.05 * radial).tolist(), ctrl.ArmGeom(damping=GEOM.damping)))
     assert np.all(np.isfinite(dq))
@@ -188,8 +216,6 @@ def test_dimension_and_validation_errors():
         ctrl.pd_ee_delta_pose(np.zeros(3), state, GAINS, GEOM)
     with pytest.raises(NonFiniteError):
         ctrl.pd_joint_delta_pos(np.array([np.nan, 0.0]), state, GAINS, GEOM)
-    with pytest.raises(ShapeMismatchError):
-        ctrl.forward_kinematics(np.zeros(3), GEOM)
     with pytest.raises(NonFiniteError):
         ctrl.JointState(np.array([np.inf, 0.0]), np.zeros(2))
     with pytest.raises(ShapeMismatchError):
@@ -257,7 +283,7 @@ def test_dls_step2_jacobian_is_jacobian_bit_for_bit():
         for q0, q1 in poses:
             x0, y0, x1, y1 = ctrl.link_vectors2(q0, q1, geom)
             J = np.array([[-(y0 + y1), -y1], [x0 + x1, x1]])
-            assert J.tobytes() == ctrl.jacobian(np.array([q0, q1]), geom).tobytes(), (q0, q1)
+            assert J.tobytes() == jacobian(np.array([q0, q1]), geom.link_lengths).tobytes(), (q0, q1)
 
 
 def _exact_dls(J, dx, dy, damping):
@@ -279,7 +305,7 @@ def test_dls_step2_matches_an_exact_rational_solve():
         poses = _hard_poses(geom, gen, 60) + [tuple(q) for q in gen.uniform(-np.pi, np.pi, size=(500, 2)).tolist()]
         for q0, q1 in poses:
             dx, dy = (gen.normal(size=2) * geom.dx_max).tolist()
-            J = ctrl.jacobian(np.array([q0, q1]), geom)
+            J = jacobian(np.array([q0, q1]), geom.link_lengths)
             want = _exact_dls(J, dx, dy, geom.damping)
             scale = max(abs(w) for w in want)
             for name, got in (
@@ -291,20 +317,18 @@ def test_dls_step2_matches_an_exact_rational_solve():
     assert worst["float"] <= 1e-8 and worst["numpy"] <= 1e-8, worst
 
 
-def test_controllers_drive_two_link_arms_only():
-    geom3 = ctrl.ArmGeom(link_lengths=(0.7, 1.1, 0.4), q_lo=(-3.0,) * 3, q_hi=(3.0,) * 3)
-    geom1 = ctrl.ArmGeom(link_lengths=(1.0,), q_lo=(-3.0,), q_hi=(3.0,))
+def test_the_arm_has_two_links_by_construction():
+    # the controllers and environments drive a 2-link arm only
     cases = [
-        (geom3, ctrl.JointState(np.zeros(3), np.zeros(3)), np.zeros(3)),
-        (geom3, ctrl.JointState(np.zeros(3), np.zeros(3)), np.zeros(2)),
-        (geom3, ctrl.JointState(np.zeros(2), np.zeros(2)), np.zeros(2)),
-        (geom1, ctrl.JointState(np.zeros(1), np.zeros(1)), np.zeros(2)),
-        (GEOM, ctrl.JointState(np.zeros(3), np.zeros(3)), np.zeros(2)),
+        lambda: ctrl.ArmGeom(link_lengths=(1.0,), q_lo=(-3.0,), q_hi=(3.0,)),
+        lambda: ctrl.ArmGeom(link_lengths=(0.7, 1.1, 0.4), q_lo=(-3.0,) * 3, q_hi=(3.0,) * 3),
+        lambda: ctrl.ArmGeom(q_lo=(-3.0,)),
+        lambda: ctrl.ArmGeom(q_hi=(3.0, 3.0, 3.0)),
+        lambda: ctrl.JointState(np.zeros(3), np.zeros(3)),
     ]
-    for geom, state, action in cases:
-        for controller in (ctrl.pd_joint_delta_pos, ctrl.pd_ee_delta_pose):
-            with pytest.raises(ShapeMismatchError):
-                controller(action, state, GAINS, geom)
+    for make in cases:
+        with pytest.raises(ShapeMismatchError):
+            make()
 
 
 def test_action_check_keeps_the_box_tolerance():

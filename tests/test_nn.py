@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from deskrl import nn
+from finite_diff import finite_diff_grad
 from deskrl.errors import NonFiniteError, ShapeMismatchError
 from deskrl.rng import make_generator
 
@@ -11,35 +12,33 @@ from deskrl.rng import make_generator
 def naive_forward(store, spec, x, prefix):
     """Loop-and-dot reference forward, independent of the library path."""
     h = [float(v) for v in x]
-    j = 0
-    for layer in spec.layers:
-        if layer.kind == "affine":
-            W = store.get(f"{prefix}.W{j}")
-            b = store.get(f"{prefix}.b{j}")
-            out = []
-            for o in range(layer.out_width):
-                acc = float(b[0, o])
-                for i in range(layer.in_width):
-                    acc += h[i] * float(W[i, o])
-                out.append(acc)
-            h = out
-            j += 1
-        elif layer.fn == "relu":
+    for j in range(spec.depth):
+        W = store.get(f"{prefix}.W{j}")
+        b = store.get(f"{prefix}.b{j}")
+        out = []
+        for o in range(spec.widths[j + 1]):
+            acc = float(b[0, o])
+            for i in range(spec.widths[j]):
+                acc += h[i] * float(W[i, o])
+            out.append(acc)
+        h = out
+        fn = spec.activation(j)
+        if fn == "relu":
             h = [v if v > 0.0 else 0.0 for v in h]
-        elif layer.fn == "tanh":
+        elif fn == "tanh":
             h = [float(np.tanh(v)) for v in h]
     return np.array(h)
 
 
 def build_net(widths, hidden, output, seed):
-    spec = nn.mlp(widths, hidden=hidden, output=output)
+    spec = nn.NetSpec(widths, hidden=hidden, output=output)
     store = nn.ParamStore()
     nn.init_net_params(store, spec, make_generator(seed, "net"), "net")
     return spec, store
 
 
 def test_identity_affine_forward():
-    spec = nn.NetSpec((nn.LayerSpec("affine", 3, 3),))
+    spec = nn.NetSpec((3, 3))
     store = nn.ParamStore()
     store.add("net.W0", np.eye(3))
     store.add("net.b0", np.zeros((1, 3)))
@@ -48,7 +47,7 @@ def test_identity_affine_forward():
 
 
 def test_zero_weights_give_bias():
-    spec = nn.mlp((4, 2))
+    spec = nn.NetSpec((4, 2))
     store = nn.ParamStore()
     store.add("net.W0", np.zeros((4, 2)))
     store.add("net.b0", np.array([[1.5, -2.5]]))
@@ -99,16 +98,14 @@ def backprop_loss_grad(store, spec, X, prefix):
 def min_preactivation_margin(store, spec, X, prefix):
     """Smallest |pre-activation| feeding any relu, to guard FD validity."""
     margin = np.inf
-    j = 0
     H = np.asarray(X, dtype=np.float64)
-    for layer in spec.layers:
-        if layer.kind == "affine":
-            H = H @ store.get(f"net.W{j}") + store.get(f"net.b{j}")
-            j += 1
-        elif layer.fn == "relu":
+    for j in range(spec.depth):
+        H = H @ store.get(f"net.W{j}") + store.get(f"net.b{j}")
+        fn = spec.activation(j)
+        if fn == "relu":
             margin = min(margin, float(np.min(np.abs(H))))
             H = np.maximum(H, 0.0)
-        else:
+        elif fn == "tanh":
             H = np.tanh(H)
     return margin
 
@@ -130,7 +127,7 @@ def test_gradients_match_finite_differences(widths, hidden):
         if hidden == "relu" and min_preactivation_margin(store, spec, X, "net") < 1e-3:
             continue
         analytic = backprop_loss_grad(store, spec, X, "net")
-        numeric = nn.finite_diff_grad(lambda s: scalar_loss(s, spec, X, "net"), store, h=1e-5)
+        numeric = finite_diff_grad(lambda s: scalar_loss(s, spec, X, "net"), store, h=1e-5)
         scale = np.maximum(np.abs(numeric), 1e-8)
         rel = np.max(np.abs(analytic - numeric) / scale)
         assert rel <= 1e-4, f"max relative gradient error {rel:.3e}"
@@ -151,7 +148,7 @@ def test_quadratic_form_gradient():
         t = s.get("theta")[0]
         return float(t @ A @ t)
 
-    numeric = nn.finite_diff_grad(loss, store, h=1e-5)
+    numeric = finite_diff_grad(loss, store, h=1e-5)
     assert np.allclose(numeric, 2.0 * A @ theta, atol=1e-6)
     # probing must leave the parameters bit-identical
     assert np.array_equal(store.get("theta")[0], theta)
@@ -167,6 +164,19 @@ def test_batch_gradient_is_mean_of_singles():
     for i in range(8):
         acc += backprop_loss_grad(store, spec, X[i : i + 1], "net")
     assert np.allclose(whole, acc / 8.0, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("output", ["identity", "relu"])
+def test_cache_holds_each_layer_input_then_the_output(output):
+    spec, store = build_net((4, 6, 5, 3), "tanh", output, 5)
+    X = make_generator(5, "cache").normal(size=(2, 4))
+    Y, cache = traced(store, spec, X, "net")
+    assert len(cache) == spec.depth + 1 and len({id(c) for c in cache}) == len(cache)
+    assert cache[0] is X and cache[-1] is Y
+    activations = {"identity": lambda v: v, "relu": lambda v: np.maximum(v, 0.0), "tanh": np.tanh}
+    for j in range(spec.depth):
+        want = activations[spec.activation(j)](cache[j] @ store.get(f"net.W{j}") + store.get(f"net.b{j}"))
+        assert cache[j + 1].tobytes() == want.tobytes()
 
 
 def test_backward_accumulates():
@@ -208,7 +218,7 @@ def test_param_store_roundtrip_and_errors():
     store = nn.ParamStore()
     store.add("a.W0", np.arange(6.0).reshape(2, 3))
     store.add("a.b0", np.zeros((1, 3)))
-    assert store.shape("a.W0") == (2, 3)
+    assert store.get("a.W0").shape == (2, 3)
     rebuilt = nn.ParamStore.from_directory(store.directory(), store.flat)
     assert np.array_equal(rebuilt.flat, store.flat)
     assert rebuilt.directory() == store.directory()
@@ -251,16 +261,17 @@ def test_copies_share_no_views_with_their_source():
     store = nn.ParamStore()
     store.add("a.W0", np.arange(4.0).reshape(2, 2))
     store.add("a.b0", np.ones((1, 2)))
-    for name in store.names():
+    names = [name for name, _, _ in store.directory()]
+    for name in names:
         store.get(name)  # fill the source's cache first
-    for twin in (store.copy(), nn.ParamStore.from_directory(store.directory(), store.flat)):
-        for name in store.names():
-            view = twin.get(name)
-            assert view is not store.get(name)
-            assert np.shares_memory(view, twin.flat)
-            assert not np.shares_memory(view, store.flat)
-        twin.flat[:] = -1.0
-        assert np.array_equal(store.get("a.W0"), np.arange(4.0).reshape(2, 2))
+    twin = nn.ParamStore.from_directory(store.directory(), store.flat)
+    for name in names:
+        view = twin.get(name)
+        assert view is not store.get(name)
+        assert np.shares_memory(view, twin.flat)
+        assert not np.shares_memory(view, store.flat)
+    twin.flat[:] = -1.0
+    assert np.array_equal(store.get("a.W0"), np.arange(4.0).reshape(2, 2))
 
 
 def test_assigning_a_new_flat_vector_drops_every_view():
@@ -383,12 +394,10 @@ def test_adam_rejects_nonfinite_and_mismatched():
 
 def test_spec_validation():
     with pytest.raises(ShapeMismatchError):
-        nn.LayerSpec("conv", 3, 3)
+        nn.NetSpec((4,))
     with pytest.raises(ShapeMismatchError):
-        nn.LayerSpec("activation", 3, 4, "relu")
+        nn.NetSpec((3, 0, 2))
     with pytest.raises(ShapeMismatchError):
-        nn.LayerSpec("activation", 3, 3, "softplus")
+        nn.NetSpec((3, 4, 2), hidden="softplus")
     with pytest.raises(ShapeMismatchError):
-        nn.NetSpec((nn.LayerSpec("affine", 3, 4), nn.LayerSpec("affine", 5, 2)))
-    with pytest.raises(ShapeMismatchError):
-        nn.mlp((4,))
+        nn.NetSpec((3, 4, 2), output="sigmoid")

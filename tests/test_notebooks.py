@@ -1,7 +1,9 @@
-"""The fast notebooks run to completion as scripts and leave no files behind.
+"""The fast notebooks run to completion as scripts and leave no files behind,
+and every notebook finds the deskrl names it uses.
 
 Notebooks 01, 02, 03 and 06 take a few seconds between them; the others
-train for longer and are left out of this suite.
+train for longer and are not run in this suite, so a rename in deskrl
+would break them unseen: their names are checked without running them.
 """
 
 import os
@@ -10,7 +12,10 @@ import sys
 
 import pytest
 
+from deskrl_names import assert_deskrl_names_exist
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+NOTEBOOKS = sorted(name for name in os.listdir(os.path.join(ROOT, "notebooks")) if name.endswith(".py"))
 FAST = [
     "01_encoder_invariance.py",
     "02_arm_and_controllers.py",
@@ -35,3 +40,8 @@ def test_notebook_runs(notebook, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert os.listdir(tmpdir) == [], "the notebook left its temporary files behind"
+
+
+@pytest.mark.parametrize("notebook", NOTEBOOKS)
+def test_notebook_finds_its_deskrl_names(notebook):
+    assert_deskrl_names_exist(os.path.join(ROOT, "notebooks", notebook))

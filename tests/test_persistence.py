@@ -72,8 +72,8 @@ def test_checkpoint_param_store_reconstruction(tmp_path):
     ckpt = make_checkpoint(seed=3)
     ps.save_checkpoint(path, ckpt)
     store = ps.load_checkpoint(path).param_store()
-    assert store.names() == ["w", "b"]
-    assert store.shape("w") == (3, 4)
+    assert [name for name, _, _ in store.directory()] == ["w", "b"]
+    assert store.get("w").shape == (3, 4)
     assert store.flat.tobytes() == ckpt.params.tobytes()
 
 

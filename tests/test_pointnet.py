@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from blas_kernels import each_kernel, kernel_test
+from finite_diff import finite_diff_grad
 from deskrl import nn, pointnet
 from deskrl.envs import make_config, make_env
 from deskrl.errors import NonFiniteError, ShapeMismatchError
@@ -16,19 +17,16 @@ from deskrl.rng import make_generator
 
 
 def make_encoder(seed, proprio_width=8, per_point=(16, 32), post=(24,)):
-    spec = pointnet.build_encoder_spec(
-        point_dim=2, feat_channels=3, proprio_width=proprio_width,
-        per_point_widths=per_point, post_widths=post,
-    )
+    spec = pointnet.build_encoder_spec(proprio_width=proprio_width, per_point_widths=per_point, post_widths=post)
     store = nn.ParamStore()
     pointnet.init_encoder_params(store, spec, make_generator(seed, "enc"), "enc")
     return spec, store
 
 
 def random_obs(spec, gen, n_points):
-    coords = gen.normal(size=(n_points, spec.point_dim))
-    classes = gen.integers(0, spec.feat_channels, size=n_points)
-    onehot = np.zeros((n_points, spec.feat_channels))
+    coords = gen.normal(size=(n_points, pointnet.POINT_DIM))
+    classes = gen.integers(0, pointnet.FEAT_CHANNELS, size=n_points)
+    onehot = np.zeros((n_points, pointnet.FEAT_CHANNELS))
     onehot[np.arange(n_points), classes] = 1.0
     return pointnet.PointCloudObs(
         points=np.concatenate([coords, onehot], axis=1),
@@ -93,25 +91,17 @@ def encoder_margin(store, spec, obs):
     """Distance to the nearest relu kink or pooling tie, for FD validity."""
     margin = np.inf
     H = obs.points
-    j = 0
-    for layer in spec.per_point.layers:
-        if layer.kind == "affine":
-            H = H @ store.get(f"enc.pp.W{j}") + store.get(f"enc.pp.b{j}")
-            j += 1
-            margin = min(margin, float(np.min(np.abs(H))))
-        else:
-            H = np.maximum(H, 0.0)
+    for j in range(spec.per_point.depth):  # relu after every layer
+        H = H @ store.get(f"enc.pp.W{j}") + store.get(f"enc.pp.b{j}")
+        margin = min(margin, float(np.min(np.abs(H))))
+        H = np.maximum(H, 0.0)
     top2 = np.sort(H, axis=0)[-2:, :]
     margin = min(margin, float(np.min(top2[1] - top2[0])))
     x = np.concatenate([H.max(axis=0), obs.proprio])[None, :]
-    j = 0
-    for layer in spec.post.layers:
-        if layer.kind == "affine":
-            x = x @ store.get(f"enc.post.W{j}") + store.get(f"enc.post.b{j}")
-            j += 1
-            margin = min(margin, float(np.min(np.abs(x))))
-        else:
-            x = np.maximum(x, 0.0)
+    for j in range(spec.post.depth):
+        x = x @ store.get(f"enc.post.W{j}") + store.get(f"enc.post.b{j}")
+        margin = min(margin, float(np.min(np.abs(x))))
+        x = np.maximum(x, 0.0)
     return margin
 
 
@@ -134,7 +124,7 @@ def test_single_path_gradient_matches_finite_differences():
             _, cache = pointnet.encode_batch_trace(store, spec, pts, prop, "enc")
             grad = store.zeros_grad()
             pointnet.encode_batch_backward(store, spec, cache, w, grad, "enc")
-            numeric = nn.finite_diff_grad(
+            numeric = finite_diff_grad(
                 lambda s: float(np.sum(w * pointnet.encode_batch(s, spec, pts, prop, "enc"))), store, h=1e-5
             )
             scale = np.maximum(np.abs(numeric), 1e-8)
@@ -237,7 +227,7 @@ def test_batched_backward_matches_sum_of_singles(case):
     assert np.allclose(grad_batch, grad_singles, rtol=1e-10, atol=1e-12)
     if case is _dead_feature:
         lo, hi = store.slice_bounds("enc.pp.W1")
-        assert not grad_batch[lo:hi].reshape(store.shape("enc.pp.W1"))[:, 2].any()
+        assert not grad_batch[lo:hi].reshape(store.get("enc.pp.W1").shape)[:, 2].any()
         assert grad_batch[store.slice_bounds("enc.pp.b1")[0] + 2] == 0.0
 
 
@@ -385,7 +375,7 @@ def test_pool_tie_breaks_to_lowest_index():
     obs = random_obs(spec, gen, 16)
 
     def pool_idx(points):
-        return pointnet._encode_batch_forward(store, spec, points[None], obs.proprio[None], "enc")[2][0]
+        return pointnet._pool_forward(store, spec, points[None], "enc")[1][0]
 
     before = pool_idx(obs.points)
     # append an exact copy of the point most features pooled from: each of
@@ -410,22 +400,18 @@ def test_validation_rejects_bad_inputs():
         pointnet.PointCloudObs(np.zeros((0, 5)), good.proprio)
     with pytest.raises(ShapeMismatchError):
         pointnet.encode_batch(store, spec, np.zeros((2, 4, 5)), np.zeros((3, 8)), "enc")
-    with pytest.raises(ShapeMismatchError):
-        pointnet.build_encoder_spec(point_dim=4)
-    with pytest.raises(ShapeMismatchError):  # a per-point net with nothing to learn
-        relu_only = nn.NetSpec((nn.LayerSpec("activation", 5, 5, "relu"),))
-        pointnet.EncoderSpec(2, 3, 8, relu_only, nn.mlp((13, 4)))
+    with pytest.raises(ShapeMismatchError, match="5 channels"):  # the cloud layout is fixed
+        pointnet.EncoderSpec(8, nn.NetSpec((4, 12), output="relu"), nn.NetSpec((20, 4)))
 
 
-@pytest.mark.parametrize("tail", [("tanh",), ("relu", "relu"), ()], ids=["tanh", "two_activations", "none"])
-def test_encoder_spec_requires_one_relu_tail(tail):
+@pytest.mark.parametrize("output", ["tanh", "identity"], ids=["tanh", "none"])
+def test_encoder_spec_requires_one_relu_tail(output):
     # the traced forward pools the last per-point layer before its bias and
-    # ReLU, which holds for exactly one ReLU after that layer
-    layers = nn.mlp((5, 8, 12)).layers + tuple(nn.LayerSpec("activation", 12, 12, fn) for fn in tail)
-    with pytest.raises(ShapeMismatchError, match="one relu"):
-        pointnet.EncoderSpec(2, 3, 8, nn.NetSpec(layers), nn.mlp((20, 4)))
-    relu_tail = nn.mlp((5, 8, 12), hidden="relu", output="relu")
-    assert pointnet.EncoderSpec(2, 3, 8, relu_tail, nn.mlp((20, 4))).feature_dim == 12
+    # ReLU, which holds only when that layer's activation is a ReLU
+    with pytest.raises(ShapeMismatchError, match="end in a relu"):
+        pointnet.EncoderSpec(8, nn.NetSpec((5, 8, 12), output=output), nn.NetSpec((20, 4)))
+    relu_tail = nn.NetSpec((5, 8, 12), hidden="relu", output="relu")
+    assert pointnet.EncoderSpec(8, relu_tail, nn.NetSpec((20, 4))).feature_dim == 12
 
 
 @pytest.mark.parametrize("where", ["points", "proprio"])

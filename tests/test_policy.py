@@ -31,7 +31,7 @@ def first_obs(task="reach2d", episode_seed=123):
 class TestPolicySpec:
     def test_head_widths_must_match_encoder(self):
         good = pol.build_policy_spec("reach2d")
-        bad_mean = nn.mlp((good.encoder.out_width + 1, 64, 2), hidden="tanh")
+        bad_mean = nn.NetSpec((good.encoder.out_width + 1, 64, 2), hidden="tanh")
         with pytest.raises(ShapeMismatchError):
             pol.PolicySpec(good.encoder, bad_mean, good.value, 2)
 
@@ -42,7 +42,7 @@ class TestPolicySpec:
 
     def test_value_head_must_be_scalar(self):
         good = pol.build_policy_spec("reach2d")
-        wide = nn.mlp((good.encoder.out_width, 64, 2), hidden="tanh")
+        wide = nn.NetSpec((good.encoder.out_width, 64, 2), hidden="tanh")
         with pytest.raises(ShapeMismatchError):
             pol.PolicySpec(good.encoder, good.mean, wide, 2)
 
@@ -50,7 +50,7 @@ class TestPolicySpec:
         for task in ("reach2d", "gather2d", "pushbox2d"):
             spec = pol.build_policy_spec(task)
             obs = first_obs(task)
-            assert spec.encoder.point_channels == obs.points.shape[1]
+            assert spec.encoder.per_point.in_width == obs.points.shape[1]
             assert spec.encoder.proprio_width == obs.proprio.shape[0]
 
 
@@ -85,15 +85,15 @@ class TestGaussianMath:
 class TestLogStdClamp:
     def test_within_bounds_passes_through(self):
         store, spec = fresh(log_std0=-0.5)
-        assert np.array_equal(pol.log_std_of(store, spec), np.full(2, -0.5))
-        assert np.array_equal(pol.log_std_grad_mask(store, spec), np.ones(2))
+        assert np.array_equal(pol.log_std_of(store), np.full(2, -0.5))
+        assert np.array_equal(pol.log_std_grad_mask(store), np.ones(2))
 
     def test_out_of_bounds_clamps_and_masks(self):
         store, spec = fresh(log_std0=-0.5)
         store.get("log_std")[0, 0] = -30.0
         store.get("log_std")[0, 1] = 5.0
-        assert np.array_equal(pol.log_std_of(store, spec), np.array([pol.LOG_STD_MIN, pol.LOG_STD_MAX]))
-        assert np.array_equal(pol.log_std_grad_mask(store, spec), np.zeros(2))
+        assert np.array_equal(pol.log_std_of(store), np.array([pol.LOG_STD_MIN, pol.LOG_STD_MAX]))
+        assert np.array_equal(pol.log_std_grad_mask(store), np.zeros(2))
 
     def test_floor_makes_sampling_deterministic(self):
         # at the clamp floor the noise scale is e^-20: the sampled action is
@@ -129,7 +129,7 @@ class TestSampling:
         mean = pol.mean_action(store, spec, obs)
         assert np.abs(mean).max() < 1.0
         z = clone.standard_normal(spec.action_dim)
-        log_std = pol.log_std_of(store, spec)
+        log_std = pol.log_std_of(store)
         assert np.array_equal(s.raw, mean + np.exp(log_std) * z)
         assert s.logp == pytest.approx(
             float(pol.gaussian_logp(s.raw, mean, log_std)), abs=1e-12
@@ -389,7 +389,7 @@ def test_padded_forward_matches_checked_composition(task):
         for _ in range(seed % 4):
             o = env.step(act.uniform(-1.0, 1.0, size=2)).obs
         obs.append(o)
-    log_std = pol.log_std_of(store, spec)
+    log_std = pol.log_std_of(store)
     for k in range(1, 18):
         for start in (0, 17 - k):
             rows = obs[start : start + k]

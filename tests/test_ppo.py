@@ -372,7 +372,7 @@ def minibatch_logps(store, spec, buf, idx):
     enc = pointnet.encode_batch(store, spec.encoder, buf.points[idx], buf.proprios[idx])
     mean = nn.forward_batch(store, spec.mean, enc, "mean")
     old = np.full(buf.size, np.nan)
-    old[idx] = pol.gaussian_logp(buf.raw_actions[idx], mean, pol.log_std_of(store, spec))
+    old[idx] = pol.gaussian_logp(buf.raw_actions[idx], mean, pol.log_std_of(store))
     return old
 
 
@@ -387,7 +387,7 @@ def surrogate_scalar(store, spec, buf, idx, old, cfg):
     enc = pointnet.encode_batch(store, spec.encoder, buf.points[idx], buf.proprios[idx])
     mean = nn.forward_batch(store, spec.mean, enc, "mean")
     value = nn.forward_batch(store, spec.value, enc, "value")[:, 0]
-    log_std = pol.log_std_of(store, spec)
+    log_std = pol.log_std_of(store)
     logp = pol.gaussian_logp(buf.raw_actions[idx], mean, log_std)
     ratio = np.exp(logp - old[idx])
     clipped = np.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps)
