@@ -55,7 +55,7 @@ second = train_ppo(
     resume=ckpt,
 )
 
-# the resumed run's entry evaluation re-measures the restore point
+# the resumed run's entry record carries the rates stored with the restore point
 assert second[0] == first[-1]
 assert first + second[1:] == full
 print("metric histories match record for record")

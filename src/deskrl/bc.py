@@ -25,7 +25,7 @@ from . import loop, nn, pointnet, policy as pol
 from .envs import DemoTrajectory, EnvConfig
 from .errors import ConfigError, NonFiniteError, require_finite_floats
 from .persistence import Checkpoint, MetricsRecord
-from .rng import make_generator, state_words
+from .rng import make_generator
 
 
 @dataclass(frozen=True)
@@ -131,15 +131,13 @@ def train_bc(
     stage: int = 1,
     reset_optimizer: bool = False,
     should_stop=None,
-    entry_rates=None,
 ) -> list[MetricsRecord]:
     """Clone the dataset's actions; returns this call's metric history.
 
     `cfg.total_steps` outer steps on top of whatever the resume checkpoint
-    had, with the evaluation and checkpoint cadence, the should_stop hook
-    and entry_rates of `loop.run_loop`.
-    The stored rng words are a nominal stream: the sampler derives
-    everything from (seed, step), so BC resume needs no generator state.
+    had, with the start or resume, the evaluation and checkpoint cadence
+    and the should_stop hook of `loop`.  The sampler derives everything
+    from (seed, step) and never draws from the run stream.
     """
     if dataset.fingerprint != env_cfg.fingerprint():
         raise ConfigError("demo dataset was recorded on a different environment")
@@ -148,7 +146,6 @@ def train_bc(
             f"samples per step {cfg.samples_per_step} exceeds dataset size {dataset.size}"
         )
     state = loop.begin("bc", cfg, env_cfg, seed, resume, reset_optimizer)
-    nominal_words = state_words(make_generator(seed, "bc", "nominal", env_cfg.task))
     S, B = cfg.samples_per_step, cfg.batch_size
 
     def advance(step: int) -> None:
@@ -162,7 +159,4 @@ def train_bc(
                 raise NonFiniteError(f"non-finite loss at outer step {step}, minibatch {lo // B}")
             nn.adam_step(state.store, grad, state.adam)
 
-    return loop.run_loop(
-        state, cfg, out_dir, 1, advance, lambda: nominal_words,
-        stage=stage, should_stop=should_stop, entry_rates=entry_rates,
-    )
+    return loop.run_loop(state, cfg, out_dir, 1, advance, stage=stage, should_stop=should_stop)

@@ -19,7 +19,7 @@ from typing import Any, Callable, get_type_hints
 
 from . import __version__
 from .bc import BCConfig
-from .envs import EnvConfig, make_config
+from .envs import N_POINTS, EnvConfig, make_config
 from .errors import ConfigError
 from .persistence import replace_file
 from .ppo import PPOConfig
@@ -76,7 +76,7 @@ SCHEMA: dict[str, dict[str, tuple[Any, Callable[[str], Any]]]] = {
         "split": ("train", _identity),
         "env_seed": (0, int),
         "horizon": (None, _optional_int),  # empty means the task default
-        "n_points": (None, _optional_int),
+        "n_points": (None, _optional_int),  # empty or N_POINTS; kept so older manifests load
     },
     "ppo": _field_keys(PPOConfig),
     "bc": {
@@ -161,12 +161,10 @@ def _apply(resolved: dict, section: str, key: str, raw: str, origin: str) -> Non
 
 def env_config(resolved: dict) -> EnvConfig:
     run = resolved["run"]
-    overrides = {}
-    if run["horizon"] is not None:
-        overrides["horizon"] = run["horizon"]
-    if run["n_points"] is not None:
-        overrides["n_points"] = run["n_points"]
-    return make_config(run["task"], split=run["split"], seed=run["env_seed"], **overrides)
+    if run["n_points"] not in (None, N_POINTS):
+        raise ConfigError(f"point count is fixed at {N_POINTS} for these tasks")
+    horizon = {} if run["horizon"] is None else {"horizon": run["horizon"]}
+    return make_config(run["task"], split=run["split"], seed=run["env_seed"], **horizon)
 
 
 def ppo_config(resolved: dict) -> PPOConfig:
@@ -206,7 +204,7 @@ def write_manifest(out_dir: str, command: str, seed: int, resolved: dict) -> str
         body = dict(keys)
         if section == "run":
             body["horizon"] = env.horizon  # materialize task defaults
-            body["n_points"] = env.n_points
+            body["n_points"] = N_POINTS
         writer[section] = {k: _format_value(v) for k, v in body.items()}
     path = os.path.join(out_dir, "manifest.ini")
     os.makedirs(out_dir, exist_ok=True)

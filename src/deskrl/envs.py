@@ -48,7 +48,7 @@ from .rng import make_generator, next_episode_seed
 TASKS = ("reach2d", "pushbox2d", "gather2d")
 SPLITS = ("train", "test")
 
-N_POINTS = 64
+N_POINTS = 64  # points per cloud, on every task
 ACTION_DIM = 2
 
 _HORIZONS = {"reach2d": 100, "pushbox2d": 150, "gather2d": 200}
@@ -75,7 +75,6 @@ class EnvConfig:
     seed: int = 0
     horizon: int = 0
     dt: float = 0.05
-    n_points: int = N_POINTS
     train_range: tuple[float, float] = (0.0, 0.0)
     test_range: tuple[float, float] = (0.0, 0.0)
 
@@ -89,8 +88,6 @@ class EnvConfig:
             raise ConfigError("horizon must be at least 1")
         if self.dt <= 0.0:
             raise ConfigError("dt must be positive")
-        if self.n_points != N_POINTS:
-            raise ConfigError(f"point count is fixed at {N_POINTS} for these tasks")
         for lo, hi in (self.train_range, self.test_range):
             if not lo < hi:
                 raise ConfigError("variant ranges need lo < hi")
@@ -108,7 +105,7 @@ class EnvConfig:
         not physics), used to match demo files to environments."""
         return (
             f"task={self.task};horizon={self.horizon};dt={self.dt!r};"
-            f"n_points={self.n_points};train={self.train_range!r};test={self.test_range!r}"
+            f"n_points={N_POINTS};train={self.train_range!r};test={self.test_range!r}"
         )
 
 
@@ -122,7 +119,6 @@ def make_config(task: str, split: str = "train", seed: int = 0, **overrides) -> 
         seed=seed,
         horizon=_HORIZONS[task],
         dt=0.05,
-        n_points=N_POINTS,
         train_range=_RANGES[task][0],
         test_range=_RANGES[task][1],
     )
@@ -156,10 +152,11 @@ def _norm2(x: float, y: float) -> float:
     return math.sqrt(x * x + y * y)
 
 
-def _unit(x: float, y: float, fallback=(1.0, 0.0)) -> tuple[float, float]:
+def _unit(x: float, y: float) -> tuple[float, float]:
+    """(x, y) scaled to length 1; (1, 0) for a vector too short to scale."""
     n = _norm2(x, y)
     if n < 1e-12:
-        return fallback
+        return 1.0, 0.0
     return x / n, y / n
 
 
@@ -346,7 +343,7 @@ class ToyEnv:
         """The episode's cloud layout: for each (count, class, coords) segment
         in order, rows with that one-hot class and, where coords is not None,
         those fixed coordinates.  Every step copies it into a fresh array."""
-        template = np.zeros((self.cfg.n_points, POINT_DIM + FEAT_CHANNELS))
+        template = np.zeros((N_POINTS, POINT_DIM + FEAT_CHANNELS))
         row = 0
         for count, cls, coords in segments:
             template[row : row + count, POINT_DIM + cls] = 1.0

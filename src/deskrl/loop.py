@@ -1,23 +1,24 @@
-"""The training cycle PPO and BC share: resume, evaluate, log, checkpoint.
+"""The training cycle PPO and BC share: start or resume, evaluate, log, checkpoint.
 
-A trainer call first restores its policy and Adam state from a checkpoint,
-or initialises fresh ones (`begin`).  It then hands `run_loop` one
+A trainer call first starts its run (`begin`): fresh policy parameters,
+Adam state and run stream, or all three restored from a checkpoint
+together with the rates stored with it.  It then hands `run_loop` one
 `advance(step)` callable that trains one unit from the given step: a
 rollout, GAE and update over S environment steps for PPO, one block of S
 samples for BC, where the unit is one outer step.  The loop advances while
-a whole unit still fits the budget.  It evaluates both splits at entry,
-every eval_period steps, and once more at the end if steps advanced since
-the last evaluation; each evaluation writes a checkpoint and then adds a
-metrics record, so a crash between the two leaves a checkpoint with no log
+a whole unit still fits the budget.  It records both splits' rates at
+entry, every eval_period steps, and once more at the end if steps advanced
+since the last evaluation; each record comes with a checkpoint written
+before it, so a crash between the two leaves a checkpoint with no log
 line, never a logged step with no checkpoint.  An optional
-should_stop(history) hook, asked after each evaluation, ends the call early.
+should_stop(history) hook, asked after each record, ends the call early.
 
-A caller that already knows the entry rates passes them as entry_rates:
-the entry record and checkpoint then carry them and the entry evaluation
-is skipped.  The two-stage legs do this, because the checkpoint they
-resume from holds the rates stage one measured for the same parameters,
-seed and panels.  A plain resume still evaluates, since its
-eval_episodes may differ from the run that wrote the checkpoint.
+The entry record of a fresh run evaluates the initial policy.  A resumed
+run records its checkpoint's rates instead, which the run that wrote it
+measured for the same parameters and seed (`begin` rejects another seed)
+over that run's eval_episodes.  Every checkpoint stores the state words
+of the run stream `TrainingState.gen`, which PPO draws from; BC never
+does, so its words stay those of the fresh stream.
 """
 
 from __future__ import annotations
@@ -32,12 +33,13 @@ from . import nn, policy as pol
 from .envs import EnvConfig
 from .errors import ResumeError
 from .persistence import Checkpoint, MetricsRecord, append_metrics, checkpoint_name, save_checkpoint
-from .rng import make_generator
+from .rng import generator_from_words, make_generator, state_words
 
 
 @dataclass
 class TrainingState:
-    """The policy and optimiser one trainer call trains, and its start step."""
+    """What one trainer call trains from: policy, optimiser, run stream,
+    start step, and the (train, test) rates of a resumed checkpoint."""
 
     kind: str  # "ppo" | "bc"
     env_cfg: EnvConfig
@@ -45,7 +47,9 @@ class TrainingState:
     spec: pol.PolicySpec
     store: nn.ParamStore
     adam: nn.AdamState
+    gen: np.random.Generator
     start_step: int
+    entry_rates: tuple[float, float] | None
 
 
 def begin(
@@ -66,14 +70,19 @@ def begin(
         store = nn.ParamStore()
         pol.init_policy(store, spec, make_generator(seed, kind, "init", env_cfg.task), cfg.log_std0)
         adam = nn.init_adam(store.size, lr=cfg.learning_rate)
-        return TrainingState(kind, env_cfg, seed, spec, store, adam, 0)
+        gen = make_generator(seed, kind, "train", env_cfg.task)
+        return TrainingState(kind, env_cfg, seed, spec, store, adam, gen, 0, None)
     if resume.trainer_kind != kind:
         raise ResumeError(f"checkpoint holds a {resume.trainer_kind} run, not {kind}")
     if resume.env_fingerprint != env_cfg.fingerprint():
         raise ResumeError("checkpoint was trained on a different environment")
+    if resume.rng_seed != seed:
+        raise ResumeError(f"checkpoint holds a run of seed {resume.rng_seed}, not {seed}")
     store = resume.param_store()
     adam = nn.init_adam(store.size, lr=cfg.learning_rate) if reset_optimizer else resume.adam.copy()
-    return TrainingState(kind, env_cfg, seed, spec, store, adam, resume.step)
+    gen = generator_from_words(resume.rng_words)
+    rates = (resume.train_success, resume.test_success)
+    return TrainingState(kind, env_cfg, seed, spec, store, adam, gen, resume.step, rates)
 
 
 def run_loop(
@@ -82,17 +91,10 @@ def run_loop(
     out_dir: str,
     unit: int,
     advance: Callable[[int], None],
-    rng_words: Callable[[], np.ndarray],
     stage: int = 1,
     should_stop: Callable[[list[MetricsRecord]], bool] | None = None,
-    entry_rates: tuple[float, float] | None = None,
 ) -> list[MetricsRecord]:
-    """Train cfg.total_steps further steps in units; returns this call's history.
-
-    `rng_words()` gives the generator state each checkpoint stores.
-    `entry_rates`, if given, are the (train, test) success rates of the
-    entry parameters on this run's panels, recorded instead of evaluating.
-    """
+    """Train cfg.total_steps further steps in units; returns this call's history."""
     os.makedirs(out_dir, exist_ok=True)
     env_cfg, seed = state.env_cfg, state.seed
     run_id = f"{env_cfg.task}-{state.kind}-seed{seed}"
@@ -119,7 +121,7 @@ def run_loop(
                 slices=state.store.directory(),
                 adam=state.adam.copy(),
                 rng_seed=seed,
-                rng_words=rng_words(),
+                rng_words=state_words(state.gen),
                 train_success=train_rate,
                 test_success=test_rate,
             ),
@@ -131,7 +133,7 @@ def run_loop(
 
     done = 0
     last_eval = 0
-    if evaluate(state.start_step, entry_rates):
+    if evaluate(state.start_step, state.entry_rates):
         return history
     while done + unit <= cfg.total_steps:
         advance(state.start_step + done)

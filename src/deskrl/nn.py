@@ -291,26 +291,10 @@ class AdamState:
         return AdamState(self.m.copy(), self.v.copy(), self.t, self.lr, self.beta1, self.beta2, self.eps)
 
 
-def init_adam(
-    n_params: int,
-    lr: float = 3e-4,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> AdamState:
-    if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-        raise ShapeMismatchError("Adam betas must lie in [0, 1)")
-    if lr < 0.0 or eps <= 0.0:
-        raise ShapeMismatchError("Adam needs lr >= 0 and eps > 0")
-    return AdamState(
-        m=np.zeros(n_params, dtype=np.float64),
-        v=np.zeros(n_params, dtype=np.float64),
-        t=0,
-        lr=lr,
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
-    )
+def init_adam(n_params: int, lr: float = 3e-4) -> AdamState:
+    if lr < 0.0:
+        raise ShapeMismatchError("Adam needs lr >= 0")
+    return AdamState(m=np.zeros(n_params, dtype=np.float64), v=np.zeros(n_params, dtype=np.float64), lr=lr)
 
 
 def adam_step(store: ParamStore, grad: np.ndarray, state: AdamState) -> None:

@@ -282,7 +282,7 @@ def _format_record(rec: MetricsRecord) -> str:
 
 
 def _parse_line(line: str) -> MetricsRecord:
-    parts = line.rstrip("\n").split(",")
+    parts = line.split(",")
     if len(parts) != 5:
         raise ValueError(f"expected 5 fields, got {len(parts)}")
     return MetricsRecord(
@@ -294,67 +294,81 @@ def _parse_line(line: str) -> MetricsRecord:
     )
 
 
-def _last_step(log: bytes) -> int | None:
-    """Step of the last line of `log` (which ends in a newline) that parses
-    as a record, scanning back over the whole file; the header never does."""
-    end = len(log)
-    while end > 0:
-        start = log.rfind(b"\n", 0, end - 1) + 1
-        try:
-            return _parse_line(log[start:end].decode("utf-8", errors="replace")).step
-        except (ValueError, ConfigError):
-            end = start
-    return None
-
-
-def check_metrics_order(path: str, step: int) -> bytes:
-    """The complete lines of the log at `path` (empty if there is none);
-    MetricsOrderError if `step` is below the step of its last record."""
-    try:
-        with open(path, "rb") as fh:
-            log = fh.read()
-    except FileNotFoundError:
-        log = b""
-    log = log[: log.rfind(b"\n") + 1]
-    prev = _last_step(log)
-    if prev is not None and step < prev:
-        raise MetricsOrderError(f"step {step} after step {prev} in {path}")
-    return log
-
-
-def append_metrics(path: str, record: MetricsRecord) -> None:
-    """Add one record by replacing the whole log; steps must never decrease
-    within a file.  A partial last line, which only a log appended to in
-    place can hold, is dropped."""
-    if record.stamp == 0.0:
-        record = MetricsRecord(
-            record.step, record.train_success, record.test_success, record.stage, time.time()
-        )
-    log = check_metrics_order(path, record.step)
-    replace_file(path, (log or (METRICS_HEADER + "\n").encode()) + _format_record(record).encode())
-
-
-def read_metrics(path: str) -> list[MetricsRecord]:
-    """Parse every complete record; a truncated final line is ignored, and a
-    complete line that does not parse raises MetricsFormatError."""
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"no metrics log at {path}")
+def _parse_log(path: str, lines: bytes, first: int = 0, last: int | None = None) -> list[MetricsRecord]:
+    """The records of `lines`, complete lines of the log at `path` from its
+    line `first` (0-based) on, after a record of step `last`; the one rule
+    that every reader and writer of a log follows.  A complete line that is
+    not the header, does not parse or goes back in step raises
+    MetricsFormatError naming the file and the line."""
     records: list[MetricsRecord] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.readlines()
-    for i, line in enumerate(lines):
-        if i == 0 and line.rstrip("\n") == METRICS_HEADER:
+    for i, line in enumerate(lines.decode("utf-8", errors="replace").split("\n")[:-1], start=first):
+        if i == 0 and line == METRICS_HEADER:
             continue
-        if not line.endswith("\n"):
-            break  # crash-truncated tail: the prefix is still valid
         try:
             rec = _parse_line(line)
         except (ValueError, ConfigError) as err:
             raise MetricsFormatError(f"{path}: line {i + 1}: {err}") from None
-        if records and rec.step < records[-1].step:
-            raise MetricsOrderError(f"{path}: step went backwards at line {i + 1}")
+        if last is not None and rec.step < last:
+            raise MetricsFormatError(f"{path}: step went backwards at line {i + 1}")
+        last = rec.step
         records.append(rec)
     return records
+
+
+def _complete_lines(path: str) -> bytes:
+    """The log at `path` up to its last newline: a partial last line, which
+    only a log appended to in place can hold, is left out."""
+    with open(path, "rb") as fh:
+        log = fh.read()
+    return log[: log.rfind(b"\n") + 1]
+
+
+# (path, complete lines, their count, last step) of the log append_metrics
+# last wrote: the next append parses only the lines after them, so n appends
+# parse n lines, not n^2 / 2.  A memo only: its bytes must open the log
+_appended: tuple[str, bytes, int, int | None] = ("", b"", 0, None)
+
+
+def check_metrics_order(path: str, step: int) -> tuple[bytes, int]:
+    """The complete lines of the log at `path` (empty if there is none) and
+    their count, once read_metrics would accept them (MetricsFormatError if
+    not); MetricsOrderError if `step` is below the step of their last record."""
+    try:
+        log = _complete_lines(path)
+    except FileNotFoundError:
+        return b"", 0
+    known_path, done, count, last = _appended
+    if known_path != path or not log.startswith(done):
+        done, count, last = b"", 0, None
+    records = _parse_log(path, log[len(done) :], count, last)
+    last = records[-1].step if records else last
+    if last is not None and step < last:
+        raise MetricsOrderError(f"step {step} after step {last} in {path}")
+    return log, count + log.count(b"\n", len(done))
+
+
+def append_metrics(path: str, record: MetricsRecord) -> None:
+    """Add one record by replacing the whole log; steps must never decrease
+    within a file, and a log that read_metrics refuses is left unchanged.
+    A partial last line is dropped."""
+    global _appended
+    if record.stamp == 0.0:
+        record = MetricsRecord(
+            record.step, record.train_success, record.test_success, record.stage, time.time()
+        )
+    log, count = check_metrics_order(path, record.step)
+    if not log:
+        log, count = (METRICS_HEADER + "\n").encode(), 1
+    log += _format_record(record).encode()
+    replace_file(path, log)
+    _appended = (path, log, count + 1, record.step)
+
+
+def read_metrics(path: str) -> list[MetricsRecord]:
+    """Parse every complete record; a truncated final line is ignored, and a
+    complete line that does not parse, or goes back in step, raises
+    MetricsFormatError."""
+    return _parse_log(path, _complete_lines(path))
 
 
 # -- export -------------------------------------------------------------------

@@ -73,6 +73,9 @@ POST_ROW_MULTIPLE = 8
 POINT_DIM = 2
 FEAT_CHANNELS = 3
 
+# the parameter-name prefixes of the per-point and post nets
+PER_POINT, POST = "enc.pp", "enc.post"
+
 
 @dataclass
 class PointCloudObs:
@@ -139,12 +142,10 @@ def _body(spec: EncoderSpec) -> nn.NetSpec:
     return nn.NetSpec(pp.widths[:-1], pp.hidden, pp.hidden)
 
 
-def init_encoder_params(
-    store: nn.ParamStore, spec: EncoderSpec, gen: np.random.Generator, prefix: str = "enc"
-) -> None:
+def init_encoder_params(store: nn.ParamStore, spec: EncoderSpec, gen: np.random.Generator) -> None:
     """Register per-point then post parameters (draw order is part of the contract)."""
-    nn.init_net_params(store, spec.per_point, gen, f"{prefix}.pp")
-    nn.init_net_params(store, spec.post, gen, f"{prefix}.post")
+    nn.init_net_params(store, spec.per_point, gen, PER_POINT)
+    nn.init_net_params(store, spec.post, gen, POST)
 
 
 @dataclass
@@ -209,7 +210,7 @@ def _argmax_pool(z: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pool_forward(
-    store: nn.ParamStore, spec: EncoderSpec, points: np.ndarray, prefix: str
+    store: nn.ParamStore, spec: EncoderSpec, points: np.ndarray
 ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
     """The per-point net over all B*N points and the max pool.
 
@@ -224,11 +225,11 @@ def _pool_forward(
     cache: list[np.ndarray] = []
     j = spec.per_point.depth - 1
     if j:
-        h = nn.forward_unchecked(store, _body(spec), h, f"{prefix}.pp", cache)
+        h = nn.forward_unchecked(store, _body(spec), h, PER_POINT, cache)
     else:
         cache.append(h)
-    z = store.get(f"{prefix}.pp.W{j}").T @ h.T
-    pool_idx, pooled = _argmax_pool(z.reshape(spec.feature_dim, B, N), store.get(f"{prefix}.pp.b{j}"))
+    z = store.get(f"{PER_POINT}.W{j}").T @ h.T
+    pool_idx, pooled = _argmax_pool(z.reshape(spec.feature_dim, B, N), store.get(f"{PER_POINT}.b{j}"))
     return cache, pool_idx, pooled
 
 
@@ -251,7 +252,6 @@ def encode_batch_trace(
     spec: EncoderSpec,
     points: np.ndarray,
     proprio: np.ndarray,
-    prefix: str = "enc",
 ) -> tuple[np.ndarray, EncodeBatchCache]:
     """The one batched forward: (B, out_width) features and what
     encode_batch_backward needs.
@@ -262,10 +262,10 @@ def encode_batch_trace(
     """
     points, proprio = _check_batch(spec, points, proprio)
     B, N, _ = points.shape
-    head_cache, pool_idx, pooled = _pool_forward(store, spec, points, prefix)
+    head_cache, pool_idx, pooled = _pool_forward(store, spec, points)
     post_cache: list[np.ndarray] = []
     x = np.concatenate([pooled, proprio], axis=1)
-    out = nn.forward_unchecked(store, spec.post, x, f"{prefix}.post", post_cache)
+    out = nn.forward_unchecked(store, spec.post, x, POST, post_cache)
     flat = pool_idx + (np.arange(B) * N)[:, None]
     used = np.zeros(B * N, dtype=bool)
     used[flat] = True
@@ -285,10 +285,9 @@ def encode_batch(
     spec: EncoderSpec,
     points: np.ndarray,
     proprio: np.ndarray,
-    prefix: str = "enc",
 ) -> np.ndarray:
     """Encode a (B, N, C) stack of clouds and (B, P) proprio rows to (B, out_width)."""
-    return encode_batch_trace(store, spec, points, proprio, prefix)[0]
+    return encode_batch_trace(store, spec, points, proprio)[0]
 
 
 def encode_batch_padded(
@@ -296,7 +295,6 @@ def encode_batch_padded(
     spec: EncoderSpec,
     points: np.ndarray,
     proprio: np.ndarray,
-    prefix: str = "enc",
 ) -> np.ndarray:
     """encode_batch() with the post net run on rows padded to a multiple of POST_ROW_MULTIPLE.
 
@@ -317,17 +315,17 @@ def encode_batch_padded(
     points, proprio = _check_batch(spec, points, proprio, finite=False)
     B, N, C = points.shape
     F = spec.feature_dim
-    feats = nn.forward_unchecked(store, spec.per_point, points.reshape(B * N, C), f"{prefix}.pp")
+    feats = nn.forward_unchecked(store, spec.per_point, points.reshape(B * N, C), PER_POINT)
     x = np.empty((B + -B % POST_ROW_MULTIPLE, spec.post.in_width))
     x[:B, :F] = _max_pool(feats.reshape(B, N, F))
     x[:B, F:] = proprio
     x[B:] = x[0]
-    return nn.forward_unchecked(store, spec.post, x, f"{prefix}.post")
+    return nn.forward_unchecked(store, spec.post, x, POST)
 
 
-def encode(store: nn.ParamStore, spec: EncoderSpec, obs: PointCloudObs, prefix: str = "enc") -> np.ndarray:
+def encode(store: nn.ParamStore, spec: EncoderSpec, obs: PointCloudObs) -> np.ndarray:
     """Encode one observation to a (out_width,) feature vector, as a one-row batch."""
-    return encode_batch(store, spec, obs.points[None], obs.proprio[None], prefix)[0]
+    return encode_batch(store, spec, obs.points[None], obs.proprio[None])[0]
 
 
 def encode_batch_backward(
@@ -336,7 +334,6 @@ def encode_batch_backward(
     cache: EncodeBatchCache,
     d_out: np.ndarray,
     grad: np.ndarray,
-    prefix: str = "enc",
 ) -> None:
     """Accumulate d(loss)/d(params) for a batch from encode_batch_trace into `grad`.
 
@@ -358,16 +355,16 @@ def encode_batch_backward(
     d_out = np.asarray(d_out, dtype=np.float64)
     if d_out.shape != (B, spec.out_width):
         raise ShapeMismatchError(f"upstream gradient must be ({B}, {spec.out_width}), got {d_out.shape}")
-    dx = nn.backward_batch(store, spec.post, cache.post_cache, d_out, grad, f"{prefix}.post")
+    dx = nn.backward_batch(store, spec.post, cache.post_cache, d_out, grad, POST)
     d_pooled = nn._activation_grad("relu", dx[:, :F], cache.tail_out)
     h = cache.head_rows[-1]
     d_rows = np.zeros((h.shape[0], F))
     d_rows[cache.slot, np.arange(F)] = d_pooled
     j = spec.per_point.depth - 1
-    lo, hi = store.slice_bounds(f"{prefix}.pp.W{j}")
+    lo, hi = store.slice_bounds(f"{PER_POINT}.W{j}")
     grad[lo:hi] += (h.T @ d_rows).ravel()
-    lo, hi = store.slice_bounds(f"{prefix}.pp.b{j}")
+    lo, hi = store.slice_bounds(f"{PER_POINT}.b{j}")
     grad[lo:hi] += d_pooled.sum(axis=0)
     if j:
-        d_h = d_rows @ store.get(f"{prefix}.pp.W{j}").T
-        nn.backward_batch(store, _body(spec), cache.head_rows, d_h, grad, f"{prefix}.pp", input_grad=False)
+        d_h = d_rows @ store.get(f"{PER_POINT}.W{j}").T
+        nn.backward_batch(store, _body(spec), cache.head_rows, d_h, grad, PER_POINT, input_grad=False)

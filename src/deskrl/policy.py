@@ -103,7 +103,7 @@ def init_policy(
     """Register all policy parameters (registration order is the contract)."""
     if not np.isfinite(log_std0):
         raise ConfigError("initial log-std must be finite")
-    init_encoder_params(store, spec.encoder, gen, "enc")
+    init_encoder_params(store, spec.encoder, gen)
     nn.init_net_params(store, spec.mean, gen, "mean")
     nn.init_net_params(store, spec.value, gen, "value")
     store.get(f"mean.W{spec.mean.depth - 1}")[:] *= FINAL_MEAN_SCALE

@@ -37,7 +37,7 @@ from . import loop, nn, pointnet, policy as pol
 from .envs import EnvConfig, make_env
 from .errors import ConfigError, NonFiniteError, require_finite_floats
 from .persistence import Checkpoint, MetricsRecord
-from .rng import generator_from_words, make_generator, next_episode_seed, state_words, substreams
+from .rng import next_episode_seed, substreams
 
 
 @dataclass(frozen=True)
@@ -237,7 +237,6 @@ def surrogate_loss_and_grad(
     spec: pol.PolicySpec,
     buffer: RolloutBuffer,
     idx: np.ndarray,
-    old_logps: np.ndarray,
     cfg: PPOConfig,
 ) -> tuple[float, np.ndarray, dict]:
     """Full PPO minibatch objective with analytic gradients.
@@ -252,7 +251,7 @@ def surrogate_loss_and_grad(
     raw = buffer.raw_actions[idx]
     adv = buffer.advantages[idx]
     ret = buffer.returns[idx]
-    old = old_logps[idx]
+    old = buffer.logps[idx]
     m = len(idx)
 
     enc_out, mean, value, caches = _policy_batch_trace(store, spec, pts, prp)
@@ -320,7 +319,7 @@ def ppo_update(
         for start in range(0, buffer.size, cfg.minibatch_size):
             idx = perm[start : start + cfg.minibatch_size]  # last short batch kept
             try:
-                total, grad, stats = surrogate_loss_and_grad(store, spec, buffer, idx, buffer.logps, cfg)
+                total, grad, stats = surrogate_loss_and_grad(store, spec, buffer, idx, cfg)
             except NonFiniteError as err:
                 raise NonFiniteError(
                     f"{err} in epoch {epoch}, minibatch {start // cfg.minibatch_size}"
@@ -348,29 +347,21 @@ def train_ppo(
     stage: int = 1,
     reset_optimizer: bool = False,
     should_stop=None,
-    entry_rates=None,
 ) -> list[MetricsRecord]:
     """Train in units of one rollout; returns the metric history this call produced.
 
     `cfg.total_steps` is the budget for this call: a resumed run trains
     for that many further environment steps on top of the checkpoint's
-    step counter.  The evaluation and checkpoint cadence, the
-    should_stop hook and entry_rates are those of `loop.run_loop`.
+    step counter.  The start or resume, the evaluation and checkpoint
+    cadence and the should_stop hook are those of `loop`.
     """
     state = loop.begin("ppo", cfg, env_cfg, seed, resume, reset_optimizer)
-    if resume is not None:
-        gen = generator_from_words(resume.rng_words)
-    else:
-        gen = make_generator(seed, "ppo", "train", env_cfg.task)
     train_cfg = replace(env_cfg, split="train")
     S = cfg.samples_per_step
 
     def advance(step: int) -> None:
-        buffer = collect_rollout(state.store, state.spec, train_cfg, S, gen)
+        buffer = collect_rollout(state.store, state.spec, train_cfg, S, state.gen)
         compute_gae(buffer, cfg.gamma, cfg.lam, cfg.normalize_advantages)
-        ppo_update(state.store, state.spec, buffer, cfg, gen, state.adam)
+        ppo_update(state.store, state.spec, buffer, cfg, state.gen, state.adam)
 
-    return loop.run_loop(
-        state, cfg, out_dir, S, advance, lambda: state_words(gen),
-        stage=stage, should_stop=should_stop, entry_rates=entry_rates,
-    )
+    return loop.run_loop(state, cfg, out_dir, S, advance, stage=stage, should_stop=should_stop)

@@ -15,7 +15,9 @@ sizes.
 The best record of a history is the earliest one with the highest test
 rate (`track_best`).  It picks the stage-two restore point (the
 checkpoint `persistence.checkpoint_name(step)` in the stage-one
-directory) and gives the rates a leg reports.
+directory) and gives the rates a leg reports.  A leg's entry record is
+the rates stage one stored with its restore checkpoint (`loop.begin`),
+not a second evaluation of the same parameters.
 
 Everything here is trainer-agnostic: a Trainer adapter carries the base
 config, knows which field is the batch size, and runs train_ppo or
@@ -86,7 +88,6 @@ class Trainer:
 
     base_cfg: object
     batch_field: str
-    # (cfg, *, seed, out_dir, resume, stage, reset_optimizer, should_stop, entry_rates) -> history
     run: Callable
 
     @property
@@ -170,17 +171,13 @@ def _run_leg(
     reset_optimizer: bool = False,
 ) -> list[MetricsRecord]:
     """Resume stage one's checkpoint at restore_step at (batch, samples) for
-    `steps` further steps; returns the leg's history.
-
-    The restore point is a stage-one checkpoint of the same trainer and
-    seed, so its stored rates are what evaluating it again would give:
-    they become the leg's entry record instead of a second evaluation.
+    `steps` further steps; returns the leg's history, whose entry record
+    carries the rates stage one stored with that checkpoint (`loop.begin`).
     """
     restore = load_checkpoint(os.path.join(stage1_dir, checkpoint_name(restore_step)))
     cfg = trainer.sized_cfg(batch, samples, steps)
     return trainer.run(
-        cfg, seed=seed, out_dir=out_dir, resume=restore, stage=stage, reset_optimizer=reset_optimizer,
-        entry_rates=(restore.train_success, restore.test_success),
+        cfg, seed=seed, out_dir=out_dir, resume=restore, stage=stage, reset_optimizer=reset_optimizer
     )
 
 
@@ -192,12 +189,11 @@ def run_two_stage(
     seed: int,
     out_dir: str,
     reset_optimizer: bool = False,
-    row: int = 1,
 ) -> tuple[list[MetricsRecord], RunRecord]:
     """Stage one at base sizes, then resume the best checkpoint rescaled.
 
     Returns the concatenated history (stage markers 1 then 2) and a
-    RunRecord carrying the best rates the stage-two leg reached.  With
+    row-1 RunRecord carrying the best rates the stage-two leg reached.  With
     stage2_steps = 0 the record simply reports the stage-one best.
     """
     if stage2_steps < 0:
@@ -213,7 +209,7 @@ def run_two_stage(
         )
     peak = track_best(stage2 or stage1)
     record = RunRecord(
-        row, scales.alpha, scales.beta, batch1, samples1,
+        1, scales.alpha, scales.beta, batch1, samples1,
         peak.train_success, peak.test_success, seed, stage2_steps,
     )
     return stage1 + stage2, record

@@ -11,7 +11,7 @@ from deskrl import bc, loop, nn, persistence, policy as pol
 from deskrl.envs import generate_demos, make_config
 from deskrl.errors import ConfigError, NonFiniteError, ResumeError
 from deskrl.persistence import checkpoint_name, load_checkpoint, read_metrics
-from deskrl.rng import make_generator
+from deskrl.rng import make_generator, state_words
 
 
 @pytest.fixture(scope="module")
@@ -300,6 +300,40 @@ class TestTrainBC:
         assert np.array_equal(end_full.adam.m, end_split.adam.m)
         assert end_full.adam.t == end_split.adam.t
 
+    def test_resume_records_the_checkpoint_rates_without_evaluating(self, reach_demos, tmp_path, monkeypatch):
+        cfg, ds = reach_demos
+        bc.train_bc(small_cfg(total_steps=2, eval_period=2), ds, cfg, seed=4, out_dir=str(tmp_path / "a"))
+        restore = load_checkpoint(str(tmp_path / "a" / "ckpt-00000002.ckpt"))
+        calls = []
+        evaluate = pol.evaluate_policy
+        monkeypatch.setattr(pol, "evaluate_policy", lambda *args: calls.append(args) or evaluate(*args))
+        second = bc.train_bc(
+            small_cfg(total_steps=2, eval_period=2), ds, cfg, seed=4, out_dir=str(tmp_path / "b"), resume=restore
+        )
+        assert (second[0].step, second[0].train_success, second[0].test_success) == (
+            2, restore.train_success, restore.test_success
+        )
+        assert len(calls) == 2  # both splits at step 4 only
+
+    def test_checkpoints_store_the_fresh_run_stream(self, reach_demos, tmp_path):
+        # BC never draws from its run stream: every checkpoint, resumed or
+        # not, stores the words of the stream a fresh run starts with
+        cfg, ds = reach_demos
+        bc.train_bc(small_cfg(total_steps=2, eval_period=2), ds, cfg, seed=4, out_dir=str(tmp_path / "a"))
+        restore = load_checkpoint(str(tmp_path / "a" / "ckpt-00000002.ckpt"))
+        bc.train_bc(small_cfg(total_steps=2, eval_period=2), ds, cfg, seed=4, out_dir=str(tmp_path / "b"),
+                    resume=restore)
+        fresh = state_words(make_generator(4, "bc", "train", cfg.task)).tobytes()
+        for path in (tmp_path / "a" / "ckpt-00000000.ckpt", tmp_path / "b" / "ckpt-00000004.ckpt"):
+            assert load_checkpoint(str(path)).rng_words.tobytes() == fresh
+
+    def test_resume_rejects_another_seed(self, reach_demos, tmp_path):
+        cfg, ds = reach_demos
+        bc.train_bc(small_cfg(total_steps=0), ds, cfg, seed=1, out_dir=str(tmp_path / "r"))
+        ck = load_checkpoint(str(tmp_path / "r" / "ckpt-00000000.ckpt"))
+        with pytest.raises(ResumeError, match="seed 1, not 2"):
+            bc.train_bc(small_cfg(), ds, cfg, seed=2, out_dir=str(tmp_path / "x"), resume=ck)
+
     def test_training_reduces_the_cloning_loss(self, reach_demos, tmp_path):
         cfg, ds = reach_demos
         store, spec = fresh_policy(seed=1)
@@ -370,7 +404,8 @@ class TestTrainBC:
         steps = []
         monkeypatch.setattr(pol, "init_policy", poisoned)
         monkeypatch.setattr(nn, "adam_step", lambda *args: steps.append(args))
+        # the entry evaluation's head check would stop it first
+        monkeypatch.setattr(pol, "evaluate_policy", lambda *args: 0.0)
         with pytest.raises(NonFiniteError, match="outer step 0, minibatch 0"):
-            # entry rates skip the entry evaluation, whose head check would stop it first
-            bc.train_bc(small_cfg(), ds, cfg, seed=1, out_dir=str(tmp_path / "n"), entry_rates=(0.0, 0.0))
+            bc.train_bc(small_cfg(), ds, cfg, seed=1, out_dir=str(tmp_path / "n"))
         assert steps == []

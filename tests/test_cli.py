@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from deskrl import persistence as ps
+from deskrl import cli, persistence as ps
 from deskrl.cli import main
 from deskrl.envs import make_config
 from deskrl.persistence import load_demos, read_metrics
@@ -107,6 +107,12 @@ class TestTrain:
         assert rc == 0
         assert "step 80" in capsys.readouterr().out
 
+    def test_a_point_count_other_than_64_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["train", "--out", str(out), *TINY_ENV, *TINY_PPO, "--set", "run.n_points=32"]) == 1
+        assert "point count is fixed at 64" in capsys.readouterr().err
+        assert not [n for n in os.listdir(out) if n.startswith("ckpt-")]
+
     def test_bad_override_value(self, capsys):
         assert main(["train", "--out", "/tmp/whatever", "--set", "ppo.gamma=fast"]) == 1
         assert "ppo.gamma" in capsys.readouterr().err
@@ -201,6 +207,27 @@ class TestEval:
         captured = capsys.readouterr()
         assert "config error: step 160 after step 400" in captured.err
         assert "success rate" not in captured.out
+        assert not (out / "manifest.ini").exists()
+        assert log.read_bytes() == before
+
+    def test_a_log_that_does_not_read_is_refused_first(self, workdir, tmp_path, capsys, monkeypatch):
+        # a malformed complete line makes the log unreadable; eval adds no
+        # record after it, and exits 2 before any episode runs
+        out = tmp_path / "e8"
+        out.mkdir()
+        log = out / "eval-metrics.csv"
+        ps.append_metrics(str(log), ps.MetricsRecord(10, 0.5, 0.25))
+        with open(log, "a") as fh:
+            fh.write("garbage,line\n")
+        before = log.read_bytes()
+        monkeypatch.setattr(cli.pol, "evaluate_policy", lambda *a, **k: pytest.fail("evaluated"))
+        rc = main([
+            "eval", "--out", str(out), *TINY_ENV,
+            "--set", f"eval.checkpoint={workdir['ckpt']}", "--set", "eval.episodes=2",
+        ])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "runtime error" in captured.err and "line 3: expected 5 fields, got 2" in captured.err
         assert not (out / "manifest.ini").exists()
         assert log.read_bytes() == before
 

@@ -7,7 +7,7 @@ import pytest
 
 from deskrl import config as cfg_mod
 from deskrl.bc import BCConfig
-from deskrl.envs import make_config
+from deskrl.envs import N_POINTS, make_config
 from deskrl.errors import ConfigError
 from deskrl.ppo import PPOConfig
 from deskrl.twostage import GridSpec, ScalePair
@@ -153,6 +153,11 @@ class TestBuilders:
         with pytest.raises(ConfigError):
             cfg_mod.env_config(resolved)
 
+    def test_env_config_accepts_the_fixed_point_count(self):
+        # the key stays so that manifests, which write it, load as configs
+        resolved = cfg_mod.resolve_config(None, [f"run.n_points={N_POINTS}"])
+        assert cfg_mod.env_config(resolved) == make_config("reach2d")
+
     def test_env_config_bad_task_rejected(self):
         resolved = cfg_mod.resolve_config(None, ["run.task=fly3d"])
         with pytest.raises(ConfigError):
@@ -207,7 +212,7 @@ class TestManifest:
         parser.read(path)
         expected = make_config("gather2d")
         assert int(parser["run"]["horizon"]) == expected.horizon
-        assert int(parser["run"]["n_points"]) == expected.n_points
+        assert int(parser["run"]["n_points"]) == N_POINTS
 
     def test_manifest_deterministic(self, tmp_path):
         resolved = cfg_mod.resolve_config(None, [])

@@ -388,8 +388,6 @@ def test_adam_rejects_nonfinite_and_mismatched():
         nn.adam_step(store, np.array([1.0, np.inf, 0.0]), state)
     with pytest.raises(ShapeMismatchError):
         nn.adam_step(store, np.zeros(4), state)
-    with pytest.raises(ShapeMismatchError):
-        nn.init_adam(3, beta1=1.0)
 
 
 def test_spec_validation():

@@ -248,12 +248,12 @@ def test_metrics_rejects_backwards_step(tmp_path):
 
 
 def test_metrics_order_check_reads_past_a_long_malformed_line(tmp_path):
-    # the order check covers the whole log: a malformed last line longer
-    # than any tail window must not hide the step before it
+    # the check reads the whole log by read_metrics' rules: a malformed last
+    # line, however long, is refused, not scanned back over
     path = tmp_path / "m.csv"
     path.write_text(ps.METRICS_HEADER + "\n12345,0.5,0.5,1,0.0\n" + "x" * 4091 + "\n")
     before = path.read_bytes()
-    with pytest.raises(MetricsOrderError, match="after step 12345"):
+    with pytest.raises(MetricsFormatError, match=r"m\.csv: line 3"):
         ps.append_metrics(str(path), ps.MetricsRecord(100, 0.5, 0.5, 1))
     assert path.read_bytes() == before
 
@@ -359,9 +359,50 @@ def test_metrics_malformed_complete_line_names_path_and_line(tmp_path, line):
     ps.append_metrics(path, ps.MetricsRecord(0, 0.1, 0.2, 1))
     with open(path, "a") as fh:
         fh.write(line)
-    ps.append_metrics(path, ps.MetricsRecord(20, 0.1, 0.2, 1))
+    before = open(path, "rb").read()
+    with pytest.raises(MetricsFormatError, match=r"m\.csv: line 3"):
+        ps.append_metrics(path, ps.MetricsRecord(20, 0.1, 0.2, 1))
+    assert open(path, "rb").read() == before
     with pytest.raises(MetricsFormatError, match=r"m\.csv: line 3"):
         ps.read_metrics(path)
+
+
+def test_metrics_append_refuses_a_log_that_does_not_read(tmp_path):
+    # appends and reads follow one rule: once a complete line does not
+    # parse, the append that follows it fails and writes nothing
+    path = str(tmp_path / "m.csv")
+    ps.append_metrics(path, ps.MetricsRecord(10, 0.5, 0.5, 1, 1.0))
+    with open(path, "a") as fh:
+        fh.write("garbage,line\n")
+    before = open(path, "rb").read()
+    with pytest.raises(MetricsFormatError, match="line 3: expected 5 fields, got 2"):
+        ps.append_metrics(path, ps.MetricsRecord(20, 0.5, 0.5, 1))
+    with pytest.raises(MetricsFormatError, match="line 3"):
+        ps.check_metrics_order(path, 20)
+    assert open(path, "rb").read() == before
+
+
+def test_metrics_append_refuses_a_log_whose_steps_go_back(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text(ps.METRICS_HEADER + "\n20,0.5,0.5,1,0.0\n10,0.5,0.5,1,0.0\n")
+    with pytest.raises(MetricsFormatError, match="step went backwards at line 3"):
+        ps.append_metrics(str(path), ps.MetricsRecord(30, 0.5, 0.5, 1))
+    with pytest.raises(MetricsFormatError, match="step went backwards at line 3"):
+        ps.read_metrics(str(path))
+
+
+def test_metrics_append_rereads_lines_edited_since_the_last_append(tmp_path):
+    # the lines an append wrote are not parsed again by the next one, unless
+    # their bytes changed on disk meanwhile
+    path = tmp_path / "m.csv"
+    for step in (0, 10):
+        ps.append_metrics(str(path), ps.MetricsRecord(step, 0.5, 0.5, 1, 1.0))
+    path.write_bytes(path.read_bytes().replace(b"10,0.5", b"10,x.5"))
+    with pytest.raises(MetricsFormatError, match="line 3"):
+        ps.append_metrics(str(path), ps.MetricsRecord(20, 0.5, 0.5, 1))
+    path.write_bytes(path.read_bytes().replace(b"10,x.5", b"10,0.5"))
+    ps.append_metrics(str(path), ps.MetricsRecord(20, 0.5, 0.5, 1))
+    assert [r.step for r in ps.read_metrics(str(path))] == [0, 10, 20]
 
 
 def test_metrics_missing_file():

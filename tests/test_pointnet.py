@@ -19,7 +19,7 @@ from deskrl.rng import make_generator
 def make_encoder(seed, proprio_width=8, per_point=(16, 32), post=(24,)):
     spec = pointnet.build_encoder_spec(proprio_width=proprio_width, per_point_widths=per_point, post_widths=post)
     store = nn.ParamStore()
-    pointnet.init_encoder_params(store, spec, make_generator(seed, "enc"), "enc")
+    pointnet.init_encoder_params(store, spec, make_generator(seed, "enc"))
     return spec, store
 
 
@@ -43,11 +43,11 @@ def test_permutation_bit_identity():
     gen = make_generator(0, "perm")
     for cloud_i in range(10):
         obs = random_obs(spec, gen, n_points=64)
-        base = pointnet.encode(store, spec, obs, "enc")
+        base = pointnet.encode(store, spec, obs)
         for _ in range(100):
             perm = gen.permutation(64)
             shuffled = pointnet.PointCloudObs(obs.points[perm], obs.proprio)
-            out = pointnet.encode(store, spec, shuffled, "enc")
+            out = pointnet.encode(store, spec, shuffled)
             assert np.array_equal(out, base), f"cloud {cloud_i}: permutation changed bits"
 
 
@@ -56,21 +56,21 @@ def test_duplication_bit_identity():
     gen = make_generator(1, "dup")
     for cloud_i in range(10):
         obs = random_obs(spec, gen, n_points=64)
-        base = pointnet.encode(store, spec, obs, "enc")
+        base = pointnet.encode(store, spec, obs)
         for k in (1, 3, 17):
             picks = gen.integers(0, 64, size=k)
             grown = pointnet.PointCloudObs(
                 np.concatenate([obs.points, obs.points[picks]], axis=0), obs.proprio
             )
-            out = pointnet.encode(store, spec, grown, "enc")
+            out = pointnet.encode(store, spec, grown)
             assert np.array_equal(out, base), f"cloud {cloud_i}: duplicating {k} points changed bits"
 
 
 def test_encode_is_pure():
     spec, store = make_encoder(2)
     obs = random_obs(spec, make_generator(2, "pure"), 32)
-    a = pointnet.encode(store, spec, obs, "enc")
-    b = pointnet.encode(store, spec, obs, "enc")
+    a = pointnet.encode(store, spec, obs)
+    b = pointnet.encode(store, spec, obs)
     assert np.array_equal(a, b)
 
 
@@ -81,9 +81,9 @@ def test_batched_matches_single_path():
     gen = make_generator(3, "batch")
     obs_list = [random_obs(spec, gen, 24) for _ in range(7)]
     pts, prop = stack(obs_list)
-    batched = pointnet.encode_batch(store, spec, pts, prop, "enc")
+    batched = pointnet.encode_batch(store, spec, pts, prop)
     for i, obs in enumerate(obs_list):
-        single = pointnet.encode(store, spec, obs, "enc")
+        single = pointnet.encode(store, spec, obs)
         assert np.allclose(batched[i], single, rtol=1e-12, atol=1e-12)
 
 
@@ -121,11 +121,11 @@ def test_single_path_gradient_matches_finite_differences():
                 continue
 
             pts, prop = stack(obs_list)
-            _, cache = pointnet.encode_batch_trace(store, spec, pts, prop, "enc")
+            _, cache = pointnet.encode_batch_trace(store, spec, pts, prop)
             grad = store.zeros_grad()
-            pointnet.encode_batch_backward(store, spec, cache, w, grad, "enc")
+            pointnet.encode_batch_backward(store, spec, cache, w, grad)
             numeric = finite_diff_grad(
-                lambda s: float(np.sum(w * pointnet.encode_batch(s, spec, pts, prop, "enc"))), store, h=1e-5
+                lambda s: float(np.sum(w * pointnet.encode_batch(s, spec, pts, prop))), store, h=1e-5
             )
             scale = np.maximum(np.abs(numeric), 1e-8)
             rel = np.max(np.abs(grad - numeric) / scale)
@@ -217,9 +217,9 @@ def test_batched_backward_matches_sum_of_singles(case):
     pts, prop = stack(obs_list)
     d_out = gen.normal(size=(5, spec.out_width))
 
-    _, bcache = pointnet.encode_batch_trace(store, spec, pts, prop, "enc")
+    _, bcache = pointnet.encode_batch_trace(store, spec, pts, prop)
     grad_batch = store.zeros_grad()
-    pointnet.encode_batch_backward(store, spec, bcache, d_out, grad_batch, "enc")
+    pointnet.encode_batch_backward(store, spec, bcache, d_out, grad_batch)
 
     grad_singles = store.zeros_grad()
     for i in range(len(obs_list)):
@@ -262,7 +262,7 @@ def _gather2d_batch():
     # the task's full-size encoder: the products run at a real update's shape
     spec = build_policy_spec("gather2d").encoder
     store = nn.ParamStore()
-    pointnet.init_encoder_params(store, spec, make_generator(4, "enc"), "enc")
+    pointnet.init_encoder_params(store, spec, make_generator(4, "enc"))
     env = make_env(make_config("gather2d"))
     obs_list = [env.reset(0)]
     while len(obs_list) < 64:
@@ -291,8 +291,8 @@ def test_traced_forward_matches_point_major_reference(batch):
     # so must every index but one of a rounding tie (see _rounding_tie)
     spec, store, pts, prop = TRACE_BATCHES[batch]()
     ref_out, ref_idx, ref_pooled, ref = point_major_trace(store, spec, pts, prop)
-    _, pool_idx, pooled = pointnet._pool_forward(store, spec, pts, "enc")
-    out, cache = pointnet.encode_batch_trace(store, spec, pts, prop, "enc")
+    _, pool_idx, pooled = pointnet._pool_forward(store, spec, pts)
+    out, cache = pointnet.encode_batch_trace(store, spec, pts, prop)
     assert pooled.tobytes() == ref_pooled.tobytes()
     assert cache.tail_out.tobytes() == ref.tail_out.tobytes()
     assert out.tobytes() == ref_out.tobytes()
@@ -331,7 +331,7 @@ from deskrl.rng import make_generator
 
 spec = pointnet.build_encoder_spec()
 store = nn.ParamStore()
-pointnet.init_encoder_params(store, spec, make_generator(8, "enc"), "enc")
+pointnet.init_encoder_params(store, spec, make_generator(8, "enc"))
 gen = make_generator(8, "threads")
 h = hashlib.sha256()
 for batch in (17, 40, 64):
@@ -339,16 +339,16 @@ for batch in (17, 40, 64):
         [gen.normal(size=(batch, 64, 2)), np.eye(3)[gen.integers(0, 3, size=(batch, 64))]], axis=2
     )
     prop = gen.normal(size=(batch, spec.proprio_width))
-    out, cache = pointnet.encode_batch_trace(store, spec, pts, prop, "enc")
+    out, cache = pointnet.encode_batch_trace(store, spec, pts, prop)
     grad = store.zeros_grad()
-    pointnet.encode_batch_backward(store, spec, cache, gen.normal(size=out.shape), grad, "enc")
+    pointnet.encode_batch_backward(store, spec, cache, gen.normal(size=out.shape), grad)
     h.update(grad.tobytes())
 for _ in range(3):
     pts = np.concatenate([gen.normal(size=(64, 2)), np.eye(3)[gen.integers(0, 3, size=64)]], axis=1)
     obs = pointnet.PointCloudObs(pts, gen.normal(size=spec.proprio_width))
     grown = pointnet.PointCloudObs(np.concatenate([pts, pts[gen.integers(0, 64, size=16)]]), obs.proprio)
-    h.update(pointnet.encode(store, spec, obs, "enc").tobytes())
-    h.update(pointnet.encode(store, spec, grown, "enc").tobytes())
+    h.update(pointnet.encode(store, spec, obs).tobytes())
+    h.update(pointnet.encode(store, spec, grown).tobytes())
 print(h.hexdigest())
 """
 
@@ -375,7 +375,7 @@ def test_pool_tie_breaks_to_lowest_index():
     obs = random_obs(spec, gen, 16)
 
     def pool_idx(points):
-        return pointnet._pool_forward(store, spec, points[None], "enc")[1][0]
+        return pointnet._pool_forward(store, spec, points[None])[1][0]
 
     before = pool_idx(obs.points)
     # append an exact copy of the point most features pooled from: each of
@@ -389,9 +389,9 @@ def test_validation_rejects_bad_inputs():
     spec, store = make_encoder(6)
     good = random_obs(spec, make_generator(6, "val"), 8)
     with pytest.raises(ShapeMismatchError):
-        pointnet.encode(store, spec, pointnet.PointCloudObs(good.points[:, :3], good.proprio), "enc")
+        pointnet.encode(store, spec, pointnet.PointCloudObs(good.points[:, :3], good.proprio))
     with pytest.raises(ShapeMismatchError):
-        pointnet.encode(store, spec, pointnet.PointCloudObs(good.points, good.proprio[:3]), "enc")
+        pointnet.encode(store, spec, pointnet.PointCloudObs(good.points, good.proprio[:3]))
     with pytest.raises(NonFiniteError):
         bad = good.points.copy()
         bad[0, 0] = np.nan
@@ -399,7 +399,7 @@ def test_validation_rejects_bad_inputs():
     with pytest.raises(ShapeMismatchError):
         pointnet.PointCloudObs(np.zeros((0, 5)), good.proprio)
     with pytest.raises(ShapeMismatchError):
-        pointnet.encode_batch(store, spec, np.zeros((2, 4, 5)), np.zeros((3, 8)), "enc")
+        pointnet.encode_batch(store, spec, np.zeros((2, 4, 5)), np.zeros((3, 8)))
     with pytest.raises(ShapeMismatchError, match="5 channels"):  # the cloud layout is fixed
         pointnet.EncoderSpec(8, nn.NetSpec((4, 12), output="relu"), nn.NetSpec((20, 4)))
 
@@ -424,7 +424,7 @@ def test_trace_rejects_a_nonfinite_minibatch_on_entry(where):
     else:
         prop[3, 1] = np.nan
     with pytest.raises(NonFiniteError, match="non-finite points or proprio"):
-        pointnet.encode_batch_trace(store, spec, pts, prop, "enc")
+        pointnet.encode_batch_trace(store, spec, pts, prop)
 
 
 def test_init_is_deterministic():

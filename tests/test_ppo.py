@@ -404,13 +404,14 @@ class TestSurrogateGradients:
         idx = np.arange(4)
         old = minibatch_logps(store, spec, buf, idx)
         old = old + np.array([0.07, -0.05, 0.11, -0.09])
+        buf.logps = old
         cfg = ppo.PPOConfig(samples_per_step=4, minibatch_size=4, total_steps=0)
 
         ratio = np.exp(-np.array([0.07, -0.05, 0.11, -0.09]))
         for r in ratio:  # precondition: clear of both clip corners and 1
             assert min(abs(r - 0.8), abs(r - 1.2), abs(r - 1.0)) > 1e-3
 
-        total, grad, _ = ppo.surrogate_loss_and_grad(store, spec, buf, idx, old, cfg)
+        total, grad, _ = ppo.surrogate_loss_and_grad(store, spec, buf, idx, cfg)
         assert total == pytest.approx(surrogate_scalar(store, spec, buf, idx, old, cfg))
 
         picker = np.random.default_rng(77)
@@ -439,9 +440,9 @@ class TestSurrogateGradients:
         store, spec = fresh_policy(seed=2)
         buf = rollout_with_gae(store, spec, samples=8, seed=2)
         idx = np.arange(8)
-        old = minibatch_logps(store, spec, buf, idx)
+        buf.logps = minibatch_logps(store, spec, buf, idx)
         cfg = SimpleNamespace(clip_eps=0.0, value_coef=0.0, entropy_coef=0.0)
-        total, grad, stats = ppo.surrogate_loss_and_grad(store, spec, buf, idx, old, cfg)
+        total, grad, stats = ppo.surrogate_loss_and_grad(store, spec, buf, idx, cfg)
         assert total == -float(np.mean(buf.advantages))
         assert np.array_equal(grad, np.zeros_like(grad))
         assert stats["policy_loss"] == total
@@ -453,9 +454,9 @@ class TestSurrogateGradients:
         store, spec = fresh_policy(seed=2)
         buf = rollout_with_gae(store, spec, samples=8, seed=2)
         idx = np.arange(8)
-        old = minibatch_logps(store, spec, buf, idx)
+        buf.logps = minibatch_logps(store, spec, buf, idx)
         cfg = SimpleNamespace(clip_eps=1e-9, value_coef=0.0, entropy_coef=0.0)
-        total, grad, _ = ppo.surrogate_loss_and_grad(store, spec, buf, idx, old, cfg)
+        total, grad, _ = ppo.surrogate_loss_and_grad(store, spec, buf, idx, cfg)
         assert total == -float(np.mean(buf.advantages))
         assert np.abs(grad).max() > 0.0
 
@@ -587,7 +588,7 @@ class TestTrainPPO:
             out_dir=str(tmp_path / "second"),
             resume=restore,
         )
-        assert second[0] == first[-1]  # entry eval re-measures the restore point
+        assert second[0] == first[-1]  # the entry record is the restore point's stored rates
         assert first + second[1:] == full
         end_full = load_checkpoint(str(tmp_path / "full" / "ckpt-00000240.ckpt"))
         end_split = load_checkpoint(str(tmp_path / "second" / "ckpt-00000240.ckpt"))
@@ -634,6 +635,33 @@ class TestTrainPPO:
         bc_ck = dataclasses.replace(ck, trainer_kind="bc")
         with pytest.raises(ResumeError):
             ppo.train_ppo(small_cfg(), cfg, seed=1, out_dir=str(tmp_path / "x"), resume=bc_ck)
+
+    def test_resume_records_the_checkpoint_rates_without_evaluating(self, tmp_path, monkeypatch):
+        cfg = make_config("reach2d", horizon=40)
+        ppo.train_ppo(small_cfg(total_steps=80, eval_period=80), cfg, seed=3, out_dir=str(tmp_path / "a"))
+        restore = load_checkpoint(str(tmp_path / "a" / "ckpt-00000080.ckpt"))
+        calls = []
+        evaluate = pol.evaluate_policy
+        monkeypatch.setattr(pol, "evaluate_policy", lambda *args: calls.append(args) or evaluate(*args))
+        second = ppo.train_ppo(
+            small_cfg(total_steps=80, eval_period=80), cfg, seed=3, out_dir=str(tmp_path / "b"), resume=restore
+        )
+        assert (second[0].step, second[0].train_success, second[0].test_success) == (
+            80, restore.train_success, restore.test_success
+        )
+        assert len(calls) == 2  # both splits at step 160 only
+        entry = load_checkpoint(str(tmp_path / "b" / "ckpt-00000080.ckpt"))
+        assert entry.params.tobytes() == restore.params.tobytes()
+        assert entry.rng_words.tobytes() == restore.rng_words.tobytes()
+
+    def test_resume_rejects_another_seed(self, tmp_path):
+        # the stored rates were measured on that seed's panels
+        cfg = make_config("reach2d", horizon=40)
+        ppo.train_ppo(small_cfg(total_steps=0), cfg, seed=1, out_dir=str(tmp_path / "r"))
+        ck = load_checkpoint(str(tmp_path / "r" / "ckpt-00000000.ckpt"))
+        with pytest.raises(ResumeError, match="seed 1, not 2"):
+            ppo.train_ppo(small_cfg(), cfg, seed=2, out_dir=str(tmp_path / "x"), resume=ck)
+        assert not os.path.exists(tmp_path / "x")
 
     def test_resume_rejects_wrong_environment(self, tmp_path):
         cfg = make_config("reach2d", horizon=40)

@@ -2,6 +2,7 @@
 published grid, the stall rule, branch points, and the sweep harness."""
 
 import dataclasses
+import inspect
 import math
 import os
 from dataclasses import dataclass
@@ -178,13 +179,13 @@ def toy_trainer(rate_of, write_checkpoints=True):
     """A scripted stand-in honoring the trainer contract: entry eval,
     eval every eval_period steps, a final eval, a checkpoint per eval,
     and a stop once should_stop(history) holds after an eval.
-    rate_of(step, stage) scripts the test rate; given entry_rates, the
-    entry record takes them instead."""
+    rate_of(step, stage) scripts the test rate; a resumed run's entry
+    record takes the rates stored with its checkpoint instead."""
 
-    def run(cfg, seed, out_dir, resume=None, stage=1, reset_optimizer=False, should_stop=None,
-            entry_rates=None):
+    def run(cfg, seed, out_dir, resume=None, stage=1, reset_optimizer=False, should_stop=None):
         os.makedirs(out_dir, exist_ok=True)
         start = resume.step if resume is not None else 0
+        entry_rates = (resume.train_success, resume.test_success) if resume is not None else None
         history = []
 
         def evaluate(step, rates=None):
@@ -227,6 +228,43 @@ def toy_trainer(rate_of, write_checkpoints=True):
         return history
 
     return ts.Trainer(ToyCfg(), "batch_size", run)
+
+
+def toy_run_or_fail(cfg, seed, out_dir, resume=None, stage=1, reset_optimizer=False, should_stop=None):
+    """The toy trainer at rate 0.2, failing at batch size 32."""
+    if cfg.batch_size == 32:
+        raise ConfigError("scripted failure")
+    return toy_trainer(lambda s, _: 0.2).run(cfg, seed, out_dir, resume, stage, should_stop=should_stop)
+
+
+def test_trainers_accept_the_keywords_the_harness_passes(tmp_path):
+    # run_stage_one and _run_leg call trainer.run(cfg, **keywords); every
+    # trainer, real or toy, must take each keyword set they pass
+    passed = []
+
+    def spy(cfg, **keywords):
+        passed.append(keywords)
+        return toy_trainer(lambda s, _: 0.5).run(cfg, **keywords)
+
+    ts.run_two_stage(
+        ts.Trainer(ToyCfg(), "batch_size", spy), ts.ScalePair(0.5, 0.5), 4, 2, seed=0,
+        out_dir=str(tmp_path / "t"),
+    )
+    assert [sorted(k) for k in passed] == [
+        ["out_dir", "seed", "should_stop", "stage"],
+        ["out_dir", "reset_optimizer", "resume", "seed", "stage"],
+    ]
+    env_cfg = make_config("reach2d")
+    dataset = bc.DemoDataset(np.zeros((1, 1, 5)), np.zeros((1, 1)), np.zeros((1, 2)), env_cfg.fingerprint())
+    runs = [
+        ts.ppo_trainer(ppo.PPOConfig(), env_cfg).run,
+        ts.bc_trainer(bc.BCConfig(), dataset, env_cfg).run,
+        toy_trainer(lambda s, _: 0.0).run,
+        toy_run_or_fail,
+    ]
+    for run in runs:
+        for keywords in passed:
+            inspect.signature(run).bind(ToyCfg(), **keywords)
 
 
 class TestStageOne:
@@ -373,15 +411,7 @@ class TestGridSearch:
         assert [r.seed for r in records] == [0] * 10 + [1] * 10
 
     def test_failed_cell_records_nan_and_the_sweep_continues(self, tmp_path):
-        def run_or_fail(cfg, seed, out_dir, resume=None, stage=1, reset_optimizer=False, should_stop=None,
-                        entry_rates=None):
-            if cfg.batch_size == 32:  # the alpha = 0.8 cells: 40 * 0.8
-                raise ConfigError("scripted failure")
-            return toy_trainer(lambda s, _: 0.2).run(
-                cfg, seed, out_dir, resume, stage, should_stop=should_stop, entry_rates=entry_rates
-            )
-
-        trainer = ts.Trainer(ToyCfg(), "batch_size", run_or_fail)
+        trainer = ts.Trainer(ToyCfg(), "batch_size", toy_run_or_fail)  # 40 * 0.8 = 32 fails
         records = ts.grid_search(
             trainer, self.grid(base_batch=40, base_samples=100), str(tmp_path / "g")
         )
