@@ -47,6 +47,8 @@ assert read_metrics(os.path.join(out, "metrics.csv")) == history
 ckpt = load_checkpoint(os.path.join(out, f"ckpt-{history[-1].step:08d}.ckpt"))
 store = ckpt.param_store()
 spec = build_policy_spec(env_cfg.task)
-rate = evaluate_policy(store, spec, replace(env_cfg, split="train"), 10, run_seed=0)
-print(f"\nre-evaluated restored checkpoint: train {rate:.2f} "
-      f"(checkpoint recorded {ckpt.train_success:.2f})")
+train_rate, test_rate = evaluate_policy(store, spec, env_cfg, 10, run_seed=0)
+print(f"\nre-evaluated restored checkpoint: train {train_rate:.2f}, test {test_rate:.2f} "
+      f"(checkpoint recorded {ckpt.train_success:.2f}, {ckpt.test_success:.2f})")
+# the same parameters, panels and seed give the rates the run recorded
+assert (train_rate, test_rate) == (ckpt.train_success, ckpt.test_success)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from . import bc as bc_mod, config as cfg_mod, policy as pol, ppo as ppo_mod, twostage as ts
 from .envs import generate_demos
@@ -175,8 +174,7 @@ def cmd_eval(args, resolved) -> None:
     spec = pol.build_policy_spec(env_cfg.task)
     store = ckpt.param_store()
     episodes = section["episodes"]
-    train_rate = pol.evaluate_policy(store, spec, replace(env_cfg, split="train"), episodes, args.seed)
-    test_rate = pol.evaluate_policy(store, spec, replace(env_cfg, split="test"), episodes, args.seed)
+    train_rate, test_rate = pol.evaluate_policy(store, spec, env_cfg, episodes, args.seed)
     append_metrics(log_path, MetricsRecord(ckpt.step, train_rate, test_rate))
     shown = train_rate if section["split"] == "train" else test_rate
     print(f"{section['split']} success rate: {shown:.4f}")

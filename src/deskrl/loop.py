@@ -6,12 +6,13 @@ together with the rates stored with it.  It then hands `run_loop` one
 `advance(step)` callable that trains one unit from the given step: a
 rollout, GAE and update over S environment steps for PPO, one block of S
 samples for BC, where the unit is one outer step.  The loop advances while
-a whole unit still fits the budget.  It records both splits' rates at
-entry, every eval_period steps, and once more at the end if steps advanced
-since the last evaluation; each record comes with a checkpoint written
-before it, so a crash between the two leaves a checkpoint with no log
-line, never a logged step with no checkpoint.  An optional
-should_stop(history) hook, asked after each record, ends the call early.
+a whole unit still fits the budget.  It records both splits' rates, from
+one policy.evaluate_policy call, at entry, every eval_period steps, and
+once more at the end if steps advanced since the last evaluation; each
+record comes with a checkpoint written before it, so a crash between the
+two leaves a checkpoint with no log line, never a logged step with no
+checkpoint.  An optional should_stop(history) hook, asked after each
+record, ends the call early.
 
 The entry record of a fresh run evaluates the initial policy.  A resumed
 run records its checkpoint's rates instead, which the run that wrote it
@@ -24,7 +25,7 @@ does, so its words stay those of the fresh stream.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -98,17 +99,12 @@ def run_loop(
     os.makedirs(out_dir, exist_ok=True)
     env_cfg, seed = state.env_cfg, state.seed
     run_id = f"{env_cfg.task}-{state.kind}-seed{seed}"
-    train_cfg = replace(env_cfg, split="train")
-    test_cfg = replace(env_cfg, split="test")
     metrics_path = os.path.join(out_dir, "metrics.csv")
     history: list[MetricsRecord] = []
 
     def evaluate(step: int, rates: tuple[float, float] | None = None) -> bool:
         if rates is None:
-            rates = (
-                pol.evaluate_policy(state.store, state.spec, train_cfg, cfg.eval_episodes, seed),
-                pol.evaluate_policy(state.store, state.spec, test_cfg, cfg.eval_episodes, seed),
-            )
+            rates = pol.evaluate_policy(state.store, state.spec, env_cfg, cfg.eval_episodes, seed)
         train_rate, test_rate = rates
         save_checkpoint(
             os.path.join(out_dir, checkpoint_name(step)),

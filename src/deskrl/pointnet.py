@@ -33,7 +33,11 @@ The policy's batched calls (policy.mean_actions() for evaluation,
 policy.sample_actions() for rollouts) run their heads on those padded
 rows, so an action does not depend on the episodes that share its tick.
 The update encodes unpadded (encode_batch_trace).  The padded forward
-stays point-major and pools with np.max (see _max_pool).
+stays point-major: it reads only pooled values, so it pools the last
+layer's product with np.max, which costs about half of np.argmax over
+the strided point axis, and then adds the bias and applies the ReLU to
+the (B, F) pooled rows only.  A feature-major padded forward was no
+faster at 16 clouds (416 against 385 us).
 
 Inputs are checked where they enter.  PointCloudObs checks each
 observation's shapes and finiteness when an environment builds it.
@@ -186,6 +190,20 @@ def _check_batch(
     return points, proprio
 
 
+def _last_layer_input(
+    store: nn.ParamStore, spec: EncoderSpec, h: np.ndarray, cache: list[np.ndarray] | None = None
+) -> np.ndarray:
+    """The body of the per-point net over point-major (B*N, C) rows,
+    unchecked: the last per-point layer's input.  With a `cache` list,
+    appends each body layer's input and then this output (the points
+    alone when the net has one layer)."""
+    if spec.per_point.depth > 1:
+        return nn.forward_unchecked(store, _body(spec), h, PER_POINT, cache)
+    if cache is not None:
+        cache.append(h)
+    return h
+
+
 def _argmax_pool(z: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pool indices and pooled features, (B, F) each, of relu(z + b) for the
     last per-point layer's feature-major (F, B, N) product z and (1, F) bias b.
@@ -221,30 +239,12 @@ def _pool_forward(
     EncodeBatchCache.head_rows), the pool indices and the pooled features.
     """
     B, N, C = points.shape
-    h = points.reshape(B * N, C)
     cache: list[np.ndarray] = []
+    h = _last_layer_input(store, spec, points.reshape(B * N, C), cache)
     j = spec.per_point.depth - 1
-    if j:
-        h = nn.forward_unchecked(store, _body(spec), h, PER_POINT, cache)
-    else:
-        cache.append(h)
     z = store.get(f"{PER_POINT}.W{j}").T @ h.T
     pool_idx, pooled = _argmax_pool(z.reshape(spec.feature_dim, B, N), store.get(f"{PER_POINT}.b{j}"))
     return cache, pool_idx, pooled
-
-
-def _max_pool(feats: np.ndarray) -> np.ndarray:
-    """The pooled values of point-major (B, N, F) per-point features,
-    (B, F), without the index: the padded forward reads only these, and
-    np.max costs about half of np.argmax over the strided point axis.
-
-    The padded forward stays point-major.  Its batches are the K <= 16
-    clouds of a lockstep tick, where the strided pool is cheap: a
-    feature-major padded forward was no faster (416 against 385 us at
-    K = 16), and it read ppo_reach's eval_episodes_per_s 111 -> 99 and
-    105 in the benchmark.
-    """
-    return np.max(feats, axis=1)
 
 
 def encode_batch_trace(
@@ -298,14 +298,18 @@ def encode_batch_padded(
 ) -> np.ndarray:
     """encode_batch() with the post net run on rows padded to a multiple of POST_ROW_MULTIPLE.
 
-    The pool takes the max over the point axis (_max_pool).  That has the
-    bits of the argmax pool the traced forward keeps, signed zeros
-    included: an affine output is -0.0 only where a bias entry is, so the
-    relu features hold no -0.0 to tie with a +0.0.  The pooled features,
-    the proprio rows and the pad rows (copies of the first row) are
-    written into one post-net input array.  Returns every padded row; the
-    first B are the batch's.  A head run on all of them gives row b the
-    same bits at any B (see the module docstring).
+    The per-point net runs point-major.  The pool takes np.max over the
+    points of the last layer's product, before its bias and ReLU, which
+    only the (B, F) pooled values get.  Rounded addition and the ReLU are
+    monotone, so this has the bits of the max of relu(z + b) over the
+    points, signed zeros included: an affine output is -0.0 only where a
+    bias entry is, so the relu features hold no -0.0 to tie with a +0.0.
+    Unlike the traced forward, no index is kept, so a rounding tie after
+    the bias (see _argmax_pool) cannot move a bit here.  The pooled
+    features, the proprio rows and the pad rows (copies of the first row)
+    are written into one post-net input array.  Returns every padded row;
+    the first B are the batch's.  A head run on all of them gives row b
+    the same bits at any B (see the module docstring).
 
     Shapes are checked, values are not: this is the policy's inference
     path, whose observations PointCloudObs checked when they were built,
@@ -315,9 +319,13 @@ def encode_batch_padded(
     points, proprio = _check_batch(spec, points, proprio, finite=False)
     B, N, C = points.shape
     F = spec.feature_dim
-    feats = nn.forward_unchecked(store, spec.per_point, points.reshape(B * N, C), PER_POINT)
+    j = spec.per_point.depth - 1
+    z = _last_layer_input(store, spec, points.reshape(B * N, C)) @ store.get(f"{PER_POINT}.W{j}")
     x = np.empty((B + -B % POST_ROW_MULTIPLE, spec.post.in_width))
-    x[:B, :F] = _max_pool(feats.reshape(B, N, F))
+    pooled = x[:B, :F]
+    np.max(z.reshape(B, N, F), axis=1, out=pooled)
+    pooled += store.get(f"{PER_POINT}.b{j}")
+    np.maximum(pooled, 0.0, out=pooled)
     x[:B, F:] = proprio
     x[B:] = x[0]
     return nn.forward_unchecked(store, spec.post, x, POST)

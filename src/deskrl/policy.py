@@ -18,13 +18,15 @@ share the call.
 Evaluation uses the clamped mean with no generator draws at all, so
 evaluation never perturbs a training stream.
 
-Evaluation runs its seed panel in lockstep: one environment per panel
-seed, one batched mean_actions() call over the live episodes per tick,
-then one step of each; an episode drops out when it ends.  mean_actions()
-runs the mean head on rows padded to a fixed multiple (see
+Evaluation runs both splits' seed panels in one lockstep: one
+environment per panel seed of the train and then the test split, one
+batched mean_actions() call over every live episode per tick, then one
+step of each; an episode drops out when it ends.  mean_actions() runs
+the mean head on rows padded to a fixed multiple (see
 pointnet.encode_batch_padded), so each action has the same bits whatever
-episodes share its tick: a panel's episode equals that seed run alone,
-bit for bit.  sample_action() and mean_action() make the batched calls
+episodes share its tick: every episode of either panel equals that seed
+run alone, bit for bit, and the two rates equal those of two separate
+panels.  sample_action() and mean_action() make the batched calls
 on one observation; no shipped path calls them, and they stay for the
 benchmark under perfbench/, which looks them up by name.
 
@@ -38,12 +40,12 @@ action reaches an environment or a rollout buffer.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import nn
-from .envs import ACTION_DIM, EnvConfig, make_env, proprio_width
+from .envs import ACTION_DIM, SPLITS, EnvConfig, make_env, proprio_width
 from .errors import ConfigError, NonFiniteError, ShapeMismatchError
 from .pointnet import (
     EncoderSpec,
@@ -229,22 +231,25 @@ def evaluate_policy(
     env_cfg: EnvConfig,
     episodes: int,
     run_seed: int,
-) -> float:
-    """Success rate over a fixed seed panel for one split, run in lockstep."""
+) -> tuple[float, float]:
+    """Success rates (train, test) over both splits' fixed seed panels,
+    run in one lockstep; env_cfg's own split is not read."""
     if episodes < 1:
         raise ConfigError("evaluation needs at least one episode")
     live = []
-    for seed in panel_seeds(run_seed, env_cfg.split, episodes):
-        env = make_env(env_cfg)
-        live.append((env, env.reset(seed)))
-    wins = 0
+    for split in SPLITS:
+        cfg = replace(env_cfg, split=split)
+        for seed in panel_seeds(run_seed, split, episodes):
+            env = make_env(cfg)
+            live.append((split, env, env.reset(seed)))
+    wins = dict.fromkeys(SPLITS, 0)
     while live:
-        actions = mean_actions(store, spec, [obs for _, obs in live])
+        actions = mean_actions(store, spec, [obs for _, _, obs in live])
         ticking, live = live, []
-        for (env, _), action in zip(ticking, actions):
+        for (split, env, _), action in zip(ticking, actions):
             res = env.step(action)
             if res.done:
-                wins += res.success
+                wins[split] += res.success
             else:
-                live.append((env, res.obs))
-    return wins / episodes
+                live.append((split, env, res.obs))
+    return wins["train"] / episodes, wins["test"] / episodes

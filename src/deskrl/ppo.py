@@ -77,10 +77,12 @@ class PPOConfig:
             raise ConfigError("loss coefficients cannot be negative")
 
 
-# lanes per rollout at most: the batched forward (policy.mean_actions on
-# pushbox2d, an AVX-512 Xeon with 2 MB of L2 per core) cost 126 us per cloud
-# at 1 cloud, 35 at 16 and 66 at 32; past 16 clouds its per-point
-# activations (K * 64 rows x 64 float64, 512 KB at 16) outgrow the L2
+# lanes per rollout at most.  The batched forward (policy.mean_actions on
+# pushbox2d, an AVX-512 Xeon, one BLAS thread, perfbench's malloc
+# thresholds, fastest of seven timings) costs about 46 us per cloud at 1
+# cloud, 13-14 at 16, 13 at 32 and 13-14 at 40, with no cliff past 16; a
+# larger K would cut a rollout's forward calls, but K fixes each lane's
+# stream and length, so changing it moves every PPO digest
 MAX_LANES = 16
 
 

@@ -313,7 +313,7 @@ class TestTrainBC:
         assert (second[0].step, second[0].train_success, second[0].test_success) == (
             2, restore.train_success, restore.test_success
         )
-        assert len(calls) == 2  # both splits at step 4 only
+        assert len(calls) == 1  # both splits at step 4 only
 
     def test_checkpoints_store_the_fresh_run_stream(self, reach_demos, tmp_path):
         # BC never draws from its run stream: every checkpoint, resumed or
@@ -405,7 +405,7 @@ class TestTrainBC:
         monkeypatch.setattr(pol, "init_policy", poisoned)
         monkeypatch.setattr(nn, "adam_step", lambda *args: steps.append(args))
         # the entry evaluation's head check would stop it first
-        monkeypatch.setattr(pol, "evaluate_policy", lambda *args: 0.0)
+        monkeypatch.setattr(pol, "evaluate_policy", lambda *args: (0.0, 0.0))
         with pytest.raises(NonFiniteError, match="outer step 0, minibatch 0"):
             bc.train_bc(small_cfg(), ds, cfg, seed=1, out_dir=str(tmp_path / "n"))
         assert steps == []

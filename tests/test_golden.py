@@ -74,20 +74,27 @@ GOLDEN = {
 def _pools_have_strided_argmax_bits(monkeypatch):
     """In every case here, both pools must give what the argmax over the
     strided point axis of point-major (B, N, F) features gives, bit for
-    bit, signed zeros included: the padded forward's max pool its values,
-    the traced forward's feature-major pool, which takes its argmax before
-    the bias and the ReLU, its indices and values.  So no case here meets
-    two points whose different values round to the same biased max."""
-    max_pool, argmax_pool = pointnet._max_pool, pointnet._argmax_pool
+    bit, signed zeros included.  The padded forward pools its last
+    per-point layer's product with np.max before the bias and the ReLU; its
+    output must have the bits of the point-major composition that pools the
+    finished features.  The traced forward's feature-major pool, which
+    takes its argmax before the bias and the ReLU, must give the indices
+    and values.  So no case here meets two points whose different values
+    round to the same biased max."""
+    padded, argmax_pool = pol.encode_batch_padded, pointnet._argmax_pool
 
     def reference(feats):
         idx = np.argmax(feats, axis=1)
         return idx, np.take_along_axis(feats, idx[:, None, :], axis=1)[:, 0, :]
 
-    def checked_max(feats):
-        pooled = max_pool(feats)
-        assert pooled.tobytes() == reference(feats)[1].tobytes()
-        return pooled
+    def checked_padded(store, spec, points, proprio):
+        out = padded(store, spec, points, proprio)
+        B, N, C = points.shape
+        feats = nn.forward_unchecked(store, spec.per_point, points.reshape(B * N, C), pointnet.PER_POINT)
+        x = np.concatenate([reference(feats.reshape(B, N, spec.feature_dim))[1], proprio], axis=1)
+        x = np.concatenate([x, x[:1].repeat(-B % pointnet.POST_ROW_MULTIPLE, axis=0)])
+        assert out.tobytes() == nn.forward_unchecked(store, spec.post, x, pointnet.POST).tobytes()
+        return out
 
     def checked_argmax(z, b):
         idx, pooled = argmax_pool(z, b)
@@ -96,7 +103,7 @@ def _pools_have_strided_argmax_bits(monkeypatch):
         assert pooled.tobytes() == ref_pooled.tobytes()
         return idx, pooled
 
-    monkeypatch.setattr(pointnet, "_max_pool", checked_max)
+    monkeypatch.setattr(pol, "encode_batch_padded", checked_padded)
     monkeypatch.setattr(pointnet, "_argmax_pool", checked_argmax)
 
 
@@ -364,12 +371,12 @@ def test_env_bits_do_not_depend_on_the_blas_kernel(kernel, native_env_digests):
 def test_grid_legs_record_their_restore_point_rates(tmp_path, monkeypatch):
     """Every grid leg resumes a stage-one checkpoint and records the rates
     stored with it instead of evaluating it again; every digest stays."""
-    splits = []
+    rates = []
     evaluate = pol.evaluate_policy
 
     def counted(store, spec, env_cfg, episodes, run_seed):
-        splits.append(env_cfg.split)
-        return evaluate(store, spec, env_cfg, episodes, run_seed)
+        rates.append(evaluate(store, spec, env_cfg, episodes, run_seed))
+        return rates[-1]
 
     monkeypatch.setattr(pol, "evaluate_policy", counted)
     assert _grid(tmp_path) == GOLDEN["grid_bc_reach2d"]
@@ -377,12 +384,15 @@ def test_grid_legs_record_their_restore_point_rates(tmp_path, monkeypatch):
     stage1 = read_metrics(os.path.join(seed_dir, "stage1", "metrics.csv"))
     best = max(stage1, key=lambda rec: rec.test_success)
     legs = {"baseline": stage1[-1], "cell-a1.0-b0.5": best, "cell-a0.5-b0.5": best}
+    evaluated = list(stage1)
     for leg, restore in legs.items():
-        first = read_metrics(os.path.join(seed_dir, leg, "metrics.csv"))[0]
+        first, *rest = read_metrics(os.path.join(seed_dir, leg, "metrics.csv"))
         assert (first.step, first.train_success, first.test_success) == (
             restore.step, restore.train_success, restore.test_success,
         )
+        evaluated += rest
     # stage one evaluates at each of its records; a leg (stage two 2 steps,
-    # eval_period 1) only after each of its steps: both splits every time
-    assert len(splits) == 2 * (len(stage1) + 2 * len(legs))
-    assert splits == ["train", "test"] * (len(splits) // 2)
+    # eval_period 1) only after each of its steps: one call for both splits,
+    # whose (train, test) rates are what the record holds
+    assert len(rates) == len(stage1) + 2 * len(legs)
+    assert sorted(rates) == sorted((rec.train_success, rec.test_success) for rec in evaluated)

@@ -269,10 +269,15 @@ def test_metrics_record_validation():
         ps.MetricsRecord(0, 0.5, 0.5, 3)
 
 
-def test_metrics_bulk_10k_appends(tmp_path):
+def test_metrics_bulk_10k_appends(tmp_path, monkeypatch):
+    # the fsyncs are counted, not made: each append must still sync the
+    # new file and then its directory, and 20 000 real ones cost seconds
+    synced = []
+    monkeypatch.setattr(ps.os, "fsync", synced.append)
     path = str(tmp_path / "bulk.csv")
     for i in range(10_000):
         ps.append_metrics(path, ps.MetricsRecord(i, 0.5, 0.5, 1 if i < 5000 else 2))
+    assert len(synced) == 2 * 10_000
     back = ps.read_metrics(path)
     assert len(back) == 10_000
     assert back[0].step == 0 and back[-1].step == 9_999

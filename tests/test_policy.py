@@ -213,9 +213,9 @@ class TestSampling:
 
 
 # per task: policy init seed and the widened success threshold under which
-# the 7-episode panel (run seed 4, horizon 80) ends at several ticks
+# each split's 7-episode panel (run seed 4, horizon 80) ends at several ticks
 _STAGGERED = {
-    "reach2d": (21, "tolerance", 0.15),
+    "reach2d": (4, "tolerance", 0.4),
     "pushbox2d": (0, "tolerance", 0.4),
     "gather2d": (6, "success_fraction", 0.6),
 }
@@ -231,17 +231,21 @@ class TestEvaluation:
 
     def test_panel_differs_across_splits(self):
         # split changes the variant range, so the panel seeds and scenes
-        # both differ; rates are in [0, 1] either way
+        # both differ; rates are in [0, 1] either way, and one call runs
+        # both panels whatever split its config names
         store, spec = fresh()
-        train = pol.evaluate_policy(store, spec, make_config("reach2d", split="train"), 6, 9)
-        test = pol.evaluate_policy(store, spec, make_config("reach2d", split="test"), 6, 9)
+        assert panel_seeds(9, "train", 6) != panel_seeds(9, "test", 6)
+        train, test = pol.evaluate_policy(store, spec, make_config("reach2d", split="train"), 6, 9)
         assert 0.0 <= train <= 1.0
         assert 0.0 <= test <= 1.0
+        assert pol.evaluate_policy(store, spec, make_config("reach2d", split="test"), 6, 9) == (train, test)
 
     def test_rate_is_fraction_of_episodes(self):
         store, spec = fresh()
-        rate = pol.evaluate_policy(store, spec, make_config("reach2d"), episodes=7, run_seed=1)
-        assert rate * 7 == pytest.approx(round(rate * 7))
+        rates = pol.evaluate_policy(store, spec, make_config("reach2d"), episodes=7, run_seed=1)
+        assert len(rates) == 2
+        for rate in rates:
+            assert rate * 7 == pytest.approx(round(rate * 7))
 
     @pytest.mark.parametrize("task", envs.TASKS)
     def test_one_env_step_per_transition(self, task, monkeypatch):
@@ -267,15 +271,16 @@ class TestEvaluation:
         monkeypatch.setattr(envs.ToyEnv, "step", logged_step)
         store, spec = fresh(task)
         pol.evaluate_policy(store, spec, make_config(task, horizon=25), episodes=3, run_seed=4)
-        assert len(episodes) == 3
+        assert len(episodes) == 2 * 3  # both splits' panels
         for calls in episodes:
             assert calls == [(1, False)] * (len(calls) - 1) + [(1, True)]
 
     @pytest.mark.parametrize("task", envs.TASKS)
     def test_lockstep_panel_equals_each_episode_alone(self, task, monkeypatch):
         # an untrained policy seldom ends an episode early; a wider success
-        # threshold makes this panel's episodes end at different ticks, so
-        # the live set shrinks and the padded batch changes size
+        # threshold makes these panels' episodes end at different ticks, so
+        # the live set shrinks and the padded batch changes size; every
+        # episode of both splits must equal its split's seed run alone
         init_seed, attr, value = _STAGGERED[task]
         cfg = make_config(task, horizon=80)
         monkeypatch.setattr(type(make_env(cfg)), attr, value)
@@ -290,23 +295,28 @@ class TestEvaluation:
             return res
 
         monkeypatch.setattr(envs.ToyEnv, "step", logged_step)
-        rate = pol.evaluate_policy(store, spec, cfg, episodes=7, run_seed=4)
-        alone = []
-        for seed in panel_seeds(4, cfg.split, 7):
-            env = make_env(cfg)
-            obs = env.reset(seed)
-            taken = []
-            while True:
-                action = pol.mean_action(store, spec, obs)
-                res = step(env, action)
-                taken.append((action.tobytes(), res.success))
-                if res.done:
-                    break
-                obs = res.obs
-            alone.append(taken)
-        assert list(logs.values()) == alone  # every env steps at tick one, in panel order
-        assert len({len(taken) for taken in alone}) > 1
-        assert rate == sum(taken[-1][1] for taken in alone) / 7
+        rates = pol.evaluate_policy(store, spec, cfg, episodes=7, run_seed=4)
+        alone = {}
+        for split in envs.SPLITS:
+            split_cfg = make_config(task, split=split, horizon=80)
+            alone[split] = []
+            for seed in panel_seeds(4, split, 7):
+                env = make_env(split_cfg)
+                obs = env.reset(seed)
+                taken = []
+                while True:
+                    action = pol.mean_action(store, spec, obs)
+                    res = step(env, action)
+                    taken.append((action.tobytes(), res.success))
+                    if res.done:
+                        break
+                    obs = res.obs
+                alone[split].append(taken)
+        # every env steps at tick one: the train panel, then the test panel
+        assert list(logs.values()) == alone["train"] + alone["test"]
+        for split in envs.SPLITS:
+            assert len({len(taken) for taken in alone[split]}) > 1
+        assert rates == tuple(sum(taken[-1][1] for taken in alone[split]) / 7 for split in envs.SPLITS)
 
 
 _MEAN_ACTION_ROWS = """
@@ -368,30 +378,20 @@ def checked_heads(store, spec, obs):
     proprio = np.stack([o.proprio for o in obs])
     N, C = points.shape[1:]
     feats = nn.forward_batch(store, enc.per_point, points.reshape(K * N, C), "enc.pp")
-    x = np.concatenate([pointnet._max_pool(feats.reshape(K, N, enc.feature_dim)), proprio], axis=1)
+    x = np.concatenate([np.max(feats.reshape(K, N, enc.feature_dim), axis=1), proprio], axis=1)
     x = np.concatenate([x, x[:1].repeat(-K % pointnet.POST_ROW_MULTIPLE, axis=0)])
     feat = nn.forward_batch(store, enc.post, x, "enc.post")
     mean = nn.forward_batch(store, spec.mean, feat, "mean")[:K]
     return mean, nn.forward_batch(store, spec.value, feat, "value")[:K, 0]
 
 
-@pytest.mark.parametrize("task", envs.TASKS)
-def test_padded_forward_matches_checked_composition(task):
-    # mean_actions, sample_actions and state_values run the lean padded
-    # forward; each must give the checked composition's bits at K = 1..17
-    store, spec = fresh(task, seed=7)
-    store.get("mean.W1")[:] /= pol.FINAL_MEAN_SCALE  # means of order one, so some clip
-    env = make_env(make_config(task))
-    act = make_generator(7, "lean", "actions", task)
-    obs = []
-    for seed in range(17):
-        o = env.reset(seed)
-        for _ in range(seed % 4):
-            o = env.step(act.uniform(-1.0, 1.0, size=2)).obs
-        obs.append(o)
+def _check_padded_forward(store, spec, obs):
+    """Every padded-forward entry point against checked_heads, on K = 1..len(obs)
+    observations from both ends of `obs`."""
+    n = len(obs)
     log_std = pol.log_std_of(store)
-    for k in range(1, 18):
-        for start in (0, 17 - k):
+    for k in range(1, n + 1):
+        for start in (0, n - k):
             rows = obs[start : start + k]
             mean, value = checked_heads(store, spec, rows)
             assert pol.mean_actions(store, spec, rows).tobytes() == np.clip(mean, -1.0, 1.0).tobytes()
@@ -407,6 +407,39 @@ def test_padded_forward_matches_checked_composition(task):
             assert s.value.tobytes() == value.tobytes()
 
 
+# clouds in the padded forward's test: evaluation sends 2 x eval_episodes
+# per tick, 40 at the default of 20 episodes
+_PADDED_CLOUDS = 41
+
+
+@pytest.mark.parametrize("task", envs.TASKS)
+def test_padded_forward_matches_checked_composition(task):
+    # mean_actions, sample_actions and state_values run the lean padded
+    # forward, which pools before the last per-point bias and ReLU; each
+    # must give the checked composition's bits at K = 1..41, with the
+    # initial zero last-layer biases and with negative ones, which leave
+    # more pooled features dead (the pool's zero branch)
+    store, spec = fresh(task, seed=7)
+    store.get("mean.W1")[:] /= pol.FINAL_MEAN_SCALE  # means of order one, so some clip
+    env = make_env(make_config(task))
+    act = make_generator(7, "lean", "actions", task)
+    obs = []
+    for seed in range(_PADDED_CLOUDS):
+        o = env.reset(seed)
+        for _ in range(seed % 4):
+            o = env.step(act.uniform(-1.0, 1.0, size=2)).obs
+        obs.append(o)
+    _check_padded_forward(store, spec, obs)
+    b = store.get("enc.pp.b1")
+    b[:] = -make_generator(7, "lean", "bias", task).uniform(0.0, 0.6, size=b.shape)
+    enc = spec.encoder
+    points = np.stack([o.points for o in obs])
+    feats = nn.forward_batch(store, enc.per_point, points.reshape(-1, points.shape[2]), "enc.pp")
+    dead = np.max(feats.reshape(len(obs), -1, enc.feature_dim), axis=1) == 0.0
+    assert 0.2 < dead.mean() < 0.8
+    _check_padded_forward(store, spec, obs)
+
+
 @each_kernel
 def test_padded_forward_matches_checked_composition_on_each_blas_kernel(kernel):
     # the lean loop and the checked one must make the same BLAS calls on
@@ -419,7 +452,8 @@ def test_padded_forward_matches_checked_composition_on_each_blas_kernel(kernel):
 @pytest.mark.parametrize("run", ["evaluate_policy", "collect_rollout"])
 def test_nonfinite_parameters_raise_before_any_env_step(run, monkeypatch):
     # the padded forward does not check its inputs; a NaN parameter must
-    # still stop evaluation and rollouts before a NaN action steps an env
+    # still stop evaluation and rollouts before a NaN action steps an env,
+    # in the last per-point layer too, which the pool applies after the max
     steps = []
     step = envs.ToyEnv.step
 
@@ -428,12 +462,13 @@ def test_nonfinite_parameters_raise_before_any_env_step(run, monkeypatch):
         return step(env, action)
 
     monkeypatch.setattr(envs.ToyEnv, "step", logged_step)
-    store, spec = fresh("pushbox2d")
-    store.get("enc.pp.W0")[0, 0] = np.nan
     cfg = make_config("pushbox2d", horizon=20)
-    with pytest.raises(NonFiniteError):
-        if run == "evaluate_policy":
-            pol.evaluate_policy(store, spec, cfg, episodes=3, run_seed=0)
-        else:
-            ppo.collect_rollout(store, spec, cfg, 60, make_generator(0, "rollout"))
-    assert steps == []
+    for param in ("enc.pp.W0", "enc.pp.W1", "enc.pp.b1"):
+        store, spec = fresh("pushbox2d")
+        store.get(param)[0, 0] = np.nan
+        with pytest.raises(NonFiniteError):
+            if run == "evaluate_policy":
+                pol.evaluate_policy(store, spec, cfg, episodes=3, run_seed=0)
+            else:
+                ppo.collect_rollout(store, spec, cfg, 60, make_generator(0, "rollout"))
+        assert steps == [], param

@@ -649,7 +649,7 @@ class TestTrainPPO:
         assert (second[0].step, second[0].train_success, second[0].test_success) == (
             80, restore.train_success, restore.test_success
         )
-        assert len(calls) == 2  # both splits at step 160 only
+        assert len(calls) == 1  # both splits at step 160 only
         entry = load_checkpoint(str(tmp_path / "b" / "ckpt-00000080.ckpt"))
         assert entry.params.tobytes() == restore.params.tobytes()
         assert entry.rng_words.tobytes() == restore.rng_words.tobytes()
