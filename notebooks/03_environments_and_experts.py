@@ -8,7 +8,7 @@ splits and prints what the policy networks will actually see.
 
 import numpy as np
 
-from deskrl.envs import make_config, make_env
+from deskrl.envs import DT, make_config, make_env
 from deskrl.rng import panel_seeds
 
 
@@ -35,8 +35,8 @@ for task in ("reach2d", "pushbox2d", "gather2d"):
     obs = env.reset(1234)
     tags = np.unique(obs.points[:, 2:], axis=0)
     print(f"{task}:")
-    print(f"  horizon {cfg.horizon}, dt {cfg.dt}, "
-          f"variant ranges train={cfg.train_range} test={cfg.test_range}")
+    train, test = (make_config(task, split=split).variant_range for split in ("train", "test"))
+    print(f"  horizon {cfg.horizon}, dt {DT}, variant ranges train={train} test={test}")
     print(f"  cloud {obs.points.shape} ({len(tags)} segment tags), "
           f"proprio {obs.proprio.shape}")
     for split in ("train", "test"):

@@ -152,7 +152,7 @@ def cmd_grid(args, resolved) -> None:
     try:
         best = ts.recommend_scales(records)
     except ConfigError:
-        print("recommend: no successful rows")
+        print("recommend: no successful cell rows")
     else:
         print(f"recommend: alpha {best.alpha} beta {best.beta}")
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import controllers as ctrl
-from .errors import ConfigError, EmptyDatasetError, require_finite_floats
+from .errors import ConfigError, EmptyDatasetError
 from .pointnet import FEAT_CHANNELS, POINT_DIM, PointCloudObs
 from .rng import make_generator, next_episode_seed
 
@@ -51,79 +51,56 @@ SPLITS = ("train", "test")
 N_POINTS = 64  # points per cloud, on every task
 ACTION_DIM = 2
 
+DT = 0.05  # control period (s), on every task
+_SUBSTEPS = 4
+SUCCESS_BONUS = 10.0  # added to the reward of the step that succeeds
+
 _HORIZONS = {"reach2d": 100, "pushbox2d": 150, "gather2d": 200}
+# each task's (train, test) ranges of its varied parameter: half-open
+# [lo, hi) intervals with lo < hi, train and test disjoint (sharing an
+# endpoint is fine); tests/test_envs.py holds the table to this
 _RANGES = {
     "reach2d": ((0.5, 1.2), (1.2, 1.6)),
     "pushbox2d": ((0.10, 0.18), (0.18, 0.24)),
     "gather2d": ((0.1, 0.2), (0.2, 0.3)),
 }
 
-_SUBSTEPS = 4
-SUCCESS_BONUS = 10.0  # added to the reward of the step that succeeds
-
 
 @dataclass(frozen=True)
 class EnvConfig:
-    """Task id, split, seed, episode shape, and the variant-range table.
-
-    Variant ranges are half-open [lo, hi) intervals; train and test must
-    not overlap (sharing an endpoint is fine).
-    """
+    """Task id, split, seed and horizon: what a run sets.  The task fixes
+    the rest, the control period DT and its variant ranges in _RANGES."""
 
     task: str
     split: str = "train"
     seed: int = 0
     horizon: int = 0
-    dt: float = 0.05
-    train_range: tuple[float, float] = (0.0, 0.0)
-    test_range: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        require_finite_floats(self)
         if self.task not in TASKS:
             raise ConfigError(f"unknown task {self.task!r}, expected one of {TASKS}")
         if self.split not in SPLITS:
             raise ConfigError(f"unknown split {self.split!r}, expected one of {SPLITS}")
         if self.horizon < 1:
             raise ConfigError("horizon must be at least 1")
-        if self.dt <= 0.0:
-            raise ConfigError("dt must be positive")
-        for lo, hi in (self.train_range, self.test_range):
-            if not lo < hi:
-                raise ConfigError("variant ranges need lo < hi")
-        t_lo, t_hi = self.train_range
-        e_lo, e_hi = self.test_range
-        if not (t_hi <= e_lo or e_hi <= t_lo):
-            raise ConfigError("train and test variant ranges must be disjoint")
 
     @property
     def variant_range(self) -> tuple[float, float]:
-        return self.train_range if self.split == "train" else self.test_range
+        return _RANGES[self.task][SPLITS.index(self.split)]
 
     def fingerprint(self) -> str:
         """Canonical dynamics identity (seed excluded: it picks episodes,
         not physics), used to match demo files to environments."""
+        train, test = _RANGES[self.task]
         return (
-            f"task={self.task};horizon={self.horizon};dt={self.dt!r};"
-            f"n_points={N_POINTS};train={self.train_range!r};test={self.test_range!r}"
+            f"task={self.task};horizon={self.horizon};dt={DT!r};"
+            f"n_points={N_POINTS};train={train!r};test={test!r}"
         )
 
 
-def make_config(task: str, split: str = "train", seed: int = 0, **overrides) -> EnvConfig:
-    """EnvConfig with per-task defaults filled in."""
-    if task not in TASKS:
-        raise ConfigError(f"unknown task {task!r}, expected one of {TASKS}")
-    fields = dict(
-        task=task,
-        split=split,
-        seed=seed,
-        horizon=_HORIZONS[task],
-        dt=0.05,
-        train_range=_RANGES[task][0],
-        test_range=_RANGES[task][1],
-    )
-    fields.update(overrides)
-    return EnvConfig(**fields)
+def make_config(task: str, split: str = "train", seed: int = 0, horizon: int | None = None) -> EnvConfig:
+    """EnvConfig with the task's horizon unless one is given; EnvConfig rejects an unknown task."""
+    return EnvConfig(task, split, seed, _HORIZONS.get(task, 0) if horizon is None else horizon)
 
 
 @dataclass
@@ -206,18 +183,21 @@ def _detour(start, waypoint, obstacle, d, clearance: float, offset: float) -> tu
 class ToyEnv:
     """Base class: owns integration, bookkeeping, and the step contract.
 
-    Per-episode constants (the arm's sample offsets split across links, the
-    cloud template with its one-hot tags and static points) are built at
-    reset.  Each step advances the state, then `_measure` derives once what
-    success, reward, proprio and cloud share (the arm tip, distances).
+    A task implements five hooks: `_reset_scene` builds the episode around
+    `self.variant` (per-episode constants such as the arm's sample offsets
+    and the cloud template included); `_measure` returns (success, shaping)
+    and keeps what the cloud, proprio and expert share (the arm tip,
+    distances); `_cloud`, `_proprio` and `expert_action`.  `_command` turns
+    an action into a joint command (pd_joint_delta_pos unless a task
+    overrides it); contact runs in `_after_substep`.
     """
 
     proprio_width = 0
+    gains = ctrl.PDGains()
+    geom = ctrl.ArmGeom()
 
     def __init__(self, cfg: EnvConfig):
         self.cfg = cfg
-        self.gains = ctrl.PDGains()
-        self.geom = ctrl.ArmGeom()
         self.t = 0
         self._succeeded = False
         self._started = False
@@ -226,17 +206,8 @@ class ToyEnv:
     def _reset_scene(self, gen: np.random.Generator) -> None:
         raise NotImplementedError
 
-    def _advance(self, action: np.ndarray) -> None:
-        raise NotImplementedError
-
-    def _measure(self) -> None:
-        raise NotImplementedError
-
-    def _success(self) -> bool:
-        raise NotImplementedError
-
-    def _reward(self) -> float:
-        """The task's shaping term; step adds SUCCESS_BONUS on success."""
+    def _measure(self) -> tuple[bool, float]:
+        """(success, shaping) of the state; step adds SUCCESS_BONUS on success."""
         raise NotImplementedError
 
     def _cloud(self) -> np.ndarray:
@@ -254,16 +225,10 @@ class ToyEnv:
         self.t = 0
         self._succeeded = False
         self._started = True
-        self._draw_variant(gen)
-        self._reset_scene(gen)
-        self._measure()
-        return self._observe()
-
-    def _draw_variant(self, gen: np.random.Generator) -> None:
         lo, hi = self.cfg.variant_range
         self.variant = float(gen.uniform(lo, hi))
-
-    def _observe(self) -> PointCloudObs:
+        self._reset_scene(gen)
+        self._measure()
         return PointCloudObs(points=self._cloud(), proprio=self._proprio())
 
     def step(self, action: np.ndarray) -> StepResult:
@@ -271,14 +236,17 @@ class ToyEnv:
             raise ConfigError("step() before reset()")
         if self.t >= self.cfg.horizon or self._succeeded:
             raise ConfigError("episode is over; reset() the environment")
-        self._advance(action)  # the controller rejects a bad action before any state moves
+        self._integrate(self._command(action))  # the controller rejects a bad action before any state moves
         self.t += 1
-        self._measure()
-        success_now = bool(self._success())
-        self._succeeded = self._succeeded or success_now
-        reward = float(self._reward() + (SUCCESS_BONUS if success_now else 0.0))
+        success, shaping = self._measure()
+        self._succeeded = self._succeeded or success
+        reward = shaping + (SUCCESS_BONUS if success else 0.0)
         done = self._succeeded or self.t >= self.cfg.horizon
-        return StepResult(self._observe(), reward, done, self._succeeded)
+        obs = PointCloudObs(points=self._cloud(), proprio=self._proprio())
+        return StepResult(obs, reward, done, self._succeeded)
+
+    def _command(self, action: np.ndarray) -> np.ndarray:
+        return ctrl.pd_joint_delta_pos(action, self.state, self.gains, self.geom)
 
     def _integrate(self, u: np.ndarray) -> None:
         """Semi-implicit Euler under unit inertia, joint limits enforced.
@@ -288,7 +256,7 @@ class ToyEnv:
         clamps an angle past its limit and stops that joint, then hands the
         angles at the substep's start and end to `_after_substep`.
         """
-        h = self.cfg.dt / _SUBSTEPS
+        h = DT / _SUBSTEPS
         u0, u1 = u.tolist()
         (lo0, lo1), (hi0, hi1) = self.geom.q_lo, self.geom.q_hi
         q0, q1 = self.state.q.tolist()
@@ -369,19 +337,14 @@ class Reach2D(ToyEnv):
         goal_points = self.goal[None, :] + _disk_offsets(gen, 20, 0.03)
         self._template = self._cloud_template(((self.n_arm, 0, None), (20, 2, goal_points)))
 
-    def _advance(self, action: np.ndarray) -> None:
-        self._integrate(ctrl.pd_ee_delta_pose(action, self.state, self.gains, self.geom))
+    def _command(self, action: np.ndarray) -> np.ndarray:
+        return ctrl.pd_ee_delta_pose(action, self.state, self.gains, self.geom)
 
-    def _measure(self) -> None:
-        self._tip = self._arm_tip(*self.state.q.tolist())
-        (tx, ty), (gx, gy) = self._tip, self.goal.tolist()
-        self._dist = _norm2(tx - gx, ty - gy)
-
-    def _success(self) -> bool:
-        return self._dist <= self.tolerance
-
-    def _reward(self) -> float:
-        return -self._dist * self.cfg.dt
+    def _measure(self) -> tuple[bool, float]:
+        self._tip = tx, ty = self._arm_tip(*self.state.q.tolist())
+        gx, gy = self.goal.tolist()
+        dist = _norm2(tx - gx, ty - gy)
+        return dist <= self.tolerance, -dist * DT
 
     def _cloud(self) -> np.ndarray:
         cloud = self._template.copy()
@@ -451,9 +414,6 @@ class PushBox2D(ToyEnv):
         # corner - walk, exactly: each side's own formula, bit for bit
         return half * _SIDE_STARTS[side_idx] + _SIDE_WALKS[side_idx] * (frac * self.side)[:, None]
 
-    def _advance(self, action: np.ndarray) -> None:
-        self._integrate(ctrl.pd_joint_delta_pos(action, self.state, self.gains, self.geom))
-
     def _after_substep(self, p0: float, p1: float, q0: float, q1: float) -> None:
         # Quasi-static push: when the tip ends a substep inside the box
         # footprint, the box slides along the tip's direction of travel until
@@ -489,18 +449,12 @@ class PushBox2D(ToyEnv):
                 t = min(t, (r + (half if u > 0.0 else -half)) / u)
         self.box = (bx + t * ux, by + t * uy)
 
-    def _measure(self) -> None:
-        self._tip = self._arm_tip(*self.state.q.tolist())
+    def _measure(self) -> tuple[bool, float]:
+        self._tip = tx, ty = self._arm_tip(*self.state.q.tolist())
         (bx, by), (gx, gy) = self.box, self.target.tolist()
         self._dist_bt = _norm2(bx - gx, by - gy)
-
-    def _success(self) -> bool:
-        return self._dist_bt <= self.tolerance
-
-    def _reward(self) -> float:
-        (tx, ty), (bx, by) = self._tip, self.box
         gap = max(0.0, _norm2(tx - bx, ty - by) - self.side / 2.0)
-        return -(self._dist_bt + 0.3 * gap) * self.cfg.dt
+        return self._dist_bt <= self.tolerance, -(self._dist_bt + 0.3 * gap) * DT
 
     def _cloud(self) -> np.ndarray:
         cloud = self._template.copy()
@@ -548,13 +502,8 @@ class Gather2D(ToyEnv):
     pusher_radius = 0.35
     target_radius = 0.45
     success_fraction = 0.8
-
-    def __init__(self, cfg: EnvConfig):
-        super().__init__(cfg)
-        # the "arm" is the pusher itself: two Cartesian DOF on the plane
-        self.geom = ctrl.ArmGeom(
-            link_lengths=(1.0, 1.0), q_lo=(-1.6, -1.6), q_hi=(1.6, 1.6)
-        )
+    # the "arm" is the pusher itself: two Cartesian DOF on the plane
+    geom = ctrl.ArmGeom(link_lengths=(1.0, 1.0), q_lo=(-1.6, -1.6), q_hi=(1.6, 1.6))
 
     def _reset_scene(self, gen: np.random.Generator) -> None:
         sigma = self.variant
@@ -571,9 +520,6 @@ class Gather2D(ToyEnv):
         self._template = self._cloud_template(
             ((self.n_ring, 0, None), (self.n_particles, 1, None), (self.n_ring, 2, target_points))
         )
-
-    def _advance(self, action: np.ndarray) -> None:
-        self._integrate(ctrl.pd_joint_delta_pos(action, self.state, self.gains, self.geom))
 
     def _expel_radially(self, cx: float, cy: float) -> None:
         """Put each particle inside the pusher centred at (cx, cy) on its rim,
@@ -613,10 +559,11 @@ class Gather2D(ToyEnv):
                 px[i] += t * ux
                 py[i] += t * uy
 
-    def _measure(self) -> None:
-        # count the particles in the target and sum the others in index
-        # order, from 0.0: the bits of numpy's mean over the boolean mask
-        # and of its axis-0 mean over the particles outside
+    def _particle_stats(self) -> tuple[float, tuple[float, float]]:
+        """The fraction of particles in the target and the centroid of the
+        others (the target's centre if none), counted and summed in index
+        order from 0.0: the bits of numpy's mean over the boolean mask and
+        of its axis-0 mean over the particles outside."""
         gx, gy = self.target.tolist()
         n_in, sx, sy = 0, 0.0, 0.0
         for x, y in zip(self._px, self._py):
@@ -626,16 +573,14 @@ class Gather2D(ToyEnv):
                 sx += x
                 sy += y
         n_out = self.n_particles - n_in
-        self._fraction_in = n_in / self.n_particles
-        self._out_centroid = (sx / n_out, sy / n_out) if n_out else (gx, gy)
+        return n_in / self.n_particles, ((sx / n_out, sy / n_out) if n_out else (gx, gy))
 
-    def _success(self) -> bool:
-        return self._fraction_in >= self.success_fraction
-
-    def _reward(self) -> float:
+    def _measure(self) -> tuple[bool, float]:
+        self._fraction_in, self._out_centroid = self._particle_stats()
         (cx, cy), (mx, my) = self.state.q.tolist(), self._out_centroid
         reach = max(0.0, _norm2(cx - mx, cy - my) - self.pusher_radius)
-        return -((1.0 - self._fraction_in) + 0.1 * min(reach, 1.0)) * self.cfg.dt
+        shaping = -((1.0 - self._fraction_in) + 0.1 * min(reach, 1.0)) * DT
+        return self._fraction_in >= self.success_fraction, shaping
 
     def _cloud(self) -> np.ndarray:
         cloud = self._template.copy()

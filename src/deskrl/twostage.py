@@ -290,16 +290,17 @@ def grid_search(trainer: Trainer, grid: GridSpec, out_dir: str) -> list[RunRecor
 
 
 def recommend_scales(table: list[RunRecord]) -> ScalePair:
-    """The (alpha, beta) with the best mean test rate; ties favor larger
-    alpha, then larger beta.  Failed rows (nan) drop out of the means."""
+    """The cell (alpha, beta) with the best mean test rate; ties favor
+    larger alpha, then larger beta.  Row 1, the continued baseline, is not
+    a cell and does not rank; failed rows (nan) drop out of the means."""
     if not table:
         raise ConfigError("cannot recommend scales from an empty table")
     groups: dict[tuple[float, float], list[float]] = {}
     for rec in table:
-        if not math.isnan(rec.test_success):
+        if rec.row > 1 and not math.isnan(rec.test_success):
             groups.setdefault((rec.alpha, rec.beta), []).append(rec.test_success)
     if not groups:
-        raise ConfigError("every row in the table failed; nothing to recommend")
+        raise ConfigError("no cell row in the table succeeded; nothing to recommend")
     ranked = sorted(
         groups.items(),
         key=lambda kv: (float(np.mean(kv[1])), kv[0][0], kv[0][1]),

@@ -445,36 +445,47 @@ class TestRecommendScales:
         assert ts.recommend_scales(table_one_records()) == ts.ScalePair(0.9, 0.875)
 
     def test_single_row(self):
-        rec = ts.RunRecord(1, 0.7, 0.75, 231, 15000, 0.5, 0.5, 0, 100)
+        rec = ts.RunRecord(2, 0.7, 0.75, 231, 15000, 0.5, 0.5, 0, 100)
         assert ts.recommend_scales([rec]) == ts.ScalePair(0.7, 0.75)
 
     def test_tie_prefers_larger_alpha_then_beta(self):
         rows = [
-            ts.RunRecord(1, 0.8, 0.875, 264, 17500, 0.5, 0.6, 0, 10),
-            ts.RunRecord(2, 0.9, 0.875, 297, 17500, 0.5, 0.6, 0, 10),
+            ts.RunRecord(2, 0.8, 0.875, 264, 17500, 0.5, 0.6, 0, 10),
+            ts.RunRecord(3, 0.9, 0.875, 297, 17500, 0.5, 0.6, 0, 10),
         ]
         assert ts.recommend_scales(rows) == ts.ScalePair(0.9, 0.875)
         rows = [
-            ts.RunRecord(1, 0.9, 0.75, 297, 15000, 0.5, 0.6, 0, 10),
-            ts.RunRecord(2, 0.9, 0.875, 297, 17500, 0.5, 0.6, 0, 10),
+            ts.RunRecord(2, 0.9, 0.75, 297, 15000, 0.5, 0.6, 0, 10),
+            ts.RunRecord(3, 0.9, 0.875, 297, 17500, 0.5, 0.6, 0, 10),
         ]
         assert ts.recommend_scales(rows) == ts.ScalePair(0.9, 0.875)
 
     def test_averages_across_seeds(self):
         rows = [
-            ts.RunRecord(1, 0.9, 1.0, 297, 20000, 0.5, 0.9, 0, 10),
-            ts.RunRecord(1, 0.9, 1.0, 297, 20000, 0.5, 0.1, 1, 10),  # mean 0.5
-            ts.RunRecord(2, 0.7, 1.0, 231, 20000, 0.5, 0.6, 0, 10),
-            ts.RunRecord(2, 0.7, 1.0, 231, 20000, 0.5, 0.6, 1, 10),  # mean 0.6
+            ts.RunRecord(2, 0.9, 1.0, 297, 20000, 0.5, 0.9, 0, 10),
+            ts.RunRecord(2, 0.9, 1.0, 297, 20000, 0.5, 0.1, 1, 10),  # mean 0.5
+            ts.RunRecord(3, 0.7, 1.0, 231, 20000, 0.5, 0.6, 0, 10),
+            ts.RunRecord(3, 0.7, 1.0, 231, 20000, 0.5, 0.6, 1, 10),  # mean 0.6
         ]
         assert ts.recommend_scales(rows) == ts.ScalePair(0.7, 1.0)
 
     def test_failed_rows_drop_out(self):
         rows = [
-            ts.RunRecord(1, 0.9, 1.0, 297, 20000, float("nan"), float("nan"), 0, 10),
-            ts.RunRecord(2, 0.7, 1.0, 231, 20000, 0.5, 0.4, 0, 10),
+            ts.RunRecord(2, 0.9, 1.0, 297, 20000, float("nan"), float("nan"), 0, 10),
+            ts.RunRecord(3, 0.7, 1.0, 231, 20000, 0.5, 0.4, 0, 10),
         ]
         assert ts.recommend_scales(rows) == ts.ScalePair(0.7, 1.0)
+
+    def test_baseline_row_is_not_a_cell(self):
+        # row 1 is the continued baseline at alpha = beta = 1: it neither
+        # ranks on its own nor pools with an alpha = beta = 1 cell
+        baseline = ts.RunRecord(1, 1.0, 1.0, 330, 20000, 0.9, 0.9, 0, 10)
+        cell = ts.RunRecord(2, 0.9, 1.0, 297, 20000, 0.4, 0.4, 0, 10)
+        assert ts.recommend_scales([baseline, cell]) == ts.ScalePair(0.9, 1.0)
+        unit_cell = ts.RunRecord(3, 1.0, 1.0, 330, 20000, 0.1, 0.1, 0, 10)
+        assert ts.recommend_scales([baseline, cell, unit_cell]) == ts.ScalePair(0.9, 1.0)
+        with pytest.raises(ConfigError):
+            ts.recommend_scales([baseline])
 
     def test_empty_table_rejected(self):
         with pytest.raises(ConfigError):
