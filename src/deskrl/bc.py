@@ -17,6 +17,7 @@ checkpoint restores stays structurally identical to a PPO one.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +83,14 @@ class DemoDataset:
         )
 
 
+@functools.lru_cache(maxsize=4)
+def _epoch_permutation(seed: int, dataset_size: int, epoch: int) -> np.ndarray:
+    """Epoch `epoch`'s permutation, read-only; kept for the outer steps that read it."""
+    perm = make_generator(seed, "bc", "perm", epoch).permutation(dataset_size)
+    perm.flags.writeable = False
+    return perm
+
+
 def stream_indices(seed: int, dataset_size: int, start: int, count: int) -> np.ndarray:
     """Dataset rows for stream positions [start, start + count)."""
     if dataset_size < 1:
@@ -94,7 +103,7 @@ def stream_indices(seed: int, dataset_size: int, start: int, count: int) -> np.n
     while filled < count:
         epoch, pos = divmod(n, dataset_size)
         take = min(dataset_size - pos, count - filled)
-        perm = make_generator(seed, "bc", "perm", epoch).permutation(dataset_size)
+        perm = _epoch_permutation(seed, dataset_size, epoch)
         out[filled : filled + take] = perm[pos : pos + take]
         filled += take
         n += take

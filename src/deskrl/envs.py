@@ -290,22 +290,20 @@ class ToyEnv:
         return raw / peak if peak > 1.0 else raw
 
     def _arm_tip(self, q0: float, q1: float) -> tuple[float, float]:
-        """The tip position, the link vectors summed from 0.0 as np.sum sums."""
-        x0, y0, x1, y1 = ctrl.link_vectors2(q0, q1, self.geom)
+        """The tip position, the link vectors summed from 0.0 as np.sum sums; keeps the links."""
+        x0, y0, x1, y1 = self._links = ctrl.link_vectors2(q0, q1, self.geom)
         return 0.0 + x0 + x1, 0.0 + y0 + y1
 
-    def _split_arm(self, ts: np.ndarray) -> None:
-        """Keep per-episode offsets `ts` in [0,1) along the two links, dealt to
-        them in order as np.array_split deals them: one (n, 1) column per link's run of rows."""
-        self._arm_ts = [tj[:, None] for tj in np.array_split(ts, 2)]
-
     def _arm_points(self, out: np.ndarray) -> None:
-        """Write the arm's sample points into `out`: a + t (b - a) for the
-        ends a, b of each link (base, elbow, tip), a link at a time."""
-        x0, y0, x1, y1 = ctrl.link_vectors2(*self.state.q.tolist(), self.geom)
-        t0, t1 = self._arm_ts
-        np.add((0.0, 0.0), t0 * (x0 - 0.0, y0 - 0.0), out=out[: len(t0)])
-        np.add((x0, y0), t1 * (x0 + x1 - x0, y0 + y1 - y0), out=out[len(t0) :])
+        """Write the arm's sample points a + t (b - a) into `out`, (n, 2), for
+        the ends a, b of each link (base, elbow, tip) and the offsets t in
+        [0, 1) of `_arm_ts` (2, n/2, 1), the first half on link 0 as
+        np.array_split halves an even n: one broadcast over a (2, n/2, 2)
+        view.  The links are the last `_arm_tip` call's, on the current state."""
+        x0, y0, x1, y1 = self._links
+        starts = np.array((((0.0, 0.0),), ((x0, y0),)))
+        links = np.array((((x0 - 0.0, y0 - 0.0),), ((x0 + x1 - x0, y0 + y1 - y0),)))
+        np.add(starts, self._arm_ts * links, out=out.reshape(2, -1, 2))
 
     def _cloud_template(self, segments) -> np.ndarray:
         """The episode's cloud layout: for each (count, class, coords) segment
@@ -333,7 +331,7 @@ class Reach2D(ToyEnv):
         self.goal = self.variant * np.array([np.cos(theta), np.sin(theta)])
         q0 = np.array([np.pi / 3, -2 * np.pi / 3]) + gen.uniform(-0.05, 0.05, size=2)
         self.state = ctrl.JointState(q0, np.zeros(2))
-        self._split_arm(gen.uniform(0.0, 1.0, size=self.n_arm))
+        self._arm_ts = gen.uniform(0.0, 1.0, size=self.n_arm).reshape(2, -1, 1)
         goal_points = self.goal[None, :] + _disk_offsets(gen, 20, 0.03)
         self._template = self._cloud_template(((self.n_arm, 0, None), (20, 2, goal_points)))
 
@@ -394,7 +392,7 @@ class PushBox2D(ToyEnv):
         self.target = target
         q0 = np.array([0.9, -2.4]) + gen.uniform(-0.05, 0.05, size=2)
         self.state = ctrl.JointState(q0, np.zeros(2))
-        self._split_arm(gen.uniform(0.0, 1.0, size=self.n_arm))
+        self._arm_ts = gen.uniform(0.0, 1.0, size=self.n_arm).reshape(2, -1, 1)
         self._outline = self._box_outline(gen.uniform(0.0, 1.0, size=self.n_outline))
         target_points = target[None, :] + _disk_offsets(gen, 12, 0.03)
         self._template = self._cloud_template(
@@ -450,7 +448,7 @@ class PushBox2D(ToyEnv):
         self.box = (bx + t * ux, by + t * uy)
 
     def _measure(self) -> tuple[bool, float]:
-        self._tip = tx, ty = self._arm_tip(*self.state.q.tolist())
+        self._tip = tx, ty = self._last_tip  # the tip of the current state, from the last substep or reset
         (bx, by), (gx, gy) = self.box, self.target.tolist()
         self._dist_bt = _norm2(bx - gx, by - gy)
         gap = max(0.0, _norm2(tx - bx, ty - by) - self.side / 2.0)

@@ -17,7 +17,9 @@ record, ends the call early.
 The entry record of a fresh run evaluates the initial policy.  A resumed
 run records its checkpoint's rates instead, which the run that wrote it
 measured for the same parameters and seed (`begin` rejects another seed)
-over that run's eval_episodes.  Every checkpoint stores the state words
+over that run's eval_episodes; resumed in place, into the directory whose
+log already ends with that step, it neither logs it again nor rewrites
+its checkpoint.  Every checkpoint stores the state words
 of the run stream `TrainingState.gen`, which PPO draws from; BC never
 does, so its words stay those of the fresh stream.
 """
@@ -33,7 +35,7 @@ import numpy as np
 from . import nn, policy as pol
 from .envs import EnvConfig
 from .errors import ResumeError
-from .persistence import Checkpoint, MetricsRecord, append_metrics, checkpoint_name, save_checkpoint
+from .persistence import Checkpoint, MetricsRecord, append_metrics, checkpoint_name, read_metrics, save_checkpoint
 from .rng import generator_from_words, make_generator, state_words
 
 
@@ -102,34 +104,31 @@ def run_loop(
     metrics_path = os.path.join(out_dir, "metrics.csv")
     history: list[MetricsRecord] = []
 
-    def evaluate(step: int, rates: tuple[float, float] | None = None) -> bool:
+    def evaluate(step: int, rates: tuple[float, float] | None = None, logged: bool = False) -> bool:
         if rates is None:
             rates = pol.evaluate_policy(state.store, state.spec, env_cfg, cfg.eval_episodes, seed)
         train_rate, test_rate = rates
-        save_checkpoint(
-            os.path.join(out_dir, checkpoint_name(step)),
-            Checkpoint(
-                run_id=run_id,
-                step=step,
-                trainer_kind=state.kind,
-                env_fingerprint=env_cfg.fingerprint(),
-                params=state.store.flat.copy(),
-                slices=state.store.directory(),
-                adam=state.adam.copy(),
-                rng_seed=seed,
-                rng_words=state_words(state.gen),
-                train_success=train_rate,
-                test_success=test_rate,
-            ),
-        )
         record = MetricsRecord(step, train_rate, test_rate, stage)
-        append_metrics(metrics_path, record)
+        if not logged:
+            save_checkpoint(
+                os.path.join(out_dir, checkpoint_name(step)),
+                Checkpoint(
+                    run_id=run_id, step=step, trainer_kind=state.kind, env_fingerprint=env_cfg.fingerprint(),
+                    params=state.store.flat.copy(), slices=state.store.directory(), adam=state.adam.copy(),
+                    rng_seed=seed, rng_words=state_words(state.gen),
+                    train_success=train_rate, test_success=test_rate,
+                ),
+            )
+            append_metrics(metrics_path, record)
         history.append(record)
         return should_stop is not None and should_stop(history)
 
     done = 0
     last_eval = 0
-    if evaluate(state.start_step, state.entry_rates):
+    # resumed in place: the log already ends with the checkpoint's record
+    logged = state.entry_rates is not None and os.path.exists(metrics_path)
+    logged = logged and [r.step for r in read_metrics(metrics_path)[-1:]] == [state.start_step]
+    if evaluate(state.start_step, state.entry_rates, logged):
         return history
     while done + unit <= cfg.total_steps:
         advance(state.start_step + done)

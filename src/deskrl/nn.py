@@ -27,6 +27,7 @@ minibatch that pointnet.encode_batch_trace() checked.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,6 +201,12 @@ def _activation_grad(fn: str, dY: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return dY
 
 
+@functools.lru_cache(maxsize=32)
+def _layers(spec: NetSpec, prefix: str) -> tuple[tuple[str, str, str], ...]:
+    """(W name, b name, activation) of each affine layer, built once per spec and prefix."""
+    return tuple((f"{prefix}.W{j}", f"{prefix}.b{j}", spec.activation(j)) for j in range(spec.depth))
+
+
 def forward_unchecked(
     store: ParamStore,
     spec: NetSpec,
@@ -217,12 +224,12 @@ def forward_unchecked(
     j's input and cache[j + 1] its activation's output, which is what
     backward_batch reads.
     """
-    for j in range(spec.depth):
+    for w, b, fn in _layers(spec, prefix):
         if cache is not None:
             cache.append(X)
-        X = X @ store.get(f"{prefix}.W{j}")
-        X += store.get(f"{prefix}.b{j}")
-        _activate(spec.activation(j), X)
+        X = X @ store.get(w)
+        X += store.get(b)
+        _activate(fn, X)
     if cache is not None:
         cache.append(X)
     return X

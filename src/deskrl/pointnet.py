@@ -34,10 +34,11 @@ policy.sample_actions() for rollouts) run their heads on those padded
 rows, so an action does not depend on the episodes that share its tick.
 The update encodes unpadded (encode_batch_trace).  The padded forward
 stays point-major: it reads only pooled values, so it pools the last
-layer's product with np.max, which costs about half of np.argmax over
-the strided point axis, and then adds the bias and applies the ReLU to
-the (B, F) pooled rows only.  A feature-major padded forward was no
-faster at 16 clouds (416 against 385 us).
+layer's product with np.maximum.reduce (np.max without its Python
+wrapper; 14 against np.argmax's 25 us over the strided point axis at 4
+clouds, 48 against 77 at 16, on a 2-vCPU Xeon), then adds the bias and
+applies the ReLU to the (B, F) pooled rows only.  A feature-major padded
+forward was no faster at 16 clouds (416 against 385 us).
 
 Inputs are checked where they enter.  PointCloudObs checks each
 observation's shapes and finiteness when an environment builds it.
@@ -60,6 +61,7 @@ gradients can tell the difference, the forward value is the max either way.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,7 +99,9 @@ class PointCloudObs:
             raise ShapeMismatchError(f"points must be (n, channels), got {self.points.shape}")
         if self.proprio.ndim != 1:
             raise ShapeMismatchError(f"proprio must be 1-D, got {self.proprio.shape}")
-        if not (np.isfinite(self.points).all() and np.isfinite(self.proprio).all()):
+        # .all()'s verdict without its Python wrapper, on every env step
+        if not (np.logical_and.reduce(np.isfinite(self.points), axis=None)
+                and np.logical_and.reduce(np.isfinite(self.proprio), axis=None)):
             raise NonFiniteError("observation contains non-finite values")
 
 
@@ -141,9 +145,10 @@ def build_encoder_spec(
     return EncoderSpec(proprio_width, per_point, post)
 
 
+@functools.lru_cache(maxsize=32)
 def _body(spec: EncoderSpec) -> nn.NetSpec:
     """The per-point net up to its last affine layer, whose input it gives;
-    only for a per-point net of more than one layer."""
+    only for a per-point net of more than one layer.  Built once per spec."""
     pp = spec.per_point
     return nn.NetSpec(pp.widths[:-1], pp.hidden, pp.hidden)
 
@@ -302,7 +307,7 @@ def encode_batch_padded(
 ) -> np.ndarray:
     """encode_batch() with the post net run on rows padded to a multiple of POST_ROW_MULTIPLE.
 
-    The per-point net runs point-major.  The pool takes np.max over the
+    The per-point net runs point-major.  The pool takes the max over the
     points of the last layer's product, before its bias and ReLU, which
     only the (B, F) pooled values get.  Rounded addition and the ReLU are
     monotone, so this has the bits of the max of relu(z + b) over the
@@ -327,7 +332,7 @@ def encode_batch_padded(
     z = _last_layer_input(store, spec, points.reshape(B * N, C)) @ store.get(f"{PER_POINT}.W{j}")
     x = np.empty((B + -B % POST_ROW_MULTIPLE, spec.post.in_width))
     pooled = x[:B, :F]
-    np.max(z.reshape(B, N, F), axis=1, out=pooled)
+    np.maximum.reduce(z.reshape(B, N, F), axis=1, out=pooled)
     pooled += store.get(f"{PER_POINT}.b{j}")
     np.maximum(pooled, 0.0, out=pooled)
     x[:B, F:] = proprio

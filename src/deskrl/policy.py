@@ -34,7 +34,9 @@ The padded forward behind mean_actions(), sample_actions() and
 state_values() checks no input values: PointCloudObs checked each
 observation when it was built (see pointnet).  The heads' outputs are
 checked instead, so non-finite parameters raise NonFiniteError before an
-action reaches an environment or a rollout buffer.
+action reaches an environment or a rollout buffer.  Each clamp and sum
+calls the ufunc that np.clip or np.sum calls, without their Python
+wrappers: the same bits, as no clamp bound is a signed zero.
 """
 
 from __future__ import annotations
@@ -114,7 +116,7 @@ def init_policy(
 
 def log_std_of(store: nn.ParamStore) -> np.ndarray:
     """The log-std row, clamped to the supported range."""
-    return np.clip(store.get("log_std")[0], LOG_STD_MIN, LOG_STD_MAX)
+    return np.minimum(np.maximum(store.get("log_std")[0], LOG_STD_MIN), LOG_STD_MAX)
 
 
 def log_std_grad_mask(store: nn.ParamStore) -> np.ndarray:
@@ -126,7 +128,7 @@ def log_std_grad_mask(store: nn.ParamStore) -> np.ndarray:
 def gaussian_logp(x: np.ndarray, mean: np.ndarray, log_std: np.ndarray) -> np.ndarray:
     """Diagonal-Gaussian log density; batched over leading axes of x/mean."""
     z = (x - mean) / np.exp(log_std)
-    return -0.5 * np.sum(z * z + 2.0 * log_std + _LOG_2PI, axis=-1)
+    return -0.5 * np.add.reduce(z * z + 2.0 * log_std + _LOG_2PI, axis=-1)
 
 
 def gaussian_entropy(log_std: np.ndarray) -> float:
@@ -161,7 +163,7 @@ def _head(store: nn.ParamStore, spec: PolicySpec, feat: np.ndarray, name: str) -
     like the encoder; the output is checked instead, so non-finite
     parameters raise here and never reach an action or a rollout."""
     out = nn.forward_unchecked(store, getattr(spec, name), feat, name)
-    if not np.isfinite(out).all():
+    if not np.logical_and.reduce(np.isfinite(out), axis=None):
         raise NonFiniteError(f"the policy's {name} head gave non-finite values")
     return out
 
@@ -187,7 +189,7 @@ def sample_actions(
     z = np.stack([gen.standard_normal(spec.action_dim) for gen in gens])
     raw = mean + np.exp(log_std) * z
     logp = gaussian_logp(raw, mean, log_std)
-    return ActionSample(np.clip(raw, -1.0, 1.0), raw, logp, value)
+    return ActionSample(np.minimum(np.maximum(raw, -1.0), 1.0), raw, logp, value)
 
 
 def sample_action(
@@ -217,7 +219,7 @@ def mean_actions(
     rows, and row k does not depend on the other observations.
     """
     mean = _head(store, spec, _padded_features(store, spec, obs), "mean")
-    return np.clip(mean[: len(obs)], -1.0, 1.0)
+    return np.minimum(np.maximum(mean[: len(obs)], -1.0), 1.0)
 
 
 def mean_action(store: nn.ParamStore, spec: PolicySpec, obs: PointCloudObs) -> np.ndarray:

@@ -131,6 +131,27 @@ class TestStreamIndices:
             bc.stream_indices(0, 50, 0, 50), bc.stream_indices(1, 50, 0, 50)
         )
 
+    def test_cached_permutations_equal_the_uncached_definition(self):
+        # each epoch's permutation is kept for the outer steps that read it;
+        # blocks straddle epoch boundaries, a resume starts mid-epoch with a
+        # cold cache, and another seed and size interleave with the run
+        def uncached(seed, M, start, count):
+            n_epochs = (start + count) // M + 1
+            perms = np.concatenate([make_generator(seed, "bc", "perm", e).permutation(M) for e in range(n_epochs)])
+            return perms[start : start + count]
+
+        M, S = 37, 16
+        bc._epoch_permutation.cache_clear()
+        for step in range(12):
+            assert np.array_equal(bc.stream_indices(3, M, step * S, S), uncached(3, M, step * S, S))
+            assert np.array_equal(bc.stream_indices(4, 29, step * S, S), uncached(4, 29, step * S, S))
+        bc._epoch_permutation.cache_clear()  # a resumed run's process starts cold
+        for step in range(7, 12):
+            assert np.array_equal(bc.stream_indices(3, M, step * S, S), uncached(3, M, step * S, S))
+        assert bc._epoch_permutation.cache_info().currsize <= 4
+        with pytest.raises(ValueError):
+            bc._epoch_permutation(3, M, 0)[0] = 0  # shared, so read-only
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ConfigError):
             bc.stream_indices(0, 0, 0, 4)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from deskrl import envs
+from deskrl import controllers, envs
 from deskrl.errors import (
     ConfigError,
     EmptyDatasetError,
@@ -203,6 +203,51 @@ def test_observations_are_fresh_arrays(task):
     for obs, points, proprio in kept:
         assert obs.points.tobytes() == points.tobytes()
         assert obs.proprio.tobytes() == proprio.tobytes()
+
+
+ARM_TASKS = ("reach2d", "pushbox2d")
+
+
+def arm_points_per_link(env, q0, q1):
+    """The arm's sample points a link at a time, 0.0 + t (x0 - 0.0) on link
+    0 and x0 + t (x0 + x1 - x0) on link 1, over np.array_split's halves of
+    the episode's offsets."""
+    x0, y0, x1, y1 = controllers.link_vectors2(q0, q1, env.geom)
+    t0, t1 = np.array_split(env._arm_ts.ravel(), 2)
+    link0 = np.stack([0.0 + t0 * (x0 - 0.0), 0.0 + t0 * (y0 - 0.0)], axis=1)
+    link1 = np.stack([x0 + t1 * (x0 + x1 - x0), y0 + t1 * (y0 + y1 - y0)], axis=1)
+    return np.concatenate([link0, link1])
+
+
+@pytest.mark.parametrize("task", ARM_TASKS)
+def test_arm_points_equal_the_per_link_formula(task):
+    env = envs.make_env(envs.make_config(task))
+    env.reset(4)
+    assert env.n_arm % 2 == 0
+    env._arm_ts[:, :2] = 0.0  # each link's start: t * x0 is -0.0 where x0 < 0, and 0.0 + -0.0 is 0.0
+    gen = make_generator(4, "arm", task)
+    for q0, q1 in gen.uniform(-3.1, 3.1, size=(200, 2)).tolist() + [(3.0, 0.5), (-2.0, 1.0)]:
+        env._arm_tip(q0, q1)
+        out = np.empty((env.n_arm, 2))
+        env._arm_points(out)
+        assert out.tobytes() == arm_points_per_link(env, q0, q1).tobytes()
+
+
+@pytest.mark.parametrize("task", ARM_TASKS)
+def test_clouds_and_tips_follow_the_current_state(task):
+    # the cloud reads the links and pushbox2d's _measure the tip of the last
+    # substep; both must be those of the state the step ends in
+    env = envs.make_env(envs.make_config(task))
+    gen = make_generator(6, "arm state", task)
+    obs = env.reset(6)
+    for _ in range(40):
+        q0, q1 = env.state.q.tolist()
+        assert obs.points[: env.n_arm, :2].tobytes() == arm_points_per_link(env, q0, q1).tobytes()
+        assert env._tip == env._arm_tip(q0, q1)
+        res = env.step(gen.uniform(-1.0, 1.0, size=2))
+        if res.done:
+            break
+        obs = res.obs
 
 
 def test_norm2_is_the_unfused_sum_of_squares():

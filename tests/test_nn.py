@@ -179,6 +179,20 @@ def test_cache_holds_each_layer_input_then_the_output(output):
         assert cache[j + 1].tobytes() == want.tobytes()
 
 
+def test_layer_lists_are_built_once_per_spec_and_prefix():
+    specs = [nn.NetSpec((3, 4, 2)), nn.NetSpec((3, 4, 2), hidden="tanh"), nn.NetSpec((3, 5, 4, 2), output="relu")]
+    seen = {}
+    for spec in specs:
+        for prefix in ("mean", "value", "enc.pp"):
+            layers = nn._layers(spec, prefix)
+            assert layers == tuple(
+                (f"{prefix}.W{j}", f"{prefix}.b{j}", spec.activation(j)) for j in range(spec.depth)
+            )
+            assert nn._layers(spec, prefix) is layers
+            seen[spec, prefix] = layers
+    assert len(set(seen.values())) == len(seen)  # no two specs or prefixes share a list
+
+
 def test_backward_accumulates():
     spec, store = build_net((4, 4, 1), "relu", "identity", 5)
     X = make_generator(5, "acc").normal(size=(2, 4))

@@ -404,6 +404,35 @@ def test_validation_rejects_bad_inputs():
         pointnet.EncoderSpec(8, nn.NetSpec((4, 12), output="relu"), nn.NetSpec((20, 4)))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["points", "proprio"])
+def test_observation_rejects_a_nonfinite_value_anywhere(field, value):
+    spec, _ = make_encoder(7)
+    good = random_obs(spec, make_generator(7, "finite"), 16)
+    pointnet.PointCloudObs(good.points, good.proprio)
+    for pos in np.ndindex(getattr(good, field).shape):
+        arrays = {"points": good.points.copy(), "proprio": good.proprio.copy()}
+        arrays[field][pos] = value
+        with pytest.raises(NonFiniteError):
+            pointnet.PointCloudObs(**arrays)
+
+
+def test_body_is_built_once_per_spec():
+    specs = [
+        make_encoder(0, per_point=(16, 32))[0],
+        make_encoder(0, per_point=(8, 16, 32))[0],
+        make_encoder(0, proprio_width=3, per_point=(8, 16, 32))[0],
+        make_encoder(0, per_point=(12, 32))[0],
+        pointnet.EncoderSpec(8, nn.NetSpec((5, 8, 16, 32), hidden="tanh", output="relu"), nn.NetSpec((40, 24))),
+    ]
+    bodies = [pointnet._body(spec) for spec in specs]
+    for spec, body in zip(specs, bodies):
+        pp = spec.per_point
+        assert body == nn.NetSpec(pp.widths[:-1], pp.hidden, pp.hidden)
+        assert pointnet._body(spec) is body
+    assert len(set(bodies)) == 4  # the two relu (8, 16, 32) nets have equal bodies, the others not
+
+
 @pytest.mark.parametrize("output", ["tanh", "identity"], ids=["tanh", "none"])
 def test_encoder_spec_requires_one_relu_tail(output):
     # the traced forward pools the last per-point layer before its bias and

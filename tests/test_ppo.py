@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from deskrl import nn, pointnet, policy as pol, ppo
+from deskrl import loop, nn, pointnet, policy as pol, ppo
 from deskrl.envs import make_config, make_env
 from deskrl.errors import ConfigError, NonFiniteError, ResumeError
 from deskrl.persistence import load_checkpoint, read_metrics
@@ -653,6 +653,31 @@ class TestTrainPPO:
         entry = load_checkpoint(str(tmp_path / "b" / "ckpt-00000080.ckpt"))
         assert entry.params.tobytes() == restore.params.tobytes()
         assert entry.rng_words.tobytes() == restore.rng_words.tobytes()
+
+    def test_resume_in_place_logs_each_step_once(self, tmp_path, monkeypatch):
+        # resumed into its own directory, whose log already ends with the
+        # checkpoint's step, a run neither logs that step again nor rewrites
+        # the checkpoint; its log then equals the uninterrupted run's
+        env_cfg = make_config("reach2d", horizon=40)
+
+        def run(total, out, resume=None):
+            cfg = small_cfg(samples_per_step=64, minibatch_size=32, total_steps=total, eval_period=64)
+            return ppo.train_ppo(cfg, env_cfg, seed=3, out_dir=str(tmp_path / out), resume=resume)
+
+        run(192, "full")
+        run(128, "run")
+        path = tmp_path / "run" / "ckpt-00000128.ckpt"
+        before = path.read_bytes()
+        saved = []
+        save = loop.save_checkpoint
+        monkeypatch.setattr(loop, "save_checkpoint", lambda p, ck: saved.append(ck.step) or save(p, ck))
+        history = run(64, "run", load_checkpoint(str(path)))
+        assert [r.step for r in history] == [128, 192]
+        assert saved == [192]
+        assert path.read_bytes() == before
+        logged = read_metrics(str(tmp_path / "run" / "metrics.csv"))
+        assert [r.step for r in logged] == [0, 64, 128, 192]
+        assert logged == read_metrics(str(tmp_path / "full" / "metrics.csv"))  # stamps aside
 
     def test_resume_rejects_another_seed(self, tmp_path):
         # the stored rates were measured on that seed's panels
