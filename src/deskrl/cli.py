@@ -112,8 +112,8 @@ def cmd_train_bc(args, resolved) -> None:
 def cmd_gen_demos(args, resolved) -> None:
     env_cfg = cfg_mod.env_config(resolved)
     section = resolved["demos"]
-    cfg_mod.write_manifest(args.out, "gen-demos", args.seed, resolved)
     demos = generate_demos(env_cfg, section["count"], section["keep_only_success"])
+    cfg_mod.write_manifest(args.out, "gen-demos", args.seed, resolved)
     path = os.path.join(args.out, section["out"])
     save_demos(path, env_cfg, demos)
     pairs = sum(d.actions.shape[0] for d in demos)
@@ -170,11 +170,10 @@ def cmd_eval(args, resolved) -> None:
         check_metrics_order(log_path, ckpt.step)
     except MetricsOrderError as exc:
         raise ConfigError(str(exc)) from None
-    cfg_mod.write_manifest(args.out, "eval", args.seed, resolved)
     spec = pol.build_policy_spec(env_cfg.task)
     store = ckpt.param_store()
-    episodes = section["episodes"]
-    train_rate, test_rate = pol.evaluate_policy(store, spec, env_cfg, episodes, args.seed)
+    train_rate, test_rate = pol.evaluate_policy(store, spec, env_cfg, section["episodes"], args.seed)
+    cfg_mod.write_manifest(args.out, "eval", args.seed, resolved)
     append_metrics(log_path, MetricsRecord(ckpt.step, train_rate, test_rate))
     shown = train_rate if section["split"] == "train" else test_rate
     print(f"{section['split']} success rate: {shown:.4f}")

@@ -31,12 +31,20 @@ OpenBLAS kernels and not on others, so its last bits depend on the machine;
 these do not.
 Episodes terminate at the first successful step or at the horizon.  A
 step's reward is the task's shaping term plus SUCCESS_BONUS if it succeeds.
+
+PPO rollouts, evaluation and demos step environments only through the
+lockstep driver run_lanes.  A lane is an environment, a seed source and a
+step budget.  It resets at its start, and after each episode end while it
+has steps and a seed left; it leaves when its budget is spent, or when an
+episode ends and no seed is left.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -198,9 +206,7 @@ class ToyEnv:
 
     def __init__(self, cfg: EnvConfig):
         self.cfg = cfg
-        self.t = 0
-        self._succeeded = False
-        self._started = False
+        self._open = False
 
     # -- per-task hooks -------------------------------------------------
     def _reset_scene(self, gen: np.random.Generator) -> None:
@@ -223,8 +229,7 @@ class ToyEnv:
     def reset(self, episode_seed: int) -> PointCloudObs:
         gen = make_generator("env", self.cfg.task, self.cfg.split, self.cfg.seed, int(episode_seed))
         self.t = 0
-        self._succeeded = False
-        self._started = True
+        self._open = True
         lo, hi = self.cfg.variant_range
         self.variant = float(gen.uniform(lo, hi))
         self._reset_scene(gen)
@@ -232,18 +237,16 @@ class ToyEnv:
         return PointCloudObs(points=self._cloud(), proprio=self._proprio())
 
     def step(self, action: np.ndarray) -> StepResult:
-        if not self._started:
-            raise ConfigError("step() before reset()")
-        if self.t >= self.cfg.horizon or self._succeeded:
-            raise ConfigError("episode is over; reset() the environment")
+        if not self._open:
+            raise ConfigError("no open episode to step; reset() the environment")
         self._integrate(self._command(action))  # the controller rejects a bad action before any state moves
         self.t += 1
         success, shaping = self._measure()
-        self._succeeded = self._succeeded or success
         reward = shaping + (SUCCESS_BONUS if success else 0.0)
-        done = self._succeeded or self.t >= self.cfg.horizon
+        done = success or self.t >= self.cfg.horizon
+        self._open = not done
         obs = PointCloudObs(points=self._cloud(), proprio=self._proprio())
-        return StepResult(obs, reward, done, self._succeeded)
+        return StepResult(obs, reward, done, success)
 
     def _command(self, action: np.ndarray) -> np.ndarray:
         return ctrl.pd_joint_delta_pos(action, self.state, self.gains, self.geom)
@@ -630,37 +633,58 @@ def proprio_width(task: str) -> int:
     return _ENV_CLASSES[task].proprio_width
 
 
+class Lane(NamedTuple):
+    """An environment of a lockstep, its episode seeds and its step budget."""
+
+    env: ToyEnv
+    seeds: Iterator[int]
+    budget: int
+
+
+def run_lanes(lanes: Sequence[Lane], act) -> Iterator[tuple[int, PointCloudObs, np.ndarray, StepResult]]:
+    """Step the lanes in lockstep; yield (lane index, observation, action,
+    result) per transition.  A lane resets to its next seed at its start,
+    and after each episode end while it has steps and a seed left; it
+    leaves when its budget is spent, or when an episode ends and no seed
+    is left.  Each tick calls act(live lanes' indices, their observations)
+    once, for one action per live lane, then steps each live lane once, in
+    lane order."""
+    obs = [lane.env.reset(next(lane.seeds)) for lane in lanes]
+    left = [lane.budget for lane in lanes]
+    live = list(range(len(lanes)))
+    while live:
+        ticking, live = live, []
+        for k, action in zip(ticking, act(ticking, [obs[k] for k in ticking])):
+            env, seeds, _ = lanes[k]
+            res = env.step(action)
+            yield k, obs[k], action, res
+            left[k] -= 1
+            seed = next(seeds, None) if res.done and left[k] else None
+            if left[k] and (seed is not None or not res.done):
+                obs[k] = res.obs if seed is None else env.reset(seed)
+                live.append(k)
+
+
 def generate_demos(cfg: EnvConfig, n_episodes: int, keep_only_success: bool = True) -> list[DemoTrajectory]:
-    """Run the scripted expert for n_episodes; optionally keep successes only."""
+    """The scripted expert on n_episodes seeds of the demo stream, one lane
+    each; the demos (optionally successes only) are kept in seed order."""
     if n_episodes < 1:
         raise ConfigError("n_episodes must be at least 1")
-    env = make_env(cfg)
     gen = make_generator("demos", cfg.task, cfg.split, cfg.seed)
-    demos: list[DemoTrajectory] = []
-    for _ in range(n_episodes):
-        obs = env.reset(next_episode_seed(gen))
-        points, proprios, actions = [], [], []
-        success = False
-        while True:
-            action = env.expert_action()
-            points.append(obs.points)
-            proprios.append(obs.proprio)
-            actions.append(action)
-            result = env.step(action)
-            obs = result.obs
-            if result.done:
-                success = result.success
-                break
-        if keep_only_success and not success:
-            continue
-        demos.append(
-            DemoTrajectory(
-                points=np.stack(points),
-                proprios=np.stack(proprios),
-                actions=np.stack(actions),
-                success=success,
-            )
-        )
+    lanes = [Lane(make_env(cfg), iter((next_episode_seed(gen),)), cfg.horizon) for _ in range(n_episodes)]
+    # each lane fills arrays that double when full, and keeps a copy of the
+    # filled rows: a few arrays per lane, not one per step, so memory is reused
+    shapes = ((N_POINTS, POINT_DIM + FEAT_CHANNELS), (proprio_width(cfg.task),), (ACTION_DIM,))
+    episodes = [tuple(np.empty((32, *shape)) for shape in shapes) for _ in lanes]
+    for k, obs, action, res in run_lanes(lanes, lambda live, _: [lanes[k].env.expert_action() for k in live]):
+        t = lanes[k].env.t - 1
+        if t == len(episodes[k][0]):
+            episodes[k] = tuple(np.concatenate((rows, np.empty_like(rows))) for rows in episodes[k])
+        for rows, row in zip(episodes[k], (obs.points, obs.proprio, action)):
+            rows[t] = row
+        if res.done:
+            episodes[k] = DemoTrajectory(*(rows[: t + 1].copy() for rows in episodes[k]), res.success)
+    demos = [demo for demo in episodes if demo.success or not keep_only_success]
     if not demos:
         raise EmptyDatasetError(
             f"no successful episodes among {n_episodes} on {cfg.task}/{cfg.split}"

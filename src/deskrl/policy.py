@@ -15,20 +15,13 @@ sample.  The mean and value heads run on padded rows (see
 pointnet.encode_batch_padded), so row k's bits depend only on its
 observation, the parameters and its own generator, not on which rows
 share the call.
-Evaluation uses the clamped mean with no generator draws at all, so
-evaluation never perturbs a training stream.
 
-Evaluation runs both splits' seed panels in one lockstep: one
-environment per panel seed of the train and then the test split, one
-batched mean_actions() call over every live episode per tick, then one
-step of each; an episode drops out when it ends.  mean_actions() runs
-the mean head on rows padded to a fixed multiple (see
-pointnet.encode_batch_padded), so each action has the same bits whatever
-episodes share its tick: every episode of either panel equals that seed
-run alone, bit for bit, and the two rates equal those of two separate
-panels.  sample_action() and mean_action() make the batched calls
-on one observation; no shipped path calls them, and they stay for the
-benchmark under perfbench/, which looks them up by name.
+Evaluation runs one lane per panel seed of both splits (envs.run_lanes)
+on the clamped mean, with no generator draws, so it never perturbs a
+training stream, and every episode equals that seed run alone, bit for
+bit.  sample_action() and mean_action() make the batched calls on one
+observation; no shipped path calls them, and they stay for the benchmark
+under perfbench/, which looks them up by name.
 
 The padded forward behind mean_actions(), sample_actions() and
 state_values() checks no input values: PointCloudObs checked each
@@ -47,7 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import nn
-from .envs import ACTION_DIM, SPLITS, EnvConfig, make_env, proprio_width
+from .envs import ACTION_DIM, SPLITS, EnvConfig, Lane, make_env, proprio_width, run_lanes
 from .errors import ConfigError, NonFiniteError, ShapeMismatchError
 from .pointnet import (
     EncoderSpec,
@@ -238,20 +231,12 @@ def evaluate_policy(
     run in one lockstep; env_cfg's own split is not read."""
     if episodes < 1:
         raise ConfigError("evaluation needs at least one episode")
-    live = []
-    for split in SPLITS:
-        cfg = replace(env_cfg, split=split)
-        for seed in panel_seeds(run_seed, split, episodes):
-            env = make_env(cfg)
-            live.append((split, env, env.reset(seed)))
-    wins = dict.fromkeys(SPLITS, 0)
-    while live:
-        actions = mean_actions(store, spec, [obs for _, _, obs in live])
-        ticking, live = live, []
-        for (split, env, _), action in zip(ticking, actions):
-            res = env.step(action)
-            if res.done:
-                wins[split] += res.success
-            else:
-                live.append((split, env, res.obs))
-    return wins["train"] / episodes, wins["test"] / episodes
+    lanes = [
+        Lane(make_env(cfg), iter((seed,)), cfg.horizon)
+        for cfg in (replace(env_cfg, split=split) for split in SPLITS)
+        for seed in panel_seeds(run_seed, cfg.split, episodes)
+    ]
+    wins = [0, 0]
+    for k, _, _, res in run_lanes(lanes, lambda _, obs: mean_actions(store, spec, obs)):
+        wins[k // episodes] += res.success  # only an episode's last step succeeds
+    return wins[0] / episodes, wins[1] / episodes

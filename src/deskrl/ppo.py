@@ -11,14 +11,11 @@ order.  The run stream then serves the update's minibatch shuffles.
 Rollouts begin with fresh episodes at the rollout boundary, which keeps
 environment state out of checkpoints entirely.
 
-Lockstep: each lane is its own environment.  Each tick makes one batched
-policy.sample_actions() call over the live lanes, then steps each of them
-once.  Lane k takes S // K steps, plus one if k < S % K, and drops out of
-the tick once they are done.  The batched call gives each row the bits
-it has alone, so a lane's transitions equal that lane collected alone
-with the same lane stream, bit for bit.  The buffer holds the lanes one
-after another; each lane has its own bootstrap value, and compute_gae
-runs right to left within each lane.
+Lanes (envs.run_lanes) take lane_sizes() steps on endless seeds.  Each
+tick's actions come from one policy.sample_actions() call, which gives
+each row the bits it has alone, so a lane equals that lane collected
+alone, bit for bit.  The buffer holds the lanes one after another, each
+with its own bootstrap value; compute_gae runs right to left per lane.
 
 Ratio bookkeeping: the update's old log-probabilities are the ones the
 rollout recorded (RolloutBuffer.logps), with no second pass over the
@@ -30,11 +27,12 @@ first epoch's ratios equal one to rounding rather than bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import accumulate, repeat
 
 import numpy as np
 
 from . import loop, nn, pointnet, policy as pol
-from .envs import EnvConfig, make_env
+from .envs import N_POINTS, EnvConfig, Lane, make_env, run_lanes
 from .errors import ConfigError, NonFiniteError, require_finite_floats
 from .persistence import Checkpoint, MetricsRecord
 from .rng import next_episode_seed, substreams
@@ -125,51 +123,44 @@ def collect_lanes(
     sizes: list[int],
     gens: list[np.random.Generator],
 ) -> RolloutBuffer:
-    """Step one environment per lane in lockstep, lane k for sizes[k] steps
-    on stream gens[k], auto-resetting on done; sizes must not increase."""
-    sizes = list(sizes)
+    """Step one environment per lane in lockstep (envs.run_lanes), lane k
+    for sizes[k] steps on stream gens[k], which serves its episode seeds
+    and action noise."""
     K = len(sizes)
-    if not sizes or len(gens) != K or sizes[-1] < 1 or sizes != sorted(sizes, reverse=True):
-        raise ConfigError("need one stream per lane and non-increasing lane sizes of at least 1")
-    envs = [make_env(env_cfg) for _ in range(K)]
-    obs = [env.reset(next_episode_seed(gen)) for env, gen in zip(envs, gens)]
+    if not sizes or len(gens) != K or min(sizes) < 1:
+        raise ConfigError("need one stream per lane and lane sizes of at least 1")
+    lanes = [Lane(make_env(env_cfg), map(next_episode_seed, repeat(gen)), size) for gen, size in zip(gens, sizes)]
     samples = sum(sizes)
-    N, C = obs[0].points.shape
     A = spec.action_dim
-    points = np.empty((samples, N, C))
-    proprios = np.empty((samples, obs[0].proprio.shape[0]))
+    points = np.empty((samples, N_POINTS, spec.encoder.per_point.in_width))
+    proprios = np.empty((samples, spec.encoder.proprio_width))
     actions = np.empty((samples, A))
     raws = np.empty((samples, A))
     logps = np.empty(samples)
     rewards = np.empty(samples)
     values = np.empty(samples)
-    dones = np.zeros(samples)
-    starts = np.cumsum([0] + sizes[:-1])
-    live = K
-    for t in range(sizes[0]):
-        while sizes[live - 1] <= t:  # lanes are sorted, so the finished ones are last
-            live -= 1
-        s = pol.sample_actions(store, spec, obs[:live], gens[:live])
-        rows = starts[:live] + t
-        actions[rows] = s.action
-        raws[rows] = s.raw
-        logps[rows] = s.logp
-        values[rows] = s.value
-        for k in range(live):
-            row = rows[k]
-            res = envs[k].step(s.action[k])
-            points[row] = obs[k].points
-            proprios[row] = obs[k].proprio
-            rewards[row] = res.reward
-            if res.done:
-                dones[row] = 1.0
-                obs[k] = envs[k].reset(next_episode_seed(gens[k])) if t + 1 < sizes[k] else res.obs
-            else:
-                obs[k] = res.obs
-    bootstrap = np.zeros(K)
-    open_lanes = [k for k in range(K) if not dones[starts[k] + sizes[k] - 1]]
-    if open_lanes:
-        bootstrap[open_lanes] = pol.state_values(store, spec, [obs[k] for k in open_lanes])
+    dones = np.empty(samples)
+    rows = list(accumulate([0] + sizes[:-1]))  # each lane's next row
+    last = [None] * K  # each lane's latest StepResult
+
+    def act(live, obs):
+        s = pol.sample_actions(store, spec, obs, [gens[k] for k in live])
+        at = np.array([rows[k] for k in live])
+        actions[at] = s.action
+        raws[at] = s.raw
+        logps[at] = s.logp
+        values[at] = s.value
+        return s.action
+
+    for k, obs, _, res in run_lanes(lanes, act):
+        row = rows[k]
+        rows[k] = row + 1
+        points[row] = obs.points
+        proprios[row] = obs.proprio
+        rewards[row] = res.reward
+        dones[row] = res.done
+        last[k] = res
+    bootstrap = np.where([r.done for r in last], 0.0, pol.state_values(store, spec, [r.obs for r in last]))
     return RolloutBuffer(
         points, proprios, actions, raws, logps, rewards, values, dones, sizes, bootstrap
     )

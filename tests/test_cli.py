@@ -152,6 +152,14 @@ class TestGenDemos:
         assert "of 3 episodes" in stdout
 
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_a_count_below_one_is_refused_before_anything_is_written(self, tmp_path, capsys, count):
+        out = tmp_path / "d3"
+        assert main(["gen-demos", "--out", str(out), *TINY_ENV, "--set", f"demos.count={count}"]) == 1
+        assert "config error: n_episodes must be at least 1" in capsys.readouterr().err
+        assert not (out / "manifest.ini").exists()
+
+
 class TestTrainBC:
     def test_trains_from_bundle(self, workdir, capsys):
         out = str(workdir["root"] / "bc")
@@ -230,6 +238,16 @@ class TestEval:
         assert "runtime error" in captured.err and "line 3: expected 5 fields, got 2" in captured.err
         assert not (out / "manifest.ini").exists()
         assert log.read_bytes() == before
+
+    def test_no_episodes_are_refused_before_anything_is_written(self, workdir, tmp_path, capsys):
+        out = tmp_path / "e9"
+        rc = main([
+            "eval", "--out", str(out), *TINY_ENV,
+            "--set", f"eval.checkpoint={workdir['ckpt']}", "--set", "eval.episodes=0",
+        ])
+        assert rc == 1
+        assert "config error: evaluation needs at least one episode" in capsys.readouterr().err
+        assert not (out / "manifest.ini").exists()
 
     def test_train_split_selection(self, workdir, tmp_path, capsys):
         rc = main([

@@ -10,14 +10,15 @@ from deskrl.errors import (
     NonFiniteError,
     ShapeMismatchError,
 )
-from deskrl.rng import make_generator
+from deskrl.rng import make_generator, next_episode_seed
 
 ALL_SPLITS = [(t, s) for t in envs.TASKS for s in envs.SPLITS]
 
 
 def run_expert_episode(env, episode_seed):
-    """Drive one episode with the scripted expert; return (actions, results)."""
-    env.reset(episode_seed)
+    """Drive one episode with the scripted expert; return (observations,
+    actions, results), each observation the one its action was taken on."""
+    observations = [env.reset(episode_seed)]
     actions, results = [], []
     while True:
         a = env.expert_action()
@@ -25,14 +26,15 @@ def run_expert_episode(env, episode_seed):
         actions.append(a)
         results.append(res)
         if res.done:
-            return actions, results
+            return observations, actions, results
+        observations.append(res.obs)
 
 
 def expert_success_rate(task, split, n_episodes, base_seed=10_000):
     env = envs.make_env(envs.make_config(task, split, seed=0))
     wins = 0
     for i in range(n_episodes):
-        _, results = run_expert_episode(env, base_seed + i)
+        _, _, results = run_expert_episode(env, base_seed + i)
         wins += results[-1].success
     return wins / n_episodes
 
@@ -408,7 +410,7 @@ def test_step_after_done_raises():
 
 def test_success_implies_done_and_bonus():
     env = envs.make_env(envs.make_config("reach2d"))
-    _, results = run_expert_episode(env, 10_000)
+    _, _, results = run_expert_episode(env, 10_000)
     final = results[-1]
     assert final.success and final.done
     # success pays +10 on top of a dense term no larger than dt * reach
@@ -439,7 +441,7 @@ def test_random_action_fuzz_stays_finite(task):
 def test_expert_actions_stay_in_box(task, split):
     env = envs.make_env(envs.make_config(task, split))
     for seed in range(5):
-        actions, _ = run_expert_episode(env, seed)
+        _, actions, _ = run_expert_episode(env, seed)
         for a in actions:
             assert np.all(np.abs(a) <= 1.0 + 1e-12)
             assert np.all(np.isfinite(a))
@@ -486,6 +488,24 @@ def test_generate_demos_deterministic():
     for da, db in zip(a, b):
         assert da.actions.tobytes() == db.actions.tobytes()
         assert da.points.tobytes() == db.points.tobytes()
+
+
+@pytest.mark.parametrize("task,split", ALL_SPLITS)
+def test_each_lockstep_demo_equals_its_seed_generated_alone(task, split):
+    # the episodes run side by side, one lane per seed of the demo stream;
+    # each must equal the expert on that seed alone, bit for bit, and the
+    # lanes end at different ticks, so the live set shrinks along the way
+    cfg = envs.make_config(task, split, seed=3)
+    demos = envs.generate_demos(cfg, 8, keep_only_success=False)
+    gen = make_generator("demos", task, split, 3)
+    assert len(demos) == 8
+    for demo in demos:
+        observations, actions, results = run_expert_episode(envs.make_env(cfg), next_episode_seed(gen))
+        assert demo.points.tobytes() == np.stack([o.points for o in observations]).tobytes()
+        assert demo.proprios.tobytes() == np.stack([o.proprio for o in observations]).tobytes()
+        assert demo.actions.tobytes() == np.stack(actions).tobytes()
+        assert demo.success == results[-1].success
+    assert len({len(demo.actions) for demo in demos}) > 1
 
 
 def test_generate_demos_reach2d_yield():

@@ -232,6 +232,31 @@ def test_file_bytes_are_unchanged(kind, tmp_path):
         assert _sha(fh.read()) == FILE_GOLDEN[kind]
 
 
+# SHA-256 over two 25-episode demo bundles per task and split at the task
+# horizon, successes only and then every episode; pinned before demos ran
+# in lockstep, when each episode ran on its own
+DEMO_BUNDLE_GOLDEN = {
+    "reach2d-train": "c241f0545bd58332c2850b70792e602951382c1101ad4ba771998b9628e76f50",
+    "reach2d-test": "800f516f86fd5d1088040cf21062122472a45aaf344d290bea6d4b9b73c3a31c",
+    "pushbox2d-train": "0de95089fdc9bf629e58ea054989ce003bb85ab43153f8b24ce6cce2c35bea4c",
+    "pushbox2d-test": "baf08dd08bc1bb951e0793fe36b6a34e024fde782d5a7df14089ba1bfbb4971a",
+    "gather2d-train": "f335c4b909253ec6a6b15e44d5a93e1c31ec3db954b12bf91f4e7d0e89822f91",
+    "gather2d-test": "4803211822297975fdec19b20e2dd8c861dab24e73f9af2253ae4259d81bf25c",
+}
+
+
+@pytest.mark.parametrize("task,split", [(t, s) for t in TASKS for s in SPLITS])
+def test_larger_demo_bundles_are_unchanged(task, split, tmp_path):
+    env_cfg = make_config(task, split)
+    path = str(tmp_path / "demos.bin")
+    h = hashlib.sha256()
+    for keep in (True, False):
+        save_demos(path, env_cfg, generate_demos(env_cfg, 25, keep_only_success=keep))
+        with open(path, "rb") as fh:
+            h.update(fh.read())
+    assert h.hexdigest() == DEMO_BUNDLE_GOLDEN[f"{task}-{split}"]
+
+
 TRANSITION_GOLDEN = {
     "reach2d-train": "8e8910c00ff451bb76a9692cf74650cda0c6627fc97cffd9736d153a306b6087",
     "reach2d-test": "6f4a29449d6a4c1dfa650a1f932cc3fed0e5d972e9b455a02d4d47018dd69850",

@@ -206,13 +206,29 @@ class TestLockstep:
         episode_ends = {tuple(np.flatnonzero(buf.dones[a : a + n])) for a, n in zip(starts, sizes)}
         assert len(episode_ends) > 1  # the lanes do not move as one
 
-    def test_rejects_lanes_that_grow(self):
+    def test_lanes_of_any_size_order_equal_each_lane_alone(self):
+        # a lane leaves the lockstep when its budget is spent, wherever it
+        # stands: a longer lane after a shorter one runs on past it
+        store, spec = fresh_policy()
+        cfg = make_config("reach2d", horizon=4)
+        sizes = [3, 9, 1, 6]
+        buf = ppo.collect_lanes(store, spec, cfg, sizes, [make_generator(0, k) for k in range(4)])
+        assert buf.lane_sizes == sizes and buf.size == sum(sizes)
+        starts = np.cumsum([0] + sizes[:-1])
+        for k, (start, size) in enumerate(zip(starts, sizes)):
+            alone = ppo.collect_lanes(store, spec, cfg, [size], [make_generator(0, k)])
+            for field in _LANE_FIELDS:
+                got = getattr(buf, field)[start : start + size]
+                assert got.tobytes() == getattr(alone, field).tobytes(), (k, field)
+            assert buf.bootstrap_values[k : k + 1].tobytes() == alone.bootstrap_values.tobytes(), k
+
+    def test_rejects_a_lane_without_a_stream_or_a_step(self):
         store, spec = fresh_policy()
         gens = [make_generator(0, k) for k in range(2)]
         with pytest.raises(ConfigError):
-            ppo.collect_lanes(store, spec, make_config("reach2d"), [3, 4], gens)
-        with pytest.raises(ConfigError):
             ppo.collect_lanes(store, spec, make_config("reach2d"), [3], gens)
+        with pytest.raises(ConfigError):
+            ppo.collect_lanes(store, spec, make_config("reach2d"), [3, 0], gens)
 
 
 def synthetic_buffer(S, seed, dones_at=(), lanes=None):
