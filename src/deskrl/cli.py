@@ -15,7 +15,7 @@ import argparse
 import os
 import sys
 
-from . import bc as bc_mod, config as cfg_mod, policy as pol, ppo as ppo_mod, twostage as ts
+from . import bc as bc_mod, config as cfg_mod, policy as pol, twostage as ts
 from .envs import generate_demos
 from .errors import ConfigError, DeskRLError, MetricsOrderError
 from .persistence import (
@@ -73,17 +73,14 @@ def _require_path(value: str, key: str) -> str:
     return value
 
 
-def _load_dataset(resolved: dict) -> bc_mod.DemoDataset:
-    path = _require_path(resolved["bc"]["demos"], "bc.demos")
-    meta, trajectories = load_demos(path)
-    return bc_mod.DemoDataset.from_trajectories(trajectories, str(meta["fingerprint"]))
-
-
 def _build_trainer(kind: str, resolved: dict, env_cfg) -> ts.Trainer:
     if kind == "ppo":
         return ts.ppo_trainer(cfg_mod.ppo_config(resolved), env_cfg)
     if kind == "bc":
-        return ts.bc_trainer(cfg_mod.bc_config(resolved), _load_dataset(resolved), env_cfg)
+        run_cfg = cfg_mod.bc_config(resolved)
+        meta, trajectories = load_demos(_require_path(resolved["bc"]["demos"], "bc.demos"))
+        dataset = bc_mod.DemoDataset.from_trajectories(trajectories, str(meta["fingerprint"]))
+        return ts.bc_trainer(run_cfg, dataset, env_cfg)
     raise ConfigError(f"trainer must be ppo or bc, got {kind!r}")
 
 
@@ -94,24 +91,16 @@ def _report(history) -> None:
 
 def cmd_train(args, resolved) -> None:
     env_cfg = cfg_mod.env_config(resolved)
-    run_cfg = cfg_mod.ppo_config(resolved)
-    cfg_mod.write_manifest(args.out, "train", args.seed, resolved)
-    history = ppo_mod.train_ppo(run_cfg, env_cfg, args.seed, args.out)
-    _report(history)
-
-
-def cmd_train_bc(args, resolved) -> None:
-    env_cfg = cfg_mod.env_config(resolved)
-    run_cfg = cfg_mod.bc_config(resolved)
-    dataset = _load_dataset(resolved)
-    cfg_mod.write_manifest(args.out, "train-bc", args.seed, resolved)
-    history = bc_mod.train_bc(run_cfg, dataset, env_cfg, args.seed, args.out)
-    _report(history)
+    trainer = _build_trainer("ppo" if args.command == "train" else "bc", resolved, env_cfg)
+    cfg_mod.write_manifest(args.out, args.command, args.seed, resolved)
+    _report(trainer.run(trainer.base_cfg, seed=args.seed, out_dir=args.out))
 
 
 def cmd_gen_demos(args, resolved) -> None:
     env_cfg = cfg_mod.env_config(resolved)
     section = resolved["demos"]
+    if section["count"] < 1:
+        raise ConfigError(f"demos.count must be at least 1, got {section['count']}")
     demos = generate_demos(env_cfg, section["count"], section["keep_only_success"])
     cfg_mod.write_manifest(args.out, "gen-demos", args.seed, resolved)
     path = os.path.join(args.out, section["out"])
@@ -162,6 +151,8 @@ def cmd_eval(args, resolved) -> None:
     section = resolved["eval"]
     if section["split"] not in ("train", "test"):
         raise ConfigError(f"eval.split must be train or test, got {section['split']!r}")
+    if section["episodes"] < 1:
+        raise ConfigError(f"eval.episodes must be at least 1, got {section['episodes']}")
     ckpt = load_checkpoint(_require_path(section["checkpoint"], "eval.checkpoint"))
     if ckpt.env_fingerprint != env_cfg.fingerprint():
         raise ConfigError("checkpoint was trained on a different environment than [run] describes")
@@ -191,7 +182,7 @@ def cmd_export(args, resolved) -> None:
 
 _HANDLERS = {
     "train": cmd_train,
-    "train-bc": cmd_train_bc,
+    "train-bc": cmd_train,
     "gen-demos": cmd_gen_demos,
     "two-stage": cmd_two_stage,
     "grid": cmd_grid,

@@ -36,7 +36,10 @@ PPO rollouts, evaluation and demos step environments only through the
 lockstep driver run_lanes.  A lane is an environment, a seed source and a
 step budget.  It resets at its start, and after each episode end while it
 has steps and a seed left; it leaves when its budget is spent, or when an
-episode ends and no seed is left.
+episode ends and no seed is left.  A rollout runs at most MAX_LANES lanes.
+Demo generation draws all its seeds first and runs them in consecutive
+chunks of at most MAX_LANES, one lane per seed, so its memory does not
+grow with the episode count.  Evaluation runs one lane per panel seed.
 """
 
 from __future__ import annotations
@@ -633,6 +636,17 @@ def proprio_width(task: str) -> int:
     return _ENV_CLASSES[task].proprio_width
 
 
+# lanes of one run_lanes call at most, for PPO rollouts (ppo.lane_sizes)
+# and for each chunk of demo generation, so demo memory does not grow with
+# the episode count.  The batched forward (policy.mean_actions on
+# pushbox2d, an AVX-512 Xeon, one BLAS thread, perfbench's malloc
+# thresholds, fastest of seven timings) costs about 46 us per cloud at 1
+# cloud, 13-14 at 16, 13 at 32 and 13-14 at 40, with no cliff past 16; a
+# larger K would cut a rollout's forward calls, but K fixes each rollout
+# lane's stream and length, so changing it moves every PPO digest
+MAX_LANES = 16
+
+
 class Lane(NamedTuple):
     """An environment of a lockstep, its episode seeds and its step budget."""
 
@@ -666,25 +680,23 @@ def run_lanes(lanes: Sequence[Lane], act) -> Iterator[tuple[int, PointCloudObs, 
 
 
 def generate_demos(cfg: EnvConfig, n_episodes: int, keep_only_success: bool = True) -> list[DemoTrajectory]:
-    """The scripted expert on n_episodes seeds of the demo stream, one lane
-    each; the demos (optionally successes only) are kept in seed order."""
+    """The scripted expert on n_episodes seeds of the demo stream, drawn up
+    front and run MAX_LANES at a time, one lane each; the demos (optionally
+    successes only) are kept in seed order."""
     if n_episodes < 1:
         raise ConfigError("n_episodes must be at least 1")
     gen = make_generator("demos", cfg.task, cfg.split, cfg.seed)
-    lanes = [Lane(make_env(cfg), iter((next_episode_seed(gen),)), cfg.horizon) for _ in range(n_episodes)]
-    # each lane fills arrays that double when full, and keeps a copy of the
-    # filled rows: a few arrays per lane, not one per step, so memory is reused
-    shapes = ((N_POINTS, POINT_DIM + FEAT_CHANNELS), (proprio_width(cfg.task),), (ACTION_DIM,))
-    episodes = [tuple(np.empty((32, *shape)) for shape in shapes) for _ in lanes]
-    for k, obs, action, res in run_lanes(lanes, lambda live, _: [lanes[k].env.expert_action() for k in live]):
-        t = lanes[k].env.t - 1
-        if t == len(episodes[k][0]):
-            episodes[k] = tuple(np.concatenate((rows, np.empty_like(rows))) for rows in episodes[k])
-        for rows, row in zip(episodes[k], (obs.points, obs.proprio, action)):
-            rows[t] = row
-        if res.done:
-            episodes[k] = DemoTrajectory(*(rows[: t + 1].copy() for rows in episodes[k]), res.success)
-    demos = [demo for demo in episodes if demo.success or not keep_only_success]
+    seeds = [next_episode_seed(gen) for _ in range(n_episodes)]
+    demos = []
+    for lo in range(0, n_episodes, MAX_LANES):
+        lanes = [Lane(make_env(cfg), iter((seed,)), cfg.horizon) for seed in seeds[lo : lo + MAX_LANES]]
+        # each lane's (points, proprio, action) steps, stacked when its episode ends
+        episodes = [[] for _ in lanes]
+        for k, obs, action, res in run_lanes(lanes, lambda live, _: [lanes[k].env.expert_action() for k in live]):
+            episodes[k].append((obs.points, obs.proprio, action))
+            if res.done:
+                episodes[k] = DemoTrajectory(*map(np.stack, zip(*episodes[k])), res.success)
+        demos += [demo for demo in episodes if demo.success or not keep_only_success]
     if not demos:
         raise EmptyDatasetError(
             f"no successful episodes among {n_episodes} on {cfg.task}/{cfg.split}"

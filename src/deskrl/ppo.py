@@ -4,7 +4,8 @@ Determinism contract: one training run owns a single Philox stream, the
 run stream; checkpoints capture its state words, so a resumed run replays
 the exact draw sequence of an uninterrupted one.  A rollout of S samples
 steps K = min(MAX_LANES, max(1, S // horizon)) lanes side by side, so each
-lane is at least one horizon long.  At the rollout start, lane k's own
+lane is at least one horizon long; MAX_LANES lives in envs, whose demo
+generation it bounds too.  At the rollout start, lane k's own
 Philox stream is keyed by one draw from the run stream (rng.substreams);
 it serves that lane's episode seeds and action noise, in that interleaved
 order.  The run stream then serves the update's minibatch shuffles.
@@ -32,7 +33,7 @@ from itertools import accumulate, repeat
 import numpy as np
 
 from . import loop, nn, pointnet, policy as pol
-from .envs import N_POINTS, EnvConfig, Lane, make_env, run_lanes
+from .envs import MAX_LANES, N_POINTS, EnvConfig, Lane, make_env, run_lanes
 from .errors import ConfigError, NonFiniteError, require_finite_floats
 from .persistence import Checkpoint, MetricsRecord
 from .rng import next_episode_seed, substreams
@@ -73,15 +74,6 @@ class PPOConfig:
             raise ConfigError("need a positive learning rate and non-negative budget")
         if self.value_coef < 0.0 or self.entropy_coef < 0.0:
             raise ConfigError("loss coefficients cannot be negative")
-
-
-# lanes per rollout at most.  The batched forward (policy.mean_actions on
-# pushbox2d, an AVX-512 Xeon, one BLAS thread, perfbench's malloc
-# thresholds, fastest of seven timings) costs about 46 us per cloud at 1
-# cloud, 13-14 at 16, 13 at 32 and 13-14 at 40, with no cliff past 16; a
-# larger K would cut a rollout's forward calls, but K fixes each lane's
-# stream and length, so changing it moves every PPO digest
-MAX_LANES = 16
 
 
 @dataclass

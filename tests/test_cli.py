@@ -156,7 +156,7 @@ class TestGenDemos:
     def test_a_count_below_one_is_refused_before_anything_is_written(self, tmp_path, capsys, count):
         out = tmp_path / "d3"
         assert main(["gen-demos", "--out", str(out), *TINY_ENV, "--set", f"demos.count={count}"]) == 1
-        assert "config error: n_episodes must be at least 1" in capsys.readouterr().err
+        assert f"config error: demos.count must be at least 1, got {count}" in capsys.readouterr().err
         assert not (out / "manifest.ini").exists()
 
 
@@ -246,7 +246,7 @@ class TestEval:
             "--set", f"eval.checkpoint={workdir['ckpt']}", "--set", "eval.episodes=0",
         ])
         assert rc == 1
-        assert "config error: evaluation needs at least one episode" in capsys.readouterr().err
+        assert "config error: eval.episodes must be at least 1, got 0" in capsys.readouterr().err
         assert not (out / "manifest.ini").exists()
 
     def test_train_split_selection(self, workdir, tmp_path, capsys):
@@ -402,16 +402,19 @@ class TestGrid:
 
 
 class TestModuleEntry:
+    # the child finds deskrl under src/ without an install, as pytest does
+    ENV = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")}
+
     def test_module_runs_as_script(self):
         proc = subprocess.run(
-            [sys.executable, "-m", "deskrl.cli"], capture_output=True, text=True
+            [sys.executable, "-m", "deskrl.cli"], capture_output=True, text=True, env=self.ENV
         )
         assert proc.returncode == 1
         assert "usage" in proc.stderr
 
     def test_help_exits_zero(self):
         proc = subprocess.run(
-            [sys.executable, "-m", "deskrl.cli", "--help"], capture_output=True, text=True
+            [sys.executable, "-m", "deskrl.cli", "--help"], capture_output=True, text=True, env=self.ENV
         )
         assert proc.returncode == 0
         assert "train" in proc.stdout

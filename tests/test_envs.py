@@ -508,6 +508,29 @@ def test_each_lockstep_demo_equals_its_seed_generated_alone(task, split):
     assert len({len(demo.actions) for demo in demos}) > 1
 
 
+def test_demo_generation_runs_at_most_max_lanes_at_once(monkeypatch):
+    # 2 * MAX_LANES + 1 seeds run as chunks of MAX_LANES, MAX_LANES and 1
+    # lanes, and give the demos of an unwrapped call, in the same seed order
+    cfg = envs.make_config("reach2d", seed=5, horizon=12)
+    n = 2 * envs.MAX_LANES + 1
+    expected = envs.generate_demos(cfg, n, keep_only_success=False)
+    run_lanes, calls = envs.run_lanes, []
+
+    def counting_run_lanes(lanes, act):
+        calls.append(len(lanes))
+        return run_lanes(lanes, act)
+
+    monkeypatch.setattr(envs, "run_lanes", counting_run_lanes)
+    demos = envs.generate_demos(cfg, n, keep_only_success=False)
+    assert calls and max(calls) <= envs.MAX_LANES and sum(calls) == n
+    assert len(demos) == len(expected) == n
+    for got, want in zip(demos, expected):
+        assert got.points.tobytes() == want.points.tobytes()
+        assert got.proprios.tobytes() == want.proprios.tobytes()
+        assert got.actions.tobytes() == want.actions.tobytes()
+        assert got.success == want.success
+
+
 def test_generate_demos_reach2d_yield():
     demos = envs.generate_demos(envs.make_config("reach2d"), 200)
     assert len(demos) >= 190
