@@ -3,12 +3,16 @@
 The sampler is positional: sample n of the run (counting from zero,
 across the whole run, not per call) lives at position n mod M of the
 permutation for epoch n div M, and each epoch's permutation is derived
-from (seed, "bc", "perm", epoch) alone.  The stream position is
-therefore a pure function of the step counter, so a resumed run reads
-the exact samples an uninterrupted one would, without the checkpoint
-having to carry sampler state.  Outer steps consume a fixed block of S
-samples, which is what stage-two fine-tuning rescales, and a block may
-straddle an epoch boundary (tail of one permutation, head of the next).
+from (seed, "bc", "perm", epoch) alone.  Outer step k reads the block of
+S samples from position k*S, so a block may straddle an epoch boundary
+(tail of one permutation, head of the next).  The stream position is
+therefore a pure function of the step counter and S: a run resumed at
+the same S reads the exact samples an uninterrupted one would, without
+the checkpoint having to carry sampler state.  Stage-two fine-tuning
+rescales S, and then this does not hold: a stage two resumed at step k
+with S1 < S0 starts at position k*S1, not at k*S0 where stage one
+stopped, and replays k*(S0 - S1) samples it has already seen (ROADMAP
+item 3, "BC sample stream").
 
 Only the mean head and the encoder receive gradients; the value head
 and the log-std vector are along for the ride so that the policy a BC

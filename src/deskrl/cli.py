@@ -198,7 +198,6 @@ def main(argv=None) -> int:
         if args.command is None:
             raise UsageError(f"{parser.format_usage()}{parser.prog}: a command is required")
         resolved = cfg_mod.resolve_config(args.config, args.overrides)
-        os.makedirs(args.out, exist_ok=True)
         _HANDLERS[args.command](args, resolved)
         return 0
     except UsageError as exc:

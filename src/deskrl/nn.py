@@ -20,9 +20,8 @@ forward_batch() and forward() check theirs and serve callers that pass
 raw arrays; no shipped path calls them, and they stay for the benchmark
 under perfbench/, which traces forward() by name.  forward_unchecked()
 is the same layer loop without the check, which every net of the policy
-runs through: the padded forward on observations that
-pointnet.PointCloudObs checked when they were built, the update on a
-minibatch that pointnet.encode_batch_trace() checked.
+runs through, on a batch that pointnet checked where its forward took
+it in.
 """
 
 from __future__ import annotations

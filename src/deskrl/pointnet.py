@@ -6,15 +6,16 @@ per-point MLP, features are max-pooled over the point axis, the pooled
 vector is concatenated with the proprioceptive vector, and a post MLP
 produces the final feature.  Both nets are nn.NetSpec MLPs.
 
-There is one forward computation, on (B, N, C) stacks of clouds,
-encode_batch_trace(), which training calls; encode_batch() returns its
-output and encode() runs one observation through it as a one-row
-batch.  No shipped path calls those two; they stay for the benchmark
-under perfbench/, which looks them up by name.  Each per-point layer is
-one BLAS matmul over all B*N points, and a point's output comes out with
-the same bits whatever points surround it: encode() is bit-identical
-under any permutation of a cloud's points and under duplication of
-existing points, which tests/test_pointnet.py pins.  Up to its last
+There are two forward computations on (B, N, C) stacks of clouds.
+encode_batch_trace() serves training: encode_batch() returns its output
+and encode() runs one observation through it as a one-row batch (no
+shipped path calls those two; they stay for the benchmark under
+perfbench/, which looks them up by name).  encode_batch_padded() serves
+inference.  Each per-point layer is one BLAS matmul over all B*N points,
+and a point's output comes out with the same bits whatever points
+surround it: encode() is bit-identical under any permutation of a
+cloud's points and under duplication of existing points, which
+tests/test_pointnet.py pins.  Up to its last
 affine layer (the body, widths[:-1]) the per-point net runs point-major,
 one (B*N, width) row per point.  The last layer, whose activation is a
 ReLU, runs its product feature-major: W.T @ H.T fills an (F, B*N) array
@@ -40,14 +41,11 @@ clouds, 48 against 77 at 16, on a 2-vCPU Xeon), then adds the bias and
 applies the ReLU to the (B, F) pooled rows only.  A feature-major padded
 forward was no faster at 16 clouds (416 against 385 us).
 
-Inputs are checked where they enter.  PointCloudObs checks each
-observation's shapes and finiteness when an environment builds it.
-encode(), encode_batch() and encode_batch_trace() serve training and
-callers that pass raw arrays: they check their points and proprio once,
-on entry, and run both nets through nn.forward_unchecked(), as the PPO
-and BC losses run their heads before checking the loss finite.
-encode_batch_padded(), the policy's inference path, checks shapes only,
-relying on PointCloudObs for the values.
+A PointCloudObs is its two arrays and checks nothing.  Each forward
+checks its batch once, on entry (_check_batch: shapes, a cloud of at
+least one point, finite values), and runs both nets through
+nn.forward_unchecked(), as the PPO and BC losses run their heads before
+checking the loss finite.
 
 The max-pool's gradient reaches only the point each feature pooled from,
 so encode_batch_backward() runs the per-point net backward through the
@@ -63,6 +61,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,24 +84,12 @@ FEAT_CHANNELS = 3
 PER_POINT, POST = "enc.pp", "enc.post"
 
 
-@dataclass
-class PointCloudObs:
-    """One observation: (n_points, POINT_DIM + FEAT_CHANNELS) and (proprio_width,)."""
+class PointCloudObs(NamedTuple):
+    """One observation: (n_points, POINT_DIM + FEAT_CHANNELS) and
+    (proprio_width,) float64 arrays, unchecked until a forward takes them in."""
 
     points: np.ndarray
     proprio: np.ndarray
-
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=np.float64)
-        self.proprio = np.asarray(self.proprio, dtype=np.float64)
-        if self.points.ndim != 2 or self.points.shape[0] < 1:
-            raise ShapeMismatchError(f"points must be (n, channels), got {self.points.shape}")
-        if self.proprio.ndim != 1:
-            raise ShapeMismatchError(f"proprio must be 1-D, got {self.proprio.shape}")
-        # .all()'s verdict without its Python wrapper, on every env step
-        if not (np.logical_and.reduce(np.isfinite(self.points), axis=None)
-                and np.logical_and.reduce(np.isfinite(self.proprio), axis=None)):
-            raise NonFiniteError("observation contains non-finite values")
 
 
 @dataclass(frozen=True)
@@ -179,20 +166,23 @@ class EncodeBatchCache:
 
 
 def _check_batch(
-    spec: EncoderSpec, points: np.ndarray, proprio: np.ndarray, finite: bool = True
+    spec: EncoderSpec, points: np.ndarray, proprio: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Shapes, and with `finite` values: the one check before the nets run unchecked."""
+    """Shapes, a cloud of at least one point, and finite values: the one
+    check before the nets run unchecked."""
     points = np.asarray(points, dtype=np.float64)
     proprio = np.asarray(proprio, dtype=np.float64)
-    if points.ndim != 3 or points.shape[2] != spec.per_point.in_width:
+    if points.ndim != 3 or points.shape[1] < 1 or points.shape[2] != spec.per_point.in_width:
         raise ShapeMismatchError(
-            f"expected points (batch, n, {spec.per_point.in_width}), got {points.shape}"
+            f"expected points (batch, n >= 1, {spec.per_point.in_width}), got {points.shape}"
         )
     if proprio.shape != (points.shape[0], spec.proprio_width):
         raise ShapeMismatchError(
             f"expected proprio ({points.shape[0]}, {spec.proprio_width}), got {proprio.shape}"
         )
-    if finite and not (np.isfinite(points).all() and np.isfinite(proprio).all()):
+    # .all()'s verdict without its Python wrapper, once per tick on inference
+    if not (np.logical_and.reduce(np.isfinite(points), axis=None)
+            and np.logical_and.reduce(np.isfinite(proprio), axis=None)):
         raise NonFiniteError("batch contains non-finite points or proprio")
     return points, proprio
 
@@ -319,13 +309,8 @@ def encode_batch_padded(
     are written into one post-net input array.  Returns every padded row;
     the first B are the batch's.  A head run on all of them gives row b
     the same bits at any B (see the module docstring).
-
-    Shapes are checked, values are not: this is the policy's inference
-    path, whose observations PointCloudObs checked when they were built,
-    and both nets run through nn.forward_unchecked().  Non-finite values
-    pass through to the output.
     """
-    points, proprio = _check_batch(spec, points, proprio, finite=False)
+    points, proprio = _check_batch(spec, points, proprio)
     B, N, C = points.shape
     F = spec.feature_dim
     j = spec.per_point.depth - 1

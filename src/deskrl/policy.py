@@ -24,12 +24,12 @@ observation; no shipped path calls them, and they stay for the benchmark
 under perfbench/, which looks them up by name.
 
 The padded forward behind mean_actions(), sample_actions() and
-state_values() checks no input values: PointCloudObs checked each
-observation when it was built (see pointnet).  The heads' outputs are
-checked instead, so non-finite parameters raise NonFiniteError before an
-action reaches an environment or a rollout buffer.  Each clamp and sum
-calls the ufunc that np.clip or np.sum calls, without their Python
-wrappers: the same bits, as no clamp bound is a signed zero.
+state_values() checks each call's stacked observations once, on entry
+(see pointnet).  The heads' outputs are checked too, so non-finite
+parameters raise NonFiniteError before an action reaches an environment
+or a rollout buffer.  Each clamp and sum calls the ufunc that np.clip or
+np.sum calls, without their Python wrappers: the same bits, as no clamp
+bound is a signed zero.
 """
 
 from __future__ import annotations
@@ -153,7 +153,7 @@ def _padded_features(store: nn.ParamStore, spec: PolicySpec, obs: Sequence[Point
 
 def _head(store: nn.ParamStore, spec: PolicySpec, feat: np.ndarray, name: str) -> np.ndarray:
     """The "mean" or "value" head on the encoder's padded rows, unchecked
-    like the encoder; the output is checked instead, so non-finite
+    like the encoder's nets; the output is checked, so non-finite
     parameters raise here and never reach an action or a rollout."""
     out = nn.forward_unchecked(store, getattr(spec, name), feat, name)
     if not np.logical_and.reduce(np.isfinite(out), axis=None):

@@ -82,8 +82,7 @@ class RolloutBuffer:
 
     points: np.ndarray  # (S, N, C) observation clouds
     proprios: np.ndarray  # (S, P)
-    actions: np.ndarray  # (S, A) clamped, as executed (replayable)
-    raw_actions: np.ndarray  # (S, A) pre-clamp samples the densities refer to
+    raw_actions: np.ndarray  # (S, A) pre-clamp samples; the env ran their clamp to [-1, 1]
     logps: np.ndarray  # (S,) collection-time log-probabilities
     rewards: np.ndarray  # (S,)
     values: np.ndarray  # (S,)
@@ -123,11 +122,9 @@ def collect_lanes(
         raise ConfigError("need one stream per lane and lane sizes of at least 1")
     lanes = [Lane(make_env(env_cfg), map(next_episode_seed, repeat(gen)), size) for gen, size in zip(gens, sizes)]
     samples = sum(sizes)
-    A = spec.action_dim
     points = np.empty((samples, N_POINTS, spec.encoder.per_point.in_width))
     proprios = np.empty((samples, spec.encoder.proprio_width))
-    actions = np.empty((samples, A))
-    raws = np.empty((samples, A))
+    raws = np.empty((samples, spec.action_dim))
     logps = np.empty(samples)
     rewards = np.empty(samples)
     values = np.empty(samples)
@@ -138,7 +135,6 @@ def collect_lanes(
     def act(live, obs):
         s = pol.sample_actions(store, spec, obs, [gens[k] for k in live])
         at = np.array([rows[k] for k in live])
-        actions[at] = s.action
         raws[at] = s.raw
         logps[at] = s.logp
         values[at] = s.value
@@ -153,9 +149,7 @@ def collect_lanes(
         dones[row] = res.done
         last[k] = res
     bootstrap = np.where([r.done for r in last], 0.0, pol.state_values(store, spec, [r.obs for r in last]))
-    return RolloutBuffer(
-        points, proprios, actions, raws, logps, rewards, values, dones, sizes, bootstrap
-    )
+    return RolloutBuffer(points, proprios, raws, logps, rewards, values, dones, sizes, bootstrap)
 
 
 def collect_rollout(

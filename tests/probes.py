@@ -5,6 +5,7 @@ proprio and the controller, and replaces the reward.  A test registers
 one under the task name "reach2d" by patching envs._ENV_CLASSES, so the
 trainers run it through their usual calls and nothing in the package
 changes.  A probe never succeeds, so its episodes end at the horizon.
+The two-step probe also replaces the proprio's first entry.
 """
 
 from deskrl import envs
@@ -33,3 +34,18 @@ class FirstActionReward(envs.Reach2D):
     def _measure(self) -> tuple[bool, float]:
         super()._measure()
         return False, self._a0
+
+
+class SecondStepReward(envs.Reach2D):
+    """Reward 1 at step 2 only, and the step index as the proprio's first
+    entry, so the two states of a horizon-2 episode differ: under discount
+    gamma, V is gamma before the first step and 1 before the second."""
+
+    def _measure(self) -> tuple[bool, float]:
+        super()._measure()
+        return False, float(self.t == 2)
+
+    def _proprio(self):
+        proprio = super()._proprio()
+        proprio[0] = self.t
+        return proprio

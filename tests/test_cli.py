@@ -111,7 +111,7 @@ class TestTrain:
         out = tmp_path / "o"
         assert main(["train", "--out", str(out), *TINY_ENV, *TINY_PPO, "--set", "run.n_points=32"]) == 1
         assert "point count is fixed at 64" in capsys.readouterr().err
-        assert not [n for n in os.listdir(out) if n.startswith("ckpt-")]
+        assert not out.exists()
 
     def test_bad_override_value(self, capsys):
         assert main(["train", "--out", "/tmp/whatever", "--set", "ppo.gamma=fast"]) == 1
@@ -135,7 +135,7 @@ class TestTrain:
         sized = TINY_PPO if command == "train" else [*TINY_BC, "--set", f"bc.demos={workdir['demos']}"]
         assert main([command, "--out", str(out), *TINY_ENV, *sized, "--set", setting]) == 1
         assert "must be finite" in capsys.readouterr().err
-        assert not [n for n in os.listdir(out) if n.startswith("ckpt-")]
+        assert not out.exists()  # a refused command leaves no directory behind
 
 
 class TestGenDemos:
@@ -157,7 +157,7 @@ class TestGenDemos:
         out = tmp_path / "d3"
         assert main(["gen-demos", "--out", str(out), *TINY_ENV, "--set", f"demos.count={count}"]) == 1
         assert f"config error: demos.count must be at least 1, got {count}" in capsys.readouterr().err
-        assert not (out / "manifest.ini").exists()
+        assert not out.exists()
 
 
 class TestTrainBC:
@@ -247,7 +247,7 @@ class TestEval:
         ])
         assert rc == 1
         assert "config error: eval.episodes must be at least 1, got 0" in capsys.readouterr().err
-        assert not (out / "manifest.ini").exists()
+        assert not out.exists()
 
     def test_train_split_selection(self, workdir, tmp_path, capsys):
         rc = main([
@@ -397,8 +397,7 @@ class TestGrid:
         ])
         assert rc == 1
         assert "alpha must lie in" in capsys.readouterr().err
-        written = [f for _, _, files in os.walk(out) for f in files]
-        assert not [f for f in written if f.startswith("ckpt-")]
+        assert not out.exists()
 
 
 class TestModuleEntry:

@@ -9,10 +9,9 @@ import pytest
 
 from blas_kernels import each_kernel, kernel_test
 from finite_diff import finite_diff_grad
-from deskrl import nn, pointnet
+from deskrl import nn, pointnet, policy as pol
 from deskrl.envs import make_config, make_env
 from deskrl.errors import NonFiniteError, ShapeMismatchError
-from deskrl.policy import build_policy_spec
 from deskrl.rng import make_generator
 
 
@@ -260,7 +259,7 @@ def _small_batch(case, per_point=(8, 12)):
 def _gather2d_batch():
     # 64 observations of gather2d episodes under the scripted expert, on
     # the task's full-size encoder: the products run at a real update's shape
-    spec = build_policy_spec("gather2d").encoder
+    spec = pol.build_policy_spec("gather2d").encoder
     store = nn.ParamStore()
     pointnet.init_encoder_params(store, spec, make_generator(4, "enc"))
     env = make_env(make_config("gather2d"))
@@ -395,26 +394,67 @@ def test_validation_rejects_bad_inputs():
     with pytest.raises(NonFiniteError):
         bad = good.points.copy()
         bad[0, 0] = np.nan
-        pointnet.PointCloudObs(bad, good.proprio)
+        pointnet.encode(store, spec, pointnet.PointCloudObs(bad, good.proprio))
     with pytest.raises(ShapeMismatchError):
-        pointnet.PointCloudObs(np.zeros((0, 5)), good.proprio)
+        pointnet.encode(store, spec, pointnet.PointCloudObs(np.zeros((0, 5)), good.proprio))
     with pytest.raises(ShapeMismatchError):
         pointnet.encode_batch(store, spec, np.zeros((2, 4, 5)), np.zeros((3, 8)))
     with pytest.raises(ShapeMismatchError, match="5 channels"):  # the cloud layout is fixed
         pointnet.EncoderSpec(8, nn.NetSpec((4, 12), output="relu"), nn.NetSpec((20, 4)))
+    policy_spec, calls = _inference_calls()
+    empty = pointnet.PointCloudObs(np.zeros((0, 5)), np.zeros(policy_spec.encoder.proprio_width))
+    for name, call in calls.items():
+        with pytest.raises(ShapeMismatchError):
+            call([empty])
+            pytest.fail(f"{name} took an empty cloud")
+
+
+def _inference_calls():
+    """The padded forward and the policy's three batched calls, each on a
+    list of observations, with a reach2d policy's parameters."""
+    spec = pol.build_policy_spec("reach2d")
+    store = nn.ParamStore()
+    pol.init_policy(store, spec, make_generator(7, "init"))
+
+    def padded(obs):
+        points, proprio = stack(obs)
+        return pointnet.encode_batch_padded(store, spec.encoder, points, proprio)
+
+    return spec, {
+        "encode_batch_padded": padded,
+        "mean_actions": lambda obs: pol.mean_actions(store, spec, obs),
+        "sample_actions": lambda obs: pol.sample_actions(
+            store, spec, obs, [make_generator(7, k) for k in range(len(obs))]
+        ),
+        "state_values": lambda obs: pol.state_values(store, spec, obs),
+    }
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("field", ["points", "proprio"])
 def test_observation_rejects_a_nonfinite_value_anywhere(field, value):
-    spec, _ = make_encoder(7)
-    good = random_obs(spec, make_generator(7, "finite"), 16)
-    pointnet.PointCloudObs(good.points, good.proprio)
+    # an observation is two plain arrays; each inference call checks its
+    # stacked batch once, so one bad entry in the second of two rows raises
+    spec, calls = _inference_calls()
+    gen = make_generator(7, "finite")
+    first, good = (random_obs(spec.encoder, gen, 16) for _ in range(2))
+    for call in calls.values():
+        call([first, good])
     for pos in np.ndindex(getattr(good, field).shape):
         arrays = {"points": good.points.copy(), "proprio": good.proprio.copy()}
         arrays[field][pos] = value
-        with pytest.raises(NonFiniteError):
-            pointnet.PointCloudObs(**arrays)
+        bad = pointnet.PointCloudObs(**arrays)
+        for name, call in calls.items():
+            with pytest.raises(NonFiniteError):
+                call([first, bad])
+                pytest.fail(f"{name} took {value} at {field}{pos}")
+
+
+def test_an_observation_is_its_two_arrays():
+    # building one converts and checks nothing: the arrays are kept as given
+    points, proprio = np.full((3, 5), np.nan), np.zeros(2, dtype=np.float32)
+    obs = pointnet.PointCloudObs(points, proprio)
+    assert obs.points is points and obs.proprio is proprio
 
 
 def test_body_is_built_once_per_spec():

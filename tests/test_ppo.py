@@ -108,22 +108,24 @@ class TestCollectRollout:
         assert np.isfinite(buf.bootstrap_values).all() and buf.bootstrap_values.shape == (1,)
 
     def test_replay_of_stored_actions_reproduces_rewards(self):
-        # the buffer stores actions as executed (clamped), so stepping a
-        # fresh env with them must retrace the trajectory bit for bit
-        store, spec = fresh_policy()
+        # the env runs the clamp of the stored raw sample, so stepping a
+        # fresh env with it must retrace the trajectory bit for bit; the
+        # noise is wide, so the clamp is exercised
+        store, spec = fresh_policy(log_std0=1.0)
         cfg = make_config("reach2d", horizon=40)
         gen = make_generator(3, "roll")
         clone = generator_from_words(state_words(gen))
         episode_seed = next_episode_seed(substreams(clone, 1)[0])  # the one lane's first draw
         buf = ppo.collect_rollout(store, spec, cfg, 30, gen)
         assert not buf.dones.any()  # single episode, single seed draw
+        assert (np.abs(buf.raw_actions) > 1.0).any()
 
         env = make_env(cfg)
         obs = env.reset(episode_seed)
         for t in range(30):
             assert obs.points.tobytes() == buf.points[t].tobytes()
             assert obs.proprio.tobytes() == buf.proprios[t].tobytes()
-            res = env.step(buf.actions[t])
+            res = env.step(np.minimum(np.maximum(buf.raw_actions[t], -1.0), 1.0))
             assert res.reward == buf.rewards[t]
             obs = res.obs
 
@@ -135,12 +137,6 @@ class TestCollectRollout:
         buf = ppo.collect_rollout(store, spec, make_config("gather2d"), 25, make_generator(1, "roll"))
         recomputed = minibatch_logps(store, spec, buf, np.arange(buf.size))
         assert np.max(np.abs(recomputed - buf.logps)) <= 1e-10
-
-    def test_raw_actions_clamp_to_executed(self):
-        store, spec = fresh_policy(log_std0=1.0)  # wide noise, clipping likely
-        buf = ppo.collect_rollout(store, spec, make_config("reach2d"), 40, make_generator(5, "roll"))
-        assert np.array_equal(buf.actions, np.clip(buf.raw_actions, -1.0, 1.0))
-        assert (np.abs(buf.raw_actions) > 1.0).any()
 
     def test_deterministic_given_generator_seed(self):
         store, spec = fresh_policy("pushbox2d")
@@ -161,7 +157,7 @@ _STAGGERED = {
     "gather2d": (6, {"success_fraction": 0.1, "target_radius": 0.9}),
 }
 
-_LANE_FIELDS = ("points", "proprios", "actions", "raw_actions", "logps", "values", "rewards", "dones")
+_LANE_FIELDS = ("points", "proprios", "raw_actions", "logps", "values", "rewards", "dones")
 
 
 class TestLockstep:
@@ -240,7 +236,6 @@ def synthetic_buffer(S, seed, dones_at=(), lanes=None):
     buf = ppo.RolloutBuffer(
         points=np.zeros((S, 1, 5)),
         proprios=np.zeros((S, 3)),
-        actions=np.zeros((S, 2)),
         raw_actions=np.zeros((S, 2)),
         logps=np.zeros(S),
         rewards=g.normal(size=S),

@@ -1,16 +1,20 @@
-"""Probe tasks (see probes.py): PPO learns what a one-step task's answer
-says it must, and BC overfits one demo, in about a second each.  They
-check wiring that finite differences and the GAE oracle cannot: a value
-target without the value baseline added back fails the first probe, a
-flipped advantage sign the second, and a flipped sign of the BC loss's
-gradient the third.
+"""Probe tasks (see probes.py): PPO learns what a one- or two-step task's
+answer says it must, and BC overfits one demo, in about a second each.
+They check wiring that finite differences and the GAE oracle cannot: a
+value target without the value baseline added back fails the
+constant-reward probe, a TD target without V of the next state the
+two-step probe, a flipped advantage sign the first-action probe, and a
+flipped sign of the BC loss's gradient the BC probe.
 
 Budgets and thresholds come from runs on seeds 0-7 at these settings:
 after 1024 steps the value head read 0.92-1.08 on the constant-reward
 probe, and the first-action probe's rollouts earned 0.995-0.999 a step
 with its clamped mean actions at 1.  The initial policy reads values of
--0.17 to 0.01 and earns about -0.02.  BC's loss on the one reach2d demo
-(67 pairs) fell from 1.87-1.89 to 0.009-0.021 in 150 outer steps.
+-0.17 to 0.01 and earns about -0.02.  On the two-step probe (gamma 0.5)
+V read 0.435-0.583 before the first step and 0.934-1.054 before the
+second; without V of the next state in the TD target, V before the first
+step stays near 0.  BC's loss on the one reach2d demo (67 pairs) fell
+from 1.87-1.89 to 0.009-0.021 in 150 outer steps.
 """
 
 import numpy as np
@@ -26,11 +30,11 @@ STEPS = 1024
 
 @pytest.fixture
 def probe_cfg(monkeypatch):
-    """Register a probe as reach2d and return its horizon-1 config."""
+    """Register a probe as reach2d and return its config (horizon 1 by default)."""
 
-    def register(cls):
+    def register(cls, horizon=1):
         monkeypatch.setitem(envs._ENV_CLASSES, "reach2d", cls)
-        return envs.make_config("reach2d", horizon=1)
+        return envs.make_config("reach2d", horizon=horizon)
 
     return register
 
@@ -43,10 +47,10 @@ def initial_policy():
     return store, spec
 
 
-def trained_policy(env_cfg, tmp_path):
+def trained_policy(env_cfg, tmp_path, **overrides):
     cfg = ppo.PPOConfig(
         samples_per_step=64, minibatch_size=32, epochs=4, learning_rate=1e-3,
-        total_steps=STEPS, eval_period=STEPS, eval_episodes=1,
+        total_steps=STEPS, eval_period=STEPS, eval_episodes=1, **overrides,
     )
     ppo.train_ppo(cfg, env_cfg, seed=0, out_dir=str(tmp_path))
     store = load_checkpoint(str(tmp_path / checkpoint_name(STEPS))).param_store()
@@ -64,6 +68,17 @@ def test_value_learns_a_constant_reward(probe_cfg, tmp_path):
     assert np.abs(pol.state_values(*initial_policy(), obs)).max() < 0.5
     values = pol.state_values(*trained_policy(env_cfg, tmp_path), obs)
     assert np.abs(values - 1.0).max() < 0.15
+
+
+def test_value_discounts_a_reward_one_step_ahead(probe_cfg, tmp_path):
+    # the value target carries V of the next state: V(s0) = gamma * V(s1)
+    env_cfg = probe_cfg(probes.SecondStepReward, horizon=2)
+    store, spec = trained_policy(env_cfg, tmp_path, gamma=0.5)
+    lanes, obs = first_observations(env_cfg)
+    actions = pol.mean_actions(store, spec, obs)
+    after = [env.step(a).obs for env, a in zip(lanes, actions)]
+    assert np.abs(pol.state_values(store, spec, obs) - 0.5).max() < 0.15
+    assert np.abs(pol.state_values(store, spec, after) - 1.0).max() < 0.15
 
 
 def test_policy_learns_to_raise_its_reward(probe_cfg, tmp_path):
