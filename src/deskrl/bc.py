@@ -145,7 +145,7 @@ def train_bc(
     reset_optimizer: bool = False,
     should_stop=None,
 ) -> list[MetricsRecord]:
-    """Clone the dataset's actions; returns this call's metric history.
+    """Clone the dataset's actions; returns the run's records in out_dir (`loop`).
 
     `cfg.total_steps` outer steps on top of whatever the resume checkpoint
     had, with the start or resume, the evaluation and checkpoint cadence

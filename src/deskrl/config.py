@@ -7,6 +7,20 @@ and --set section.key=value overrides win over file values.  After
 resolution the full picture, defaults included, is written to the run
 directory as manifest.ini so the run is reproducible from its artifacts
 alone.
+
+What some keys reach:
+- run.split is read only by gen-demos, where it picks the split the
+  expert records; train forces the train split (train_ppo), train-bc
+  never reads it, and every evaluation, deskrl eval's too, measures both.
+- eval.split picks only the rate deskrl eval prints; eval-metrics.csv
+  records both.
+- twostage.stage1_steps and stage2_steps, and the grid's budgets, count
+  the trainer's own steps: environment steps for PPO, outer steps for
+  BC.  Their defaults are sized for PPO, so a BC two-stage run at
+  defaults may run 40 960 outer steps, 20x bc.total_steps.
+- grid.base_batch and grid.base_samples replace the trainer section's
+  batch size and samples per step on every grid leg; two-stage uses the
+  trainer section's values.
 """
 
 from __future__ import annotations

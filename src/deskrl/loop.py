@@ -19,7 +19,10 @@ run records its checkpoint's rates instead, which the run that wrote it
 measured for the same parameters and seed (`begin` rejects another seed)
 over that run's eval_episodes; resumed in place, into the directory whose
 log already ends with that step, it neither logs it again nor rewrites
-its checkpoint.  Every checkpoint stores the state words
+its checkpoint.  A resumed run's history, which should_stop sees and the
+call returns, starts with the records its directory's log already holds,
+so a resume in place stops where the uninterrupted run would.  Every
+checkpoint stores the state words
 of the run stream `TrainingState.gen`, which PPO draws from; BC never
 does, so its words stay those of the fresh stream.
 """
@@ -97,12 +100,14 @@ def run_loop(
     stage: int = 1,
     should_stop: Callable[[list[MetricsRecord]], bool] | None = None,
 ) -> list[MetricsRecord]:
-    """Train cfg.total_steps further steps in units; returns this call's history."""
+    """Train cfg.total_steps further steps in units; returns the run's
+    records in out_dir, so a resume in place sees those logged before it."""
     os.makedirs(out_dir, exist_ok=True)
     env_cfg, seed = state.env_cfg, state.seed
     run_id = f"{env_cfg.task}-{state.kind}-seed{seed}"
     metrics_path = os.path.join(out_dir, "metrics.csv")
-    history: list[MetricsRecord] = []
+    resumed_here = state.entry_rates is not None and os.path.exists(metrics_path)
+    history = read_metrics(metrics_path) if resumed_here else []
 
     def evaluate(step: int, rates: tuple[float, float] | None = None, logged: bool = False) -> bool:
         if rates is None:
@@ -120,14 +125,13 @@ def run_loop(
                 ),
             )
             append_metrics(metrics_path, record)
-        history.append(record)
+            history.append(record)
         return should_stop is not None and should_stop(history)
 
     done = 0
     last_eval = 0
     # resumed in place: the log already ends with the checkpoint's record
-    logged = state.entry_rates is not None and os.path.exists(metrics_path)
-    logged = logged and [r.step for r in read_metrics(metrics_path)[-1:]] == [state.start_step]
+    logged = [r.step for r in history[-1:]] == [state.start_step]
     if evaluate(state.start_step, state.entry_rates, logged):
         return history
     while done + unit <= cfg.total_steps:

@@ -21,11 +21,16 @@ Demonstration bundles use the same container, written and read by the
 same code, with their own magic and metadata; their payload is each
 trajectory's points, proprios and actions in turn.
 
-Metrics logs are plain comma-separated lines with steps enforced
-non-decreasing over the whole file.  Every file a run directory gets, the
-log included, is written whole by `replace_file` (write a temporary file,
-fsync it, rename it over the target, fsync the directory), so a crash
-leaves the old file or the new one, never a torn write.
+Metrics logs, trend lines and result tables are plain comma-separated
+lines, each written by `_row`: the ``str`` of every field, which for a
+float (a numpy scalar too) is its shortest round-trip text.  A record
+becomes a row through ``dataclasses.astuple``; a log line adds the wall
+clock of its append as a fifth field, which the reader checks and drops.
+Steps are enforced non-decreasing over a whole log.  Every file a run
+directory gets, the log included, is written whole by `replace_file`
+(write a temporary file, fsync it, rename it over the target, fsync the
+directory), so a crash leaves the old file or the new one, never a torn
+write.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ import math
 import os
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -60,8 +65,8 @@ CHECKPOINT_VERSION = 1
 DEMO_VERSION = 1
 TRAINER_KINDS = ("ppo", "bc")
 
-METRICS_HEADER = "step,train_success,test_success,stage,stamp"
 TRENDLINE_HEADER = "step,train_success,test_success,stage"
+METRICS_HEADER = TRENDLINE_HEADER + ",stamp"
 GRID_HEADER = "row,alpha,beta,batch,samples,train_success,test_success,seed,stage2_steps"
 
 _HEAD = struct.Struct("<16sIIQ")  # magic, version, reserved, meta length
@@ -109,7 +114,6 @@ class Checkpoint:
     rng_words: np.ndarray  # uint64 generator state words
     train_success: float
     test_success: float
-    version: int = CHECKPOINT_VERSION
 
     def __post_init__(self):
         if self.trainer_kind not in TRAINER_KINDS:
@@ -221,7 +225,7 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     }
     arrays = [np.asarray(a, dtype="<f8") for a in (ckpt.params, ckpt.adam.m, ckpt.adam.v)]
     arrays.append(np.asarray(ckpt.rng_words, dtype="<u8"))
-    _write_container(path, CHECKPOINT_MAGIC, ckpt.version, meta, arrays)
+    _write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, meta, arrays)
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -265,7 +269,6 @@ class MetricsRecord:
     train_success: float
     test_success: float
     stage: int = 1
-    stamp: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
         if self.step < 0:
@@ -277,21 +280,17 @@ class MetricsRecord:
             raise ConfigError("stage marker must be 1 or 2")
 
 
-def _format_record(rec: MetricsRecord) -> str:
-    return f"{rec.step},{rec.train_success!r},{rec.test_success!r},{rec.stage},{rec.stamp!r}\n"
+def _row(fields) -> str:
+    """One CSV line: the str of each field, comma-joined."""
+    return ",".join(map(str, fields)) + "\n"
 
 
 def _parse_line(line: str) -> MetricsRecord:
     parts = line.split(",")
     if len(parts) != 5:
         raise ValueError(f"expected 5 fields, got {len(parts)}")
-    return MetricsRecord(
-        step=int(parts[0]),
-        train_success=float(parts[1]),
-        test_success=float(parts[2]),
-        stage=int(parts[3]),
-        stamp=float(parts[4]),
-    )
+    float(parts[4])  # the stamp: read, checked, not kept
+    return MetricsRecord(int(parts[0]), float(parts[1]), float(parts[2]), int(parts[3]))
 
 
 def _parse_log(path: str, lines: bytes, first: int = 0, last: int | None = None) -> list[MetricsRecord]:
@@ -350,16 +349,12 @@ def check_metrics_order(path: str, step: int) -> tuple[bytes, int]:
 def append_metrics(path: str, record: MetricsRecord) -> None:
     """Add one record by replacing the whole log; steps must never decrease
     within a file, and a log that read_metrics refuses is left unchanged.
-    A partial last line is dropped."""
+    A partial last line is dropped; the line ends with the wall clock."""
     global _appended
-    if record.stamp == 0.0:
-        record = MetricsRecord(
-            record.step, record.train_success, record.test_success, record.stage, time.time()
-        )
     log, count = check_metrics_order(path, record.step)
     if not log:
         log, count = (METRICS_HEADER + "\n").encode(), 1
-    log += _format_record(record).encode()
+    log += _row(astuple(record) + (time.time(),)).encode()
     replace_file(path, log)
     _appended = (path, log, count + 1, record.step)
 
@@ -374,29 +369,23 @@ def read_metrics(path: str) -> list[MetricsRecord]:
 # -- export -------------------------------------------------------------------
 
 
+def _export(path: str, header: str, records) -> None:
+    """Write `records`, dataclass rows, under `header`; refuses an empty list."""
+    lines = [_row(astuple(rec)) for rec in records]
+    if not lines:
+        raise ConfigError(f"refusing to write an empty table to {path}")
+    replace_file(path, (header + "\n" + "".join(lines)).encode())
+
+
 def export_trendline(history, path: str) -> None:
-    """Plot-ready success-rate series; wall-clock stamps are dropped so
+    """Plot-ready success-rate series: the records hold no wall clock, so
     re-exporting identical history is byte-identical."""
-    history = list(history)
-    if not history:
-        raise ConfigError("cannot export an empty history")
-    lines = [f"{r.step},{r.train_success!r},{r.test_success!r},{r.stage}\n" for r in history]
-    replace_file(path, (TRENDLINE_HEADER + "\n" + "".join(lines)).encode())
+    _export(path, TRENDLINE_HEADER, history)
 
 
 def export_table(records, path: str) -> None:
     """Write grid-search rows (twostage.RunRecord) under the documented header."""
-    records = list(records)
-    if not records:
-        raise ConfigError("cannot export an empty table")
-    lines = [",".join(_cell(x) for x in rec.as_row()) + "\n" for rec in records]
-    replace_file(path, (GRID_HEADER + "\n" + "".join(lines)).encode())
-
-
-def _cell(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+    _export(path, GRID_HEADER, records)
 
 
 # -- demonstration datasets ----------------------------------------------------

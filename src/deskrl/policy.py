@@ -145,9 +145,13 @@ class ActionSample:
 
 
 def _padded_features(store: nn.ParamStore, spec: PolicySpec, obs: Sequence[PointCloudObs]) -> np.ndarray:
-    # np.array copies the equal-shape rows as np.stack does, at a third of its overhead
-    points = np.array([o.points for o in obs])
-    proprio = np.array([o.proprio for o in obs])
+    # np.array copies the equal-shape rows as np.stack does, at a third of its
+    # overhead, and raises ValueError on rows of unequal shapes
+    try:
+        points = np.array([o.points for o in obs])
+        proprio = np.array([o.proprio for o in obs])
+    except ValueError as err:
+        raise ShapeMismatchError(f"the observations of one batch differ in shape: {err}") from None
     return encode_batch_padded(store, spec.encoder, points, proprio)
 
 

@@ -327,7 +327,7 @@ def train_ppo(
     reset_optimizer: bool = False,
     should_stop=None,
 ) -> list[MetricsRecord]:
-    """Train in units of one rollout; returns the metric history this call produced.
+    """Train in units of one rollout; returns the run's records in out_dir (`loop`).
 
     `cfg.total_steps` is the budget for this call: a resumed run trains
     for that many further environment steps on top of the checkpoint's

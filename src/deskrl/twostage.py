@@ -120,7 +120,8 @@ def bc_trainer(cfg: bc_mod.BCConfig, dataset: bc_mod.DemoDataset, env_cfg: EnvCo
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One results-table row; nan rates mark a cell that failed mid-run."""
+    """One results-table row, its fields in column order; nan rates mark a
+    cell that failed mid-run."""
 
     row: int
     alpha: float
@@ -136,12 +137,6 @@ class RunRecord:
         for rate in (self.train_success, self.test_success):
             if not (math.isnan(rate) or 0.0 <= rate <= 1.0):
                 raise ConfigError(f"success rates must lie in [0, 1], got {rate}")
-
-    def as_row(self):
-        return (
-            self.row, self.alpha, self.beta, self.batch, self.samples,
-            self.train_success, self.test_success, self.seed, self.stage2_steps,
-        )
 
 
 def run_stage_one(trainer: Trainer, budget: int, seed: int, out_dir: str) -> list[MetricsRecord]:

@@ -4,16 +4,20 @@ Cross-kernel tests compare what checks run under each kernel give with what
 they give here: `each_kernel` parametrizes a test over the kernels (skipped
 off x86-64), and `kernel_checks` runs every per-kernel check under one
 kernel in one subprocess, once per test session, skipping the calling test
-when this CPU cannot run the kernel.
+when this CPU cannot run the kernel.  `running_kernel` names the kernel
+this process runs, for messages that say where a digest was computed.
 """
 
+import ctypes
 import functools
+import glob
 import json
 import os
 import platform
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 # what each OPENBLAS_CORETYPE kernel needs of the CPU, as /proc/cpuinfo names it
@@ -34,6 +38,21 @@ def _cpu_flags():
             return next((set(line.split(":", 1)[1].split()) for line in fh if line.startswith("flags")), set())
     except OSError:
         return set()
+
+
+@functools.cache
+def running_kernel() -> str:
+    """The core name numpy's bundled OpenBLAS picked in this process (what
+    OPENBLAS_CORETYPE forces), or "unknown" without a scipy-openblas library."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(np.__file__)))
+    for path in glob.glob(os.path.join(root, "numpy.libs", "libscipy_openblas*")):
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
 
 
 def each_kernel(test):

@@ -8,7 +8,7 @@ fresh process would, from the newest checkpoint that loads (a fresh run
 if none does) with the remaining budget, into the same directory.  The
 directory must then hold what the uninterrupted run's holds: the same
 file names, so no ``.tmp`` leftover, the same checkpoint bytes, and the
-same metrics records but for their wall-clock stamps.
+same metrics records (a record holds no wall clock; its log line does).
 """
 
 import os
@@ -58,7 +58,7 @@ def newest_checkpoint(out):
 def run_dir_state(out):
     names = sorted(os.listdir(out))
     checkpoints = {n: pathlib.Path(out, n).read_bytes() for n in names if n.startswith("ckpt-")}
-    return names, checkpoints, read_metrics(os.path.join(out, "metrics.csv"))  # records compare stamp-free
+    return names, checkpoints, read_metrics(os.path.join(out, "metrics.csv"))
 
 
 def check_every_crash_point(tmp_path, monkeypatch, train, total):

@@ -28,12 +28,21 @@ import tempfile
 import numpy as np
 import pytest
 
-from blas_kernels import each_kernel, kernel_checks
+from blas_kernels import each_kernel, kernel_checks, running_kernel
 from deskrl import bc, nn, pointnet, policy as pol, ppo, twostage as ts
 from deskrl.config import resolve_config, write_manifest
 from deskrl.envs import SPLITS, TASKS, generate_demos, make_config, make_env
 from deskrl.persistence import Checkpoint, export_trendline, load_checkpoint, read_metrics, save_demos
 from deskrl.rng import make_generator
+
+# the OpenBLAS kernel every digest below that hashes policy actions or
+# trained parameters was computed on; another kernel gives other matmul bits
+PINNED_ON = "SkylakeX"
+
+
+def _kernels() -> str:
+    return f"OpenBLAS kernel {running_kernel()}, digests pinned on {PINNED_ON}"
+
 
 GOLDEN = {
     "ppo_reach2d": {
@@ -195,7 +204,7 @@ CASES = {
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_digests_are_unchanged(case, tmp_path):
-    assert CASES[case](tmp_path) == GOLDEN[case]
+    assert CASES[case](tmp_path) == GOLDEN[case], _kernels()
 
 
 FILE_GOLDEN = {
@@ -327,7 +336,7 @@ def _transitions(task: str, split: str, policy: bool = True) -> str:
 
 @pytest.mark.parametrize("task,split", [(t, s) for t in TASKS for s in SPLITS])
 def test_transitions_are_unchanged(task, split):
-    assert _transitions(task, split) == TRANSITION_GOLDEN[f"{task}-{split}"]
+    assert _transitions(task, split) == TRANSITION_GOLDEN[f"{task}-{split}"], _kernels()
 
 
 _ALL_DIGESTS = """
@@ -364,7 +373,7 @@ def test_transition_bits_do_not_depend_on_blas_threads():
             [sys.executable, "-c", _ALL_DIGESTS], env=env, capture_output=True, text=True, timeout=300
         )
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == golden, f"OPENBLAS_NUM_THREADS={threads}"
+        assert json.loads(proc.stdout) == golden, f"OPENBLAS_NUM_THREADS={threads}; {_kernels()}"
 
 
 def _env_digests() -> dict:
@@ -404,7 +413,7 @@ def test_grid_legs_record_their_restore_point_rates(tmp_path, monkeypatch):
         return rates[-1]
 
     monkeypatch.setattr(pol, "evaluate_policy", counted)
-    assert _grid(tmp_path) == GOLDEN["grid_bc_reach2d"]
+    assert _grid(tmp_path) == GOLDEN["grid_bc_reach2d"], _kernels()
     seed_dir = os.path.join(str(tmp_path), "g", "seed0")
     stage1 = read_metrics(os.path.join(seed_dir, "stage1", "metrics.csv"))
     best = max(stage1, key=lambda rec: rec.test_success)

@@ -64,7 +64,9 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert (back.run_id, back.step, back.trainer_kind) == ("run-07", 4000, "ppo")
     assert back.env_fingerprint == ckpt.env_fingerprint
     assert (back.train_success, back.test_success) == (0.625, 0.4375)
-    assert (back.rng_seed, back.version) == (0, ps.CHECKPOINT_VERSION)
+    assert back.rng_seed == 0
+    with open(path, "rb") as fh:
+        assert int.from_bytes(fh.read(20)[16:20], "little") == ps.CHECKPOINT_VERSION
 
 
 def test_checkpoint_param_store_reconstruction(tmp_path):
@@ -234,9 +236,9 @@ def test_metrics_append_then_read_back(tmp_path):
     path = str(tmp_path / "m.csv")
     rec = ps.MetricsRecord(step=100, train_success=0.5, test_success=0.25, stage=1)
     ps.append_metrics(path, rec)
-    back = ps.read_metrics(path)
-    assert back == [rec]  # stamp excluded from equality
-    assert back[0].stamp > 0.0  # a real wall-clock stamp was recorded
+    assert ps.read_metrics(path) == [rec]
+    stamp = open(path).read().splitlines()[1].split(",")[4]
+    assert float(stamp) > 0.0  # the line carries a real wall-clock stamp
 
 
 def test_metrics_rejects_backwards_step(tmp_path):
@@ -336,11 +338,13 @@ def test_metrics_append_after_partial_header_writes_the_header(tmp_path):
     assert [r.step for r in ps.read_metrics(path)] == [0]
 
 
-def test_metrics_append_keeps_complete_bytes(tmp_path):
+def test_metrics_append_keeps_complete_bytes(tmp_path, monkeypatch):
     path = str(tmp_path / "m.csv")
-    ps.append_metrics(path, ps.MetricsRecord(0, 0.1, 0.2, 1, 1.5))
+    monkeypatch.setattr(ps.time, "time", lambda: 1.5)
+    ps.append_metrics(path, ps.MetricsRecord(0, 0.1, 0.2, 1))
     before = open(path, "rb").read()
-    ps.append_metrics(path, ps.MetricsRecord(1, 0.1, 0.2, 1, 2.5))
+    monkeypatch.setattr(ps.time, "time", lambda: 2.5)
+    ps.append_metrics(path, ps.MetricsRecord(1, 0.1, 0.2, 1))
     assert open(path, "rb").read() == before + b"1,0.1,0.2,1,2.5\n"
 
 
@@ -376,7 +380,7 @@ def test_metrics_append_refuses_a_log_that_does_not_read(tmp_path):
     # appends and reads follow one rule: once a complete line does not
     # parse, the append that follows it fails and writes nothing
     path = str(tmp_path / "m.csv")
-    ps.append_metrics(path, ps.MetricsRecord(10, 0.5, 0.5, 1, 1.0))
+    ps.append_metrics(path, ps.MetricsRecord(10, 0.5, 0.5, 1))
     with open(path, "a") as fh:
         fh.write("garbage,line\n")
     before = open(path, "rb").read()
@@ -401,7 +405,7 @@ def test_metrics_append_rereads_lines_edited_since_the_last_append(tmp_path):
     # their bytes changed on disk meanwhile
     path = tmp_path / "m.csv"
     for step in (0, 10):
-        ps.append_metrics(str(path), ps.MetricsRecord(step, 0.5, 0.5, 1, 1.0))
+        ps.append_metrics(str(path), ps.MetricsRecord(step, 0.5, 0.5, 1))
     path.write_bytes(path.read_bytes().replace(b"10,0.5", b"10,x.5"))
     with pytest.raises(MetricsFormatError, match="line 3"):
         ps.append_metrics(str(path), ps.MetricsRecord(20, 0.5, 0.5, 1))
@@ -435,18 +439,23 @@ def test_documented_headers_match_the_writers(section, header):
 
 def test_trendline_single_entry(tmp_path):
     path = str(tmp_path / "trend.csv")
-    ps.export_trendline([ps.MetricsRecord(100, 0.5, 0.25, 1, stamp=123.0)], path)
+    ps.export_trendline([ps.MetricsRecord(100, 0.5, 0.25, 1)], path)
     lines = open(path).read().splitlines()
     assert lines == ["step,train_success,test_success,stage", "100,0.5,0.25,1"]
 
 
-def test_trendline_reexport_is_byte_identical(tmp_path):
-    hist_a = [ps.MetricsRecord(i, 0.1 * i, 0.05 * i, 1, stamp=float(i)) for i in range(1, 5)]
-    hist_b = [ps.MetricsRecord(i, 0.1 * i, 0.05 * i, 1, stamp=999.0 + i) for i in range(1, 5)]
-    pa, pb = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-    ps.export_trendline(hist_a, pa)
-    ps.export_trendline(hist_b, pb)  # stamps differ, bytes must not
-    assert open(pa, "rb").read() == open(pb, "rb").read()
+def test_trendline_reexport_is_byte_identical(tmp_path, monkeypatch):
+    # two logs of the same records, appended at two clocks, export the same bytes
+    exports = []
+    for clock in (1.0, 999.0):
+        monkeypatch.setattr(ps.time, "time", lambda: clock)
+        log, trend = str(tmp_path / f"m{clock}.csv"), str(tmp_path / f"t{clock}.csv")
+        for i in range(1, 5):
+            ps.append_metrics(log, ps.MetricsRecord(i, 0.1 * i, 0.05 * i, 1))
+        ps.export_trendline(ps.read_metrics(log), trend)
+        exports.append(open(trend, "rb").read())
+    assert exports[0] == exports[1]
+    assert open(str(tmp_path / "m1.0.csv"), "rb").read() != open(str(tmp_path / "m999.0.csv"), "rb").read()
 
 
 def test_trendline_rejects_empty(tmp_path):
@@ -528,3 +537,19 @@ def test_demo_missing_and_wrong_file(tmp_path):
     open(path, "wb").write(b"\x01" * 128)
     with pytest.raises(DemoFormatError):
         ps.load_demos(path)
+
+
+def test_numpy_scalar_fields_write_the_bytes_of_python_floats(tmp_path, monkeypatch):
+    # every table line goes through one writer: a numpy scalar writes the
+    # text of the Python float it equals, and the log it lands in reads back
+    monkeypatch.setattr(ps.time, "time", lambda: 1.5)
+    files = []
+    for cast in (float, np.float64):
+        log, table = str(tmp_path / f"{cast.__name__}-m.csv"), str(tmp_path / f"{cast.__name__}-g.csv")
+        ps.append_metrics(log, ps.MetricsRecord(10, cast(0.25), cast(0.25), 1))
+        ps.export_table([RunRecord(1, cast(0.9), 1.0, 8, 16, cast(0.25), cast(0.25), 0, 4)], table)
+        assert ps.read_metrics(log) == [ps.MetricsRecord(10, 0.25, 0.25, 1)]
+        files.append((open(log, "rb").read(), open(table, "rb").read()))
+    assert files[1] == files[0]
+    assert files[0][0].endswith(b"\n10,0.25,0.25,1,1.5\n")
+    assert files[0][1].endswith(b"\n1,0.9,1.0,8,16,0.25,0.25,0,4\n")

@@ -184,6 +184,18 @@ class TestSampling:
         with pytest.raises(ShapeMismatchError):
             pol.sample_actions(store, spec, [obs, obs], [make_generator(0)])
 
+    @pytest.mark.parametrize("part", ["points", "proprio"])
+    @pytest.mark.parametrize("call", ["mean_actions", "sample_actions", "state_values"])
+    def test_ragged_batch_raises_shape_mismatch(self, call, part):
+        # observations that do not stack (63 points after 64, or a proprio
+        # one entry short) break the batch's one shape rule
+        store, spec = fresh()
+        obs = first_obs()
+        batch = [obs, obs._replace(**{part: getattr(obs, part)[:-1]})]
+        gens = [[make_generator(0), make_generator(1)]] if call == "sample_actions" else []
+        with pytest.raises(ShapeMismatchError, match="differ in shape"):
+            getattr(pol, call)(store, spec, batch, *gens)
+
     @pytest.mark.parametrize("task", envs.TASKS)
     def test_sample_actions_rows_equal_each_row_alone(self, task):
         # row k of a K-row call equals sample_action on that observation

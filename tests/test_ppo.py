@@ -683,12 +683,12 @@ class TestTrainPPO:
         save = loop.save_checkpoint
         monkeypatch.setattr(loop, "save_checkpoint", lambda p, ck: saved.append(ck.step) or save(p, ck))
         history = run(64, "run", load_checkpoint(str(path)))
-        assert [r.step for r in history] == [128, 192]
+        assert [r.step for r in history] == [0, 64, 128, 192]
         assert saved == [192]
         assert path.read_bytes() == before
         logged = read_metrics(str(tmp_path / "run" / "metrics.csv"))
         assert [r.step for r in logged] == [0, 64, 128, 192]
-        assert logged == read_metrics(str(tmp_path / "full" / "metrics.csv"))  # stamps aside
+        assert logged == history == read_metrics(str(tmp_path / "full" / "metrics.csv"))
 
     def test_resume_rejects_another_seed(self, tmp_path):
         # the stored rates were measured on that seed's panels

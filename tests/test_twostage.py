@@ -122,7 +122,7 @@ class TestScaleHyperparams:
 class TestRunRecord:
     def test_as_row_order(self):
         rec = ts.RunRecord(5, 0.9, 0.875, 297, 17500, 0.72, 0.67, 3, 20000)
-        assert rec.as_row() == (5, 0.9, 0.875, 297, 17500, 0.72, 0.67, 3, 20000)
+        assert dataclasses.astuple(rec) == (5, 0.9, 0.875, 297, 17500, 0.72, 0.67, 3, 20000)
 
     def test_nan_marks_failure(self):
         rec = ts.RunRecord(2, 0.9, 1.0, 297, 20000, float("nan"), float("nan"), 0, 100)
@@ -308,6 +308,28 @@ class TestStageOne:
         assert as_rows(hist) == as_rows(straight)
         assert [r.step for r in hist] == [0, 160, 320, 400]
 
+    @pytest.mark.parametrize("crash_step", [32, 64])
+    def test_resume_in_place_stops_where_the_uninterrupted_run_does(self, tmp_path, crash_step):
+        # every evaluation reads test rate 0, so the run stalls at step 96
+        # with step 0 its best; a run cut after crash_step and resumed in
+        # place must count the records logged before the cut, not run on
+        env_cfg = make_config("reach2d", horizon=8)
+        pcfg = ppo.PPOConfig(
+            samples_per_step=32, minibatch_size=16, epochs=1, total_steps=0, eval_period=32, eval_episodes=1,
+        )
+        trainer = ts.ppo_trainer(pcfg, env_cfg)
+        straight = ts.run_stage_one(trainer, 256, seed=0, out_dir=str(tmp_path / "straight"))
+        assert [r.step for r in straight] == [0, 32, 64, 96]
+        assert ts.track_best(straight).step == 0
+        out = str(tmp_path / "cut")
+        ts.run_stage_one(trainer, crash_step, seed=0, out_dir=out)
+        resume = load_checkpoint(os.path.join(out, checkpoint_name(crash_step)))
+        cfg = trainer.sized_cfg(pcfg.minibatch_size, pcfg.samples_per_step, 256 - crash_step)
+        hist = trainer.run(cfg, seed=0, out_dir=out, resume=resume, stage=1, should_stop=ts._stalled)
+        assert hist == straight == read_metrics(os.path.join(out, "metrics.csv"))
+        assert ts.track_best(hist).step == 0
+        assert sorted(os.listdir(out)) == sorted(os.listdir(tmp_path / "straight"))
+
     def test_rejects_budget_below_one_eval_period(self, tmp_path):
         trainer = toy_trainer(lambda s, _: 0.0)
         with pytest.raises(ConfigError):
@@ -382,7 +404,7 @@ class TestGridSearch:
         assert [r.row for r in records] == list(range(1, 11))
         assert (records[0].alpha, records[0].beta) == (1.0, 1.0)
         assert [(r.alpha, r.beta) for r in records[1:]] == self.grid().cells()
-        assert records[4].as_row()[:5] == (5, 0.9, 0.875, 7, 14)  # 8*0.9, 16*0.875
+        assert dataclasses.astuple(records[4])[:5] == (5, 0.9, 0.875, 7, 14)  # 8*0.9, 16*0.875
 
     def test_results_file_matches_the_documented_schema(self, tmp_path):
         trainer = toy_trainer(lambda s, _: 0.2)
