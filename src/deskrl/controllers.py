@@ -8,41 +8,37 @@ Controllers bridge policy actions in [-1, 1]^2 to joint commands:
   least squares (`dls_step2`, the one DLS helper) maps it to a joint delta,
   then the same PD law tracks it.
 
-The arm has two links by construction (ArmGeom, JointState).  Its
-kinematics (`link_vectors2`) and both controllers run on Python floats,
-so an environment step makes no BLAS call; tests/test_controllers.py
-holds them to numpy oracles.  The joint-delta target and the PD law keep
-the bits of the numpy expressions they replaced: numpy's order of
-operations, each clip a max with the lower bound, then a min with the
-upper.  `dls_step2` solves the damped 2x2 system by partial-pivot LU;
-its bits moved from the numpy solve's, whose BLAS kernels fuse
-multiply-adds, and no longer depend on the BLAS build.
+The arm has two links by construction: ArmGeom holds two of each
+length and limit, and a JointState is its four floats (q0, q1, v0, v1).
+Its kinematics (`link_vectors2`) and both controllers run on Python
+floats and return floats, each command a pair (u0, u1), so an
+environment step makes no BLAS call and converts no array;
+tests/test_controllers.py holds them to numpy oracles.  The joint-delta
+target and the PD law keep the bits of the numpy expressions they
+replaced: numpy's order of operations, each clip a max with the lower
+bound, then a min with the upper.  `dls_step2` solves the damped 2x2
+system by partial-pivot LU; its bits moved from the numpy solve's, whose
+BLAS kernels fuse multiply-adds, and no longer depend on the BLAS build.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NonFiniteError, ShapeMismatchError, require_finite_floats
 
 
-@dataclass
-class JointState:
-    """Joint angles (rad) and velocities (rad/s) of the two joints."""
+class JointState(NamedTuple):
+    """Joint angles (rad) and velocities (rad/s) of the two joints, as floats."""
 
-    q: np.ndarray
-    qdot: np.ndarray
-
-    def __post_init__(self):
-        self.q = np.asarray(self.q, dtype=np.float64)
-        self.qdot = np.asarray(self.qdot, dtype=np.float64)
-        if self.q.shape != (2,) or self.qdot.shape != (2,):
-            raise ShapeMismatchError(f"q and qdot must have shape (2,), got {self.q.shape} and {self.qdot.shape}")
-        if not (np.all(np.isfinite(self.q)) and np.all(np.isfinite(self.qdot))):
-            raise NonFiniteError("joint state contains non-finite values")
+    q0: float
+    q1: float
+    v0: float
+    v1: float
 
 
 @dataclass(frozen=True)
@@ -122,24 +118,24 @@ def dls_step2(q0: float, q1: float, dx: float, dy: float, geom: ArmGeom) -> tupl
     return j00 * z0 + j10 * z1, j01 * z0 + j11 * z1
 
 
-def _clip(x: float, lo: float, hi: float) -> float:
+def clip_float(x: float, lo: float, hi: float) -> float:
     """np.clip on one float; a tie keeps the bound, as with array bounds."""
     x = x if x > lo else lo
     return x if x < hi else hi
 
 
-def _pd_command2(d0: float, d1: float, state: JointState, gains: PDGains, geom: ArmGeom) -> np.ndarray:
+def _pd_command2(d0: float, d1: float, state: JointState, gains: PDGains, geom: ArmGeom) -> tuple[float, float]:
     """kp * (clip(q + d, q_lo, q_hi) - q) - kd * qdot, clipped to +-u_max."""
-    (q0, q1), (v0, v1) = state.q.tolist(), state.qdot.tolist()
+    q0, q1, v0, v1 = state
     (lo0, lo1), (hi0, hi1), u_max = geom.q_lo, geom.q_hi, gains.u_max
-    u0 = gains.kp * (_clip(q0 + d0, lo0, hi0) - q0) - gains.kd * v0
-    u1 = gains.kp * (_clip(q1 + d1, lo1, hi1) - q1) - gains.kd * v1
-    return np.array((_clip(u0, -u_max, u_max), _clip(u1, -u_max, u_max)))
+    u0 = gains.kp * (clip_float(q0 + d0, lo0, hi0) - q0) - gains.kd * v0
+    u1 = gains.kp * (clip_float(q1 + d1, lo1, hi1) - q1) - gains.kd * v1
+    return clip_float(u0, -u_max, u_max), clip_float(u1, -u_max, u_max)
 
 
 def pd_joint_delta_pos(
     action: np.ndarray, state: JointState, gains: PDGains, geom: ArmGeom
-) -> np.ndarray:
+) -> tuple[float, float]:
     """PD command toward q + dq_max * action, target clamped to joint limits."""
     a0, a1 = check_action2(action)
     return _pd_command2(geom.dq_max * a0, geom.dq_max * a1, state, gains, geom)
@@ -147,12 +143,12 @@ def pd_joint_delta_pos(
 
 def pd_ee_delta_pose(
     action: np.ndarray, state: JointState, gains: PDGains, geom: ArmGeom
-) -> np.ndarray:
+) -> tuple[float, float]:
     """PD command toward the DLS solution for an end-effector delta.
 
     The action encodes (dx, dy) scaled by dx_max.  Damping keeps the joint
     delta finite even at singular poses (fully stretched arm).
     """
     a0, a1 = check_action2(action)
-    dq = dls_step2(*state.q.tolist(), geom.dx_max * a0, geom.dx_max * a1, geom)
+    dq = dls_step2(state.q0, state.q1, geom.dx_max * a0, geom.dx_max * a1, geom)
     return _pd_command2(*dq, state, gains, geom)

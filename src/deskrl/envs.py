@@ -19,11 +19,16 @@ per step, so observation noise stays out of the learning signal.
 Everything is deterministic: (config, episode seed, action sequence) fully
 determines every result, bit for bit.  Integration is semi-implicit Euler
 with a few substeps per control tick; commands are joint accelerations
-under unit inertia.  The state of a step (joint angles and velocities,
-the arm tip, the box, gather2d's particles) is carried on Python floats in
-numpy's order of operations, so it gives the same bits as the elementwise
-array expressions it stands for.  The controllers run on floats too (see
-controllers.py); the point clouds are numpy arrays filled from that state.
+under unit inertia.  The state of a step is carried on Python floats from
+reset to the observation: the joint state (controllers.JointState, four
+floats), the goal or target, the arm tip, the box and gather2d's
+particles, each in numpy's order of operations, so it gives the same bits
+as the elementwise array expressions it stands for.  The controllers take
+and return floats too (see controllers.py); only the point cloud and the
+proprio vector a step returns are numpy arrays, filled from that state.
+gather2d's 32 particles stay two lists of floats: per-episode arrays kept
+every bit but made a step slower, since numpy's per-call cost on 32 rows
+outweighs the loop it replaces (ROADMAP item 1).
 No env arithmetic goes through BLAS: norms and dot products, the experts'
 included, are written out on floats with each product and sum rounded on
 its own.  A BLAS dot or matrix-vector product fuses multiply-adds on some
@@ -114,8 +119,7 @@ def make_config(task: str, split: str = "train", seed: int = 0, horizon: int | N
     return EnvConfig(task, split, seed, _HORIZONS.get(task, 0) if horizon is None else horizon)
 
 
-@dataclass
-class StepResult:
+class StepResult(NamedTuple):
     obs: PointCloudObs
     reward: float
     done: bool
@@ -163,6 +167,14 @@ def _ring_offsets(gen: np.random.Generator, count: int, radius: float) -> np.nda
     phase = gen.uniform(0.0, 2.0 * np.pi)
     phi = phase + np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
     return radius * np.stack([np.cos(phi), np.sin(phi)], axis=1)
+
+
+def _link_index(n: int) -> np.ndarray:
+    """(2, n, 2) indices into `ToyEnv._arm_points`' 8 values (the starts
+    of links 0 and 1, then their vectors): each of n arm points' link
+    start, then its link vector, the first n/2 points on link 0."""
+    starts = np.repeat([[0, 1], [2, 3]], n // 2, axis=0)
+    return np.stack((starts, starts + 4))
 
 
 def _segment_clearance(a, b, p) -> float:
@@ -237,7 +249,7 @@ class ToyEnv:
         self.variant = float(gen.uniform(lo, hi))
         self._reset_scene(gen)
         self._measure()
-        return PointCloudObs(points=self._cloud(), proprio=self._proprio())
+        return PointCloudObs(self._cloud(), self._proprio())
 
     def step(self, action: np.ndarray) -> StepResult:
         if not self._open:
@@ -248,25 +260,24 @@ class ToyEnv:
         reward = shaping + (SUCCESS_BONUS if success else 0.0)
         done = success or self.t >= self.cfg.horizon
         self._open = not done
-        obs = PointCloudObs(points=self._cloud(), proprio=self._proprio())
-        return StepResult(obs, reward, done, success)
+        return StepResult(PointCloudObs(self._cloud(), self._proprio()), reward, done, success)
 
-    def _command(self, action: np.ndarray) -> np.ndarray:
+    def _command(self, action: np.ndarray) -> tuple[float, float]:
         return ctrl.pd_joint_delta_pos(action, self.state, self.gains, self.geom)
 
-    def _integrate(self, u: np.ndarray) -> None:
+    def _integrate(self, u: tuple[float, float]) -> None:
         """Semi-implicit Euler under unit inertia, joint limits enforced.
 
         Runs on Python floats in numpy's order of operations: each substep
         adds h * u to the velocities, then h * velocity to the angles, then
         clamps an angle past its limit and stops that joint, then hands the
         angles at the substep's start and end to `_after_substep`.
+        tests/test_envs.py holds it to the numpy reference bit for bit.
         """
         h = DT / _SUBSTEPS
-        u0, u1 = u.tolist()
+        u0, u1 = u
         (lo0, lo1), (hi0, hi1) = self.geom.q_lo, self.geom.q_hi
-        q0, q1 = self.state.q.tolist()
-        v0, v1 = self.state.qdot.tolist()
+        q0, q1, v0, v1 = self.state
         for _ in range(_SUBSTEPS):
             p0, p1 = q0, q1
             v0 = v0 + h * u0
@@ -282,34 +293,40 @@ class ToyEnv:
             elif q1 > hi1:
                 q1, v1 = hi1, 0.0
             self._after_substep(p0, p1, q0, q1)
-        self.state.q = np.array((q0, q1))
-        self.state.qdot = np.array((v0, v1))
+        self.state = ctrl.JointState(q0, q1, v0, v1)
 
     def _after_substep(self, p0: float, p1: float, q0: float, q1: float) -> None:
         pass
 
-    def _expert_command(self, dq: np.ndarray) -> np.ndarray:
-        """An expert's joint delta as an action: damped by the joint
-        velocities, then scaled down to a peak of 1 if it exceeds 1."""
-        raw = dq / self.geom.dq_max - _EXPERT_DAMPING * self.state.qdot
-        peak = float(np.max(np.abs(raw)))
-        return raw / peak if peak > 1.0 else raw
+    def _expert_command(self, d0: float, d1: float) -> np.ndarray:
+        """An expert's joint delta (d0, d1) as an action: damped by the
+        joint velocities, then scaled down to a peak of 1 if it exceeds 1."""
+        dq_max, (_, _, v0, v1) = self.geom.dq_max, self.state
+        r0 = d0 / dq_max - _EXPERT_DAMPING * v0
+        r1 = d1 / dq_max - _EXPERT_DAMPING * v1
+        peak = max(abs(r0), abs(r1))
+        return np.array((r0 / peak, r1 / peak) if peak > 1.0 else (r0, r1))
 
     def _arm_tip(self, q0: float, q1: float) -> tuple[float, float]:
         """The tip position, the link vectors summed from 0.0 as np.sum sums; keeps the links."""
         x0, y0, x1, y1 = self._links = ctrl.link_vectors2(q0, q1, self.geom)
         return 0.0 + x0 + x1, 0.0 + y0 + y1
 
-    def _arm_points(self, out: np.ndarray) -> None:
-        """Write the arm's sample points a + t (b - a) into `out`, (n, 2), for
-        the ends a, b of each link (base, elbow, tip) and the offsets t in
-        [0, 1) of `_arm_ts` (2, n/2, 1), the first half on link 0 as
-        np.array_split halves an even n: one broadcast over a (2, n/2, 2)
-        view.  The links are the last `_arm_tip` call's, on the current state."""
+    def _arm_points(self) -> np.ndarray:
+        """The arm's sample points a + t d, (n, 2), for each link's start a
+        (base, elbow), its vector d to its end (elbow, tip) and the
+        episode's offsets t in [0, 1) of `_arm_ts`, the first half on link 0
+        as np.array_split halves an even n: each point's a and d taken from
+        one 8-value array by `_arm_index`, then one multiply and one add.
+        The links are the last `_arm_tip` call's, on the current state."""
         x0, y0, x1, y1 = self._links
-        starts = np.array((((0.0, 0.0),), ((x0, y0),)))
-        links = np.array((((x0 - 0.0, y0 - 0.0),), ((x0 + x1 - x0, y0 + y1 - y0),)))
-        np.add(starts, self._arm_ts * links, out=out.reshape(2, -1, 2))
+        a, d = np.array((0.0, 0.0, x0, y0, x0 - 0.0, y0 - 0.0, x0 + x1 - x0, y0 + y1 - y0)).take(self._arm_index)
+        np.multiply(self._arm_ts, d, out=d)
+        return np.add(d, a, out=d)
+
+    def _draw_arm_offsets(self, gen: np.random.Generator) -> None:
+        """The episode's n_arm offsets t, each kept for both coordinates of its point."""
+        self._arm_ts = np.repeat(gen.uniform(0.0, 1.0, size=self.n_arm), 2).reshape(-1, 2)
 
     def _cloud_template(self, segments) -> np.ndarray:
         """The episode's cloud layout: for each (count, class, coords) segment
@@ -331,37 +348,40 @@ class Reach2D(ToyEnv):
     proprio_width = 8
     tolerance = 0.05
     n_arm = 44
+    _arm_index = _link_index(n_arm)
 
     def _reset_scene(self, gen: np.random.Generator) -> None:
         theta = gen.uniform(-2.0, 2.0)
-        self.goal = self.variant * np.array([np.cos(theta), np.sin(theta)])
-        q0 = np.array([np.pi / 3, -2 * np.pi / 3]) + gen.uniform(-0.05, 0.05, size=2)
-        self.state = ctrl.JointState(q0, np.zeros(2))
-        self._arm_ts = gen.uniform(0.0, 1.0, size=self.n_arm).reshape(2, -1, 1)
-        goal_points = self.goal[None, :] + _disk_offsets(gen, 20, 0.03)
+        goal = self.variant * np.array([np.cos(theta), np.sin(theta)])
+        self.goal = tuple(goal.tolist())
+        q = np.array([np.pi / 3, -2 * np.pi / 3]) + gen.uniform(-0.05, 0.05, size=2)
+        self.state = ctrl.JointState(*q.tolist(), 0.0, 0.0)
+        self._draw_arm_offsets(gen)
+        goal_points = goal + _disk_offsets(gen, 20, 0.03)
         self._template = self._cloud_template(((self.n_arm, 0, None), (20, 2, goal_points)))
 
-    def _command(self, action: np.ndarray) -> np.ndarray:
+    def _command(self, action: np.ndarray) -> tuple[float, float]:
         return ctrl.pd_ee_delta_pose(action, self.state, self.gains, self.geom)
 
     def _measure(self) -> tuple[bool, float]:
-        self._tip = tx, ty = self._arm_tip(*self.state.q.tolist())
-        gx, gy = self.goal.tolist()
+        self._tip = tx, ty = self._arm_tip(self.state.q0, self.state.q1)
+        gx, gy = self.goal
         dist = _norm2(tx - gx, ty - gy)
         return dist <= self.tolerance, -dist * DT
 
     def _cloud(self) -> np.ndarray:
         cloud = self._template.copy()
-        self._arm_points(cloud[: self.n_arm, :POINT_DIM])
+        cloud[: self.n_arm, :POINT_DIM] = self._arm_points()
         return cloud
 
     def _proprio(self) -> np.ndarray:
-        (tx, ty), (gx, gy) = self._tip, self.goal.tolist()
-        return np.array((*self.state.q.tolist(), *self.state.qdot.tolist(), tx, ty, gx - tx, gy - ty))
+        (tx, ty), (gx, gy) = self._tip, self.goal
+        return np.array((*self.state, tx, ty, gx - tx, gy - ty))
 
     def expert_action(self) -> np.ndarray:
-        dx = self.goal - np.array(self._tip)
-        return np.clip(dx / self.geom.dx_max, -1.0, 1.0)
+        (tx, ty), (gx, gy), dx_max = self._tip, self.goal, self.geom.dx_max
+        a0, a1 = (gx - tx) / dx_max, (gy - ty) / dx_max
+        return np.array((ctrl.clip_float(a0, -1.0, 1.0), ctrl.clip_float(a1, -1.0, 1.0)))
 
 
 # first corner (in half sides) and walking direction of each box side
@@ -372,12 +392,13 @@ _SIDE_WALKS = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
 class PushBox2D(ToyEnv):
     """Push a square box to a target zone with the arm tip; box side varied.
 
-    The box position is a pair of floats, `box`.
+    The box position and the target are pairs of floats, `box` and `target`.
     """
 
     proprio_width = 10
     tolerance = 0.05
     n_arm = 28
+    _arm_index = _link_index(n_arm)
     n_outline = 24
 
     def _reset_scene(self, gen: np.random.Generator) -> None:
@@ -395,16 +416,16 @@ class PushBox2D(ToyEnv):
         elif norm < 0.35:
             target = box + dist * np.array(_unit(*box.tolist()))
         self.box = tuple(box.tolist())
-        self.target = target
-        q0 = np.array([0.9, -2.4]) + gen.uniform(-0.05, 0.05, size=2)
-        self.state = ctrl.JointState(q0, np.zeros(2))
-        self._arm_ts = gen.uniform(0.0, 1.0, size=self.n_arm).reshape(2, -1, 1)
+        self.target = tuple(target.tolist())
+        q = np.array([0.9, -2.4]) + gen.uniform(-0.05, 0.05, size=2)
+        self.state = ctrl.JointState(*q.tolist(), 0.0, 0.0)
+        self._draw_arm_offsets(gen)
         self._outline = self._box_outline(gen.uniform(0.0, 1.0, size=self.n_outline))
-        target_points = target[None, :] + _disk_offsets(gen, 12, 0.03)
+        target_points = target + _disk_offsets(gen, 12, 0.03)
         self._template = self._cloud_template(
             ((self.n_arm, 0, None), (self.n_outline, 1, None), (12, 2, target_points))
         )
-        self._last_tip = self._arm_tip(*self.state.q.tolist())
+        self._last_tip = self._arm_tip(self.state.q0, self.state.q1)
 
     def _box_outline(self, us: np.ndarray) -> np.ndarray:
         """Map per-episode parameters u in [0,1) onto the box outline, relative
@@ -455,25 +476,23 @@ class PushBox2D(ToyEnv):
 
     def _measure(self) -> tuple[bool, float]:
         self._tip = tx, ty = self._last_tip  # the tip of the current state, from the last substep or reset
-        (bx, by), (gx, gy) = self.box, self.target.tolist()
+        (bx, by), (gx, gy) = self.box, self.target
         self._dist_bt = _norm2(bx - gx, by - gy)
         gap = max(0.0, _norm2(tx - bx, ty - by) - self.side / 2.0)
         return self._dist_bt <= self.tolerance, -(self._dist_bt + 0.3 * gap) * DT
 
     def _cloud(self) -> np.ndarray:
         cloud = self._template.copy()
-        self._arm_points(cloud[: self.n_arm, :POINT_DIM])
-        cloud[self.n_arm : self.n_arm + self.n_outline, :POINT_DIM] = np.array(self.box) + self._outline
+        cloud[: self.n_arm, :POINT_DIM] = self._arm_points()
+        np.add(self._outline, self.box, out=cloud[self.n_arm : self.n_arm + self.n_outline, :POINT_DIM])
         return cloud
 
     def _proprio(self) -> np.ndarray:
-        (tx, ty), (bx, by), (gx, gy) = self._tip, self.box, self.target.tolist()
-        return np.array(
-            (*self.state.q.tolist(), *self.state.qdot.tolist(), tx, ty, bx - tx, by - ty, gx - bx, gy - by)
-        )
+        (tx, ty), (bx, by), (gx, gy) = self._tip, self.box, self.target
+        return np.array((*self.state, tx, ty, bx - tx, by - ty, gx - bx, gy - by))
 
     def expert_action(self) -> np.ndarray:
-        (tx, ty), (bx, by), (gx, gy) = self._tip, self.box, self.target.tolist()
+        (tx, ty), (bx, by), (gx, gy) = self._tip, self.box, self.target
         d = dx, dy = _unit(gx - bx, gy - by)
         rx, ry = tx - bx, ty - by
         along = rx * dx + ry * dy
@@ -493,12 +512,15 @@ class PushBox2D(ToyEnv):
         norm = _norm2(mx, my)
         if norm > 0.30:
             mx, my = mx * (0.30 / norm), my * (0.30 / norm)
-        dq = ctrl.dls_step2(*self.state.q.tolist(), mx, my, self.geom)
-        return self._expert_command(np.array(dq))
+        return self._expert_command(*ctrl.dls_step2(self.state.q0, self.state.q1, mx, my, self.geom))
 
 
 class Gather2D(ToyEnv):
-    """Herd 32 free particles into a target disk with a circular pusher."""
+    """Herd 32 free particles into a target disk with a circular pusher.
+
+    The pusher's centre is the joint state's (q0, q1); the target centre is
+    a pair of floats, `target`, and the particles two lists of floats.
+    """
 
     proprio_width = 9
     n_particles = 32
@@ -511,16 +533,17 @@ class Gather2D(ToyEnv):
 
     def _reset_scene(self, gen: np.random.Generator) -> None:
         sigma = self.variant
-        self.source = np.array([-0.55, gen.uniform(-0.25, 0.25)])
-        self.target = np.array([0.55, gen.uniform(-0.25, 0.25)])
-        spread = np.clip(self.source + sigma * gen.normal(size=(self.n_particles, 2)), -1.5, 1.5)
+        source = np.array([-0.55, gen.uniform(-0.25, 0.25)])
+        target = np.array([0.55, gen.uniform(-0.25, 0.25)])
+        self.target = tuple(target.tolist())
+        spread = np.clip(source + sigma * gen.normal(size=(self.n_particles, 2)), -1.5, 1.5)
         self._px, self._py = spread[:, 0].tolist(), spread[:, 1].tolist()
-        start = self.source - 0.45 * np.array(_unit(*(self.target - self.source).tolist()))
-        q0 = start + gen.uniform(-0.03, 0.03, size=2)
-        self.state = ctrl.JointState(q0, np.zeros(2))
-        self._expel_radially(*q0.tolist())  # a wide spread can overlap the pusher at reset
+        start = source - 0.45 * np.array(_unit(*(target - source).tolist()))
+        q0, q1 = (start + gen.uniform(-0.03, 0.03, size=2)).tolist()
+        self.state = ctrl.JointState(q0, q1, 0.0, 0.0)
+        self._expel_radially(q0, q1)  # a wide spread can overlap the pusher at reset
         self._pusher_ring = _ring_offsets(gen, self.n_ring, self.pusher_radius)
-        target_points = self.target[None, :] + _ring_offsets(gen, self.n_ring, self.target_radius)
+        target_points = target + _ring_offsets(gen, self.n_ring, self.target_radius)
         self._template = self._cloud_template(
             ((self.n_ring, 0, None), (self.n_particles, 1, None), (self.n_ring, 2, target_points))
         )
@@ -568,7 +591,7 @@ class Gather2D(ToyEnv):
         others (the target's centre if none), counted and summed in index
         order from 0.0: the bits of numpy's mean over the boolean mask and
         of its axis-0 mean over the particles outside."""
-        gx, gy = self.target.tolist()
+        gx, gy = self.target
         n_in, sx, sy = 0, 0.0, 0.0
         for x, y in zip(self._px, self._py):
             if _norm2(x - gx, y - gy) <= self.target_radius:
@@ -581,27 +604,25 @@ class Gather2D(ToyEnv):
 
     def _measure(self) -> tuple[bool, float]:
         self._fraction_in, self._out_centroid = self._particle_stats()
-        (cx, cy), (mx, my) = self.state.q.tolist(), self._out_centroid
+        (cx, cy, _, _), (mx, my) = self.state, self._out_centroid
         reach = max(0.0, _norm2(cx - mx, cy - my) - self.pusher_radius)
         shaping = -((1.0 - self._fraction_in) + 0.1 * min(reach, 1.0)) * DT
         return self._fraction_in >= self.success_fraction, shaping
 
     def _cloud(self) -> np.ndarray:
         cloud = self._template.copy()
-        cloud[: self.n_ring, :POINT_DIM] = self.state.q + self._pusher_ring
+        np.add(self._pusher_ring, self.state[:2], out=cloud[: self.n_ring, :POINT_DIM])
         rows = slice(self.n_ring, self.n_ring + self.n_particles)
         cloud[rows, 0] = self._px
         cloud[rows, 1] = self._py
         return cloud
 
     def _proprio(self) -> np.ndarray:
-        (cx, cy), (mx, my), (tx, ty) = self.state.q.tolist(), self._out_centroid, self.target.tolist()
-        return np.array(
-            (cx, cy, *self.state.qdot.tolist(), mx - cx, my - cy, tx - cx, ty - cy, self._fraction_in)
-        )
+        (cx, cy, v0, v1), (mx, my), (tx, ty) = self.state, self._out_centroid, self.target
+        return np.array((cx, cy, v0, v1, mx - cx, my - cy, tx - cx, ty - cy, self._fraction_in))
 
     def expert_action(self) -> np.ndarray:
-        (cx, cy), (mx, my), (gx, gy) = self.state.q.tolist(), self._out_centroid, self.target.tolist()
+        (cx, cy, _, _), (mx, my), (gx, gy) = self.state, self._out_centroid, self.target
         d = dx, dy = _unit(gx - mx, gy - my)
         ax, ay = _unit(mx - cx, my - cy)
         pr, tr = self.pusher_radius, self.target_radius
@@ -622,7 +643,7 @@ class Gather2D(ToyEnv):
             # plowed straight out the far side
             wx, wy = _detour((cx, cy), waypoint, (gx, gy), d, tr + pr * 0.8, tr + pr + 0.10)
             move = wx - cx, wy - cy
-        return self._expert_command(np.array(move))
+        return self._expert_command(*move)
 
 
 _ENV_CLASSES = {"reach2d": Reach2D, "pushbox2d": PushBox2D, "gather2d": Gather2D}

@@ -183,7 +183,7 @@ def sample_actions(
     mean = _head(store, spec, feat, "mean")[:K]
     value = _head(store, spec, feat, "value")[:K, 0]
     log_std = log_std_of(store)
-    z = np.stack([gen.standard_normal(spec.action_dim) for gen in gens])
+    z = np.array([gen.standard_normal(spec.action_dim) for gen in gens])
     raw = mean + np.exp(log_std) * z
     logp = gaussian_logp(raw, mean, log_std)
     return ActionSample(np.minimum(np.maximum(raw, -1.0), 1.0), raw, logp, value)

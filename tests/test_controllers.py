@@ -22,11 +22,16 @@ def dls_oracle(J, dx, damping):
     return J.T @ np.linalg.solve(A, dx)
 
 
-def pd_command_oracle(target, state, gains, geom):
-    """The numpy PD law: the target clipped to the joint limits, then
-    kp * (target - q) - kd * qdot clipped to +-u_max."""
+def joint_state(q, qdot):
+    """The controllers' JointState of the 2-vectors q and qdot."""
+    return ctrl.JointState(*np.asarray(q, dtype=np.float64).tolist(), *np.asarray(qdot, dtype=np.float64).tolist())
+
+
+def pd_command_oracle(target, q, qdot, gains, geom):
+    """The numpy PD law on 2-vectors: the target clipped to the joint
+    limits, then kp * (target - q) - kd * qdot clipped to +-u_max."""
     target = np.clip(target, np.array(geom.q_lo), np.array(geom.q_hi))
-    u = gains.kp * (target - state.q) - gains.kd * state.qdot
+    u = gains.kp * (target - q) - gains.kd * qdot
     return np.clip(u, -gains.u_max, gains.u_max)
 
 
@@ -166,31 +171,38 @@ def test_dls_bounded_at_singularity():
 
 
 def test_pd_delta_pos_zero_action_zero_velocity():
-    state = ctrl.JointState(np.array([0.4, -0.2]), np.zeros(2))
+    state = ctrl.JointState(0.4, -0.2, 0.0, 0.0)
     u = ctrl.pd_joint_delta_pos(np.zeros(2), state, GAINS, GEOM)
-    assert np.array_equal(u, np.zeros(2))
+    assert u == (0.0, 0.0)
 
 
 def test_pd_delta_pos_pure_damping():
     w = np.array([0.3, -1.1])
-    state = ctrl.JointState(np.array([0.4, -0.2]), w)
+    state = joint_state([0.4, -0.2], w)
     u = ctrl.pd_joint_delta_pos(np.zeros(2), state, GAINS, GEOM)
     assert np.allclose(u, np.clip(-GAINS.kd * w, -GAINS.u_max, GAINS.u_max))
 
 
 def test_pd_delta_pos_saturates_at_joint_limit():
-    q = np.array(GEOM.q_hi)
     qdot = np.array([0.5, -0.5])
-    state = ctrl.JointState(q, qdot)
+    state = joint_state(GEOM.q_hi, qdot)
     u = ctrl.pd_joint_delta_pos(np.ones(2), state, GAINS, GEOM)
     # target clamps back to the limit, so only the damping term remains
     assert np.allclose(u, np.clip(-GAINS.kd * qdot, -GAINS.u_max, GAINS.u_max))
 
 
 def test_pd_ee_delta_zero_action_is_pure_damping():
-    state = ctrl.JointState(np.array([0.8, 0.5]), np.array([0.2, -0.3]))
+    state = ctrl.JointState(0.8, 0.5, 0.2, -0.3)
     u = ctrl.pd_ee_delta_pose(np.zeros(2), state, GAINS, GEOM)
-    assert np.allclose(u, -GAINS.kd * state.qdot)
+    assert np.allclose(u, [-GAINS.kd * 0.2, -GAINS.kd * -0.3])
+
+
+def test_commands_are_pairs_of_floats():
+    # the environments integrate the command as it comes, with no conversion
+    state = ctrl.JointState(0.8, 0.5, 0.2, -0.3)
+    for control in (ctrl.pd_joint_delta_pos, ctrl.pd_ee_delta_pose):
+        u = control(np.array([0.3, -0.7]), state, GAINS, GEOM)
+        assert type(u) is tuple and len(u) == 2 and all(type(x) is float for x in u)
 
 
 def test_commands_respect_clamps_for_all_box_actions():
@@ -198,7 +210,7 @@ def test_commands_respect_clamps_for_all_box_actions():
     tight = ctrl.PDGains(kp=5000.0, kd=50.0, u_max=7.0)
     for _ in range(200):
         action = gen.uniform(-1.0, 1.0, size=2)
-        state = ctrl.JointState(
+        state = joint_state(
             gen.uniform(-np.pi, np.pi, size=2) * np.array([1.0, 0.9]),
             gen.uniform(-3.0, 3.0, size=2),
         )
@@ -209,7 +221,7 @@ def test_commands_respect_clamps_for_all_box_actions():
 
 
 def test_dimension_and_validation_errors():
-    state = ctrl.JointState(np.zeros(2), np.zeros(2))
+    state = ctrl.JointState(0.0, 0.0, 0.0, 0.0)
     with pytest.raises(ShapeMismatchError):
         ctrl.pd_joint_delta_pos(np.zeros(3), state, GAINS, GEOM)
     with pytest.raises(ShapeMismatchError):
@@ -217,9 +229,7 @@ def test_dimension_and_validation_errors():
     with pytest.raises(NonFiniteError):
         ctrl.pd_joint_delta_pos(np.array([np.nan, 0.0]), state, GAINS, GEOM)
     with pytest.raises(NonFiniteError):
-        ctrl.JointState(np.array([np.inf, 0.0]), np.zeros(2))
-    with pytest.raises(ShapeMismatchError):
-        ctrl.JointState(np.zeros(2), np.zeros(3))
+        ctrl.pd_ee_delta_pose(np.array([0.0, np.inf]), state, GAINS, GEOM)
     with pytest.raises(ShapeMismatchError):
         ctrl.ArmGeom(link_lengths=(1.0, -1.0))
     with pytest.raises(ShapeMismatchError):
@@ -248,15 +258,15 @@ def test_pd_joint_delta_pos_is_the_numpy_expression_bit_for_bit():
         states += [lo.copy(), hi.copy(), np.array([lo[0], hi[1]]), np.zeros(2), np.array([-0.0, -0.0])]
         for i, q in enumerate(states):
             qdot = gen.uniform(-3.0, 3.0, size=2) if i % 3 else np.array([specials[i % 4], -0.0])
-            state = ctrl.JointState(q, qdot)
+            state = joint_state(q, qdot)
             action = gen.uniform(-1.0, 1.0, size=2)
             if i % 5 == 0:
                 action = np.array([specials[i % 4], specials[(i // 4) % 4]])
-            target = state.q + geom.dq_max * action
+            target = q + geom.dq_max * action
             for gains in gains_set:
                 u = ctrl.pd_joint_delta_pos(action, state, gains, geom)
-                want = pd_command_oracle(target, state, gains, geom)
-                assert u.tobytes() == want.tobytes(), (q, qdot, action)
+                want = pd_command_oracle(target, q, qdot, gains, geom)
+                assert np.array(u).tobytes() == want.tobytes(), (q, qdot, action)
                 cases += 1
                 saturated += np.abs(want).max() == gains.u_max
             limited += np.any((target < lo) | (target > hi))
@@ -267,12 +277,13 @@ def test_pd_ee_delta_pose_applies_the_numpy_pd_law_to_dls_step2():
     gen = make_generator(6, "ee-bits")
     tight = ctrl.PDGains(kp=5000.0, kd=50.0, u_max=7.0)
     for q0, q1 in _hard_poses(GEOM, gen, 40):
-        state = ctrl.JointState(np.array([q0, q1]), gen.uniform(-3.0, 3.0, size=2))
+        q, qdot = np.array([q0, q1]), gen.uniform(-3.0, 3.0, size=2)
+        state = joint_state(q, qdot)
         action = gen.uniform(-1.0, 1.0, size=2)
         dq = ctrl.dls_step2(q0, q1, *(GEOM.dx_max * action).tolist(), GEOM)
         for gains in (GAINS, tight):
             u = ctrl.pd_ee_delta_pose(action, state, gains, GEOM)
-            assert u.tobytes() == pd_command_oracle(state.q + np.array(dq), state, gains, GEOM).tobytes()
+            assert np.array(u).tobytes() == pd_command_oracle(q + np.array(dq), q, qdot, gains, GEOM).tobytes()
 
 
 def test_dls_step2_jacobian_is_jacobian_bit_for_bit():
@@ -324,11 +335,15 @@ def test_the_arm_has_two_links_by_construction():
         lambda: ctrl.ArmGeom(link_lengths=(0.7, 1.1, 0.4), q_lo=(-3.0,) * 3, q_hi=(3.0,) * 3),
         lambda: ctrl.ArmGeom(q_lo=(-3.0,)),
         lambda: ctrl.ArmGeom(q_hi=(3.0, 3.0, 3.0)),
-        lambda: ctrl.JointState(np.zeros(3), np.zeros(3)),
     ]
     for make in cases:
         with pytest.raises(ShapeMismatchError):
             make()
+    # a joint state is the two angles and the two velocities, by its fields
+    assert ctrl.JointState._fields == ("q0", "q1", "v0", "v1")
+    for args in ((0.0, 0.0, 0.0), (0.0,) * 6):
+        with pytest.raises(TypeError):
+            ctrl.JointState(*args)
 
 
 def test_action_check_keeps_the_box_tolerance():

@@ -140,7 +140,7 @@ def test_reach2d_goal_appears_in_cloud():
     coords, onehot = obs.points[:, :2], obs.points[:, 2:]
     target_rows = onehot[:, 2] == 1.0
     assert target_rows.sum() > 0
-    dists = np.linalg.norm(coords[target_rows] - env.goal[None, :], axis=1)
+    dists = np.linalg.norm(coords[target_rows] - np.array(env.goal), axis=1)
     assert np.all(dists <= 0.03 + 1e-12)  # goal points sit on a 0.03 disk
 
 
@@ -188,7 +188,50 @@ def test_zero_action_leaves_scene_static(task):
     res = env.step(np.zeros(2))
     # from rest, a zero delta command produces zero torque: nothing moves
     assert res.obs.points.tobytes() == obs0.points.tobytes()
-    assert np.all(env.state.qdot == 0.0)
+    assert env.state.v0 == env.state.v1 == 0.0
+
+
+def integrate(q, qdot, u, geom, dt=envs.DT, substeps=envs._SUBSTEPS):
+    """Semi-implicit Euler under unit inertia on 2-vectors, as notebook 02
+    writes it: each substep adds h * u to the velocities, then h * qdot to
+    the angles, then clamps an angle past its limit and stops that joint.
+    Also returns which joints went below and above their limits."""
+    lo, hi = np.array(geom.q_lo), np.array(geom.q_hi)
+    below = above = np.zeros(2, dtype=bool)
+    h = dt / substeps
+    for _ in range(substeps):
+        qdot = qdot + h * u
+        q = q + h * qdot
+        below, above = below | (q < lo), above | (q > hi)
+        qdot = np.where((q < lo) | (q > hi), 0.0, qdot)
+        q = np.clip(q, lo, hi)
+    return q, qdot, below, above
+
+
+@pytest.mark.parametrize("task", envs.TASKS)
+def test_integrate_is_the_numpy_semi_implicit_euler(task):
+    env = envs.make_env(envs.make_config(task))
+    env.reset(2)
+    gen = make_generator(8, "integrate", task)
+    lo, hi = np.array(env.geom.q_lo), np.array(env.geom.q_hi)
+    u_max = env.gains.u_max
+    hits = np.zeros((2, 2), dtype=int)  # (below, above) x joint
+    for i in range(600):
+        # a third anywhere, a third near the lower limits moving down, a
+        # third near the upper limits moving up; every tenth starts at rest
+        # at a limit or holds a command at its bound
+        q = [gen.uniform(lo, hi), lo + gen.uniform(0.0, 0.3, size=2), hi - gen.uniform(0.0, 0.3, size=2)][i % 3]
+        qdot = gen.uniform(-8.0, 8.0, size=2) + [0.0, -4.0, 4.0][i % 3]
+        u = gen.uniform(-u_max, u_max, size=2)
+        if i % 10 == 0:
+            q, qdot, u = [lo, hi][i % 20 // 10].copy(), np.array([0.0, -0.0]), np.sign(u) * u_max
+        env.state = controllers.JointState(*q.tolist(), *qdot.tolist())
+        env._integrate(tuple(u.tolist()))
+        want_q, want_qdot, below, above = integrate(q, qdot, u, env.geom)
+        assert np.array(env.state).tobytes() == np.concatenate([want_q, want_qdot]).tobytes(), (q, qdot, u)
+        assert all(type(x) is float for x in env.state)
+        hits += np.stack([below, above])
+    assert hits.min() > 0, hits  # both limits of both joints were hit
 
 
 @pytest.mark.parametrize("task", envs.TASKS)
@@ -215,7 +258,7 @@ def arm_points_per_link(env, q0, q1):
     0 and x0 + t (x0 + x1 - x0) on link 1, over np.array_split's halves of
     the episode's offsets."""
     x0, y0, x1, y1 = controllers.link_vectors2(q0, q1, env.geom)
-    t0, t1 = np.array_split(env._arm_ts.ravel(), 2)
+    t0, t1 = np.array_split(env._arm_ts[:, 0], 2)
     link0 = np.stack([0.0 + t0 * (x0 - 0.0), 0.0 + t0 * (y0 - 0.0)], axis=1)
     link1 = np.stack([x0 + t1 * (x0 + x1 - x0), y0 + t1 * (y0 + y1 - y0)], axis=1)
     return np.concatenate([link0, link1])
@@ -226,12 +269,11 @@ def test_arm_points_equal_the_per_link_formula(task):
     env = envs.make_env(envs.make_config(task))
     env.reset(4)
     assert env.n_arm % 2 == 0
-    env._arm_ts[:, :2] = 0.0  # each link's start: t * x0 is -0.0 where x0 < 0, and 0.0 + -0.0 is 0.0
+    env._arm_ts[[0, env.n_arm // 2]] = 0.0  # each link's start: t * x0 is -0.0 where x0 < 0, and 0.0 + -0.0 is 0.0
     gen = make_generator(4, "arm", task)
     for q0, q1 in gen.uniform(-3.1, 3.1, size=(200, 2)).tolist() + [(3.0, 0.5), (-2.0, 1.0)]:
         env._arm_tip(q0, q1)
-        out = np.empty((env.n_arm, 2))
-        env._arm_points(out)
+        out = env._arm_points()
         assert out.tobytes() == arm_points_per_link(env, q0, q1).tobytes()
 
 
@@ -243,7 +285,7 @@ def test_clouds_and_tips_follow_the_current_state(task):
     gen = make_generator(6, "arm state", task)
     obs = env.reset(6)
     for _ in range(40):
-        q0, q1 = env.state.q.tolist()
+        q0, q1, _, _ = env.state
         assert obs.points[: env.n_arm, :2].tobytes() == arm_points_per_link(env, q0, q1).tobytes()
         assert env._tip == env._arm_tip(q0, q1)
         res = env.step(gen.uniform(-1.0, 1.0, size=2))
@@ -316,9 +358,10 @@ class ArrayGather2D(envs.Gather2D):
 
     def _particle_stats(self):
         particles = self._particles()
-        inside = np.linalg.norm(particles - self.target[None, :], axis=1) <= self.target_radius
+        target = np.array(self.target)
+        inside = np.linalg.norm(particles - target, axis=1) <= self.target_radius
         out = ~inside
-        centroid = particles[out].mean(axis=0) if out.any() else self.target.copy()
+        centroid = particles[out].mean(axis=0) if out.any() else target
         return float(np.mean(inside)), tuple(centroid.tolist())
 
 

@@ -472,6 +472,68 @@ class TestSurrogateGradients:
         assert np.abs(grad).max() > 0.0
 
 
+# a hand-worked minibatch: each ratio below, inside and above [0.8, 1.2]
+# under a positive and a negative advantage
+HAND_RATIOS = np.array([0.5, 0.9, 1.1, 1.5, 0.5, 0.9, 1.1, 1.5])
+HAND_ADVANTAGES = np.array([1.0, 2.0, 0.5, 1.5, -1.0, -2.0, -0.5, -1.5])
+
+
+def hand_worked_minibatch():
+    """An 8-row reach2d buffer whose recorded log-probs put the current
+    policy's ratios at HAND_RATIOS, with HAND_ADVANTAGES."""
+    store, spec = fresh_policy(seed=3)
+    buf = rollout_with_gae(store, spec, samples=8, seed=3)
+    idx = np.arange(8)
+    buf.logps = minibatch_logps(store, spec, buf, idx) - np.log(HAND_RATIOS)
+    buf.advantages = HAND_ADVANTAGES.copy()
+    return store, spec, buf, idx
+
+
+class TestClippedObjective:
+    def test_hand_worked_minibatch_takes_the_pessimistic_bound(self):
+        # min(r A, clip(r) A) is min(r, 1 + eps) A for A > 0 and
+        # max(r, 1 - eps) A for A < 0; its gradient flows through r on the
+        # rows where r A is that bound (ties inside the region included)
+        store, spec, buf, idx = hand_worked_minibatch()
+        cfg = SimpleNamespace(clip_eps=0.2, value_coef=0.0, entropy_coef=0.0)
+        total, grad, stats = ppo.surrogate_loss_and_grad(store, spec, buf, idx, cfg)
+        bound = np.array([0.5 * 1.0, 0.9 * 2.0, 1.1 * 0.5, 1.2 * 1.5, 0.8 * -1.0, 0.9 * -2.0, 1.1 * -0.5, 1.5 * -1.5])
+        assert total == stats["policy_loss"] == pytest.approx(0.09375, rel=1e-12)
+        assert total == pytest.approx(-np.mean(bound), rel=1e-12)
+        # no gradient where the clip binds: r = 1.5 under A > 0, r = 0.5 under A < 0
+        flows = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+        d_logp = -HAND_ADVANTAGES * HAND_RATIOS * flows / len(idx)
+        enc = pointnet.encode_batch(store, spec.encoder, buf.points[idx], buf.proprios[idx])
+        mean = nn.forward_batch(store, spec.mean, enc, "mean")
+        sigma = np.exp(pol.log_std_of(store))
+        z = (buf.raw_actions[idx] - mean) / sigma
+        # the mean head's output bias moves every row's mean one for one,
+        # and the log-std scales every row's z
+        lo, hi = store.slice_bounds(f"mean.b{spec.mean.depth - 1}")
+        assert np.allclose(grad[lo:hi], (d_logp[:, None] * z / sigma).sum(axis=0), rtol=1e-9, atol=1e-15)
+        lo, hi = store.slice_bounds("log_std")
+        assert np.array_equal(pol.log_std_grad_mask(store), np.ones(2))
+        assert np.allclose(grad[lo:hi], (d_logp[:, None] * (z * z - 1.0)).sum(axis=0), rtol=1e-9, atol=1e-15)
+
+    def test_kl_and_clip_fraction_follow_their_definitions(self, monkeypatch):
+        # approx_kl is the mean of old minus new log-probabilities, here
+        # -log r; clip_fraction the share of rows with |r - 1| > eps, here
+        # the four rows at 0.5 and 1.5.  ppo_update averages them over its
+        # one minibatch, so they pass through unchanged
+        store, spec, buf, idx = hand_worked_minibatch()
+        kl = -np.mean(np.log(HAND_RATIOS))
+        assert kl > 0.07
+        cfg = ppo.PPOConfig(samples_per_step=8, minibatch_size=8, epochs=1, clip_eps=0.2, total_steps=0)
+        _, _, stats = ppo.surrogate_loss_and_grad(store, spec, buf, idx, cfg)
+        assert stats["approx_kl"] == pytest.approx(kl, rel=1e-12)
+        assert stats["clip_fraction"] == 0.5
+        monkeypatch.setattr(nn, "adam_step", lambda store, grad, adam: None)
+        update = ppo.ppo_update(store, spec, buf, cfg, make_generator(3, "mb"), nn.init_adam(store.size, 1e-3))
+        assert update.minibatches == 1
+        assert update.approx_kl == pytest.approx(kl, rel=1e-12)
+        assert update.clip_fraction == 0.5
+
+
 class TestPPOUpdate:
     def test_requires_gae(self):
         store, spec = fresh_policy()
