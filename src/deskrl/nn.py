@@ -9,7 +9,18 @@ Weights are stored (in_width, out_width) so a batch X of shape (B, in)
 maps through X @ W + b, and biases are stored (1, out_width) so the same
 expression broadcasts.
 
-The backward pass reads the cache forward_unchecked() fills (each affine
+A net's layers are bound once per parameter vector: ParamStore.layers()
+resolves each affine layer's W and b views, its activation and where W
+and b sit in the flat vector, and keeps the result beside the cached
+views, keyed by the net's prefix.  Both are dropped together when `flat`
+is replaced or add() runs, so a bound layer never reads a replaced
+vector; in-place updates (Adam's `flat -= step`, a write into
+`flat[:]`) keep them, as the views see the new values.  Every forward
+and backward here, in pointnet and in the policy heads runs on bound
+layers (forward_layers(), backward_layers()), so no call builds a
+parameter name or hashes a NetSpec.
+
+The backward pass reads the cache forward_layers() fills (each affine
 layer's input, then the net's output) and accumulates into a
 caller-supplied flat gradient vector, which makes multi-head models
 (shared encoder, several heads) a matter of calling backward once per
@@ -19,15 +30,16 @@ Inputs are checked for shape and finiteness where they enter:
 forward_batch() and forward() check theirs and serve callers that pass
 raw arrays; no shipped path calls them, and they stay for the benchmark
 under perfbench/, which traces forward() by name.  forward_unchecked()
-is the same layer loop without the check, which every net of the policy
-runs through, on a batch that pointnet checked where its forward took
-it in.
+is the same layer loop without the check, forward_layers() on the net's
+bound layers, which every net of the policy runs through, on a batch
+that pointnet checked where its forward took it in.
 """
 
 from __future__ import annotations
 
-import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,15 +85,25 @@ class NetSpec:
         return self.output if j == self.depth - 1 else self.hidden
 
 
+class Layer(NamedTuple):
+    """One affine layer bound to a parameter vector (ParamStore.layers)."""
+
+    W: np.ndarray  # (in_width, out_width) view into the flat vector
+    b: np.ndarray  # (1, out_width) view
+    fn: str  # the activation after the affine map
+    w_at: slice  # W's entries in the flat vector, and so in a gradient
+    b_at: slice
+
+
 class ParamStore:
     """Named 2-D slices over one flat float64 vector.
 
     get() returns a reshaped view, so in-place updates to the flat vector
     (Adam, checkpoint restore) are immediately visible to every consumer.
-    Each view is built once and cached; add() and assigning a new array
-    to `flat` drop the cache, so a view never points into a replaced
-    vector.  Slices must all be registered before the flat vector is
-    mutated in place; add() reallocates.
+    Each view is built once and cached, and so is each net's binding
+    (layers()); add() and assigning a new array to `flat` drop both, so
+    neither points into a replaced vector.  Slices must all be registered
+    before the flat vector is mutated in place; add() reallocates.
     """
 
     def __init__(self):
@@ -98,6 +120,7 @@ class ParamStore:
         if getattr(self, "_flat", None) is not values:
             self._flat = values
             self._views: dict[str, np.ndarray] = {}
+            self._nets: dict[str, tuple[NetSpec, tuple[Layer, ...]]] = {}
 
     def add(self, name: str, values: np.ndarray) -> None:
         if name in self._slices:
@@ -115,6 +138,23 @@ class ParamStore:
             offset, rows, cols = self._require(name)
             view = self._views[name] = self._flat[offset : offset + rows * cols].reshape(rows, cols)
         return view
+
+    def layers(self, spec: NetSpec, prefix: str) -> tuple[Layer, ...]:
+        """spec's affine layers under `prefix`, bound to the current vector.
+
+        Bound on first use and kept until the vector is replaced.  The key
+        is the prefix, whose str hash Python caches; a call with another
+        spec object is checked for equality and, if it differs, binds anew.
+        """
+        bound = self._nets.get(prefix)
+        if bound is None or (bound[0] is not spec and bound[0] != spec):
+            layers = []
+            for j in range(spec.depth):
+                w, b = f"{prefix}.W{j}", f"{prefix}.b{j}"
+                layers.append(Layer(self.get(w), self.get(b), spec.activation(j),
+                                    slice(*self.slice_bounds(w)), slice(*self.slice_bounds(b))))
+            bound = self._nets[prefix] = (spec, tuple(layers))
+        return bound[1]
 
     def slice_bounds(self, name: str) -> tuple[int, int]:
         offset, rows, cols = self._require(name)
@@ -179,14 +219,6 @@ def _check_input(X: np.ndarray, width: int, name: str) -> np.ndarray:
     return X
 
 
-def _activate(fn: str, X: np.ndarray) -> None:
-    """fn(X), in place."""
-    if fn == "relu":
-        np.maximum(X, 0.0, out=X)
-    elif fn == "tanh":
-        np.tanh(X, out=X)
-
-
 def _activation_grad(fn: str, dY: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """dY through an activation whose output was Y.
 
@@ -200,10 +232,31 @@ def _activation_grad(fn: str, dY: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return dY
 
 
-@functools.lru_cache(maxsize=32)
-def _layers(spec: NetSpec, prefix: str) -> tuple[tuple[str, str, str], ...]:
-    """(W name, b name, activation) of each affine layer, built once per spec and prefix."""
-    return tuple((f"{prefix}.W{j}", f"{prefix}.b{j}", spec.activation(j)) for j in range(spec.depth))
+def forward_layers(
+    layers: Sequence[Layer], X: np.ndarray, cache: list[np.ndarray] | None = None
+) -> np.ndarray:
+    """The one dense forward, over bound layers (ParamStore.layers), with
+    no check of X, whose finiteness the caller vouches for.
+
+    Each affine layer is a product, then its bias add and its activation
+    in place on the product: the same IEEE operations as out-of-place
+    ones, without a temporary per step.  With a `cache` list, appends each
+    affine layer's input and then the net's output, so cache[j] is layer
+    j's input and cache[j + 1] its activation's output, which is what
+    backward_layers reads.  No layers gives X back (and caches it once).
+    """
+    for W, b, fn, _, _ in layers:
+        if cache is not None:
+            cache.append(X)
+        X = X @ W
+        X += b
+        if fn == "relu":
+            np.maximum(X, 0.0, out=X)
+        elif fn == "tanh":
+            np.tanh(X, out=X)
+    if cache is not None:
+        cache.append(X)
+    return X
 
 
 def forward_unchecked(
@@ -213,25 +266,9 @@ def forward_unchecked(
     prefix: str,
     cache: list[np.ndarray] | None = None,
 ) -> np.ndarray:
-    """The one dense forward: a (B, in_width) float64 array to (B, out_width),
-    with no check of X, whose finiteness the caller vouches for.
-
-    Each affine layer is a product, then its bias add and its activation
-    in place on the product: the same IEEE operations as out-of-place
-    ones, without a temporary per step.  With a `cache` list, appends each
-    affine layer's input and then the net's output, so cache[j] is layer
-    j's input and cache[j + 1] its activation's output, which is what
-    backward_batch reads.
-    """
-    for w, b, fn in _layers(spec, prefix):
-        if cache is not None:
-            cache.append(X)
-        X = X @ store.get(w)
-        X += store.get(b)
-        _activate(fn, X)
-    if cache is not None:
-        cache.append(X)
-    return X
+    """forward_layers() on spec's layers under `prefix`: a (B, in_width)
+    float64 array to (B, out_width), X unchecked."""
+    return forward_layers(store.layers(spec, prefix), X, cache)
 
 
 def forward_batch(store: ParamStore, spec: NetSpec, X: np.ndarray, prefix: str) -> np.ndarray:
@@ -261,15 +298,25 @@ def backward_batch(
         )
     if grad.shape != store.flat.shape:
         raise ShapeMismatchError("gradient accumulator does not match the parameter vector")
-    for j in reversed(range(spec.depth)):
-        dY = _activation_grad(spec.activation(j), dY, cache[j + 1])
-        lo_w, hi_w = store.slice_bounds(f"{prefix}.W{j}")
-        lo_b, hi_b = store.slice_bounds(f"{prefix}.b{j}")
-        grad[lo_w:hi_w] += (cache[j].T @ dY).ravel()
-        grad[lo_b:hi_b] += dY.sum(axis=0)
+    return backward_layers(store.layers(spec, prefix), cache, dY, grad, input_grad)
+
+
+def backward_layers(
+    layers: Sequence[Layer],
+    cache: list[np.ndarray],
+    dY: np.ndarray,
+    grad: np.ndarray,
+    input_grad: bool = True,
+) -> np.ndarray | None:
+    """backward_batch() over bound layers, with no check of dY or grad."""
+    for j in reversed(range(len(layers))):
+        W, _, fn, w_at, b_at = layers[j]
+        dY = _activation_grad(fn, dY, cache[j + 1])
+        grad[w_at] += (cache[j].T @ dY).ravel()
+        grad[b_at] += dY.sum(axis=0)
         if j == 0 and not input_grad:
             return None
-        dY = dY @ store.get(f"{prefix}.W{j}").T
+        dY = dY @ W.T
     return dY
 
 

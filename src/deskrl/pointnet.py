@@ -43,9 +43,16 @@ forward was no faster at 16 clouds (416 against 385 us).
 
 A PointCloudObs is its two arrays and checks nothing.  Each forward
 checks its batch once, on entry (_check_batch: shapes, a cloud of at
-least one point, finite values), and runs both nets through
-nn.forward_unchecked(), as the PPO and BC losses run their heads before
-checking the loss finite.
+least one point, finite values), and runs both nets unchecked, as the
+PPO and BC losses run their heads before checking the loss finite.
+
+Both nets run on their layers as the ParamStore binds them
+(store.layers(), see nn): the per-point net's layers up to its last (its
+body) go through nn.forward_layers() and nn.backward_layers(), and the
+last one's W and b views are read off its bound layer.  The binding is
+made once per parameter vector and dropped with the store's views when
+the vector is replaced, so no forward or backward here builds a
+parameter name or keeps a net of its own.
 
 The max-pool's gradient reaches only the point each feature pooled from,
 so encode_batch_backward() runs the per-point net backward through the
@@ -59,7 +66,6 @@ gradients can tell the difference, the forward value is the max either way.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -132,14 +138,6 @@ def build_encoder_spec(
     return EncoderSpec(proprio_width, per_point, post)
 
 
-@functools.lru_cache(maxsize=32)
-def _body(spec: EncoderSpec) -> nn.NetSpec:
-    """The per-point net up to its last affine layer, whose input it gives;
-    only for a per-point net of more than one layer.  Built once per spec."""
-    pp = spec.per_point
-    return nn.NetSpec(pp.widths[:-1], pp.hidden, pp.hidden)
-
-
 def init_encoder_params(store: nn.ParamStore, spec: EncoderSpec, gen: np.random.Generator) -> None:
     """Register per-point then post parameters (draw order is part of the contract)."""
     nn.init_net_params(store, spec.per_point, gen, PER_POINT)
@@ -154,7 +152,7 @@ class EncodeBatchCache:
     ascending (cloud, point) order.  slot[b, f] is the row that feature f
     of cloud b pooled from.  head_rows holds each per-point layer's input
     at those rows: the points, then the outputs of the layers before the
-    last (nn.forward_unchecked's cache of the body of the net).  tail_out
+    last (nn.forward_layers's cache of the body of the net).  tail_out
     is the net's closing ReLU at the pooled entries, (B, F): the pooled
     features.
     """
@@ -185,20 +183,6 @@ def _check_batch(
             and np.logical_and.reduce(np.isfinite(proprio), axis=None)):
         raise NonFiniteError("batch contains non-finite points or proprio")
     return points, proprio
-
-
-def _last_layer_input(
-    store: nn.ParamStore, spec: EncoderSpec, h: np.ndarray, cache: list[np.ndarray] | None = None
-) -> np.ndarray:
-    """The body of the per-point net over point-major (B*N, C) rows,
-    unchecked: the last per-point layer's input.  With a `cache` list,
-    appends each body layer's input and then this output (the points
-    alone when the net has one layer)."""
-    if spec.per_point.depth > 1:
-        return nn.forward_unchecked(store, _body(spec), h, PER_POINT, cache)
-    if cache is not None:
-        cache.append(h)
-    return h
 
 
 def _argmax_pool(z: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -236,11 +220,11 @@ def _pool_forward(
     EncodeBatchCache.head_rows), the pool indices and the pooled features.
     """
     B, N, C = points.shape
+    *body, last = store.layers(spec.per_point, PER_POINT)
     cache: list[np.ndarray] = []
-    h = _last_layer_input(store, spec, points.reshape(B * N, C), cache)
-    j = spec.per_point.depth - 1
-    z = store.get(f"{PER_POINT}.W{j}").T @ h.T
-    pool_idx, pooled = _argmax_pool(z.reshape(spec.feature_dim, B, N), store.get(f"{PER_POINT}.b{j}"))
+    h = nn.forward_layers(body, points.reshape(B * N, C), cache)
+    z = last.W.T @ h.T
+    pool_idx, pooled = _argmax_pool(z.reshape(spec.feature_dim, B, N), last.b)
     return cache, pool_idx, pooled
 
 
@@ -312,17 +296,17 @@ def encode_batch_padded(
     """
     points, proprio = _check_batch(spec, points, proprio)
     B, N, C = points.shape
-    F = spec.feature_dim
-    j = spec.per_point.depth - 1
-    z = _last_layer_input(store, spec, points.reshape(B * N, C)) @ store.get(f"{PER_POINT}.W{j}")
-    x = np.empty((B + -B % POST_ROW_MULTIPLE, spec.post.in_width))
+    *body, last = store.layers(spec.per_point, PER_POINT)
+    z = nn.forward_layers(body, points.reshape(B * N, C)) @ last.W
+    F = z.shape[1]
+    x = np.empty((B + -B % POST_ROW_MULTIPLE, F + proprio.shape[1]))
     pooled = x[:B, :F]
     np.maximum.reduce(z.reshape(B, N, F), axis=1, out=pooled)
-    pooled += store.get(f"{PER_POINT}.b{j}")
+    pooled += last.b
     np.maximum(pooled, 0.0, out=pooled)
     x[:B, F:] = proprio
     x[B:] = x[0]
-    return nn.forward_unchecked(store, spec.post, x, POST)
+    return nn.forward_layers(store.layers(spec.post, POST), x)
 
 
 def encode(store: nn.ParamStore, spec: EncoderSpec, obs: PointCloudObs) -> np.ndarray:
@@ -362,11 +346,8 @@ def encode_batch_backward(
     h = cache.head_rows[-1]
     d_rows = np.zeros((h.shape[0], F))
     d_rows[cache.slot, np.arange(F)] = d_pooled
-    j = spec.per_point.depth - 1
-    lo, hi = store.slice_bounds(f"{PER_POINT}.W{j}")
-    grad[lo:hi] += (h.T @ d_rows).ravel()
-    lo, hi = store.slice_bounds(f"{PER_POINT}.b{j}")
-    grad[lo:hi] += d_pooled.sum(axis=0)
-    if j:
-        d_h = d_rows @ store.get(f"{PER_POINT}.W{j}").T
-        nn.backward_batch(store, _body(spec), cache.head_rows, d_h, grad, PER_POINT, input_grad=False)
+    *body, last = store.layers(spec.per_point, PER_POINT)
+    grad[last.w_at] += (h.T @ d_rows).ravel()
+    grad[last.b_at] += d_pooled.sum(axis=0)
+    if body:
+        nn.backward_layers(body, cache.head_rows, d_rows @ last.W.T, grad, input_grad=False)

@@ -24,12 +24,18 @@ observation; no shipped path calls them, and they stay for the benchmark
 under perfbench/, which looks them up by name.
 
 The padded forward behind mean_actions(), sample_actions() and
-state_values() checks each call's stacked observations once, on entry
-(see pointnet).  The heads' outputs are checked too, so non-finite
-parameters raise NonFiniteError before an action reaches an environment
-or a rollout buffer.  Each clamp and sum calls the ufunc that np.clip or
-np.sum calls, without their Python wrappers: the same bits, as no clamp
-bound is a signed zero.
+state_values() is one pass (_heads): stack the observations, run
+pointnet.encode_batch_padded(), which checks them once, on entry, then
+the heads the call needs.  Every net runs on its layers as the
+ParamStore binds them (store.layers(), see nn): bound once per parameter
+vector, kept through Adam's in-place steps and dropped with the store's
+views when the vector is replaced, so a call builds no parameter name.
+The heads' outputs are checked, so non-finite parameters raise
+NonFiniteError before an action reaches an environment or a rollout
+buffer.  sample_actions() takes exp(log_std) once, for the draw and the
+density.  Each clamp and sum calls the ufunc that np.clip or np.sum
+calls, without their Python wrappers: the same bits, as no clamp bound
+is a signed zero.
 """
 
 from __future__ import annotations
@@ -120,7 +126,12 @@ def log_std_grad_mask(store: nn.ParamStore) -> np.ndarray:
 
 def gaussian_logp(x: np.ndarray, mean: np.ndarray, log_std: np.ndarray) -> np.ndarray:
     """Diagonal-Gaussian log density; batched over leading axes of x/mean."""
-    z = (x - mean) / np.exp(log_std)
+    return _logp(x, mean, log_std, np.exp(log_std))
+
+
+def _logp(x: np.ndarray, mean: np.ndarray, log_std: np.ndarray, std: np.ndarray) -> np.ndarray:
+    """gaussian_logp() for a caller that has std = exp(log_std) at hand."""
+    z = (x - mean) / std
     return -0.5 * np.add.reduce(z * z + 2.0 * log_std + _LOG_2PI, axis=-1)
 
 
@@ -144,7 +155,16 @@ class ActionSample:
     value: np.ndarray | float
 
 
-def _padded_features(store: nn.ParamStore, spec: PolicySpec, obs: Sequence[PointCloudObs]) -> np.ndarray:
+def _heads(
+    store: nn.ParamStore, spec: PolicySpec, obs: Sequence[PointCloudObs], *names: str
+) -> list[np.ndarray]:
+    """The padded forward on K observations, one pass: the stacked batch
+    through the encoder (encode_batch_padded, which checks it), then each
+    named head ("mean", "value") on the encoder's padded rows, on its
+    layers as the store binds them; returns each head's first K rows.
+    The heads run unchecked like the encoder's nets; their outputs are
+    checked, so non-finite parameters raise here and never reach an
+    action or a rollout."""
     # np.array copies the equal-shape rows as np.stack does, at a third of its
     # overhead, and raises ValueError on rows of unequal shapes
     try:
@@ -152,17 +172,14 @@ def _padded_features(store: nn.ParamStore, spec: PolicySpec, obs: Sequence[Point
         proprio = np.array([o.proprio for o in obs])
     except ValueError as err:
         raise ShapeMismatchError(f"the observations of one batch differ in shape: {err}") from None
-    return encode_batch_padded(store, spec.encoder, points, proprio)
-
-
-def _head(store: nn.ParamStore, spec: PolicySpec, feat: np.ndarray, name: str) -> np.ndarray:
-    """The "mean" or "value" head on the encoder's padded rows, unchecked
-    like the encoder's nets; the output is checked, so non-finite
-    parameters raise here and never reach an action or a rollout."""
-    out = nn.forward_unchecked(store, getattr(spec, name), feat, name)
-    if not np.logical_and.reduce(np.isfinite(out), axis=None):
-        raise NonFiniteError(f"the policy's {name} head gave non-finite values")
-    return out
+    feat = encode_batch_padded(store, spec.encoder, points, proprio)
+    outs = []
+    for name in names:
+        out = nn.forward_layers(store.layers(getattr(spec, name), name), feat)
+        if not np.logical_and.reduce(np.isfinite(out), axis=None):
+            raise NonFiniteError(f"the policy's {name} head gave non-finite values")
+        outs.append(out[: len(obs)])
+    return outs
 
 
 def sample_actions(
@@ -178,15 +195,13 @@ def sample_actions(
     """
     if len(gens) != len(obs):
         raise ShapeMismatchError(f"{len(obs)} observations need as many generators, got {len(gens)}")
-    K = len(obs)
-    feat = _padded_features(store, spec, obs)
-    mean = _head(store, spec, feat, "mean")[:K]
-    value = _head(store, spec, feat, "value")[:K, 0]
+    mean, value = _heads(store, spec, obs, "mean", "value")
     log_std = log_std_of(store)
+    std = np.exp(log_std)
     z = np.array([gen.standard_normal(spec.action_dim) for gen in gens])
-    raw = mean + np.exp(log_std) * z
-    logp = gaussian_logp(raw, mean, log_std)
-    return ActionSample(np.minimum(np.maximum(raw, -1.0), 1.0), raw, logp, value)
+    raw = mean + std * z
+    logp = _logp(raw, mean, log_std, std)
+    return ActionSample(np.minimum(np.maximum(raw, -1.0), 1.0), raw, logp, value[:, 0])
 
 
 def sample_action(
@@ -203,8 +218,7 @@ def sample_action(
 def state_values(store: nn.ParamStore, spec: PolicySpec, obs: Sequence[PointCloudObs]) -> np.ndarray:
     """V on K observations, (K,): the value head on the encoder's padded
     rows, with the bits sample_actions() gives each row."""
-    feat = _padded_features(store, spec, obs)
-    return _head(store, spec, feat, "value")[: len(obs), 0]
+    return _heads(store, spec, obs, "value")[0][:, 0]
 
 
 def mean_actions(
@@ -215,8 +229,8 @@ def mean_actions(
     One batched forward; only the mean head runs, on the encoder's padded
     rows, and row k does not depend on the other observations.
     """
-    mean = _head(store, spec, _padded_features(store, spec, obs), "mean")
-    return np.minimum(np.maximum(mean[: len(obs)], -1.0), 1.0)
+    mean = _heads(store, spec, obs, "mean")[0]
+    return np.minimum(np.maximum(mean, -1.0), 1.0)
 
 
 def mean_action(store: nn.ParamStore, spec: PolicySpec, obs: PointCloudObs) -> np.ndarray:

@@ -5,7 +5,10 @@ they give here: `each_kernel` parametrizes a test over the kernels (skipped
 off x86-64), and `kernel_checks` runs every per-kernel check under one
 kernel in one subprocess, once per test session, skipping the calling test
 when this CPU cannot run the kernel.  `running_kernel` names the kernel
-this process runs, for messages that say where a digest was computed.
+this process runs and `numpy_dispatch` the SIMD level of numpy's own
+loops (np.tanh, np.exp and the rest, whose bits can differ between
+levels); `running_target` names both, for messages that say where a
+digest was computed.
 """
 
 import ctypes
@@ -53,6 +56,25 @@ def running_kernel() -> str:
         corename.restype = ctypes.c_char_p
         return corename().decode()
     return "unknown"
+
+
+@functools.cache
+def numpy_dispatch() -> str:
+    """numpy's SIMD level in this process: the baseline it was built for
+    and the dispatch targets this CPU enables, less any that
+    NPY_DISABLE_CPU_FEATURES turned off (say "baseline X86_V2, dispatch
+    X86_V3 X86_V4 AVX512_ICL AVX512_SPR")."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    enabled = [target for target in umath.__cpu_dispatch__ if umath.__cpu_features__.get(target)]
+    return f"baseline {' '.join(umath.__cpu_baseline__) or 'none'}, dispatch {' '.join(enabled) or 'none'}"
+
+
+def running_target() -> str:
+    """The OpenBLAS kernel and numpy's SIMD level this process runs."""
+    return f"OpenBLAS kernel {running_kernel()}, numpy {numpy_dispatch()}"
 
 
 def each_kernel(test):

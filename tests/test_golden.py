@@ -28,7 +28,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from blas_kernels import each_kernel, kernel_checks, running_kernel
+from blas_kernels import each_kernel, kernel_checks, running_target
 from deskrl import bc, nn, pointnet, policy as pol, ppo, twostage as ts
 from deskrl.config import resolve_config, write_manifest
 from deskrl.envs import SPLITS, TASKS, generate_demos, make_config, make_env
@@ -41,7 +41,7 @@ PINNED_ON = "SkylakeX"
 
 
 def _kernels() -> str:
-    return f"OpenBLAS kernel {running_kernel()}, digests pinned on {PINNED_ON}"
+    return f"{running_target()}, digests pinned on {PINNED_ON}"
 
 
 GOLDEN = {

@@ -179,18 +179,22 @@ def test_cache_holds_each_layer_input_then_the_output(output):
         assert cache[j + 1].tobytes() == want.tobytes()
 
 
-def test_layer_lists_are_built_once_per_spec_and_prefix():
-    specs = [nn.NetSpec((3, 4, 2)), nn.NetSpec((3, 4, 2), hidden="tanh"), nn.NetSpec((3, 5, 4, 2), output="relu")]
-    seen = {}
-    for spec in specs:
-        for prefix in ("mean", "value", "enc.pp"):
-            layers = nn._layers(spec, prefix)
-            assert layers == tuple(
-                (f"{prefix}.W{j}", f"{prefix}.b{j}", spec.activation(j)) for j in range(spec.depth)
-            )
-            assert nn._layers(spec, prefix) is layers
-            seen[spec, prefix] = layers
-    assert len(set(seen.values())) == len(seen)  # no two specs or prefixes share a list
+def test_layers_are_bound_once_per_vector():
+    spec, store = build_net((3, 5, 4, 2), "tanh", "relu", 4)
+    layers = store.layers(spec, "net")
+    assert store.layers(spec, "net") is layers
+    # an equal spec object is served the same binding
+    assert store.layers(nn.NetSpec((3, 5, 4, 2), hidden="tanh", output="relu"), "net") is layers
+    assert len(layers) == spec.depth
+    for j, (W, b, fn, w_at, b_at) in enumerate(layers):
+        assert W is store.get(f"net.W{j}") and b is store.get(f"net.b{j}")
+        assert fn == spec.activation(j)
+        assert (w_at.start, w_at.stop) == store.slice_bounds(f"net.W{j}")
+        assert (b_at.start, b_at.stop) == store.slice_bounds(f"net.b{j}")
+    # another spec under the same prefix binds its own activations
+    relu = store.layers(nn.NetSpec((3, 5, 4, 2)), "net")
+    assert [layer.fn for layer in relu] == ["relu", "relu", "identity"]
+    assert all(a.W is b.W for a, b in zip(relu, layers))
 
 
 def test_backward_accumulates():
@@ -301,6 +305,59 @@ def test_assigning_a_new_flat_vector_drops_every_view():
     assert store.get("a.W0") is not w
     assert np.shares_memory(store.get("a.W0"), store.flat)
     assert np.array_equal(old, np.zeros((2, 2)))
+
+
+def _pass(store, spec, X):
+    """The bytes of a forward and a backward through the net: the output,
+    the parameter gradient and the input gradient of sum(Y * dY)."""
+    Y, cache = traced(store, spec, X, "net")
+    grad = store.zeros_grad()
+    dX = nn.backward_batch(store, spec, cache, np.cos(Y), grad, "net")
+    return Y.tobytes(), grad.tobytes(), dX.tobytes()
+
+
+def _fresh_pass(store, spec, X):
+    """_pass on a store rebuilt from `store`'s current vector, which no
+    earlier call can have bound."""
+    return _pass(nn.ParamStore.from_directory(store.directory(), store.flat), spec, X)
+
+
+@pytest.mark.parametrize("change", ["assign", "add", "adam"])
+def test_bound_layers_follow_the_store(change):
+    # a forward and a backward read the vector the store holds now: a new
+    # one after `flat = ...` or add(), the stepped one after Adam's in-place
+    # `flat -= step`, which keeps the binding
+    spec, store = build_net((4, 6, 5, 3), "tanh", "identity", 12)
+    gen = make_generator(12, "follow")
+    X = gen.normal(size=(7, 4))
+    before = _pass(store, spec, X)
+    layers = store.layers(spec, "net")
+    if change == "assign":
+        store.flat = store.flat * 1.5
+    elif change == "add":
+        store.add("extra", np.ones((1, 2)))
+        store.flat[:-2] *= 1.5
+    else:
+        nn.adam_step(store, gen.normal(size=store.size), nn.init_adam(store.size, lr=0.1))
+        assert store.layers(spec, "net") is layers
+    after = _pass(store, spec, X)
+    assert after == _fresh_pass(store, spec, X)
+    assert all(a != b for a, b in zip(after, before))
+
+
+def test_a_restored_store_reads_its_own_vector():
+    # ParamStore.from_directory, the checkpoint restore path, binds the
+    # copy it holds, not the source's vector, whichever was bound first
+    spec, store = build_net((4, 6, 3), "relu", "identity", 13)
+    X = make_generator(13, "restore").normal(size=(5, 4))
+    source = _pass(store, spec, X)
+    twin = nn.ParamStore.from_directory(store.directory(), store.flat)
+    assert _pass(twin, spec, X) == source
+    twin.flat *= 0.5
+    store.flat[:] *= 2.0
+    assert _pass(twin, spec, X) == _fresh_pass(twin, spec, X) != _pass(store, spec, X)
+    for layer in twin.layers(spec, "net"):
+        assert np.shares_memory(layer.W, twin.flat) and not np.shares_memory(layer.W, store.flat)
 
 
 def reference_adam(params, grads, lr, beta1, beta2, eps):

@@ -457,20 +457,58 @@ def test_an_observation_is_its_two_arrays():
     assert obs.points is points and obs.proprio is proprio
 
 
-def test_body_is_built_once_per_spec():
-    specs = [
-        make_encoder(0, per_point=(16, 32))[0],
-        make_encoder(0, per_point=(8, 16, 32))[0],
-        make_encoder(0, proprio_width=3, per_point=(8, 16, 32))[0],
-        make_encoder(0, per_point=(12, 32))[0],
-        pointnet.EncoderSpec(8, nn.NetSpec((5, 8, 16, 32), hidden="tanh", output="relu"), nn.NetSpec((40, 24))),
-    ]
-    bodies = [pointnet._body(spec) for spec in specs]
-    for spec, body in zip(specs, bodies):
-        pp = spec.per_point
-        assert body == nn.NetSpec(pp.widths[:-1], pp.hidden, pp.hidden)
-        assert pointnet._body(spec) is body
-    assert len(set(bodies)) == 4  # the two relu (8, 16, 32) nets have equal bodies, the others not
+def checked_encoder(store, spec, points, proprio, rows):
+    """The encoder composed from nn.forward_batch: the whole per-point net,
+    np.max over the points, the proprio, pad rows (copies of the first)
+    up to `rows`, then the post net."""
+    B, N, C = points.shape
+    feats = nn.forward_batch(store, spec.per_point, points.reshape(B * N, C), "enc.pp")
+    x = np.concatenate([np.max(feats.reshape(B, N, spec.feature_dim), axis=1), proprio], axis=1)
+    x = np.concatenate([x, x[:1].repeat(rows - B, axis=0)])
+    return nn.forward_batch(store, spec.post, x, "enc.post")
+
+
+def _encoder_shape(per_point, post=(9, 6), hidden="relu"):
+    pp = nn.NetSpec((pointnet.POINT_DIM + pointnet.FEAT_CHANNELS, *per_point), hidden=hidden, output="relu")
+    spec = pointnet.EncoderSpec(4, pp, nn.NetSpec((per_point[-1] + 4, *post)))
+    store = nn.ParamStore()
+    pointnet.init_encoder_params(store, spec, make_generator(9, "enc"))
+    store.flat += make_generator(9, "bias").normal(0.0, 0.1, size=store.size)  # every entry, biases too
+    return spec, store
+
+
+# encoders the policy does not build: the bound body (the per-point layers
+# before the last) empty, of two tanh or relu layers, and two post layers
+ENCODER_SHAPES = {
+    "depth1": lambda: _encoder_shape((12,), post=(6,)),
+    "depth1_post2": lambda: _encoder_shape((12,)),
+    "depth3_post2": lambda: _encoder_shape((8, 10, 12)),
+    "depth3_tanh_post2": lambda: _encoder_shape((8, 10, 12), hidden="tanh"),
+}
+
+
+@pytest.mark.parametrize("shape", list(ENCODER_SHAPES))
+def test_bound_nets_match_checked_composition(shape):
+    # both forwards run the per-point body and the post net on the store's
+    # bound layers; their outputs must have the bits of the checked
+    # composition, and the traced one's backward must agree with the dense
+    # reference, which runs every layer through nn.backward_batch
+    spec, store = ENCODER_SHAPES[shape]()
+    gen = make_generator(9, "shapes", shape)
+    obs_list = [random_obs(spec, gen, 10) for _ in range(11)]
+    for k in (1, 3, 8, 11):
+        pts, prop = stack(obs_list[:k])
+        padded = pointnet.encode_batch_padded(store, spec, pts, prop)
+        assert len(padded) == k + -k % pointnet.POST_ROW_MULTIPLE
+        assert padded.tobytes() == checked_encoder(store, spec, pts, prop, len(padded)).tobytes()
+        out, cache = pointnet.encode_batch_trace(store, spec, pts, prop)
+        assert out.tobytes() == checked_encoder(store, spec, pts, prop, k).tobytes()
+        assert len(cache.head_rows) == spec.per_point.depth
+        d_out = gen.normal(size=out.shape)
+        grad, dense = store.zeros_grad(), store.zeros_grad()
+        pointnet.encode_batch_backward(store, spec, cache, d_out, grad)
+        dense_backward(store, spec, pts, prop, d_out, dense)
+        assert np.allclose(grad, dense, rtol=1e-10, atol=1e-12)
 
 
 @pytest.mark.parametrize("output", ["tanh", "identity"], ids=["tanh", "none"])
