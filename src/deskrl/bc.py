@@ -14,8 +14,10 @@ with S1 < S0 starts at position k*S1, not at k*S0 where stage one
 stopped, and replays k*(S0 - S1) samples it has already seen (ROADMAP
 item 3, "BC sample stream").
 
-Only the mean head and the encoder receive gradients; the value head
-and the log-std vector are along for the ride so that the policy a BC
+The loss sits on the policy's training pass and its backward
+(policy.trace, policy.backward) with the mean head alone, so only the
+mean head and the encoder receive gradients; the value head and the
+log-std vector are along for the ride so that the policy a BC
 checkpoint restores stays structurally identical to a PPO one.
 """
 
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import loop, nn, pointnet, policy as pol
+from . import loop, nn, policy as pol
 from .envs import DemoTrajectory, EnvConfig
 from .errors import ConfigError, NonFiniteError, require_finite_floats
 from .persistence import Checkpoint, MetricsRecord
@@ -121,16 +123,14 @@ def bc_loss(
     proprios: np.ndarray,
     actions: np.ndarray,
 ) -> tuple[float, np.ndarray]:
-    """Mean squared action error and its gradient (mean head and encoder only)."""
+    """Mean squared action error and its gradient (mean head and encoder
+    only), on policy.trace and policy.backward."""
     m = actions.shape[0]
-    enc_out, enc_cache = pointnet.encode_batch_trace(store, spec.encoder, points, proprios)
-    mean_cache: list[np.ndarray] = []
-    mean = nn.forward_unchecked(store, spec.mean, enc_out, "mean", mean_cache)
+    mean, tape = pol.trace(store, spec, points, proprios, "mean")
     err = mean - actions
     loss = float(np.mean(np.sum(err * err, axis=1)))
     grad = store.zeros_grad()
-    d_enc = nn.backward_batch(store, spec.mean, mean_cache, (2.0 / m) * err, grad, "mean")
-    pointnet.encode_batch_backward(store, spec.encoder, enc_cache, d_enc, grad)
+    pol.backward(store, spec, tape, ((2.0 / m) * err,), grad)
     return loss, grad
 
 

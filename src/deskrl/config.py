@@ -66,6 +66,18 @@ def _identity(raw: str) -> str:
     return raw.strip()
 
 
+def _run_file_name(raw: str) -> str:
+    """A file name for the run directory: no directory part, not . or .."""
+    name = raw.strip()
+    if not name:
+        raise ConfigError("expected a file name, got an empty value")
+    if os.path.dirname(name):
+        raise ConfigError(f"{name!r} has a directory part; name a file in the run directory")
+    if name in (os.curdir, os.pardir):
+        raise ConfigError(f"expected a file name, got {name!r}")
+    return name
+
+
 # annotation of a config dataclass field -> parser of its raw string
 _FIELD_PARSERS = {
     int: int,
@@ -100,7 +112,7 @@ SCHEMA: dict[str, dict[str, tuple[Any, Callable[[str], Any]]]] = {
     "demos": {
         "count": (100, int),
         "keep_only_success": (True, _parse_bool),
-        "out": ("demos.bin", _identity),  # written under the run directory
+        "out": ("demos.bin", _run_file_name),  # written under the run directory
     },
     "twostage": {
         "trainer": ("ppo", _identity),
@@ -122,7 +134,7 @@ SCHEMA: dict[str, dict[str, tuple[Any, Callable[[str], Any]]]] = {
     },
     "export": {
         "metrics": ("", _identity),  # input metrics log
-        "out": ("trendline.csv", _identity),  # written under the run directory
+        "out": ("trendline.csv", _run_file_name),  # written under the run directory
     },
 }
 

@@ -15,24 +15,22 @@ and b sit in the flat vector, and keeps the result beside the cached
 views, keyed by the net's prefix.  Both are dropped together when `flat`
 is replaced or add() runs, so a bound layer never reads a replaced
 vector; in-place updates (Adam's `flat -= step`, a write into
-`flat[:]`) keep them, as the views see the new values.  Every forward
-and backward here, in pointnet and in the policy heads runs on bound
-layers (forward_layers(), backward_layers()), so no call builds a
-parameter name or hashes a NetSpec.
+`flat[:]`) keep them, as the views see the new values.
 
-The backward pass reads the cache forward_layers() fills (each affine
-layer's input, then the net's output) and accumulates into a
-caller-supplied flat gradient vector, which makes multi-head models
-(shared encoder, several heads) a matter of calling backward once per
-head with the same accumulator.
+There is one forward, forward_layers(), and one backward,
+backward_layers(), both on bound layers and both unchecked: every net in
+pointnet and in the policy runs through them, on a batch that pointnet
+checked where its forward took it in, so no call builds a parameter name
+or hashes a NetSpec.  The backward reads the cache forward_layers()
+fills (each affine layer's input, then the net's output) and accumulates
+into a caller-supplied flat gradient vector, which makes multi-head
+models (shared encoder, several heads) a matter of calling backward once
+per head with the same accumulator.
 
-Inputs are checked for shape and finiteness where they enter:
-forward_batch() and forward() check theirs and serve callers that pass
-raw arrays; no shipped path calls them, and they stay for the benchmark
-under perfbench/, which traces forward() by name.  forward_unchecked()
-is the same layer loop without the check, forward_layers() on the net's
-bound layers, which every net of the policy runs through, on a batch
-that pointnet checked where its forward took it in.
+The checked entry points, forward_batch() and forward(), check their
+input's shape and finiteness and serve callers that pass raw arrays; no
+shipped path calls them.  The tests take forward_batch() as their checked
+reference, and the benchmark under perfbench/ traces forward() by name.
 """
 
 from __future__ import annotations
@@ -259,46 +257,9 @@ def forward_layers(
     return X
 
 
-def forward_unchecked(
-    store: ParamStore,
-    spec: NetSpec,
-    X: np.ndarray,
-    prefix: str,
-    cache: list[np.ndarray] | None = None,
-) -> np.ndarray:
-    """forward_layers() on spec's layers under `prefix`: a (B, in_width)
-    float64 array to (B, out_width), X unchecked."""
-    return forward_layers(store.layers(spec, prefix), X, cache)
-
-
 def forward_batch(store: ParamStore, spec: NetSpec, X: np.ndarray, prefix: str) -> np.ndarray:
-    """Run a (B, in_width) batch through the net; returns (B, out_width)."""
-    return forward_unchecked(store, spec, _check_input(X, spec.in_width, prefix), prefix)
-
-
-def backward_batch(
-    store: ParamStore,
-    spec: NetSpec,
-    cache: list[np.ndarray],
-    dY: np.ndarray,
-    grad: np.ndarray,
-    prefix: str,
-    input_grad: bool = True,
-) -> np.ndarray | None:
-    """Backprop dY (B, out_width) through the net, accumulating into `grad`.
-
-    Returns the gradient with respect to the net input, shape (B, in_width),
-    or None with input_grad=False, which skips the first layer's input
-    product for callers that have no use for it.
-    """
-    dY = np.asarray(dY, dtype=np.float64)
-    if dY.ndim != 2 or dY.shape[1] != spec.out_width:
-        raise ShapeMismatchError(
-            f"{prefix}: upstream gradient must be (batch, {spec.out_width}), got {dY.shape}"
-        )
-    if grad.shape != store.flat.shape:
-        raise ShapeMismatchError("gradient accumulator does not match the parameter vector")
-    return backward_layers(store.layers(spec, prefix), cache, dY, grad, input_grad)
+    """Run a checked (B, in_width) batch through the net; returns (B, out_width)."""
+    return forward_layers(store.layers(spec, prefix), _check_input(X, spec.in_width, prefix))
 
 
 def backward_layers(
@@ -308,7 +269,13 @@ def backward_layers(
     grad: np.ndarray,
     input_grad: bool = True,
 ) -> np.ndarray | None:
-    """backward_batch() over bound layers, with no check of dY or grad."""
+    """Backprop dY (B, out_width) through bound layers, accumulating into
+    `grad`, with no check of dY or grad.
+
+    Returns the gradient with respect to the net input, shape (B, in_width),
+    or None with input_grad=False, which skips the first layer's input
+    product for callers that have no use for it.
+    """
     for j in reversed(range(len(layers))):
         W, _, fn, w_at, b_at = layers[j]
         dY = _activation_grad(fn, dY, cache[j + 1])

@@ -47,9 +47,10 @@ least one point, finite values), and runs both nets unchecked, as the
 PPO and BC losses run their heads before checking the loss finite.
 
 Both nets run on their layers as the ParamStore binds them
-(store.layers(), see nn): the per-point net's layers up to its last (its
-body) go through nn.forward_layers() and nn.backward_layers(), and the
-last one's W and b views are read off its bound layer.  The binding is
+(store.layers(), see nn): the post net and the per-point net's layers up
+to its last (its body) go through nn.forward_layers() and
+nn.backward_layers(), in both directions, and the per-point net's last
+W and b views are read off its bound layer.  The binding is
 made once per parameter vector and dropped with the store's views when
 the vector is replaced, so no forward or backward here builds a
 parameter name or keeps a net of its own.
@@ -246,7 +247,7 @@ def encode_batch_trace(
     head_cache, pool_idx, pooled = _pool_forward(store, spec, points)
     post_cache: list[np.ndarray] = []
     x = np.concatenate([pooled, proprio], axis=1)
-    out = nn.forward_unchecked(store, spec.post, x, POST, post_cache)
+    out = nn.forward_layers(store.layers(spec.post, POST), x, post_cache)
     flat = pool_idx + (np.arange(B) * N)[:, None]
     used = np.zeros(B * N, dtype=bool)
     used[flat] = True
@@ -341,7 +342,7 @@ def encode_batch_backward(
     d_out = np.asarray(d_out, dtype=np.float64)
     if d_out.shape != (B, spec.out_width):
         raise ShapeMismatchError(f"upstream gradient must be ({B}, {spec.out_width}), got {d_out.shape}")
-    dx = nn.backward_batch(store, spec.post, cache.post_cache, d_out, grad, POST)
+    dx = nn.backward_layers(store.layers(spec.post, POST), cache.post_cache, d_out, grad)
     d_pooled = nn._activation_grad("relu", dx[:, :F], cache.tail_out)
     h = cache.head_rows[-1]
     d_rows = np.zeros((h.shape[0], F))

@@ -23,10 +23,11 @@ bit.  sample_action() and mean_action() make the batched calls on one
 observation; no shipped path calls them, and they stay for the benchmark
 under perfbench/, which looks them up by name.
 
-The padded forward behind mean_actions(), sample_actions() and
-state_values() is one pass (_heads): stack the observations, run
-pointnet.encode_batch_padded(), which checks them once, on entry, then
-the heads the call needs.  Every net runs on its layers as the
+The policy runs its nets in two passes, and no other module binds or
+runs a layer of them.  The padded forward behind mean_actions(),
+sample_actions() and state_values() is one pass (_heads): stack the
+observations, run pointnet.encode_batch_padded(), which checks them
+once, on entry, then the heads the call needs.  Every net runs on its layers as the
 ParamStore binds them (store.layers(), see nn): bound once per parameter
 vector, kept through Adam's in-place steps and dropped with the store's
 views when the vector is replaced, so a call builds no parameter name.
@@ -36,12 +37,21 @@ buffer.  sample_actions() takes exp(log_std) once, for the draw and the
 density.  Each clamp and sum calls the ufunc that np.clip or np.sum
 calls, without their Python wrappers: the same bits, as no clamp bound
 is a signed zero.
+
+The training pass (trace) runs a stacked minibatch through the encoder
+unpadded (pointnet.encode_batch_trace) and then the heads a loss needs,
+keeping each cache in a Tape; its reverse (backward) runs those heads
+back, sums their input gradients, runs the encoder back and takes the
+log-std row's gradient through the clamp.  The PPO and BC losses
+(ppo.surrogate_loss_and_grad, bc.bc_loss) sit on that one pair and name
+no cache, parameter slice or encoder call of their own.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,10 +59,13 @@ from . import nn
 from .envs import ACTION_DIM, SPLITS, EnvConfig, Lane, make_env, proprio_width, run_lanes
 from .errors import ConfigError, NonFiniteError, ShapeMismatchError
 from .pointnet import (
+    EncodeBatchCache,
     EncoderSpec,
     PointCloudObs,
     build_encoder_spec,
+    encode_batch_backward,
     encode_batch_padded,
+    encode_batch_trace,
     init_encoder_params,
 )
 from .rng import panel_seeds
@@ -180,6 +193,57 @@ def _heads(
             raise NonFiniteError(f"the policy's {name} head gave non-finite values")
         outs.append(out[: len(obs)])
     return outs
+
+
+class Tape(NamedTuple):
+    """What backward() reads of one trace(): the encoder's cache, then
+    each traced head's bound layers and forward cache, in trace order."""
+
+    encoder: EncodeBatchCache
+    heads: tuple[tuple[tuple[nn.Layer, ...], list[np.ndarray]], ...]
+
+
+def trace(
+    store: nn.ParamStore, spec: PolicySpec, points: np.ndarray, proprios: np.ndarray, *heads: str
+) -> tuple:
+    """The training pass on a (B, N, C) stack of clouds and (B, P) proprio
+    rows: the encoder's traced forward (encode_batch_trace, which checks
+    the batch), then each named head ("mean", "value") on its bound layers
+    with a cache.  Returns each head's (B, out_width) output, unchecked,
+    then the Tape that backward() reads."""
+    feat, enc_cache = encode_batch_trace(store, spec.encoder, points, proprios)
+    runs = tuple((store.layers(getattr(spec, name), name), []) for name in heads)
+    outs = [nn.forward_layers(layers, feat, cache) for layers, cache in runs]
+    return (*outs, Tape(enc_cache, runs))
+
+
+def backward(
+    store: nn.ParamStore,
+    spec: PolicySpec,
+    tape: Tape,
+    d_heads: Sequence[np.ndarray],
+    grad: np.ndarray,
+    d_log_std: np.ndarray | None = None,
+) -> None:
+    """Accumulate the gradient of one trace() into `grad`: d_heads holds
+    each traced head's upstream gradient, in trace order.
+
+    The heads run back in order and their input gradients are summed, the
+    first head's, then each next one added to it; the sum runs back
+    through the encoder.  d_log_std, the loss's gradient with respect to
+    the clamped log-std row, reaches only entries inside the clamp range
+    (log_std_grad_mask), as the clamp has zero slope outside it.
+    """
+    d_feat, *rest = [
+        nn.backward_layers(layers, cache, d_out, grad)
+        for (layers, cache), d_out in zip(tape.heads, d_heads, strict=True)
+    ]
+    for d_in in rest:
+        d_feat += d_in
+    encode_batch_backward(store, spec.encoder, tape.encoder, d_feat, grad)
+    if d_log_std is not None:
+        lo, hi = store.slice_bounds("log_std")
+        grad[lo:hi] += d_log_std * log_std_grad_mask(store)
 
 
 def sample_actions(

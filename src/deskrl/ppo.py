@@ -23,6 +23,11 @@ rollout recorded (RolloutBuffer.logps), with no second pass over the
 buffer.  Collection encodes padded lane batches and the update encodes
 minibatches, whose BLAS kernels can differ in the last bits, so the
 first epoch's ratios equal one to rounding rather than bit for bit.
+
+The minibatch loss runs the policy's training pass with both heads
+(policy.trace) and hands the mean, value and log-std gradients to its
+backward (policy.backward), which knows how the encoder, the heads and
+the clamped log-std row fit together.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from itertools import accumulate, repeat
 
 import numpy as np
 
-from . import loop, nn, pointnet, policy as pol
+from . import loop, nn, policy as pol
 from .envs import MAX_LANES, N_POINTS, EnvConfig, Lane, make_env, run_lanes
 from .errors import ConfigError, NonFiniteError, require_finite_floats
 from .persistence import Checkpoint, MetricsRecord
@@ -203,14 +208,6 @@ class UpdateStats:
     minibatches: int
 
 
-def _policy_batch_trace(store, spec, points, proprios):
-    enc_out, enc_cache = pointnet.encode_batch_trace(store, spec.encoder, points, proprios)
-    mean_cache, value_cache = [], []
-    mean = nn.forward_unchecked(store, spec.mean, enc_out, "mean", mean_cache)
-    value = nn.forward_unchecked(store, spec.value, enc_out, "value", value_cache)
-    return enc_out, mean, value[:, 0], (enc_cache, mean_cache, value_cache)
-
-
 def surrogate_loss_and_grad(
     store: nn.ParamStore,
     spec: pol.PolicySpec,
@@ -218,7 +215,8 @@ def surrogate_loss_and_grad(
     idx: np.ndarray,
     cfg: PPOConfig,
 ) -> tuple[float, np.ndarray, dict]:
-    """Full PPO minibatch objective with analytic gradients.
+    """Full PPO minibatch objective with analytic gradients, on
+    policy.trace and policy.backward.
 
     Tie-breaking in min(ratio * A, clipped * A) resolves to the clipped
     branch, whose derivative vanishes outside the trust region; with
@@ -233,8 +231,8 @@ def surrogate_loss_and_grad(
     old = buffer.logps[idx]
     m = len(idx)
 
-    enc_out, mean, value, caches = _policy_batch_trace(store, spec, pts, prp)
-    enc_cache, mean_cache, value_cache = caches
+    mean, value, tape = pol.trace(store, spec, pts, prp, "mean", "value")
+    value = value[:, 0]
     log_std = pol.log_std_of(store)
     sigma = np.exp(log_std)
     z = (raw - mean) / sigma
@@ -260,15 +258,10 @@ def surrogate_loss_and_grad(
 
     d_mean = d_logp[:, None] * z / sigma[None, :]
     d_value = (2.0 * cfg.value_coef / m) * (value - ret)
+    d_log_std = np.sum(d_logp[:, None] * (z * z - 1.0), axis=0) - cfg.entropy_coef
 
     grad = store.zeros_grad()
-    d_enc = nn.backward_batch(store, spec.mean, mean_cache, d_mean, grad, "mean")
-    d_enc += nn.backward_batch(store, spec.value, value_cache, d_value[:, None], grad, "value")
-    pointnet.encode_batch_backward(store, spec.encoder, enc_cache, d_enc, grad)
-    lo_ls, hi_ls = store.slice_bounds("log_std")
-    mask = pol.log_std_grad_mask(store)
-    d_log_std = np.sum(d_logp[:, None] * (z * z - 1.0), axis=0) - cfg.entropy_coef
-    grad[lo_ls:hi_ls] += d_log_std * mask
+    pol.backward(store, spec, tape, (d_mean, d_value[:, None]), grad, d_log_std)
 
     stats = {
         "policy_loss": policy_loss,
@@ -291,7 +284,7 @@ def ppo_update(
     """E epochs of shuffled minibatches, one Adam step per minibatch."""
     if buffer.advantages is None or buffer.returns is None:
         raise ConfigError("run compute_gae before ppo_update")
-    sums = {"policy_loss": 0.0, "value_loss": 0.0, "entropy": 0.0, "approx_kl": 0.0, "clip_fraction": 0.0}
+    sums: dict[str, float] = {}
     count = 0
     for epoch in range(cfg.epochs):
         perm = gen.permutation(buffer.size)
@@ -304,17 +297,10 @@ def ppo_update(
                     f"{err} in epoch {epoch}, minibatch {start // cfg.minibatch_size}"
                 ) from None
             nn.adam_step(store, grad, adam)
-            for key in sums:
-                sums[key] += stats[key]
+            for key, value in stats.items():
+                sums[key] = sums.get(key, 0.0) + value
             count += 1
-    return UpdateStats(
-        policy_loss=sums["policy_loss"] / count,
-        value_loss=sums["value_loss"] / count,
-        entropy=sums["entropy"] / count,
-        approx_kl=sums["approx_kl"] / count,
-        clip_fraction=sums["clip_fraction"] / count,
-        minibatches=count,
-    )
+    return UpdateStats(**{key: s / count for key, s in sums.items()}, minibatches=count)
 
 
 def train_ppo(

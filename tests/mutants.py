@@ -141,4 +141,13 @@ MUTANTS = (
         "an evaluation's metrics line is written before its checkpoint, so a crash between them "
         "leaves a record with no checkpoint to resume from",
     ),
+    # survived every test outside test_golden.py and test_mutants.py until a test of the
+    # clamp's gradient
+    Mutant(
+        "log_std_grad_unmasked",
+        "policy.py",
+        (("grad[lo:hi] += d_log_std * log_std_grad_mask(store)", "grad[lo:hi] += d_log_std"),),
+        "the log-std gradient passes through the clamp: entries stored past LOG_STD_MIN or "
+        "LOG_STD_MAX keep moving though the clamped value the loss sees cannot",
+    ),
 )

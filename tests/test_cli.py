@@ -340,6 +340,29 @@ class TestExport:
         assert "bad.csv" in err[0] and "line 3" in err[0]
 
 
+@pytest.mark.parametrize(
+    "value",
+    ["", "   ", "sub/out.bin", "ABSOLUTE", ".", ".."],
+    ids=["empty", "blank", "subdir", "absolute", "dot", "dotdot"],
+)
+@pytest.mark.parametrize("command, key", [("gen-demos", "demos.out"), ("export", "export.out")])
+def test_an_out_name_that_is_no_file_of_the_run_directory_is_refused_first(
+    workdir, tmp_path, capsys, command, key, value
+):
+    # demos.out and export.out name a file in the run directory: an empty
+    # name, a directory part or . or .. is refused before any episode runs
+    # or any file is written, inside the run directory or elsewhere
+    out, elsewhere = tmp_path / "run", tmp_path / "elsewhere.out"
+    value = str(elsewhere) if value == "ABSOLUTE" else value
+    if command == "gen-demos":
+        sized = [*TINY_ENV, "--set", "demos.count=1"]
+    else:
+        sized = ["--set", f"export.metrics={workdir['metrics']}"]
+    assert main([command, "--out", str(out), *sized, "--set", f"{key}={value}"]) == 1
+    assert f"config error: --set: bad value for {key}" in capsys.readouterr().err
+    assert not out.exists() and not elsewhere.exists()
+
+
 class TestTwoStage:
     def test_artifacts(self, workdir, tmp_path, capsys):
         out = str(tmp_path / "ts")

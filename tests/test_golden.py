@@ -99,10 +99,10 @@ def _pools_have_strided_argmax_bits(monkeypatch):
     def checked_padded(store, spec, points, proprio):
         out = padded(store, spec, points, proprio)
         B, N, C = points.shape
-        feats = nn.forward_unchecked(store, spec.per_point, points.reshape(B * N, C), pointnet.PER_POINT)
+        feats = nn.forward_layers(store.layers(spec.per_point, pointnet.PER_POINT), points.reshape(B * N, C))
         x = np.concatenate([reference(feats.reshape(B, N, spec.feature_dim))[1], proprio], axis=1)
         x = np.concatenate([x, x[:1].repeat(-B % pointnet.POST_ROW_MULTIPLE, axis=0)])
-        assert out.tobytes() == nn.forward_unchecked(store, spec.post, x, pointnet.POST).tobytes()
+        assert out.tobytes() == nn.forward_layers(store.layers(spec.post, pointnet.POST), x).tobytes()
         return out
 
     def checked_argmax(z, b):

@@ -82,16 +82,17 @@ def scalar_loss(store, spec, X, prefix):
 
 
 def traced(store, spec, X, prefix):
-    """The forward and the per-layer cache that backward_batch reads."""
+    """The forward on the net's bound layers and the per-layer cache that
+    backward_layers reads."""
     cache = []
-    return nn.forward_unchecked(store, spec, X, prefix, cache), cache
+    return nn.forward_layers(store.layers(spec, prefix), X, cache), cache
 
 
 def backprop_loss_grad(store, spec, X, prefix):
     Y, cache = traced(store, spec, X, prefix)
     grad = store.zeros_grad()
     dY = 2.0 * Y / Y.size
-    nn.backward_batch(store, spec, cache, dY, grad, prefix)
+    nn.backward_layers(store.layers(spec, prefix), cache, dY, grad)
     return grad
 
 
@@ -203,9 +204,10 @@ def test_backward_accumulates():
     Y, cache = traced(store, spec, X, "net")
     dY = np.ones_like(Y)
     grad = store.zeros_grad()
-    nn.backward_batch(store, spec, cache, dY, grad, "net")
+    layers = store.layers(spec, "net")
+    nn.backward_layers(layers, cache, dY, grad)
     once = grad.copy()
-    nn.backward_batch(store, spec, cache, dY, grad, "net")
+    nn.backward_layers(layers, cache, dY, grad)
     assert np.allclose(grad, 2.0 * once, rtol=0, atol=0)
 
 
@@ -216,9 +218,10 @@ def test_backward_without_input_grad_keeps_parameter_bits():
     Y, cache = traced(store, spec, X, "net")
     dY = make_generator(6, "dy").normal(size=Y.shape)
     full, skipped = store.zeros_grad(), store.zeros_grad()
-    dX = nn.backward_batch(store, spec, cache, dY, full, "net")
+    layers = store.layers(spec, "net")
+    dX = nn.backward_layers(layers, cache, dY, full)
     assert dX.shape == X.shape
-    assert nn.backward_batch(store, spec, cache, dY, skipped, "net", input_grad=False) is None
+    assert nn.backward_layers(layers, cache, dY, skipped, input_grad=False) is None
     assert full.tobytes() == skipped.tobytes()
 
 
@@ -312,7 +315,7 @@ def _pass(store, spec, X):
     the parameter gradient and the input gradient of sum(Y * dY)."""
     Y, cache = traced(store, spec, X, "net")
     grad = store.zeros_grad()
-    dX = nn.backward_batch(store, spec, cache, np.cos(Y), grad, "net")
+    dX = nn.backward_layers(store.layers(spec, "net"), cache, np.cos(Y), grad)
     return Y.tobytes(), grad.tobytes(), dX.tobytes()
 
 

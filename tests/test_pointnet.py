@@ -141,9 +141,10 @@ def strided_argmax_pool(feats):
 
 
 def traced(store, net, X, prefix):
-    """A net's forward and the per-layer cache that nn.backward_batch reads."""
+    """A net's forward on its bound layers and the per-layer cache that
+    nn.backward_layers reads."""
     cache = []
-    return nn.forward_unchecked(store, net, X, prefix, cache), cache
+    return nn.forward_layers(store.layers(net, prefix), X, cache), cache
 
 
 def dense_backward(store, spec, points, proprio, d_out, grad):
@@ -156,10 +157,10 @@ def dense_backward(store, spec, points, proprio, d_out, grad):
     pool_idx, pooled = strided_argmax_pool(feats.reshape(B, N, F))
     x = np.concatenate([pooled, proprio], axis=1)
     _, post_cache = traced(store, spec.post, x, "enc.post")
-    dx = nn.backward_batch(store, spec.post, post_cache, d_out, grad, "enc.post")
+    dx = nn.backward_layers(store.layers(spec.post, "enc.post"), post_cache, d_out, grad)
     d_feats = np.zeros((B, N, F))
     d_feats[np.arange(B)[:, None], pool_idx, np.arange(F)] = dx[:, :F]
-    nn.backward_batch(store, spec.per_point, pp_cache, d_feats.reshape(B * N, F), grad, "enc.pp")
+    nn.backward_layers(store.layers(spec.per_point, "enc.pp"), pp_cache, d_feats.reshape(B * N, F), grad)
 
 
 def _random_clouds(spec, store, gen):
@@ -492,7 +493,7 @@ def test_bound_nets_match_checked_composition(shape):
     # both forwards run the per-point body and the post net on the store's
     # bound layers; their outputs must have the bits of the checked
     # composition, and the traced one's backward must agree with the dense
-    # reference, which runs every layer through nn.backward_batch
+    # reference, which runs every layer through nn.backward_layers
     spec, store = ENCODER_SHAPES[shape]()
     gen = make_generator(9, "shapes", shape)
     obs_list = [random_obs(spec, gen, 10) for _ in range(11)]

@@ -471,6 +471,31 @@ class TestSurrogateGradients:
         assert total == -float(np.mean(buf.advantages))
         assert np.abs(grad).max() > 0.0
 
+    @pytest.mark.parametrize(
+        "stored", [(pol.LOG_STD_MAX + 0.5, -0.5), (-0.5, pol.LOG_STD_MIN - 0.5)], ids=["above", "below"]
+    )
+    def test_log_std_past_the_clamp_gets_no_gradient(self, stored):
+        # the loss reads log_std_of, the stored row clamped to
+        # [LOG_STD_MIN, LOG_STD_MAX]; an entry stored past a bound has zero
+        # slope there, and the in-range entry beside it keeps its gradient
+        store, spec = fresh_policy(seed=5)
+        buf = rollout_with_gae(store, spec, samples=8, seed=5)
+        store.get("log_std")[0] = stored
+        idx = np.arange(8)
+        # raw actions drawn at the clamped std keep every z of order one
+        enc = pointnet.encode_batch(store, spec.encoder, buf.points, buf.proprios)
+        mean = nn.forward_batch(store, spec.mean, enc, "mean")
+        noise = make_generator(5, "clamp").standard_normal(mean.shape)
+        buf.raw_actions = mean + np.exp(pol.log_std_of(store)) * noise
+        buf.logps = minibatch_logps(store, spec, buf, idx)
+        cfg = ppo.PPOConfig(samples_per_step=8, minibatch_size=8, total_steps=0)
+        _, grad, _ = ppo.surrogate_loss_and_grad(store, spec, buf, idx, cfg)
+        lo, hi = store.slice_bounds("log_std")
+        inside = (pol.LOG_STD_MIN < np.array(stored)) & (np.array(stored) < pol.LOG_STD_MAX)
+        assert inside.tolist() in ([False, True], [True, False])
+        assert np.all(grad[lo:hi][~inside] == 0.0)
+        assert np.all(grad[lo:hi][inside] != 0.0)
+
 
 # a hand-worked minibatch: each ratio below, inside and above [0.8, 1.2]
 # under a positive and a negative advantage
