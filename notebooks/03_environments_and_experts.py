@@ -3,29 +3,27 @@
 Each environment hands back a tagged point cloud plus a proprioceptive
 vector, and each ships a scripted expert good enough to produce
 demonstrations.  This script rolls the expert on train and test variant
-splits and prints what the policy networks will actually see.
+splits, one lane per episode in lockstep (envs.run_lanes, the driver
+rollouts, evaluation and demos use), and prints what the policy networks
+will actually see.
 """
 
 import numpy as np
 
-from deskrl.envs import DT, make_config, make_env
+from deskrl.envs import DT, Lane, make_config, make_env, run_lanes
 from deskrl.rng import panel_seeds
 
 
 def roll_expert(task: str, split: str, episodes: int = 20) -> tuple[float, float]:
     cfg = make_config(task, split=split)
-    env = make_env(cfg)
-    wins, returns = 0, []
-    for ep_seed in panel_seeds(0, split, episodes):
-        obs = env.reset(ep_seed)
-        total = 0.0
-        while True:
-            res = env.step(env.expert_action())
-            total += res.reward
-            if res.done:
-                wins += res.success
-                break
-        returns.append(total)
+    lanes = [Lane(make_env(cfg), iter((seed,)), cfg.horizon) for seed in panel_seeds(0, split, episodes)]
+    wins, returns = 0, [0.0] * episodes
+    # each tick hands back the live lanes' rows: observations, actions,
+    # rewards and flags, one array each
+    for tick in run_lanes(lanes, lambda live, points, proprios: [lanes[k].env.expert_action() for k in live]):
+        for k, reward in zip(tick.lanes.tolist(), tick.rewards.tolist()):
+            returns[k] += reward
+        wins += int(tick.successes.sum())
     return wins / episodes, float(np.mean(returns))
 
 

@@ -19,16 +19,30 @@ per step, so observation noise stays out of the learning signal.
 Everything is deterministic: (config, episode seed, action sequence) fully
 determines every result, bit for bit.  Integration is semi-implicit Euler
 with a few substeps per control tick; commands are joint accelerations
-under unit inertia.  The state of a step is carried on Python floats from
-reset to the observation: the joint state (controllers.JointState, four
-floats), the goal or target, the arm tip, the box and gather2d's
-particles, each in numpy's order of operations, so it gives the same bits
-as the elementwise array expressions it stands for.  The controllers take
-and return floats too (see controllers.py); only the point cloud and the
-proprio vector a step returns are numpy arrays, filled from that state.
-gather2d's 32 particles stay two lists of floats: per-episode arrays kept
-every bit but made a step slower, since numpy's per-call cost on 32 rows
-outweighs the loop it replaces (ROADMAP item 1).
+under unit inertia.  The state of a step is carried on Python floats:
+the joint state (controllers.JointState, four floats), the goal or
+target, the arm tip, the box and gather2d's particles, each in numpy's
+order of operations, so it gives the same bits as the elementwise array
+expressions it stands for.  The controllers take and return floats too
+(see controllers.py).  gather2d's 32 particles stay two lists of floats:
+per-episode arrays kept every bit but made a step slower, since numpy's
+per-call cost on 32 rows outweighs the loop it replaces (ROADMAP item 1).
+
+A step returns only its reward and flags (StepResult).  Observations are
+built apart from the step, for every lane of a tick at once, by an
+Observer: one call fills a (K, N, C) points array and a (K, P) proprio
+array from the lanes' floats.  Each task's first cloud rows move (the
+arm's sample points, pushbox2d's box outline, gather2d's pusher ring and
+particles): each coordinate is the episode's offset times a scale plus a
+shift, the scale and shift picked from the lane's floats (_cloud_floats)
+by the task's _cloud_index, in one take, one multiply and one add over
+all lanes.  The rest of each cloud is the episode's template.  The
+proprio rows are one conversion of the lanes' _proprio floats.  An
+Observer stacks the per-episode arrays (templates and offsets) once and
+restacks a lane's only when it resets.  Every element goes through the
+numpy operations a lone observation's would, in the same order, so K
+lanes give each lane the bits it has alone; ToyEnv.observe, and reset's
+return value, are that call on one lane.
 No env arithmetic goes through BLAS: norms and dot products, the experts'
 included, are written out on floats with each product and sum rounded on
 its own.  A BLAS dot or matrix-vector product fuses multiply-adds on some
@@ -41,7 +55,11 @@ PPO rollouts, evaluation and demos step environments only through the
 lockstep driver run_lanes.  A lane is an environment, a seed source and a
 step budget.  It resets at its start, and after each episode end while it
 has steps and a seed left; it leaves when its budget is spent, or when an
-episode ends and no seed is left.  A rollout runs at most MAX_LANES lanes.
+episode ends and no seed is left.  The driver hands its caller one Tick
+at a time: the live lanes' indices, the observation rows their actions
+were taken on, the actions, rewards and flags, and each lane's
+next-observation rows, built after its step and before any reset.
+A rollout runs at most MAX_LANES lanes.
 Demo generation draws all its seeds first and runs them in consecutive
 chunks of at most MAX_LANES, one lane per seed, so its memory does not
 grow with the episode count.  Evaluation runs one lane per panel seed.
@@ -52,6 +70,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -120,7 +139,8 @@ def make_config(task: str, split: str = "train", seed: int = 0, horizon: int | N
 
 
 class StepResult(NamedTuple):
-    obs: PointCloudObs
+    """What a step returns; its observation comes from an Observer."""
+
     reward: float
     done: bool
     success: bool
@@ -170,11 +190,21 @@ def _ring_offsets(gen: np.random.Generator, count: int, radius: float) -> np.nda
 
 
 def _link_index(n: int) -> np.ndarray:
-    """(2, n, 2) indices into `ToyEnv._arm_points`' 8 values (the starts
-    of links 0 and 1, then their vectors): each of n arm points' link
-    start, then its link vector, the first n/2 points on link 0."""
+    """A _cloud_index part, (2, n, 2), into `ToyEnv._arm_floats`' 8 values
+    (the starts of links 0 and 1, then their vectors): each of n arm
+    points' link start as its shift, then its link vector as its scale,
+    the first n/2 points on link 0, as np.array_split halves an even n."""
     starts = np.repeat([[0, 1], [2, 3]], n // 2, axis=0)
     return np.stack((starts, starts + 4))
+
+
+def _shift_index(shifts, scale: int) -> np.ndarray:
+    """A _cloud_index part, (2, m, 2), for m rows that move by a shift: row
+    i's coordinates take their shifts at the pair shifts[i] and their scale
+    at `scale`, a 1.0 among the cloud floats.  An offset times 1.0 is the
+    offset, so such a row is its offset plus its shift, bit for bit."""
+    shifts = np.asarray(shifts)
+    return np.stack((shifts, np.full_like(shifts, scale)))
 
 
 def _segment_clearance(a, b, p) -> float:
@@ -207,17 +237,21 @@ class ToyEnv:
     """Base class: owns integration, bookkeeping, and the step contract.
 
     A task implements five hooks: `_reset_scene` builds the episode around
-    `self.variant` (per-episode constants such as the arm's sample offsets
-    and the cloud template included); `_measure` returns (success, shaping)
+    `self.variant`, its cloud's per-episode arrays included (`_template`,
+    the whole cloud with its moving rows left zero, and `_offsets`, one
+    per moving row and coordinate); `_measure` returns (success, shaping)
     and keeps what the cloud, proprio and expert share (the arm tip,
-    distances); `_cloud`, `_proprio` and `expert_action`.  `_command` turns
-    an action into a joint command (pd_joint_delta_pos unless a task
-    overrides it); contact runs in `_after_substep`.
+    distances); `_cloud_floats` and `_proprio` return the floats an
+    Observer converts; and `expert_action`.  A task's `_cloud_index`
+    picks each moving row's shift and scale from its `_cloud_floats`.
+    `_command` turns an action into a joint command (pd_joint_delta_pos
+    unless a task overrides it); contact runs in `_after_substep`.
     """
 
     proprio_width = 0
     gains = ctrl.PDGains()
     geom = ctrl.ArmGeom()
+    _cloud_index: np.ndarray  # (2, moving rows, 2): shift, then scale
 
     def __init__(self, cfg: EnvConfig):
         self.cfg = cfg
@@ -231,10 +265,13 @@ class ToyEnv:
         """(success, shaping) of the state; step adds SUCCESS_BONUS on success."""
         raise NotImplementedError
 
-    def _cloud(self) -> np.ndarray:
+    def _cloud_floats(self) -> Sequence[float]:
+        """The floats the moving rows' shifts and scales come from, as many
+        as _cloud_index reads."""
         raise NotImplementedError
 
-    def _proprio(self) -> np.ndarray:
+    def _proprio(self) -> Sequence[float]:
+        """The proprio_width floats of the proprio row."""
         raise NotImplementedError
 
     def expert_action(self) -> np.ndarray:
@@ -249,7 +286,7 @@ class ToyEnv:
         self.variant = float(gen.uniform(lo, hi))
         self._reset_scene(gen)
         self._measure()
-        return PointCloudObs(self._cloud(), self._proprio())
+        return self.observe()
 
     def step(self, action: np.ndarray) -> StepResult:
         if not self._open:
@@ -260,7 +297,12 @@ class ToyEnv:
         reward = shaping + (SUCCESS_BONUS if success else 0.0)
         done = success or self.t >= self.cfg.horizon
         self._open = not done
-        return StepResult(PointCloudObs(self._cloud(), self._proprio()), reward, done, success)
+        return StepResult(reward, done, success)
+
+    def observe(self) -> PointCloudObs:
+        """The observation of the current state: an Observer's call on this one lane."""
+        points, proprio = Observer([self])()
+        return PointCloudObs(points[0], proprio[0])
 
     def _command(self, action: np.ndarray) -> tuple[float, float]:
         return ctrl.pd_joint_delta_pos(action, self.state, self.gains, self.geom)
@@ -312,26 +354,23 @@ class ToyEnv:
         x0, y0, x1, y1 = self._links = ctrl.link_vectors2(q0, q1, self.geom)
         return 0.0 + x0 + x1, 0.0 + y0 + y1
 
-    def _arm_points(self) -> np.ndarray:
-        """The arm's sample points a + t d, (n, 2), for each link's start a
-        (base, elbow), its vector d to its end (elbow, tip) and the
-        episode's offsets t in [0, 1) of `_arm_ts`, the first half on link 0
-        as np.array_split halves an even n: each point's a and d taken from
-        one 8-value array by `_arm_index`, then one multiply and one add.
-        The links are the last `_arm_tip` call's, on the current state."""
+    def _arm_floats(self) -> tuple[float, ...]:
+        """The arm's 8 cloud floats, read by `_link_index`: the starts of
+        links 0 and 1 (base, elbow), then their vectors to their ends
+        (elbow, tip).  An arm point is a + t d for its link's start a and
+        vector d and its episode offset t in [0, 1).  The links are the
+        last `_arm_tip` call's, on the current state."""
         x0, y0, x1, y1 = self._links
-        a, d = np.array((0.0, 0.0, x0, y0, x0 - 0.0, y0 - 0.0, x0 + x1 - x0, y0 + y1 - y0)).take(self._arm_index)
-        np.multiply(self._arm_ts, d, out=d)
-        return np.add(d, a, out=d)
+        return 0.0, 0.0, x0, y0, x0 - 0.0, y0 - 0.0, x0 + x1 - x0, y0 + y1 - y0
 
-    def _draw_arm_offsets(self, gen: np.random.Generator) -> None:
+    def _arm_offsets(self, gen: np.random.Generator) -> np.ndarray:
         """The episode's n_arm offsets t, each kept for both coordinates of its point."""
-        self._arm_ts = np.repeat(gen.uniform(0.0, 1.0, size=self.n_arm), 2).reshape(-1, 2)
+        return np.repeat(gen.uniform(0.0, 1.0, size=self.n_arm), 2).reshape(-1, 2)
 
     def _cloud_template(self, segments) -> np.ndarray:
         """The episode's cloud layout: for each (count, class, coords) segment
         in order, rows with that one-hot class and, where coords is not None,
-        those fixed coordinates.  Every step copies it into a fresh array."""
+        those fixed coordinates.  An Observer copies it for every tick."""
         template = np.zeros((N_POINTS, POINT_DIM + FEAT_CHANNELS))
         row = 0
         for count, cls, coords in segments:
@@ -348,7 +387,7 @@ class Reach2D(ToyEnv):
     proprio_width = 8
     tolerance = 0.05
     n_arm = 44
-    _arm_index = _link_index(n_arm)
+    _cloud_index = _link_index(n_arm)
 
     def _reset_scene(self, gen: np.random.Generator) -> None:
         theta = gen.uniform(-2.0, 2.0)
@@ -356,7 +395,7 @@ class Reach2D(ToyEnv):
         self.goal = tuple(goal.tolist())
         q = np.array([np.pi / 3, -2 * np.pi / 3]) + gen.uniform(-0.05, 0.05, size=2)
         self.state = ctrl.JointState(*q.tolist(), 0.0, 0.0)
-        self._draw_arm_offsets(gen)
+        self._offsets = self._arm_offsets(gen)
         goal_points = goal + _disk_offsets(gen, 20, 0.03)
         self._template = self._cloud_template(((self.n_arm, 0, None), (20, 2, goal_points)))
 
@@ -369,14 +408,12 @@ class Reach2D(ToyEnv):
         dist = _norm2(tx - gx, ty - gy)
         return dist <= self.tolerance, -dist * DT
 
-    def _cloud(self) -> np.ndarray:
-        cloud = self._template.copy()
-        cloud[: self.n_arm, :POINT_DIM] = self._arm_points()
-        return cloud
+    def _cloud_floats(self) -> tuple[float, ...]:
+        return self._arm_floats()
 
-    def _proprio(self) -> np.ndarray:
+    def _proprio(self) -> tuple[float, ...]:
         (tx, ty), (gx, gy) = self._tip, self.goal
-        return np.array((*self.state, tx, ty, gx - tx, gy - ty))
+        return (*self.state, tx, ty, gx - tx, gy - ty)
 
     def expert_action(self) -> np.ndarray:
         (tx, ty), (gx, gy), dx_max = self._tip, self.goal, self.geom.dx_max
@@ -398,8 +435,10 @@ class PushBox2D(ToyEnv):
     proprio_width = 10
     tolerance = 0.05
     n_arm = 28
-    _arm_index = _link_index(n_arm)
     n_outline = 24
+    # the arm's 8 floats, then the box centre and 1.0: the outline rows are
+    # the episode's outline, relative to the centre, plus the centre
+    _cloud_index = np.concatenate((_link_index(n_arm), _shift_index([[8, 9]] * n_outline, 10)), axis=1)
 
     def _reset_scene(self, gen: np.random.Generator) -> None:
         self.side = self.variant
@@ -419,8 +458,8 @@ class PushBox2D(ToyEnv):
         self.target = tuple(target.tolist())
         q = np.array([0.9, -2.4]) + gen.uniform(-0.05, 0.05, size=2)
         self.state = ctrl.JointState(*q.tolist(), 0.0, 0.0)
-        self._draw_arm_offsets(gen)
-        self._outline = self._box_outline(gen.uniform(0.0, 1.0, size=self.n_outline))
+        arm = self._arm_offsets(gen)  # drawn before the outline's parameters
+        self._offsets = np.concatenate((arm, self._box_outline(gen.uniform(0.0, 1.0, size=self.n_outline))))
         target_points = target + _disk_offsets(gen, 12, 0.03)
         self._template = self._cloud_template(
             ((self.n_arm, 0, None), (self.n_outline, 1, None), (12, 2, target_points))
@@ -481,15 +520,12 @@ class PushBox2D(ToyEnv):
         gap = max(0.0, _norm2(tx - bx, ty - by) - self.side / 2.0)
         return self._dist_bt <= self.tolerance, -(self._dist_bt + 0.3 * gap) * DT
 
-    def _cloud(self) -> np.ndarray:
-        cloud = self._template.copy()
-        cloud[: self.n_arm, :POINT_DIM] = self._arm_points()
-        np.add(self._outline, self.box, out=cloud[self.n_arm : self.n_arm + self.n_outline, :POINT_DIM])
-        return cloud
+    def _cloud_floats(self) -> tuple[float, ...]:
+        return (*self._arm_floats(), *self.box, 1.0)
 
-    def _proprio(self) -> np.ndarray:
+    def _proprio(self) -> tuple[float, ...]:
         (tx, ty), (bx, by), (gx, gy) = self._tip, self.box, self.target
-        return np.array((*self.state, tx, ty, bx - tx, by - ty, gx - bx, gy - by))
+        return (*self.state, tx, ty, bx - tx, by - ty, gx - bx, gy - by)
 
     def expert_action(self) -> np.ndarray:
         (tx, ty), (bx, by), (gx, gy) = self._tip, self.box, self.target
@@ -530,6 +566,13 @@ class Gather2D(ToyEnv):
     success_fraction = 0.8
     # the "arm" is the pusher itself: two Cartesian DOF on the plane
     geom = ctrl.ArmGeom(link_lengths=(1.0, 1.0), q_lo=(-1.6, -1.6), q_hi=(1.6, 1.6))
+    # the pusher centre, 1.0, then the particles' x and y: the ring rows are
+    # the episode's ring plus the centre, and each particle row its offset
+    # -0.0, the identity of addition, plus the particle
+    _cloud_index = np.concatenate(
+        (_shift_index([[0, 1]] * n_ring, 2), _shift_index(3 + np.arange(2 * n_particles).reshape(2, -1).T, 2)),
+        axis=1,
+    )
 
     def _reset_scene(self, gen: np.random.Generator) -> None:
         sigma = self.variant
@@ -542,7 +585,8 @@ class Gather2D(ToyEnv):
         q0, q1 = (start + gen.uniform(-0.03, 0.03, size=2)).tolist()
         self.state = ctrl.JointState(q0, q1, 0.0, 0.0)
         self._expel_radially(q0, q1)  # a wide spread can overlap the pusher at reset
-        self._pusher_ring = _ring_offsets(gen, self.n_ring, self.pusher_radius)
+        ring = _ring_offsets(gen, self.n_ring, self.pusher_radius)
+        self._offsets = np.concatenate((ring, np.full((self.n_particles, 2), -0.0)))
         target_points = target + _ring_offsets(gen, self.n_ring, self.target_radius)
         self._template = self._cloud_template(
             ((self.n_ring, 0, None), (self.n_particles, 1, None), (self.n_ring, 2, target_points))
@@ -609,17 +653,12 @@ class Gather2D(ToyEnv):
         shaping = -((1.0 - self._fraction_in) + 0.1 * min(reach, 1.0)) * DT
         return self._fraction_in >= self.success_fraction, shaping
 
-    def _cloud(self) -> np.ndarray:
-        cloud = self._template.copy()
-        np.add(self._pusher_ring, self.state[:2], out=cloud[: self.n_ring, :POINT_DIM])
-        rows = slice(self.n_ring, self.n_ring + self.n_particles)
-        cloud[rows, 0] = self._px
-        cloud[rows, 1] = self._py
-        return cloud
+    def _cloud_floats(self) -> tuple[float, ...]:
+        return (self.state.q0, self.state.q1, 1.0, *self._px, *self._py)
 
-    def _proprio(self) -> np.ndarray:
+    def _proprio(self) -> tuple[float, ...]:
         (cx, cy, v0, v1), (mx, my), (tx, ty) = self.state, self._out_centroid, self.target
-        return np.array((cx, cy, v0, v1, mx - cx, my - cy, tx - cx, ty - cy, self._fraction_in))
+        return (cx, cy, v0, v1, mx - cx, my - cy, tx - cx, ty - cy, self._fraction_in)
 
     def expert_action(self) -> np.ndarray:
         (cx, cy, _, _), (mx, my), (gx, gy) = self.state, self._out_centroid, self.target
@@ -657,6 +696,57 @@ def proprio_width(task: str) -> int:
     return _ENV_CLASSES[task].proprio_width
 
 
+def _float_rows(rows: list, width: int) -> np.ndarray:
+    """One (len(rows), width) float64 array from rows of `width` floats
+    each: one conversion of them all, which keeps every float's bits."""
+    return np.fromiter(chain.from_iterable(rows), np.float64, len(rows) * width).reshape(len(rows), width)
+
+
+class Observer:
+    """The observations of a list of environments of one task, all built
+    by one call, the environments' current states read as they stand.
+
+    It holds the per-episode arrays stacked, (K, N, C) templates and
+    (K, M, 2) offsets for M moving rows; `renew(i)` restacks lane i's
+    after it resets, and `keep(rows)` drops the other lanes.
+    """
+
+    def __init__(self, envs: Sequence[ToyEnv]):
+        tasks = {type(env) for env in envs}
+        if len(tasks) != 1:
+            names = sorted(task.__name__ for task in tasks)
+            raise ConfigError(f"an observer needs environments of one task, got {names}")
+        self.task = tasks.pop()
+        self._width = int(self.task._cloud_index.max()) + 1  # cloud floats per lane
+        self.envs = list(envs)
+        self._templates = np.array([env._template for env in envs])
+        self._offsets = np.array([env._offsets for env in envs])
+
+    def renew(self, i: int) -> None:
+        self._templates[i] = self.envs[i]._template
+        self._offsets[i] = self.envs[i]._offsets
+
+    def keep(self, rows: list[int]) -> None:
+        self.envs = [self.envs[i] for i in rows]
+        self._templates = self._templates[rows]
+        self._offsets = self._offsets[rows]
+
+    def __call__(self) -> tuple[np.ndarray, np.ndarray]:
+        """Fresh (K, N, C) points and (K, P) proprio rows, in lane order:
+        the moving rows are offset * scale + shift, each scale and shift
+        taken from the lanes' cloud floats by the task's _cloud_index, and
+        written over a copy of the templates."""
+        task, envs = self.task, self.envs
+        floats = _float_rows([env._cloud_floats() for env in envs], self._width)
+        moved = floats.take(task._cloud_index, axis=1)  # (K, 2, M, 2): shifts, then scales
+        shift, scaled = moved[:, 0], moved[:, 1]
+        np.multiply(scaled, self._offsets, out=scaled)
+        np.add(scaled, shift, out=scaled)
+        points = self._templates.copy()
+        points[:, : scaled.shape[1], :POINT_DIM] = scaled
+        return points, _float_rows([env._proprio() for env in envs], task.proprio_width)
+
+
 # lanes of one run_lanes call at most, for PPO rollouts (ppo.lane_sizes)
 # and for each chunk of demo generation, so demo memory does not grow with
 # the episode count.  The batched forward (policy.mean_actions on
@@ -676,28 +766,59 @@ class Lane(NamedTuple):
     budget: int
 
 
-def run_lanes(lanes: Sequence[Lane], act) -> Iterator[tuple[int, PointCloudObs, np.ndarray, StepResult]]:
-    """Step the lanes in lockstep; yield (lane index, observation, action,
-    result) per transition.  A lane resets to its next seed at its start,
-    and after each episode end while it has steps and a seed left; it
-    leaves when its budget is spent, or when an episode ends and no seed
-    is left.  Each tick calls act(live lanes' indices, their observations)
-    once, for one action per live lane, then steps each live lane once, in
-    lane order."""
-    obs = [lane.env.reset(next(lane.seeds)) for lane in lanes]
+class Tick(NamedTuple):
+    """One lockstep tick: row i of each array is lane lanes[i]'s."""
+
+    lanes: np.ndarray  # (K,) the live lanes' indices, ascending
+    points: np.ndarray  # (K, N, C) the observations the actions were taken on
+    proprios: np.ndarray  # (K, P)
+    actions: np.ndarray  # (K, A)
+    rewards: np.ndarray  # (K,)
+    dones: np.ndarray  # (K,) bool
+    successes: np.ndarray  # (K,) bool
+    next_points: np.ndarray  # (K, N, C) each lane's observation after its step, before any reset
+    next_proprios: np.ndarray  # (K, P)
+
+
+def run_lanes(lanes: Sequence[Lane], act) -> Iterator[Tick]:
+    """Step the lanes in lockstep; yield one Tick per tick.  A lane resets
+    to its next seed at its start, and after each episode end while it has
+    steps and a seed left; it leaves when its budget is spent, or when an
+    episode ends and no seed is left.  Each tick calls act(live lanes'
+    indices, their points, their proprios) once, for one action row per
+    live lane, steps each live lane once, in lane order, builds their next
+    observations in one Observer call and yields; the resets follow.  No
+    array of a Tick is written after it is yielded."""
+    first = [lane.env.reset(next(lane.seeds)) for lane in lanes]
+    points = np.array([obs.points for obs in first])
+    proprios = np.array([obs.proprio for obs in first])
+    observe = Observer([lane.env for lane in lanes])
     left = [lane.budget for lane in lanes]
-    live = list(range(len(lanes)))
-    while live:
-        ticking, live = live, []
-        for k, action in zip(ticking, act(ticking, [obs[k] for k in ticking])):
-            env, seeds, _ = lanes[k]
-            res = env.step(action)
-            yield k, obs[k], action, res
+    live = np.arange(len(lanes))
+    while live.size:
+        actions = np.asarray(act(live, points, proprios))
+        results = [lanes[k].env.step(action) for k, action in zip(live.tolist(), actions)]
+        rewards, dones, successes = map(np.array, zip(*results))
+        next_points, next_proprios = observe()
+        yield Tick(live, points, proprios, actions, rewards, dones, successes, next_points, next_proprios)
+        kept, fresh = [], []  # rows that stay live; (row after compaction, reset observation)
+        for i, (k, res) in enumerate(zip(live.tolist(), results)):
             left[k] -= 1
-            seed = next(seeds, None) if res.done and left[k] else None
+            seed = next(lanes[k].seeds, None) if res.done and left[k] else None
             if left[k] and (seed is not None or not res.done):
-                obs[k] = res.obs if seed is None else env.reset(seed)
-                live.append(k)
+                if seed is not None:
+                    fresh.append((len(kept), lanes[k].env.reset(seed)))
+                kept.append(i)
+        points, proprios = next_points, next_proprios
+        if len(kept) < live.size:
+            live = live[kept]
+            observe.keep(kept)
+            points, proprios = points[kept], proprios[kept]
+        elif fresh:
+            points, proprios = points.copy(), proprios.copy()
+        for i, obs in fresh:
+            points[i], proprios[i] = obs
+            observe.renew(i)
 
 
 def generate_demos(cfg: EnvConfig, n_episodes: int, keep_only_success: bool = True) -> list[DemoTrajectory]:
@@ -711,12 +832,15 @@ def generate_demos(cfg: EnvConfig, n_episodes: int, keep_only_success: bool = Tr
     demos = []
     for lo in range(0, n_episodes, MAX_LANES):
         lanes = [Lane(make_env(cfg), iter((seed,)), cfg.horizon) for seed in seeds[lo : lo + MAX_LANES]]
-        # each lane's (points, proprio, action) steps, stacked when its episode ends
+        # each lane's (points, proprio, action) rows, views into the ticks'
+        # arrays, copied into one array each when its episode ends
         episodes = [[] for _ in lanes]
-        for k, obs, action, res in run_lanes(lanes, lambda live, _: [lanes[k].env.expert_action() for k in live]):
-            episodes[k].append((obs.points, obs.proprio, action))
-            if res.done:
-                episodes[k] = DemoTrajectory(*map(np.stack, zip(*episodes[k])), res.success)
+        for tick in run_lanes(lanes, lambda live, *_: [lanes[k].env.expert_action() for k in live]):
+            ends = zip(tick.lanes.tolist(), tick.dones.tolist(), tick.successes.tolist())
+            for i, (k, done, success) in enumerate(ends):
+                episodes[k].append((tick.points[i], tick.proprios[i], tick.actions[i]))
+                if done:
+                    episodes[k] = DemoTrajectory(*map(np.stack, zip(*episodes[k])), success)
         demos += [demo for demo in episodes if demo.success or not keep_only_success]
     if not demos:
         raise EmptyDatasetError(

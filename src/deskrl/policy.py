@@ -6,6 +6,11 @@ state-independent per-dimension ``log_std`` row.  Keeping the whole
 policy in a single vector is what makes checkpoints, finite-difference
 checks, and Adam updates uniform across trainers.
 
+The batched calls, mean_actions(), sample_actions() and state_values(),
+take a tick's observations as the arrays envs.run_lanes hands out: (K,
+N, C) points and (K, P) proprio rows, built for every lane at once (see
+envs.Observer), so no call stacks observation objects.
+
 The sampling recipe is normative for determinism: sample_actions()
 takes one generator per observation and draws exactly ``action_dim``
 standard normals from each, forming ``raw = mean + exp(log_std) * z`` row
@@ -20,15 +25,15 @@ Evaluation runs one lane per panel seed of both splits (envs.run_lanes)
 on the clamped mean, with no generator draws, so it never perturbs a
 training stream, and every episode equals that seed run alone, bit for
 bit.  sample_action() and mean_action() make the batched calls on one
-observation; no shipped path calls them, and they stay for the benchmark
-under perfbench/, which looks them up by name.
+observation's rows; no shipped path calls them, and they stay for the
+benchmark under perfbench/, which looks them up by name.
 
 The policy runs its nets in two passes, and no other module binds or
 runs a layer of them.  The padded forward behind mean_actions(),
-sample_actions() and state_values() is one pass (_heads): stack the
-observations, run pointnet.encode_batch_padded(), which checks them
-once, on entry, then the heads the call needs.  Every net runs on its layers as the
-ParamStore binds them (store.layers(), see nn): bound once per parameter
+sample_actions() and state_values() is one pass (_heads): the rows
+through pointnet.encode_batch_padded(), which checks them once, on
+entry, then the heads the call needs.  Every net runs on its layers as
+the ParamStore binds them (store.layers(), see nn): bound once per parameter
 vector, kept through Adam's in-place steps and dropped with the store's
 views when the vector is replaced, so a call builds no parameter name.
 The heads' outputs are checked, so non-finite parameters raise
@@ -169,29 +174,23 @@ class ActionSample:
 
 
 def _heads(
-    store: nn.ParamStore, spec: PolicySpec, obs: Sequence[PointCloudObs], *names: str
+    store: nn.ParamStore, spec: PolicySpec, points: np.ndarray, proprios: np.ndarray, *names: str
 ) -> list[np.ndarray]:
-    """The padded forward on K observations, one pass: the stacked batch
-    through the encoder (encode_batch_padded, which checks it), then each
-    named head ("mean", "value") on the encoder's padded rows, on its
-    layers as the store binds them; returns each head's first K rows.
-    The heads run unchecked like the encoder's nets; their outputs are
-    checked, so non-finite parameters raise here and never reach an
-    action or a rollout."""
-    # np.array copies the equal-shape rows as np.stack does, at a third of its
-    # overhead, and raises ValueError on rows of unequal shapes
-    try:
-        points = np.array([o.points for o in obs])
-        proprio = np.array([o.proprio for o in obs])
-    except ValueError as err:
-        raise ShapeMismatchError(f"the observations of one batch differ in shape: {err}") from None
-    feat = encode_batch_padded(store, spec.encoder, points, proprio)
+    """The padded forward on K observations' rows, one pass: the (K, N, C)
+    points and (K, P) proprio rows through the encoder
+    (encode_batch_padded, which checks them), then each named head
+    ("mean", "value") on the encoder's padded rows, on its layers as the
+    store binds them; returns each head's first K rows.  The heads run
+    unchecked like the encoder's nets; their outputs are checked, so
+    non-finite parameters raise here and never reach an action or a
+    rollout."""
+    feat = encode_batch_padded(store, spec.encoder, points, proprios)
     outs = []
     for name in names:
         out = nn.forward_layers(store.layers(getattr(spec, name), name), feat)
         if not np.logical_and.reduce(np.isfinite(out), axis=None):
             raise NonFiniteError(f"the policy's {name} head gave non-finite values")
-        outs.append(out[: len(obs)])
+        outs.append(out[: len(points)])
     return outs
 
 
@@ -249,17 +248,18 @@ def backward(
 def sample_actions(
     store: nn.ParamStore,
     spec: PolicySpec,
-    obs: Sequence[PointCloudObs],
+    points: np.ndarray,
+    proprios: np.ndarray,
     gens: Sequence[np.random.Generator],
 ) -> ActionSample:
-    """Draw one action per observation, row k from gens[k] (action_dim normals each).
+    """Draw one action per observation row, row k from gens[k] (action_dim normals each).
 
     One batched forward: the mean and value heads run on the encoder's
     padded rows, so row k does not depend on the other observations.
     """
-    if len(gens) != len(obs):
-        raise ShapeMismatchError(f"{len(obs)} observations need as many generators, got {len(gens)}")
-    mean, value = _heads(store, spec, obs, "mean", "value")
+    if len(gens) != len(points):
+        raise ShapeMismatchError(f"{len(points)} observations need as many generators, got {len(gens)}")
+    mean, value = _heads(store, spec, points, proprios, "mean", "value")
     log_std = log_std_of(store)
     std = np.exp(log_std)
     z = np.array([gen.standard_normal(spec.action_dim) for gen in gens])
@@ -275,31 +275,29 @@ def sample_action(
     gen: np.random.Generator,
 ) -> ActionSample:
     """sample_actions() on one observation; consumes exactly action_dim normals from gen."""
-    s = sample_actions(store, spec, [obs], [gen])
+    s = sample_actions(store, spec, obs.points[None], obs.proprio[None], [gen])
     return ActionSample(s.action[0], s.raw[0], float(s.logp[0]), float(s.value[0]))
 
 
-def state_values(store: nn.ParamStore, spec: PolicySpec, obs: Sequence[PointCloudObs]) -> np.ndarray:
-    """V on K observations, (K,): the value head on the encoder's padded
-    rows, with the bits sample_actions() gives each row."""
-    return _heads(store, spec, obs, "value")[0][:, 0]
+def state_values(store: nn.ParamStore, spec: PolicySpec, points: np.ndarray, proprios: np.ndarray) -> np.ndarray:
+    """V on K observation rows, (K,): the value head on the encoder's
+    padded rows, with the bits sample_actions() gives each row."""
+    return _heads(store, spec, points, proprios, "value")[0][:, 0]
 
 
-def mean_actions(
-    store: nn.ParamStore, spec: PolicySpec, obs: Sequence[PointCloudObs]
-) -> np.ndarray:
-    """Deterministic policy on K observations: the clamped means, (K, action_dim).
+def mean_actions(store: nn.ParamStore, spec: PolicySpec, points: np.ndarray, proprios: np.ndarray) -> np.ndarray:
+    """Deterministic policy on K observation rows: the clamped means, (K, action_dim).
 
     One batched forward; only the mean head runs, on the encoder's padded
     rows, and row k does not depend on the other observations.
     """
-    mean = _heads(store, spec, obs, "mean")[0]
+    mean = _heads(store, spec, points, proprios, "mean")[0]
     return np.minimum(np.maximum(mean, -1.0), 1.0)
 
 
 def mean_action(store: nn.ParamStore, spec: PolicySpec, obs: PointCloudObs) -> np.ndarray:
     """Deterministic policy: the clamped mean, no generator involved."""
-    return mean_actions(store, spec, [obs])[0]
+    return mean_actions(store, spec, obs.points[None], obs.proprio[None])[0]
 
 
 def evaluate_policy(
@@ -318,7 +316,7 @@ def evaluate_policy(
         for cfg in (replace(env_cfg, split=split) for split in SPLITS)
         for seed in panel_seeds(run_seed, cfg.split, episodes)
     ]
-    wins = [0, 0]
-    for k, _, _, res in run_lanes(lanes, lambda _, obs: mean_actions(store, spec, obs)):
-        wins[k // episodes] += res.success  # only an episode's last step succeeds
-    return wins[0] / episodes, wins[1] / episodes
+    won = np.zeros(len(lanes), dtype=bool)
+    for tick in run_lanes(lanes, lambda _, points, proprios: mean_actions(store, spec, points, proprios)):
+        won[tick.lanes[tick.successes]] = True  # only an episode's last step succeeds
+    return int(won[:episodes].sum()) / episodes, int(won[episodes:].sum()) / episodes

@@ -13,10 +13,14 @@ Rollouts begin with fresh episodes at the rollout boundary, which keeps
 environment state out of checkpoints entirely.
 
 Lanes (envs.run_lanes) take lane_sizes() steps on endless seeds.  Each
-tick's actions come from one policy.sample_actions() call, which gives
-each row the bits it has alone, so a lane equals that lane collected
-alone, bit for bit.  The buffer holds the lanes one after another, each
-with its own bootstrap value; compute_gae runs right to left per lane.
+tick's actions come from one policy.sample_actions() call on the tick's
+observation arrays, which gives each row the bits it has alone, so a
+lane equals that lane collected alone, bit for bit.  The buffer holds
+the lanes one after another; a tick's rows go to each lane's next row
+in one assignment per buffer array.  Each lane's bootstrap value is V of
+the next-observation row of its last tick (0 if that tick ended an
+episode), from one state_values() call per rollout; compute_gae runs
+right to left per lane.
 
 Ratio bookkeeping: the update's old log-probabilities are the ones the
 rollout recorded (RolloutBuffer.logps), with no second pass over the
@@ -134,26 +138,29 @@ def collect_lanes(
     rewards = np.empty(samples)
     values = np.empty(samples)
     dones = np.empty(samples)
-    rows = list(accumulate([0] + sizes[:-1]))  # each lane's next row
-    last = [None] * K  # each lane's latest StepResult
+    rows = np.array(list(accumulate([0] + sizes[:-1])))  # each lane's next row
+    # each lane's latest next-observation rows
+    last_points, last_proprios = np.empty((K, *points.shape[1:])), np.empty((K, proprios.shape[1]))
 
-    def act(live, obs):
-        s = pol.sample_actions(store, spec, obs, [gens[k] for k in live])
-        at = np.array([rows[k] for k in live])
+    def act(live, tick_points, tick_proprios):
+        s = pol.sample_actions(store, spec, tick_points, tick_proprios, [gens[k] for k in live])
+        at = rows[live]
         raws[at] = s.raw
         logps[at] = s.logp
         values[at] = s.value
         return s.action
 
-    for k, obs, _, res in run_lanes(lanes, act):
-        row = rows[k]
-        rows[k] = row + 1
-        points[row] = obs.points
-        proprios[row] = obs.proprio
-        rewards[row] = res.reward
-        dones[row] = res.done
-        last[k] = res
-    bootstrap = np.where([r.done for r in last], 0.0, pol.state_values(store, spec, [r.obs for r in last]))
+    for tick in run_lanes(lanes, act):
+        at = rows[tick.lanes]
+        rows[tick.lanes] += 1
+        points[at] = tick.points
+        proprios[at] = tick.proprios
+        rewards[at] = tick.rewards
+        dones[at] = tick.dones
+        last_points[tick.lanes] = tick.next_points
+        last_proprios[tick.lanes] = tick.next_proprios
+    # rows - 1 is each lane's last row once every lane has taken its steps
+    bootstrap = np.where(dones[rows - 1], 0.0, pol.state_values(store, spec, last_points, last_proprios))
     return RolloutBuffer(points, proprios, raws, logps, rewards, values, dones, sizes, bootstrap)
 
 

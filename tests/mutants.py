@@ -12,9 +12,10 @@ tests/test_mutants.py checks, in milliseconds, that each old text occurs
 exactly once in src/deskrl, in the mutant's file, and that the mutated
 file still parses.  So a change that moves or rewrites the code a mutant
 edits fails there until this list follows it, and the list cannot go
-stale.  Running the suite against each mutant is ROADMAP item 13 step 2;
-that run leaves out tests/test_mutants.py as well, which fails on every
-mutated checkout by construction.
+stale.  With DESKRL_MUTANTS=1 set, tests/test_mutants.py also runs the
+suite against each mutant, on a copy of the checkout; that run leaves out
+tests/test_mutants.py as well, which fails on every mutated checkout by
+construction.
 """
 
 from typing import NamedTuple
@@ -149,5 +150,14 @@ MUTANTS = (
         (("grad[lo:hi] += d_log_std * log_std_grad_mask(store)", "grad[lo:hi] += d_log_std"),),
         "the log-std gradient passes through the clamp: entries stored past LOG_STD_MIN or "
         "LOG_STD_MAX keep moving though the clamped value the loss sees cannot",
+    ),
+    # the batched observations' own bug: an auto-reset lane keeps the per-episode
+    # arrays (cloud template, offsets) of the episode before
+    Mutant(
+        "stale_episode_arrays_after_reset",
+        "envs.py",
+        (("            observe.renew(i)\n", ""),),
+        "a lane that resets mid-run is observed with its last episode's goal, target and "
+        "sample offsets",
     ),
 )

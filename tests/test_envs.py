@@ -27,7 +27,7 @@ def run_expert_episode(env, episode_seed):
         results.append(res)
         if res.done:
             return observations, actions, results
-        observations.append(res.obs)
+        observations.append(env.observe())
 
 
 def expert_success_rate(task, split, n_episodes, base_seed=10_000):
@@ -150,9 +150,10 @@ def test_observation_shapes_and_tags(task, split):
     env.reset(0)
     for _ in range(5):
         res = env.step(np.zeros(2))
-        pts = res.obs.points
+        obs = env.observe()
+        pts = obs.points
         assert pts.shape == (envs.N_POINTS, 2 + envs.FEAT_CHANNELS)
-        assert res.obs.proprio.shape == (envs.proprio_width(task),)
+        assert obs.proprio.shape == (envs.proprio_width(task),)
         onehot = pts[:, 2:]
         assert np.all(onehot.sum(axis=1) == 1.0)  # exactly one class per point
         if res.done:
@@ -174,7 +175,8 @@ def test_step_sequence_is_bit_deterministic(task, split):
         rows = []
         for a in plan:
             res = env.step(a)
-            rows.append((res.obs.points.tobytes(), res.obs.proprio.tobytes(), res.reward, res.done, res.success))
+            obs = env.observe()
+            rows.append((obs.points.tobytes(), obs.proprio.tobytes(), res.reward, res.done, res.success))
             if res.done:
                 break
         seqs.append(rows)
@@ -185,9 +187,9 @@ def test_step_sequence_is_bit_deterministic(task, split):
 def test_zero_action_leaves_scene_static(task):
     env = envs.make_env(envs.make_config(task))
     obs0 = env.reset(11)
-    res = env.step(np.zeros(2))
+    env.step(np.zeros(2))
     # from rest, a zero delta command produces zero torque: nothing moves
-    assert res.obs.points.tobytes() == obs0.points.tobytes()
+    assert env.observe().points.tobytes() == obs0.points.tobytes()
     assert env.state.v0 == env.state.v1 == 0.0
 
 
@@ -236,15 +238,16 @@ def test_integrate_is_the_numpy_semi_implicit_euler(task):
 
 @pytest.mark.parametrize("task", envs.TASKS)
 def test_observations_are_fresh_arrays(task):
-    # buffers and demo sets keep the arrays a reset or step returns, so a
-    # later step must never write into one
+    # callers keep the arrays a reset or an observation returns, so a
+    # later step or observation must never write into one
     env = envs.make_env(envs.make_config(task))
     gen = make_generator(5, "fresh", task)
     kept = []
     obs = env.reset(3)
     for _ in range(6):
         kept.append((obs, obs.points.copy(), obs.proprio.copy()))
-        obs = env.step(gen.uniform(-1.0, 1.0, size=2)).obs
+        env.step(gen.uniform(-1.0, 1.0, size=2))
+        obs = env.observe()
     for obs, points, proprio in kept:
         assert obs.points.tobytes() == points.tobytes()
         assert obs.proprio.tobytes() == proprio.tobytes()
@@ -258,7 +261,7 @@ def arm_points_per_link(env, q0, q1):
     0 and x0 + t (x0 + x1 - x0) on link 1, over np.array_split's halves of
     the episode's offsets."""
     x0, y0, x1, y1 = controllers.link_vectors2(q0, q1, env.geom)
-    t0, t1 = np.array_split(env._arm_ts[:, 0], 2)
+    t0, t1 = np.array_split(env._offsets[: env.n_arm, 0], 2)
     link0 = np.stack([0.0 + t0 * (x0 - 0.0), 0.0 + t0 * (y0 - 0.0)], axis=1)
     link1 = np.stack([x0 + t1 * (x0 + x1 - x0), y0 + t1 * (y0 + y1 - y0)], axis=1)
     return np.concatenate([link0, link1])
@@ -269,11 +272,11 @@ def test_arm_points_equal_the_per_link_formula(task):
     env = envs.make_env(envs.make_config(task))
     env.reset(4)
     assert env.n_arm % 2 == 0
-    env._arm_ts[[0, env.n_arm // 2]] = 0.0  # each link's start: t * x0 is -0.0 where x0 < 0, and 0.0 + -0.0 is 0.0
+    env._offsets[[0, env.n_arm // 2]] = 0.0  # each link's start: t * x0 is -0.0 where x0 < 0, and 0.0 + -0.0 is 0.0
     gen = make_generator(4, "arm", task)
     for q0, q1 in gen.uniform(-3.1, 3.1, size=(200, 2)).tolist() + [(3.0, 0.5), (-2.0, 1.0)]:
         env._arm_tip(q0, q1)
-        out = env._arm_points()
+        out = np.ascontiguousarray(env.observe().points[: env.n_arm, :2])
         assert out.tobytes() == arm_points_per_link(env, q0, q1).tobytes()
 
 
@@ -291,7 +294,7 @@ def test_clouds_and_tips_follow_the_current_state(task):
         res = env.step(gen.uniform(-1.0, 1.0, size=2))
         if res.done:
             break
-        obs = res.obs
+        obs = env.observe()
 
 
 def test_norm2_is_the_unfused_sum_of_squares():
@@ -401,7 +404,7 @@ def test_float_particles_match_the_array_reference(split):
                 else:
                     action = action_at(t)
                 res, ref_res = env.step(action), ref.step(action)
-                assert _result_bits(res.obs, res) == _result_bits(ref_res.obs, ref_res), (name, episode, t)
+                assert _result_bits(env.observe(), res) == _result_bits(ref.observe(), ref_res), (name, episode, t)
                 if res.done:
                     break
             ref_zero_speed += ref.zero_speed
@@ -430,8 +433,8 @@ def test_step_rejects_bad_actions(task):
     fresh.reset(0)
     edge = np.array([1.0, -1.0])
     res, ref = env.step(edge), fresh.step(edge)
-    assert res.obs.points.tobytes() == ref.obs.points.tobytes()
-    assert res.obs.proprio.tobytes() == ref.obs.proprio.tobytes()
+    assert env.observe().points.tobytes() == fresh.observe().points.tobytes()
+    assert env.observe().proprio.tobytes() == fresh.observe().proprio.tobytes()
     assert (res.reward, res.done, res.success, env.t) == (ref.reward, ref.done, ref.success, 1)
 
 
@@ -469,9 +472,10 @@ def test_random_action_fuzz_stays_finite(task):
     episode = 0
     for _ in range(1000):
         res = env.step(gen.uniform(-1.0, 1.0, size=2))
+        obs = env.observe()
         assert np.isfinite(res.reward)
-        assert np.all(np.isfinite(res.obs.points))
-        assert np.all(np.isfinite(res.obs.proprio))
+        assert np.all(np.isfinite(obs.points))
+        assert np.all(np.isfinite(obs.proprio))
         if res.done:
             episode += 1
             env.reset(episode)

@@ -8,9 +8,10 @@ multiple of the trainer's step unit, so the stage-one evaluation cadence
 is the plain uninterrupted one.  The file cases pin the exact bytes of a
 checkpoint, a demo bundle and the default manifest, so a change to how
 they are written shows even when the numbers they hold do not move.
-The transition cases pin every StepResult of a few episodes per task and
-split, under the scripted expert and under fixed action streams, plus the
-policy's mean and sampled actions on those observations.  Without the
+The transition cases pin every observation and StepResult of a few
+episodes per task and split, under the scripted expert and under fixed
+action streams, plus the policy's mean and sampled actions on those
+observations.  Without the
 policy's actions, those transitions and a demo bundle per task must hash
 the same under every OpenBLAS kernel this CPU can run: the environments
 make no BLAS call.
@@ -326,7 +327,7 @@ def _transitions(task: str, split: str, policy: bool = True) -> str:
             _array_bytes(h, action)
             res = env.step(action)
             h.update(f"{res.reward!r};{res.done!r};{res.success!r}".encode())
-            obs = res.obs
+            obs = env.observe()
             if res.done:
                 break
         _array_bytes(h, obs.points)

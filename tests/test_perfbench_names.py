@@ -44,6 +44,20 @@ def test_traced_spans_resolve(name, target):
         assert callable(getattr(home, attr, None)), f"{name}: deskrl.{module_name} has no {attr}"
 
 
+@pytest.mark.parametrize("attr", ["step", "reset"])
+def test_env_step_and_reset_spans_have_one_owner(attr):
+    # the tracer wraps `step` and `reset` on every class of deskrl.envs that
+    # defines them and counts one env step per `step` call; a second owner
+    # (a batched helper or a task override) would be counted the same way
+    envs = importlib.import_module("deskrl.envs")
+    assert _TRACER.SPANS[f"envs.{attr}"] == ("envs", attr, "method")
+    owners = [
+        cls for cls in vars(envs).values()
+        if inspect.isclass(cls) and cls.__module__ == envs.__name__ and attr in vars(cls)
+    ]
+    assert owners == [envs.ToyEnv]
+
+
 @pytest.mark.parametrize("script", ["worker.py", "workloads.py"])
 def test_benchmark_scripts_find_their_deskrl_names(script):
     assert_deskrl_names_exist(os.path.join(PERFBENCH, script))

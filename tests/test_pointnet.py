@@ -267,7 +267,7 @@ def _gather2d_batch():
     obs_list = [env.reset(0)]
     while len(obs_list) < 64:
         step = env.step(env.expert_action())
-        obs_list.append(env.reset(len(obs_list)) if step.done else step.obs)
+        obs_list.append(env.reset(len(obs_list)) if step.done else env.observe())
     return (spec, store, *stack(obs_list))
 
 
@@ -423,11 +423,11 @@ def _inference_calls():
 
     return spec, {
         "encode_batch_padded": padded,
-        "mean_actions": lambda obs: pol.mean_actions(store, spec, obs),
+        "mean_actions": lambda obs: pol.mean_actions(store, spec, *stack(obs)),
         "sample_actions": lambda obs: pol.sample_actions(
-            store, spec, obs, [make_generator(7, k) for k in range(len(obs))]
+            store, spec, *stack(obs), [make_generator(7, k) for k in range(len(obs))]
         ),
-        "state_values": lambda obs: pol.state_values(store, spec, obs),
+        "state_values": lambda obs: pol.state_values(store, spec, *stack(obs)),
     }
 
 

@@ -28,6 +28,11 @@ def first_obs(task="reach2d", episode_seed=123):
     return env.reset(episode_seed)
 
 
+def stack(obs):
+    """The (K, N, C) points and (K, P) proprio rows of K observations."""
+    return np.stack([o.points for o in obs]), np.stack([o.proprio for o in obs])
+
+
 class TestPolicySpec:
     def test_head_widths_must_match_encoder(self):
         good = pol.build_policy_spec("reach2d")
@@ -172,29 +177,32 @@ class TestSampling:
         env = make_env(make_config("reach2d"))
         obs = [env.reset(seed) for seed in range(5)]
         gens = [make_generator(1, "v", k) for k in range(5)]
-        s = pol.sample_actions(store, spec, obs, gens)
-        values = pol.state_values(store, spec, obs)
+        s = pol.sample_actions(store, spec, *stack(obs), gens)
+        values = pol.state_values(store, spec, *stack(obs))
         assert values.shape == (5,)
         assert values.tobytes() == s.value.tobytes()
-        assert pol.state_values(store, spec, obs[2:3])[0] == s.value[2]
+        assert pol.state_values(store, spec, *stack(obs[2:3]))[0] == s.value[2]
 
     def test_sample_actions_needs_one_generator_per_observation(self):
         store, spec = fresh()
         obs = first_obs()
         with pytest.raises(ShapeMismatchError):
-            pol.sample_actions(store, spec, [obs, obs], [make_generator(0)])
+            pol.sample_actions(store, spec, *stack([obs, obs]), [make_generator(0)])
 
     @pytest.mark.parametrize("part", ["points", "proprio"])
     @pytest.mark.parametrize("call", ["mean_actions", "sample_actions", "state_values"])
     def test_ragged_batch_raises_shape_mismatch(self, call, part):
-        # observations that do not stack (63 points after 64, or a proprio
-        # one entry short) break the batch's one shape rule
+        # rows that do not fit the batch (points one channel short, or
+        # proprio rows one entry short) break the batch's one shape rule
         store, spec = fresh()
-        obs = first_obs()
-        batch = [obs, obs._replace(**{part: getattr(obs, part)[:-1]})]
+        points, proprios = stack([first_obs()] * 2)
+        if part == "points":
+            points = points[:, :, :-1]
+        else:
+            proprios = proprios[:, :-1]
         gens = [[make_generator(0), make_generator(1)]] if call == "sample_actions" else []
-        with pytest.raises(ShapeMismatchError, match="differ in shape"):
-            getattr(pol, call)(store, spec, batch, *gens)
+        with pytest.raises(ShapeMismatchError, match=f"expected {part}"):
+            getattr(pol, call)(store, spec, points, proprios, *gens)
 
     @pytest.mark.parametrize("task", envs.TASKS)
     def test_sample_actions_rows_equal_each_row_alone(self, task):
@@ -207,15 +215,15 @@ class TestSampling:
         act = make_generator(3, "rows", "actions", task)
         obs = []
         for seed in range(20):
-            o = env.reset(seed)
+            env.reset(seed)
             for _ in range(seed % 5):
-                o = env.step(act.uniform(-1.0, 1.0, size=2)).obs
-            obs.append(o)
+                env.step(act.uniform(-1.0, 1.0, size=2))
+            obs.append(env.observe())
         for k in range(1, 21):
             for start in (0, 20 - k):
                 gens = [make_generator(5, "rows", start + i) for i in range(k)]
                 clones = [generator_from_words(state_words(g)) for g in gens]
-                rows = pol.sample_actions(store, spec, obs[start : start + k], gens)
+                rows = pol.sample_actions(store, spec, *stack(obs[start : start + k]), gens)
                 for i, clone in enumerate(clones):
                     alone = pol.sample_action(store, spec, obs[start + i], clone)
                     assert rows.action[i].tobytes() == alone.action.tobytes()
@@ -322,7 +330,7 @@ class TestEvaluation:
                     taken.append((action.tobytes(), res.success))
                     if res.done:
                         break
-                    obs = res.obs
+                    obs = env.observe()
                 alone[split].append(taken)
         # every env steps at tick one: the train panel, then the test panel
         assert list(logs.values()) == alone["train"] + alone["test"]
@@ -349,14 +357,16 @@ for task in TASKS:
     gen = make_generator(3, "rows", "actions", task)
     obs = []
     for seed in range(20):
-        o = env.reset(seed)
+        env.reset(seed)
         for _ in range(seed % 5):
-            o = env.step(gen.uniform(-1.0, 1.0, size=2)).obs
-        obs.append(o)
+            env.step(gen.uniform(-1.0, 1.0, size=2))
+        obs.append(env.observe())
+    points = np.stack([o.points for o in obs])
+    proprios = np.stack([o.proprio for o in obs])
     alone = [pol.mean_action(store, spec, o) for o in obs]
     for k in range(1, 21):
         for start in (0, 20 - k):
-            rows = pol.mean_actions(store, spec, obs[start:start + k])
+            rows = pol.mean_actions(store, spec, points[start:start + k], proprios[start:start + k])
             mismatches += sum(r.tobytes() != a.tobytes() for r, a in zip(rows, alone[start:start + k]))
     h.update(np.stack(alone).tobytes())
 print(mismatches, h.hexdigest())
@@ -406,13 +416,13 @@ def _check_padded_forward(store, spec, obs):
         for start in (0, n - k):
             rows = obs[start : start + k]
             mean, value = checked_heads(store, spec, rows)
-            assert pol.mean_actions(store, spec, rows).tobytes() == np.clip(mean, -1.0, 1.0).tobytes()
-            assert pol.state_values(store, spec, rows).tobytes() == value.tobytes()
+            assert pol.mean_actions(store, spec, *stack(rows)).tobytes() == np.clip(mean, -1.0, 1.0).tobytes()
+            assert pol.state_values(store, spec, *stack(rows)).tobytes() == value.tobytes()
             gens = [make_generator(7, "lean", start + i) for i in range(k)]
             clones = [generator_from_words(state_words(g)) for g in gens]
             z = np.stack([c.standard_normal(spec.action_dim) for c in clones])
             raw = mean + np.exp(log_std) * z
-            s = pol.sample_actions(store, spec, rows, gens)
+            s = pol.sample_actions(store, spec, *stack(rows), gens)
             assert s.raw.tobytes() == raw.tobytes()
             assert s.action.tobytes() == np.clip(raw, -1.0, 1.0).tobytes()
             assert s.logp.tobytes() == pol.gaussian_logp(raw, mean, log_std).tobytes()
@@ -437,10 +447,10 @@ def test_padded_forward_matches_checked_composition(task):
     act = make_generator(7, "lean", "actions", task)
     obs = []
     for seed in range(_PADDED_CLOUDS):
-        o = env.reset(seed)
+        env.reset(seed)
         for _ in range(seed % 4):
-            o = env.step(act.uniform(-1.0, 1.0, size=2)).obs
-        obs.append(o)
+            env.step(act.uniform(-1.0, 1.0, size=2))
+        obs.append(env.observe())
     _check_padded_forward(store, spec, obs)
     b = store.get("enc.pp.b1")
     b[:] = -make_generator(7, "lean", "bias", task).uniform(0.0, 0.6, size=b.shape)

@@ -127,7 +127,7 @@ class TestCollectRollout:
             assert obs.proprio.tobytes() == buf.proprios[t].tobytes()
             res = env.step(np.minimum(np.maximum(buf.raw_actions[t], -1.0), 1.0))
             assert res.reward == buf.rewards[t]
-            obs = res.obs
+            obs = env.observe()
 
     def test_logp_record_matches_batched_density(self):
         # collection-time log-probs come from padded lane batches; the

@@ -58,15 +58,19 @@ def trained_policy(env_cfg, tmp_path, **overrides):
 
 
 def first_observations(env_cfg, count=16):
+    """`count` fresh environments and their first observations' rows,
+    (count, N, C) points and (count, P) proprios."""
     lanes = [envs.make_env(env_cfg) for _ in range(count)]
-    return lanes, [env.reset(1000 + k) for k, env in enumerate(lanes)]
+    for k, env in enumerate(lanes):
+        env.reset(1000 + k)
+    return lanes, envs.Observer(lanes)()
 
 
 def test_value_learns_a_constant_reward(probe_cfg, tmp_path):
     env_cfg = probe_cfg(probes.ConstantReward)
     _, obs = first_observations(env_cfg)
-    assert np.abs(pol.state_values(*initial_policy(), obs)).max() < 0.5
-    values = pol.state_values(*trained_policy(env_cfg, tmp_path), obs)
+    assert np.abs(pol.state_values(*initial_policy(), *obs)).max() < 0.5
+    values = pol.state_values(*trained_policy(env_cfg, tmp_path), *obs)
     assert np.abs(values - 1.0).max() < 0.15
 
 
@@ -75,10 +79,12 @@ def test_value_discounts_a_reward_one_step_ahead(probe_cfg, tmp_path):
     env_cfg = probe_cfg(probes.SecondStepReward, horizon=2)
     store, spec = trained_policy(env_cfg, tmp_path, gamma=0.5)
     lanes, obs = first_observations(env_cfg)
-    actions = pol.mean_actions(store, spec, obs)
-    after = [env.step(a).obs for env, a in zip(lanes, actions)]
-    assert np.abs(pol.state_values(store, spec, obs) - 0.5).max() < 0.15
-    assert np.abs(pol.state_values(store, spec, after) - 1.0).max() < 0.15
+    actions = pol.mean_actions(store, spec, *obs)
+    for env, a in zip(lanes, actions):
+        env.step(a)
+    after = envs.Observer(lanes)()
+    assert np.abs(pol.state_values(store, spec, *obs) - 0.5).max() < 0.15
+    assert np.abs(pol.state_values(store, spec, *after) - 1.0).max() < 0.15
 
 
 def test_policy_learns_to_raise_its_reward(probe_cfg, tmp_path):
@@ -92,7 +98,7 @@ def test_policy_learns_to_raise_its_reward(probe_cfg, tmp_path):
     store, spec = trained_policy(env_cfg, tmp_path)
     assert rollout_reward(store, spec) > 0.98
     lanes, obs = first_observations(env_cfg)
-    actions = pol.mean_actions(store, spec, obs)
+    actions = pol.mean_actions(store, spec, *obs)
     assert min(env.step(a).reward for env, a in zip(lanes, actions)) > 0.99
 
 
