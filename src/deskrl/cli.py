@@ -43,8 +43,7 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="deskrl", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", metavar="command")
-
-    def add(name: str, summary: str):
+    for name, (summary, _) in _COMMANDS.items():
         sub = commands.add_parser(name, help=summary, description=summary)
         sub.add_argument("--config", default=None, help="INI config file (defaults apply if omitted)")
         sub.add_argument("--out", required=True, help="run directory for all artifacts")
@@ -53,15 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--set", dest="overrides", action="append", default=[], metavar="SECTION.KEY=VALUE",
             help="override a config value; repeatable",
         )
-        return sub
-
-    add("train", "train a PPO policy on the configured task")
-    add("train-bc", "behavior-clone a policy from a demo bundle")
-    add("gen-demos", "roll the scripted expert and save a demo bundle")
-    add("two-stage", "stage one, then resume the best checkpoint rescaled")
-    add("grid", "sweep the (alpha, beta) grid and emit the results table")
-    add("eval", "measure a saved checkpoint's success rate")
-    add("export", "re-emit a metrics log as plot-ready trend-line data")
     return parser
 
 
@@ -180,14 +170,15 @@ def cmd_export(args, resolved) -> None:
     print(f"{len(history)} records: {path}")
 
 
-_HANDLERS = {
-    "train": cmd_train,
-    "train-bc": cmd_train,
-    "gen-demos": cmd_gen_demos,
-    "two-stage": cmd_two_stage,
-    "grid": cmd_grid,
-    "eval": cmd_eval,
-    "export": cmd_export,
+# each command's summary and handler, in the order --help lists them
+_COMMANDS = {
+    "train": ("train a PPO policy on the configured task", cmd_train),
+    "train-bc": ("behavior-clone a policy from a demo bundle", cmd_train),
+    "gen-demos": ("roll the scripted expert and save a demo bundle", cmd_gen_demos),
+    "two-stage": ("stage one, then resume the best checkpoint rescaled", cmd_two_stage),
+    "grid": ("sweep the (alpha, beta) grid and emit the results table", cmd_grid),
+    "eval": ("measure a saved checkpoint's success rate", cmd_eval),
+    "export": ("re-emit a metrics log as plot-ready trend-line data", cmd_export),
 }
 
 
@@ -198,7 +189,7 @@ def main(argv=None) -> int:
         if args.command is None:
             raise UsageError(f"{parser.format_usage()}{parser.prog}: a command is required")
         resolved = cfg_mod.resolve_config(args.config, args.overrides)
-        _HANDLERS[args.command](args, resolved)
+        _COMMANDS[args.command][1](args, resolved)
         return 0
     except UsageError as exc:
         print(exc, file=sys.stderr)

@@ -102,7 +102,8 @@ SCHEMA: dict[str, dict[str, tuple[Any, Callable[[str], Any]]]] = {
         "split": ("train", _identity),
         "env_seed": (0, int),
         "horizon": (None, _optional_int),  # empty means the task default
-        "n_points": (None, _optional_int),  # empty or N_POINTS; kept so older manifests load
+        # empty or N_POINTS: every manifest writes it, and a manifest loads back through --config
+        "n_points": (None, _optional_int),
     },
     "ppo": _field_keys(PPOConfig),
     "bc": {

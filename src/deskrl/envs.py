@@ -29,20 +29,21 @@ per-episode arrays kept every bit but made a step slower, since numpy's
 per-call cost on 32 rows outweighs the loop it replaces (ROADMAP item 1).
 
 A step returns only its reward and flags (StepResult).  Observations are
-built apart from the step, for every lane of a tick at once, by an
-Observer: one call fills a (K, N, C) points array and a (K, P) proprio
-array from the lanes' floats.  Each task's first cloud rows move (the
-arm's sample points, pushbox2d's box outline, gather2d's pusher ring and
-particles): each coordinate is the episode's offset times a scale plus a
-shift, the scale and shift picked from the lane's floats (_cloud_floats)
-by the task's _cloud_index, in one take, one multiply and one add over
-all lanes.  The rest of each cloud is the episode's template.  The
-proprio rows are one conversion of the lanes' _proprio floats.  An
-Observer stacks the per-episode arrays (templates and offsets) once and
-restacks a lane's only when it resets.  Every element goes through the
-numpy operations a lone observation's would, in the same order, so K
-lanes give each lane the bits it has alone; ToyEnv.observe, and reset's
-return value, are that call on one lane.
+built apart from the step, for every lane of a tick at once, by one call
+of observations(): it fills a (K, N, C) points array and a (K, P) proprio
+array from the lanes' floats and their stacked per-episode arrays.  Each
+task's first cloud rows move (the arm's sample points, pushbox2d's box
+outline, gather2d's pusher ring and particles): each coordinate is the
+episode's offset times a scale plus a shift, the scale and shift picked
+from the lane's floats (_cloud_floats) by the task's _cloud_index, in one
+take, one multiply and one add over all lanes.  The rest of each cloud is
+the episode's template.  The proprio rows are one conversion of the
+lanes' _proprio floats.  run_lanes stacks the per-episode arrays
+(templates and offsets) once and rewrites a lane's row only when it
+resets.  Every element goes through the numpy operations a lone
+observation's would, in the same order, so K lanes give each lane the
+bits it has alone; ToyEnv.observe, and reset's return value, are that
+call on one lane's own arrays, viewed as one-row stacks.
 No env arithmetic goes through BLAS: norms and dot products, the experts'
 included, are written out on floats with each product and sum rounded on
 its own.  A BLAS dot or matrix-vector product fuses multiply-adds on some
@@ -139,7 +140,7 @@ def make_config(task: str, split: str = "train", seed: int = 0, horizon: int | N
 
 
 class StepResult(NamedTuple):
-    """What a step returns; its observation comes from an Observer."""
+    """What a step returns; its observation comes from observations()."""
 
     reward: float
     done: bool
@@ -241,8 +242,8 @@ class ToyEnv:
     the whole cloud with its moving rows left zero, and `_offsets`, one
     per moving row and coordinate); `_measure` returns (success, shaping)
     and keeps what the cloud, proprio and expert share (the arm tip,
-    distances); `_cloud_floats` and `_proprio` return the floats an
-    Observer converts; and `expert_action`.  A task's `_cloud_index`
+    distances); `_cloud_floats` and `_proprio` return the floats
+    observations() converts; and `expert_action`.  A task's `_cloud_index`
     picks each moving row's shift and scale from its `_cloud_floats`.
     `_command` turns an action into a joint command (pd_joint_delta_pos
     unless a task overrides it); contact runs in `_after_substep`.
@@ -300,8 +301,9 @@ class ToyEnv:
         return StepResult(reward, done, success)
 
     def observe(self) -> PointCloudObs:
-        """The observation of the current state: an Observer's call on this one lane."""
-        points, proprio = Observer([self])()
+        """The observation of the current state: observations() on this one
+        lane, its template and offsets viewed as one-row stacks."""
+        points, proprio = observations((self,), self._template[None], self._offsets[None])
         return PointCloudObs(points[0], proprio[0])
 
     def _command(self, action: np.ndarray) -> tuple[float, float]:
@@ -370,7 +372,7 @@ class ToyEnv:
     def _cloud_template(self, segments) -> np.ndarray:
         """The episode's cloud layout: for each (count, class, coords) segment
         in order, rows with that one-hot class and, where coords is not None,
-        those fixed coordinates.  An Observer copies it for every tick."""
+        those fixed coordinates.  observations() copies it for every tick."""
         template = np.zeros((N_POINTS, POINT_DIM + FEAT_CHANNELS))
         row = 0
         for count, cls, coords in segments:
@@ -696,55 +698,31 @@ def proprio_width(task: str) -> int:
     return _ENV_CLASSES[task].proprio_width
 
 
-def _float_rows(rows: list, width: int) -> np.ndarray:
-    """One (len(rows), width) float64 array from rows of `width` floats
-    each: one conversion of them all, which keeps every float's bits."""
+def _float_rows(rows: list) -> np.ndarray:
+    """One (len(rows), width) float64 array from rows of equal width, read
+    off the first: one conversion of them all, which keeps every float's bits."""
+    width = len(rows[0])
     return np.fromiter(chain.from_iterable(rows), np.float64, len(rows) * width).reshape(len(rows), width)
 
 
-class Observer:
-    """The observations of a list of environments of one task, all built
-    by one call, the environments' current states read as they stand.
-
-    It holds the per-episode arrays stacked, (K, N, C) templates and
-    (K, M, 2) offsets for M moving rows; `renew(i)` restacks lane i's
-    after it resets, and `keep(rows)` drops the other lanes.
-    """
-
-    def __init__(self, envs: Sequence[ToyEnv]):
-        tasks = {type(env) for env in envs}
-        if len(tasks) != 1:
-            names = sorted(task.__name__ for task in tasks)
-            raise ConfigError(f"an observer needs environments of one task, got {names}")
-        self.task = tasks.pop()
-        self._width = int(self.task._cloud_index.max()) + 1  # cloud floats per lane
-        self.envs = list(envs)
-        self._templates = np.array([env._template for env in envs])
-        self._offsets = np.array([env._offsets for env in envs])
-
-    def renew(self, i: int) -> None:
-        self._templates[i] = self.envs[i]._template
-        self._offsets[i] = self.envs[i]._offsets
-
-    def keep(self, rows: list[int]) -> None:
-        self.envs = [self.envs[i] for i in rows]
-        self._templates = self._templates[rows]
-        self._offsets = self._offsets[rows]
-
-    def __call__(self) -> tuple[np.ndarray, np.ndarray]:
-        """Fresh (K, N, C) points and (K, P) proprio rows, in lane order:
-        the moving rows are offset * scale + shift, each scale and shift
-        taken from the lanes' cloud floats by the task's _cloud_index, and
-        written over a copy of the templates."""
-        task, envs = self.task, self.envs
-        floats = _float_rows([env._cloud_floats() for env in envs], self._width)
-        moved = floats.take(task._cloud_index, axis=1)  # (K, 2, M, 2): shifts, then scales
-        shift, scaled = moved[:, 0], moved[:, 1]
-        np.multiply(scaled, self._offsets, out=scaled)
-        np.add(scaled, shift, out=scaled)
-        points = self._templates.copy()
-        points[:, : scaled.shape[1], :POINT_DIM] = scaled
-        return points, _float_rows([env._proprio() for env in envs], task.proprio_width)
+def observations(
+    envs: Sequence[ToyEnv], templates: np.ndarray, offsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh (K, N, C) points and (K, P) proprio rows of environments of one
+    task, in order, their current states read as they stand.  templates
+    (K, N, C) and offsets (K, M, 2), for M moving rows, are the
+    environments' per-episode arrays, stacked; they are read, never
+    written.  The moving rows are offset * scale + shift, each scale and
+    shift taken from the lanes' cloud floats by the task's _cloud_index,
+    and written over a copy of the templates."""
+    floats = _float_rows([env._cloud_floats() for env in envs])
+    moved = floats.take(envs[0]._cloud_index, axis=1)  # (K, 2, M, 2): shifts, then scales
+    shift, scaled = moved[:, 0], moved[:, 1]
+    np.multiply(scaled, offsets, out=scaled)
+    np.add(scaled, shift, out=scaled)
+    points = templates.copy()
+    points[:, : scaled.shape[1], :POINT_DIM] = scaled
+    return points, _float_rows([env._proprio() for env in envs])
 
 
 # lanes of one run_lanes call at most, for PPO rollouts (ppo.lane_sizes)
@@ -787,19 +765,22 @@ def run_lanes(lanes: Sequence[Lane], act) -> Iterator[Tick]:
     episode ends and no seed is left.  Each tick calls act(live lanes'
     indices, their points, their proprios) once, for one action row per
     live lane, steps each live lane once, in lane order, builds their next
-    observations in one Observer call and yields; the resets follow.  No
-    array of a Tick is written after it is yielded."""
-    first = [lane.env.reset(next(lane.seeds)) for lane in lanes]
-    points = np.array([obs.points for obs in first])
-    proprios = np.array([obs.proprio for obs in first])
-    observe = Observer([lane.env for lane in lanes])
+    observations in one observations() call and yields; the resets follow.
+    The live lanes' templates and offsets stay stacked here, a row
+    rewritten when its lane resets and dropped when it leaves.  No array
+    of a Tick is written after it is yielded."""
+    active = [lane.env for lane in lanes]  # the live lanes' environments, in row order
+    first = [env.reset(next(lane.seeds)) for env, lane in zip(active, lanes)]
+    points, proprios = map(np.array, zip(*first))
+    templates = np.array([env._template for env in active])
+    offsets = np.array([env._offsets for env in active])
     left = [lane.budget for lane in lanes]
     live = np.arange(len(lanes))
     while live.size:
         actions = np.asarray(act(live, points, proprios))
-        results = [lanes[k].env.step(action) for k, action in zip(live.tolist(), actions)]
+        results = [env.step(action) for env, action in zip(active, actions)]
         rewards, dones, successes = map(np.array, zip(*results))
-        next_points, next_proprios = observe()
+        next_points, next_proprios = observations(active, templates, offsets)
         yield Tick(live, points, proprios, actions, rewards, dones, successes, next_points, next_proprios)
         kept, fresh = [], []  # rows that stay live; (row after compaction, reset observation)
         for i, (k, res) in enumerate(zip(live.tolist(), results)):
@@ -807,18 +788,18 @@ def run_lanes(lanes: Sequence[Lane], act) -> Iterator[Tick]:
             seed = next(lanes[k].seeds, None) if res.done and left[k] else None
             if left[k] and (seed is not None or not res.done):
                 if seed is not None:
-                    fresh.append((len(kept), lanes[k].env.reset(seed)))
+                    fresh.append((len(kept), active[i].reset(seed)))
                 kept.append(i)
         points, proprios = next_points, next_proprios
         if len(kept) < live.size:
-            live = live[kept]
-            observe.keep(kept)
+            live, active = live[kept], [active[i] for i in kept]
             points, proprios = points[kept], proprios[kept]
+            templates, offsets = templates[kept], offsets[kept]
         elif fresh:
             points, proprios = points.copy(), proprios.copy()
         for i, obs in fresh:
             points[i], proprios[i] = obs
-            observe.renew(i)
+            templates[i], offsets[i] = active[i]._template, active[i]._offsets
 
 
 def generate_demos(cfg: EnvConfig, n_episodes: int, keep_only_success: bool = True) -> list[DemoTrajectory]:

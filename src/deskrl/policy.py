@@ -9,7 +9,7 @@ checks, and Adam updates uniform across trainers.
 The batched calls, mean_actions(), sample_actions() and state_values(),
 take a tick's observations as the arrays envs.run_lanes hands out: (K,
 N, C) points and (K, P) proprio rows, built for every lane at once (see
-envs.Observer), so no call stacks observation objects.
+envs.observations), so no call stacks observation objects.
 
 The sampling recipe is normative for determinism: sample_actions()
 takes one generator per observation and draws exactly ``action_dim``

@@ -156,7 +156,7 @@ MUTANTS = (
     Mutant(
         "stale_episode_arrays_after_reset",
         "envs.py",
-        (("            observe.renew(i)\n", ""),),
+        (("            templates[i], offsets[i] = active[i]._template, active[i]._offsets\n", ""),),
         "a lane that resets mid-run is observed with its last episode's goal, target and "
         "sample offsets",
     ),

@@ -57,13 +57,16 @@ def trained_policy(env_cfg, tmp_path, **overrides):
     return store, pol.build_policy_spec("reach2d")
 
 
+def stacked(observations):
+    """The rows of a list of observations: (K, N, C) points and (K, P) proprios."""
+    return np.array([obs.points for obs in observations]), np.array([obs.proprio for obs in observations])
+
+
 def first_observations(env_cfg, count=16):
     """`count` fresh environments and their first observations' rows,
     (count, N, C) points and (count, P) proprios."""
     lanes = [envs.make_env(env_cfg) for _ in range(count)]
-    for k, env in enumerate(lanes):
-        env.reset(1000 + k)
-    return lanes, envs.Observer(lanes)()
+    return lanes, stacked([env.reset(1000 + k) for k, env in enumerate(lanes)])
 
 
 def test_value_learns_a_constant_reward(probe_cfg, tmp_path):
@@ -82,7 +85,7 @@ def test_value_discounts_a_reward_one_step_ahead(probe_cfg, tmp_path):
     actions = pol.mean_actions(store, spec, *obs)
     for env, a in zip(lanes, actions):
         env.step(a)
-    after = envs.Observer(lanes)()
+    after = stacked([env.observe() for env in lanes])
     assert np.abs(pol.state_values(store, spec, *obs) - 0.5).max() < 0.15
     assert np.abs(pol.state_values(store, spec, *after) - 1.0).max() < 0.15
 

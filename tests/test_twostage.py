@@ -177,8 +177,9 @@ class ToyCfg:
 
 def toy_trainer(rate_of, write_checkpoints=True):
     """A scripted stand-in honoring the trainer contract: entry eval,
-    eval every eval_period steps, a final eval, a checkpoint per eval,
-    and a stop once should_stop(history) holds after an eval.
+    eval every eval_period steps, a final eval, a checkpoint per eval
+    written before its metrics line (loop.run_loop's order), and a stop
+    once should_stop(history) holds after an eval.
     rate_of(step, stage) scripts the test rate; a resumed run's entry
     record takes the rates stored with its checkpoint instead."""
 
@@ -193,7 +194,6 @@ def toy_trainer(rate_of, write_checkpoints=True):
             train, test = rates if rates is not None else (min(1.0, test + 0.1), test)
             record = MetricsRecord(step, train, test, stage)
             history.append(record)
-            append_metrics(os.path.join(out_dir, "metrics.csv"), record)
             if write_checkpoints:
                 save_checkpoint(
                     os.path.join(out_dir, f"ckpt-{step:08d}.ckpt"),
@@ -211,6 +211,7 @@ def toy_trainer(rate_of, write_checkpoints=True):
                         test_success=test,
                     ),
                 )
+            append_metrics(os.path.join(out_dir, "metrics.csv"), record)
             return should_stop is not None and should_stop(history)
 
         done = 0
