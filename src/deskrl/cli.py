@@ -82,7 +82,7 @@ def _report(history) -> None:
 def cmd_train(args, resolved) -> None:
     env_cfg = cfg_mod.env_config(resolved)
     trainer = _build_trainer("ppo" if args.command == "train" else "bc", resolved, env_cfg)
-    cfg_mod.write_manifest(args.out, args.command, args.seed, resolved)
+    cfg_mod.write_manifest(args.out, args.command, args.seed, resolved, claim=True)
     _report(trainer.run(trainer.base_cfg, seed=args.seed, out_dir=args.out))
 
 
@@ -103,7 +103,7 @@ def cmd_two_stage(args, resolved) -> None:
     env_cfg = cfg_mod.env_config(resolved)
     section = resolved["twostage"]
     trainer = _build_trainer(section["trainer"], resolved, env_cfg)
-    cfg_mod.write_manifest(args.out, "two-stage", args.seed, resolved)
+    cfg_mod.write_manifest(args.out, "two-stage", args.seed, resolved, claim=True)
     history, record = ts.run_two_stage(
         trainer,
         cfg_mod.scale_pair(resolved),
@@ -125,7 +125,7 @@ def cmd_grid(args, resolved) -> None:
     env_cfg = cfg_mod.env_config(resolved)
     trainer = _build_trainer(resolved["grid"]["trainer"], resolved, env_cfg)
     spec = cfg_mod.grid_spec(resolved, args.seed)
-    cfg_mod.write_manifest(args.out, "grid", args.seed, resolved)
+    cfg_mod.write_manifest(args.out, "grid", args.seed, resolved, claim=True)
     records = ts.grid_search(trainer, spec, args.out)
     print(f"{len(records)} rows: {os.path.join(args.out, 'results.csv')}")
     try:

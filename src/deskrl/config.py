@@ -26,6 +26,7 @@ What some keys reach:
 from __future__ import annotations
 
 import configparser
+import contextlib
 import dataclasses
 import io
 import os
@@ -221,9 +222,9 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def write_manifest(out_dir: str, command: str, seed: int, resolved: dict) -> str:
-    """Dump the fully resolved config (defaults materialized) plus run
-    identity to out_dir/manifest.ini; returns the manifest path."""
+def render_manifest(command: str, seed: int, resolved: dict) -> str:
+    """The fully resolved config (defaults materialized) plus run identity,
+    as the text of manifest.ini."""
     env = env_config(resolved)
     writer = configparser.ConfigParser(interpolation=None)
     writer["meta"] = {"command": command, "seed": str(seed), "version": __version__}
@@ -233,9 +234,34 @@ def write_manifest(out_dir: str, command: str, seed: int, resolved: dict) -> str
             body["horizon"] = env.horizon  # materialize task defaults
             body["n_points"] = N_POINTS
         writer[section] = {k: _format_value(v) for k, v in body.items()}
-    path = os.path.join(out_dir, "manifest.ini")
-    os.makedirs(out_dir, exist_ok=True)
     text = io.StringIO()
     writer.write(text)
-    replace_file(path, text.getvalue().encode("utf-8"))
+    return text.getvalue()
+
+
+def _manifest_items(text: str) -> dict[str, str]:
+    parser = configparser.ConfigParser(interpolation=None)
+    with contextlib.suppress(configparser.Error):  # a damaged manifest differs where it stops parsing
+        parser.read_string(text)
+    return {f"{name}.{key}": value for name in parser.sections() for key, value in parser[name].items()}
+
+
+def write_manifest(out_dir: str, command: str, seed: int, resolved: dict, claim: bool = False) -> str:
+    """Write render_manifest's text to out_dir/manifest.ini; returns its path.
+
+    A claim first refuses (ConfigError) a manifest.ini there that holds
+    other text, naming the first section.key that differs, so a command
+    run again over its own directory only ever finishes its own run.
+    """
+    text = render_manifest(command, seed, resolved)
+    path = os.path.join(out_dir, "manifest.ini")
+    if claim and os.path.exists(path):
+        with open(path, "rb") as fh:
+            held = fh.read().decode("utf-8", "replace")
+        if held != text:
+            ours, theirs = _manifest_items(text), _manifest_items(held)
+            key = next((k for k in {**ours, **theirs} if ours.get(k) != theirs.get(k)), "its layout")
+            raise ConfigError(f"{path} records another run: {key} differs")
+    os.makedirs(out_dir, exist_ok=True)
+    replace_file(path, text.encode("utf-8"))
     return path

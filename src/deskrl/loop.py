@@ -38,7 +38,8 @@ import numpy as np
 from . import nn, policy as pol
 from .envs import EnvConfig
 from .errors import ResumeError
-from .persistence import Checkpoint, MetricsRecord, append_metrics, checkpoint_name, read_metrics, save_checkpoint
+from .persistence import Checkpoint, MetricsRecord, append_metrics, check_metrics_order, checkpoint_name
+from .persistence import read_metrics, save_checkpoint
 from .rng import generator_from_words, make_generator, state_words
 
 
@@ -106,8 +107,8 @@ def run_loop(
     env_cfg, seed = state.env_cfg, state.seed
     run_id = f"{env_cfg.task}-{state.kind}-seed{seed}"
     metrics_path = os.path.join(out_dir, "metrics.csv")
-    resumed_here = state.entry_rates is not None and os.path.exists(metrics_path)
-    history = read_metrics(metrics_path) if resumed_here else []
+    check_metrics_order(metrics_path, state.start_step)  # a log past the entry is refused before any write
+    history = read_metrics(metrics_path) if state.entry_rates is not None and os.path.exists(metrics_path) else []
 
     def evaluate(step: int, rates: tuple[float, float] | None = None, logged: bool = False) -> bool:
         if rates is None:

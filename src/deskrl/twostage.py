@@ -5,12 +5,17 @@ The procedure: train normally, watch the test-split success rate, and
 when it stalls (or the stage-one budget runs out) resume from the
 checkpoint with the highest test rate seen so far, with the minibatch
 size scaled by alpha and the samples consumed per outer step scaled by
-beta.  Stage one is one uninterrupted trainer call with the whole budget
-and a stall hook that ends it after STALL_LIMIT evaluations in a row
-without a new best.  The grid harness sweeps (alpha, beta) cells that all
-branch from one shared stage-one run per seed, plus a no-restart baseline
-row that simply keeps training from the last checkpoint at the original
-sizes.
+beta.  Stage one is one trainer call with the whole budget and a stall
+hook that ends it after STALL_LIMIT evaluations in a row without a new
+best.  The grid harness sweeps (alpha, beta) cells that all branch from
+one shared stage-one run per seed, plus a no-restart baseline row that
+simply keeps training from the last checkpoint at the original sizes.
+
+Each trainer call is a `Leg`, and `run_leg` starts every leg the same
+way: in place when its directory's log holds records, else from its
+restore checkpoint, else fresh.  So a two-stage run or a grid run again
+over its own directory finishes what a crash left, and leaves a
+finished directory as it was.
 
 The best record of a history is the earliest one with the highest test
 rate (`track_best`).  It picks the stage-two restore point (the
@@ -40,7 +45,7 @@ import numpy as np
 from . import bc as bc_mod, ppo as ppo_mod
 from .envs import EnvConfig
 from .errors import ConfigError, DeskRLError
-from .persistence import MetricsRecord, checkpoint_name, export_table, load_checkpoint
+from .persistence import MetricsRecord, checkpoint_name, export_table, load_checkpoint, read_metrics
 
 STALL_LIMIT = 3  # consecutive evaluations without a new best test rate
 
@@ -139,41 +144,57 @@ class RunRecord:
                 raise ConfigError(f"success rates must lie in [0, 1], got {rate}")
 
 
+@dataclass(frozen=True)
+class Leg:
+    """One trainer call of a schedule: its run directory, sizes, step
+    budget and stage marker, the checkpoint it starts from when its log
+    holds no record (None for stage one) and its stop hook."""
+
+    out_dir: str
+    batch: int
+    samples: int
+    steps: int
+    stage: int
+    restore: str | None = None
+    should_stop: Callable[[list[MetricsRecord]], bool] | None = None
+
+
+def run_leg(trainer: Trainer, leg: Leg, seed: int, reset_optimizer: bool = False) -> list[MetricsRecord]:
+    """Run `leg` to the end of its budget (or its stop hook); returns its history.
+
+    A leg starts in one of three ways.  In place, when its metrics.csv
+    holds records: from the checkpoint of the log's last record (written
+    before that record, so it exists; a newer one a crash left unlogged
+    is written again, the same bytes), for the budget its logged steps
+    leave, and without reset_optimizer, which the leg's entry applied.
+    From its source otherwise, when it has a restore checkpoint.  Fresh
+    otherwise.
+    """
+    log = os.path.join(leg.out_dir, "metrics.csv")
+    logged = read_metrics(log) if os.path.exists(log) else []
+    if logged:
+        restore = os.path.join(leg.out_dir, checkpoint_name(logged[-1].step))
+        leg = dataclasses.replace(leg, steps=leg.steps - (logged[-1].step - logged[0].step), restore=restore)
+        reset_optimizer = False
+    return trainer.run(
+        trainer.sized_cfg(leg.batch, leg.samples, leg.steps), seed=seed, out_dir=leg.out_dir,
+        resume=load_checkpoint(leg.restore) if leg.restore else None, stage=leg.stage,
+        reset_optimizer=reset_optimizer, should_stop=leg.should_stop,
+    )
+
+
 def run_stage_one(trainer: Trainer, budget: int, seed: int, out_dir: str) -> list[MetricsRecord]:
     """Train at base sizes until the test rate stalls or the budget is spent.
 
-    One trainer call with the whole budget; the `_stalled` hook ends it
-    after STALL_LIMIT evaluations in a row without a new best test rate.
+    One leg with the whole budget; the `_stalled` hook ends it after
+    STALL_LIMIT evaluations in a row without a new best test rate.
     Early stopping costs nothing in determinism: the history is a prefix
     of the same call without the hook, on the same evaluation cadence.
     """
     if budget < trainer.eval_period:
         raise ConfigError("stage-one budget is below one evaluation period")
-    cfg = trainer.sized_cfg(trainer.base_batch, trainer.base_samples, budget)
-    return trainer.run(cfg, seed=seed, out_dir=out_dir, stage=1, should_stop=_stalled)
-
-
-def _run_leg(
-    trainer: Trainer,
-    stage1_dir: str,
-    restore_step: int,
-    batch: int,
-    samples: int,
-    steps: int,
-    seed: int,
-    out_dir: str,
-    stage: int,
-    reset_optimizer: bool = False,
-) -> list[MetricsRecord]:
-    """Resume stage one's checkpoint at restore_step at (batch, samples) for
-    `steps` further steps; returns the leg's history, whose entry record
-    carries the rates stage one stored with that checkpoint (`loop.begin`).
-    """
-    restore = load_checkpoint(os.path.join(stage1_dir, checkpoint_name(restore_step)))
-    cfg = trainer.sized_cfg(batch, samples, steps)
-    return trainer.run(
-        cfg, seed=seed, out_dir=out_dir, resume=restore, stage=stage, reset_optimizer=reset_optimizer
-    )
+    leg = Leg(out_dir, trainer.base_batch, trainer.base_samples, budget, 1, should_stop=_stalled)
+    return run_leg(trainer, leg, seed)
 
 
 def run_two_stage(
@@ -196,12 +217,9 @@ def run_two_stage(
     stage1_dir = os.path.join(out_dir, "stage1")
     stage1 = run_stage_one(trainer, stage1_steps, seed, stage1_dir)
     batch1, samples1 = scale_hyperparams(trainer.base_batch, trainer.base_samples, scales)
-    stage2 = []
-    if stage2_steps > 0:
-        stage2 = _run_leg(
-            trainer, stage1_dir, track_best(stage1).step, batch1, samples1, stage2_steps, seed,
-            os.path.join(out_dir, "stage2"), 2, reset_optimizer,
-        )
+    restore = os.path.join(stage1_dir, checkpoint_name(track_best(stage1).step))
+    leg = Leg(os.path.join(out_dir, "stage2"), batch1, samples1, stage2_steps, 2, restore)
+    stage2 = run_leg(trainer, leg, seed, reset_optimizer) if stage2_steps > 0 else []
     peak = track_best(stage2 or stage1)
     record = RunRecord(
         1, scales.alpha, scales.beta, batch1, samples1,
@@ -250,35 +268,29 @@ def grid_search(trainer: Trainer, grid: GridSpec, out_dir: str) -> list[RunRecor
     is recorded with nan rates and the sweep continues.
     """
     os.makedirs(out_dir, exist_ok=True)
-    base_trainer = dataclasses.replace(
-        trainer,
-        base_cfg=trainer.sized_cfg(grid.base_batch, grid.base_samples, 0),
-    )
+    base_cfg = trainer.sized_cfg(grid.base_batch, grid.base_samples, 0)
+    base_trainer = dataclasses.replace(trainer, base_cfg=base_cfg)
     records: list[RunRecord] = []
     for seed in grid.seeds:
         seed_dir = os.path.join(out_dir, f"seed{seed}")
         stage1_dir = os.path.join(seed_dir, "stage1")
         stage1 = run_stage_one(base_trainer, grid.stage1_steps, seed, stage1_dir)
-        # (row, alpha, beta, batch, samples, restore step, leg directory, stage)
-        legs = [(1, 1.0, 1.0, grid.base_batch, grid.base_samples, stage1[-1].step, "baseline", 1)]
-        best = track_best(stage1).step
+        last = os.path.join(stage1_dir, checkpoint_name(stage1[-1].step))
+        best = os.path.join(stage1_dir, checkpoint_name(track_best(stage1).step))
+        # (row, alpha, beta, leg): the baseline keeps training at base sizes from the last checkpoint
+        baseline = os.path.join(seed_dir, "baseline")
+        legs = [(1, 1.0, 1.0, Leg(baseline, grid.base_batch, grid.base_samples, grid.stage2_steps, 1, last))]
         for row, (alpha, beta) in enumerate(grid.cells(), start=2):
-            batch1, samples1 = scale_hyperparams(
-                grid.base_batch, grid.base_samples, ScalePair(alpha, beta)
-            )
-            legs.append((row, alpha, beta, batch1, samples1, best, f"cell-a{alpha}-b{beta}", 2))
-        for row, alpha, beta, batch, samples, restore_step, leg_dir, stage in legs:
+            sizes = scale_hyperparams(grid.base_batch, grid.base_samples, ScalePair(alpha, beta))
+            leg_dir = os.path.join(seed_dir, f"cell-a{alpha}-b{beta}")
+            legs.append((row, alpha, beta, Leg(leg_dir, *sizes, grid.stage2_steps, 2, best)))
+        for row, alpha, beta, leg in legs:
             try:
-                peak = track_best(_run_leg(
-                    base_trainer, stage1_dir, restore_step, batch, samples, grid.stage2_steps, seed,
-                    os.path.join(seed_dir, leg_dir), stage,
-                ))
+                peak = track_best(run_leg(base_trainer, leg, seed))
                 rates = (peak.train_success, peak.test_success)
             except DeskRLError:
                 rates = (float("nan"), float("nan"))
-            records.append(
-                RunRecord(row, alpha, beta, batch, samples, *rates, seed, grid.stage2_steps)
-            )
+            records.append(RunRecord(row, alpha, beta, leg.batch, leg.samples, *rates, seed, grid.stage2_steps))
 
     export_table(records, os.path.join(out_dir, "results.csv"))
     return records

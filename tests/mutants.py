@@ -160,4 +160,12 @@ MUTANTS = (
         "a lane that resets mid-run is observed with its last episode's goal, target and "
         "sample offsets",
     ),
+    # the one start rule's subtle line: a leg resumed in place keeps its own Adam state
+    Mutant(
+        "reset_optimizer_on_in_place_resume",
+        "twostage.py",
+        (("        reset_optimizer = False\n", ""),),
+        "a stage-two leg with reset_optimizer, resumed in place after a crash, zeroes the Adam "
+        "moments it built since its entry",
+    ),
 )

@@ -3,6 +3,7 @@
 import configparser
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -29,6 +30,11 @@ TINY_BC = [
     "--set", "bc.eval_period=2",
     "--set", "bc.eval_episodes=2",
 ]
+
+
+def files(root):
+    """Every file under root, by its path relative to root, with its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in pathlib.Path(root).rglob("*") if p.is_file()}
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +142,23 @@ class TestTrain:
         assert main([command, "--out", str(out), *TINY_ENV, *sized, "--set", setting]) == 1
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()  # a refused command leaves no directory behind
+
+    def test_a_refused_rerun_changes_no_file(self, tmp_path, capsys):
+        # a finished run refuses a rerun into its directory before any write:
+        # with a changed key at its manifest (exit 1), with the same config at
+        # its log, whose step 160 is past the fresh run's entry (exit 2)
+        out = tmp_path / "run"
+        sized = [*TINY_ENV, *TINY_PPO[:-2], "--set", "ppo.eval_episodes=1"]
+        assert main(["train", "--out", str(out), *sized]) == 0
+        before = files(out)
+        for setting in ("ppo.log_std0=-1.0", "ppo.eval_episodes=2"):
+            assert main(["train", "--out", str(out), *sized, "--set", setting]) == 1
+            key = setting.split("=")[0]
+            assert f"manifest.ini records another run: {key} differs" in capsys.readouterr().err
+            assert files(out) == before
+        assert main(["train", "--out", str(out), *sized]) == 2
+        assert "step 0 after step 160" in capsys.readouterr().err
+        assert files(out) == before
 
 
 class TestGenDemos:
@@ -421,6 +444,35 @@ class TestGrid:
         assert rc == 1
         assert "alpha must lie in" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, sized",
+    [
+        ("two-stage", ["twostage.trainer=bc", "twostage.stage1_steps=6", "twostage.stage2_steps=4"]),
+        ("grid", [
+            "grid.trainer=bc", "grid.base_batch=16", "grid.base_samples=32", "grid.alphas=0.9",
+            "grid.betas=1.0", "grid.stage1_steps=6", "grid.stage2_steps=4",
+        ]),
+    ],
+    ids=["two-stage", "grid"],
+)
+def test_a_rerun_finishes_its_own_run_and_refuses_another(workdir, tmp_path, capsys, command, sized):
+    # run again over its own --out with the same config, a finished run
+    # writes the same bytes; with one key changed it is refused, and writes nothing
+    out = tmp_path / command
+    argv = [
+        command, "--out", str(out), "--seed", "3", *TINY_ENV, *TINY_BC, "--set", f"bc.demos={workdir['demos']}",
+        *(arg for setting in sized for arg in ("--set", setting)),
+    ]
+    assert main(argv) == 0
+    before = files(out)
+    assert main(argv) == 0
+    assert files(out) == before
+    capsys.readouterr()
+    assert main([*argv, "--set", "bc.eval_episodes=3"]) == 1
+    assert "manifest.ini records another run: bc.eval_episodes differs" in capsys.readouterr().err
+    assert files(out) == before
 
 
 class TestModuleEntry:

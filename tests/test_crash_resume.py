@@ -1,17 +1,17 @@
 """Crash at every write, resume, and match the uninterrupted run.
 
 Every run-directory file goes through persistence.replace_file.  For a
-short PPO run, a short BC run and a short two-stage run, each test makes
-that call raise at its n-th call, for every n the uninterrupted run
-makes: once before the write and once after the rename.  The crashed run
-then resumes, as a fresh process would, from the newest checkpoint that
-loads (a fresh run if none does) with the remaining budget, into the same
-directory.  A two-stage run resumes stage one in place that way, then
-runs its stage-two leg from stage one's best checkpoint, or resumes the
-leg in place from its own newest one.  The directory must then hold what
-the uninterrupted run's holds: the same file names, so no ``.tmp``
-leftover, the same checkpoint bytes, and the same metrics records (a
-record holds no wall clock; its log line does).
+short PPO run, a short BC run, a short two-stage run and a short grid,
+each test makes that call raise at its n-th call, for every n the
+uninterrupted run makes: once before the write and once after the rename.
+The crashed run then finishes as a fresh process would.  A single run
+resumes from the newest checkpoint that loads (a fresh run if none does)
+with the remaining budget, into the same directory.  A two-stage run or a
+grid is simply run again over its directory: `twostage.run_leg` starts
+each leg in place, from its source or fresh.  The directory must then
+hold what the uninterrupted run's holds: the same file names, so no
+``.tmp`` leftover, the same checkpoint bytes, and the same metrics
+records (a record holds no wall clock; its log line does).
 """
 
 import os
@@ -118,31 +118,42 @@ def test_bc_run_survives_a_crash_at_every_write(tmp_path, monkeypatch):
     check_single_run(tmp_path, monkeypatch, train, total=6)
 
 
+def leg_dirs_state(out, legs):
+    return sorted(os.listdir(out)), [run_dir_state(os.path.join(out, d)) for d in legs]
+
+
 def test_two_stage_run_survives_a_crash_at_every_write(tmp_path, monkeypatch):
-    # stage one evaluates at 0, 32 and 64, the leg at its entry and 32 steps on
+    # stage one evaluates at 0, 32 and 64, the leg at its entry, 32 and 64
+    # steps on; the leg resets Adam at its entry, and only there
     env_cfg = envs.make_config("reach2d", horizon=8)
     base = ppo.PPOConfig(samples_per_step=32, minibatch_size=16, epochs=1, eval_period=32, eval_episodes=1)
-    trainer, scales = ts.ppo_trainer(base, env_cfg), ts.ScalePair(0.5, 0.5)
-    batch1, samples1 = ts.scale_hyperparams(base.minibatch_size, base.samples_per_step, scales)
-    stage1_steps, stage2_steps = 64, 32
-
-    def finish(out):
-        stage1_dir, leg_dir = os.path.join(out, "stage1"), os.path.join(out, "stage2")
-        # run_stage_one's trainer call, from the newest checkpoint that loads; in
-        # place, its history starts with the log's records, which the stall hook reads
-        resume = newest_checkpoint(stage1_dir) if os.path.isdir(stage1_dir) else None
-        left = stage1_steps - (resume.step if resume else 0)
-        cfg = trainer.sized_cfg(base.minibatch_size, base.samples_per_step, left)
-        history = trainer.run(cfg, seed=0, out_dir=stage1_dir, resume=resume, stage=1, should_stop=ts._stalled)
-        best = ts.track_best(history).step
-        leg = newest_checkpoint(leg_dir) if os.path.isdir(leg_dir) else None
-        source, step = (leg_dir, leg.step) if leg else (stage1_dir, best)
-        ts._run_leg(trainer, source, step, batch1, samples1, stage2_steps - (step - best), 0, leg_dir, 2)
-
-    def state(out):
-        return sorted(os.listdir(out)), [run_dir_state(os.path.join(out, d)) for d in ("stage1", "stage2")]
+    trainer = ts.ppo_trainer(base, env_cfg)
 
     def run(out):
-        ts.run_two_stage(trainer, scales, stage1_steps, stage2_steps, 0, out)
+        ts.run_two_stage(trainer, ts.ScalePair(0.5, 0.5), 64, 64, 0, out, reset_optimizer=True)
 
-    check_every_crash_point(tmp_path, monkeypatch, run, finish, writes=10, state=state)
+    def state(out):
+        return leg_dirs_state(out, ("stage1", "stage2"))
+
+    check_every_crash_point(tmp_path, monkeypatch, run, run, writes=12, state=state)
+
+
+def test_grid_survives_a_crash_at_every_write(tmp_path, monkeypatch):
+    # stage one evaluates at 0, 32 and 64; the baseline, from stage one's
+    # last checkpoint, and one cell, from its best, each at their entry and
+    # 32 steps on; then results.csv
+    env_cfg = envs.make_config("reach2d", horizon=8)
+    base = ppo.PPOConfig(epochs=1, eval_period=32, eval_episodes=1)
+    grid = ts.GridSpec(
+        alphas=(0.5,), betas=(0.5,), base_batch=16, base_samples=32, stage1_steps=64, stage2_steps=32
+    )
+    legs = ("stage1", "baseline", "cell-a0.5-b0.5")
+
+    def run(out):
+        ts.grid_search(ts.ppo_trainer(base, env_cfg), grid, out)
+
+    def state(out):
+        results = pathlib.Path(out, "results.csv").read_bytes()
+        return sorted(os.listdir(out)), results, leg_dirs_state(os.path.join(out, "seed0"), legs)
+
+    check_every_crash_point(tmp_path, monkeypatch, run, run, writes=15, state=state)

@@ -9,7 +9,7 @@ import pytest
 
 from deskrl import loop, nn, pointnet, policy as pol, ppo
 from deskrl.envs import make_config, make_env
-from deskrl.errors import ConfigError, NonFiniteError, ResumeError
+from deskrl.errors import ConfigError, MetricsOrderError, NonFiniteError, ResumeError
 from deskrl.persistence import load_checkpoint, read_metrics
 from deskrl.rng import generator_from_words, make_generator, next_episode_seed, state_words, substreams
 
@@ -751,6 +751,18 @@ class TestTrainPPO:
         entry = load_checkpoint(str(tmp_path / "b" / "ckpt-00000080.ckpt"))
         assert entry.params.tobytes() == restore.params.tobytes()
         assert entry.rng_words.tobytes() == restore.rng_words.tobytes()
+
+    def test_a_log_past_the_entry_step_is_refused_before_any_write(self, tmp_path):
+        # a fresh run, another log_std0's, into a finished run's directory:
+        # its log ends at step 160, so the entry at step 0 is refused before
+        # the entry checkpoint overwrites the finished run's
+        cfg = make_config("reach2d", horizon=40)
+        out = tmp_path / "run"
+        ppo.train_ppo(small_cfg(total_steps=160), cfg, seed=3, out_dir=str(out))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        with pytest.raises(MetricsOrderError, match="step 0 after step 160"):
+            ppo.train_ppo(small_cfg(total_steps=160, log_std0=-1.0), cfg, seed=3, out_dir=str(out))
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_resume_in_place_logs_each_step_once(self, tmp_path, monkeypatch):
         # resumed into its own directory, whose log already ends with the

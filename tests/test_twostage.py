@@ -239,8 +239,8 @@ def toy_run_or_fail(cfg, seed, out_dir, resume=None, stage=1, reset_optimizer=Fa
 
 
 def test_trainers_accept_the_keywords_the_harness_passes(tmp_path):
-    # run_stage_one and _run_leg call trainer.run(cfg, **keywords); every
-    # trainer, real or toy, must take each keyword set they pass
+    # run_leg, which starts every leg, calls trainer.run(cfg, **keywords)
+    # with all six keywords; every trainer, real or toy, must take them
     passed = []
 
     def spy(cfg, **keywords):
@@ -251,9 +251,8 @@ def test_trainers_accept_the_keywords_the_harness_passes(tmp_path):
         ts.Trainer(ToyCfg(), "batch_size", spy), ts.ScalePair(0.5, 0.5), 4, 2, seed=0,
         out_dir=str(tmp_path / "t"),
     )
-    assert [sorted(k) for k in passed] == [
-        ["out_dir", "seed", "should_stop", "stage"],
-        ["out_dir", "reset_optimizer", "resume", "seed", "stage"],
+    assert [sorted(k) for k in passed] == 2 * [
+        ["out_dir", "reset_optimizer", "resume", "seed", "should_stop", "stage"],
     ]
     env_cfg = make_config("reach2d")
     dataset = bc.DemoDataset(np.zeros((1, 1, 5)), np.zeros((1, 1)), np.zeros((1, 2)), env_cfg.fingerprint())
@@ -324,9 +323,7 @@ class TestStageOne:
         assert ts.track_best(straight).step == 0
         out = str(tmp_path / "cut")
         ts.run_stage_one(trainer, crash_step, seed=0, out_dir=out)
-        resume = load_checkpoint(os.path.join(out, checkpoint_name(crash_step)))
-        cfg = trainer.sized_cfg(pcfg.minibatch_size, pcfg.samples_per_step, 256 - crash_step)
-        hist = trainer.run(cfg, seed=0, out_dir=out, resume=resume, stage=1, should_stop=ts._stalled)
+        hist = ts.run_stage_one(trainer, 256, seed=0, out_dir=out)  # run_leg resumes it in place
         assert hist == straight == read_metrics(os.path.join(out, "metrics.csv"))
         assert ts.track_best(hist).step == 0
         assert sorted(os.listdir(out)) == sorted(os.listdir(tmp_path / "straight"))
