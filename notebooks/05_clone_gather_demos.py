@@ -1,9 +1,9 @@
 """Behavior cloning on gather2d expert demonstrations.
 
-Generates a handful of expert episodes, saves them as a demo bundle,
-reloads the bundle (the file carries the environment fingerprint so a
-dataset cannot silently be cloned against the wrong physics), and runs
-a short BC training.  The train/test gap visible even at this scale is
+Generates a handful of expert episodes, pooled into one dataset, saves
+them as a demo bundle, reloads the bundle as the same dataset (the file
+carries the environment fingerprint so a dataset cannot silently be
+cloned against the wrong physics), and runs a short BC training.  The train/test gap visible even at this scale is
 the motivation for the two-stage fine-tuning schedule.
 """
 
@@ -12,15 +12,14 @@ import os
 import shutil
 import tempfile
 
-from deskrl.bc import BCConfig, DemoDataset, train_bc
+from deskrl.bc import BCConfig, train_bc
 from deskrl.envs import generate_demos, make_config
 from deskrl.persistence import load_demos, save_demos
 
 env_cfg = make_config("gather2d")
 demos = generate_demos(env_cfg, 40)
-lengths = [d.actions.shape[0] for d in demos]
-print(f"kept {len(demos)} of 40 episodes "
-      f"(episode lengths {min(lengths)}..{max(lengths)})")
+print(f"kept {len(demos.lengths)} of 40 episodes "
+      f"(episode lengths {min(demos.lengths)}..{max(demos.lengths)})")
 
 workdir = tempfile.mkdtemp(prefix="gather-bc-")
 atexit.register(shutil.rmtree, workdir)
@@ -28,9 +27,9 @@ bundle = os.path.join(workdir, "demos.bin")
 save_demos(bundle, env_cfg, demos)
 print(f"bundle: {os.path.getsize(bundle)} bytes")
 
-meta, trajectories = load_demos(bundle)
-assert meta["fingerprint"] == env_cfg.fingerprint()
-dataset = DemoDataset.from_trajectories(trajectories, str(meta["fingerprint"]))
+dataset = load_demos(bundle)
+assert dataset.fingerprint == env_cfg.fingerprint()
+assert dataset.actions.tobytes() == demos.actions.tobytes()
 print(f"pooled dataset: {dataset.size} state-action pairs")
 
 cfg = BCConfig(total_steps=600, eval_period=200, eval_episodes=10)

@@ -15,7 +15,7 @@ import os
 import shutil
 import tempfile
 
-from deskrl.bc import BCConfig, DemoDataset
+from deskrl.bc import BCConfig
 from deskrl.envs import generate_demos, make_config
 from deskrl.twostage import (
     GridSpec,
@@ -38,8 +38,7 @@ for alpha in (0.9, 0.8, 0.7):
 
 # -- a tiny sweep end to end ----------------------------------------------
 env_cfg = make_config("gather2d", horizon=60)
-demos = generate_demos(env_cfg, 12)
-dataset = DemoDataset.from_trajectories(demos, env_cfg.fingerprint())
+dataset = generate_demos(env_cfg, 12)
 base = BCConfig(
     batch_size=16, samples_per_step=32, total_steps=0, eval_period=2, eval_episodes=4
 )

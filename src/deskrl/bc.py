@@ -1,4 +1,5 @@
-"""Behavior cloning on pooled expert state-action pairs.
+"""Behavior cloning on pooled expert state-action pairs, an
+envs.DemoDataset as generate_demos or persistence.load_demos returns it.
 
 The sampler is positional: sample n of the run (counting from zero,
 across the whole run, not per call) lives at position n mod M of the
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import loop, nn, policy as pol
-from .envs import DemoTrajectory, EnvConfig
+from .envs import DemoDataset, EnvConfig
 from .errors import ConfigError, NonFiniteError, require_finite_floats
 from .persistence import Checkpoint, MetricsRecord
 from .rng import make_generator
@@ -55,38 +56,6 @@ class BCConfig:
             raise ConfigError("need a positive learning rate and non-negative budget")
         if self.eval_period < 1 or self.eval_episodes < 1:
             raise ConfigError("eval period and eval episodes must be >= 1")
-
-
-@dataclass(frozen=True)
-class DemoDataset:
-    """Expert pairs pooled across trajectories, order preserved."""
-
-    points: np.ndarray  # (M, N, C)
-    proprios: np.ndarray  # (M, P)
-    actions: np.ndarray  # (M, A)
-    fingerprint: str
-
-    def __post_init__(self):
-        M = self.actions.shape[0]
-        if M < 1:
-            raise ConfigError("a demo dataset needs at least one pair")
-        if self.points.shape[0] != M or self.proprios.shape[0] != M:
-            raise ConfigError("demo arrays disagree on pair count")
-
-    @property
-    def size(self) -> int:
-        return self.actions.shape[0]
-
-    @classmethod
-    def from_trajectories(cls, demos: list[DemoTrajectory], fingerprint: str) -> "DemoDataset":
-        if not demos:
-            raise ConfigError("no trajectories to pool")
-        return cls(
-            points=np.concatenate([d.points for d in demos]),
-            proprios=np.concatenate([d.proprios for d in demos]),
-            actions=np.concatenate([d.actions for d in demos]),
-            fingerprint=fingerprint,
-        )
 
 
 @functools.lru_cache(maxsize=4)

@@ -4,7 +4,10 @@
 
 Commands: train, train-bc, gen-demos, two-stage, grid, eval, export.
 Every run writes a manifest.ini with the fully resolved configuration,
-so the artifacts alone reproduce the run.  Exit codes: 0 success, 1 for
+so the artifacts alone reproduce the run.  train, train-bc, two-stage
+and grid start each trainer call through twostage.run_leg, so run again
+over their own --out with the same config they finish a crashed run and
+leave a finished one as it was.  Exit codes: 0 success, 1 for
 configuration problems (unknown command or key, missing file, invalid
 value), 2 for runtime failures (corrupt checkpoint, non-finite loss).
 """
@@ -15,7 +18,7 @@ import argparse
 import os
 import sys
 
-from . import bc as bc_mod, config as cfg_mod, policy as pol, twostage as ts
+from . import config as cfg_mod, policy as pol, twostage as ts
 from .envs import generate_demos
 from .errors import ConfigError, DeskRLError, MetricsOrderError
 from .persistence import (
@@ -68,9 +71,7 @@ def _build_trainer(kind: str, resolved: dict, env_cfg) -> ts.Trainer:
         return ts.ppo_trainer(cfg_mod.ppo_config(resolved), env_cfg)
     if kind == "bc":
         run_cfg = cfg_mod.bc_config(resolved)
-        meta, trajectories = load_demos(_require_path(resolved["bc"]["demos"], "bc.demos"))
-        dataset = bc_mod.DemoDataset.from_trajectories(trajectories, str(meta["fingerprint"]))
-        return ts.bc_trainer(run_cfg, dataset, env_cfg)
+        return ts.bc_trainer(run_cfg, load_demos(_require_path(resolved["bc"]["demos"], "bc.demos")), env_cfg)
     raise ConfigError(f"trainer must be ppo or bc, got {kind!r}")
 
 
@@ -83,7 +84,8 @@ def cmd_train(args, resolved) -> None:
     env_cfg = cfg_mod.env_config(resolved)
     trainer = _build_trainer("ppo" if args.command == "train" else "bc", resolved, env_cfg)
     cfg_mod.write_manifest(args.out, args.command, args.seed, resolved, claim=True)
-    _report(trainer.run(trainer.base_cfg, seed=args.seed, out_dir=args.out))
+    leg = ts.Leg(args.out, trainer.base_batch, trainer.base_samples, trainer.base_cfg.total_steps, 1)
+    _report(ts.run_leg(trainer, leg, args.seed))
 
 
 def cmd_gen_demos(args, resolved) -> None:
@@ -91,12 +93,11 @@ def cmd_gen_demos(args, resolved) -> None:
     section = resolved["demos"]
     if section["count"] < 1:
         raise ConfigError(f"demos.count must be at least 1, got {section['count']}")
-    demos = generate_demos(env_cfg, section["count"], section["keep_only_success"])
+    dataset = generate_demos(env_cfg, section["count"], section["keep_only_success"])
     cfg_mod.write_manifest(args.out, "gen-demos", args.seed, resolved)
     path = os.path.join(args.out, section["out"])
-    save_demos(path, env_cfg, demos)
-    pairs = sum(d.actions.shape[0] for d in demos)
-    print(f"kept {len(demos)} of {section['count']} episodes ({pairs} pairs): {path}")
+    save_demos(path, env_cfg, dataset)
+    print(f"kept {len(dataset.lengths)} of {section['count']} episodes ({dataset.size} pairs): {path}")
 
 
 def cmd_two_stage(args, resolved) -> None:

@@ -62,8 +62,11 @@ were taken on, the actions, rewards and flags, and each lane's
 next-observation rows, built after its step and before any reset.
 A rollout runs at most MAX_LANES lanes.
 Demo generation draws all its seeds first and runs them in consecutive
-chunks of at most MAX_LANES, one lane per seed, so its memory does not
-grow with the episode count.  Evaluation runs one lane per panel seed.
+chunks of at most MAX_LANES, one lane per seed, so no more than
+MAX_LANES environments live at once.  It returns one DemoDataset, the
+kept episodes' rows pooled by a single stack of the ticks' rows; saved
+and loaded (persistence.save_demos, load_demos), it stays that dataset,
+and BC trains on it.  Evaluation runs one lane per panel seed.
 """
 
 from __future__ import annotations
@@ -147,14 +150,40 @@ class StepResult(NamedTuple):
     success: bool
 
 
-@dataclass
-class DemoTrajectory:
-    """One expert episode: stacked observations and the actions taken."""
+@dataclass(frozen=True)
+class DemoDataset:
+    """Expert episodes pooled into one array each, in episode order, with
+    each episode's length and success flag, and the fingerprint of the
+    environment they were recorded on (EnvConfig.fingerprint)."""
 
-    points: np.ndarray  # (T, N, C)
-    proprios: np.ndarray  # (T, P)
-    actions: np.ndarray  # (T, A)
-    success: bool
+    points: np.ndarray  # (M, N, C)
+    proprios: np.ndarray  # (M, P)
+    actions: np.ndarray  # (M, A)
+    fingerprint: str
+    lengths: tuple[int, ...]  # each episode's pairs, in order; they sum to M
+    successes: tuple[bool, ...]  # each episode's success flag
+
+    def __post_init__(self):
+        M = self.actions.shape[0]
+        if M < 1:
+            raise ConfigError("a demo dataset needs at least one pair")
+        if self.points.shape[0] != M or self.proprios.shape[0] != M:
+            raise ConfigError("demo arrays disagree on pair count")
+        if sum(self.lengths) != M:
+            raise ConfigError(f"episode lengths sum to {sum(self.lengths)}, the arrays hold {M} pairs")
+        if len(self.successes) != len(self.lengths):
+            raise ConfigError(f"{len(self.successes)} success flags for {len(self.lengths)} episodes")
+
+    @property
+    def size(self) -> int:
+        return self.actions.shape[0]
+
+    def episodes(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Each episode's (points, proprios, actions) rows in order, as views."""
+        lo = 0
+        for T in self.lengths:
+            yield self.points[lo : lo + T], self.proprios[lo : lo + T], self.actions[lo : lo + T]
+            lo += T
 
 
 def _norm2(x: float, y: float) -> float:
@@ -802,29 +831,33 @@ def run_lanes(lanes: Sequence[Lane], act) -> Iterator[Tick]:
             templates[i], offsets[i] = active[i]._template, active[i]._offsets
 
 
-def generate_demos(cfg: EnvConfig, n_episodes: int, keep_only_success: bool = True) -> list[DemoTrajectory]:
+def generate_demos(cfg: EnvConfig, n_episodes: int, keep_only_success: bool = True) -> DemoDataset:
     """The scripted expert on n_episodes seeds of the demo stream, drawn up
-    front and run MAX_LANES at a time, one lane each; the demos (optionally
-    successes only) are kept in seed order."""
+    front and run MAX_LANES at a time, one lane each; the episodes kept
+    (optionally successes only) are pooled in seed order, each row copied
+    once, from the ticks' arrays into the dataset's."""
     if n_episodes < 1:
         raise ConfigError("n_episodes must be at least 1")
     gen = make_generator("demos", cfg.task, cfg.split, cfg.seed)
     seeds = [next_episode_seed(gen) for _ in range(n_episodes)]
-    demos = []
+    # the kept episodes' (points, proprio, action) rows, views into the ticks' arrays
+    rows, lengths, successes = [], [], []
     for lo in range(0, n_episodes, MAX_LANES):
         lanes = [Lane(make_env(cfg), iter((seed,)), cfg.horizon) for seed in seeds[lo : lo + MAX_LANES]]
-        # each lane's (points, proprio, action) rows, views into the ticks'
-        # arrays, copied into one array each when its episode ends
         episodes = [[] for _ in lanes]
+        ended_in_success = [False] * len(lanes)  # a lane's last step is its episode's end
         for tick in run_lanes(lanes, lambda live, *_: [lanes[k].env.expert_action() for k in live]):
-            ends = zip(tick.lanes.tolist(), tick.dones.tolist(), tick.successes.tolist())
-            for i, (k, done, success) in enumerate(ends):
+            for i, (k, success) in enumerate(zip(tick.lanes.tolist(), tick.successes.tolist())):
                 episodes[k].append((tick.points[i], tick.proprios[i], tick.actions[i]))
-                if done:
-                    episodes[k] = DemoTrajectory(*map(np.stack, zip(*episodes[k])), success)
-        demos += [demo for demo in episodes if demo.success or not keep_only_success]
-    if not demos:
+                ended_in_success[k] = success
+        for episode, success in zip(episodes, ended_in_success):
+            if success or not keep_only_success:
+                rows += episode
+                lengths.append(len(episode))
+                successes.append(success)
+    if not rows:
         raise EmptyDatasetError(
             f"no successful episodes among {n_episodes} on {cfg.task}/{cfg.split}"
         )
-    return demos
+    points, proprios, actions = map(np.stack, zip(*rows))
+    return DemoDataset(points, proprios, actions, cfg.fingerprint(), tuple(lengths), tuple(successes))

@@ -55,7 +55,7 @@ class DemoFormatError(DeskRLError):
 
 
 class EmptyDatasetError(DeskRLError):
-    """Filtering left no trajectories to train on."""
+    """Filtering left no episodes to train on."""
 
 
 def require_finite_floats(cfg) -> None:

@@ -19,7 +19,11 @@ save/load roundtrip is the identity bit for bit; the JSON block carries
 only names, counts, and scalars whose text form round-trips exactly.
 Demonstration bundles use the same container, written and read by the
 same code, with their own magic and metadata; their payload is each
-trajectory's points, proprios and actions in turn.
+episode's points, proprios and actions in turn, slices of an
+envs.DemoDataset's pooled arrays, and a load pools them back into one.
+A container is written as parts (header, metadata, each array's buffer,
+checksum) and read through a view of the file's bytes, so neither side
+copies the payload as a whole.
 
 Metrics logs, trend lines and result tables are plain comma-separated
 lines, each written by `_row`: the ``str`` of every field, which for a
@@ -46,7 +50,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .envs import DemoTrajectory, EnvConfig
+from .envs import DemoDataset, EnvConfig
 from .errors import (
     CheckpointIntegrityError,
     CheckpointNotFoundError,
@@ -73,15 +77,17 @@ _HEAD = struct.Struct("<16sIIQ")  # magic, version, reserved, meta length
 _CHECKSUM_BYTES = 8
 
 
-def replace_file(path: str, data: bytes) -> None:
-    """Write `data` as the whole of `path`: to a ``.tmp`` sibling, fsynced,
-    then renamed over `path`, so a crash leaves the old file or the new one.
-    The directory is fsynced after the rename, so the new name is durable
-    too; a write, fsync or rename that raises removes the ``.tmp`` file."""
+def replace_file(path: str, *parts) -> None:
+    """Write `parts`, bytes-like, in order as the whole of `path`: to a
+    ``.tmp`` sibling, fsynced, then renamed over `path`, so a crash leaves
+    the old file or the new one.  The directory is fsynced after the
+    rename, so the new name is durable too; a write, fsync or rename that
+    raises removes the ``.tmp`` file."""
     tmp = path + ".tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            for part in parts:
+                fh.write(part)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -139,24 +145,29 @@ def checkpoint_name(step: int) -> str:
     return f"ckpt-{step:08d}.ckpt"
 
 
-def _checksum(blob: bytes) -> bytes:
-    return hashlib.sha256(blob).digest()[:_CHECKSUM_BYTES]
+def _checksum(*parts) -> bytes:
+    """The first bytes of SHA-256 over `parts`, bytes-like, in order."""
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part)
+    return h.digest()[:_CHECKSUM_BYTES]
 
 
 def _write_container(path: str, magic: bytes, version: int, meta: dict, arrays) -> None:
-    """Write header, JSON metadata, each array's raw bytes in order, then the
-    checksum, through `replace_file`, so a crash never leaves a partial file."""
+    """Write header, JSON metadata, each array's buffer in order, then the
+    checksum, as parts through `replace_file`, so a crash never leaves a
+    partial file and the payload is never copied whole."""
     meta_blob = json.dumps(meta, separators=(",", ":")).encode("utf-8")
-    parts = [_HEAD.pack(magic, version, 0, len(meta_blob)), meta_blob]
-    parts += [np.ascontiguousarray(a).tobytes() for a in arrays]
-    blob = b"".join(parts)
-    replace_file(path, blob + _checksum(blob))
+    parts = [_HEAD.pack(magic, version, 0, len(meta_blob)), meta_blob, *map(np.ascontiguousarray, arrays)]
+    replace_file(path, *parts, _checksum(*parts))
 
 
 def _read_container(path: str, what: str, magic: bytes, version: int, errors, layout, decode):
     """Check a container file and decode it; returns decode(metadata, arrays).
 
-    `layout(meta)` lists the (dtype, shape) of each stored array in order.
+    `layout(meta)` lists the (dtype, shape) of each stored array in order;
+    decode gets each as a read-only view of the file's bytes, in the
+    file's byte order, and copies what it keeps.
     `errors` is (missing, damaged, unknown): the error raised when there is
     no file, when it is damaged (too short, wrong magic, checksum mismatch,
     unreadable or overrunning metadata, metadata without an entry the kind
@@ -170,7 +181,7 @@ def _read_container(path: str, what: str, magic: bytes, version: int, errors, la
         raw = fh.read()
     if len(raw) < _HEAD.size + _CHECKSUM_BYTES:
         raise damaged(f"{path}: file too short to be a {what}")
-    body, trailer = raw[:-_CHECKSUM_BYTES], raw[-_CHECKSUM_BYTES:]
+    body, trailer = memoryview(raw)[:-_CHECKSUM_BYTES], raw[-_CHECKSUM_BYTES:]
     found_magic, found_version, _, meta_len = _HEAD.unpack_from(body, 0)
     if found_magic != magic:
         raise damaged(f"{path}: bad magic, not a {what}")
@@ -182,7 +193,7 @@ def _read_container(path: str, what: str, magic: bytes, version: int, errors, la
     if offset > len(body):
         raise damaged(f"{path}: metadata block overruns the file")
     try:
-        meta = json.loads(body[_HEAD.size : offset].decode("utf-8"))
+        meta = json.loads(str(body[_HEAD.size : offset], "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise damaged(f"{path}: unreadable metadata block") from exc
     try:
@@ -193,8 +204,7 @@ def _read_container(path: str, what: str, magic: bytes, version: int, errors, la
         arrays = []
         for dtype, shape in layout:
             count = math.prod(shape)
-            stored = np.frombuffer(body, dtype=dtype, count=count, offset=offset)
-            arrays.append(stored.astype(dtype.newbyteorder("=")).reshape(shape))
+            arrays.append(np.frombuffer(body, dtype=dtype, count=count, offset=offset).reshape(shape))
             offset += dtype.itemsize * count
         return decode(meta, arrays)
     except KeyError as exc:
@@ -238,7 +248,7 @@ def load_checkpoint(path: str) -> Checkpoint:
 
 
 def _decode_checkpoint(meta: dict, arrays: list[np.ndarray]) -> Checkpoint:
-    params, m, v, rng_words = arrays
+    params, m, v, rng_words = (stored.astype(stored.dtype.newbyteorder("=")) for stored in arrays)
     a = meta["adam"]
     return Checkpoint(
         run_id=str(meta["run_id"]),
@@ -391,59 +401,47 @@ def export_table(records, path: str) -> None:
 # -- demonstration datasets ----------------------------------------------------
 
 
-def save_demos(path: str, cfg: EnvConfig, demos: list[DemoTrajectory]) -> None:
-    """Persist expert trajectories with the config fingerprint they came from."""
-    if not demos:
-        raise DemoFormatError("refusing to write an empty demo file")
-    first = demos[0]
-    n_points, channels = first.points.shape[1], first.points.shape[2]
-    proprio_w, action_w = first.proprios.shape[1], first.actions.shape[1]
-    episodes = []
-    arrays = []
-    for d in demos:
-        T = d.actions.shape[0]
-        if d.points.shape != (T, n_points, channels) or d.proprios.shape != (T, proprio_w):
-            raise DemoFormatError("trajectories disagree on observation shape")
-        if d.actions.shape != (T, action_w):
-            raise DemoFormatError("trajectories disagree on action width")
-        episodes.append({"length": int(T), "success": bool(d.success)})
-        arrays += [np.asarray(a, dtype="<f8") for a in (d.points, d.proprios, d.actions)]
+def save_demos(path: str, cfg: EnvConfig, dataset: DemoDataset) -> None:
+    """Persist a demo dataset with the config fingerprint it came from."""
+    if dataset.fingerprint != cfg.fingerprint():
+        raise ConfigError("demo dataset was recorded on a different environment")
+    _, n_points, channels = dataset.points.shape
     meta = {
         "task": cfg.task,
         "fingerprint": cfg.fingerprint(),
-        "count": len(demos),
+        "count": len(dataset.lengths),
         "n_points": int(n_points),
         "point_channels": int(channels),
-        "proprio_width": int(proprio_w),
-        "action_dim": int(action_w),
-        "episodes": episodes,
+        "proprio_width": int(dataset.proprios.shape[1]),
+        "action_dim": int(dataset.actions.shape[1]),
+        "episodes": [{"length": int(T), "success": bool(s)} for T, s in zip(dataset.lengths, dataset.successes)],
     }
+    arrays = [np.asarray(a, dtype="<f8") for episode in dataset.episodes() for a in episode]
     _write_container(path, DEMO_MAGIC, DEMO_VERSION, meta, arrays)
 
 
 def _demo_layout(meta: dict) -> list[tuple[str, tuple[int, ...]]]:
-    """Points, proprios and actions of each trajectory in turn."""
+    """Points, proprios and actions of each episode in turn."""
     N, C = int(meta["n_points"]), int(meta["point_channels"])
     P, A = int(meta["proprio_width"]), int(meta["action_dim"])
     shapes = [((T, N, C), (T, P), (T, A)) for T in (int(ep["length"]) for ep in meta["episodes"])]
     return [("<f8", shape) for triple in shapes for shape in triple]
 
 
-def load_demos(path: str) -> tuple[dict, list[DemoTrajectory]]:
-    """Read a demo file back; returns (metadata, trajectories)."""
+def load_demos(path: str) -> DemoDataset:
+    """Read a demo bundle back as the dataset saved, each array pooled from
+    the episodes' slices in one copy."""
 
-    def decode(meta: dict, arrays: list[np.ndarray]) -> tuple[dict, list[DemoTrajectory]]:
-        if len(meta["episodes"]) != int(meta["count"]):
+    def decode(meta: dict, arrays: list[np.ndarray]) -> DemoDataset:
+        episodes, fingerprint = meta["episodes"], str(meta["fingerprint"])
+        if len(episodes) != int(meta["count"]):
             raise DemoFormatError(f"{path}: episode count disagrees with header")
-        trajectories = [
-            DemoTrajectory(
-                points=arrays[3 * i], proprios=arrays[3 * i + 1], actions=arrays[3 * i + 2],
-                success=bool(ep["success"]),
-            )
-            for i, ep in enumerate(meta["episodes"])
-        ]
-        # the callers read these two; a file without them is damaged
-        return {**meta, "task": str(meta["task"]), "fingerprint": str(meta["fingerprint"])}, trajectories
+        if not fingerprint.startswith(f"task={meta['task']};"):
+            raise DemoFormatError(f"{path}: task disagrees with the fingerprint")
+        points, proprios, actions = (np.concatenate(arrays[i::3], dtype=np.float64) for i in range(3))
+        lengths = tuple(int(ep["length"]) for ep in episodes)
+        successes = tuple(bool(ep["success"]) for ep in episodes)
+        return DemoDataset(points, proprios, actions, fingerprint, lengths, successes)
 
     return _read_container(
         path, "demo bundle", DEMO_MAGIC, DEMO_VERSION, (DemoFormatError,) * 3, _demo_layout, decode

@@ -13,9 +13,10 @@ simply keeps training from the last checkpoint at the original sizes.
 
 Each trainer call is a `Leg`, and `run_leg` starts every leg the same
 way: in place when its directory's log holds records, else from its
-restore checkpoint, else fresh.  So a two-stage run or a grid run again
-over its own directory finishes what a crash left, and leaves a
-finished directory as it was.
+restore checkpoint, else fresh.  So a two-stage run, a grid or a single
+training run (`deskrl train`, `train-bc`: one leg with no restore
+checkpoint and no stop hook), run again over its own directory, finishes
+what a crash left, and leaves a finished directory as it was.
 
 The best record of a history is the earliest one with the highest test
 rate (`track_best`).  It picks the stage-two restore point (the
@@ -43,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from . import bc as bc_mod, ppo as ppo_mod
-from .envs import EnvConfig
+from .envs import DemoDataset, EnvConfig
 from .errors import ConfigError, DeskRLError
 from .persistence import MetricsRecord, checkpoint_name, export_table, load_checkpoint, read_metrics
 
@@ -118,7 +119,7 @@ def ppo_trainer(cfg: ppo_mod.PPOConfig, env_cfg: EnvConfig) -> Trainer:
     return Trainer(cfg, "minibatch_size", functools.partial(ppo_mod.train_ppo, env_cfg=env_cfg))
 
 
-def bc_trainer(cfg: bc_mod.BCConfig, dataset: bc_mod.DemoDataset, env_cfg: EnvConfig) -> Trainer:
+def bc_trainer(cfg: bc_mod.BCConfig, dataset: DemoDataset, env_cfg: EnvConfig) -> Trainer:
     run = functools.partial(bc_mod.train_bc, dataset=dataset, env_cfg=env_cfg)
     return Trainer(cfg, "batch_size", run)
 

@@ -168,4 +168,13 @@ MUTANTS = (
         "a stage-two leg with reset_optimizer, resumed in place after a crash, zeroes the Adam "
         "moments it built since its entry",
     ),
+    # the pooled demo load: the episodes' slices are read in file order and
+    # concatenated; pooled in any other order, rows no longer match their lengths
+    Mutant(
+        "demo_load_pools_episodes_out_of_order",
+        "persistence.py",
+        (("np.concatenate(arrays[i::3], dtype=np.float64)", "np.concatenate(arrays[i::3][::-1], dtype=np.float64)"),),
+        "a loaded demo bundle pools its episodes last first, so each row is paired with another "
+        "episode's length and success flag than the one it was saved with",
+    ),
 )

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from deskrl import bc, loop, nn, persistence, policy as pol
-from deskrl.envs import generate_demos, make_config
+from deskrl.envs import DemoDataset, generate_demos, make_config
 from deskrl.errors import ConfigError, NonFiniteError, ResumeError
 from deskrl.persistence import checkpoint_name, load_checkpoint, read_metrics
 from deskrl.rng import make_generator, state_words
@@ -17,8 +17,7 @@ from deskrl.rng import make_generator, state_words
 @pytest.fixture(scope="module")
 def reach_demos():
     cfg = make_config("reach2d")
-    demos = generate_demos(cfg, 4)
-    return cfg, bc.DemoDataset.from_trajectories(demos, cfg.fingerprint())
+    return cfg, generate_demos(cfg, 4)
 
 
 def fresh_policy(task="reach2d", seed=0):
@@ -76,26 +75,43 @@ class TestBCConfig:
 
 class TestDemoDataset:
     def test_pools_in_trajectory_order(self, reach_demos):
+        # episode after episode in seed order: the first rows are the first
+        # seed's episode alone, and the episodes' slices pool back to the arrays
         cfg, _ = reach_demos
-        demos = generate_demos(cfg, 4)
-        ds = bc.DemoDataset.from_trajectories(demos, cfg.fingerprint())
-        assert ds.size == sum(d.actions.shape[0] for d in demos)
-        T0 = demos[0].actions.shape[0]
-        assert np.array_equal(ds.points[:T0], demos[0].points)
-        assert np.array_equal(ds.actions[T0 : T0 + 3], demos[1].actions[:3])
+        ds = generate_demos(cfg, 4, keep_only_success=False)
+        first = generate_demos(cfg, 1, keep_only_success=False)
+        assert len(ds.lengths) == len(ds.successes) == 4 and ds.size == sum(ds.lengths)
+        assert (first.lengths, first.successes) == (ds.lengths[:1], ds.successes[:1])
+        T0 = ds.lengths[0]
+        assert ds.points[:T0].tobytes() == first.points.tobytes()
+        assert ds.actions[:T0].tobytes() == first.actions.tobytes()
+        pooled = [np.concatenate(rows) for rows in zip(*ds.episodes())]
+        assert [a.tobytes() for a in pooled] == [a.tobytes() for a in (ds.points, ds.proprios, ds.actions)]
 
     def test_rejects_empty(self):
-        with pytest.raises(ConfigError):
-            bc.DemoDataset.from_trajectories([], "x")
+        with pytest.raises(ConfigError, match="at least one pair"):
+            DemoDataset(np.zeros((0, 2, 5)), np.zeros((0, 8)), np.zeros((0, 2)), "x", (), ())
 
     def test_rejects_mismatched_counts(self):
         with pytest.raises(ConfigError):
-            bc.DemoDataset(
+            DemoDataset(
                 points=np.zeros((4, 2, 5)),
                 proprios=np.zeros((3, 8)),
                 actions=np.zeros((4, 2)),
                 fingerprint="x",
+                lengths=(4,),
+                successes=(True,),
             )
+
+    @pytest.mark.parametrize("lengths", [(1, 2), (2, 3), (5,)])
+    def test_rejects_lengths_that_do_not_sum_to_the_rows(self, lengths):
+        with pytest.raises(ConfigError, match="lengths sum to"):
+            DemoDataset(np.zeros((4, 2, 5)), np.zeros((4, 8)), np.zeros((4, 2)), "x", lengths, (True,) * len(lengths))
+
+    @pytest.mark.parametrize("successes", [(), (True,), (True, False, True)])
+    def test_rejects_success_flags_for_another_episode_count(self, successes):
+        with pytest.raises(ConfigError, match="success flags for 2 episodes"):
+            DemoDataset(np.zeros((4, 2, 5)), np.zeros((4, 8)), np.zeros((4, 2)), "x", (1, 3), successes)
 
 
 class TestStreamIndices:
@@ -402,12 +418,7 @@ class TestTrainBC:
 
     def test_nonfinite_loss_names_the_step(self, reach_demos, tmp_path):
         cfg, ds = reach_demos
-        poisoned = bc.DemoDataset(
-            points=ds.points.copy(),
-            proprios=ds.proprios.copy(),
-            actions=np.full_like(ds.actions, np.nan),
-            fingerprint=ds.fingerprint,
-        )
+        poisoned = dataclasses.replace(ds, actions=np.full_like(ds.actions, np.nan))
         with pytest.raises(NonFiniteError, match="outer step"):
             bc.train_bc(small_cfg(), poisoned, cfg, seed=1, out_dir=str(tmp_path / "n"))
 

@@ -144,9 +144,9 @@ class TestTrain:
         assert not out.exists()  # a refused command leaves no directory behind
 
     def test_a_refused_rerun_changes_no_file(self, tmp_path, capsys):
-        # a finished run refuses a rerun into its directory before any write:
-        # with a changed key at its manifest (exit 1), with the same config at
-        # its log, whose step 160 is past the fresh run's entry (exit 2)
+        # a finished run refuses a rerun with a changed key into its directory
+        # at its manifest, before any write (exit 1); with the same config the
+        # rerun finds its run finished and writes nothing (exit 0)
         out = tmp_path / "run"
         sized = [*TINY_ENV, *TINY_PPO[:-2], "--set", "ppo.eval_episodes=1"]
         assert main(["train", "--out", str(out), *sized]) == 0
@@ -156,17 +156,17 @@ class TestTrain:
             key = setting.split("=")[0]
             assert f"manifest.ini records another run: {key} differs" in capsys.readouterr().err
             assert files(out) == before
-        assert main(["train", "--out", str(out), *sized]) == 2
-        assert "step 0 after step 160" in capsys.readouterr().err
+        assert main(["train", "--out", str(out), *sized]) == 0
+        assert "step 160" in capsys.readouterr().out
         assert files(out) == before
 
 
 class TestGenDemos:
     def test_bundle_is_loadable(self, workdir, capsys):
-        meta, trajectories = load_demos(workdir["demos"])
+        dataset = load_demos(workdir["demos"])
         env = make_config("reach2d", horizon=40)
-        assert meta["fingerprint"] == env.fingerprint()
-        assert len(trajectories) >= 1
+        assert dataset.fingerprint == env.fingerprint()
+        assert len(dataset.lengths) >= 1
 
     def test_reports_kept_count(self, workdir, tmp_path, capsys):
         out = str(tmp_path / "d2")

@@ -1,14 +1,15 @@
 """Crash at every write, resume, and match the uninterrupted run.
 
 Every run-directory file goes through persistence.replace_file.  For a
-short PPO run, a short BC run, a short two-stage run and a short grid,
-each test makes that call raise at its n-th call, for every n the
-uninterrupted run makes: once before the write and once after the rename.
-The crashed run then finishes as a fresh process would.  A single run
-resumes from the newest checkpoint that loads (a fresh run if none does)
-with the remaining budget, into the same directory.  A two-stage run or a
-grid is simply run again over its directory: `twostage.run_leg` starts
-each leg in place, from its source or fresh.  The directory must then
+short PPO run, a short BC run, a short two-stage run, a short grid and
+short `deskrl train` and `train-bc` commands, each test makes that call
+raise at its n-th call, for every n the uninterrupted run makes: once
+before the write and once after the rename.  The crashed run then
+finishes as a fresh process would.  A single trainer call resumes from
+the newest checkpoint that loads (a fresh run if none does) with the
+remaining budget, into the same directory.  A two-stage run, a grid or a
+train command is simply run again over its directory: `twostage.run_leg`
+starts each leg in place, from its source or fresh.  The directory must then
 hold what the uninterrupted run's holds: the same file names, so no
 ``.tmp`` leftover, the same checkpoint bytes, and the same metrics
 records (a record holds no wall clock; its log line does).
@@ -19,7 +20,7 @@ import pathlib
 
 import pytest
 
-from deskrl import bc, envs, persistence as ps, ppo, twostage as ts
+from deskrl import bc, cli, envs, persistence as ps, ppo, twostage as ts
 from deskrl.errors import DeskRLError
 from deskrl.persistence import load_checkpoint, read_metrics
 
@@ -36,11 +37,11 @@ def crash_at(monkeypatch, n, after):
     real = ps.replace_file
     calls = []
 
-    def replace_file(path, data):
+    def replace_file(path, *parts):
         calls.append(path)
         if len(calls) == n and not after:
             raise Crash(path)
-        real(path, data)
+        real(path, *parts)
         if len(calls) == n:
             raise Crash(path)
 
@@ -108,8 +109,7 @@ def test_ppo_run_survives_a_crash_at_every_write(tmp_path, monkeypatch):
 
 def test_bc_run_survives_a_crash_at_every_write(tmp_path, monkeypatch):
     env_cfg = envs.make_config("reach2d", horizon=16)
-    demos = envs.generate_demos(env_cfg, 1, keep_only_success=False)  # 16 pairs
-    dataset = bc.DemoDataset.from_trajectories(demos, env_cfg.fingerprint())
+    dataset = envs.generate_demos(env_cfg, 1, keep_only_success=False)  # 16 pairs
 
     def train(total, out, resume):
         cfg = bc.BCConfig(batch_size=4, samples_per_step=12, total_steps=total, eval_period=2, eval_episodes=2)
@@ -157,3 +157,28 @@ def test_grid_survives_a_crash_at_every_write(tmp_path, monkeypatch):
         return sorted(os.listdir(out)), results, leg_dirs_state(os.path.join(out, "seed0"), legs)
 
     check_every_crash_point(tmp_path, monkeypatch, run, run, writes=15, state=state)
+
+
+@pytest.mark.parametrize("command", ["train", "train-bc"])
+def test_a_train_command_run_again_finishes_its_crashed_run(command, tmp_path, monkeypatch):
+    # the short PPO and BC runs above as commands, each finished by the same
+    # command run again over its own --out (config writes the manifest
+    # through its own name for replace_file, which the crash leaves alone)
+    def as_argv(settings):
+        return [arg for key, value in settings.items() for arg in ("--set", f"{key}={value}")]
+
+    env = {"run.task": "reach2d", "run.horizon": 8 if command == "train" else 16}
+    if command == "train":
+        sized = {"ppo.samples_per_step": 32, "ppo.minibatch_size": 16, "ppo.epochs": 1, "ppo.total_steps": 96,
+                 "ppo.eval_period": 32, "ppo.eval_episodes": 2}
+    else:
+        demos = tmp_path / "demos"
+        more = {"demos.count": 1, "demos.keep_only_success": "false"}  # 16 pairs
+        assert cli.main(["gen-demos", "--out", str(demos), *as_argv({**env, **more})]) == 0
+        sized = {"bc.demos": demos / "demos.bin", "bc.batch_size": 4, "bc.samples_per_step": 12,
+                 "bc.total_steps": 6, "bc.eval_period": 2, "bc.eval_episodes": 2}
+
+    def run(out):
+        assert cli.main([command, "--out", out, *as_argv({**env, **sized})]) == 0
+
+    check_every_crash_point(tmp_path, monkeypatch, run, run, WRITES)

@@ -518,23 +518,22 @@ def test_generate_demos_rejects_zero_episodes():
 def test_generate_demos_filter_and_shape_contract():
     cfg = envs.make_config("reach2d", seed=2)
     demos = envs.generate_demos(cfg, 20, keep_only_success=True)
-    assert demos and all(d.success for d in demos)
-    for d in demos:
-        T = d.actions.shape[0]
-        assert T <= cfg.horizon
-        assert d.points.shape == (T, envs.N_POINTS, 2 + envs.FEAT_CHANNELS)
-        assert d.proprios.shape == (T, envs.proprio_width("reach2d"))
-        assert np.all(np.abs(d.actions) <= 1.0 + 1e-12)
+    assert demos.lengths and all(demos.successes) and max(demos.lengths) <= cfg.horizon
+    assert demos.fingerprint == cfg.fingerprint()
+    M = demos.size
+    assert demos.points.shape == (M, envs.N_POINTS, 2 + envs.FEAT_CHANNELS)
+    assert demos.proprios.shape == (M, envs.proprio_width("reach2d"))
+    assert demos.actions.shape == (M, envs.ACTION_DIM)
+    assert np.all(np.abs(demos.actions) <= 1.0 + 1e-12)
 
 
 def test_generate_demos_deterministic():
     cfg = envs.make_config("gather2d", seed=4)
     a = envs.generate_demos(cfg, 5)
     b = envs.generate_demos(cfg, 5)
-    assert len(a) == len(b)
-    for da, db in zip(a, b):
-        assert da.actions.tobytes() == db.actions.tobytes()
-        assert da.points.tobytes() == db.points.tobytes()
+    assert (a.lengths, a.successes) == (b.lengths, b.successes)
+    assert a.actions.tobytes() == b.actions.tobytes()
+    assert a.points.tobytes() == b.points.tobytes()
 
 
 @pytest.mark.parametrize("task,split", ALL_SPLITS)
@@ -545,14 +544,14 @@ def test_each_lockstep_demo_equals_its_seed_generated_alone(task, split):
     cfg = envs.make_config(task, split, seed=3)
     demos = envs.generate_demos(cfg, 8, keep_only_success=False)
     gen = make_generator("demos", task, split, 3)
-    assert len(demos) == 8
-    for demo in demos:
+    assert len(demos.lengths) == 8
+    for (points, proprios, acts), success in zip(demos.episodes(), demos.successes):
         observations, actions, results = run_expert_episode(envs.make_env(cfg), next_episode_seed(gen))
-        assert demo.points.tobytes() == np.stack([o.points for o in observations]).tobytes()
-        assert demo.proprios.tobytes() == np.stack([o.proprio for o in observations]).tobytes()
-        assert demo.actions.tobytes() == np.stack(actions).tobytes()
-        assert demo.success == results[-1].success
-    assert len({len(demo.actions) for demo in demos}) > 1
+        assert points.tobytes() == np.stack([o.points for o in observations]).tobytes()
+        assert proprios.tobytes() == np.stack([o.proprio for o in observations]).tobytes()
+        assert acts.tobytes() == np.stack(actions).tobytes()
+        assert success == results[-1].success
+    assert len(set(demos.lengths)) > 1
 
 
 def test_demo_generation_runs_at_most_max_lanes_at_once(monkeypatch):
@@ -570,17 +569,16 @@ def test_demo_generation_runs_at_most_max_lanes_at_once(monkeypatch):
     monkeypatch.setattr(envs, "run_lanes", counting_run_lanes)
     demos = envs.generate_demos(cfg, n, keep_only_success=False)
     assert calls and max(calls) <= envs.MAX_LANES and sum(calls) == n
-    assert len(demos) == len(expected) == n
-    for got, want in zip(demos, expected):
-        assert got.points.tobytes() == want.points.tobytes()
-        assert got.proprios.tobytes() == want.proprios.tobytes()
-        assert got.actions.tobytes() == want.actions.tobytes()
-        assert got.success == want.success
+    assert len(demos.lengths) == len(expected.lengths) == n
+    assert (demos.lengths, demos.successes) == (expected.lengths, expected.successes)
+    assert demos.points.tobytes() == expected.points.tobytes()
+    assert demos.proprios.tobytes() == expected.proprios.tobytes()
+    assert demos.actions.tobytes() == expected.actions.tobytes()
 
 
 def test_generate_demos_reach2d_yield():
     demos = envs.generate_demos(envs.make_config("reach2d"), 200)
-    assert len(demos) >= 190
+    assert len(demos.lengths) >= 190
 
 
 def test_generate_demos_empty_after_filter_raises():

@@ -159,8 +159,7 @@ def _ppo_run(task: str, tmp_path) -> dict:
 
 def _bc_gather(tmp_path) -> dict:
     env_cfg = make_config("gather2d", horizon=40)
-    demos = generate_demos(env_cfg, 2, keep_only_success=False)
-    dataset = bc.DemoDataset.from_trajectories(demos, env_cfg.fingerprint())
+    dataset = generate_demos(env_cfg, 2, keep_only_success=False)
     cfg = bc.BCConfig(batch_size=16, samples_per_step=32, total_steps=4, eval_period=2, eval_episodes=1)
     out = str(tmp_path / "run")
     hist = bc.train_bc(cfg, dataset, env_cfg, seed=2, out_dir=out)
@@ -176,8 +175,7 @@ def _two_stage(tmp_path) -> dict:
 
 def _grid(tmp_path) -> dict:
     env_cfg = make_config("reach2d", horizon=40)
-    demos = generate_demos(env_cfg, 2, keep_only_success=False)
-    dataset = bc.DemoDataset.from_trajectories(demos, env_cfg.fingerprint())
+    dataset = generate_demos(env_cfg, 2, keep_only_success=False)
     bcfg = bc.BCConfig(batch_size=8, samples_per_step=16, total_steps=0, eval_period=1, eval_episodes=1)
     grid = ts.GridSpec(
         alphas=(1.0, 0.5), betas=(0.5,), base_batch=8, base_samples=16,

@@ -503,20 +503,28 @@ def test_table_rejects_empty(tmp_path):
 
 
 def test_demo_roundtrip_bit_exact(tmp_path):
+    # a dataset saved and loaded back equals the generated one bit for bit,
+    # on every task, every episode kept: episodes pooled back in another
+    # order would not give the generated arrays
     path = str(tmp_path / "demos.bin")
+    for task in envs.TASKS:
+        cfg = envs.make_config(task, seed=7)
+        demos = envs.generate_demos(cfg, 5, keep_only_success=False)
+        ps.save_demos(path, cfg, demos)
+        back = ps.load_demos(path)
+        for name in ("points", "proprios", "actions"):
+            a, b = getattr(back, name), getattr(demos, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (task, name)
+            assert a.flags.writeable and a.flags.c_contiguous  # a copy, not a view of the file's bytes
+        assert (back.fingerprint, back.lengths, back.successes) == (demos.fingerprint, demos.lengths, demos.successes)
+
+
+def test_demos_from_another_environment_are_refused(tmp_path):
     cfg = envs.make_config("reach2d", seed=5)
-    demos = envs.generate_demos(cfg, 5)
-    ps.save_demos(path, cfg, demos)
-    meta, back = ps.load_demos(path)
-    assert meta["task"] == "reach2d"
-    assert meta["fingerprint"] == cfg.fingerprint()
-    assert meta["count"] == len(demos)
-    assert len(back) == len(demos)
-    for da, db in zip(demos, back):
-        assert da.points.tobytes() == db.points.tobytes()
-        assert da.proprios.tobytes() == db.proprios.tobytes()
-        assert da.actions.tobytes() == db.actions.tobytes()
-        assert da.success == db.success
+    demos = envs.generate_demos(cfg, 2)
+    with pytest.raises(ConfigError):
+        ps.save_demos(str(tmp_path / "demos.bin"), envs.make_config("reach2d", horizon=cfg.horizon + 1), demos)
+    assert not (tmp_path / "demos.bin").exists()
 
 
 def test_demo_corruption_detected(tmp_path):

@@ -107,7 +107,7 @@ def test_policy_learns_to_raise_its_reward(probe_cfg, tmp_path):
 
 def test_bc_overfits_one_demo(tmp_path):
     env_cfg = envs.make_config("reach2d")
-    dataset = bc.DemoDataset.from_trajectories(envs.generate_demos(env_cfg, 1), env_cfg.fingerprint())
+    dataset = envs.generate_demos(env_cfg, 1)
     steps = 150
     cfg = bc.BCConfig(
         batch_size=16, samples_per_step=dataset.size, total_steps=steps, eval_period=steps, eval_episodes=1

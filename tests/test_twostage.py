@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from deskrl import bc, nn, ppo, twostage as ts
-from deskrl.envs import generate_demos, make_config
+from deskrl.envs import DemoDataset, generate_demos, make_config
 from deskrl.errors import CheckpointNotFoundError, ConfigError
 from deskrl.persistence import (
     Checkpoint,
@@ -255,7 +255,7 @@ def test_trainers_accept_the_keywords_the_harness_passes(tmp_path):
         ["out_dir", "reset_optimizer", "resume", "seed", "should_stop", "stage"],
     ]
     env_cfg = make_config("reach2d")
-    dataset = bc.DemoDataset(np.zeros((1, 1, 5)), np.zeros((1, 1)), np.zeros((1, 2)), env_cfg.fingerprint())
+    dataset = DemoDataset(np.zeros((1, 1, 5)), np.zeros((1, 1)), np.zeros((1, 2)), env_cfg.fingerprint(), (1,), (True,))
     runs = [
         ts.ppo_trainer(ppo.PPOConfig(), env_cfg).run,
         ts.bc_trainer(bc.BCConfig(), dataset, env_cfg).run,
@@ -533,8 +533,7 @@ class TestRealTrainers:
 
     def test_bc_grid_is_deterministic_and_branches_bit_exactly(self, tmp_path):
         env_cfg = make_config("reach2d")
-        demos = generate_demos(env_cfg, 3)
-        dataset = bc.DemoDataset.from_trajectories(demos, env_cfg.fingerprint())
+        dataset = generate_demos(env_cfg, 3)
         bcfg = bc.BCConfig(
             batch_size=8, samples_per_step=16, total_steps=0, eval_period=2, eval_episodes=2
         )
