@@ -1,7 +1,8 @@
 """Checkpoint resume is bit-exact, not approximately right.
 
-An uninterrupted run and a split run (train, stop at a checkpoint,
-restore, continue) produce byte-identical parameters, optimizer
+An uninterrupted run and a split run (train, stop at a checkpoint, then
+run the same call again over its directory, which restores that
+checkpoint and continues) produce byte-identical parameters, optimizer
 moments, and metric histories.  Nothing here is tolerance-based: the run
 generator's state rides in the checkpoint, and each rollout keys its
 lanes' streams (episode seeds and action noise, one stream per lane of
@@ -41,27 +42,21 @@ atexit.register(shutil.rmtree, work)
 full = train_ppo(base, env_cfg, seed=7, out_dir=os.path.join(work, "full"))
 print(f"uninterrupted: {len(full)} evaluations, steps {[r.step for r in full]}")
 
-first = train_ppo(
-    replace(base, total_steps=160), env_cfg, seed=7, out_dir=os.path.join(work, "first")
-)
-ckpt = load_checkpoint(os.path.join(work, "first", "ckpt-00000160.ckpt"))
-print(f"stopped at step {ckpt.step}, restored from disk")
+split = os.path.join(work, "split")
+first = train_ppo(replace(base, total_steps=160), env_cfg, seed=7, out_dir=split)
+ckpt = load_checkpoint(os.path.join(split, "ckpt-00000160.ckpt"))
+print(f"stopped at step {ckpt.step}; run again, the call restores it from disk")
 
-second = train_ppo(
-    replace(base, total_steps=80),
-    env_cfg,
-    seed=7,
-    out_dir=os.path.join(work, "second"),
-    resume=ckpt,
-)
+# the same call again: it starts at its log's last record, for the budget left
+second = train_ppo(base, env_cfg, seed=7, out_dir=split)
 
-# the resumed run's entry record carries the rates stored with the restore point
-assert second[0] == first[-1]
-assert first + second[1:] == full
+# the rerun returns the records logged before the stop, then its own
+assert second[: len(first)] == first
+assert second == full
 print("metric histories match record for record")
 
 end_full = load_checkpoint(os.path.join(work, "full", "ckpt-00000240.ckpt"))
-end_split = load_checkpoint(os.path.join(work, "second", "ckpt-00000240.ckpt"))
+end_split = load_checkpoint(os.path.join(split, "ckpt-00000240.ckpt"))
 assert np.array_equal(end_full.params, end_split.params)
 assert np.array_equal(end_full.adam.m, end_split.adam.m)
 assert np.array_equal(end_full.adam.v, end_split.adam.v)

@@ -32,7 +32,7 @@ import numpy as np
 from . import loop, nn, policy as pol
 from .envs import DemoDataset, EnvConfig
 from .errors import ConfigError, NonFiniteError, require_finite_floats
-from .persistence import Checkpoint, MetricsRecord
+from .persistence import MetricsRecord
 from .rng import make_generator
 
 
@@ -103,31 +103,37 @@ def bc_loss(
     return loss, grad
 
 
+def check_demos(cfg: BCConfig, dataset: DemoDataset, env_cfg: EnvConfig) -> None:
+    """Refuse (ConfigError) a dataset recorded on another environment, or
+    smaller than one outer step's samples."""
+    if dataset.fingerprint != env_cfg.fingerprint():
+        raise ConfigError("demo dataset was recorded on a different environment")
+    if cfg.samples_per_step > dataset.size:
+        raise ConfigError(f"samples per step {cfg.samples_per_step} exceeds dataset size {dataset.size}")
+
+
 def train_bc(
     cfg: BCConfig,
     dataset: DemoDataset,
     env_cfg: EnvConfig,
     seed: int,
     out_dir: str,
-    resume: Checkpoint | None = None,
+    restore: str | None = None,
     stage: int = 1,
     reset_optimizer: bool = False,
     should_stop=None,
 ) -> list[MetricsRecord]:
     """Clone the dataset's actions; returns the run's records in out_dir (`loop`).
 
-    `cfg.total_steps` outer steps on top of whatever the resume checkpoint
-    had, with the start or resume, the evaluation and checkpoint cadence
-    and the should_stop hook of `loop`.  The sampler derives everything
-    from (seed, step) and never draws from the run stream.
+    `cfg.total_steps` outer steps counted from the call's first record, on
+    top of the `restore` checkpoint's step when it starts from one, with
+    the start (a call run again over out_dir finishes its run), the
+    evaluation and checkpoint cadence and the should_stop hook of `loop`.
+    The sampler derives everything from (seed, step) and never draws from
+    the run stream.
     """
-    if dataset.fingerprint != env_cfg.fingerprint():
-        raise ConfigError("demo dataset was recorded on a different environment")
-    if cfg.samples_per_step > dataset.size:
-        raise ConfigError(
-            f"samples per step {cfg.samples_per_step} exceeds dataset size {dataset.size}"
-        )
-    state = loop.begin("bc", cfg, env_cfg, seed, resume, reset_optimizer)
+    check_demos(cfg, dataset, env_cfg)
+    state = loop.begin("bc", cfg, env_cfg, seed, out_dir, restore, reset_optimizer)
     S, B = cfg.samples_per_step, cfg.batch_size
 
     def advance(step: int) -> None:
@@ -141,4 +147,4 @@ def train_bc(
                 raise NonFiniteError(f"non-finite loss at outer step {step}, minibatch {lo // B}")
             nn.adam_step(state.store, grad, state.adam)
 
-    return loop.run_loop(state, cfg, out_dir, 1, advance, stage=stage, should_stop=should_stop)
+    return loop.run_loop(state, cfg, 1, advance, stage=stage, should_stop=should_stop)

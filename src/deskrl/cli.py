@@ -4,10 +4,12 @@
 
 Commands: train, train-bc, gen-demos, two-stage, grid, eval, export.
 Every run writes a manifest.ini with the fully resolved configuration,
-so the artifacts alone reproduce the run.  train, train-bc, two-stage
-and grid start each trainer call through twostage.run_leg, so run again
-over their own --out with the same config they finish a crashed run and
-leave a finished one as it was.  Exit codes: 0 success, 1 for
+so the artifacts alone reproduce the run; a command refused for its
+config writes nothing, not even that.  train, train-bc, two-stage and
+grid call the trainer directly, and a trainer call starts in place when
+its directory's log holds records (loop.begin), so run again over their
+own --out with the same config they finish a crashed run and leave a
+finished one as it was.  Exit codes: 0 success, 1 for
 configuration problems (unknown command or key, missing file, invalid
 value), 2 for runtime failures (corrupt checkpoint, non-finite loss).
 """
@@ -75,17 +77,13 @@ def _build_trainer(kind: str, resolved: dict, env_cfg) -> ts.Trainer:
     raise ConfigError(f"trainer must be ppo or bc, got {kind!r}")
 
 
-def _report(history) -> None:
-    last = history[-1]
-    print(f"step {last.step}: train {last.train_success:.4f} test {last.test_success:.4f}")
-
-
 def cmd_train(args, resolved) -> None:
     env_cfg = cfg_mod.env_config(resolved)
     trainer = _build_trainer("ppo" if args.command == "train" else "bc", resolved, env_cfg)
+    trainer.check(trainer.base_cfg)
     cfg_mod.write_manifest(args.out, args.command, args.seed, resolved, claim=True)
-    leg = ts.Leg(args.out, trainer.base_batch, trainer.base_samples, trainer.base_cfg.total_steps, 1)
-    _report(ts.run_leg(trainer, leg, args.seed))
+    last = trainer.run(trainer.base_cfg, seed=args.seed, out_dir=args.out)[-1]
+    print(f"step {last.step}: train {last.train_success:.4f} test {last.test_success:.4f}")
 
 
 def cmd_gen_demos(args, resolved) -> None:
@@ -104,10 +102,12 @@ def cmd_two_stage(args, resolved) -> None:
     env_cfg = cfg_mod.env_config(resolved)
     section = resolved["twostage"]
     trainer = _build_trainer(section["trainer"], resolved, env_cfg)
+    scales = cfg_mod.scale_pair(resolved)
+    ts.check_schedule(trainer, section["stage1_steps"], section["stage2_steps"])
     cfg_mod.write_manifest(args.out, "two-stage", args.seed, resolved, claim=True)
     history, record = ts.run_two_stage(
         trainer,
-        cfg_mod.scale_pair(resolved),
+        scales,
         section["stage1_steps"],
         section["stage2_steps"],
         args.seed,
@@ -126,6 +126,7 @@ def cmd_grid(args, resolved) -> None:
     env_cfg = cfg_mod.env_config(resolved)
     trainer = _build_trainer(resolved["grid"]["trainer"], resolved, env_cfg)
     spec = cfg_mod.grid_spec(resolved, args.seed)
+    ts.check_schedule(spec.sized(trainer), spec.stage1_steps, spec.stage2_steps)
     cfg_mod.write_manifest(args.out, "grid", args.seed, resolved, claim=True)
     records = ts.grid_search(trainer, spec, args.out)
     print(f"{len(records)} rows: {os.path.join(args.out, 'results.csv')}")

@@ -32,11 +32,10 @@ import io
 import os
 from typing import Any, Callable, get_type_hints
 
-from . import __version__
+from . import __version__, persistence
 from .bc import BCConfig
 from .envs import N_POINTS, EnvConfig, make_config
 from .errors import ConfigError
-from .persistence import replace_file
 from .ppo import PPOConfig
 from .twostage import GridSpec, ScalePair
 
@@ -263,5 +262,5 @@ def write_manifest(out_dir: str, command: str, seed: int, resolved: dict, claim:
             key = next((k for k in {**ours, **theirs} if ours.get(k) != theirs.get(k)), "its layout")
             raise ConfigError(f"{path} records another run: {key} differs")
     os.makedirs(out_dir, exist_ok=True)
-    replace_file(path, text.encode("utf-8"))
+    persistence.replace_file(path, text.encode("utf-8"))
     return path

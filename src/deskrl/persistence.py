@@ -171,7 +171,8 @@ def _read_container(path: str, what: str, magic: bytes, version: int, errors, la
     `errors` is (missing, damaged, unknown): the error raised when there is
     no file, when it is damaged (too short, wrong magic, checksum mismatch,
     unreadable or overrunning metadata, metadata without an entry the kind
-    needs or with one of the wrong type, payload not the size the layout
+    needs or with one of the wrong type, a negative array dimension,
+    entries that contradict each other, payload not the size the layout
     implies), and when its format version is not `version`.
     """
     missing, damaged, unknown = errors
@@ -198,6 +199,8 @@ def _read_container(path: str, what: str, magic: bytes, version: int, errors, la
         raise damaged(f"{path}: unreadable metadata block") from exc
     try:
         layout = [(np.dtype(dtype), shape) for dtype, shape in layout(meta)]
+        if any(dim < 0 for _, shape in layout for dim in shape):
+            raise damaged(f"{path}: metadata gives an array a negative dimension")
         need = sum(dtype.itemsize * math.prod(shape) for dtype, shape in layout)
         if len(body) - offset != need:
             raise damaged(f"{path}: payload holds {len(body) - offset} bytes, expected {need}")
@@ -209,7 +212,7 @@ def _read_container(path: str, what: str, magic: bytes, version: int, errors, la
         return decode(meta, arrays)
     except KeyError as exc:
         raise damaged(f"{path}: metadata has no entry {exc}") from exc
-    except (IndexError, TypeError, ValueError) as exc:
+    except (IndexError, TypeError, ValueError, ConfigError) as exc:  # ConfigError: it contradicts itself
         raise damaged(f"{path}: malformed metadata ({exc})") from exc
 
 

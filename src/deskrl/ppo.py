@@ -44,7 +44,7 @@ import numpy as np
 from . import loop, nn, policy as pol
 from .envs import MAX_LANES, N_POINTS, EnvConfig, Lane, make_env, run_lanes
 from .errors import ConfigError, NonFiniteError, require_finite_floats
-from .persistence import Checkpoint, MetricsRecord
+from .persistence import MetricsRecord
 from .rng import next_episode_seed, substreams
 
 
@@ -315,19 +315,21 @@ def train_ppo(
     env_cfg: EnvConfig,
     seed: int,
     out_dir: str,
-    resume: Checkpoint | None = None,
+    restore: str | None = None,
     stage: int = 1,
     reset_optimizer: bool = False,
     should_stop=None,
 ) -> list[MetricsRecord]:
     """Train in units of one rollout; returns the run's records in out_dir (`loop`).
 
-    `cfg.total_steps` is the budget for this call: a resumed run trains
-    for that many further environment steps on top of the checkpoint's
-    step counter.  The start or resume, the evaluation and checkpoint
-    cadence and the should_stop hook are those of `loop`.
+    `cfg.total_steps` is the call's budget of environment steps, counted
+    from its first record: a run started from the `restore` checkpoint
+    trains that many steps on top of the checkpoint's step counter, and
+    one run again over out_dir finishes what the log leaves of it.  The
+    start, the evaluation and checkpoint cadence and the should_stop hook
+    are those of `loop`.
     """
-    state = loop.begin("ppo", cfg, env_cfg, seed, resume, reset_optimizer)
+    state = loop.begin("ppo", cfg, env_cfg, seed, out_dir, restore, reset_optimizer)
     train_cfg = replace(env_cfg, split="train")
     S = cfg.samples_per_step
 
@@ -336,4 +338,4 @@ def train_ppo(
         compute_gae(buffer, cfg.gamma, cfg.lam, cfg.normalize_advantages)
         ppo_update(state.store, state.spec, buffer, cfg, state.gen, state.adam)
 
-    return loop.run_loop(state, cfg, out_dir, S, advance, stage=stage, should_stop=should_stop)
+    return loop.run_loop(state, cfg, S, advance, stage=stage, should_stop=should_stop)

@@ -11,18 +11,20 @@ best.  The grid harness sweeps (alpha, beta) cells that all branch from
 one shared stage-one run per seed, plus a no-restart baseline row that
 simply keeps training from the last checkpoint at the original sizes.
 
-Each trainer call is a `Leg`, and `run_leg` starts every leg the same
-way: in place when its directory's log holds records, else from its
-restore checkpoint, else fresh.  So a two-stage run, a grid or a single
-training run (`deskrl train`, `train-bc`: one leg with no restore
-checkpoint and no stop hook), run again over its own directory, finishes
-what a crash left, and leaves a finished directory as it was.
+Every trainer call here is a plain `trainer.run` with a sized config:
+stage one with no restore checkpoint and the stall hook, each stage-two
+call and grid row with the stage-one checkpoint it branches from.  The
+trainer call picks its own start (`loop.begin`): in place when its
+directory's log holds records, else from that checkpoint, else fresh.
+So a two-stage run or a grid, run again over its own directory, finishes
+what a crash left and leaves a finished directory as it was; nothing
+here reads a log or loads a checkpoint.
 
 The best record of a history is the earliest one with the highest test
 rate (`track_best`).  It picks the stage-two restore point (the
 checkpoint `persistence.checkpoint_name(step)` in the stage-one
-directory) and gives the rates a leg reports.  A leg's entry record is
-the rates stage one stored with its restore checkpoint (`loop.begin`),
+directory) and gives the rates a stage-two call reports.  That call's
+entry record is the rates stage one stored with its restore checkpoint,
 not a second evaluation of the same parameters.
 
 Everything here is trainer-agnostic: a Trainer adapter carries the base
@@ -46,7 +48,7 @@ import numpy as np
 from . import bc as bc_mod, ppo as ppo_mod
 from .envs import DemoDataset, EnvConfig
 from .errors import ConfigError, DeskRLError
-from .persistence import MetricsRecord, checkpoint_name, export_table, load_checkpoint, read_metrics
+from .persistence import MetricsRecord, checkpoint_name, export_table
 
 STALL_LIMIT = 3  # consecutive evaluations without a new best test rate
 
@@ -90,23 +92,18 @@ def scale_hyperparams(batch0: int, samples0: int, scales: ScalePair) -> tuple[in
 
 @dataclass(frozen=True)
 class Trainer:
-    """Binds a run function to its base config and batch-field name."""
+    """Binds a run function to its base config and batch-field name, and
+    to `check`, which refuses (ConfigError) a config that run would refuse
+    for its bound inputs, so a command can ask before it writes."""
 
     base_cfg: object
     batch_field: str
     run: Callable
+    check: Callable = lambda cfg: None
 
     @property
     def base_batch(self) -> int:
         return getattr(self.base_cfg, self.batch_field)
-
-    @property
-    def base_samples(self) -> int:
-        return self.base_cfg.samples_per_step
-
-    @property
-    def eval_period(self) -> int:
-        return self.base_cfg.eval_period
 
     def sized_cfg(self, batch: int, samples: int, total_steps: int):
         return dataclasses.replace(
@@ -121,7 +118,7 @@ def ppo_trainer(cfg: ppo_mod.PPOConfig, env_cfg: EnvConfig) -> Trainer:
 
 def bc_trainer(cfg: bc_mod.BCConfig, dataset: DemoDataset, env_cfg: EnvConfig) -> Trainer:
     run = functools.partial(bc_mod.train_bc, dataset=dataset, env_cfg=env_cfg)
-    return Trainer(cfg, "batch_size", run)
+    return Trainer(cfg, "batch_size", run, functools.partial(bc_mod.check_demos, dataset=dataset, env_cfg=env_cfg))
 
 
 @dataclass(frozen=True)
@@ -145,57 +142,29 @@ class RunRecord:
                 raise ConfigError(f"success rates must lie in [0, 1], got {rate}")
 
 
-@dataclass(frozen=True)
-class Leg:
-    """One trainer call of a schedule: its run directory, sizes, step
-    budget and stage marker, the checkpoint it starts from when its log
-    holds no record (None for stage one) and its stop hook."""
-
-    out_dir: str
-    batch: int
-    samples: int
-    steps: int
-    stage: int
-    restore: str | None = None
-    should_stop: Callable[[list[MetricsRecord]], bool] | None = None
-
-
-def run_leg(trainer: Trainer, leg: Leg, seed: int, reset_optimizer: bool = False) -> list[MetricsRecord]:
-    """Run `leg` to the end of its budget (or its stop hook); returns its history.
-
-    A leg starts in one of three ways.  In place, when its metrics.csv
-    holds records: from the checkpoint of the log's last record (written
-    before that record, so it exists; a newer one a crash left unlogged
-    is written again, the same bytes), for the budget its logged steps
-    leave, and without reset_optimizer, which the leg's entry applied.
-    From its source otherwise, when it has a restore checkpoint.  Fresh
-    otherwise.
-    """
-    log = os.path.join(leg.out_dir, "metrics.csv")
-    logged = read_metrics(log) if os.path.exists(log) else []
-    if logged:
-        restore = os.path.join(leg.out_dir, checkpoint_name(logged[-1].step))
-        leg = dataclasses.replace(leg, steps=leg.steps - (logged[-1].step - logged[0].step), restore=restore)
-        reset_optimizer = False
-    return trainer.run(
-        trainer.sized_cfg(leg.batch, leg.samples, leg.steps), seed=seed, out_dir=leg.out_dir,
-        resume=load_checkpoint(leg.restore) if leg.restore else None, stage=leg.stage,
-        reset_optimizer=reset_optimizer, should_stop=leg.should_stop,
-    )
+def check_schedule(trainer: Trainer, stage1_steps: int, stage2_steps: int = 0) -> None:
+    """Refuse (ConfigError) what stage one or two would refuse: the base
+    config (`Trainer.check`), a stage-one budget below one evaluation
+    period, or a negative stage-two budget.  The commands ask before they
+    write anything."""
+    trainer.check(trainer.base_cfg)
+    if stage1_steps < trainer.base_cfg.eval_period:
+        raise ConfigError("stage-one budget is below one evaluation period")
+    if stage2_steps < 0:
+        raise ConfigError("stage-two budget cannot be negative")
 
 
 def run_stage_one(trainer: Trainer, budget: int, seed: int, out_dir: str) -> list[MetricsRecord]:
     """Train at base sizes until the test rate stalls or the budget is spent.
 
-    One leg with the whole budget; the `_stalled` hook ends it after
-    STALL_LIMIT evaluations in a row without a new best test rate.
+    One trainer call with the whole budget; the `_stalled` hook ends it
+    after STALL_LIMIT evaluations in a row without a new best test rate.
     Early stopping costs nothing in determinism: the history is a prefix
     of the same call without the hook, on the same evaluation cadence.
     """
-    if budget < trainer.eval_period:
-        raise ConfigError("stage-one budget is below one evaluation period")
-    leg = Leg(out_dir, trainer.base_batch, trainer.base_samples, budget, 1, should_stop=_stalled)
-    return run_leg(trainer, leg, seed)
+    check_schedule(trainer, budget)
+    cfg = dataclasses.replace(trainer.base_cfg, total_steps=budget)
+    return trainer.run(cfg, seed=seed, out_dir=out_dir, should_stop=_stalled)
 
 
 def run_two_stage(
@@ -210,17 +179,20 @@ def run_two_stage(
     """Stage one at base sizes, then resume the best checkpoint rescaled.
 
     Returns the concatenated history (stage markers 1 then 2) and a
-    row-1 RunRecord carrying the best rates the stage-two leg reached.  With
-    stage2_steps = 0 the record simply reports the stage-one best.
+    row-1 RunRecord carrying the best rates the stage-two call reached.
+    With stage2_steps = 0 the record simply reports the stage-one best.
     """
-    if stage2_steps < 0:
-        raise ConfigError("stage-two budget cannot be negative")
+    check_schedule(trainer, stage1_steps, stage2_steps)
     stage1_dir = os.path.join(out_dir, "stage1")
     stage1 = run_stage_one(trainer, stage1_steps, seed, stage1_dir)
-    batch1, samples1 = scale_hyperparams(trainer.base_batch, trainer.base_samples, scales)
-    restore = os.path.join(stage1_dir, checkpoint_name(track_best(stage1).step))
-    leg = Leg(os.path.join(out_dir, "stage2"), batch1, samples1, stage2_steps, 2, restore)
-    stage2 = run_leg(trainer, leg, seed, reset_optimizer) if stage2_steps > 0 else []
+    batch1, samples1 = scale_hyperparams(trainer.base_batch, trainer.base_cfg.samples_per_step, scales)
+    stage2 = []
+    if stage2_steps > 0:
+        stage2 = trainer.run(
+            trainer.sized_cfg(batch1, samples1, stage2_steps), seed=seed, out_dir=os.path.join(out_dir, "stage2"),
+            restore=os.path.join(stage1_dir, checkpoint_name(track_best(stage1).step)), stage=2,
+            reset_optimizer=reset_optimizer,
+        )
     peak = track_best(stage2 or stage1)
     record = RunRecord(
         1, scales.alpha, scales.beta, batch1, samples1,
@@ -231,7 +203,8 @@ def run_two_stage(
 
 @dataclass(frozen=True)
 class GridSpec:
-    """The Table-style sweep: scale lists, base sizes, seeds, stage budgets."""
+    """The Table-style sweep: scale lists, base sizes, seeds, stage budgets
+    (checked against the trainer by `check_schedule`)."""
 
     alphas: tuple[float, ...] = (0.9, 0.8, 0.7)
     betas: tuple[float, ...] = (1.0, 0.875, 0.75)
@@ -250,14 +223,16 @@ class GridSpec:
                 raise ConfigError(f"grid {name} repeat an entry: {values}")
         if self.base_batch < 1 or self.base_samples < 1:
             raise ConfigError("base batch and samples must be at least 1")
-        if self.stage1_steps < 1 or self.stage2_steps < 0:
-            raise ConfigError("stage budgets must be positive (stage two may be 0)")
         for alpha, beta in self.cells():  # range errors surface before stage one trains
             ScalePair(alpha, beta)
 
     def cells(self) -> list[tuple[float, float]]:
         """Rows 2..: beta-major, alphas in list order."""
         return [(a, b) for b in self.betas for a in self.alphas]
+
+    def sized(self, trainer: Trainer) -> Trainer:
+        """`trainer` with this grid's base batch and samples in its base config."""
+        return dataclasses.replace(trainer, base_cfg=trainer.sized_cfg(self.base_batch, self.base_samples, 0))
 
 
 def grid_search(trainer: Trainer, grid: GridSpec, out_dir: str) -> list[RunRecord]:
@@ -268,9 +243,9 @@ def grid_search(trainer: Trainer, grid: GridSpec, out_dir: str) -> list[RunRecor
     the last checkpoint at base sizes ("no restart").  A cell that raises
     is recorded with nan rates and the sweep continues.
     """
+    base_trainer = grid.sized(trainer)
+    check_schedule(base_trainer, grid.stage1_steps, grid.stage2_steps)
     os.makedirs(out_dir, exist_ok=True)
-    base_cfg = trainer.sized_cfg(grid.base_batch, grid.base_samples, 0)
-    base_trainer = dataclasses.replace(trainer, base_cfg=base_cfg)
     records: list[RunRecord] = []
     for seed in grid.seeds:
         seed_dir = os.path.join(out_dir, f"seed{seed}")
@@ -278,20 +253,19 @@ def grid_search(trainer: Trainer, grid: GridSpec, out_dir: str) -> list[RunRecor
         stage1 = run_stage_one(base_trainer, grid.stage1_steps, seed, stage1_dir)
         last = os.path.join(stage1_dir, checkpoint_name(stage1[-1].step))
         best = os.path.join(stage1_dir, checkpoint_name(track_best(stage1).step))
-        # (row, alpha, beta, leg): the baseline keeps training at base sizes from the last checkpoint
-        baseline = os.path.join(seed_dir, "baseline")
-        legs = [(1, 1.0, 1.0, Leg(baseline, grid.base_batch, grid.base_samples, grid.stage2_steps, 1, last))]
-        for row, (alpha, beta) in enumerate(grid.cells(), start=2):
-            sizes = scale_hyperparams(grid.base_batch, grid.base_samples, ScalePair(alpha, beta))
-            leg_dir = os.path.join(seed_dir, f"cell-a{alpha}-b{beta}")
-            legs.append((row, alpha, beta, Leg(leg_dir, *sizes, grid.stage2_steps, 2, best)))
-        for row, alpha, beta, leg in legs:
+        # (row, alpha, beta, directory, restore checkpoint, stage): the baseline keeps training at base sizes
+        rows = [(1, 1.0, 1.0, "baseline", last, 1)]
+        rows += [(row, a, b, f"cell-a{a}-b{b}", best, 2) for row, (a, b) in enumerate(grid.cells(), start=2)]
+        for row, alpha, beta, name, restore, stage in rows:
+            batch, samples = scale_hyperparams(grid.base_batch, grid.base_samples, ScalePair(alpha, beta))
             try:
-                peak = track_best(run_leg(base_trainer, leg, seed))
+                cfg = trainer.sized_cfg(batch, samples, grid.stage2_steps)
+                leg_dir = os.path.join(seed_dir, name)
+                peak = track_best(trainer.run(cfg, seed=seed, out_dir=leg_dir, restore=restore, stage=stage))
                 rates = (peak.train_success, peak.test_success)
             except DeskRLError:
                 rates = (float("nan"), float("nan"))
-            records.append(RunRecord(row, alpha, beta, leg.batch, leg.samples, *rates, seed, grid.stage2_steps))
+            records.append(RunRecord(row, alpha, beta, batch, samples, *rates, seed, grid.stage2_steps))
 
     export_table(records, os.path.join(out_dir, "results.csv"))
     return records

@@ -136,8 +136,12 @@ MUTANTS = (
         "metrics_before_checkpoint",
         "loop.py",
         (
-            ("            append_metrics(metrics_path, record)\n", ""),
-            ("        if not logged:\n", "        if not logged:\n            append_metrics(metrics_path, record)\n"),
+            ("        append_metrics(metrics_path, record)\n", ""),
+            (
+                "        record = MetricsRecord(step, train_rate, test_rate, stage)\n",
+                "        record = MetricsRecord(step, train_rate, test_rate, stage)\n"
+                "        append_metrics(metrics_path, record)\n",
+            ),
         ),
         "an evaluation's metrics line is written before its checkpoint, so a crash between them "
         "leaves a record with no checkpoint to resume from",
@@ -160,12 +164,13 @@ MUTANTS = (
         "a lane that resets mid-run is observed with its last episode's goal, target and "
         "sample offsets",
     ),
-    # the one start rule's subtle line: a leg resumed in place keeps its own Adam state
+    # the one start rule's subtle line: a call started in place keeps its own Adam state;
+    # first failing test: test_crash_resume.py::test_two_stage_run_survives_a_crash_at_every_write
     Mutant(
         "reset_optimizer_on_in_place_resume",
-        "twostage.py",
+        "loop.py",
         (("        reset_optimizer = False\n", ""),),
-        "a stage-two leg with reset_optimizer, resumed in place after a crash, zeroes the Adam "
+        "a stage-two call with reset_optimizer, run again in place after a crash, zeroes the Adam "
         "moments it built since its entry",
     ),
     # the pooled demo load: the episodes' slices are read in file order and

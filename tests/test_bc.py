@@ -10,7 +10,7 @@ import pytest
 from deskrl import bc, loop, nn, persistence, policy as pol
 from deskrl.envs import DemoDataset, generate_demos, make_config
 from deskrl.errors import ConfigError, NonFiniteError, ResumeError
-from deskrl.persistence import checkpoint_name, load_checkpoint, read_metrics
+from deskrl.persistence import checkpoint_name, load_checkpoint, read_metrics, save_checkpoint
 from deskrl.rng import make_generator, state_words
 
 
@@ -320,14 +320,13 @@ class TestTrainBC:
         cfg, ds = reach_demos
         full = bc.train_bc(small_cfg(eval_period=2), ds, cfg, seed=4, out_dir=str(tmp_path / "full"))
         bc.train_bc(small_cfg(total_steps=4, eval_period=2), ds, cfg, seed=4, out_dir=str(tmp_path / "a"))
-        restore = load_checkpoint(str(tmp_path / "a" / "ckpt-00000004.ckpt"))
         second = bc.train_bc(
             small_cfg(total_steps=2, eval_period=2),
             ds,
             cfg,
             seed=4,
             out_dir=str(tmp_path / "b"),
-            resume=restore,
+            restore=str(tmp_path / "a" / "ckpt-00000004.ckpt"),
         )
         merged = read_metrics(str(tmp_path / "a" / "metrics.csv")) + second[1:]
         assert merged == full
@@ -340,12 +339,13 @@ class TestTrainBC:
     def test_resume_records_the_checkpoint_rates_without_evaluating(self, reach_demos, tmp_path, monkeypatch):
         cfg, ds = reach_demos
         bc.train_bc(small_cfg(total_steps=2, eval_period=2), ds, cfg, seed=4, out_dir=str(tmp_path / "a"))
-        restore = load_checkpoint(str(tmp_path / "a" / "ckpt-00000002.ckpt"))
+        path = str(tmp_path / "a" / "ckpt-00000002.ckpt")
+        restore = load_checkpoint(path)
         calls = []
         evaluate = pol.evaluate_policy
         monkeypatch.setattr(pol, "evaluate_policy", lambda *args: calls.append(args) or evaluate(*args))
         second = bc.train_bc(
-            small_cfg(total_steps=2, eval_period=2), ds, cfg, seed=4, out_dir=str(tmp_path / "b"), resume=restore
+            small_cfg(total_steps=2, eval_period=2), ds, cfg, seed=4, out_dir=str(tmp_path / "b"), restore=path
         )
         assert (second[0].step, second[0].train_success, second[0].test_success) == (
             2, restore.train_success, restore.test_success
@@ -357,9 +357,8 @@ class TestTrainBC:
         # not, stores the words of the stream a fresh run starts with
         cfg, ds = reach_demos
         bc.train_bc(small_cfg(total_steps=2, eval_period=2), ds, cfg, seed=4, out_dir=str(tmp_path / "a"))
-        restore = load_checkpoint(str(tmp_path / "a" / "ckpt-00000002.ckpt"))
         bc.train_bc(small_cfg(total_steps=2, eval_period=2), ds, cfg, seed=4, out_dir=str(tmp_path / "b"),
-                    resume=restore)
+                    restore=str(tmp_path / "a" / "ckpt-00000002.ckpt"))
         fresh = state_words(make_generator(4, "bc", "train", cfg.task)).tobytes()
         for path in (tmp_path / "a" / "ckpt-00000000.ckpt", tmp_path / "b" / "ckpt-00000004.ckpt"):
             assert load_checkpoint(str(path)).rng_words.tobytes() == fresh
@@ -367,9 +366,9 @@ class TestTrainBC:
     def test_resume_rejects_another_seed(self, reach_demos, tmp_path):
         cfg, ds = reach_demos
         bc.train_bc(small_cfg(total_steps=0), ds, cfg, seed=1, out_dir=str(tmp_path / "r"))
-        ck = load_checkpoint(str(tmp_path / "r" / "ckpt-00000000.ckpt"))
+        ck = str(tmp_path / "r" / "ckpt-00000000.ckpt")
         with pytest.raises(ResumeError, match="seed 1, not 2"):
-            bc.train_bc(small_cfg(), ds, cfg, seed=2, out_dir=str(tmp_path / "x"), resume=ck)
+            bc.train_bc(small_cfg(), ds, cfg, seed=2, out_dir=str(tmp_path / "x"), restore=ck)
 
     def test_training_reduces_the_cloning_loss(self, reach_demos, tmp_path):
         cfg, ds = reach_demos
@@ -404,9 +403,10 @@ class TestTrainBC:
         cfg, ds = reach_demos
         bc.train_bc(small_cfg(total_steps=0), ds, cfg, seed=1, out_dir=str(tmp_path / "r"))
         ck = load_checkpoint(str(tmp_path / "r" / "ckpt-00000000.ckpt"))
-        ppo_ck = dataclasses.replace(ck, trainer_kind="ppo")
+        ppo_ck = str(tmp_path / "ppo.ckpt")
+        save_checkpoint(ppo_ck, dataclasses.replace(ck, trainer_kind="ppo"))
         with pytest.raises(ResumeError):
-            bc.train_bc(small_cfg(), ds, cfg, seed=1, out_dir=str(tmp_path / "x"), resume=ppo_ck)
+            bc.train_bc(small_cfg(), ds, cfg, seed=1, out_dir=str(tmp_path / "x"), restore=ppo_ck)
 
     def test_stage_is_stamped_into_records(self, reach_demos, tmp_path):
         cfg, ds = reach_demos

@@ -446,25 +446,51 @@ class TestGrid:
         assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "command, sized",
-    [
-        ("two-stage", ["twostage.trainer=bc", "twostage.stage1_steps=6", "twostage.stage2_steps=4"]),
-        ("grid", [
-            "grid.trainer=bc", "grid.base_batch=16", "grid.base_samples=32", "grid.alphas=0.9",
-            "grid.betas=1.0", "grid.stage1_steps=6", "grid.stage2_steps=4",
-        ]),
+# each command's sizes for a short BC run from the shared demo bundle
+SIZED = {
+    "train-bc": [],
+    "two-stage": ["twostage.trainer=bc", "twostage.stage1_steps=6", "twostage.stage2_steps=4"],
+    "grid": [
+        "grid.trainer=bc", "grid.base_batch=16", "grid.base_samples=32", "grid.alphas=0.9",
+        "grid.betas=1.0", "grid.stage1_steps=6", "grid.stage2_steps=4",
     ],
-    ids=["two-stage", "grid"],
+}
+
+
+def bc_argv(command, out, workdir):
+    return [
+        command, "--out", str(out), "--seed", "3", *TINY_ENV, *TINY_BC, "--set", f"bc.demos={workdir['demos']}",
+        *(arg for setting in SIZED[command] for arg in ("--set", setting)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "command, setting, says",
+    [
+        ("two-stage", "twostage.alpha=1.5", "alpha must lie in"),
+        ("two-stage", "twostage.stage1_steps=1", "below one evaluation period"),
+        ("two-stage", "twostage.stage2_steps=-1", "cannot be negative"),
+        ("grid", "grid.stage1_steps=1", "below one evaluation period"),
+        ("grid", "grid.stage2_steps=-1", "cannot be negative"),
+        ("train-bc", "bc.samples_per_step=100000", "exceeds dataset size"),
+        ("train-bc", "run.task=pushbox2d", "different environment"),  # the bundle holds reach2d demos
+    ],
 )
-def test_a_rerun_finishes_its_own_run_and_refuses_another(workdir, tmp_path, capsys, command, sized):
+def test_a_command_refused_for_its_config_writes_nothing(workdir, tmp_path, capsys, command, setting, says):
+    # refused before its manifest, so the corrected command then runs in the same --out
+    out = tmp_path / "run"
+    assert main([*bc_argv(command, out, workdir), "--set", setting]) == 1
+    assert says in capsys.readouterr().err
+    assert not out.exists()
+    assert main(bc_argv(command, out, workdir)) == 0
+
+
+@pytest.mark.parametrize("command", ["two-stage", "grid"])
+def test_a_rerun_finishes_its_own_run_and_refuses_another(workdir, tmp_path, capsys, command):
     # run again over its own --out with the same config, a finished run
     # writes the same bytes; with one key changed it is refused, and writes nothing
     out = tmp_path / command
-    argv = [
-        command, "--out", str(out), "--seed", "3", *TINY_ENV, *TINY_BC, "--set", f"bc.demos={workdir['demos']}",
-        *(arg for setting in sized for arg in ("--set", setting)),
-    ]
+    argv = bc_argv(command, out, workdir)
     assert main(argv) == 0
     before = files(out)
     assert main(argv) == 0

@@ -1,15 +1,13 @@
-"""Crash at every write, resume, and match the uninterrupted run.
+"""Crash at every write, run again, and match the uninterrupted run.
 
 Every run-directory file goes through persistence.replace_file.  For a
 short PPO run, a short BC run, a short two-stage run, a short grid and
 short `deskrl train` and `train-bc` commands, each test makes that call
 raise at its n-th call, for every n the uninterrupted run makes: once
 before the write and once after the rename.  The crashed run then
-finishes as a fresh process would.  A single trainer call resumes from
-the newest checkpoint that loads (a fresh run if none does) with the
-remaining budget, into the same directory.  A two-stage run, a grid or a
-train command is simply run again over its directory: `twostage.run_leg`
-starts each leg in place, from its source or fresh.  The directory must then
+finishes as a fresh process would: the same call is simply run again
+over its directory, and each trainer call in it starts in place, from
+its restore checkpoint or fresh (`loop.begin`).  The directory must then
 hold what the uninterrupted run's holds: the same file names, so no
 ``.tmp`` leftover, the same checkpoint bytes, and the same metrics
 records (a record holds no wall clock; its log line does).
@@ -21,8 +19,7 @@ import pathlib
 import pytest
 
 from deskrl import bc, cli, envs, persistence as ps, ppo, twostage as ts
-from deskrl.errors import DeskRLError
-from deskrl.persistence import load_checkpoint, read_metrics
+from deskrl.persistence import read_metrics
 
 WRITES = 8  # four evaluations, each a checkpoint and a metrics line
 
@@ -49,25 +46,15 @@ def crash_at(monkeypatch, n, after):
     return calls
 
 
-def newest_checkpoint(out):
-    for name in sorted(os.listdir(out), reverse=True):
-        if name.startswith("ckpt-"):
-            try:
-                return load_checkpoint(os.path.join(out, name))
-            except DeskRLError:
-                continue
-    return None
-
-
 def run_dir_state(out):
     names = sorted(os.listdir(out))
     checkpoints = {n: pathlib.Path(out, n).read_bytes() for n in names if n.startswith("ckpt-")}
     return names, checkpoints, read_metrics(os.path.join(out, "metrics.csv"))
 
 
-def check_every_crash_point(tmp_path, monkeypatch, run, finish, writes, state=run_dir_state):
+def check_every_crash_point(tmp_path, monkeypatch, run, writes, state=run_dir_state):
     """run(out) makes the uninterrupted run, `writes` replace_file calls,
-    in out; finish(out) completes a run that crashed in out."""
+    in out, and run again over a crashed out it completes that run."""
     full = str(tmp_path / "full")
     calls = crash_at(monkeypatch, 0, False)
     run(full)
@@ -81,41 +68,31 @@ def check_every_crash_point(tmp_path, monkeypatch, run, finish, writes, state=ru
                 run(out)
             monkeypatch.undo()
             monkeypatch.setattr(ps, "_appended", ("", b"", 0, None))  # as a fresh process has it
-            finish(out)
+            run(out)
             assert state(out) == want, (n, after)
-
-
-def check_single_run(tmp_path, monkeypatch, train, total):
-    """train(total, out, resume) runs `total` steps of budget from `resume`."""
-
-    def finish(out):
-        resume = newest_checkpoint(out)
-        train(total - (resume.step if resume else 0), out, resume)
-
-    check_every_crash_point(tmp_path, monkeypatch, lambda out: train(total, out, None), finish, WRITES)
 
 
 def test_ppo_run_survives_a_crash_at_every_write(tmp_path, monkeypatch):
     env_cfg = envs.make_config("reach2d", horizon=8)
+    cfg = ppo.PPOConfig(
+        samples_per_step=32, minibatch_size=16, epochs=1, total_steps=96, eval_period=32, eval_episodes=2
+    )
 
-    def train(total, out, resume):
-        cfg = ppo.PPOConfig(
-            samples_per_step=32, minibatch_size=16, epochs=1, total_steps=total, eval_period=32, eval_episodes=2
-        )
-        ppo.train_ppo(cfg, env_cfg, seed=0, out_dir=out, resume=resume)
+    def run(out):
+        ppo.train_ppo(cfg, env_cfg, seed=0, out_dir=out)
 
-    check_single_run(tmp_path, monkeypatch, train, total=96)
+    check_every_crash_point(tmp_path, monkeypatch, run, WRITES)
 
 
 def test_bc_run_survives_a_crash_at_every_write(tmp_path, monkeypatch):
     env_cfg = envs.make_config("reach2d", horizon=16)
     dataset = envs.generate_demos(env_cfg, 1, keep_only_success=False)  # 16 pairs
+    cfg = bc.BCConfig(batch_size=4, samples_per_step=12, total_steps=6, eval_period=2, eval_episodes=2)
 
-    def train(total, out, resume):
-        cfg = bc.BCConfig(batch_size=4, samples_per_step=12, total_steps=total, eval_period=2, eval_episodes=2)
-        bc.train_bc(cfg, dataset, env_cfg, seed=0, out_dir=out, resume=resume)
+    def run(out):
+        bc.train_bc(cfg, dataset, env_cfg, seed=0, out_dir=out)
 
-    check_single_run(tmp_path, monkeypatch, train, total=6)
+    check_every_crash_point(tmp_path, monkeypatch, run, WRITES)
 
 
 def leg_dirs_state(out, legs):
@@ -135,7 +112,7 @@ def test_two_stage_run_survives_a_crash_at_every_write(tmp_path, monkeypatch):
     def state(out):
         return leg_dirs_state(out, ("stage1", "stage2"))
 
-    check_every_crash_point(tmp_path, monkeypatch, run, run, writes=12, state=state)
+    check_every_crash_point(tmp_path, monkeypatch, run, writes=12, state=state)
 
 
 def test_grid_survives_a_crash_at_every_write(tmp_path, monkeypatch):
@@ -156,14 +133,13 @@ def test_grid_survives_a_crash_at_every_write(tmp_path, monkeypatch):
         results = pathlib.Path(out, "results.csv").read_bytes()
         return sorted(os.listdir(out)), results, leg_dirs_state(os.path.join(out, "seed0"), legs)
 
-    check_every_crash_point(tmp_path, monkeypatch, run, run, writes=15, state=state)
+    check_every_crash_point(tmp_path, monkeypatch, run, writes=15, state=state)
 
 
 @pytest.mark.parametrize("command", ["train", "train-bc"])
 def test_a_train_command_run_again_finishes_its_crashed_run(command, tmp_path, monkeypatch):
     # the short PPO and BC runs above as commands, each finished by the same
-    # command run again over its own --out (config writes the manifest
-    # through its own name for replace_file, which the crash leaves alone)
+    # command run again over its own --out; the manifest is their first write
     def as_argv(settings):
         return [arg for key, value in settings.items() for arg in ("--set", f"{key}={value}")]
 
@@ -181,4 +157,4 @@ def test_a_train_command_run_again_finishes_its_crashed_run(command, tmp_path, m
     def run(out):
         assert cli.main([command, "--out", out, *as_argv({**env, **sized})]) == 0
 
-    check_every_crash_point(tmp_path, monkeypatch, run, run, WRITES)
+    check_every_crash_point(tmp_path, monkeypatch, run, WRITES + 1)

@@ -112,10 +112,16 @@ def _resealed(path, edit):
 def _without_meta_key(path, key):
     """Rewrite the file at path with `key` dropped from its metadata, under
     a valid checksum and a matching metadata length."""
+    _with_meta(path, lambda meta: meta.pop(key))
+
+
+def _with_meta(path, edit):
+    """Rewrite the file at path with edit(metadata dict) applied in place,
+    under a valid checksum and a matching metadata length."""
     blob = open(path, "rb").read()[: -ps._CHECKSUM_BYTES]
     magic, version, reserved, meta_len = ps._HEAD.unpack_from(blob, 0)
     meta = json.loads(blob[ps._HEAD.size : ps._HEAD.size + meta_len])
-    del meta[key]
+    edit(meta)
     meta_blob = json.dumps(meta).encode("utf-8")
     body = ps._HEAD.pack(magic, version, reserved, len(meta_blob)) + meta_blob + blob[ps._HEAD.size + meta_len :]
     open(path, "wb").write(body + ps._checksum(body))
@@ -201,6 +207,43 @@ def test_container_payload_length_checked(kind, tmp_path):
     write(path)
     _resealed(path, lambda blob: blob.extend(bytes(8)))
     with pytest.raises(damaged):
+        read(path)
+
+
+def _swap_demo_lengths(meta):
+    # the two episodes' lengths become (T0 + T1 + 1, -1): the same row total
+    first, second = meta["episodes"]
+    first["length"], second["length"] = first["length"] + second["length"] + 1, -1
+
+
+# file kind -> case -> (metadata edit that keeps the checksum and contradicts
+# the file itself, what the error says); each must read as a damaged file,
+# not as a config error
+CONTRADICTIONS = {
+    "checkpoint": {
+        "negative_n_params": (lambda meta: meta.__setitem__("n_params", -1), "negative dimension"),
+        "slices_short_of_the_vector": (
+            lambda meta: meta["slices"][0].__setitem__(1, meta["slices"][0][1] + 1), "slice directory covers"
+        ),
+        "unknown_trainer_kind": (lambda meta: meta.__setitem__("trainer_kind", "sac"), "trainer kind"),
+    },
+    "demos": {
+        "negative_point_count": (lambda meta: meta.__setitem__("n_points", -1), "negative dimension"),
+        "negative_episode_length": (_swap_demo_lengths, "negative dimension"),
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "kind, case", [(kind, case) for kind in sorted(CONTRADICTIONS) for case in CONTRADICTIONS[kind]]
+)
+def test_container_contradictory_metadata(kind, case, tmp_path):
+    write, read, damaged, _ = CONTAINERS[kind]
+    edit, says = CONTRADICTIONS[kind][case]
+    path = str(tmp_path / "i.bin")
+    write(path)
+    _with_meta(path, edit)
+    with pytest.raises(damaged, match=says):
         read(path)
 
 

@@ -9,8 +9,8 @@ import pytest
 
 from deskrl import loop, nn, pointnet, policy as pol, ppo
 from deskrl.envs import make_config, make_env
-from deskrl.errors import ConfigError, MetricsOrderError, NonFiniteError, ResumeError
-from deskrl.persistence import load_checkpoint, read_metrics
+from deskrl.errors import ConfigError, NonFiniteError, ResumeError
+from deskrl.persistence import load_checkpoint, read_metrics, save_checkpoint
 from deskrl.rng import generator_from_words, make_generator, next_episode_seed, state_words, substreams
 
 
@@ -678,13 +678,12 @@ class TestTrainPPO:
         first = ppo.train_ppo(
             small_cfg(total_steps=160, eval_period=80), cfg, seed=7, out_dir=str(tmp_path / "first")
         )
-        restore = load_checkpoint(str(tmp_path / "first" / "ckpt-00000160.ckpt"))
         second = ppo.train_ppo(
             small_cfg(total_steps=80, eval_period=80),
             cfg,
             seed=7,
             out_dir=str(tmp_path / "second"),
-            resume=restore,
+            restore=str(tmp_path / "first" / "ckpt-00000160.ckpt"),
         )
         assert second[0] == first[-1]  # the entry record is the restore point's stored rates
         assert first + second[1:] == full
@@ -704,16 +703,15 @@ class TestTrainPPO:
         assert len(ppo.lane_sizes(samples, horizon)) == lanes
         env_cfg = make_config("reach2d", horizon=horizon)
 
-        def run(total, out, resume=None):
+        def run(total, out, restore=None):
             cfg = small_cfg(
                 samples_per_step=samples, minibatch_size=samples // 2, total_steps=total, eval_period=samples
             )
-            return ppo.train_ppo(cfg, env_cfg, seed=7, out_dir=str(tmp_path / out), resume=resume)
+            return ppo.train_ppo(cfg, env_cfg, seed=7, out_dir=str(tmp_path / out), restore=restore)
 
         full = run(3 * samples, "full")
         first = run(2 * samples, "first")
-        restore = load_checkpoint(str(tmp_path / "first" / f"ckpt-{2 * samples:08d}.ckpt"))
-        second = run(samples, "second", restore)
+        second = run(samples, "second", str(tmp_path / "first" / f"ckpt-{2 * samples:08d}.ckpt"))
         assert first + second[1:] == full
         name = f"ckpt-{3 * samples:08d}.ckpt"
         end_full = load_checkpoint(str(tmp_path / "full" / name))
@@ -730,9 +728,10 @@ class TestTrainPPO:
         ck = load_checkpoint(str(tmp_path / "r" / "ckpt-00000000.ckpt"))
         import dataclasses
 
-        bc_ck = dataclasses.replace(ck, trainer_kind="bc")
+        bc_ck = str(tmp_path / "bc.ckpt")
+        save_checkpoint(bc_ck, dataclasses.replace(ck, trainer_kind="bc"))
         with pytest.raises(ResumeError):
-            ppo.train_ppo(small_cfg(), cfg, seed=1, out_dir=str(tmp_path / "x"), resume=bc_ck)
+            ppo.train_ppo(small_cfg(), cfg, seed=1, out_dir=str(tmp_path / "x"), restore=bc_ck)
 
     def test_resume_records_the_checkpoint_rates_without_evaluating(self, tmp_path, monkeypatch):
         cfg = make_config("reach2d", horizon=40)
@@ -742,7 +741,8 @@ class TestTrainPPO:
         evaluate = pol.evaluate_policy
         monkeypatch.setattr(pol, "evaluate_policy", lambda *args: calls.append(args) or evaluate(*args))
         second = ppo.train_ppo(
-            small_cfg(total_steps=80, eval_period=80), cfg, seed=3, out_dir=str(tmp_path / "b"), resume=restore
+            small_cfg(total_steps=80, eval_period=80), cfg, seed=3, out_dir=str(tmp_path / "b"),
+            restore=str(tmp_path / "a" / "ckpt-00000080.ckpt"),
         )
         assert (second[0].step, second[0].train_success, second[0].test_success) == (
             80, restore.train_success, restore.test_success
@@ -752,27 +752,28 @@ class TestTrainPPO:
         assert entry.params.tobytes() == restore.params.tobytes()
         assert entry.rng_words.tobytes() == restore.rng_words.tobytes()
 
-    def test_a_log_past_the_entry_step_is_refused_before_any_write(self, tmp_path):
-        # a fresh run, another log_std0's, into a finished run's directory:
-        # its log ends at step 160, so the entry at step 0 is refused before
-        # the entry checkpoint overwrites the finished run's
+    def test_a_rerun_over_a_finished_directory_changes_no_file(self, tmp_path, monkeypatch):
+        # the same call run again over its own finished directory starts in
+        # place at the log's last record, with no budget left: it returns the
+        # logged history and neither evaluates nor writes
         cfg = make_config("reach2d", horizon=40)
         out = tmp_path / "run"
-        ppo.train_ppo(small_cfg(total_steps=160), cfg, seed=3, out_dir=str(out))
+        history = ppo.train_ppo(small_cfg(total_steps=160), cfg, seed=3, out_dir=str(out))
         before = {p.name: p.read_bytes() for p in out.iterdir()}
-        with pytest.raises(MetricsOrderError, match="step 0 after step 160"):
-            ppo.train_ppo(small_cfg(total_steps=160, log_std0=-1.0), cfg, seed=3, out_dir=str(out))
+        monkeypatch.setattr(pol, "evaluate_policy", lambda *args: pytest.fail("evaluated again"))
+        assert ppo.train_ppo(small_cfg(total_steps=160), cfg, seed=3, out_dir=str(out)) == history
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_resume_in_place_logs_each_step_once(self, tmp_path, monkeypatch):
-        # resumed into its own directory, whose log already ends with the
+        # run again over its own directory, whose log already ends with the
         # checkpoint's step, a run neither logs that step again nor rewrites
-        # the checkpoint; its log then equals the uninterrupted run's
+        # the checkpoint; it trains the budget its logged steps leave, and its
+        # log then equals the uninterrupted run's
         env_cfg = make_config("reach2d", horizon=40)
 
-        def run(total, out, resume=None):
+        def run(total, out):
             cfg = small_cfg(samples_per_step=64, minibatch_size=32, total_steps=total, eval_period=64)
-            return ppo.train_ppo(cfg, env_cfg, seed=3, out_dir=str(tmp_path / out), resume=resume)
+            return ppo.train_ppo(cfg, env_cfg, seed=3, out_dir=str(tmp_path / out))
 
         run(192, "full")
         run(128, "run")
@@ -781,7 +782,7 @@ class TestTrainPPO:
         saved = []
         save = loop.save_checkpoint
         monkeypatch.setattr(loop, "save_checkpoint", lambda p, ck: saved.append(ck.step) or save(p, ck))
-        history = run(64, "run", load_checkpoint(str(path)))
+        history = run(192, "run")
         assert [r.step for r in history] == [0, 64, 128, 192]
         assert saved == [192]
         assert path.read_bytes() == before
@@ -793,18 +794,18 @@ class TestTrainPPO:
         # the stored rates were measured on that seed's panels
         cfg = make_config("reach2d", horizon=40)
         ppo.train_ppo(small_cfg(total_steps=0), cfg, seed=1, out_dir=str(tmp_path / "r"))
-        ck = load_checkpoint(str(tmp_path / "r" / "ckpt-00000000.ckpt"))
+        ck = str(tmp_path / "r" / "ckpt-00000000.ckpt")
         with pytest.raises(ResumeError, match="seed 1, not 2"):
-            ppo.train_ppo(small_cfg(), cfg, seed=2, out_dir=str(tmp_path / "x"), resume=ck)
+            ppo.train_ppo(small_cfg(), cfg, seed=2, out_dir=str(tmp_path / "x"), restore=ck)
         assert not os.path.exists(tmp_path / "x")
 
     def test_resume_rejects_wrong_environment(self, tmp_path):
         cfg = make_config("reach2d", horizon=40)
         ppo.train_ppo(small_cfg(total_steps=0), cfg, seed=1, out_dir=str(tmp_path / "r"))
-        ck = load_checkpoint(str(tmp_path / "r" / "ckpt-00000000.ckpt"))
+        ck = str(tmp_path / "r" / "ckpt-00000000.ckpt")
         other = make_config("reach2d", horizon=60)
         with pytest.raises(ResumeError):
-            ppo.train_ppo(small_cfg(), other, seed=1, out_dir=str(tmp_path / "x"), resume=ck)
+            ppo.train_ppo(small_cfg(), other, seed=1, out_dir=str(tmp_path / "x"), restore=ck)
 
     def test_stage_is_stamped_into_records(self, tmp_path):
         cfg = make_config("reach2d", horizon=40)
@@ -816,18 +817,18 @@ class TestTrainPPO:
     def test_reset_optimizer_restarts_adam_counter(self, tmp_path):
         cfg = make_config("reach2d", horizon=40)
         ppo.train_ppo(small_cfg(total_steps=160, eval_period=80), cfg, seed=4, out_dir=str(tmp_path / "a"))
-        ck = load_checkpoint(str(tmp_path / "a" / "ckpt-00000160.ckpt"))
-        assert ck.adam.t == 8  # 2 rollouts x 2 epochs x 2 minibatches
+        ck = str(tmp_path / "a" / "ckpt-00000160.ckpt")
+        assert load_checkpoint(ck).adam.t == 8  # 2 rollouts x 2 epochs x 2 minibatches
 
         kept = ppo.train_ppo(
-            small_cfg(total_steps=80), cfg, seed=4, out_dir=str(tmp_path / "kept"), resume=ck
+            small_cfg(total_steps=80), cfg, seed=4, out_dir=str(tmp_path / "kept"), restore=ck
         )
         reset = ppo.train_ppo(
             small_cfg(total_steps=80),
             cfg,
             seed=4,
             out_dir=str(tmp_path / "reset"),
-            resume=ck,
+            restore=ck,
             reset_optimizer=True,
         )
         assert len(kept) == len(reset) == 2

@@ -180,13 +180,15 @@ def toy_trainer(rate_of, write_checkpoints=True):
     eval every eval_period steps, a final eval, a checkpoint per eval
     written before its metrics line (loop.run_loop's order), and a stop
     once should_stop(history) holds after an eval.
-    rate_of(step, stage) scripts the test rate; a resumed run's entry
-    record takes the rates stored with its checkpoint instead."""
+    rate_of(step, stage) scripts the test rate; a run started from its
+    restore checkpoint records the rates stored with it instead.  It never
+    starts in place: no toy run is run again over its own directory."""
 
-    def run(cfg, seed, out_dir, resume=None, stage=1, reset_optimizer=False, should_stop=None):
+    def run(cfg, seed, out_dir, restore=None, stage=1, reset_optimizer=False, should_stop=None):
         os.makedirs(out_dir, exist_ok=True)
-        start = resume.step if resume is not None else 0
-        entry_rates = (resume.train_success, resume.test_success) if resume is not None else None
+        ckpt = load_checkpoint(restore) if restore is not None else None
+        start = ckpt.step if ckpt is not None else 0
+        entry_rates = (ckpt.train_success, ckpt.test_success) if ckpt is not None else None
         history = []
 
         def evaluate(step, rates=None):
@@ -231,16 +233,16 @@ def toy_trainer(rate_of, write_checkpoints=True):
     return ts.Trainer(ToyCfg(), "batch_size", run)
 
 
-def toy_run_or_fail(cfg, seed, out_dir, resume=None, stage=1, reset_optimizer=False, should_stop=None):
+def toy_run_or_fail(cfg, seed, out_dir, restore=None, stage=1, reset_optimizer=False, should_stop=None):
     """The toy trainer at rate 0.2, failing at batch size 32."""
     if cfg.batch_size == 32:
         raise ConfigError("scripted failure")
-    return toy_trainer(lambda s, _: 0.2).run(cfg, seed, out_dir, resume, stage, should_stop=should_stop)
+    return toy_trainer(lambda s, _: 0.2).run(cfg, seed, out_dir, restore, stage, should_stop=should_stop)
 
 
 def test_trainers_accept_the_keywords_the_harness_passes(tmp_path):
-    # run_leg, which starts every leg, calls trainer.run(cfg, **keywords)
-    # with all six keywords; every trainer, real or toy, must take them
+    # stage one and each stage-two call run trainer.run(cfg, **keywords);
+    # every trainer, real or toy, must take the keywords of both
     passed = []
 
     def spy(cfg, **keywords):
@@ -251,8 +253,8 @@ def test_trainers_accept_the_keywords_the_harness_passes(tmp_path):
         ts.Trainer(ToyCfg(), "batch_size", spy), ts.ScalePair(0.5, 0.5), 4, 2, seed=0,
         out_dir=str(tmp_path / "t"),
     )
-    assert [sorted(k) for k in passed] == 2 * [
-        ["out_dir", "reset_optimizer", "resume", "seed", "should_stop", "stage"],
+    assert [sorted(k) for k in passed] == [
+        ["out_dir", "seed", "should_stop"], ["out_dir", "reset_optimizer", "restore", "seed", "stage"],
     ]
     env_cfg = make_config("reach2d")
     dataset = DemoDataset(np.zeros((1, 1, 5)), np.zeros((1, 1)), np.zeros((1, 2)), env_cfg.fingerprint(), (1,), (True,))
@@ -323,7 +325,7 @@ class TestStageOne:
         assert ts.track_best(straight).step == 0
         out = str(tmp_path / "cut")
         ts.run_stage_one(trainer, crash_step, seed=0, out_dir=out)
-        hist = ts.run_stage_one(trainer, 256, seed=0, out_dir=out)  # run_leg resumes it in place
+        hist = ts.run_stage_one(trainer, 256, seed=0, out_dir=out)  # the trainer call starts in place
         assert hist == straight == read_metrics(os.path.join(out, "metrics.csv"))
         assert ts.track_best(hist).step == 0
         assert sorted(os.listdir(out)) == sorted(os.listdir(tmp_path / "straight"))
