@@ -26,11 +26,11 @@ from .errors import ConfigError, DeskRLError, MetricsOrderError
 from .persistence import (
     MetricsRecord,
     append_metrics,
-    check_metrics_order,
     export_table,
     export_trendline,
     load_checkpoint,
     load_demos,
+    read_log,
     read_metrics,
     save_demos,
 )
@@ -148,16 +148,16 @@ def cmd_eval(args, resolved) -> None:
     ckpt = load_checkpoint(_require_path(section["checkpoint"], "eval.checkpoint"))
     if ckpt.env_fingerprint != env_cfg.fingerprint():
         raise ConfigError("checkpoint was trained on a different environment than [run] describes")
-    log_path = os.path.join(args.out, "eval-metrics.csv")
+    log = read_log(os.path.join(args.out, "eval-metrics.csv"))
     try:  # before anything is written or evaluated
-        check_metrics_order(log_path, ckpt.step)
+        log.check_order(ckpt.step)
     except MetricsOrderError as exc:
         raise ConfigError(str(exc)) from None
     spec = pol.build_policy_spec(env_cfg.task)
     store = ckpt.param_store()
     train_rate, test_rate = pol.evaluate_policy(store, spec, env_cfg, section["episodes"], args.seed)
     cfg_mod.write_manifest(args.out, "eval", args.seed, resolved)
-    append_metrics(log_path, MetricsRecord(ckpt.step, train_rate, test_rate))
+    append_metrics(log, MetricsRecord(ckpt.step, train_rate, test_rate))
     shown = train_rate if section["split"] == "train" else test_rate
     print(f"{section['split']} success rate: {shown:.4f}")
 

@@ -1,7 +1,8 @@
 """The training cycle PPO and BC share: start, evaluate, log, checkpoint.
 
 A trainer call first starts its run (`begin`), which reads the run
-directory's metrics.csv once and picks one of three starts.  In place,
+directory's metrics.csv once, as the `persistence.MetricsLog` the call
+then holds and appends to, and picks one of three starts.  In place,
 when the log holds records: from the checkpoint of its last record, for
 the budget the logged steps leave.  From the `restore` checkpoint
 otherwise, when the call names one.  Fresh otherwise: new policy
@@ -26,11 +27,12 @@ started from `restore` records the checkpoint's rates instead, which the
 run that wrote it measured for the same parameters and seed (`begin`
 rejects another seed) over that run's eval_episodes.  An in-place start
 records nothing at entry: its log already ends with that step.  The
-history, which should_stop sees and the call returns, is the log's
-records followed by the call's own, so an in-place start stops where the
-uninterrupted run would.  Every checkpoint stores the state words of the
-run stream `TrainingState.gen`, which PPO draws from; BC never does, so
-its words stay those of the fresh stream.
+history, which should_stop sees and the call returns, is the held log's
+records: those the file held at the start, then the call's own, so an
+in-place start stops where the uninterrupted run would.  Every
+checkpoint stores the state words of the run stream `TrainingState.gen`,
+which PPO draws from; BC never does, so its words stay those of the
+fresh stream.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ import numpy as np
 from . import nn, policy as pol
 from .envs import EnvConfig
 from .errors import ResumeError
-from .persistence import Checkpoint, MetricsRecord, append_metrics, checkpoint_name, load_checkpoint
-from .persistence import read_metrics, save_checkpoint
+from .persistence import Checkpoint, MetricsLog, MetricsRecord, append_metrics, checkpoint_name
+from .persistence import load_checkpoint, read_log, save_checkpoint
 from .rng import generator_from_words, make_generator, state_words
 
 
@@ -53,7 +55,7 @@ from .rng import generator_from_words, make_generator, state_words
 class TrainingState:
     """What one trainer call trains from: policy, optimiser, run stream,
     start step and budget, the (train, test) rates of a restored
-    checkpoint, and the records its directory's log already holds."""
+    checkpoint, and its directory's log, which the call appends to."""
 
     kind: str  # "ppo" | "bc"
     env_cfg: EnvConfig
@@ -66,7 +68,7 @@ class TrainingState:
     start_step: int
     budget: int
     entry_rates: tuple[float, float] | None
-    history: list[MetricsRecord]
+    log: MetricsLog
 
 
 def begin(
@@ -84,24 +86,25 @@ def begin(
     since it is written before its record; a newer one a crash left
     unlogged is written again, the same bytes.  That start ignores
     reset_optimizer, which the call's first start applied.  A checkpoint
-    is checked to fit this run before it is restored.  `cfg` is the
+    is checked to fit this run before it is restored: its trainer kind,
+    environment and seed, and, unless reset_optimizer replaces its Adam
+    state, the learning rate that state carries.  `cfg` is the
     trainer's config; only its total_steps, learning_rate and log_std0
     are read here.
     """
     spec = pol.build_policy_spec(env_cfg.task)
-    log = os.path.join(out_dir, "metrics.csv")
-    history = read_metrics(log) if os.path.exists(log) else []
+    log = read_log(os.path.join(out_dir, "metrics.csv"))
     budget = cfg.total_steps
-    if history:
-        restore = os.path.join(out_dir, checkpoint_name(history[-1].step))
-        budget -= history[-1].step - history[0].step
+    if log.records:
+        restore = os.path.join(out_dir, checkpoint_name(log.records[-1].step))
+        budget -= log.records[-1].step - log.records[0].step
         reset_optimizer = False
     if restore is None:
         store = nn.ParamStore()
         pol.init_policy(store, spec, make_generator(seed, kind, "init", env_cfg.task), cfg.log_std0)
         adam = nn.init_adam(store.size, lr=cfg.learning_rate)
         gen = make_generator(seed, kind, "train", env_cfg.task)
-        return TrainingState(kind, env_cfg, seed, out_dir, spec, store, adam, gen, 0, budget, None, history)
+        return TrainingState(kind, env_cfg, seed, out_dir, spec, store, adam, gen, 0, budget, None, log)
     ckpt = load_checkpoint(restore)
     if ckpt.trainer_kind != kind:
         raise ResumeError(f"checkpoint holds a {ckpt.trainer_kind} run, not {kind}")
@@ -109,11 +112,13 @@ def begin(
         raise ResumeError("checkpoint was trained on a different environment")
     if ckpt.rng_seed != seed:
         raise ResumeError(f"checkpoint holds a run of seed {ckpt.rng_seed}, not {seed}")
+    if not reset_optimizer and ckpt.adam.lr != cfg.learning_rate:
+        raise ResumeError(f"checkpoint holds learning rate {ckpt.adam.lr}, not {cfg.learning_rate}")
     store = ckpt.param_store()
     adam = nn.init_adam(store.size, lr=cfg.learning_rate) if reset_optimizer else ckpt.adam.copy()
     gen = generator_from_words(ckpt.rng_words)
     rates = (ckpt.train_success, ckpt.test_success)
-    return TrainingState(kind, env_cfg, seed, out_dir, spec, store, adam, gen, ckpt.step, budget, rates, history)
+    return TrainingState(kind, env_cfg, seed, out_dir, spec, store, adam, gen, ckpt.step, budget, rates, log)
 
 
 def run_loop(
@@ -126,9 +131,8 @@ def run_loop(
 ) -> list[MetricsRecord]:
     """Train state.budget further steps in units; returns the history."""
     os.makedirs(state.out_dir, exist_ok=True)
-    env_cfg, seed, history = state.env_cfg, state.seed, state.history
+    env_cfg, seed, history = state.env_cfg, state.seed, state.log.records
     run_id = f"{env_cfg.task}-{state.kind}-seed{seed}"
-    metrics_path = os.path.join(state.out_dir, "metrics.csv")
 
     def stopped() -> bool:
         return should_stop is not None and should_stop(history)
@@ -147,8 +151,7 @@ def run_loop(
                 train_success=train_rate, test_success=test_rate,
             ),
         )
-        append_metrics(metrics_path, record)
-        history.append(record)
+        append_metrics(state.log, record)
         return stopped()
 
     done = 0

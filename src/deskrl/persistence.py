@@ -30,11 +30,13 @@ lines, each written by `_row`: the ``str`` of every field, which for a
 float (a numpy scalar too) is its shortest round-trip text.  A record
 becomes a row through ``dataclasses.astuple``; a log line adds the wall
 clock of its append as a fifth field, which the reader checks and drops.
-Steps are enforced non-decreasing over a whole log.  Every file a run
-directory gets, the log included, is written whole by `replace_file`
-(write a temporary file, fsync it, rename it over the target, fsync the
-directory), so a crash leaves the old file or the new one, never a torn
-write.
+Steps are enforced non-decreasing over a whole log.  A log's one writer
+holds it as a `MetricsLog`: `read_log` reads and checks the file once,
+and each `append_metrics` writes the lines held plus one row, without
+reading the file again.  Every file a run directory gets, the log
+included, is written whole by `replace_file` (write a temporary file,
+fsync it, rename it over the target, fsync the directory), so a crash
+leaves the old file or the new one, never a torn write.
 """
 
 from __future__ import annotations
@@ -306,23 +308,21 @@ def _parse_line(line: str) -> MetricsRecord:
     return MetricsRecord(int(parts[0]), float(parts[1]), float(parts[2]), int(parts[3]))
 
 
-def _parse_log(path: str, lines: bytes, first: int = 0, last: int | None = None) -> list[MetricsRecord]:
-    """The records of `lines`, complete lines of the log at `path` from its
-    line `first` (0-based) on, after a record of step `last`; the one rule
-    that every reader and writer of a log follows.  A complete line that is
+def _parse_log(path: str, lines: bytes) -> list[MetricsRecord]:
+    """The records of `lines`, the complete lines of the log at `path`; the
+    one rule that every reader of a log follows.  A complete line that is
     not the header, does not parse or goes back in step raises
     MetricsFormatError naming the file and the line."""
     records: list[MetricsRecord] = []
-    for i, line in enumerate(lines.decode("utf-8", errors="replace").split("\n")[:-1], start=first):
+    for i, line in enumerate(lines.decode("utf-8", errors="replace").split("\n")[:-1]):
         if i == 0 and line == METRICS_HEADER:
             continue
         try:
             rec = _parse_line(line)
         except (ValueError, ConfigError) as err:
             raise MetricsFormatError(f"{path}: line {i + 1}: {err}") from None
-        if last is not None and rec.step < last:
+        if records and rec.step < records[-1].step:
             raise MetricsFormatError(f"{path}: step went backwards at line {i + 1}")
-        last = rec.step
         records.append(rec)
     return records
 
@@ -335,41 +335,41 @@ def _complete_lines(path: str) -> bytes:
     return log[: log.rfind(b"\n") + 1]
 
 
-# (path, complete lines, their count, last step) of the log append_metrics
-# last wrote: the next append parses only the lines after them, so n appends
-# parse n lines, not n^2 / 2.  A memo only: its bytes must open the log
-_appended: tuple[str, bytes, int, int | None] = ("", b"", 0, None)
+@dataclass
+class MetricsLog:
+    """A metrics log as its one writer holds it: the file's path, its
+    complete lines (empty before the first append) and their records."""
+
+    path: str
+    lines: bytes
+    records: list[MetricsRecord]
+
+    def check_order(self, step: int) -> None:
+        """MetricsOrderError if `step` is below the step of the last record."""
+        if self.records and step < self.records[-1].step:
+            raise MetricsOrderError(f"step {step} after step {self.records[-1].step} in {self.path}")
 
 
-def check_metrics_order(path: str, step: int) -> tuple[bytes, int]:
-    """The complete lines of the log at `path` (empty if there is none) and
-    their count, once read_metrics would accept them (MetricsFormatError if
-    not); MetricsOrderError if `step` is below the step of their last record."""
+def read_log(path: str) -> MetricsLog:
+    """The log at `path`, read and checked once by read_metrics' rule; an
+    empty log when there is no file."""
     try:
-        log = _complete_lines(path)
+        lines = _complete_lines(path)
     except FileNotFoundError:
-        return b"", 0
-    known_path, done, count, last = _appended
-    if known_path != path or not log.startswith(done):
-        done, count, last = b"", 0, None
-    records = _parse_log(path, log[len(done) :], count, last)
-    last = records[-1].step if records else last
-    if last is not None and step < last:
-        raise MetricsOrderError(f"step {step} after step {last} in {path}")
-    return log, count + log.count(b"\n", len(done))
+        return MetricsLog(path, b"", [])
+    return MetricsLog(path, lines, _parse_log(path, lines))
 
 
-def append_metrics(path: str, record: MetricsRecord) -> None:
-    """Add one record by replacing the whole log; steps must never decrease
-    within a file, and a log that read_metrics refuses is left unchanged.
-    A partial last line is dropped; the line ends with the wall clock."""
-    global _appended
-    log, count = check_metrics_order(path, record.step)
-    if not log:
-        log, count = (METRICS_HEADER + "\n").encode(), 1
-    log += _row(astuple(record) + (time.time(),)).encode()
-    replace_file(path, log)
-    _appended = (path, log, count + 1, record.step)
+def append_metrics(log: MetricsLog, record: MetricsRecord) -> None:
+    """Add one record by replacing the whole file with the lines `log`
+    holds plus the record's, which ends with the wall clock; steps must
+    never decrease.  The file is not read again: the log's one writer
+    holds it, so an edit made to the file since it was read is replaced."""
+    log.check_order(record.step)
+    lines = (log.lines or (METRICS_HEADER + "\n").encode()) + _row(astuple(record) + (time.time(),)).encode()
+    replace_file(log.path, lines)
+    log.lines = lines
+    log.records.append(record)
 
 
 def read_metrics(path: str) -> list[MetricsRecord]:

@@ -136,11 +136,11 @@ MUTANTS = (
         "metrics_before_checkpoint",
         "loop.py",
         (
-            ("        append_metrics(metrics_path, record)\n", ""),
+            ("        append_metrics(state.log, record)\n", ""),
             (
                 "        record = MetricsRecord(step, train_rate, test_rate, stage)\n",
                 "        record = MetricsRecord(step, train_rate, test_rate, stage)\n"
-                "        append_metrics(metrics_path, record)\n",
+                "        append_metrics(state.log, record)\n",
             ),
         ),
         "an evaluation's metrics line is written before its checkpoint, so a crash between them "
@@ -165,7 +165,7 @@ MUTANTS = (
         "sample offsets",
     ),
     # the one start rule's subtle line: a call started in place keeps its own Adam state;
-    # first failing test: test_crash_resume.py::test_two_stage_run_survives_a_crash_at_every_write
+    # first failing test: test_bc.py::TestTrainBC::test_resume_rejects_another_learning_rate
     Mutant(
         "reset_optimizer_on_in_place_resume",
         "loop.py",

@@ -279,14 +279,14 @@ class TestTrainBC:
         def refuse(src, dst):
             raise OSError("rename refused")
 
-        def append_or_fail(path, record):
+        def append_or_fail(held, record):
             steps.append(record.step)
             if len(steps) < fail_at:
-                return persistence.append_metrics(path, record)
+                return persistence.append_metrics(held, record)
             before.append(log.read_bytes() if log.exists() else None)
             with monkeypatch.context() as m:
                 m.setattr(os, "replace", refuse)
-                persistence.append_metrics(path, record)
+                persistence.append_metrics(held, record)
 
         monkeypatch.setattr(loop, "append_metrics", append_or_fail)
         with pytest.raises(OSError, match="rename refused"):
@@ -369,6 +369,19 @@ class TestTrainBC:
         ck = str(tmp_path / "r" / "ckpt-00000000.ckpt")
         with pytest.raises(ResumeError, match="seed 1, not 2"):
             bc.train_bc(small_cfg(), ds, cfg, seed=2, out_dir=str(tmp_path / "x"), restore=ck)
+
+    def test_resume_rejects_another_learning_rate(self, reach_demos, tmp_path):
+        cfg, ds = reach_demos
+        run = tmp_path / "r"
+        bc.train_bc(small_cfg(total_steps=0), ds, cfg, seed=1, out_dir=str(run))
+        ck = str(run / "ckpt-00000000.ckpt")
+        with pytest.raises(ResumeError, match="learning rate 0.001, not 0.01"):
+            bc.train_bc(small_cfg(learning_rate=1e-2), ds, cfg, seed=1, out_dir=str(tmp_path / "x"), restore=ck)
+        assert not os.path.exists(tmp_path / "x")
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        with pytest.raises(ResumeError, match="learning rate 0.001, not 0.01"):
+            bc.train_bc(small_cfg(learning_rate=1e-2), ds, cfg, seed=1, out_dir=str(run), reset_optimizer=True)
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
     def test_training_reduces_the_cloning_loss(self, reach_demos, tmp_path):
         cfg, ds = reach_demos

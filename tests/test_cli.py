@@ -228,7 +228,7 @@ class TestEval:
         out = tmp_path / "e7"
         out.mkdir()
         log = out / "eval-metrics.csv"
-        ps.append_metrics(str(log), ps.MetricsRecord(400, 0.5, 0.25))
+        ps.append_metrics(ps.read_log(str(log)), ps.MetricsRecord(400, 0.5, 0.25))
         before = log.read_bytes()
         rc = main([
             "eval", "--out", str(out), *TINY_ENV,
@@ -247,7 +247,7 @@ class TestEval:
         out = tmp_path / "e8"
         out.mkdir()
         log = out / "eval-metrics.csv"
-        ps.append_metrics(str(log), ps.MetricsRecord(10, 0.5, 0.25))
+        ps.append_metrics(ps.read_log(str(log)), ps.MetricsRecord(10, 0.5, 0.25))
         with open(log, "a") as fh:
             fh.write("garbage,line\n")
         before = log.read_bytes()

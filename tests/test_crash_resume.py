@@ -67,7 +67,6 @@ def check_every_crash_point(tmp_path, monkeypatch, run, writes, state=run_dir_st
             with pytest.raises(Crash):
                 run(out)
             monkeypatch.undo()
-            monkeypatch.setattr(ps, "_appended", ("", b"", 0, None))  # as a fresh process has it
             run(out)
             assert state(out) == want, (n, after)
 

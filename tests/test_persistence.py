@@ -278,7 +278,7 @@ def test_checkpoint_field_validation():
 def test_metrics_append_then_read_back(tmp_path):
     path = str(tmp_path / "m.csv")
     rec = ps.MetricsRecord(step=100, train_success=0.5, test_success=0.25, stage=1)
-    ps.append_metrics(path, rec)
+    ps.append_metrics(ps.read_log(path), rec)
     assert ps.read_metrics(path) == [rec]
     stamp = open(path).read().splitlines()[1].split(",")[4]
     assert float(stamp) > 0.0  # the line carries a real wall-clock stamp
@@ -286,10 +286,16 @@ def test_metrics_append_then_read_back(tmp_path):
 
 def test_metrics_rejects_backwards_step(tmp_path):
     path = str(tmp_path / "m.csv")
-    ps.append_metrics(path, ps.MetricsRecord(200, 0.5, 0.5, 1))
-    ps.append_metrics(path, ps.MetricsRecord(200, 0.6, 0.5, 2))  # equal is fine
+    log = ps.read_log(path)
+    ps.append_metrics(log, ps.MetricsRecord(200, 0.5, 0.5, 1))
+    ps.append_metrics(log, ps.MetricsRecord(200, 0.6, 0.5, 2))  # equal is fine
+    before = open(path, "rb").read()
+    with pytest.raises(MetricsOrderError, match=r"step 199 after step 200 in .*m\.csv"):
+        ps.append_metrics(log, ps.MetricsRecord(199, 0.5, 0.5, 2))
+    assert open(path, "rb").read() == before and [r.step for r in log.records] == [200, 200]
+    # a log read back from the file refuses it the same way
     with pytest.raises(MetricsOrderError):
-        ps.append_metrics(path, ps.MetricsRecord(199, 0.5, 0.5, 2))
+        ps.append_metrics(ps.read_log(path), ps.MetricsRecord(199, 0.5, 0.5, 2))
 
 
 def test_metrics_order_check_reads_past_a_long_malformed_line(tmp_path):
@@ -299,7 +305,7 @@ def test_metrics_order_check_reads_past_a_long_malformed_line(tmp_path):
     path.write_text(ps.METRICS_HEADER + "\n12345,0.5,0.5,1,0.0\n" + "x" * 4091 + "\n")
     before = path.read_bytes()
     with pytest.raises(MetricsFormatError, match=r"m\.csv: line 3"):
-        ps.append_metrics(str(path), ps.MetricsRecord(100, 0.5, 0.5, 1))
+        ps.append_metrics(ps.read_log(str(path)), ps.MetricsRecord(100, 0.5, 0.5, 1))
     assert path.read_bytes() == before
 
 
@@ -320,35 +326,39 @@ def test_metrics_bulk_10k_appends(tmp_path, monkeypatch):
     synced = []
     monkeypatch.setattr(ps.os, "fsync", synced.append)
     path = str(tmp_path / "bulk.csv")
+    log = ps.read_log(path)
     for i in range(10_000):
-        ps.append_metrics(path, ps.MetricsRecord(i, 0.5, 0.5, 1 if i < 5000 else 2))
+        ps.append_metrics(log, ps.MetricsRecord(i, 0.5, 0.5, 1 if i < 5000 else 2))
     assert len(synced) == 2 * 10_000
     back = ps.read_metrics(path)
+    assert back == log.records
     assert len(back) == 10_000
     assert back[0].step == 0 and back[-1].step == 9_999
 
 
 def test_metrics_ignores_crash_truncated_tail(tmp_path):
     path = str(tmp_path / "m.csv")
+    log = ps.read_log(path)
     for i in range(3):
-        ps.append_metrics(path, ps.MetricsRecord(i, 0.1, 0.2, 1))
+        ps.append_metrics(log, ps.MetricsRecord(i, 0.1, 0.2, 1))
     with open(path, "a") as fh:
         fh.write("3,0.5,0.5")  # no newline: crashed mid-write
     back = ps.read_metrics(path)
     assert [r.step for r in back] == [0, 1, 2]
     # and appending afterwards still enforces order against the last full line
-    ps.append_metrics(path, ps.MetricsRecord(2, 0.3, 0.4, 2))
+    ps.append_metrics(ps.read_log(path), ps.MetricsRecord(2, 0.3, 0.4, 2))
 
 
 def test_metrics_append_after_crash_tail_keeps_every_record(tmp_path):
     # a resumed run appends after a crash mid-write: the partial line is
     # cut, so it cannot fuse with the new record into a malformed line
     path = str(tmp_path / "m.csv")
+    log = ps.read_log(path)
     for i in range(3):
-        ps.append_metrics(path, ps.MetricsRecord(i, 0.1, 0.2, 1))
+        ps.append_metrics(log, ps.MetricsRecord(i, 0.1, 0.2, 1))
     with open(path, "a") as fh:
         fh.write("3,0.5,0.5")
-    ps.append_metrics(path, ps.MetricsRecord(2, 0.3, 0.4, 2))
+    ps.append_metrics(ps.read_log(path), ps.MetricsRecord(2, 0.3, 0.4, 2))
     back = ps.read_metrics(path)
     assert [(r.step, r.train_success, r.stage) for r in back] == [
         (0, 0.1, 1), (1, 0.1, 1), (2, 0.1, 1), (2, 0.3, 2)
@@ -356,10 +366,12 @@ def test_metrics_append_after_crash_tail_keeps_every_record(tmp_path):
 
 
 def test_failed_rename_leaves_no_temporary_file(tmp_path, monkeypatch):
-    # the rename inside append_metrics fails: the log keeps its old bytes
-    # and the run directory holds no metrics.csv.tmp afterwards
+    # the rename inside append_metrics fails: the log keeps its old bytes,
+    # the held log its old lines, and the run directory holds no
+    # metrics.csv.tmp afterwards
     path = str(tmp_path / "metrics.csv")
-    ps.append_metrics(path, ps.MetricsRecord(0, 0.1, 0.2, 1))
+    log = ps.read_log(path)
+    ps.append_metrics(log, ps.MetricsRecord(0, 0.1, 0.2, 1))
     before = open(path, "rb").read()
 
     def failing_replace(src, dst):
@@ -367,34 +379,38 @@ def test_failed_rename_leaves_no_temporary_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ps.os, "replace", failing_replace)
     with pytest.raises(OSError, match="rename failed"):
-        ps.append_metrics(path, ps.MetricsRecord(1, 0.1, 0.2, 1))
+        ps.append_metrics(log, ps.MetricsRecord(1, 0.1, 0.2, 1))
     assert sorted(os.listdir(tmp_path)) == ["metrics.csv"]
     assert open(path, "rb").read() == before
+    assert log == ps.read_log(path)
 
 
 def test_metrics_append_after_partial_header_writes_the_header(tmp_path):
     path = str(tmp_path / "m.csv")
     with open(path, "w") as fh:
         fh.write(ps.METRICS_HEADER[:9])
-    ps.append_metrics(path, ps.MetricsRecord(0, 0.1, 0.2, 1))
+    ps.append_metrics(ps.read_log(path), ps.MetricsRecord(0, 0.1, 0.2, 1))
     assert open(path).readline() == ps.METRICS_HEADER + "\n"
     assert [r.step for r in ps.read_metrics(path)] == [0]
 
 
 def test_metrics_append_keeps_complete_bytes(tmp_path, monkeypatch):
     path = str(tmp_path / "m.csv")
+    log = ps.read_log(path)
     monkeypatch.setattr(ps.time, "time", lambda: 1.5)
-    ps.append_metrics(path, ps.MetricsRecord(0, 0.1, 0.2, 1))
+    ps.append_metrics(log, ps.MetricsRecord(0, 0.1, 0.2, 1))
     before = open(path, "rb").read()
     monkeypatch.setattr(ps.time, "time", lambda: 2.5)
-    ps.append_metrics(path, ps.MetricsRecord(1, 0.1, 0.2, 1))
+    ps.append_metrics(log, ps.MetricsRecord(1, 0.1, 0.2, 1))
     assert open(path, "rb").read() == before + b"1,0.1,0.2,1,2.5\n"
+    assert log == ps.read_log(path)  # the held lines are the file's
 
 
 def test_metrics_file_is_valid_prefix_under_line_truncation(tmp_path):
     path = str(tmp_path / "m.csv")
+    log = ps.read_log(path)
     for i in range(5):
-        ps.append_metrics(path, ps.MetricsRecord(i * 10, 0.1, 0.2, 1))
+        ps.append_metrics(log, ps.MetricsRecord(i * 10, 0.1, 0.2, 1))
     lines = open(path).readlines()
     open(path, "w").writelines(lines[:3])  # header + 2 records
     assert [r.step for r in ps.read_metrics(path)] == [0, 10]
@@ -408,12 +424,12 @@ def test_metrics_malformed_complete_line_names_path_and_line(tmp_path, line):
     # a complete line mid-log is not a crash tail: it must not be skipped
     # and must not escape as a bare ValueError or a ConfigError
     path = str(tmp_path / "m.csv")
-    ps.append_metrics(path, ps.MetricsRecord(0, 0.1, 0.2, 1))
+    ps.append_metrics(ps.read_log(path), ps.MetricsRecord(0, 0.1, 0.2, 1))
     with open(path, "a") as fh:
         fh.write(line)
     before = open(path, "rb").read()
     with pytest.raises(MetricsFormatError, match=r"m\.csv: line 3"):
-        ps.append_metrics(path, ps.MetricsRecord(20, 0.1, 0.2, 1))
+        ps.append_metrics(ps.read_log(path), ps.MetricsRecord(20, 0.1, 0.2, 1))
     assert open(path, "rb").read() == before
     with pytest.raises(MetricsFormatError, match=r"m\.csv: line 3"):
         ps.read_metrics(path)
@@ -423,14 +439,14 @@ def test_metrics_append_refuses_a_log_that_does_not_read(tmp_path):
     # appends and reads follow one rule: once a complete line does not
     # parse, the append that follows it fails and writes nothing
     path = str(tmp_path / "m.csv")
-    ps.append_metrics(path, ps.MetricsRecord(10, 0.5, 0.5, 1))
+    ps.append_metrics(ps.read_log(path), ps.MetricsRecord(10, 0.5, 0.5, 1))
     with open(path, "a") as fh:
         fh.write("garbage,line\n")
     before = open(path, "rb").read()
     with pytest.raises(MetricsFormatError, match="line 3: expected 5 fields, got 2"):
-        ps.append_metrics(path, ps.MetricsRecord(20, 0.5, 0.5, 1))
+        ps.append_metrics(ps.read_log(path), ps.MetricsRecord(20, 0.5, 0.5, 1))
     with pytest.raises(MetricsFormatError, match="line 3"):
-        ps.check_metrics_order(path, 20)
+        ps.read_metrics(path)
     assert open(path, "rb").read() == before
 
 
@@ -438,23 +454,9 @@ def test_metrics_append_refuses_a_log_whose_steps_go_back(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text(ps.METRICS_HEADER + "\n20,0.5,0.5,1,0.0\n10,0.5,0.5,1,0.0\n")
     with pytest.raises(MetricsFormatError, match="step went backwards at line 3"):
-        ps.append_metrics(str(path), ps.MetricsRecord(30, 0.5, 0.5, 1))
+        ps.append_metrics(ps.read_log(str(path)), ps.MetricsRecord(30, 0.5, 0.5, 1))
     with pytest.raises(MetricsFormatError, match="step went backwards at line 3"):
         ps.read_metrics(str(path))
-
-
-def test_metrics_append_rereads_lines_edited_since_the_last_append(tmp_path):
-    # the lines an append wrote are not parsed again by the next one, unless
-    # their bytes changed on disk meanwhile
-    path = tmp_path / "m.csv"
-    for step in (0, 10):
-        ps.append_metrics(str(path), ps.MetricsRecord(step, 0.5, 0.5, 1))
-    path.write_bytes(path.read_bytes().replace(b"10,0.5", b"10,x.5"))
-    with pytest.raises(MetricsFormatError, match="line 3"):
-        ps.append_metrics(str(path), ps.MetricsRecord(20, 0.5, 0.5, 1))
-    path.write_bytes(path.read_bytes().replace(b"10,x.5", b"10,0.5"))
-    ps.append_metrics(str(path), ps.MetricsRecord(20, 0.5, 0.5, 1))
-    assert [r.step for r in ps.read_metrics(str(path))] == [0, 10, 20]
 
 
 def test_metrics_missing_file():
@@ -493,8 +495,9 @@ def test_trendline_reexport_is_byte_identical(tmp_path, monkeypatch):
     for clock in (1.0, 999.0):
         monkeypatch.setattr(ps.time, "time", lambda: clock)
         log, trend = str(tmp_path / f"m{clock}.csv"), str(tmp_path / f"t{clock}.csv")
+        held = ps.read_log(log)
         for i in range(1, 5):
-            ps.append_metrics(log, ps.MetricsRecord(i, 0.1 * i, 0.05 * i, 1))
+            ps.append_metrics(held, ps.MetricsRecord(i, 0.1 * i, 0.05 * i, 1))
         ps.export_trendline(ps.read_metrics(log), trend)
         exports.append(open(trend, "rb").read())
     assert exports[0] == exports[1]
@@ -597,7 +600,7 @@ def test_numpy_scalar_fields_write_the_bytes_of_python_floats(tmp_path, monkeypa
     files = []
     for cast in (float, np.float64):
         log, table = str(tmp_path / f"{cast.__name__}-m.csv"), str(tmp_path / f"{cast.__name__}-g.csv")
-        ps.append_metrics(log, ps.MetricsRecord(10, cast(0.25), cast(0.25), 1))
+        ps.append_metrics(ps.read_log(log), ps.MetricsRecord(10, cast(0.25), cast(0.25), 1))
         ps.export_table([RunRecord(1, cast(0.9), 1.0, 8, 16, cast(0.25), cast(0.25), 0, 4)], table)
         assert ps.read_metrics(log) == [ps.MetricsRecord(10, 0.25, 0.25, 1)]
         files.append((open(log, "rb").read(), open(table, "rb").read()))

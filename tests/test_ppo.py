@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from deskrl import loop, nn, pointnet, policy as pol, ppo
+from deskrl import loop, nn, persistence, pointnet, policy as pol, ppo
 from deskrl.envs import make_config, make_env
 from deskrl.errors import ConfigError, NonFiniteError, ResumeError
 from deskrl.persistence import load_checkpoint, read_metrics, save_checkpoint
@@ -806,6 +806,52 @@ class TestTrainPPO:
         other = make_config("reach2d", horizon=60)
         with pytest.raises(ResumeError):
             ppo.train_ppo(small_cfg(), other, seed=1, out_dir=str(tmp_path / "x"), restore=ck)
+
+    def test_resume_rejects_another_learning_rate(self, tmp_path):
+        # a checkpoint's Adam state carries its learning rate: kept, the call
+        # would train at that rate instead of its own
+        cfg = make_config("reach2d", horizon=40)
+        run = tmp_path / "r"
+        ppo.train_ppo(small_cfg(total_steps=0), cfg, seed=1, out_dir=str(run))
+        ck = str(run / "ckpt-00000000.ckpt")
+        with pytest.raises(ResumeError, match="learning rate 0.0003, not 0.01"):
+            ppo.train_ppo(small_cfg(learning_rate=1e-2), cfg, seed=1, out_dir=str(tmp_path / "x"), restore=ck)
+        assert not os.path.exists(tmp_path / "x")
+        # in place as well, where reset_optimizer is ignored
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        with pytest.raises(ResumeError, match="learning rate 0.0003, not 0.01"):
+            ppo.train_ppo(small_cfg(learning_rate=1e-2), cfg, seed=1, out_dir=str(run), reset_optimizer=True)
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+        # reset_optimizer starts Adam afresh at the call's rate
+        ppo.train_ppo(
+            small_cfg(learning_rate=1e-2, total_steps=80), cfg, seed=1, out_dir=str(tmp_path / "y"),
+            restore=ck, reset_optimizer=True,
+        )
+        assert load_checkpoint(str(tmp_path / "y" / "ckpt-00000080.ckpt")).adam.lr == 1e-2
+
+    def test_a_call_reads_its_log_once(self, tmp_path, monkeypatch):
+        # the call holds its log: metrics.csv is read once, at the start,
+        # and every append writes the lines held, fresh and run again in place
+        env_cfg = make_config("reach2d", horizon=8)
+        cfg = small_cfg(samples_per_step=32, minibatch_size=16, epochs=1, total_steps=96, eval_period=32,
+                        eval_episodes=2)
+        out = str(tmp_path / "run")
+        log = os.path.join(out, "metrics.csv")
+        reads = []
+        read = persistence._complete_lines
+        monkeypatch.setattr(persistence, "_complete_lines", lambda path: reads.append(path) or read(path))
+        history = ppo.train_ppo(cfg, env_cfg, seed=0, out_dir=out)
+        assert [r.step for r in history] == [0, 32, 64, 96]
+        assert reads == [log]
+        # the log a crash leaves between a checkpoint and its line, twice over
+        with open(log) as fh:
+            lines = fh.readlines()
+        with open(log, "w") as fh:
+            fh.writelines(lines[:3])
+        reads.clear()
+        assert ppo.train_ppo(cfg, env_cfg, seed=0, out_dir=out) == history
+        assert reads == [log]
+        assert read_metrics(log) == history
 
     def test_stage_is_stamped_into_records(self, tmp_path):
         cfg = make_config("reach2d", horizon=40)

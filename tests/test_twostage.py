@@ -19,6 +19,7 @@ from deskrl.persistence import (
     append_metrics,
     checkpoint_name,
     load_checkpoint,
+    read_log,
     read_metrics,
     save_checkpoint,
 )
@@ -189,6 +190,7 @@ def toy_trainer(rate_of, write_checkpoints=True):
         ckpt = load_checkpoint(restore) if restore is not None else None
         start = ckpt.step if ckpt is not None else 0
         entry_rates = (ckpt.train_success, ckpt.test_success) if ckpt is not None else None
+        log = read_log(os.path.join(out_dir, "metrics.csv"))
         history = []
 
         def evaluate(step, rates=None):
@@ -213,7 +215,7 @@ def toy_trainer(rate_of, write_checkpoints=True):
                         test_success=test,
                     ),
                 )
-            append_metrics(os.path.join(out_dir, "metrics.csv"), record)
+            append_metrics(log, record)
             return should_stop is not None and should_stop(history)
 
         done = 0
