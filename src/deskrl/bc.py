@@ -128,15 +128,15 @@ def train_bc(
     `cfg.total_steps` outer steps counted from the call's first record, on
     top of the `restore` checkpoint's step when it starts from one, with
     the start (a call run again over out_dir finishes its run), the
-    evaluation and checkpoint cadence and the should_stop hook of `loop`.
-    The sampler derives everything from (seed, step) and never draws from
+    evaluation and checkpoint cadence and the should_stop hook of
+    `loop.train`, which this binds to a unit of one outer step.  The
+    sampler derives everything from (seed, step) and never draws from
     the run stream.
     """
     check_demos(cfg, dataset, env_cfg)
-    state = loop.begin("bc", cfg, env_cfg, seed, out_dir, restore, reset_optimizer)
     S, B = cfg.samples_per_step, cfg.batch_size
 
-    def advance(step: int) -> None:
+    def advance(state: loop.TrainingState, step: int) -> None:
         block = stream_indices(seed, dataset.size, step * S, S)
         for lo in range(0, S, B):
             idx = block[lo : lo + B]  # last short minibatch kept
@@ -147,4 +147,4 @@ def train_bc(
                 raise NonFiniteError(f"non-finite loss at outer step {step}, minibatch {lo // B}")
             nn.adam_step(state.store, grad, state.adam)
 
-    return loop.run_loop(state, cfg, 1, advance, stage=stage, should_stop=should_stop)
+    return loop.train("bc", cfg, env_cfg, seed, out_dir, 1, advance, restore, stage, reset_optimizer, should_stop)

@@ -7,7 +7,7 @@ Every run writes a manifest.ini with the fully resolved configuration,
 so the artifacts alone reproduce the run; a command refused for its
 config writes nothing, not even that.  train, train-bc, two-stage and
 grid call the trainer directly, and a trainer call starts in place when
-its directory's log holds records (loop.begin), so run again over their
+its directory's log holds records (loop.train), so run again over their
 own --out with the same config they finish a crashed run and leave a
 finished one as it was.  Exit codes: 0 success, 1 for
 configuration problems (unknown command or key, missing file, invalid

@@ -327,15 +327,14 @@ def train_ppo(
     trains that many steps on top of the checkpoint's step counter, and
     one run again over out_dir finishes what the log leaves of it.  The
     start, the evaluation and checkpoint cadence and the should_stop hook
-    are those of `loop`.
+    are those of `loop.train`, which this binds to one rollout unit.
     """
-    state = loop.begin("ppo", cfg, env_cfg, seed, out_dir, restore, reset_optimizer)
     train_cfg = replace(env_cfg, split="train")
     S = cfg.samples_per_step
 
-    def advance(step: int) -> None:
+    def advance(state: loop.TrainingState, step: int) -> None:
         buffer = collect_rollout(state.store, state.spec, train_cfg, S, state.gen)
         compute_gae(buffer, cfg.gamma, cfg.lam, cfg.normalize_advantages)
         ppo_update(state.store, state.spec, buffer, cfg, state.gen, state.adam)
 
-    return loop.run_loop(state, cfg, S, advance, stage=stage, should_stop=should_stop)
+    return loop.train("ppo", cfg, env_cfg, seed, out_dir, S, advance, restore, stage, reset_optimizer, should_stop)

@@ -14,7 +14,7 @@ simply keeps training from the last checkpoint at the original sizes.
 Every trainer call here is a plain `trainer.run` with a sized config:
 stage one with no restore checkpoint and the stall hook, each stage-two
 call and grid row with the stage-one checkpoint it branches from.  The
-trainer call picks its own start (`loop.begin`): in place when its
+trainer call picks its own start (`loop.train`): in place when its
 directory's log holds records, else from that checkpoint, else fresh.
 So a two-stage run or a grid, run again over its own directory, finishes
 what a crash left and leaves a finished directory as it was; nothing

@@ -136,11 +136,11 @@ MUTANTS = (
         "metrics_before_checkpoint",
         "loop.py",
         (
-            ("        append_metrics(state.log, record)\n", ""),
+            ("        append_metrics(log, record)\n", ""),
             (
                 "        record = MetricsRecord(step, train_rate, test_rate, stage)\n",
                 "        record = MetricsRecord(step, train_rate, test_rate, stage)\n"
-                "        append_metrics(state.log, record)\n",
+                "        append_metrics(log, record)\n",
             ),
         ),
         "an evaluation's metrics line is written before its checkpoint, so a crash between them "

@@ -383,6 +383,23 @@ class TestTrainBC:
             bc.train_bc(small_cfg(learning_rate=1e-2), ds, cfg, seed=1, out_dir=str(run), reset_optimizer=True)
         assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
+    def test_a_log_past_the_budget_is_refused_before_any_write(self, reach_demos, tmp_path):
+        # the logged steps count from the log's first record, here the restore
+        # point's; a log that holds more than the call's budget is refused
+        cfg, ds = reach_demos
+        bc.train_bc(small_cfg(total_steps=4), ds, cfg, seed=1, out_dir=str(tmp_path / "a"))
+        run = tmp_path / "b"
+        restore = str(tmp_path / "a" / "ckpt-00000004.ckpt")
+        history = bc.train_bc(small_cfg(), ds, cfg, seed=1, out_dir=str(run), restore=restore)
+        assert [r.step for r in history] == [4, 8, 10]
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        with pytest.raises(ResumeError, match="metrics.csv logs 6 steps, more than this call's budget of 5"):
+            bc.train_bc(small_cfg(total_steps=5), ds, cfg, seed=1, out_dir=str(run), restore=restore)
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+        # the budget the log was taken from still finishes it, writing nothing
+        assert bc.train_bc(small_cfg(), ds, cfg, seed=1, out_dir=str(run), restore=restore) == history
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
     def test_training_reduces_the_cloning_loss(self, reach_demos, tmp_path):
         cfg, ds = reach_demos
         store, spec = fresh_policy(seed=1)

@@ -7,7 +7,7 @@ raise at its n-th call, for every n the uninterrupted run makes: once
 before the write and once after the rename.  The crashed run then
 finishes as a fresh process would: the same call is simply run again
 over its directory, and each trainer call in it starts in place, from
-its restore checkpoint or fresh (`loop.begin`).  The directory must then
+its restore checkpoint or fresh (`loop.train`).  The directory must then
 hold what the uninterrupted run's holds: the same file names, so no
 ``.tmp`` leftover, the same checkpoint bytes, and the same metrics
 records (a record holds no wall clock; its log line does).

@@ -1,9 +1,9 @@
 """The fast notebooks run to completion as scripts and leave no files behind,
 and every notebook finds the deskrl names it uses.
 
-Notebooks 01, 02, 03 and 06 take a few seconds between them; the others
-train for longer and are not run in this suite, so a rename in deskrl
-would break them unseen: their names are checked without running them.
+Notebooks 01, 02, 03, 04, 06 and 07 take a few seconds between them;
+05 trains for longer and is not run in this suite, so a rename in deskrl
+would break it unseen: its names are checked without running it.
 """
 
 import os
@@ -20,7 +20,9 @@ FAST = [
     "01_encoder_invariance.py",
     "02_arm_and_controllers.py",
     "03_environments_and_experts.py",
+    "04_train_ppo_reach.py",
     "06_resume_bit_exact.py",
+    "07_two_stage_and_grid.py",
 ]
 
 

@@ -764,6 +764,17 @@ class TestTrainPPO:
         assert ppo.train_ppo(small_cfg(total_steps=160), cfg, seed=3, out_dir=str(out)) == history
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    def test_a_log_past_the_budget_is_refused_before_any_write(self, tmp_path):
+        # in place, the logged steps come out of the call's budget; a log that
+        # holds more is a longer run's, not a history this call could return
+        cfg = make_config("reach2d", horizon=40)
+        out = tmp_path / "run"
+        ppo.train_ppo(small_cfg(total_steps=160), cfg, seed=3, out_dir=str(out))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        with pytest.raises(ResumeError, match="metrics.csv logs 160 steps, more than this call's budget of 80"):
+            ppo.train_ppo(small_cfg(total_steps=80), cfg, seed=3, out_dir=str(out))
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_resume_in_place_logs_each_step_once(self, tmp_path, monkeypatch):
         # run again over its own directory, whose log already ends with the
         # checkpoint's step, a run neither logs that step again nor rewrites

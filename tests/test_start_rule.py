@@ -1,6 +1,6 @@
 """Only loop and cli read a metrics log or load a checkpoint in src/deskrl.
 
-Where a trainer call starts is one rule, in loop.begin: it reads the run
+Where a trainer call starts is one rule, in loop.train: it reads the run
 directory's log once (read_log) and loads the checkpoint the call starts
 from (the log's last record's, or the restore checkpoint).  cli reads
 logs and checkpoints only for the commands that inspect them (eval,

@@ -179,7 +179,7 @@ class ToyCfg:
 def toy_trainer(rate_of, write_checkpoints=True):
     """A scripted stand-in honoring the trainer contract: entry eval,
     eval every eval_period steps, a final eval, a checkpoint per eval
-    written before its metrics line (loop.run_loop's order), and a stop
+    written before its metrics line (loop.train's order), and a stop
     once should_stop(history) holds after an eval.
     rate_of(step, stage) scripts the test rate; a run started from its
     restore checkpoint records the rates stored with it instead.  It never
